@@ -22,7 +22,9 @@ class Verdict:
     spec_echo: dict
 
     def __post_init__(self):
-        assert self.tempered == isinstance(self.evidence, NonnegCertificate)
+        if self.tempered != isinstance(self.evidence, NonnegCertificate):
+            raise ValueError("tempered must be True exactly when the evidence "
+                             "is a NonnegCertificate")
 
 
 def check(spec: PairSpec, use_symmetry: bool = False,
@@ -45,7 +47,10 @@ def check(spec: PairSpec, use_symmetry: bool = False,
     else:
         # replay the witness through plain evaluation, independent of the
         # enumeration machinery
-        assert evaluate_pl(f, evidence.direction) == evidence.value < 0
+        value = evaluate_pl(f, evidence.direction)
+        if not value == evidence.value < 0:
+            raise RuntimeError(f"witness replays to {value}, "
+                               f"recorded {evidence.value}")
     return Verdict(tempered=isinstance(evidence, NonnegCertificate),
                    evidence=evidence,
                    deficit_summary=summary,

@@ -67,7 +67,6 @@ class Cell:
 class CellComplex:
     cells: list[Cell]
     lineality: list[tuple[int, ...]]   # basis of the common lineality space
-    ray_count: int
 
 
 def _adjacent(p: _Ray, n: _Ray, rays) -> bool:
@@ -244,11 +243,6 @@ def enumerate_cells(hyperplanes, slice_basis, restrict=(), antipodal_prune=False
             cones = _insert_case2(cones, tuple(h), k, keep)
         k += 1
 
-    seen: set[int] = set()
-    cells = []
-    for cone in cones:
-        cells.append(Cell(signs=tuple(cone.signs),
-                          rays=tuple(r.vec for r in cone.rays)))
-        for r in cone.rays:
-            seen.add(id(r))
-    return CellComplex(cells=cells, lineality=list(L), ray_count=len(seen))
+    cells = [Cell(signs=tuple(cone.signs), rays=tuple(r.vec for r in cone.rays))
+             for cone in cones]
+    return CellComplex(cells=cells, lineality=list(L))

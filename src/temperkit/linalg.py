@@ -7,15 +7,10 @@ decision path.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
-
-
-def to_fraction_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
@@ -37,14 +32,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
 
 def mat_sub(A: Matrix, B: Matrix) -> Matrix:
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(A: Matrix, t: Fraction) -> Matrix:
-    return [[t * x for x in row] for row in A]
-
-
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def commutator(A: Matrix, B: Matrix) -> Matrix:
@@ -100,33 +87,7 @@ def rank_of(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(rref(rows)[0])
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> Matrix:
-    """Basis of {x : Mx = 0}, one vector per free column."""
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for j in range(ncols):
-        if j in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[j] = Fraction(1)
-        for row, p in zip(red, pivots):
-            vec[p] = -row[j]
-        basis.append(vec)
-    return basis
-
-
 def in_row_space(rows: Matrix, vec: Sequence[Fraction]) -> bool:
     if not rows:
         return all(x == 0 for x in vec)
     return rank_of(rows) == rank_of(list(rows) + [list(vec)])
-
-
-def primitive_int_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to coprime integers, keeping direction."""
-    den = math.lcm(*(Fraction(x).denominator for x in vec))
-    ints = [int(Fraction(x) * den) for x in vec]
-    g = math.gcd(*ints)
-    if g == 0:
-        return tuple(ints)
-    return tuple(v // g for v in ints)

@@ -17,12 +17,20 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import ArityError, ConstraintViolationError, SpaceMismatchError
-
-Rational = Fraction
+from .linalg import rref
 
 
 def _as_fraction_tuple(coeffs: Iterable) -> tuple[Fraction, ...]:
     return tuple(Fraction(c) for c in coeffs)
+
+
+def _sparse(ints: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """(index, value) pairs of the nonzero entries of an integer row."""
+    return tuple((i, a) for i, a in enumerate(ints) if a)
+
+
+def _dot(row: tuple[tuple[int, int], ...], Z: Sequence[int]) -> int:
+    return sum(a * Z[i] for i, a in row)
 
 
 class LinearForm:
@@ -105,7 +113,8 @@ class TorusSpace:
     construction; dependent constraint sets are rejected.
     """
 
-    __slots__ = ("ambient_dim", "coordinate_labels", "constraints", "_pivots", "_basis")
+    __slots__ = ("ambient_dim", "coordinate_labels", "constraints", "_pivots", "_basis",
+                 "_int_rows")
 
     def __init__(self, ambient_dim: int, constraints: Iterable[LinearForm] = (),
                  coordinate_labels: Optional[Sequence[str]] = None):
@@ -116,12 +125,15 @@ class TorusSpace:
             if len(r) != ambient_dim:
                 raise ArityError("constraint arity does not match ambient dimension")
         nrows = len(rows)
-        rref, pivots = _rref(rows)
-        if len(rref) != nrows:
+        reduced, pivots = rref(rows)
+        if len(reduced) != nrows:
             raise ValueError("constraint set is linearly dependent")
+        constraints = tuple(LinearForm(r) for r in reduced)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "constraints", tuple(LinearForm(r) for r in rref))
+        object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "_pivots", tuple(pivots))
+        object.__setattr__(self, "_int_rows",
+                           tuple(_sparse(c.integer_coeffs()) for c in constraints))
         if coordinate_labels is None:
             coordinate_labels = tuple(f"t{i}" for i in range(ambient_dim))
         elif len(coordinate_labels) != ambient_dim:
@@ -162,17 +174,28 @@ class TorusSpace:
         return LinearForm(coeffs)
 
     def contains(self, Y: Sequence) -> bool:
-        if len(Y) != self.ambient_dim:
-            raise ArityError("point arity does not match ambient dimension")
-        return all(c(Y) == 0 for c in self.constraints)
+        try:
+            self._scaled_point(Y)
+        except ConstraintViolationError:
+            return False
+        return True
 
     def require_point(self, Y: Sequence) -> tuple[Fraction, ...]:
         Y = _as_fraction_tuple(Y)
+        self._scaled_point(Y)
+        return Y
+
+    def _scaled_point(self, Y: Sequence) -> tuple[list[int], int]:
+        """Clear the denominators of a point of the slice: (Z, m) with
+        Z = m*Y integral for the least m >= 1.  Raises like require_point."""
+        Y = _as_fraction_tuple(Y)
         if len(Y) != self.ambient_dim:
             raise ArityError("point arity does not match ambient dimension")
-        if not self.contains(Y):
+        m = math.lcm(*(y.denominator for y in Y))
+        Z = [y.numerator * (m // y.denominator) for y in Y]
+        if any(_dot(row, Z) for row in self._int_rows):
             raise ConstraintViolationError("point violates torus constraints")
-        return Y
+        return Z, m
 
     def slice_basis(self) -> tuple[tuple[int, ...], ...]:
         """Integer basis of the slice (kernel of the constraint matrix)."""
@@ -210,36 +233,6 @@ class TorusSpace:
 
     def __repr__(self) -> str:
         return f"TorusSpace(ambient_dim={self.ambient_dim}, dim={self.dim})"
-
-
-def _rref(rows: list[list[Fraction]]):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                c = rows[i][col]
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    return rows[:rank], pivots
 
 
 class WeightModule:
@@ -302,7 +295,7 @@ class PLFunction:
     homogeneous of degree 1 by construction.
     """
 
-    __slots__ = ("space", "abs_terms", "linear_term")
+    __slots__ = ("space", "abs_terms", "linear_term", "_scaled")
 
     def __init__(self, space: TorusSpace, abs_terms: Iterable[tuple[Fraction, LinearForm]],
                  linear_term: Optional[LinearForm] = None):
@@ -320,9 +313,35 @@ class PLFunction:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "abs_terms", tuple(items))
         object.__setattr__(self, "linear_term", space.reduce(linear_term))
+        object.__setattr__(self, "_scaled", None)
 
     def __setattr__(self, *a):
         raise AttributeError("PLFunction is immutable")
+
+    def _integer_scaled(self):
+        """(den, linear, terms): den*f(Z) = linear.Z + sum c*|row.Z| on the
+        integer points Z of the slice, with integer data and sparse rows.
+
+        Built on first use.  Each abs form is scaled to a primitive integer
+        row, its scale factor folded into the coefficient, and terms that
+        share a row are merged.
+        """
+        if self._scaled is None:
+            merged: dict[tuple[int, ...], Fraction] = {}
+            for c, form in self.abs_terms:
+                d = math.lcm(*(x.denominator for x in form.coeffs))
+                ints = [x.numerator * (d // x.denominator) for x in form.coeffs]
+                g = math.gcd(*ints)
+                row = tuple(v // g for v in ints)
+                merged[row] = merged.get(row, 0) + c * Fraction(g, d)
+            lin = self.linear_term.coeffs
+            den = math.lcm(*(x.denominator for x in lin),
+                           *(c.denominator for c in merged.values()))
+            linear = _sparse([x.numerator * (den // x.denominator) for x in lin])
+            terms = tuple((int(c * den), _sparse(row))
+                          for row, c in merged.items() if c)
+            object.__setattr__(self, "_scaled", (den, linear, terms))
+        return self._scaled
 
     def __reduce__(self):
         return (PLFunction, (self.space, self.abs_terms, self.linear_term))
@@ -394,12 +413,17 @@ class PairSpec:
 # operations
 
 def evaluate_pl(f: PLFunction, Y: Sequence) -> Fraction:
-    """Evaluate sum c_i |alpha_i(Y)| + ell(Y) exactly at a point of the slice."""
-    Y = f.space.require_point(Y)
-    total = f.linear_term(Y)
-    for c, form in f.abs_terms:
-        total += c * abs(form(Y))
-    return total
+    """Evaluate sum c_i |alpha_i(Y)| + ell(Y) exactly at a point of the slice.
+
+    The sums run in integers on f's integer-scaled copy: f is positively
+    homogeneous, so f(Y) = f(m*Y)/m where m clears the denominators of Y.
+    """
+    Z, m = f.space._scaled_point(Y)
+    den, linear, terms = f._integer_scaled()
+    total = _dot(linear, Z)
+    for c, row in terms:
+        total += c * abs(_dot(row, Z))
+    return Fraction(total, den * m)
 
 
 def rho_plus(M: WeightModule, Y: Sequence) -> Fraction:

@@ -188,9 +188,7 @@ def evidence_to_json(ev) -> dict:
                 "antipodal_reduced": ev.antipodal_reduced,
                 "chambers": [{"signs": "".join("+" if s > 0 else "-"
                                                for s in ch.sign_vector),
-                              "rays": list(ch.ray_indices),
-                              "linear_form": _vec_to_json(
-                                  ch.restricted_linear_form.coeffs)}
+                              "rays": list(ch.ray_indices)}
                              for ch in ev.chambers]}
     raise TypeError(f"not evidence: {type(ev).__name__}")
 
@@ -220,12 +218,10 @@ def evidence_from_json(data: dict, where: str = "evidence"):
             signs = ch.get("signs", "")
             if not all(c in "+-" for c in signs):
                 raise SchemaError(f"{loc}.signs: expected a +/- string")
+            # older documents also carry a "linear_form" here; it is ignored
             chambers.append(Chamber(
                 sign_vector=tuple(1 if c == "+" else -1 for c in signs),
-                ray_indices=tuple(int(x) for x in ch.get("rays", [])),
-                restricted_linear_form=LinearForm(
-                    _vec_from_json(ch.get("linear_form", []),
-                                   f"{loc}.linear_form"))))
+                ray_indices=tuple(int(x) for x in ch.get("rays", []))))
         lineality = tuple(_vec_from_json(g, f"{where}.lineality[{i}]")
                           for i, g in enumerate(data.get("lineality", [])))
         return NonnegCertificate(hyperplanes=hyperplanes, rays=rays,

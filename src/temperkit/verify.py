@@ -27,7 +27,6 @@ class Chamber:
 
     sign_vector: tuple[int, ...]           # +1/-1 per hyperplane
     ray_indices: tuple[int, ...]           # indices into the shared ray table
-    restricted_linear_form: LinearForm
 
 
 @dataclass(frozen=True)
@@ -56,28 +55,12 @@ def distinct_hyperplanes(f: PLFunction) -> list[LinearForm]:
     return sorted(seen.values(), key=lambda h: h.coeffs)
 
 
-def _linearization(f: PLFunction, hyperplanes: Sequence[LinearForm],
-                   signs: Sequence[int]) -> LinearForm:
-    """The linear form equal to f on a cell with the given hyperplane signs."""
-    index = {h.coeffs: i for i, h in enumerate(hyperplanes)}
-    out = f.linear_term
-    for c, form in f.abs_terms:
-        i = index[form.primitive().coeffs]
-        # form = t * hyperplane with t > 0, so |form| = t * sign * hyperplane
-        h = hyperplanes[i]
-        t = next(a / b for a, b in zip(form.coeffs, h.coeffs) if b != 0)
-        out = out + h.scale(c * t * signs[i])
-    return out
-
-
 def enumerate_chambers(hyperplanes: Sequence[LinearForm], space: TorusSpace,
-                       f: Optional[PLFunction] = None,
                        restrict: Sequence[Sequence[int]] = (),
                        antipodal_prune: bool = False):
     """Full-dimensional cells of the arrangement on the torus slice.
 
-    Returns (chambers, ray_table, lineality_basis).  When ``f`` is given the
-    chambers carry its per-cell linearization, otherwise the zero form.
+    Returns (chambers, ray_table, lineality_basis).
     """
     basis = space.slice_basis()
     int_normals = [h.integer_coeffs() for h in hyperplanes]
@@ -86,7 +69,6 @@ def enumerate_chambers(hyperplanes: Sequence[LinearForm], space: TorusSpace,
     ray_index: dict[tuple[int, ...], int] = {}
     ray_table: list[tuple[Fraction, ...]] = []
     chambers = []
-    zero = LinearForm([Fraction(0)] * space.ambient_dim)
     for cell in complex_.cells:
         idxs = []
         for vec in cell.rays:
@@ -96,10 +78,7 @@ def enumerate_chambers(hyperplanes: Sequence[LinearForm], space: TorusSpace,
                 ray_index[vec] = i
                 ray_table.append(tuple(Fraction(x) for x in vec))
             idxs.append(i)
-        form = _linearization(f, hyperplanes, cell.signs) if f is not None else zero
-        chambers.append(Chamber(sign_vector=cell.signs,
-                                ray_indices=tuple(idxs),
-                                restricted_linear_form=form))
+        chambers.append(Chamber(sign_vector=cell.signs, ray_indices=tuple(idxs)))
     lineality = tuple(tuple(Fraction(x) for x in g) for g in complex_.lineality)
     return chambers, tuple(ray_table), lineality
 
@@ -167,7 +146,7 @@ def is_nonnegative(f: PLFunction,
     space = f.space
     if space.dim == 0:
         return NonnegCertificate(hyperplanes=(), rays=(), ray_values=(),
-                                 chambers=(Chamber((), (), f.linear_term),))
+                                 chambers=(Chamber((), ()),))
     restrict: Sequence = ()
     if symmetry:
         _check_symmetry(f, symmetry)
@@ -187,10 +166,9 @@ def is_nonnegative(f: PLFunction,
                 d = tuple(Fraction(x) for x in d)
                 return Witness(direction=d, value=evaluate_pl(f, d))
         return NonnegCertificate(hyperplanes=(), rays=(), ray_values=(),
-                                 chambers=(Chamber((), (), f.linear_term),))
+                                 chambers=(Chamber((), ()),))
     chambers, ray_table, lineality = enumerate_chambers(
-        hyperplanes, space, f=f, restrict=restrict,
-        antipodal_prune=antipodal_prune)
+        hyperplanes, space, restrict=restrict, antipodal_prune=antipodal_prune)
     # f restricted to the lineality space is linear; fold its +- generators
     # into the ray table so the certificate is self-contained
     ray_table = list(ray_table)

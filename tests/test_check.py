@@ -1,4 +1,5 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,19 @@ class TestCheck:
         spec = build_product_in_sl((2, 2))
         v = check(spec)
         assert v.spec_echo["family"] == "product_in_sl"
+
+    def test_inconsistent_verdict_rejected(self):
+        witness = check(simple_spec()).evidence
+        with pytest.raises(ValueError):
+            Verdict(tempered=True, evidence=witness, deficit_summary={},
+                    spec_echo={})
+
+    def test_witness_replay_mismatch_raises(self, monkeypatch):
+        # the package's check() shadows the module temperkit.check
+        module = sys.modules["temperkit.check"]
+        monkeypatch.setattr(module, "evaluate_pl", lambda f, Y: F(0))
+        with pytest.raises(RuntimeError, match="witness replays"):
+            check(simple_spec())
 
 
 class TestExtraModule:

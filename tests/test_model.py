@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from temperkit.errors import (ArityError, ConstraintViolationError,
                               SpaceMismatchError)
@@ -205,3 +206,43 @@ class TestRho:
         g = WeightModule(TorusSpace(2), [(lf(1, 0), 1)])
         with pytest.raises(SpaceMismatchError):
             PairSpec(g_module=g, h_module=h)
+
+
+small = st.integers(min_value=-3, max_value=3)
+rationals = st.builds(F, small, st.integers(min_value=1, max_value=4))
+
+
+@st.composite
+def pl_functions(draw, max_dim=4, max_terms=4):
+    """Functions with rational data on a slice cut out by up to two rows."""
+    dim = draw(st.integers(min_value=1, max_value=max_dim))
+    vectors = st.lists(rationals, min_size=dim, max_size=dim)
+    rows = draw(st.lists(vectors, max_size=min(2, dim)))
+    try:
+        space = TorusSpace(dim, [LinearForm(r) for r in rows])
+    except ValueError:  # dependent rows
+        assume(False)
+    n = draw(st.integers(min_value=1, max_value=max_terms))
+    terms = [(draw(rationals), LinearForm(draw(vectors))) for _ in range(n)]
+    return PLFunction(space, terms, LinearForm(draw(vectors)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_integer_evaluation_matches_fraction_sum(data):
+    f = data.draw(pl_functions())
+    space = f.space
+    denominators = st.integers(min_value=2, max_value=6)
+    slice_vec = data.draw(st.lists(st.builds(F, st.integers(-5, 5), denominators),
+                                   min_size=space.dim, max_size=space.dim))
+    Y = space.lift(slice_vec)
+    expected = f.linear_term(Y) + sum((c * abs(a(Y)) for c, a in f.abs_terms), F(0))
+    assert evaluate_pl(f, Y) == expected
+    for k in space.constraints:
+        off = tuple(y + c for y, c in zip(Y, k.coeffs))   # k(off) = k(Y) + |k|^2
+        with pytest.raises(ConstraintViolationError):
+            evaluate_pl(f, off)
+    with pytest.raises(ArityError):
+        evaluate_pl(f, Y + (F(1, 2),))
+    with pytest.raises(ArityError):
+        evaluate_pl(f, Y[:-1])

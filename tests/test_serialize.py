@@ -108,6 +108,18 @@ class TestRecheck:
         doc["tempered"] = False
         assert serialize.recheck_document(doc)
 
+    def test_chamber_linear_form_ignored(self):
+        # documents written while chambers carried "linear_form" still read
+        doc = self._doc(2, 2)
+        dim = doc["pair_spec"]["space"]["ambient_dim"]
+        for ch in doc["evidence"]["chambers"]:
+            assert "linear_form" not in ch
+            ch["linear_form"] = ["1/2"] * dim
+        assert serialize.SCHEMA_VERSION == doc["schema_version"] == 1
+        ev = serialize.evidence_from_json(doc["evidence"])
+        assert ev == serialize.evidence_from_json(self._doc(2, 2)["evidence"])
+        assert serialize.recheck_document(doc) == []
+
     def test_missing_spec_reported(self):
         doc = self._doc(2, 2)
         del doc["pair_spec"]

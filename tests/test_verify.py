@@ -87,21 +87,37 @@ class TestChambers:
         assert len(lineality) == 2
 
     def test_chamber_linearization_matches_function(self):
+        # what makes a chamber certificate sound: each chamber has its
+        # recorded sign on every hyperplane, and f is linear on it, so the
+        # ray values determine f there
         rng = random.Random(7)
         s = TorusSpace(3, [lf(1, 1, 1)])
-        f = pl(s, [(2, lf(1, -1, 0)), (-1, lf(0, 1, -1)), (3, lf(1, 0, -1))])
-        cert = is_nonnegative(f)
-        assert isinstance(cert, NonnegCertificate)
-        for ch in cert.chambers:
-            if not ch.ray_indices:
-                continue
-            # random interior point: positive combination of the rays
-            weights = [rng.randint(1, 5) for _ in ch.ray_indices]
-            pt = [F(0)] * 3
-            for w, i in zip(weights, ch.ray_indices):
-                for k in range(3):
-                    pt[k] += w * cert.rays[i][k]
-            assert ch.restricted_linear_form(pt) == evaluate_pl(f, pt)
+        cases = [
+            [(2, lf(1, -1, 0)), (-1, lf(0, 1, -1)), (3, lf(1, 0, -1))],
+            # non-primitive and rational forms, two of them on one hyperplane:
+            # 2|x-y| + (1/2)|y-z| + 4|y-z| - |x-z| >= 0
+            [(1, lf(2, -2, 0)), (F(1, 3), lf(0, "3/2", "-3/2")),
+             (-1, lf(1, 0, -1)), (1, lf(0, 4, -4))],
+        ]
+        for terms in cases:
+            f = pl(s, terms)
+            cert = is_nonnegative(f)
+            assert isinstance(cert, NonnegCertificate)
+            assert cert.chambers and all(ch.ray_indices for ch in cert.chambers)
+            for ch in cert.chambers:
+                # random interior point: positive combination of the rays
+                weights = [rng.randint(1, 5) for _ in ch.ray_indices]
+                pt = [F(0)] * 3
+                for w, i in zip(weights, ch.ray_indices):
+                    for k in range(3):
+                        pt[k] += w * cert.rays[i][k]
+                assert len(ch.sign_vector) == len(cert.hyperplanes)
+                for h, sign in zip(cert.hyperplanes, ch.sign_vector):
+                    assert h(pt) * sign > 0
+                value = evaluate_pl(f, pt)
+                assert value == sum(
+                    w * cert.ray_values[i] for w, i in zip(weights, ch.ray_indices))
+                assert value == sum((c * abs(a(pt)) for c, a in f.abs_terms), F(0))
 
 
 class TestReductions:
