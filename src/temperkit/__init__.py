@@ -11,7 +11,8 @@ from .check import (Verdict, ScanPoint, ScanReport, check, check_with_module,
                     TABLE1_PREDICATES, TABLE2_PREDICATES)
 from .errors import (TemperkitError, ArityError, ConstraintViolationError,
                      SpaceMismatchError, BracketClosureError,
-                     DecompositionError, NonSplitError, SchemaError)
+                     DecompositionError, NonSplitError, SchemaError,
+                     BasisError, ContainmentError)
 from .generators import (BlockPattern, MatrixPairInput, TABLE1_PATTERNS,
                          TABLE2_PATTERNS, build_sl_block, build_product_in_sl,
                          build_product_in_sp, build_so_pair,
@@ -31,7 +32,7 @@ __all__ = [
     "TABLE1_PREDICATES", "TABLE2_PREDICATES",
     "TemperkitError", "ArityError", "ConstraintViolationError",
     "SpaceMismatchError", "BracketClosureError", "DecompositionError",
-    "NonSplitError", "SchemaError",
+    "NonSplitError", "SchemaError", "BasisError", "ContainmentError",
     "BlockPattern", "MatrixPairInput", "TABLE1_PATTERNS", "TABLE2_PATTERNS",
     "build_sl_block", "build_product_in_sl", "build_product_in_sp",
     "build_so_pair", "build_classical_in_sl", "realify", "extract_weights",

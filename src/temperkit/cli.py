@@ -19,7 +19,7 @@ import numpy as np
 from . import serialize
 from .check import (render_scan_table, scan_family, tensor_product_check,
                     check as run_check)
-from .errors import SchemaError, TemperkitError
+from .errors import BasisError, SchemaError, TemperkitError
 from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern,
                          MatrixPairInput, build_classical_in_sl,
                          build_product_in_sl, build_product_in_sp,
@@ -303,7 +303,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as e:
+    except (SchemaError, BasisError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except TemperkitError as e:

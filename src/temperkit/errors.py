@@ -21,6 +21,14 @@ class BracketClosureError(TemperkitError, ValueError):
     """A block pattern does not span a bracket-closed subalgebra."""
 
 
+class BasisError(TemperkitError, ValueError):
+    """A singular diagonalizer, or linearly dependent basis matrices."""
+
+
+class ContainmentError(TemperkitError, ValueError):
+    """A matrix input's h is not contained in its g."""
+
+
 class DecompositionError(TemperkitError, ValueError):
     """Weight-space dimensions do not add up; the input is not torus-stable."""
 

@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
-from .errors import BracketClosureError, DecompositionError
+from .errors import (BasisError, BracketClosureError, ContainmentError,
+                     DecompositionError)
 from .model import (LinearForm, PairSpec, SymmetryBlock, TorusSpace,
                     WeightModule)
 
@@ -469,84 +470,71 @@ def _flat(M) -> list[Fraction]:
 def extract_weights(inp: MatrixPairInput) -> PairSpec:
     """Joint ad-eigenspace decomposition of h and g/h under the torus.
 
-    Candidate weights are differences of the torus eigenvalue functionals
-    on the ambient space; multiplicities are computed by exact rank
-    calculations inside each candidate weight space.  Dimension sums are
-    checked and a DecompositionError is raised if they do not add up
-    (which signals that h or g is not stable under the torus).
+    Conjugated by the diagonalizer Q, the torus is diagonal, diag(mu), and
+    the unit matrix E_ab has weight mu_a - mu_b; this splits the n*n matrix
+    coordinates into weight blocks.  Each basis is conjugated and
+    row-reduced once.  Independence is the row count; h in g and bracket
+    closure are membership tests against an RREF (brackets of conjugated
+    matrices, as conjugation is an algebra homomorphism).  A span is
+    torus-stable exactly when it is the direct sum of its pieces in the
+    blocks; RREF is unique, so the RREF of that sum is the union of the
+    pieces' RREFs.  Hence the span is stable exactly when every RREF row
+    lies in one block, else DecompositionError, and the multiplicity of a
+    weight is the number of RREF rows with their pivot in its block.
     """
     n = inp.ambient_dim
-    k = len(inp.torus_basis)
     Q = [list(row) for row in inp.diagonalizer]
-    Qi = linalg.mat_inv(Q)
+    try:
+        Qi = linalg.mat_inv(Q)
+    except ValueError:
+        raise BasisError("diagonalizer: matrix is singular") from None
+
+    def conjugate(M):
+        return linalg.mat_mul(Qi, linalg.mat_mul(M, Q))
 
     diags = []
     for T in inp.torus_basis:
-        D = linalg.mat_mul(Qi, linalg.mat_mul([list(r) for r in T], Q))
-        for a in range(n):
-            for b in range(n):
-                if a != b and D[a][b] != 0:
-                    raise DecompositionError(
-                        "torus is not diagonal in the supplied basis")
+        D = conjugate(T)
+        if any(D[a][b] for a in range(n) for b in range(n) if a != b):
+            raise DecompositionError(
+                "torus is not diagonal in the supplied basis")
         diags.append([D[a][a] for a in range(n)])
-    for (T1, d1), (T2, d2) in itertools.combinations(zip(inp.torus_basis, diags), 2):
-        C = linalg.commutator([list(r) for r in T1], [list(r) for r in T2])
-        if any(x != 0 for row in C for x in row):
+    for T1, T2 in itertools.combinations(inp.torus_basis, 2):
+        if any(x for row in linalg.commutator(T1, T2) for x in row):
             raise DecompositionError("torus matrices do not commute")
+    # the weight of matrix coordinate a*n + b, i.e. of E_ab
+    block = [tuple(d[a] - d[b] for d in diags)
+             for a in range(n) for b in range(n)]
 
-    mu = [tuple(d[a] for d in diags) for a in range(n)]  # eigen-functionals
-    positions: dict[tuple, list[int]] = {}
-    for a in range(n):
-        for b in range(n):
-            alpha = tuple(x - y for x, y in zip(mu[a], mu[b]))
-            positions.setdefault(alpha, []).append(a * n + b)
-
-    def conjugated_rows(basis):
-        return [
-            _flat(linalg.mat_mul(Qi, linalg.mat_mul([list(r) for r in M], Q)))
-            for M in basis]
-
-    h_rows = conjugated_rows(inp.h_basis)
-    g_rows = conjugated_rows(inp.g_basis)
-    dim_h = linalg.rank_of(h_rows)
-    dim_g = linalg.rank_of(g_rows)
-    if dim_h != len(h_rows) or dim_g != len(g_rows):
-        raise ValueError("basis lists must be linearly independent")
-    for hr in h_rows:
-        if not linalg.in_row_space(g_rows, hr):
-            raise ValueError("h is not contained in the span of g")
-    for A, B in itertools.combinations(inp.h_basis, 2):
-        C = linalg.commutator([list(r) for r in A], [list(r) for r in B])
-        if not linalg.in_row_space(h_rows, _flat(
-                linalg.mat_mul(Qi, linalg.mat_mul(C, Q)))):
+    h_mats = [conjugate(M) for M in inp.h_basis]
+    reduced = {}
+    for name, mats in (("h_basis", h_mats),
+                       ("g_basis", [conjugate(M) for M in inp.g_basis])):
+        reduced[name] = linalg.rref([_flat(M) for M in mats])
+        if len(reduced[name][0]) != len(mats):
+            raise BasisError(f"{name}: matrices are linearly dependent")
+    for i, M in enumerate(h_mats):
+        if not linalg.in_span(*reduced["g_basis"], _flat(M)):
+            raise ContainmentError(f"h_basis[{i}] is not in the span of g_basis")
+    for A, B in itertools.combinations(h_mats, 2):
+        if not linalg.in_span(*reduced["h_basis"],
+                              _flat(linalg.commutator(A, B))):
             raise BracketClosureError("h basis does not span a subalgebra")
 
-    def dim_in_weight_space(rows, dim_span, pos):
-        """dim of (span of rows) intersected with coordinates pos."""
-        outside = [c for c in range(n * n) if c not in set(pos)]
-        projected = [[r[c] for c in outside] for r in rows]
-        return dim_span - linalg.rank_of(projected)
+    def multiplicities(name) -> Counter:
+        out: Counter = Counter()
+        for row, c in zip(*reduced[name]):
+            if any(x and block[j] != block[c] for j, x in enumerate(row)):
+                raise DecompositionError(
+                    f"{name}: span is not stable under the torus")
+            out[block[c]] += 1
+        return out
 
-    space = TorusSpace(k)
-    h_weights: Counter = Counter()
-    q_weights: Counter = Counter()
-    got_h = got_g = 0
-    for alpha, pos in positions.items():
-        mh = dim_in_weight_space(h_rows, dim_h, pos)
-        mg = dim_in_weight_space(g_rows, dim_g, pos)
-        got_h += mh
-        got_g += mg
-        key = tuple(Fraction(x) for x in alpha)
-        if mh:
-            h_weights[key] += mh
-        if mg - mh:
-            q_weights[key] += mg - mh
-    if got_h != dim_h or got_g != dim_g:
-        raise DecompositionError(
-            "weight space dimensions do not sum to the algebra dimensions")
+    mh = multiplicities("h_basis")
+    space = TorusSpace(len(inp.torus_basis))
     return PairSpec(
-        g_module=_module(space, q_weights, "g/h"),
-        h_module=_module(space, h_weights, "h"),
+        g_module=_module(space, multiplicities("g_basis") - mh, "g/h"),
+        h_module=_module(space, mh, "h"),
         metadata=dict(inp.metadata))
 
 

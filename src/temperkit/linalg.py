@@ -14,24 +14,22 @@ Matrix = list[list[Fraction]]
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    n, k = len(A), len(B)
     m = len(B[0]) if B else 0
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if a == 0:
-                continue
-            Bt = B[t]
-            row = out[i]
-            for j in range(m):
-                row[j] += a * Bt[j]
+    B_nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in B]
+    out = []
+    for Ai in A:
+        row = [Fraction(0)] * m
+        for a, Bt in zip(Ai, B_nonzero):
+            if a:
+                for j, b in Bt:
+                    row[j] += a * b
+        out.append(row)
     return out
 
 
 def mat_sub(A: Matrix, B: Matrix) -> Matrix:
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return [[a - b if b else a for a, b in zip(ra, rb)]
+            for ra, rb in zip(A, B)]
 
 
 def commutator(A: Matrix, B: Matrix) -> Matrix:
@@ -39,22 +37,13 @@ def commutator(A: Matrix, B: Matrix) -> Matrix:
 
 
 def mat_inv(A: Matrix) -> Matrix:
-    """Inverse by Gauss-Jordan; raises ValueError on singular input."""
+    """Inverse as the right half of rref([A | I]); ValueError if singular."""
     n = len(A)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                c = aug[i][col]
-                aug[i] = [x - c * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+    rows, pivots = rref([list(row) + [Fraction(int(i == j)) for j in range(n)]
+                         for i, row in enumerate(A)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in rows]
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
@@ -71,11 +60,13 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
+        if pv != 1:
+            rows[rank] = [x / pv if x else x for x in rows[rank]]
         for i in range(len(rows)):
             if i != rank and rows[i][col] != 0:
                 c = rows[i][col]
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
+                rows[i] = [x - c * y if y else x
+                           for x, y in zip(rows[i], rows[rank])]
         pivots.append(col)
         rank += 1
         if rank == len(rows):
@@ -83,11 +74,15 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
     return rows[:rank], pivots
 
 
-def rank_of(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[0])
-
-
-def in_row_space(rows: Matrix, vec: Sequence[Fraction]) -> bool:
-    if not rows:
-        return all(x == 0 for x in vec)
-    return rank_of(rows) == rank_of(list(rows) + [list(vec)])
+def in_span(reduced: Matrix, pivots: Sequence[int],
+            vec: Sequence[Fraction]) -> bool:
+    """Whether vec is in the row span of an RREF: subtracting vec[c] times
+    the row of each pivot c must leave zero."""
+    v = list(vec)
+    for row, c in zip(reduced, pivots):
+        x = v[c]
+        if x:
+            for j, b in enumerate(row):
+                if b:
+                    v[j] -= x * b
+    return not any(v)

@@ -10,7 +10,6 @@ ray values) or an explicit direction where the function is negative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -18,7 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cones import enumerate_cells
-from .model import LinearForm, PLFunction, SymmetryBlock, TorusSpace, evaluate_pl
+from .model import (LinearForm, PLFunction, SymmetryBlock, TorusSpace, _dot,
+                    evaluate_pl)
 
 
 @dataclass(frozen=True)
@@ -214,15 +214,12 @@ def grid_oracle(f: PLFunction, resolution: int) -> Optional[Witness]:
     d = len(basis)
     if d == 0:
         return None
-    dens = [f.linear_term.coeffs[i].denominator for i in range(space.ambient_dim)]
-    dens += [c.denominator for c, _ in f.abs_terms]
-    M = math.lcm(*dens) if dens else 1
-    # rows: abs forms in slice coordinates, all integer after scaling
-    A = [[int(sum(a * Fraction(b) for a, b in zip(form.coeffs, g)))
-          for g in basis] for _, form in f.abs_terms]
-    C = [int(c * M) for c, _ in f.abs_terms]
-    Lrow = [int(M * sum(a * Fraction(b) for a, b in zip(f.linear_term.coeffs, g)))
-            for g in basis]
+    # f's integer-scaled copy, den*f = linear.Y + sum c*|row.Y| at integer
+    # points Y of the slice, restricted to slice coordinates
+    _, linear, terms = f._integer_scaled()
+    A = [[_dot(row, g) for g in basis] for _, row in terms]
+    C = [c for c, _ in terms]
+    Lrow = [_dot(linear, g) for g in basis]
 
     max_abs = 0
     for row, c in zip(A, C):

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import temperkit
 from temperkit.check import FAMILIES
 from temperkit.cli import main
 
@@ -16,6 +20,25 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(argv):
+    """Run the CLI in a child process, so a traceback would reach stderr."""
+    src = os.path.dirname(os.path.dirname(temperkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "temperkit.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def matrix_pair(**overrides):
+    D = [[1, 0], [0, -1]]
+    E01 = [[0, 1], [0, 0]]
+    E10 = [[0, 0], [1, 0]]
+    doc = {"ambient_dim": 2, "g_basis": [D, E01, E10], "h_basis": [E01],
+           "torus_basis": [D], "diagonalizer": [[1, 0], [0, 1]]}
+    doc.update(overrides)
+    return {"matrix_pair": doc}
 
 
 class TestCheck:
@@ -120,6 +143,39 @@ class TestInputErrors:
             "upper_blocks": [[0, 1], [1, 2]]}})
         code, _, err = run(capsys, ["check", spec])
         assert code == 3
+
+
+class TestMatrixInputErrors:
+    def test_valid_matrix_pair(self, tmp_path):
+        code, out, err = run_process(["check", write(tmp_path, "s.json",
+                                                     matrix_pair())])
+        assert code == 0, err
+        assert "tempered" in json.loads(out)
+
+    def test_dependent_g_basis(self, tmp_path):
+        spec = write(tmp_path, "s.json", matrix_pair(
+            g_basis=[[[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 2], [0, 0]]]))
+        code, _, err = run_process(["check", spec])
+        assert code == 2
+        assert "g_basis" in err
+        assert "Traceback" not in err
+
+    def test_singular_diagonalizer(self, tmp_path):
+        spec = write(tmp_path, "s.json", matrix_pair(
+            diagonalizer=[[1, 1], [1, 1]]))
+        code, _, err = run_process(["check", spec])
+        assert code == 2
+        assert "diagonalizer" in err
+        assert "Traceback" not in err
+
+    def test_h_outside_g(self, tmp_path):
+        spec = write(tmp_path, "s.json", matrix_pair(
+            g_basis=[[[1, 0], [0, -1]], [[0, 1], [0, 0]]],
+            h_basis=[[[0, 0], [1, 0]]]))
+        code, _, err = run_process(["check", spec])
+        assert code == 3
+        assert "h_basis" in err
+        assert "Traceback" not in err
 
 
 class TestScan:

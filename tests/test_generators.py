@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from temperkit import linalg
 from temperkit.check import check, sp_product_tempered
-from temperkit.errors import BracketClosureError, DecompositionError
+from temperkit.errors import (BasisError, BracketClosureError,
+                              DecompositionError)
 from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS,
                                   BlockPattern, MatrixPairInput,
                                   build_classical_in_sl, build_product_in_sl,
@@ -86,6 +89,78 @@ def slice_weights(module):
         key = tuple(form(g) for g in basis)
         out[key] = out.get(key, 0) + mult
     return out
+
+
+def sp11_in_sp2_input():
+    """Explicit 4x4 bases of sp(1,R) x sp(1,R) inside sp(2,R).
+
+    sp(2,R) = {[[A, B], [C, -A^T]] : B, C symmetric}; factor i of
+    sp(1,R) x sp(1,R) acts on coordinates i and i + 2.
+    """
+    def mat(*entries):
+        M = [[0] * 4 for _ in range(4)]
+        for r, c, v in entries:
+            M[r][c] = v
+        return M
+
+    def a_part(i, j):
+        return mat((i, j, 1), (j + 2, i + 2, -1))
+
+    def b_part(i, j):
+        return mat((i, j + 2, 1), (j, i + 2, 1))
+
+    def c_part(i, j):
+        return mat((i + 2, j, 1), (j + 2, i, 1))
+
+    pairs = [(0, 0), (0, 1), (1, 1)]
+    g_basis = [a_part(i, j) for i, j in itertools.product(range(2), repeat=2)]
+    g_basis += [b_part(i, j) for i, j in pairs]
+    g_basis += [c_part(i, j) for i, j in pairs]
+    h_basis = [part(i, i) for i in range(2)
+               for part in (a_part, b_part, c_part)]
+    ident = [[int(a == b) for b in range(4)] for a in range(4)]
+    return MatrixPairInput(
+        ambient_dim=4, g_basis=tuple(g_basis), h_basis=tuple(h_basis),
+        torus_basis=(a_part(0, 0), a_part(1, 1)), diagonalizer=ident)
+
+
+def weights_by_rank(inp):
+    """h and g/h multiplicities by the per-weight rank formula:
+    dim(span & W_alpha) = dim span - rank of the rows projected off
+    alpha's positions."""
+    n = inp.ambient_dim
+    Q = [list(r) for r in inp.diagonalizer]
+    Qi = linalg.mat_inv(Q)
+
+    def conj(M):
+        return [x for r in linalg.mat_mul(Qi, linalg.mat_mul(M, Q)) for x in r]
+
+    mu = [tuple(conj(T)[a * n + a] for T in inp.torus_basis) for a in range(n)]
+    positions = {}
+    for a, b in itertools.product(range(n), repeat=2):
+        alpha = tuple(x - y for x, y in zip(mu[a], mu[b]))
+        positions.setdefault(alpha, set()).add(a * n + b)
+
+    def mult(basis):
+        rows = [conj(M) for M in basis]
+        return {alpha: len(rows) - len(linalg.rref(
+                    [[r[c] for c in range(n * n) if c not in pos]
+                     for r in rows])[0])
+                for alpha, pos in positions.items()}
+
+    mh, mg = mult(inp.h_basis), mult(inp.g_basis)
+    return ({a: m for a, m in mh.items() if m},
+            {a: mg[a] - mh[a] for a in mg if mg[a] - mh[a]})
+
+
+RANK_FORMULA_INPUTS = {
+    "sp21": lambda: [example_sp21_input()],
+    "sp11_in_sp2": lambda: [sp11_in_sp2_input()],
+    "table1_3x3": lambda: [
+        matrix_input_for_block_pattern(TABLE1_PATTERNS[name](p, q))
+        for name in sorted(TABLE1_PATTERNS)
+        for p, q in itertools.product(range(1, 4), repeat=2)],
+}
 
 
 class TestCrossOracle:
@@ -213,34 +288,7 @@ class TestMatrixMode:
         assert q_by_val[(F(-1),)] == 4
 
     def test_sp11_in_sp2_matches_builder(self):
-        # sp(2,R) = {[[A, B], [C, -A^T]] : B, C symmetric}; factor i of
-        # sp(1,R) x sp(1,R) acts on coordinates i and i + 2
-        def mat(*entries):
-            M = [[0] * 4 for _ in range(4)]
-            for r, c, v in entries:
-                M[r][c] = v
-            return M
-
-        def a_part(i, j):
-            return mat((i, j, 1), (j + 2, i + 2, -1))
-
-        def b_part(i, j):
-            return mat((i, j + 2, 1), (j, i + 2, 1))
-
-        def c_part(i, j):
-            return mat((i + 2, j, 1), (j + 2, i, 1))
-
-        pairs = [(0, 0), (0, 1), (1, 1)]
-        g_basis = [a_part(i, j) for i, j in itertools.product(range(2), repeat=2)]
-        g_basis += [b_part(i, j) for i, j in pairs]
-        g_basis += [c_part(i, j) for i, j in pairs]
-        h_basis = [part(i, i) for i in range(2)
-                   for part in (a_part, b_part, c_part)]
-        ident = [[int(a == b) for b in range(4)] for a in range(4)]
-        spec = extract_weights(MatrixPairInput(
-            ambient_dim=4, g_basis=tuple(g_basis), h_basis=tuple(h_basis),
-            torus_basis=(a_part(0, 0), a_part(1, 1)), diagonalizer=ident))
-
+        spec = extract_weights(sp11_in_sp2_input())
         built = build_product_in_sp((1, 1))
         for got, want in ((spec.h_module, built.h_module),
                           (spec.g_module, built.g_module)):
@@ -251,3 +299,74 @@ class TestMatrixMode:
         assert sp_verdict == sp_product_tempered((1, 1))
         # sp(2,R) = so(3,2) carries the pair to so(2,2) + so(1,0)
         assert check(build_so_pair(2, 2, 1, 0)).tempered == sp_verdict
+
+    def test_unstable_g_rejected(self):
+        D = ((1, 0), (0, -1))
+        S = ((0, 1), (1, 0))  # E01 + E10 mixes the weights 2 and -2
+        ident = ((1, 0), (0, 1))
+        with pytest.raises(DecompositionError):
+            extract_weights(MatrixPairInput(
+                ambient_dim=2, g_basis=(S,), h_basis=(),
+                torus_basis=(D,), diagonalizer=ident))
+
+    def test_unstable_h_rejected(self):
+        D = ((1, 0), (0, -1))
+        E01 = ((0, 1), (0, 0))
+        E10 = ((0, 0), (1, 0))
+        S = ((0, 1), (1, 0))
+        ident = ((1, 0), (0, 1))
+        with pytest.raises(DecompositionError):
+            extract_weights(MatrixPairInput(
+                ambient_dim=2, g_basis=(D, E01, E10), h_basis=(S,),
+                torus_basis=(D,), diagonalizer=ident))
+
+    def test_dependent_g_basis_rejected(self):
+        D = ((1, 0), (0, -1))
+        E01 = ((0, 1), (0, 0))
+        ident = ((1, 0), (0, 1))
+        with pytest.raises(ValueError, match="g_basis"):
+            extract_weights(MatrixPairInput(
+                ambient_dim=2, g_basis=(D, E01, ((2, 0), (0, -2))),
+                h_basis=(), torus_basis=(D,), diagonalizer=ident))
+
+    def test_singular_diagonalizer_rejected(self):
+        D = ((1, 0), (0, -1))
+        with pytest.raises(BasisError, match="diagonalizer"):
+            extract_weights(MatrixPairInput(
+                ambient_dim=2, g_basis=(D,), h_basis=(),
+                torus_basis=(D,), diagonalizer=((1, 2), (2, 4))))
+
+    @pytest.mark.parametrize("label", sorted(RANK_FORMULA_INPUTS))
+    def test_matches_rank_formula(self, label):
+        for inp in RANK_FORMULA_INPUTS[label]():
+            spec = extract_weights(inp)
+            h, q = weights_by_rank(inp)
+            assert {tuple(f.coeffs): m for f, m in spec.h_module.weights} == h
+            assert {tuple(f.coeffs): m for f, m in spec.g_module.weights} == q
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from(sorted(TABLE1_PATTERNS)), st.integers(1, 2),
+           st.integers(1, 2), st.data())
+    def test_conjugated_input_same_weights(self, name, p, q, data):
+        # T -> P T P^-1 on every matrix, with P as the diagonalizer, must
+        # give back the same weights
+        inp = matrix_input_for_block_pattern(TABLE1_PATTERNS[name](p, q))
+        n = inp.ambient_dim
+        entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+        lower = [[F(int(i == j)) if i <= j else data.draw(entry)
+                  for j in range(n)] for i in range(n)]
+        upper = [[data.draw(entry.filter(bool)) if i == j
+                  else (data.draw(entry) if i < j else F(0))
+                  for j in range(n)] for i in range(n)]
+        P = linalg.mat_mul(lower, upper)
+        Pi = linalg.mat_inv(P)
+
+        def moved(basis):
+            return tuple(linalg.mat_mul(P, linalg.mat_mul(M, Pi))
+                         for M in basis)
+
+        conjugated = MatrixPairInput(
+            ambient_dim=n, g_basis=moved(inp.g_basis),
+            h_basis=moved(inp.h_basis), torus_basis=moved(inp.torus_basis),
+            diagonalizer=P, metadata=inp.metadata)
+        assert extract_weights(conjugated) == extract_weights(inp)
