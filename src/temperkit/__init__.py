@@ -6,13 +6,13 @@ carries either a chamber-and-ray certificate of global nonnegativity or a
 rational witness direction where the deficit is negative.
 """
 
-from .check import (Verdict, ScanPoint, ScanReport, check, check_with_module,
-                    scan_family, render_scan_table, tensor_product_check,
+from .check import (Verdict, ScanPoint, ScanReport, check, scan_family,
+                    render_scan_table, tensor_product_check,
                     TABLE1_PREDICATES, TABLE2_PREDICATES)
 from .errors import (TemperkitError, ArityError, ConstraintViolationError,
                      SpaceMismatchError, BracketClosureError,
                      DecompositionError, NonSplitError, SchemaError,
-                     BasisError, ContainmentError)
+                     BasisError, ContainmentError, SymmetryError)
 from .generators import (BlockPattern, MatrixPairInput, TABLE1_PATTERNS,
                          TABLE2_PATTERNS, build_sl_block, build_product_in_sl,
                          build_product_in_sp, build_so_pair,
@@ -27,12 +27,13 @@ from .verify import (Chamber, NonnegCertificate, Witness, distinct_hyperplanes,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Verdict", "ScanPoint", "ScanReport", "check", "check_with_module",
+    "Verdict", "ScanPoint", "ScanReport", "check",
     "scan_family", "render_scan_table", "tensor_product_check",
     "TABLE1_PREDICATES", "TABLE2_PREDICATES",
     "TemperkitError", "ArityError", "ConstraintViolationError",
     "SpaceMismatchError", "BracketClosureError", "DecompositionError",
     "NonSplitError", "SchemaError", "BasisError", "ContainmentError",
+    "SymmetryError",
     "BlockPattern", "MatrixPairInput", "TABLE1_PATTERNS", "TABLE2_PATTERNS",
     "build_sl_block", "build_product_in_sl", "build_product_in_sp",
     "build_so_pair", "build_classical_in_sl", "realify", "extract_weights",

@@ -27,8 +27,7 @@ class Verdict:
                              "is a NonnegCertificate")
 
 
-def check(spec: PairSpec, use_symmetry: bool = False,
-          antipodal_prune: bool = False) -> Verdict:
+def check(spec: PairSpec, use_symmetry: bool = False) -> Verdict:
     """Decide the temperedness inequality for a pair, with exact evidence.
 
     use_symmetry restricts chamber enumeration to one fundamental domain of
@@ -37,8 +36,7 @@ def check(spec: PairSpec, use_symmetry: bool = False,
     """
     f = deficit(spec)
     symmetry = spec.symmetry if use_symmetry else ()
-    evidence = is_nonnegative(f, symmetry=symmetry,
-                              antipodal_prune=antipodal_prune)
+    evidence = is_nonnegative(f, symmetry=symmetry)
     summary = {"hyperplanes": len(distinct_hyperplanes(f)),
                "torus_dim": f.space.dim}
     if isinstance(evidence, NonnegCertificate):
@@ -55,13 +53,6 @@ def check(spec: PairSpec, use_symmetry: bool = False,
                    evidence=evidence,
                    deficit_summary=summary,
                    spec_echo=dict(spec.metadata))
-
-
-def check_with_module(spec: PairSpec, use_symmetry: bool = False) -> Verdict:
-    """Decide the three-term inequality for a pair carrying an extra module."""
-    if spec.v_module is None:
-        raise ValueError("spec has no extra module; use check()")
-    return check(spec, use_symmetry=use_symmetry)
 
 
 # ---------------------------------------------------------------------------

@@ -44,29 +44,35 @@ def _load_json(path: str) -> dict:
 
 def _spec_from_family(data: dict):
     name = data.get("name")
-    if name == "sl_block":
-        if "pattern" in data:
-            sizes = data.get("sizes", [])
-            table = TABLE1_PATTERNS if len(sizes) == 2 else TABLE2_PATTERNS
-            if data["pattern"] not in table:
-                raise SchemaError(f"family.pattern: unknown pattern {data['pattern']!r} "
-                                  f"for {len(sizes)} blocks")
-            pattern = table[data["pattern"]](*sizes)
+    try:
+        if name == "sl_block":
+            if "pattern" in data:
+                sizes = data.get("sizes", [])
+                table = TABLE1_PATTERNS if len(sizes) == 2 else TABLE2_PATTERNS
+                if data["pattern"] not in table:
+                    raise SchemaError(f"family.pattern: unknown pattern "
+                                      f"{data['pattern']!r} for {len(sizes)} blocks")
+                pattern = table[data["pattern"]](*sizes)
+            else:
+                pattern = BlockPattern(
+                    tuple(data.get("sizes", [])), tuple(data.get("diagonal_kind", [])),
+                    frozenset(map(tuple, data.get("upper_blocks", []))))
+            spec = build_sl_block(pattern)
+        elif name == "product_in_sl":
+            spec = build_product_in_sl(data.get("parts", []))
+        elif name == "product_in_sp":
+            spec = build_product_in_sp(data.get("parts", []))
+        elif name == "so_pair":
+            spec = build_so_pair(*data.get("signature", []))
+        elif name == "classical_in_sl":
+            spec = build_classical_in_sl(data.get("kind", ""), *data.get("params", []))
         else:
-            pattern = BlockPattern(tuple(data.get("sizes", [])),
-                                   tuple(data.get("diagonal_kind", [])),
-                                   frozenset(map(tuple, data.get("upper_blocks", []))))
-        spec = build_sl_block(pattern)
-    elif name == "product_in_sl":
-        spec = build_product_in_sl(data.get("parts", []))
-    elif name == "product_in_sp":
-        spec = build_product_in_sp(data.get("parts", []))
-    elif name == "so_pair":
-        spec = build_so_pair(*data.get("signature", []))
-    elif name == "classical_in_sl":
-        spec = build_classical_in_sl(data.get("kind", ""), *data.get("params", []))
-    else:
-        raise SchemaError(f"family.name: unknown family {name!r}")
+            raise SchemaError(f"family.name: unknown family {name!r}")
+    except TemperkitError:
+        raise
+    except (TypeError, ValueError) as e:
+        # a builder rejecting its parameters is an input error
+        raise SchemaError(f"family.{name}: {e}") from None
     if data.get("realify"):
         spec = realify(spec)
     return spec

@@ -94,13 +94,13 @@ def _split_lineality(L, hL, j):
     return new
 
 
-def _insert_case1(cones, L, hL, h, k, keep):
+def _insert_case1(cones, L, hL, h, k, wall):
     """Insert constraint h that is nonzero on the lineality space.
 
     Every cone meets both open sides, so every cone splits in two.  Rays
     are projected into ker h along a lineality vector w with h(w) > 0; the
     vector w itself (resp. -w) becomes the one new ray of the plus (resp.
-    minus) side.  ``keep`` selects which sides survive (+1, -1 or 0 = both).
+    minus) side.  A ``wall`` keeps only its plus side and records no sign.
     """
     j = next(i for i, v in enumerate(hL) if v != 0)
     w = L[j] if hL[j] > 0 else tuple(-x for x in L[j])
@@ -139,15 +139,17 @@ def _insert_case1(cones, L, hL, h, k, keep):
     out = []
     for cone in cones:
         proj = [adjust(r) for r in cone.rays]
-        if keep >= 0:
-            out.append(_Cone(proj + [w_ray], cone.signs + [1]))
-        if keep <= 0:
-            out.append(_Cone(list(proj) + [nw_ray], cone.signs + [-1]))
+        out.append(_Cone(proj + [w_ray], cone.signs if wall else cone.signs + [1]))
+        if not wall:
+            out.append(_Cone(proj + [nw_ray], cone.signs + [-1]))
     return out, new_L
 
 
-def _insert_case2(cones, h, k, keep):
-    """Insert constraint h vanishing on the lineality space: classic DD split."""
+def _insert_case2(cones, h, k, wall):
+    """Insert constraint h vanishing on the lineality space: classic DD split.
+
+    A ``wall`` keeps only its plus side and records no sign.
+    """
     valued: set[int] = set()
     combos: dict[tuple[int, int], _Ray] = {}
     out = []
@@ -166,12 +168,12 @@ def _insert_case2(cones, h, k, keep):
                 zero.append(r)
         if not pos and not neg:
             raise AssertionError("hyperplane vanishes on a full-dimensional cell")
+        plus = cone.signs if wall else cone.signs + [1]
         if not neg:
-            if keep >= 0:
-                out.append(_Cone(cone.rays, cone.signs + [1]))
+            out.append(_Cone(cone.rays, plus))
             continue
         if not pos:
-            if keep <= 0:
+            if not wall:
                 out.append(_Cone(cone.rays, cone.signs + [-1]))
             continue
         new_rays = []
@@ -195,53 +197,35 @@ def _insert_case2(cones, h, k, keep):
                     ray = _Ray(vec, vals, zmask)
                     combos[key] = ray
                 new_rays.append(ray)
-        if keep >= 0:
-            out.append(_Cone(pos + zero + new_rays, cone.signs + [1]))
-        if keep <= 0:
-            out.append(_Cone(neg + zero + list(new_rays), cone.signs + [-1]))
+        out.append(_Cone(pos + zero + new_rays, plus))
+        if not wall:
+            out.append(_Cone(neg + zero + new_rays, cone.signs + [-1]))
     return out
 
 
-def enumerate_cells(hyperplanes, slice_basis, restrict=(), antipodal_prune=False):
+def enumerate_cells(hyperplanes, slice_basis, restrict=()):
     """All full-dimensional sign cells of the arrangement on the slice.
 
     hyperplanes: integer normal vectors, each nonzero on the slice and
         pairwise non-proportional.
     slice_basis: integer basis of the slice (kernel of torus constraints).
-    restrict: integer normals of extra inequalities; only the region where
-        all of them are >= 0 is enumerated, and they do not appear in the
-        cell sign vectors.  Used for symmetry-reduced enumeration.
-    antipodal_prune: keep only cells with sign +1 on the first hyperplane
-        (valid when the function under study is even).  Not combined with
-        ``restrict``.
+    restrict: integer normals of walls; only the region where all of them
+        are >= 0 is enumerated, and they do not appear in the cell sign
+        vectors.  Used for symmetry-reduced enumeration.
 
     Returns a CellComplex; the lineality basis spans the subspace common to
     every cell (the slice intersected with all hyperplane kernels).
     """
-    if restrict and antipodal_prune:
-        raise ValueError("restrict and antipodal_prune cannot be combined")
     L = [tuple(g) for g in slice_basis]
     cones = [_Cone([], [])]
-    k = 0
-    n_restrict = len(restrict)
-    for h in restrict:
+    inserts = ([(tuple(h), True) for h in restrict]
+               + [(tuple(h), False) for h in hyperplanes])
+    for k, (h, wall) in enumerate(inserts):
         hL = [_dot(h, g) for g in L]
         if any(hL):
-            cones, L = _insert_case1(cones, L, hL, tuple(h), k, keep=1)
+            cones, L = _insert_case1(cones, L, hL, h, k, wall)
         else:
-            cones = _insert_case2(cones, tuple(h), k, keep=1)
-        # drop the restriction sign so cell signs only cover real hyperplanes
-        for c in cones:
-            c.signs.pop()
-        k += 1
-    for idx, h in enumerate(hyperplanes):
-        keep = 1 if (antipodal_prune and idx == 0) else 0
-        hL = [_dot(h, g) for g in L]
-        if any(hL):
-            cones, L = _insert_case1(cones, L, hL, tuple(h), k, keep)
-        else:
-            cones = _insert_case2(cones, tuple(h), k, keep)
-        k += 1
+            cones = _insert_case2(cones, h, k, wall)
 
     cells = [Cell(signs=tuple(cone.signs), rays=tuple(r.vec for r in cone.rays))
              for cone in cones]

@@ -40,6 +40,37 @@ def _zero(n: int) -> LinearForm:
     return LinearForm([Fraction(0)] * n)
 
 
+def _pair_roots(pairs, n: int) -> Counter:
+    """The roots +-e_a +- e_b of every coordinate pair (a, b), once each."""
+    c: Counter = Counter()
+    for a, b in pairs:
+        for sa, sb in itertools.product((1, -1), repeat=2):
+            v = [0] * n
+            v[a], v[b] = sa, sb
+            c[tuple(v)] += 1
+    return c
+
+
+def _axis_roots(coords, k: int, mult: int, n: int) -> Counter:
+    """The weights +-k*e_a of every coordinate a, with multiplicity mult each."""
+    c: Counter = Counter()
+    for a in coords:
+        for s in (k, -k):
+            v = [0] * n
+            v[a] = s
+            c[tuple(v)] += mult
+    return c
+
+
+def _sp_counter(coords, n: int) -> Counter:
+    """Weight multiset of sp on the given coordinates: the type C roots plus one
+    zero weight per coordinate."""
+    c = _pair_roots(itertools.combinations(coords, 2), n)
+    c.update(_axis_roots(coords, 2, 1, n))
+    c[_zero(n).coeffs] += len(coords)
+    return c
+
+
 def _module(space: TorusSpace, counter: Counter, name: str) -> WeightModule:
     weights = [(LinearForm(c), m) for c, m in counter.items() if m > 0]
     return WeightModule(space, weights, name)
@@ -197,23 +228,10 @@ def build_product_in_sp(parts: Sequence[int]) -> PairSpec:
         blocks.append(list(range(start, start + p)))
         start += p
 
-    def sp_counter(coords):
-        c: Counter = Counter()
-        for a, b in itertools.combinations(coords, 2):
-            for sa, sb in itertools.product((1, -1), repeat=2):
-                form = LinearForm([Fraction(sa * (i == a)) + Fraction(sb * (i == b))
-                                   for i in range(n)])
-                c[form.coeffs] += 1
-        for a in coords:
-            c[_e(a, n, 2).coeffs] += 1
-            c[_e(a, n, -2).coeffs] += 1
-        c[_zero(n).coeffs] += len(coords)
-        return c
-
     h_counter: Counter = Counter()
     for blk in blocks:
-        h_counter.update(sp_counter(blk))
-    g_counter = sp_counter(list(range(n)))
+        h_counter.update(_sp_counter(blk, n))
+    g_counter = _sp_counter(range(n), n)
     g_counter.subtract(h_counter)
     if any(m < 0 for m in g_counter.values()):
         raise ValueError("subalgebra multiset exceeds sp(n)")
@@ -236,22 +254,10 @@ def _so_restricted_counter(p: int, q: int, coords: Sequence[int], n: int) -> Cou
     Root multiplicities are the standard ones for the real form; the zero
     multiplicity is fixed by dimension accounting.
     """
-    m = min(p, q)
-    d = p + q - 2 * m
-    c: Counter = Counter()
-    used = 0
-    for a, b in itertools.combinations(coords, 2):
-        for sa, sb in itertools.product((1, -1), repeat=2):
-            form = LinearForm([Fraction(sa * (i == a)) + Fraction(sb * (i == b))
-                               for i in range(n)])
-            c[form.coeffs] += 1
-            used += 1
-    for a in coords:
-        if d > 0:
-            c[_e(a, n).coeffs] += d
-            c[_e(a, n, -1).coeffs] += d
-            used += 2 * d
-    zero = _so_dim(p, q) - used
+    d = p + q - 2 * min(p, q)
+    c = _pair_roots(itertools.combinations(coords, 2), n)
+    c.update(_axis_roots(coords, 1, d, n))
+    zero = _so_dim(p, q) - sum(c.values())
     if zero < 0:
         raise DecompositionError("so(p,q) multiplicities exceed its dimension")
     if zero > 0:
@@ -280,21 +286,9 @@ def build_so_pair(p1: int, q1: int, p2: int, q2: int) -> PairSpec:
     h_counter = _so_restricted_counter(p1, q1, u, n)
     h_counter.update(_so_restricted_counter(p2, q2, v, n))
 
-    g_counter: Counter = Counter()
-    for a in u:
-        for b in v:
-            for sa, sb in itertools.product((1, -1), repeat=2):
-                form = LinearForm([Fraction(sa * (i == a)) + Fraction(sb * (i == b))
-                                   for i in range(n)])
-                g_counter[form.coeffs] += 1
-    for a in u:
-        if d2 > 0:
-            g_counter[_e(a, n).coeffs] += d2
-            g_counter[_e(a, n, -1).coeffs] += d2
-    for b in v:
-        if d1 > 0:
-            g_counter[_e(b, n).coeffs] += d1
-            g_counter[_e(b, n, -1).coeffs] += d1
+    g_counter = _pair_roots(itertools.product(u, v), n)
+    g_counter.update(_axis_roots(u, 1, d2, n))
+    g_counter.update(_axis_roots(v, 1, d1, n))
     if d1 * d2 > 0:
         g_counter[_zero(n).coeffs] += d1 * d2
 
@@ -340,16 +334,7 @@ def build_classical_in_sl(kind: str, *params: int) -> PairSpec:
         for a in range(m):
             rep.append(_e(a, m))
             rep.append(_e(a, m, -1))
-        h_counter: Counter = Counter()
-        for a, b in itertools.combinations(range(m), 2):
-            for sa, sb in itertools.product((1, -1), repeat=2):
-                form = LinearForm([Fraction(sa * (i == a)) + Fraction(sb * (i == b))
-                                   for i in range(m)])
-                h_counter[form.coeffs] += 1
-        for a in range(m):
-            h_counter[_e(a, m, 2).coeffs] += 1
-            h_counter[_e(a, m, -2).coeffs] += 1
-        h_counter[_zero(m).coeffs] += m
+        h_counter = _sp_counter(range(m), m)
         meta = {"family": "classical_in_sl", "kind": "sp", "m": m}
     else:
         raise ValueError(f"unknown kind {kind!r}")

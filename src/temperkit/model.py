@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import ArityError, ConstraintViolationError, SpaceMismatchError
+from .errors import (ArityError, ConstraintViolationError, SpaceMismatchError,
+                     SymmetryError)
 from .linalg import rref
 
 
@@ -273,15 +274,6 @@ class WeightModule:
         return (isinstance(other, WeightModule) and self.space == other.space
                 and self.weights == other.weights)
 
-    def direct_sum(self, other: "WeightModule", name: str = "") -> "WeightModule":
-        if other.space != self.space:
-            raise SpaceMismatchError("direct sum over different torus spaces")
-        return WeightModule(self.space, list(self.weights) + list(other.weights),
-                            name or f"{self.name}+{other.name}")
-
-    def negated(self) -> "WeightModule":
-        return WeightModule(self.space, [(-f, m) for f, m in self.weights], self.name)
-
     def __repr__(self) -> str:
         return f"WeightModule({self.name!r}, dim={self.total_dim}, weights={len(self.weights)})"
 
@@ -403,6 +395,13 @@ class PairSpec:
             raise SpaceMismatchError("h and g/h modules live on different torus spaces")
         if self.v_module is not None and self.v_module.space != self.g_module.space:
             raise SpaceMismatchError("extra module lives on a different torus space")
+        n = self.g_module.space.ambient_dim
+        for i, block in enumerate(self.symmetry):
+            coords = block.coords
+            if (len(set(coords)) != len(coords)
+                    or not all(0 <= a < n for a in coords)):
+                raise SymmetryError(f"symmetry[{i}].coords: {list(coords)} are not "
+                                    f"distinct coordinates in 0..{n - 1}")
 
     @property
     def space(self) -> TorusSpace:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .check import Verdict
-from .errors import SchemaError
+from .errors import SchemaError, SymmetryError
 from .model import (LinearForm, PairSpec, PLFunction, SymmetryBlock,
                     TorusSpace, WeightModule)
 from .verify import Chamber, NonnegCertificate, Witness
@@ -163,11 +163,18 @@ def pair_spec_from_json(data: dict, where: str = "pair_spec") -> PairSpec:
         loc = f"{where}.symmetry[{i}]"
         if not isinstance(b, dict) or "coords" not in b:
             raise SchemaError(f"{loc}: expected an object with coords")
-        symmetry.append(SymmetryBlock(tuple(int(c) for c in b["coords"]),
+        coords = b["coords"]
+        if not isinstance(coords, list) or not all(
+                type(c) is int for c in coords):
+            raise SchemaError(f"{loc}.coords: expected a list of integers")
+        symmetry.append(SymmetryBlock(tuple(coords),
                                       bool(b.get("signed", False))))
-    return PairSpec(g_module=g, h_module=h, v_module=v,
-                    metadata=dict(data.get("metadata", {})),
-                    symmetry=tuple(symmetry))
+    try:
+        return PairSpec(g_module=g, h_module=h, v_module=v,
+                        metadata=dict(data.get("metadata", {})),
+                        symmetry=tuple(symmetry))
+    except SymmetryError as e:
+        raise SchemaError(f"{where}.{e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +192,6 @@ def evidence_to_json(ev) -> dict:
                 "ray_values": [rational_to_str(v) for v in ev.ray_values],
                 "lineality": [_vec_to_json(g) for g in ev.lineality],
                 "symmetry_reduced": ev.symmetry_reduced,
-                "antipodal_reduced": ev.antipodal_reduced,
                 "chambers": [{"signs": "".join("+" if s > 0 else "-"
                                                for s in ch.sign_vector),
                               "rays": list(ch.ray_indices)}
@@ -224,13 +230,12 @@ def evidence_from_json(data: dict, where: str = "evidence"):
                 ray_indices=tuple(int(x) for x in ch.get("rays", []))))
         lineality = tuple(_vec_from_json(g, f"{where}.lineality[{i}]")
                           for i, g in enumerate(data.get("lineality", [])))
+        # older documents also carry "antipodal_reduced"; it is ignored
         return NonnegCertificate(hyperplanes=hyperplanes, rays=rays,
                                  ray_values=values, chambers=tuple(chambers),
                                  lineality=lineality,
                                  symmetry_reduced=bool(
-                                     data.get("symmetry_reduced", False)),
-                                 antipodal_reduced=bool(
-                                     data.get("antipodal_reduced", False)))
+                                     data.get("symmetry_reduced", False)))
     raise SchemaError(f"{where}.kind: unknown kind {kind!r}")
 
 

@@ -10,6 +10,7 @@ ray values) or an explicit direction where the function is negative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -17,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cones import enumerate_cells
+from .errors import SymmetryError
 from .model import (LinearForm, PLFunction, SymmetryBlock, TorusSpace, _dot,
                     evaluate_pl)
 
@@ -37,7 +39,6 @@ class NonnegCertificate:
     chambers: tuple[Chamber, ...]
     lineality: tuple[tuple[Fraction, ...], ...] = ()
     symmetry_reduced: bool = False
-    antipodal_reduced: bool = False
 
 
 @dataclass(frozen=True)
@@ -56,16 +57,14 @@ def distinct_hyperplanes(f: PLFunction) -> list[LinearForm]:
 
 
 def enumerate_chambers(hyperplanes: Sequence[LinearForm], space: TorusSpace,
-                       restrict: Sequence[Sequence[int]] = (),
-                       antipodal_prune: bool = False):
+                       restrict: Sequence[Sequence[int]] = ()):
     """Full-dimensional cells of the arrangement on the torus slice.
 
     Returns (chambers, ray_table, lineality_basis).
     """
     basis = space.slice_basis()
     int_normals = [h.integer_coeffs() for h in hyperplanes]
-    complex_ = enumerate_cells(int_normals, basis, restrict=tuple(restrict),
-                               antipodal_prune=antipodal_prune)
+    complex_ = enumerate_cells(int_normals, basis, restrict=tuple(restrict))
     ray_index: dict[tuple[int, ...], int] = {}
     ray_table: list[tuple[Fraction, ...]] = []
     chambers = []
@@ -99,63 +98,87 @@ def _dominant_restrict(symmetry: Sequence[SymmetryBlock], ambient_dim: int):
     return normals
 
 
+def _slice_form(f: PLFunction, vectors):
+    """f's integer-scaled copy restricted to the span of ``vectors``, points
+    of the slice: (linear, terms) with den*f(sum_j y_j v_j) = linear.y +
+    sum c*|row.y| over (c, row) in terms, den as in f._integer_scaled()."""
+    _, linear, terms = f._integer_scaled()
+    return ([_dot(linear, v) for v in vectors],
+            [(c, [_dot(row, v) for v in vectors]) for c, row in terms])
+
+
+def _canonical(linear, terms):
+    """A form (linear, terms) as in _slice_form, made canonical.
+
+    Each row is made primitive with its first nonzero entry positive, the
+    factor folded into its coefficient, and equal rows merged; zero
+    coefficients are dropped.  The result determines the function and vice
+    versa: the function is smooth off the hyperplanes row.y = 0, and across
+    each of them its gradient jumps by 2*c*row, so the kinks give the
+    remaining rows and their coefficients, and the linear part is what is
+    left.  Hence two forms define the same function exactly when their
+    canonical forms are equal.
+    """
+    merged: dict[tuple[int, ...], int] = {}
+    for c, row in terms:
+        g = math.gcd(*row)
+        if next(x for x in row if x) < 0:
+            g = -g
+        key = tuple(x // g for x in row)
+        merged[key] = merged.get(key, 0) + c * abs(g)
+    return tuple(linear), {key: c for key, c in merged.items() if c}
+
+
 def _check_symmetry(f: PLFunction, symmetry: Sequence[SymmetryBlock]) -> None:
-    """Verify f is invariant under the generators of the symmetry group."""
-    n = f.space.ambient_dim
+    """Verify f is invariant under the generators of the symmetry group.
 
-    def transformed(perm_sign):
-        def map_form(form):
-            out = [Fraction(0)] * n
-            for i, c in enumerate(form.coeffs):
-                j, s = perm_sign[i]
-                out[j] += s * c
-            return LinearForm(out)
-        space = TorusSpace(n, [map_form(c) for c in f.space.constraints])
-        return PLFunction(space, [(c, map_form(a)) for c, a in f.abs_terms],
-                          map_form(f.linear_term))
+    The generators of a block are the transpositions of its adjacent
+    coordinates and, when it is signed, the sign flip of its last
+    coordinate.  Each generator s maps the slice basis b_j to s(b_j).  As s
+    is invertible, it preserves the slice exactly when every constraint row
+    vanishes on each s(b_j); then f o s = f exactly when f restricted to the
+    images s(b_j) equals f restricted to the basis (see _canonical).
+    Raises SymmetryError naming the block and the failing generator.
+    """
+    space = f.space
+    basis = space.slice_basis()
+    expected = _canonical(*_slice_form(f, basis))
+    for i, block in enumerate(symmetry):
+        c = block.coords
+        # (a, b, s) maps Y to Y' with Y'[a] = s*Y[b] and Y'[b] = s*Y[a]
+        generators = [(a, b, 1) for a, b in zip(c, c[1:])]
+        if block.signed and c:
+            generators.append((c[-1], c[-1], -1))
+        for a, b, s in generators:
+            images = []
+            for v in basis:
+                w = list(v)
+                w[a], w[b] = s * v[b], s * v[a]
+                images.append(w)
+            name = (f"the swap of coordinates {a} and {b}" if s > 0
+                    else f"the sign flip of coordinate {a}")
+            where = f"symmetry[{i}] (coords {list(c)})"
+            if any(_dot(row, w) for row in space._int_rows for w in images):
+                raise SymmetryError(f"{where}: {name} does not preserve "
+                                    "the torus slice")
+            if _canonical(*_slice_form(f, images)) != expected:
+                raise SymmetryError(f"{where}: the function is not invariant "
+                                    f"under {name}")
 
-    idmap = [(i, 1) for i in range(n)]
-    for block in symmetry:
-        coords = block.coords
-        for a, b in zip(coords, coords[1:]):
-            pm = list(idmap)
-            pm[a], pm[b] = (b, 1), (a, 1)
-            g = transformed(pm)
-            if g.space != f.space or g != f:
-                raise ValueError("function is not invariant under the declared symmetry")
-        if block.signed and coords:
-            pm = list(idmap)
-            j = coords[-1]
-            pm[j] = (j, -1)
-            g = transformed(pm)
-            if g.space != f.space or g != f:
-                raise ValueError("function is not invariant under the declared symmetry")
 
-
-def is_nonnegative(f: PLFunction,
-                   symmetry: Sequence[SymmetryBlock] = (),
-                   antipodal_prune: bool = False):
+def is_nonnegative(f: PLFunction, symmetry: Sequence[SymmetryBlock] = ()):
     """Decide f >= 0 on the whole torus slice, exactly.
 
     Returns a NonnegCertificate or a Witness.  ``symmetry`` restricts the
     enumeration to one fundamental domain after verifying that f really is
-    invariant under the declared group; ``antipodal_prune`` halves the work
-    for even f.  Both options change only the certificate size, never the
-    verdict.
+    invariant under the declared group; it changes only the certificate
+    size, never the verdict.
     """
     space = f.space
-    if space.dim == 0:
-        return NonnegCertificate(hyperplanes=(), rays=(), ray_values=(),
-                                 chambers=(Chamber((), ()),))
     restrict: Sequence = ()
     if symmetry:
         _check_symmetry(f, symmetry)
         restrict = _dominant_restrict(symmetry, space.ambient_dim)
-    if antipodal_prune:
-        if restrict:
-            raise ValueError("symmetry and antipodal pruning cannot be combined")
-        if not f.linear_term.is_zero():
-            raise ValueError("antipodal pruning requires an even function")
     hyperplanes = distinct_hyperplanes(f)
     if not hyperplanes:
         # purely linear and homogeneous: nonnegative iff identically zero
@@ -168,7 +191,7 @@ def is_nonnegative(f: PLFunction,
         return NonnegCertificate(hyperplanes=(), rays=(), ray_values=(),
                                  chambers=(Chamber((), ()),))
     chambers, ray_table, lineality = enumerate_chambers(
-        hyperplanes, space, restrict=restrict, antipodal_prune=antipodal_prune)
+        hyperplanes, space, restrict=restrict)
     # f restricted to the lineality space is linear; fold its +- generators
     # into the ray table so the certificate is self-contained
     ray_table = list(ray_table)
@@ -192,8 +215,7 @@ def is_nonnegative(f: PLFunction,
                              ray_values=tuple(ray_values),
                              chambers=tuple(chambers),
                              lineality=lineality,
-                             symmetry_reduced=bool(symmetry),
-                             antipodal_reduced=antipodal_prune)
+                             symmetry_reduced=bool(symmetry))
 
 
 _INT64_BOUND = 2 ** 62
@@ -214,12 +236,9 @@ def grid_oracle(f: PLFunction, resolution: int) -> Optional[Witness]:
     d = len(basis)
     if d == 0:
         return None
-    # f's integer-scaled copy, den*f = linear.Y + sum c*|row.Y| at integer
-    # points Y of the slice, restricted to slice coordinates
-    _, linear, terms = f._integer_scaled()
-    A = [[_dot(row, g) for g in basis] for _, row in terms]
+    Lrow, terms = _slice_form(f, basis)
+    A = [row for _, row in terms]
     C = [c for c, _ in terms]
-    Lrow = [_dot(linear, g) for g in basis]
 
     max_abs = 0
     for row, c in zip(A, C):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from temperkit.check import (TABLE1_PREDICATES, Verdict, _partitions, check,
-                             check_with_module, render_scan_table, scan_family,
+                             render_scan_table, scan_family,
                              sp_product_tempered, tensor_product_check)
 from temperkit.generators import (TABLE1_PATTERNS, build_product_in_sl,
                                   build_product_in_sp, build_sl_block)
@@ -79,22 +79,18 @@ class TestCheck:
 
 
 class TestExtraModule:
-    def test_requires_module(self):
-        with pytest.raises(ValueError):
-            check_with_module(simple_spec())
-
     def test_trivial_module_is_identity(self):
         bare = check(simple_spec())
-        with_zero_v = check_with_module(simple_spec(v_mult=0))
+        with_zero_v = check(simple_spec(v_mult=0))
         assert bare.tempered == with_zero_v.tempered
 
     def test_monotone_in_module(self):
         # 2 rho_V eventually dominates any fixed deficit
         assert not check(simple_spec()).tempered
-        verdicts = [check_with_module(simple_spec(v_mult=m)).tempered
+        verdicts = [check(simple_spec(v_mult=m)).tempered
                     for m in (1, 2, 5)]
         assert verdicts == sorted(verdicts)
-        assert check_with_module(simple_spec(v_mult=5)).tempered
+        assert check(simple_spec(v_mult=5)).tempered
 
 
 class TestScans:

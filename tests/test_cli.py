@@ -178,6 +178,41 @@ class TestMatrixInputErrors:
         assert "Traceback" not in err
 
 
+def pair_spec(symmetry):
+    return {"pair_spec": {
+        "space": {"ambient_dim": 2},
+        "h_module": {"weights": [{"form": ["1", "0"], "mult": 1},
+                                 {"form": ["-1", "0"], "mult": 1}]},
+        "g_module": {"weights": [{"form": ["0", "1"], "mult": 3},
+                                 {"form": ["0", "-1"], "mult": 3}]},
+        "symmetry": symmetry}}
+
+
+class TestSpecErrors:
+    @pytest.mark.parametrize("payload, code, where", [
+        # the data is not symmetric in the two coordinates
+        (pair_spec([{"coords": [0, 1]}]), 3, "symmetry[0] (coords [0, 1])"),
+        (pair_spec([{"coords": [0, "x"]}]), 2, "pair_spec.symmetry[0].coords"),
+        (pair_spec([{"coords": [0, 2]}]), 2, "pair_spec.symmetry[0].coords"),
+        ({"family": {"name": "sl_block", "sizes": [2, 1],
+                     "diagonal_kind": ["full", "bogus"]}}, 2, "family.sl_block"),
+        ({"family": {"name": "product_in_sl", "parts": [3]}}, 2,
+         "family.product_in_sl"),
+        ({"family": {"name": "so_pair", "signature": [1, 2]}}, 2,
+         "family.so_pair"),
+        ({"family": {"name": "classical_in_sl", "kind": "so", "params": [3]}}, 2,
+         "family.classical_in_sl"),
+    ], ids=["undeclared_symmetry", "non_integer_coord", "coord_out_of_range",
+            "bogus_diagonal_kind", "one_part", "short_signature",
+            "so_one_param"])
+    def test_exit_code_without_traceback(self, tmp_path, payload, code, where):
+        spec = write(tmp_path, "s.json", payload)
+        got, _, err = run_process(["check", spec, "--dominant-chamber"])
+        assert got == code, err
+        assert where in err
+        assert "Traceback" not in err
+
+
 class TestScan:
     def test_clean_scan(self, capsys):
         code, out, _ = run(capsys, ["scan", "table1", "--pmax", "2",

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from temperkit.errors import (ArityError, ConstraintViolationError,
-                              SpaceMismatchError)
-from temperkit.model import (LinearForm, PLFunction, PairSpec, TorusSpace,
-                             WeightModule, deficit, evaluate_pl, rho_function,
-                             rho_plus)
+                              SpaceMismatchError, SymmetryError)
+from temperkit.model import (LinearForm, PLFunction, PairSpec, SymmetryBlock,
+                             TorusSpace, WeightModule, deficit, evaluate_pl,
+                             rho_function, rho_plus)
 
 F = Fraction
 
@@ -120,17 +120,6 @@ class TestWeightModule:
         with pytest.raises(ValueError):
             WeightModule(s, [(lf(1), 0)])
 
-    def test_direct_sum_space_mismatch(self):
-        a = WeightModule(TorusSpace(1), [(lf(1), 1)])
-        b = WeightModule(TorusSpace(2), [(lf(1, 0), 1)])
-        with pytest.raises(SpaceMismatchError):
-            a.direct_sum(b)
-
-    def test_negated(self):
-        s = TorusSpace(2)
-        m = WeightModule(s, [(lf(1, -1), 2)])
-        assert m.negated().weights == ((lf(-1, 1), 2),)
-
 
 class TestPLFunction:
     def test_abs_merging_and_sign(self):
@@ -206,6 +195,15 @@ class TestRho:
         g = WeightModule(TorusSpace(2), [(lf(1, 0), 1)])
         with pytest.raises(SpaceMismatchError):
             PairSpec(g_module=g, h_module=h)
+
+    @pytest.mark.parametrize("coords", [(0, 0), (1, 2), (-1, 0)])
+    def test_pair_spec_symmetry_coords(self, coords):
+        m = WeightModule(TorusSpace(2), [(lf(1, 0), 1)])
+        block = SymmetryBlock((0, 1))
+        PairSpec(g_module=m, h_module=m, symmetry=(block,))
+        with pytest.raises(SymmetryError, match=r"symmetry\[1\]\.coords"):
+            PairSpec(g_module=m, h_module=m,
+                     symmetry=(block, SymmetryBlock(coords)))
 
 
 small = st.integers(min_value=-3, max_value=3)

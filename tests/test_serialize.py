@@ -109,9 +109,12 @@ class TestRecheck:
         assert serialize.recheck_document(doc)
 
     def test_chamber_linear_form_ignored(self):
-        # documents written while chambers carried "linear_form" still read
+        # documents written while chambers carried "linear_form" and the
+        # evidence carried "antipodal_reduced" still read
         doc = self._doc(2, 2)
         dim = doc["pair_spec"]["space"]["ambient_dim"]
+        assert "antipodal_reduced" not in doc["evidence"]
+        doc["evidence"]["antipodal_reduced"] = True
         for ch in doc["evidence"]["chambers"]:
             assert "linear_form" not in ch
             ch["linear_form"] = ["1/2"] * dim

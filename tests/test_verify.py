@@ -4,10 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from temperkit.errors import SymmetryError
+from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS,
+                                  build_classical_in_sl, build_product_in_sl,
+                                  build_product_in_sp, build_sl_block,
+                                  build_so_pair, realify)
 from temperkit.model import (LinearForm, PLFunction, SymmetryBlock, TorusSpace,
-                             evaluate_pl)
-from temperkit.verify import (NonnegCertificate, Witness, distinct_hyperplanes,
-                              enumerate_chambers, grid_oracle, is_nonnegative)
+                             deficit, evaluate_pl)
+from temperkit.verify import (NonnegCertificate, Witness, _check_symmetry,
+                              distinct_hyperplanes, enumerate_chambers,
+                              grid_oracle, is_nonnegative)
 
 F = Fraction
 
@@ -142,22 +148,127 @@ class TestReductions:
         with pytest.raises(ValueError):
             is_nonnegative(f, symmetry=(SymmetryBlock((0, 1)),))
 
-    def test_antipodal_same_verdict(self):
-        f = self._example()
-        assert isinstance(is_nonnegative(f, antipodal_prune=True),
-                          type(is_nonnegative(f)))
 
-    def test_antipodal_requires_even(self):
+def rebuilt_symmetry_check(f, symmetry) -> bool:
+    """Reference for _check_symmetry: for every generator s, rebuild f o s
+    and its space as a new PLFunction and TorusSpace and compare them with
+    f structurally."""
+    n = f.space.ambient_dim
+
+    def transformed(perm_sign):
+        def map_form(form):
+            out = [F(0)] * n
+            for i, c in enumerate(form.coeffs):
+                j, s = perm_sign[i]
+                out[j] += s * c
+            return LinearForm(out)
+        space = TorusSpace(n, [map_form(c) for c in f.space.constraints])
+        return PLFunction(space, [(c, map_form(a)) for c, a in f.abs_terms],
+                          map_form(f.linear_term))
+
+    idmap = [(i, 1) for i in range(n)]
+    for block in symmetry:
+        coords = block.coords
+        perms = []
+        for a, b in zip(coords, coords[1:]):
+            pm = list(idmap)
+            pm[a], pm[b] = (b, 1), (a, 1)
+            perms.append(pm)
+        if block.signed and coords:
+            pm = list(idmap)
+            pm[coords[-1]] = (coords[-1], -1)
+            perms.append(pm)
+        for pm in perms:
+            g = transformed(pm)
+            if g.space != f.space or g != f:
+                return False
+    return True
+
+
+def accepts(f, symmetry) -> bool:
+    try:
+        _check_symmetry(f, symmetry)
+    except SymmetryError:
+        return False
+    return True
+
+
+def symmetry_family_specs():
+    specs = [build_sl_block(TABLE1_PATTERNS[name](p, q))
+             for name in TABLE1_PATTERNS for p, q in ((2, 3), (3, 1))]
+    specs += [build_sl_block(TABLE2_PATTERNS[name](2, 1, 2))
+              for name in TABLE2_PATTERNS]
+    specs += [build_product_in_sp((2, 1, 2)), build_so_pair(2, 1, 1, 2),
+              build_so_pair(3, 1, 2, 2), build_classical_in_sl("so", 3, 2),
+              build_classical_in_sl("sp", 3),
+              realify(build_product_in_sl((2, 2)))]
+    return specs
+
+
+class TestSymmetryCheck:
+    def test_random_blocks_match_reference(self):
+        rng = random.Random(5)
+        verdicts = []
+        for spec in symmetry_family_specs():
+            f = deficit(spec)
+            n = f.space.ambient_dim
+            for _ in range(8):
+                k = rng.randint(1, min(n, 4))
+                block = SymmetryBlock(tuple(rng.sample(range(n), k)),
+                                      signed=rng.random() < 0.5)
+                expected = rebuilt_symmetry_check(f, (block,))
+                assert accepts(f, (block,)) == expected, (spec.metadata, block)
+                verdicts.append(expected)
+        # both answers occur, so the comparison is not vacuous
+        assert any(verdicts) and not all(verdicts)
+
+    def test_sub_blocks_of_declared_accepted(self):
+        rng = random.Random(6)
+        for spec in symmetry_family_specs():
+            f = deficit(spec)
+            assert accepts(f, spec.symmetry)
+            for block in spec.symmetry:
+                for _ in range(4):
+                    k = rng.randint(1, len(block.coords))
+                    sub = SymmetryBlock(tuple(rng.sample(block.coords, k)),
+                                        signed=block.signed and rng.random() < 0.7)
+                    assert rebuilt_symmetry_check(f, (sub,))
+                    assert accepts(f, (sub,)), (spec.metadata, sub)
+
+    def test_slice_not_preserved(self):
+        # swapping y and z moves the slice x + y = 0 off itself, although
+        # |y| + |z| restricted to the images of the slice basis matches
+        f = pl(TorusSpace(3, [lf(1, 1, 0)]), [(1, lf(0, 1, 0)), (1, lf(0, 0, 1))])
+        block = (SymmetryBlock((1, 2)),)
+        assert not rebuilt_symmetry_check(f, block)
+        with pytest.raises(SymmetryError,
+                           match=r"symmetry\[0\] \(coords \[1, 2\]\): the swap "
+                                 r"of coordinates 1 and 2 does not preserve"):
+            _check_symmetry(f, block)
+
+    def test_proportional_abs_forms_merge(self):
+        # |2x| + 2|y| - |x + y| is symmetric in (x, y); the rebuilt
+        # comparison keeps |2x| apart from 2|y| and rejected it
         s = TorusSpace(2)
-        f = pl(s, [(1, lf(1, 0))], lf(0, 1))
-        with pytest.raises(ValueError):
-            is_nonnegative(f, antipodal_prune=True)
+        block = (SymmetryBlock((0, 1)),)
+        f = pl(s, [(1, lf(2, 0)), (2, lf(0, 1)), (-1, lf(1, 1))])
+        assert accepts(f, block)
+        assert not rebuilt_symmetry_check(f, block)
+        # |2x| + |y| = 2|x| + |y| is not
+        g = pl(s, [(1, lf(2, 0)), (1, lf(0, 1))])
+        with pytest.raises(SymmetryError, match="not invariant under the swap"):
+            _check_symmetry(g, block)
 
-    def test_antipodal_and_symmetry_exclusive(self):
-        f = self._example()
-        with pytest.raises(ValueError):
-            is_nonnegative(f, symmetry=(SymmetryBlock((0, 1, 2)),),
-                           antipodal_prune=True)
+    def test_signed_block(self):
+        s = TorusSpace(2)
+        block = (SymmetryBlock((0, 1), signed=True),)
+        f = pl(s, [(2, lf(1, 0)), (2, lf(0, 1)), (-1, lf(1, -1)), (-1, lf(1, 1))])
+        assert accepts(f, block) and rebuilt_symmetry_check(f, block)
+        g = pl(s, [(1, lf(1, -1))])
+        assert not rebuilt_symmetry_check(g, block)
+        with pytest.raises(SymmetryError,
+                           match="not invariant under the sign flip of coordinate 1"):
+            _check_symmetry(g, block)
 
 
 def random_pl(rng: random.Random, dim: int, n_terms: int) -> PLFunction:
@@ -270,13 +381,6 @@ def test_positive_homogeneity(f, t):
 def test_nonnegative_coefficients_certify(f):
     g = PLFunction(f.space, [(abs(c), a) for c, a in f.abs_terms])
     assert isinstance(is_nonnegative(g), NonnegCertificate)
-
-
-@settings(max_examples=25, deadline=None)
-@given(pl_functions())
-def test_antipodal_prune_equivalence(f):
-    assert isinstance(is_nonnegative(f, antipodal_prune=True),
-                      type(is_nonnegative(f)))
 
 
 @settings(max_examples=60, deadline=None)
