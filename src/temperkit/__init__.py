@@ -1,9 +1,10 @@
 """Exact decision engine for the temperedness inequality
 rho_h <= rho_{g/h} + 2 rho_V on a maximal split torus.
 
-All criterion arithmetic is exact (fractions.Fraction); every verdict
-carries either a chamber-and-ray certificate of global nonnegativity or a
-rational witness direction where the deficit is negative.
+All criterion arithmetic is exact, on integer rows; rationals enter only
+through JSON and matrix-mode extraction.  Every verdict carries either a
+chamber-and-ray certificate of global nonnegativity or a rational witness
+direction where the deficit is negative.
 """
 
 from .check import (Verdict, ScanPoint, ScanReport, check, scan_family,

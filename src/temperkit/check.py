@@ -11,7 +11,7 @@ from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, build_classical_in_sl
                          build_product_in_sl, build_product_in_sp, build_so_pair,
                          build_sl_block, realify)
 from .model import PairSpec, deficit, evaluate_pl
-from .verify import NonnegCertificate, Witness, distinct_hyperplanes, is_nonnegative
+from .verify import NonnegCertificate, Witness, is_nonnegative
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ def check(spec: PairSpec, use_symmetry: bool = False) -> Verdict:
     f = deficit(spec)
     symmetry = spec.symmetry if use_symmetry else ()
     evidence = is_nonnegative(f, symmetry=symmetry)
-    summary = {"hyperplanes": len(distinct_hyperplanes(f)),
+    summary = {"hyperplanes": len(f.terms),
                "torus_dim": f.space.dim}
     if isinstance(evidence, NonnegCertificate):
         summary["chambers"] = len(evidence.chambers)

@@ -43,7 +43,7 @@ def _load_json(path: str) -> dict:
 
 
 def _spec_from_family(data: dict):
-    name = data.get("name")
+    name = serialize._expect(data, dict, "family").get("name")
     try:
         if name == "sl_block":
             if "pattern" in data:
@@ -99,7 +99,7 @@ def _spec_from_file(data: dict):
             raise SchemaError("tensor_product: need integer variant and params") from None
         return None, (variant, params)
     # matrix_pair
-    mp = data["matrix_pair"]
+    mp = serialize._expect(data["matrix_pair"], dict, "matrix_pair")
     if mp.get("preset") == "sp21":
         return extract_weights(example_sp21_input()), None
     where = "matrix_pair"

@@ -19,25 +19,22 @@ from typing import Optional, Sequence
 from . import linalg
 from .errors import (BasisError, BracketClosureError, ContainmentError,
                      DecompositionError)
-from .model import (LinearForm, PairSpec, SymmetryBlock, TorusSpace,
-                    WeightModule)
+from .model import PairSpec, SymmetryBlock, TorusSpace, WeightModule
+
+# Weights and constraints are integer rows: tuples of ints, one per ambient
+# coordinate.
 
 
-def _e(i: int, n: int, s: int = 1) -> LinearForm:
-    coeffs = [Fraction(0)] * n
-    coeffs[i] = Fraction(s)
-    return LinearForm(coeffs)
+def _e(i: int, n: int, s: int = 1) -> tuple[int, ...]:
+    return tuple(s if k == i else 0 for k in range(n))
 
 
-def _diff(i: int, j: int, n: int) -> LinearForm:
-    coeffs = [Fraction(0)] * n
-    coeffs[i] = Fraction(1)
-    coeffs[j] = Fraction(-1)
-    return LinearForm(coeffs)
+def _diff(i: int, j: int, n: int) -> tuple[int, ...]:
+    return tuple((k == i) - (k == j) for k in range(n))
 
 
-def _zero(n: int) -> LinearForm:
-    return LinearForm([Fraction(0)] * n)
+def _zero(n: int) -> tuple[int, ...]:
+    return (0,) * n
 
 
 def _pair_roots(pairs, n: int) -> Counter:
@@ -67,13 +64,12 @@ def _sp_counter(coords, n: int) -> Counter:
     zero weight per coordinate."""
     c = _pair_roots(itertools.combinations(coords, 2), n)
     c.update(_axis_roots(coords, 2, 1, n))
-    c[_zero(n).coeffs] += len(coords)
+    c[_zero(n)] += len(coords)
     return c
 
 
 def _module(space: TorusSpace, counter: Counter, name: str) -> WeightModule:
-    weights = [(LinearForm(c), m) for c, m in counter.items() if m > 0]
-    return WeightModule(space, weights, name)
+    return WeightModule(space, [(c, m) for c, m in counter.items() if m > 0], name)
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +136,9 @@ def _block_torus(pattern: BlockPattern) -> TorusSpace:
     constraints = []
     for blk, kind in zip(pattern.block_coords(), pattern.diagonal_kind):
         if kind == "full":
-            coeffs = [Fraction(0)] * n
-            for a in blk:
-                coeffs[a] = Fraction(1)
-            constraints.append(LinearForm(coeffs))
+            constraints.append(tuple(int(a in blk) for a in range(n)))
         else:
-            for a in blk:
-                constraints.append(_e(a, n))
+            constraints.extend(_e(a, n) for a in blk)
     return TorusSpace(n, constraints)
 
 
@@ -168,17 +160,17 @@ def build_sl_block(pattern: BlockPattern) -> PairSpec:
     for blk, kind in zip(blocks, pattern.diagonal_kind):
         if kind == "full":
             for a, b in itertools.permutations(blk, 2):
-                h_counter[_diff(a, b, n).coeffs] += 1
-            h_counter[_zero(n).coeffs] += len(blk) - 1
+                h_counter[_diff(a, b, n)] += 1
+            h_counter[_zero(n)] += len(blk) - 1
     for i, j in pattern.upper_blocks:
         for a in blocks[i]:
             for b in blocks[j]:
-                h_counter[_diff(a, b, n).coeffs] += 1
+                h_counter[_diff(a, b, n)] += 1
 
     g_counter: Counter = Counter()
     for a, b in itertools.permutations(range(n), 2):
-        g_counter[_diff(a, b, n).coeffs] += 1
-    g_counter[_zero(n).coeffs] += n - 1
+        g_counter[_diff(a, b, n)] += 1
+    g_counter[_zero(n)] += n - 1
     g_counter.subtract(h_counter)
     if any(m < 0 for m in g_counter.values()):
         raise ValueError("subalgebra multiset exceeds sl(n)")
@@ -261,7 +253,7 @@ def _so_restricted_counter(p: int, q: int, coords: Sequence[int], n: int) -> Cou
     if zero < 0:
         raise DecompositionError("so(p,q) multiplicities exceed its dimension")
     if zero > 0:
-        c[_zero(n).coeffs] += zero
+        c[_zero(n)] += zero
     return c
 
 
@@ -290,7 +282,7 @@ def build_so_pair(p1: int, q1: int, p2: int, q2: int) -> PairSpec:
     g_counter.update(_axis_roots(u, 1, d2, n))
     g_counter.update(_axis_roots(v, 1, d1, n))
     if d1 * d2 > 0:
-        g_counter[_zero(n).coeffs] += d1 * d2
+        g_counter[_zero(n)] += d1 * d2
 
     total = sum(h_counter.values()) + sum(g_counter.values())
     if total != _so_dim(p1 + p2, q1 + q2):
@@ -343,8 +335,8 @@ def build_classical_in_sl(kind: str, *params: int) -> PairSpec:
     # one zero for the removed trace
     g_counter: Counter = Counter()
     for wa, wb in itertools.product(rep, repeat=2):
-        g_counter[(wa - wb).coeffs] += 1
-    g_counter[_zero(space.ambient_dim).coeffs] -= 1
+        g_counter[tuple(a - b for a, b in zip(wa, wb))] += 1
+    g_counter[_zero(space.ambient_dim)] -= 1
     g_counter.subtract(h_counter)
     if any(mult < 0 for mult in g_counter.values()):
         raise DecompositionError("h multiset exceeds sl weights")
@@ -391,12 +383,12 @@ def parabolic_decomposition(pattern: BlockPattern):
     l_counter: Counter = Counter()
     for blk, kind in zip(blocks, pattern.diagonal_kind):
         for a, b in itertools.permutations(blk, 2):
-            l_counter[_diff(a, b, n).coeffs] += 1
-        l_counter[_zero(n).coeffs] += len(blk)
+            l_counter[_diff(a, b, n)] += 1
+        l_counter[_zero(n)] += len(blk)
         if kind == "full":
             for a, b in itertools.permutations(blk, 2):
-                s_counter[_diff(a, b, n).coeffs] += 1
-            s_counter[_zero(n).coeffs] += len(blk) - 1
+                s_counter[_diff(a, b, n)] += 1
+            s_counter[_zero(n)] += len(blk) - 1
     ls_counter = l_counter.copy()
     ls_counter.subtract(s_counter)
 
@@ -407,7 +399,7 @@ def parabolic_decomposition(pattern: BlockPattern):
             continue
         for a in blocks[i]:
             for b in blocks[j]:
-                uv_counter[_diff(a, b, n).coeffs] += 1
+                uv_counter[_diff(a, b, n)] += 1
 
     return (_module(space, s_counter, "s"),
             _module(space, ls_counter, "l/s"),

@@ -1,8 +1,8 @@
-"""Small exact linear algebra helpers over Fraction matrices.
+"""Small exact linear algebra helpers over rational matrices.
 
-Matrices are lists of lists of Fraction (row major).  Everything here is
-exact; numpy is deliberately not used so there is no precision cliff in the
-decision path.
+Matrices are lists of lists of int or Fraction (row major).  Everything
+here is exact; numpy is deliberately not used so there is no precision
+cliff in the decision path.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
         rows[rank], rows[piv] = rows[piv], rows[rank]
         pv = rows[rank][col]
         if pv != 1:
+            pv = Fraction(pv)   # int / int would be a float
             rows[rank] = [x / pv if x else x for x in rows[rank]]
         for i in range(len(rows)):
             if i != rank and rows[i][col] != 0:

@@ -1,8 +1,9 @@
 """JSON serialization for the exact data model, certificates, and verdicts.
 
 Rationals travel as "num/den" strings (or "num" when integral) so every
-round trip is lossless.  Documents carry a schema_version field.  Parsing
-errors raise SchemaError with a JSON-pointer-style location.
+round trip is lossless; integral ones are read back as ints.  Documents
+carry a schema_version field.  Parsing errors, including a container of the
+wrong JSON type, raise SchemaError with a JSON-pointer-style location.
 """
 
 from __future__ import annotations
@@ -23,20 +24,20 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 # rationals
 
-def rational_to_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def rational_to_str(x) -> str:
+    return str(x if type(x) in (int, Fraction) else Fraction(x))
 
 
-def rational_from_str(s, where: str = "") -> Fraction:
+def rational_from_str(s, where: str = ""):
+    """An int for an integral value, else a Fraction."""
     if isinstance(s, int):
-        return Fraction(s)
+        return int(s)
     if not isinstance(s, str):
         raise SchemaError(f"{where}: expected rational string, got {type(s).__name__}")
     try:
         num, _, den = s.partition("/")
         if den == "":
-            return Fraction(int(num))
+            return int(num)
         d = int(den)
         if d == 0:
             raise ZeroDivisionError
@@ -50,9 +51,16 @@ def _vec_to_json(vec):
 
 
 def _vec_from_json(data, where: str):
-    if not isinstance(data, list):
-        raise SchemaError(f"{where}: expected a list")
-    return tuple(rational_from_str(x, f"{where}[{i}]") for i, x in enumerate(data))
+    return tuple(rational_from_str(x, f"{where}[{i}]")
+                 for i, x in enumerate(_expect(data, list, where)))
+
+
+def _expect(data, kind: type, where: str):
+    """data, if it has the JSON type kind (list, dict or str); else SchemaError."""
+    if not isinstance(data, kind):
+        name = {list: "a list", dict: "an object", str: "a string"}[kind]
+        raise SchemaError(f"{where}: expected {name}")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -65,15 +73,17 @@ def torus_space_to_json(space: TorusSpace) -> dict:
 
 
 def torus_space_from_json(data: dict, where: str = "torus") -> TorusSpace:
-    if not isinstance(data, dict):
-        raise SchemaError(f"{where}: expected an object")
+    _expect(data, dict, where)
     try:
         dim = int(data["ambient_dim"])
     except (KeyError, TypeError, ValueError):
         raise SchemaError(f"{where}.ambient_dim: missing or not an integer") from None
     constraints = [LinearForm(_vec_from_json(c, f"{where}.constraints[{i}]"))
-                   for i, c in enumerate(data.get("constraints", []))]
+                   for i, c in enumerate(_expect(data.get("constraints", []), list,
+                                                 f"{where}.constraints"))]
     labels = data.get("coordinate_labels")
+    if labels is not None:
+        _expect(labels, list, f"{where}.coordinate_labels")
     try:
         return TorusSpace(dim, constraints, coordinate_labels=labels)
     except ValueError as e:
@@ -88,10 +98,10 @@ def weight_module_to_json(M: WeightModule) -> dict:
 
 def weight_module_from_json(data: dict, space: TorusSpace,
                             where: str = "module") -> WeightModule:
-    if not isinstance(data, dict):
-        raise SchemaError(f"{where}: expected an object")
+    _expect(data, dict, where)
     weights = []
-    for i, entry in enumerate(data.get("weights", [])):
+    for i, entry in enumerate(_expect(data.get("weights", []), list,
+                                      f"{where}.weights")):
         loc = f"{where}.weights[{i}]"
         if not isinstance(entry, dict) or "form" not in entry:
             raise SchemaError(f"{loc}: expected an object with a form")
@@ -115,9 +125,11 @@ def pl_function_to_json(f: PLFunction) -> dict:
 
 
 def pl_function_from_json(data: dict, where: str = "function") -> PLFunction:
+    _expect(data, dict, where)
     space = torus_space_from_json(data.get("space", {}), f"{where}.space")
     terms = []
-    for i, entry in enumerate(data.get("abs_terms", [])):
+    for i, entry in enumerate(_expect(data.get("abs_terms", []), list,
+                                      f"{where}.abs_terms")):
         loc = f"{where}.abs_terms[{i}]"
         if not isinstance(entry, dict):
             raise SchemaError(f"{loc}: expected an object")
@@ -148,8 +160,7 @@ def pair_spec_to_json(spec: PairSpec) -> dict:
 
 
 def pair_spec_from_json(data: dict, where: str = "pair_spec") -> PairSpec:
-    if not isinstance(data, dict):
-        raise SchemaError(f"{where}: expected an object")
+    _expect(data, dict, where)
     space = torus_space_from_json(data.get("space", {}), f"{where}.space")
     h = weight_module_from_json(data.get("h_module", {}), space,
                                 f"{where}.h_module")
@@ -159,19 +170,17 @@ def pair_spec_from_json(data: dict, where: str = "pair_spec") -> PairSpec:
     if "v_module" in data:
         v = weight_module_from_json(data["v_module"], space, f"{where}.v_module")
     symmetry = []
-    for i, b in enumerate(data.get("symmetry", [])):
+    for i, b in enumerate(_expect(data.get("symmetry", []), list,
+                                  f"{where}.symmetry")):
         loc = f"{where}.symmetry[{i}]"
         if not isinstance(b, dict) or "coords" not in b:
             raise SchemaError(f"{loc}: expected an object with coords")
-        coords = b["coords"]
-        if not isinstance(coords, list) or not all(
-                type(c) is int for c in coords):
-            raise SchemaError(f"{loc}.coords: expected a list of integers")
-        symmetry.append(SymmetryBlock(tuple(coords),
-                                      bool(b.get("signed", False))))
+        coords = _expect(b["coords"], list, f"{loc}.coords")
+        symmetry.append(SymmetryBlock(tuple(coords), bool(b.get("signed", False))))
     try:
         return PairSpec(g_module=g, h_module=h, v_module=v,
-                        metadata=dict(data.get("metadata", {})),
+                        metadata=dict(_expect(data.get("metadata", {}), dict,
+                                              f"{where}.metadata")),
                         symmetry=tuple(symmetry))
     except SymmetryError as e:
         raise SchemaError(f"{where}.{e}") from None
@@ -203,6 +212,10 @@ def evidence_from_json(data: dict, where: str = "evidence"):
     if not isinstance(data, dict) or "kind" not in data:
         raise SchemaError(f"{where}: expected an object with a kind")
     kind = data["kind"]
+
+    def entries(key):
+        return enumerate(_expect(data.get(key, []), list, f"{where}.{key}"))
+
     if kind == "witness":
         return Witness(direction=_vec_from_json(data.get("direction", []),
                                                 f"{where}.direction"),
@@ -210,26 +223,28 @@ def evidence_from_json(data: dict, where: str = "evidence"):
                                                f"{where}.value"))
     if kind == "certificate":
         rays = tuple(_vec_from_json(r, f"{where}.rays[{i}]")
-                     for i, r in enumerate(data.get("rays", [])))
+                     for i, r in entries("rays"))
         values = tuple(rational_from_str(v, f"{where}.ray_values[{i}]")
-                       for i, v in enumerate(data.get("ray_values", [])))
+                       for i, v in entries("ray_values"))
         hyperplanes = tuple(
             LinearForm(_vec_from_json(h, f"{where}.hyperplanes[{i}]"))
-            for i, h in enumerate(data.get("hyperplanes", [])))
+            for i, h in entries("hyperplanes"))
         chambers = []
-        for i, ch in enumerate(data.get("chambers", [])):
+        for i, ch in entries("chambers"):
             loc = f"{where}.chambers[{i}]"
-            if not isinstance(ch, dict):
-                raise SchemaError(f"{loc}: expected an object")
-            signs = ch.get("signs", "")
+            _expect(ch, dict, loc)
+            signs = _expect(ch.get("signs", ""), str, f"{loc}.signs")
             if not all(c in "+-" for c in signs):
                 raise SchemaError(f"{loc}.signs: expected a +/- string")
+            indices = _expect(ch.get("rays", []), list, f"{loc}.rays")
+            if not all(type(x) is int for x in indices):
+                raise SchemaError(f"{loc}.rays: expected a list of integers")
             # older documents also carry a "linear_form" here; it is ignored
             chambers.append(Chamber(
                 sign_vector=tuple(1 if c == "+" else -1 for c in signs),
-                ray_indices=tuple(int(x) for x in ch.get("rays", []))))
+                ray_indices=tuple(indices)))
         lineality = tuple(_vec_from_json(g, f"{where}.lineality[{i}]")
-                          for i, g in enumerate(data.get("lineality", [])))
+                          for i, g in entries("lineality"))
         # older documents also carry "antipodal_reduced"; it is ignored
         return NonnegCertificate(hyperplanes=hyperplanes, rays=rays,
                                  ray_values=values, chambers=tuple(chambers),
@@ -266,7 +281,7 @@ def recheck_document(data: dict) -> list[str]:
     from .model import deficit, evaluate_pl
 
     problems = []
-    if "pair_spec" not in data:
+    if "pair_spec" not in _expect(data, dict, "document"):
         return ["document has no pair_spec to recheck against"]
     spec = pair_spec_from_json(data["pair_spec"])
     f = deficit(spec)

@@ -10,7 +10,6 @@ ray values) or an explicit direction where the function is negative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -19,7 +18,8 @@ import numpy as np
 
 from .cones import enumerate_cells
 from .errors import SymmetryError
-from .model import (LinearForm, PLFunction, SymmetryBlock, TorusSpace, _dot,
+from .model import (LinearForm, PLFunction, SymmetryBlock, TorusSpace,
+                    _canonical_terms, _check_symmetry_coords, _dot, _integer_row,
                     evaluate_pl)
 
 
@@ -34,52 +34,41 @@ class Chamber:
 @dataclass(frozen=True)
 class NonnegCertificate:
     hyperplanes: tuple[LinearForm, ...]
-    rays: tuple[tuple[Fraction, ...], ...]  # shared ray table, ambient coords
+    rays: tuple[tuple[int, ...], ...]       # shared ray table, ambient coords
     ray_values: tuple[Fraction, ...]        # f at each ray, all >= 0
     chambers: tuple[Chamber, ...]
-    lineality: tuple[tuple[Fraction, ...], ...] = ()
+    lineality: tuple[tuple[int, ...], ...] = ()
     symmetry_reduced: bool = False
 
 
 @dataclass(frozen=True)
 class Witness:
-    direction: tuple[Fraction, ...]
+    direction: tuple                        # exact rationals, ambient coords
     value: Fraction
 
 
 def distinct_hyperplanes(f: PLFunction) -> list[LinearForm]:
-    """Primitive, sign-normalized, deduplicated forms of the abs terms."""
-    seen = {}
-    for _, form in f.abs_terms:
-        p = form.primitive()
-        seen.setdefault(p.coeffs, p)
-    return sorted(seen.values(), key=lambda h: h.coeffs)
+    """The rows of f's canonical abs terms: primitive, sign-normalized,
+    distinct, sorted, each with a nonzero net coefficient."""
+    return [LinearForm(row) for _, row in f.terms]
 
 
 def enumerate_chambers(hyperplanes: Sequence[LinearForm], space: TorusSpace,
                        restrict: Sequence[Sequence[int]] = ()):
     """Full-dimensional cells of the arrangement on the torus slice.
 
-    Returns (chambers, ray_table, lineality_basis).
+    Returns (chambers, ray_table, lineality_basis), with integer rays and
+    lineality generators.
     """
-    basis = space.slice_basis()
-    int_normals = [h.integer_coeffs() for h in hyperplanes]
-    complex_ = enumerate_cells(int_normals, basis, restrict=tuple(restrict))
+    normals = [_integer_row(h)[0] for h in hyperplanes]
+    complex_ = enumerate_cells(normals, space.slice_basis(),
+                               restrict=tuple(restrict))
     ray_index: dict[tuple[int, ...], int] = {}
-    ray_table: list[tuple[Fraction, ...]] = []
-    chambers = []
-    for cell in complex_.cells:
-        idxs = []
-        for vec in cell.rays:
-            i = ray_index.get(vec)
-            if i is None:
-                i = len(ray_table)
-                ray_index[vec] = i
-                ray_table.append(tuple(Fraction(x) for x in vec))
-            idxs.append(i)
-        chambers.append(Chamber(sign_vector=cell.signs, ray_indices=tuple(idxs)))
-    lineality = tuple(tuple(Fraction(x) for x in g) for g in complex_.lineality)
-    return chambers, tuple(ray_table), lineality
+    chambers = [Chamber(sign_vector=cell.signs,
+                        ray_indices=tuple(ray_index.setdefault(vec, len(ray_index))
+                                          for vec in cell.rays))
+                for cell in complex_.cells]
+    return chambers, tuple(ray_index), tuple(complex_.lineality)
 
 
 def _dominant_restrict(symmetry: Sequence[SymmetryBlock], ambient_dim: int):
@@ -98,35 +87,12 @@ def _dominant_restrict(symmetry: Sequence[SymmetryBlock], ambient_dim: int):
     return normals
 
 
-def _slice_form(f: PLFunction, vectors):
-    """f's integer-scaled copy restricted to the span of ``vectors``, points
-    of the slice: (linear, terms) with den*f(sum_j y_j v_j) = linear.y +
-    sum c*|row.y| over (c, row) in terms, den as in f._integer_scaled()."""
-    _, linear, terms = f._integer_scaled()
-    return ([_dot(linear, v) for v in vectors],
-            [(c, [_dot(row, v) for v in vectors]) for c, row in terms])
-
-
-def _canonical(linear, terms):
-    """A form (linear, terms) as in _slice_form, made canonical.
-
-    Each row is made primitive with its first nonzero entry positive, the
-    factor folded into its coefficient, and equal rows merged; zero
-    coefficients are dropped.  The result determines the function and vice
-    versa: the function is smooth off the hyperplanes row.y = 0, and across
-    each of them its gradient jumps by 2*c*row, so the kinks give the
-    remaining rows and their coefficients, and the linear part is what is
-    left.  Hence two forms define the same function exactly when their
-    canonical forms are equal.
-    """
-    merged: dict[tuple[int, ...], int] = {}
-    for c, row in terms:
-        g = math.gcd(*row)
-        if next(x for x in row if x) < 0:
-            g = -g
-        key = tuple(x // g for x in row)
-        merged[key] = merged.get(key, 0) + c * abs(g)
-    return tuple(linear), {key: c for key, c in merged.items() if c}
+def _restricted(f: PLFunction, vectors):
+    """f on sum_j y_j v_j, for ``vectors`` v_j in the slice, in canonical
+    form: (linear, terms) with f.den*f = linear.y + sum c*|row.y|."""
+    return ([_dot(f.linear, v) for v in vectors],
+            _canonical_terms((c, [_dot(row, v) for v in vectors])
+                             for c, row in f.terms))
 
 
 def _check_symmetry(f: PLFunction, symmetry: Sequence[SymmetryBlock]) -> None:
@@ -137,12 +103,13 @@ def _check_symmetry(f: PLFunction, symmetry: Sequence[SymmetryBlock]) -> None:
     coordinate.  Each generator s maps the slice basis b_j to s(b_j).  As s
     is invertible, it preserves the slice exactly when every constraint row
     vanishes on each s(b_j); then f o s = f exactly when f restricted to the
-    images s(b_j) equals f restricted to the basis (see _canonical).
-    Raises SymmetryError naming the block and the failing generator.
+    images s(b_j) equals f restricted to the basis (see _canonical_terms).
+    Raises SymmetryError naming the block, for bad coords or a failing generator.
     """
     space = f.space
+    _check_symmetry_coords(symmetry, space.ambient_dim)
     basis = space.slice_basis()
-    expected = _canonical(*_slice_form(f, basis))
+    expected = _restricted(f, basis)
     for i, block in enumerate(symmetry):
         c = block.coords
         # (a, b, s) maps Y to Y' with Y'[a] = s*Y[b] and Y'[b] = s*Y[a]
@@ -158,10 +125,10 @@ def _check_symmetry(f: PLFunction, symmetry: Sequence[SymmetryBlock]) -> None:
             name = (f"the swap of coordinates {a} and {b}" if s > 0
                     else f"the sign flip of coordinate {a}")
             where = f"symmetry[{i}] (coords {list(c)})"
-            if any(_dot(row, w) for row in space._int_rows for w in images):
+            if any(_dot(row, w) for row in space.rows for w in images):
                 raise SymmetryError(f"{where}: {name} does not preserve "
                                     "the torus slice")
-            if _canonical(*_slice_form(f, images)) != expected:
+            if _restricted(f, images) != expected:
                 raise SymmetryError(f"{where}: the function is not invariant "
                                     f"under {name}")
 
@@ -183,10 +150,9 @@ def is_nonnegative(f: PLFunction, symmetry: Sequence[SymmetryBlock] = ()):
     if not hyperplanes:
         # purely linear and homogeneous: nonnegative iff identically zero
         for g in space.slice_basis():
-            v = f.linear_term(g)
-            if v != 0:
+            v = _dot(f.linear, g)
+            if v:
                 d = g if v < 0 else tuple(-x for x in g)
-                d = tuple(Fraction(x) for x in d)
                 return Witness(direction=d, value=evaluate_pl(f, d))
         return NonnegCertificate(hyperplanes=(), rays=(), ray_values=(),
                                  chambers=(Chamber((), ()),))
@@ -195,14 +161,9 @@ def is_nonnegative(f: PLFunction, symmetry: Sequence[SymmetryBlock] = ()):
     # f restricted to the lineality space is linear; fold its +- generators
     # into the ray table so the certificate is self-contained
     ray_table = list(ray_table)
-    ray_values = [evaluate_pl(f, r) for r in ray_table]
-    extra = []
     for g in lineality:
-        for d in (g, tuple(-x for x in g)):
-            extra.append(d)
-    for d in extra:
-        ray_table.append(d)
-        ray_values.append(evaluate_pl(f, d))
+        ray_table += [g, tuple(-x for x in g)]
+    ray_values = [evaluate_pl(f, r) for r in ray_table]
 
     worst = None
     for vec, val in zip(ray_table, ray_values):
@@ -236,7 +197,7 @@ def grid_oracle(f: PLFunction, resolution: int) -> Optional[Witness]:
     d = len(basis)
     if d == 0:
         return None
-    Lrow, terms = _slice_form(f, basis)
+    Lrow, terms = _restricted(f, basis)
     A = [row for _, row in terms]
     C = [c for c, _ in terms]
 

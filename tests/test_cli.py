@@ -178,14 +178,23 @@ class TestMatrixInputErrors:
         assert "Traceback" not in err
 
 
-def pair_spec(symmetry):
-    return {"pair_spec": {
+def pair_spec(symmetry, replace=()):
+    """A pair_spec document; replace maps dotted keys such as
+    "space.constraints" to new values."""
+    doc = {
         "space": {"ambient_dim": 2},
         "h_module": {"weights": [{"form": ["1", "0"], "mult": 1},
                                  {"form": ["-1", "0"], "mult": 1}]},
         "g_module": {"weights": [{"form": ["0", "1"], "mult": 3},
                                  {"form": ["0", "-1"], "mult": 3}]},
-        "symmetry": symmetry}}
+        "symmetry": symmetry}
+    for key, value in dict(replace).items():
+        *path, last = key.split(".")
+        node = doc
+        for part in path:
+            node = node[part]
+        node[last] = value
+    return {"pair_spec": doc}
 
 
 class TestSpecErrors:
@@ -202,9 +211,21 @@ class TestSpecErrors:
          "family.so_pair"),
         ({"family": {"name": "classical_in_sl", "kind": "so", "params": [3]}}, 2,
          "family.classical_in_sl"),
+        ({"family": [1]}, 2, "family: expected an object"),
+        ({"matrix_pair": [1]}, 2, "matrix_pair: expected an object"),
+        (pair_spec(5), 2, "pair_spec.symmetry: expected a list"),
+        (pair_spec([], {"h_module.weights": 3}), 2,
+         "pair_spec.h_module.weights: expected a list"),
+        (pair_spec([], {"space.constraints": 3}), 2,
+         "pair_spec.space.constraints: expected a list"),
+        (pair_spec([], {"metadata": 3}), 2, "pair_spec.metadata: expected an object"),
+        (pair_spec([], {"space.coordinate_labels": 7}), 2,
+         "pair_spec.space.coordinate_labels: expected a list"),
     ], ids=["undeclared_symmetry", "non_integer_coord", "coord_out_of_range",
             "bogus_diagonal_kind", "one_part", "short_signature",
-            "so_one_param"])
+            "so_one_param", "family_not_object", "matrix_pair_not_object",
+            "symmetry_not_list", "weights_not_list", "constraints_not_list",
+            "metadata_not_object", "labels_not_list"])
     def test_exit_code_without_traceback(self, tmp_path, payload, code, where):
         spec = write(tmp_path, "s.json", payload)
         got, _, err = run_process(["check", spec, "--dominant-chamber"])
@@ -289,6 +310,19 @@ class TestRecheck:
         code, out, _ = run(capsys, ["recheck", str(cert)])
         assert code == 0
         assert json.loads(out)["consistent"] is True
+
+    @pytest.mark.parametrize("key", ["rays", "ray_values", "chambers"])
+    def test_malformed_evidence_exit_code(self, tmp_path, capsys, key):
+        spec = write(tmp_path, "s.json", {
+            "family": {"name": "sl_block", "pattern": "H4", "sizes": [2, 2]}})
+        _, out, _ = run(capsys, ["check", spec])
+        doc = json.loads(out)
+        doc["evidence"][key] = 3
+        cert = write(tmp_path, "cert.json", doc)
+        code, _, err = run_process(["recheck", cert])
+        assert code == 2, err
+        assert f"evidence.{key}: expected a list" in err
+        assert "Traceback" not in err
 
     def test_mutation_detected(self, tmp_path, capsys):
         spec = write(tmp_path, "s.json", {

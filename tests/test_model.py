@@ -3,11 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from temperkit.check import check
 from temperkit.errors import (ArityError, ConstraintViolationError,
                               SpaceMismatchError, SymmetryError)
+from temperkit.generators import TABLE1_PATTERNS, build_sl_block
 from temperkit.model import (LinearForm, PLFunction, PairSpec, SymmetryBlock,
-                             TorusSpace, WeightModule, deficit, evaluate_pl,
-                             rho_function, rho_plus)
+                             TorusSpace, WeightModule, _canonical_terms, deficit,
+                             evaluate_pl, rho_function, rho_plus)
 
 F = Fraction
 
@@ -39,18 +41,57 @@ class TestLinearForm:
             f.coeffs = (F(0),)
         assert len({lf(1, 2), lf(1, 2), lf(2, 1)}) == 2
 
+
+class TestCanonicalForm:
     def test_sign_normalized(self):
-        assert lf(-1, 2).sign_normalized() == lf(1, -2)
-        assert lf(0, -3).sign_normalized() == lf(0, 3)
-        assert lf(0, 0).sign_normalized() == lf(0, 0)
+        assert _canonical_terms([(1, (-1, 2))]) == ((1, (1, -2)),)
+        assert _canonical_terms([(1, (0, -3))]) == ((3, (0, 1)),)
+        assert _canonical_terms([(1, (0, 0))]) == ()
 
     def test_primitive(self):
-        assert lf("2/3", "-4/3").primitive() == lf(1, -2)
-        assert lf(-4, 6).primitive() == lf(2, -3)
-        assert lf(0, 0).primitive() == lf(0, 0)
+        s = TorusSpace(2)
+        # |2x/3 - 4y/3| = (2/3)|x - 2y|
+        f = PLFunction(s, [(1, lf("2/3", "-4/3"))])
+        assert (f.den, f.terms) == (3, ((2, (1, -2)),))
+        assert _canonical_terms([(1, (-4, 6))]) == ((2, (2, -3)),)
+        assert PLFunction(s, [(1, lf(0, 0))]).terms == ()
 
     def test_integer_coeffs(self):
-        assert lf("1/2", "1/3").integer_coeffs() == (3, 2)
+        # |x/2 + y/3| = (1/6)|3x + 2y|
+        f = PLFunction(TorusSpace(2), [(1, lf("1/2", "1/3"))])
+        assert (f.den, f.terms) == (6, ((1, (3, 2)),))
+
+    def test_proportional_forms_merge(self):
+        s = TorusSpace(2)
+        f = PLFunction(s, [(1, lf(2, 0))])
+        g = PLFunction(s, [(2, lf(1, 0))])
+        assert f == g
+        assert len(f.terms) == len(g.terms) == 1
+
+    def test_cancelling_deficit_is_zero(self):
+        # H1(2,1): the two proportional hyperplane terms cancel
+        spec = build_sl_block(TABLE1_PATTERNS["H1"](2, 1))
+        assert deficit(spec).is_zero()
+        assert check(spec).deficit_summary["hyperplanes"] == 0
+
+    def test_non_unit_pivot(self):
+        # 2x + 3y = 0, given as an integer row: the RREF row x + (3/2)y
+        # has a non-integer entry
+        s = TorusSpace(2, [(2, 3)])
+        assert s == TorusSpace(2, [lf(2, 3)])
+        assert s.constraints == (lf(1, "3/2"),)
+        assert s.slice_basis() == ((-3, 2),)
+        assert s.reduce(lf(1, 0)) == lf(0, "-3/2")
+        assert s.reduce(lf(2, 0)) == s.reduce(lf(0, -3))
+        # |x| + y = (3/2)|y| + y on the slice
+        f = PLFunction(s, [(1, lf(1, 0))], lf(0, 1))
+        assert (f.den, f.linear, f.terms) == (2, (0, 2), ((3, (0, 1)),))
+        for y in [(-3, 2), (F(3, 5), F(-2, 5)), (6, -4)]:
+            value = evaluate_pl(f, y)
+            assert type(value) is F
+            assert value == abs(F(y[0])) + F(y[1])
+        with pytest.raises(ConstraintViolationError):
+            evaluate_pl(f, (1, 1))
 
 
 class TestTorusSpace:

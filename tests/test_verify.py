@@ -247,17 +247,23 @@ class TestSymmetryCheck:
             _check_symmetry(f, block)
 
     def test_proportional_abs_forms_merge(self):
-        # |2x| + 2|y| - |x + y| is symmetric in (x, y); the rebuilt
-        # comparison keeps |2x| apart from 2|y| and rejected it
+        # |2x| + 2|y| - |x + y| is symmetric in (x, y); PLFunction holds
+        # |2x| as 2|x|, so the rebuilt comparison accepts it too
         s = TorusSpace(2)
         block = (SymmetryBlock((0, 1)),)
         f = pl(s, [(1, lf(2, 0)), (2, lf(0, 1)), (-1, lf(1, 1))])
         assert accepts(f, block)
-        assert not rebuilt_symmetry_check(f, block)
+        assert rebuilt_symmetry_check(f, block)
         # |2x| + |y| = 2|x| + |y| is not
         g = pl(s, [(1, lf(2, 0)), (1, lf(0, 1))])
         with pytest.raises(SymmetryError, match="not invariant under the swap"):
             _check_symmetry(g, block)
+
+    def test_bad_coords_in_direct_call(self):
+        f = pl(TorusSpace(2), [(1, lf(1, 0)), (1, lf(0, 1))])
+        with pytest.raises(SymmetryError, match=r"symmetry\[1\]\.coords: \[0, 5\]"):
+            is_nonnegative(f, symmetry=(SymmetryBlock((0, 1)),
+                                        SymmetryBlock((0, 5))))
 
     def test_signed_block(self):
         s = TorusSpace(2)

@@ -1,0 +1,80 @@
+"""Write one deterministic JSON line per acceptance spec: its pair spec and
+its verdict document.
+
+Two checkouts that should produce the same documents can then be compared
+with a plain `diff`.  Every document is also replayed through
+`recheck_document`; the script exits 1 when any replay reports a problem.
+
+Run from the repository root:
+
+    python3 tools/dump_documents.py > documents.jsonl
+
+The specs are the acceptance-gate family scans, the small scans without
+symmetry, and the matrix inputs:
+
+- with symmetry: table1 6x6, table2 max=4, example51 (total 6, rank 4),
+  example52 (sl n=8, sp n=4, so total 6);
+- without symmetry: table1 3x3, example52 sl n=6;
+- matrix inputs: every table1 pattern with p, q <= 3, and sp21.
+"""
+
+from __future__ import annotations
+
+import itertools
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from temperkit import serialize  # noqa: E402
+from temperkit.check import FAMILIES, check  # noqa: E402
+from temperkit.generators import (TABLE1_PATTERNS, example_sp21_input,  # noqa: E402
+                                  extract_weights,
+                                  matrix_input_for_block_pattern)
+
+SCANS = [
+    ("table1", {"pmax": 6, "qmax": 6}, True),
+    ("table2", {"max": 4}, True),
+    ("example51", {"total": 6, "rank": 4}, True),
+    ("example52-sl", {"n": 8}, True),
+    ("example52-sp", {"n": 4}, True),
+    ("example52-so", {"total": 6}, True),
+    ("table1", {"pmax": 3, "qmax": 3}, False),
+    ("example52-sl", {"n": 6}, False),
+]
+
+
+def _jsonable(obj):
+    return [_jsonable(x) for x in obj] if isinstance(obj, tuple) else obj
+
+
+def cases():
+    """(label, spec, use_symmetry) for every spec, in a fixed order."""
+    for family, ranges, use_symmetry in SCANS:
+        for params, spec, _ in FAMILIES[family](**ranges):
+            yield {"family": family, "params": _jsonable(params)}, spec, use_symmetry
+    for name in TABLE1_PATTERNS:
+        for p, q in itertools.product(range(1, 4), repeat=2):
+            inp = matrix_input_for_block_pattern(TABLE1_PATTERNS[name](p, q))
+            yield ({"family": "matrix-table1", "params": [name, p, q]},
+                   extract_weights(inp), False)
+    yield {"family": "matrix-sp21", "params": []}, extract_weights(example_sp21_input()), False
+
+
+def main() -> int:
+    failed = 0
+    for label, spec, use_symmetry in cases():
+        verdict = check(spec, use_symmetry=use_symmetry)
+        problems = serialize.recheck_document(
+            serialize.verdict_to_json(verdict, spec))
+        if problems:
+            failed += 1
+            print(f"{label}: {problems[:3]}", file=sys.stderr)
+        print(serialize.dumps({**label, "symmetry": use_symmetry,
+                               "pair_spec": serialize.pair_spec_to_json(spec),
+                               "verdict": serialize.verdict_to_json(verdict)}))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
