@@ -3,8 +3,8 @@ rho_h <= rho_{g/h} + 2 rho_V on a maximal split torus.
 
 All criterion arithmetic is exact, on integer rows; rationals enter only
 through JSON and matrix-mode extraction.  Every verdict carries either a
-chamber-and-ray certificate of global nonnegativity or a rational witness
-direction where the deficit is negative.
+ray certificate of global nonnegativity or a rational witness direction
+where the deficit is negative.
 """
 
 from .check import (Verdict, ScanPoint, ScanReport, check, scan_family,
@@ -22,8 +22,8 @@ from .generators import (BlockPattern, MatrixPairInput, TABLE1_PATTERNS,
 from .model import (LinearForm, TorusSpace, WeightModule, PLFunction,
                     SymmetryBlock, PairSpec, evaluate_pl, rho_plus,
                     rho_function, deficit)
-from .verify import (Chamber, NonnegCertificate, Witness, distinct_hyperplanes,
-                     enumerate_chambers, is_nonnegative, grid_oracle)
+from .verify import (NonnegCertificate, Witness, distinct_hyperplanes,
+                     is_nonnegative, grid_oracle)
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,7 @@ __all__ = [
     "example_sp21_input",
     "LinearForm", "TorusSpace", "WeightModule", "PLFunction", "SymmetryBlock",
     "PairSpec", "evaluate_pl", "rho_plus", "rho_function", "deficit",
-    "Chamber", "NonnegCertificate", "Witness", "distinct_hyperplanes",
-    "enumerate_chambers", "is_nonnegative", "grid_oracle",
+    "NonnegCertificate", "Witness", "distinct_hyperplanes",
+    "is_nonnegative", "grid_oracle",
     "__version__",
 ]

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from .errors import SchemaError
 from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, build_classical_in_sl,
                          build_product_in_sl, build_product_in_sp, build_so_pair,
                          build_sl_block, realify)
@@ -27,12 +27,14 @@ class Verdict:
                              "is a NonnegCertificate")
 
 
-def check(spec: PairSpec, use_symmetry: bool = False) -> Verdict:
+def check(spec: PairSpec, use_symmetry: bool = True) -> Verdict:
     """Decide the temperedness inequality for a pair, with exact evidence.
 
-    use_symmetry restricts chamber enumeration to one fundamental domain of
-    the symmetry group declared on the spec (verified at run time); it
-    changes certificate size, never the verdict.
+    The symmetry group declared on the spec is verified at run time (a
+    false declaration raises SymmetryError) and restricts the enumeration
+    to one fundamental domain; it changes certificate size, never the
+    verdict.  use_symmetry=False enumerates the whole slice instead, as a
+    reference.
     """
     f = deficit(spec)
     symmetry = spec.symmetry if use_symmetry else ()
@@ -40,7 +42,7 @@ def check(spec: PairSpec, use_symmetry: bool = False) -> Verdict:
     summary = {"hyperplanes": len(f.terms),
                "torus_dim": f.space.dim}
     if isinstance(evidence, NonnegCertificate):
-        summary["chambers"] = len(evidence.chambers)
+        summary["chambers"] = evidence.chamber_count
         summary["rays"] = len(evidence.rays)
     else:
         # replay the witness through plain evaluation, independent of the
@@ -203,39 +205,19 @@ FAMILIES: dict[str, Callable] = {
 }
 
 
-def _scan_one(task):
-    spec, use_symmetry = task
-    v = check(spec, use_symmetry=use_symmetry)
-    return v.tempered, v.deficit_summary
-
-
-def scan_family(family: str, use_symmetry: bool = True, workers: int = 1,
-                **ranges) -> ScanReport:
+def scan_family(family: str, **ranges) -> ScanReport:
     """Run check over a named parameter family and compare with its
-    closed-form predicate.
-
-    Scans enable the symmetry-reduced enumeration by default because the
-    large table points are far out of reach of full enumeration; pass
-    use_symmetry=False to force full enumeration on small ranges.  workers
-    > 1 spreads the points over a process pool; results are deterministic
-    either way.
-    """
+    closed-form predicate."""
     if family not in FAMILIES:
         raise KeyError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
-    items = list(FAMILIES[family](**ranges))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                _scan_one, [(spec, use_symmetry) for _, spec, _ in items]))
-    else:
-        results = [_scan_one((spec, use_symmetry)) for _, spec, _ in items]
     points = []
     mismatches = []
-    for (params, _, predicted), (tempered, summary) in zip(items, results):
-        point = ScanPoint(params=params, tempered=tempered,
-                          predicted=predicted, summary=summary)
+    for params, spec, predicted in FAMILIES[family](**ranges):
+        v = check(spec)
+        point = ScanPoint(params=params, tempered=v.tempered,
+                          predicted=predicted, summary=v.deficit_summary)
         points.append(point)
-        if tempered != predicted:
+        if v.tempered != predicted:
             mismatches.append(point)
     return ScanReport(family=family, ranges=dict(ranges),
                       points=tuple(points), mismatches=tuple(mismatches))
@@ -261,8 +243,7 @@ def render_scan_table(report: ScanReport) -> str:
 # ---------------------------------------------------------------------------
 # tensor products of degenerate principal series
 
-def tensor_product_check(variant: int, *params: int,
-                         use_symmetry: bool = True) -> Verdict:
+def tensor_product_check(variant: int, *params: int) -> Verdict:
     """Map a tensor-product temperedness question to a block-pattern check.
 
     variant 1, params (k, l, n): product of the two Grassmannian series
@@ -272,31 +253,36 @@ def tensor_product_check(variant: int, *params: int,
         reduces to H11 with sizes (b, a, c).
     variant 3, params (a, b, c): flag series (a,b,c) against (c,b,a);
         reduces to H10 with sizes (a, b, c).
+    Bad input raises SchemaError naming tensor_product.variant or
+    tensor_product.params.
     """
+    if variant not in (1, 2, 3):
+        raise SchemaError("tensor_product.variant: must be 1, 2 or 3")
+    if len(params) != 3:
+        raise SchemaError(f"tensor_product.params: variant {variant} takes "
+                          f"3 params, got {len(params)}")
     if variant == 1:
         k, l, n = params
         if not (0 < k < n and 0 < l < n):
-            raise ValueError("need 0 < k, l < n")
+            raise SchemaError("tensor_product.params: need 0 < k, l < n")
         sizes = (abs(k - l), min(k, l), n - max(k, l))
         pattern = TABLE2_PATTERNS["H12"](*sizes)
         meta = {"question": "tensor_product", "variant": 1, "k": k, "l": l, "n": n}
     elif variant == 2:
         a, b, c = params
         if min(a, b, c) < 1:
-            raise ValueError("need a, b, c >= 1")
+            raise SchemaError("tensor_product.params: need a, b, c >= 1")
         sizes = (b, a, c)
         pattern = TABLE2_PATTERNS["H11"](*sizes)
         meta = {"question": "tensor_product", "variant": 2, "a": a, "b": b, "c": c}
-    elif variant == 3:
+    else:
         a, b, c = params
         if min(a, b, c) < 1:
-            raise ValueError("need a, b, c >= 1")
+            raise SchemaError("tensor_product.params: need a, b, c >= 1")
         sizes = (a, b, c)
         pattern = TABLE2_PATTERNS["H10"](*sizes)
         meta = {"question": "tensor_product", "variant": 3, "a": a, "b": b, "c": c}
-    else:
-        raise ValueError("variant must be 1, 2 or 3")
     spec = build_sl_block(pattern)
     spec = PairSpec(g_module=spec.g_module, h_module=spec.h_module,
                     metadata={**spec.metadata, **meta}, symmetry=spec.symmetry)
-    return check(spec, use_symmetry=use_symmetry)
+    return check(spec)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -130,11 +129,10 @@ def cmd_check(args) -> int:
     spec, tensor = _spec_from_file(data)
     if tensor is not None:
         variant, params = tensor
-        verdict = tensor_product_check(
-            variant, *params, use_symmetry=args.dominant_chamber)
+        verdict = tensor_product_check(variant, *params)
         spec = None
     else:
-        verdict = run_check(spec, use_symmetry=args.dominant_chamber)
+        verdict = run_check(spec)
     if args.witness_only:
         if verdict.tempered:
             doc = {"tempered": True, "witness": None}
@@ -153,11 +151,8 @@ def cmd_scan(args) -> int:
         value = getattr(args, key, None)
         if value is not None:
             ranges[key] = value
-    workers = int(os.environ.get("TEMPERKIT_WORKERS", "1"))
     try:
-        report = scan_family(args.family,
-                                      use_symmetry=not args.no_dominant_chamber,
-                                      workers=workers, **ranges)
+        report = scan_family(args.family, **ranges)
     except KeyError as e:
         print(f"error: {e.args[0]}", file=sys.stderr)
         return EXIT_INPUT
@@ -261,9 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="JSON spec file")
     p.add_argument("--witness-only", action="store_true",
                    help="print only the witness (or null when tempered)")
-    p.add_argument("--dominant-chamber", action="store_true",
-                   help="enumerate one fundamental domain of the declared "
-                        "symmetry instead of the whole arrangement")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("scan", help="run a named family scan")
@@ -275,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--total", type=int)
     p.add_argument("--rank", type=int)
-    p.add_argument("--no-dominant-chamber", action="store_true",
-                   help="force full chamber enumeration (slow)")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("volume", help="Monte-Carlo volume validations")

@@ -47,19 +47,10 @@ class _Ray:
             self.zmask |= 1 << k
 
 
-class _Cone:
-    __slots__ = ("rays", "signs")
-
-    def __init__(self, rays, signs):
-        self.rays = rays
-        self.signs = signs
-
-
 @dataclass
 class Cell:
-    """A full-dimensional cell: strict signs per hyperplane, extreme rays."""
+    """A full-dimensional cell, given by its extreme rays."""
 
-    signs: tuple[int, ...]            # +1 or -1 per arrangement hyperplane
     rays: tuple[tuple[int, ...], ...]  # integer ambient vectors
 
 
@@ -100,7 +91,7 @@ def _insert_case1(cones, L, hL, h, k, wall):
     Every cone meets both open sides, so every cone splits in two.  Rays
     are projected into ker h along a lineality vector w with h(w) > 0; the
     vector w itself (resp. -w) becomes the one new ray of the plus (resp.
-    minus) side.  A ``wall`` keeps only its plus side and records no sign.
+    minus) side.  A ``wall`` keeps only its plus side.
     """
     j = next(i for i, v in enumerate(hL) if v != 0)
     w = L[j] if hL[j] > 0 else tuple(-x for x in L[j])
@@ -138,24 +129,24 @@ def _insert_case1(cones, L, hL, h, k, wall):
 
     out = []
     for cone in cones:
-        proj = [adjust(r) for r in cone.rays]
-        out.append(_Cone(proj + [w_ray], cone.signs if wall else cone.signs + [1]))
+        proj = [adjust(r) for r in cone]
+        out.append(proj + [w_ray])
         if not wall:
-            out.append(_Cone(proj + [nw_ray], cone.signs + [-1]))
+            out.append(proj + [nw_ray])
     return out, new_L
 
 
 def _insert_case2(cones, h, k, wall):
     """Insert constraint h vanishing on the lineality space: classic DD split.
 
-    A ``wall`` keeps only its plus side and records no sign.
+    A ``wall`` keeps only its plus side.
     """
     valued: set[int] = set()
     combos: dict[tuple[int, int], _Ray] = {}
     out = []
     for cone in cones:
         pos, neg, zero = [], [], []
-        for r in cone.rays:
+        for r in cone:
             if id(r) not in valued:
                 r.append_val(k, _dot(h, r.vec))
                 valued.add(id(r))
@@ -168,18 +159,17 @@ def _insert_case2(cones, h, k, wall):
                 zero.append(r)
         if not pos and not neg:
             raise AssertionError("hyperplane vanishes on a full-dimensional cell")
-        plus = cone.signs if wall else cone.signs + [1]
         if not neg:
-            out.append(_Cone(cone.rays, plus))
+            out.append(cone)
             continue
         if not pos:
             if not wall:
-                out.append(_Cone(cone.rays, cone.signs + [-1]))
+                out.append(cone)
             continue
         new_rays = []
         for p in pos:
             for n in neg:
-                if not _adjacent(p, n, cone.rays):
+                if not _adjacent(p, n, cone):
                     continue
                 key = (id(p), id(n))
                 ray = combos.get(key)
@@ -197,27 +187,26 @@ def _insert_case2(cones, h, k, wall):
                     ray = _Ray(vec, vals, zmask)
                     combos[key] = ray
                 new_rays.append(ray)
-        out.append(_Cone(pos + zero + new_rays, plus))
+        out.append(pos + zero + new_rays)
         if not wall:
-            out.append(_Cone(neg + zero + new_rays, cone.signs + [-1]))
+            out.append(neg + zero + new_rays)
     return out
 
 
 def enumerate_cells(hyperplanes, slice_basis, restrict=()):
-    """All full-dimensional sign cells of the arrangement on the slice.
+    """All full-dimensional cells of the arrangement on the slice.
 
     hyperplanes: integer normal vectors, each nonzero on the slice and
         pairwise non-proportional.
     slice_basis: integer basis of the slice (kernel of torus constraints).
     restrict: integer normals of walls; only the region where all of them
-        are >= 0 is enumerated, and they do not appear in the cell sign
-        vectors.  Used for symmetry-reduced enumeration.
+        are >= 0 is enumerated.  Used for symmetry-reduced enumeration.
 
     Returns a CellComplex; the lineality basis spans the subspace common to
     every cell (the slice intersected with all hyperplane kernels).
     """
     L = [tuple(g) for g in slice_basis]
-    cones = [_Cone([], [])]
+    cones = [[]]        # each cone is the list of its rays
     inserts = ([(tuple(h), True) for h in restrict]
                + [(tuple(h), False) for h in hyperplanes])
     for k, (h, wall) in enumerate(inserts):
@@ -227,6 +216,5 @@ def enumerate_cells(hyperplanes, slice_basis, restrict=()):
         else:
             cones = _insert_case2(cones, h, k, wall)
 
-    cells = [Cell(signs=tuple(cone.signs), rays=tuple(r.vec for r in cone.rays))
-             for cone in cones]
+    cells = [Cell(rays=tuple(r.vec for r in cone)) for cone in cones]
     return CellComplex(cells=cells, lineality=list(L))

@@ -79,9 +79,6 @@ class LinearForm:
     def __setattr__(self, *a):  # immutable
         raise AttributeError("LinearForm is immutable")
 
-    def __reduce__(self):
-        return (LinearForm, (self.coeffs,))
-
     def __call__(self, Y: Sequence) -> Fraction:
         if len(Y) != len(self.coeffs):
             raise ArityError(f"form arity {len(self.coeffs)} vs point arity {len(Y)}")
@@ -148,9 +145,6 @@ class TorusSpace:
 
     def __setattr__(self, *a):
         raise AttributeError("TorusSpace is immutable")
-
-    def __reduce__(self):
-        return (TorusSpace, (self.ambient_dim, self.rows, self.coordinate_labels))
 
     @property
     def dim(self) -> int:
@@ -275,9 +269,6 @@ class WeightModule:
     def __setattr__(self, *a):
         raise AttributeError("WeightModule is immutable")
 
-    def __reduce__(self):
-        return (WeightModule, (self.space, self.weights, self.name))
-
     @property
     def weights(self) -> tuple[tuple[LinearForm, int], ...]:
         """The (weight, multiplicity) pairs as exact forms."""
@@ -339,10 +330,6 @@ class PLFunction:
 
     def __setattr__(self, *a):
         raise AttributeError("PLFunction is immutable")
-
-    def __reduce__(self):
-        return (PLFunction._from_integers,
-                (self.space, self.den, self.linear, self.terms))
 
     @property
     def abs_terms(self) -> tuple[tuple[Fraction, LinearForm], ...]:

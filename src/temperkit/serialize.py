@@ -13,10 +13,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .check import Verdict
-from .errors import SchemaError, SymmetryError
+from .errors import (ArityError, ConstraintViolationError, SchemaError,
+                     SymmetryError)
 from .model import (LinearForm, PairSpec, PLFunction, SymmetryBlock,
                     TorusSpace, WeightModule)
-from .verify import Chamber, NonnegCertificate, Witness
+from .verify import NonnegCertificate, Witness
 
 SCHEMA_VERSION = 1
 
@@ -199,12 +200,7 @@ def evidence_to_json(ev) -> dict:
                 "hyperplanes": [_vec_to_json(h.coeffs) for h in ev.hyperplanes],
                 "rays": [_vec_to_json(r) for r in ev.rays],
                 "ray_values": [rational_to_str(v) for v in ev.ray_values],
-                "lineality": [_vec_to_json(g) for g in ev.lineality],
-                "symmetry_reduced": ev.symmetry_reduced,
-                "chambers": [{"signs": "".join("+" if s > 0 else "-"
-                                               for s in ch.sign_vector),
-                              "rays": list(ch.ray_indices)}
-                             for ch in ev.chambers]}
+                "symmetry_reduced": ev.symmetry_reduced}
     raise TypeError(f"not evidence: {type(ev).__name__}")
 
 
@@ -229,39 +225,21 @@ def evidence_from_json(data: dict, where: str = "evidence"):
         hyperplanes = tuple(
             LinearForm(_vec_from_json(h, f"{where}.hyperplanes[{i}]"))
             for i, h in entries("hyperplanes"))
-        chambers = []
-        for i, ch in entries("chambers"):
-            loc = f"{where}.chambers[{i}]"
-            _expect(ch, dict, loc)
-            signs = _expect(ch.get("signs", ""), str, f"{loc}.signs")
-            if not all(c in "+-" for c in signs):
-                raise SchemaError(f"{loc}.signs: expected a +/- string")
-            indices = _expect(ch.get("rays", []), list, f"{loc}.rays")
-            if not all(type(x) is int for x in indices):
-                raise SchemaError(f"{loc}.rays: expected a list of integers")
-            # older documents also carry a "linear_form" here; it is ignored
-            chambers.append(Chamber(
-                sign_vector=tuple(1 if c == "+" else -1 for c in signs),
-                ray_indices=tuple(indices)))
-        lineality = tuple(_vec_from_json(g, f"{where}.lineality[{i}]")
-                          for i, g in entries("lineality"))
-        # older documents also carry "antipodal_reduced"; it is ignored
+        # older documents also carry "chambers" (with a "linear_form" each),
+        # "lineality" and "antipodal_reduced"; no check reads them
         return NonnegCertificate(hyperplanes=hyperplanes, rays=rays,
-                                 ray_values=values, chambers=tuple(chambers),
-                                 lineality=lineality,
+                                 ray_values=values,
                                  symmetry_reduced=bool(
                                      data.get("symmetry_reduced", False)))
     raise SchemaError(f"{where}.kind: unknown kind {kind!r}")
 
 
-def verdict_to_json(verdict: Verdict, spec: Optional[PairSpec] = None,
-                    include_evidence: bool = True) -> dict:
+def verdict_to_json(verdict: Verdict, spec: Optional[PairSpec] = None) -> dict:
     out = {"schema_version": SCHEMA_VERSION,
            "tempered": verdict.tempered,
            "deficit_summary": verdict.deficit_summary,
-           "spec_echo": verdict.spec_echo}
-    if include_evidence:
-        out["evidence"] = evidence_to_json(verdict.evidence)
+           "spec_echo": verdict.spec_echo,
+           "evidence": evidence_to_json(verdict.evidence)}
     if spec is not None:
         out["pair_spec"] = pair_spec_to_json(spec)
     return out
@@ -275,8 +253,10 @@ def recheck_document(data: dict) -> list[str]:
 
     Rebuilds the deficit from the embedded pair spec and re-evaluates it at
     every listed ray (or at the witness direction), comparing against the
-    recorded exact values.  Chamber enumeration is never re-run.  Returns a
-    list of human-readable problems; empty means consistent.
+    recorded exact values.  The arrangement is never re-enumerated, so
+    nothing checks that the rays cover the slice.  Returns a list of
+    human-readable problems, each naming the ray or the witness it is
+    about; empty means consistent.
     """
     from .model import deficit, evaluate_pl
 
@@ -287,10 +267,20 @@ def recheck_document(data: dict) -> list[str]:
     f = deficit(spec)
     ev = evidence_from_json(data.get("evidence", {}))
     tempered = data.get("tempered")
+
+    def value_at(point, name):
+        try:
+            return evaluate_pl(f, point)
+        except (ArityError, ConstraintViolationError) as e:
+            problems.append(f"{name}: {e}")
+            return None
+
     if isinstance(ev, Witness):
         if tempered is not False:
             problems.append("witness evidence but tempered is not false")
-        value = evaluate_pl(f, ev.direction)
+        value = value_at(ev.direction, "witness direction")
+        if value is None:
+            return problems
         if value != ev.value:
             problems.append(
                 f"witness value mismatch: recorded {ev.value}, computed {value}")
@@ -303,14 +293,16 @@ def recheck_document(data: dict) -> list[str]:
         problems.append("ray and value counts differ")
         return problems
     for i, (ray, recorded) in enumerate(zip(ev.rays, ev.ray_values)):
-        value = evaluate_pl(f, ray)
+        value = value_at(ray, f"ray {i}")
+        if value is None:
+            continue
         if value != recorded:
             problems.append(
                 f"ray {i}: recorded value {recorded}, computed {value}")
         elif value < 0:
             problems.append(f"ray {i}: negative deficit {value} in a certificate")
-    if f.space.dim > 0 and not ev.rays and not ev.chambers:
-        problems.append("certificate has no rays or chambers")
+    if f.space.dim > 0 and not ev.rays:
+        problems.append("certificate has no rays")
     return problems
 
 

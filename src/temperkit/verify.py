@@ -4,41 +4,42 @@ A PLFunction is linear on each full-dimensional cell of the arrangement of
 its absolute-value hyperplanes, so it is nonnegative on a cell exactly when
 it is nonnegative on the cell's extreme rays and on the common lineality
 space.  Enumerating the cells and checking ray values therefore decides
-global nonnegativity exactly, yielding either a replayable certificate (all
-ray values) or an explicit direction where the function is negative.
+global nonnegativity exactly, yielding either a replayable certificate (the
+rays and their values) or an explicit direction where the function is
+negative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .cones import enumerate_cells
+from .cones import Cell, CellComplex, enumerate_cells
 from .errors import SymmetryError
-from .model import (LinearForm, PLFunction, SymmetryBlock, TorusSpace,
-                    _canonical_terms, _check_symmetry_coords, _dot, _integer_row,
-                    evaluate_pl)
-
-
-@dataclass(frozen=True)
-class Chamber:
-    """A maximal cone on which the function is linear."""
-
-    sign_vector: tuple[int, ...]           # +1/-1 per hyperplane
-    ray_indices: tuple[int, ...]           # indices into the shared ray table
+from .model import (LinearForm, PLFunction, SymmetryBlock,
+                    _canonical_terms, _check_symmetry_coords, _dot, evaluate_pl)
 
 
 @dataclass(frozen=True)
 class NonnegCertificate:
+    """Proof that f >= 0: its value at every listed ray is >= 0.
+
+    The rays are the extreme rays of the cells of f's arrangement, followed
+    by the +- generators of their common lineality space, so f is a
+    nonnegative combination of ray values at every point they cover.
+    ``symmetry_reduced`` means the rays cover one fundamental domain of the
+    declared symmetry only; when it is false they cover the whole slice.
+    ``chamber_count`` counts the cells enumerated; it is not part of the proof.
+    """
+
     hyperplanes: tuple[LinearForm, ...]
-    rays: tuple[tuple[int, ...], ...]       # shared ray table, ambient coords
+    rays: tuple[tuple[int, ...], ...]       # ambient coords
     ray_values: tuple[Fraction, ...]        # f at each ray, all >= 0
-    chambers: tuple[Chamber, ...]
-    lineality: tuple[tuple[int, ...], ...] = ()
     symmetry_reduced: bool = False
+    chamber_count: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -51,24 +52,6 @@ def distinct_hyperplanes(f: PLFunction) -> list[LinearForm]:
     """The rows of f's canonical abs terms: primitive, sign-normalized,
     distinct, sorted, each with a nonzero net coefficient."""
     return [LinearForm(row) for _, row in f.terms]
-
-
-def enumerate_chambers(hyperplanes: Sequence[LinearForm], space: TorusSpace,
-                       restrict: Sequence[Sequence[int]] = ()):
-    """Full-dimensional cells of the arrangement on the torus slice.
-
-    Returns (chambers, ray_table, lineality_basis), with integer rays and
-    lineality generators.
-    """
-    normals = [_integer_row(h)[0] for h in hyperplanes]
-    complex_ = enumerate_cells(normals, space.slice_basis(),
-                               restrict=tuple(restrict))
-    ray_index: dict[tuple[int, ...], int] = {}
-    chambers = [Chamber(sign_vector=cell.signs,
-                        ray_indices=tuple(ray_index.setdefault(vec, len(ray_index))
-                                          for vec in cell.rays))
-                for cell in complex_.cells]
-    return chambers, tuple(ray_index), tuple(complex_.lineality)
 
 
 def _dominant_restrict(symmetry: Sequence[SymmetryBlock], ambient_dim: int):
@@ -139,44 +122,40 @@ def is_nonnegative(f: PLFunction, symmetry: Sequence[SymmetryBlock] = ()):
     Returns a NonnegCertificate or a Witness.  ``symmetry`` restricts the
     enumeration to one fundamental domain after verifying that f really is
     invariant under the declared group; it changes only the certificate
-    size, never the verdict.
+    size, never the verdict.  A purely linear f is decided on the whole
+    slice: its +- slice-basis rays show whether it vanishes.
     """
     space = f.space
     restrict: Sequence = ()
     if symmetry:
         _check_symmetry(f, symmetry)
         restrict = _dominant_restrict(symmetry, space.ambient_dim)
-    hyperplanes = distinct_hyperplanes(f)
-    if not hyperplanes:
-        # purely linear and homogeneous: nonnegative iff identically zero
-        for g in space.slice_basis():
-            v = _dot(f.linear, g)
-            if v:
-                d = g if v < 0 else tuple(-x for x in g)
-                return Witness(direction=d, value=evaluate_pl(f, d))
-        return NonnegCertificate(hyperplanes=(), rays=(), ray_values=(),
-                                 chambers=(Chamber((), ()),))
-    chambers, ray_table, lineality = enumerate_chambers(
-        hyperplanes, space, restrict=restrict)
-    # f restricted to the lineality space is linear; fold its +- generators
-    # into the ray table so the certificate is self-contained
-    ray_table = list(ray_table)
-    for g in lineality:
-        ray_table += [g, tuple(-x for x in g)]
-    ray_values = [evaluate_pl(f, r) for r in ray_table]
+    if f.terms:
+        complex_ = enumerate_cells([row for _, row in f.terms],
+                                   space.slice_basis(), restrict=restrict)
+    else:
+        # f is linear: the whole slice is one cell without rays, and f >= 0
+        # exactly when f = 0, which its +- slice-basis values show
+        complex_ = CellComplex(cells=[Cell(rays=())],
+                               lineality=list(space.slice_basis()))
+        restrict = ()
+    # f restricted to the lineality space is linear; its +- generators
+    # follow the cell rays so the certificate is self-contained
+    rays = list(dict.fromkeys(vec for cell in complex_.cells for vec in cell.rays))
+    for g in complex_.lineality:
+        rays += [g, tuple(-x for x in g)]
+    ray_values = [evaluate_pl(f, r) for r in rays]
 
     worst = None
-    for vec, val in zip(ray_table, ray_values):
+    for vec, val in zip(rays, ray_values):
         if val < 0 and (worst is None or (val, vec) < worst):
             worst = (val, vec)
     if worst is not None:
         return Witness(direction=worst[1], value=worst[0])
-    return NonnegCertificate(hyperplanes=tuple(hyperplanes),
-                             rays=tuple(ray_table),
-                             ray_values=tuple(ray_values),
-                             chambers=tuple(chambers),
-                             lineality=lineality,
-                             symmetry_reduced=bool(symmetry))
+    return NonnegCertificate(hyperplanes=tuple(distinct_hyperplanes(f)),
+                             rays=tuple(rays), ray_values=tuple(ray_values),
+                             symmetry_reduced=bool(restrict),
+                             chamber_count=len(complex_.cells))
 
 
 _INT64_BOUND = 2 ** 62

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from temperkit.check import (TABLE1_PREDICATES, Verdict, _partitions, check,
-                             render_scan_table, scan_family,
+from temperkit.check import (FAMILIES, TABLE1_PREDICATES, Verdict, _partitions,
+                             check, render_scan_table, scan_family,
                              sp_product_tempered, tensor_product_check)
 from temperkit.generators import (TABLE1_PATTERNS, build_product_in_sl,
                                   build_product_in_sp, build_sl_block)
@@ -57,7 +57,11 @@ class TestCheck:
     def test_symmetry_flag_preserves_verdict(self):
         for p, q in [(2, 2), (3, 1), (4, 2)]:
             spec = build_sl_block(TABLE1_PATTERNS["H4"](p, q))
-            assert check(spec).tempered == check(spec, use_symmetry=True).tempered
+            reduced, full = check(spec), check(spec, use_symmetry=False)
+            assert reduced.tempered == full.tempered
+            if reduced.tempered:
+                assert reduced.evidence.symmetry_reduced
+                assert not full.evidence.symmetry_reduced
 
     def test_spec_echo_carries_metadata(self):
         spec = build_product_in_sl((2, 2))
@@ -102,12 +106,6 @@ class TestScans:
             name = pt.params[0]
             assert pt.predicted == TABLE1_PREDICATES[name](*pt.params[1:])
 
-    def test_workers_match_serial(self):
-        serial = scan_family("table1", pmax=2, qmax=2)
-        parallel = scan_family("table1", pmax=2, qmax=2, workers=2)
-        assert [p.tempered for p in serial.points] == \
-               [p.tempered for p in parallel.points]
-
     def test_unknown_family(self):
         with pytest.raises(KeyError):
             scan_family("nope")
@@ -120,9 +118,9 @@ class TestScans:
 
     def test_full_enumeration_agrees_on_small_points(self):
         fast = scan_family("table1", pmax=2, qmax=2)
-        slow = scan_family("table1", pmax=2, qmax=2, use_symmetry=False)
-        assert [p.tempered for p in fast.points] == \
-               [p.tempered for p in slow.points]
+        slow = [check(spec, use_symmetry=False).tempered
+                for _, spec, _ in FAMILIES["table1"](pmax=2, qmax=2)]
+        assert [p.tempered for p in fast.points] == slow
 
 
 class TestTensorDictionary:

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import temperkit
 from temperkit.check import FAMILIES
 from temperkit.cli import main
+from temperkit.generators import BlockPattern, matrix_input_for_block_pattern
 
 
 def write(tmp_path, name, payload):
@@ -65,17 +70,6 @@ class TestCheck:
         doc = json.loads(out)
         assert code == 0
         assert doc["witness"]["kind"] == "witness"
-
-    def test_dominant_chamber_flag(self, tmp_path, capsys):
-        spec = write(tmp_path, "s.json", {
-            "family": {"name": "sl_block", "pattern": "H4", "sizes": [3, 3]}})
-        code_full, out_full, _ = run(capsys, ["check", spec])
-        code_red, out_red, _ = run(capsys, ["check", spec, "--dominant-chamber"])
-        assert code_full == code_red == 0
-        full, red = json.loads(out_full), json.loads(out_red)
-        assert full["tempered"] == red["tempered"]
-        assert (red["deficit_summary"]["chambers"]
-                < full["deficit_summary"]["chambers"])
 
     def test_tensor_mode(self, tmp_path, capsys):
         spec = write(tmp_path, "s.json", {
@@ -221,17 +215,155 @@ class TestSpecErrors:
         (pair_spec([], {"metadata": 3}), 2, "pair_spec.metadata: expected an object"),
         (pair_spec([], {"space.coordinate_labels": 7}), 2,
          "pair_spec.space.coordinate_labels: expected a list"),
+        ({"tensor_product": {"variant": 1, "params": [0, 1, 3]}}, 2,
+         "tensor_product.params"),
+        ({"tensor_product": {"variant": 9, "params": [1, 1, 1]}}, 2,
+         "tensor_product.variant"),
+        ({"tensor_product": {"variant": 2, "params": [1, 1]}}, 2,
+         "tensor_product.params"),
     ], ids=["undeclared_symmetry", "non_integer_coord", "coord_out_of_range",
             "bogus_diagonal_kind", "one_part", "short_signature",
             "so_one_param", "family_not_object", "matrix_pair_not_object",
             "symmetry_not_list", "weights_not_list", "constraints_not_list",
-            "metadata_not_object", "labels_not_list"])
+            "metadata_not_object", "labels_not_list", "tensor_k_zero",
+            "tensor_unknown_variant", "tensor_two_params"])
     def test_exit_code_without_traceback(self, tmp_path, payload, code, where):
         spec = write(tmp_path, "s.json", payload)
-        got, _, err = run_process(["check", spec, "--dominant-chamber"])
+        got, _, err = run_process(["check", spec])
         assert got == code, err
         assert where in err
         assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the input contract: every spec document ends in exit 0, 2 or 3
+
+# any small JSON value, standing in for a field of the wrong type
+junk = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+                 st.sampled_from(["", "x", "1/0", "full"]),
+                 st.lists(st.integers(-1, 2), max_size=2),
+                 st.dictionaries(st.sampled_from(["a", "name"]),
+                                 st.integers(-1, 2), max_size=1))
+
+
+def maybe(strategy):
+    """Mostly a well-typed value, one time in sixteen junk."""
+    return st.integers(1, 16).flatmap(lambda i: junk if i == 16 else strategy)
+
+
+def sizes(min_len, max_len):
+    """Block sizes or parts, now and then zero or negative."""
+    return st.lists(st.sampled_from([1, 2, 3, 1, 2, 3, 0, -1]),
+                    min_size=min_len, max_size=max_len)
+
+
+@st.composite
+def custom_blocks(draw):
+    blocks = draw(sizes(1, 3))
+    pairs = [[i, j] for i in range(len(blocks)) for j in range(i + 1, len(blocks))]
+    return {"sizes": blocks,
+            "diagonal_kind": draw(maybe(st.lists(
+                st.sampled_from(["full", "full", "identity", "x"]),
+                min_size=len(blocks), max_size=len(blocks)))),
+            "upper_blocks": draw(maybe(st.lists(st.sampled_from(pairs or [[0, 1]]),
+                                                max_size=2, unique_by=tuple)))}
+
+
+family_docs = st.tuples(
+    st.one_of(
+        st.fixed_dictionaries({"name": st.just("sl_block"),
+                               "pattern": maybe(st.sampled_from(
+                                   ["H1", "H4", "H10", "H12", "H13"])),
+                               "sizes": maybe(sizes(2, 3))}),
+        custom_blocks().map(lambda d: {"name": "sl_block", **d}),
+        st.fixed_dictionaries({"name": st.sampled_from(["product_in_sl",
+                                                        "product_in_sp"]),
+                               "parts": maybe(sizes(1, 3))}),
+        st.fixed_dictionaries({"name": st.just("so_pair"),
+                               "signature": maybe(st.lists(
+                                   st.sampled_from([1, 2, 0, -1]),
+                                   min_size=4, max_size=4))}),
+        st.fixed_dictionaries({"name": st.just("classical_in_sl"),
+                               "kind": maybe(st.sampled_from(["so", "sp", "x"])),
+                               "params": maybe(sizes(1, 2))}),
+        st.fixed_dictionaries({"name": junk})),
+    st.booleans()).map(lambda t: {"family": {**t[0], "realify": t[1]}})
+
+tensor_docs = st.fixed_dictionaries({
+    "variant": maybe(st.sampled_from([1, 2, 3, 9])),
+    "params": maybe(st.lists(st.sampled_from([1, 2, 3, 4, 0]),
+                             min_size=3, max_size=3))}).map(
+        lambda d: {"tensor_product": d})
+
+rationals = st.one_of(st.integers(-2, 2), st.sampled_from(["1/2", "-3/2", "0"]))
+
+
+@st.composite
+def pair_spec_docs(draw):
+    dim = draw(st.integers(0, 3))
+    form = st.lists(rationals, min_size=dim, max_size=dim)
+    weights = st.lists(st.fixed_dictionaries(
+        {"form": maybe(form), "mult": maybe(st.integers(1, 3))}),
+        max_size=4)
+    module = st.fixed_dictionaries({"weights": maybe(weights)})
+    block = st.fixed_dictionaries(
+        {"coords": maybe(st.lists(st.integers(0, dim), max_size=3, unique=True)),
+         "signed": st.booleans()})
+    doc = draw(st.fixed_dictionaries(
+        {"space": maybe(st.fixed_dictionaries(
+            {"ambient_dim": maybe(st.just(dim)),
+             "constraints": maybe(st.lists(form, max_size=1))})),
+         "h_module": maybe(module), "g_module": maybe(module)},
+        optional={"v_module": maybe(module),
+                  "symmetry": maybe(st.lists(block, max_size=2))}))
+    return {"pair_spec": doc}
+
+
+def _matrices(mats):
+    return [[[str(x) for x in row] for row in M] for M in mats]
+
+
+@st.composite
+def matrix_pair_docs(draw):
+    """The sp21 preset, or the matrices of a block pattern with at most three
+    coordinates, perhaps with one basis or the diagonalizer replaced."""
+    if draw(st.integers(0, 5)) == 0:
+        return {"matrix_pair": {"preset": "sp21"}}
+    blocks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(
+        lambda b: sum(b) <= 3))
+    kinds = draw(st.lists(st.sampled_from(["full", "identity"]),
+                          min_size=len(blocks), max_size=len(blocks)))
+    inp = matrix_input_for_block_pattern(BlockPattern(tuple(blocks), tuple(kinds)))
+    n = inp.ambient_dim
+    doc = {"ambient_dim": n,
+           "g_basis": _matrices(inp.g_basis), "h_basis": _matrices(inp.h_basis),
+           "torus_basis": _matrices(inp.torus_basis),
+           "diagonalizer": _matrices([inp.diagonalizer])[0]}
+    matrix = st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    key = draw(st.sampled_from([None, None, "ambient_dim", "diagonalizer",
+                                "g_basis", "h_basis", "torus_basis"]))
+    if key == "ambient_dim":
+        doc[key] = draw(maybe(st.integers(1, 3)))
+    elif key == "diagonalizer":
+        doc[key] = draw(maybe(matrix))
+    elif key is not None:
+        doc[key] = draw(maybe(st.lists(matrix, max_size=3)))
+    return {"matrix_pair": doc}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(family_docs, tensor_docs, pair_spec_docs(), matrix_pair_docs()))
+def test_every_spec_document_exits_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["check", path])
+    assert code in (0, 2, 3)
 
 
 class TestScan:
@@ -311,7 +443,7 @@ class TestRecheck:
         assert code == 0
         assert json.loads(out)["consistent"] is True
 
-    @pytest.mark.parametrize("key", ["rays", "ray_values", "chambers"])
+    @pytest.mark.parametrize("key", ["rays", "ray_values"])
     def test_malformed_evidence_exit_code(self, tmp_path, capsys, key):
         spec = write(tmp_path, "s.json", {
             "family": {"name": "sl_block", "pattern": "H4", "sizes": [2, 2]}})
@@ -335,3 +467,29 @@ class TestRecheck:
         code, out, _ = run(capsys, ["recheck", str(cert)])
         assert code == 1
         assert json.loads(out)["consistent"] is False
+
+    @pytest.mark.parametrize("pattern, key, point, where", [
+        ("H4", "rays", ["1", "0", "0", "0", "0"], "ray 0: point arity"),
+        ("H4", "rays", ["1", "0", "0", "0"], "ray 0: point violates"),
+        ("H2", "direction", ["1", "0", "0"], "witness direction: point arity"),
+        ("H2", "direction", ["1", "0", "0", "0"], "witness direction: point violates"),
+    ], ids=["ray_length", "ray_off_slice", "witness_length", "witness_off_slice"])
+    def test_bad_point_is_a_located_problem(self, tmp_path, capsys, pattern,
+                                            key, point, where):
+        # H4(2, 2) is tempered and H2(3, 1) is not; both live on the
+        # trace-zero slice of a 4-dimensional ambient space
+        sizes = [2, 2] if pattern == "H4" else [3, 1]
+        spec = write(tmp_path, "s.json", {
+            "family": {"name": "sl_block", "pattern": pattern, "sizes": sizes}})
+        _, out, _ = run(capsys, ["check", spec])
+        doc = json.loads(out)
+        if key == "rays":
+            doc["evidence"]["rays"][0] = point
+        else:
+            doc["evidence"]["direction"] = point
+        cert = write(tmp_path, "cert.json", doc)
+        code, out, _ = run(capsys, ["recheck", cert])
+        assert code == 1
+        report = json.loads(out)
+        assert report["consistent"] is False
+        assert any(p.startswith(where) for p in report["problems"])

@@ -6,7 +6,8 @@ import pytest
 from temperkit import serialize
 from temperkit.check import check
 from temperkit.errors import SchemaError
-from temperkit.generators import TABLE1_PATTERNS, build_sl_block
+from temperkit.generators import (TABLE1_PATTERNS, build_sl_block, build_so_pair,
+                                  realify)
 from temperkit.model import LinearForm, PLFunction, TorusSpace
 
 F = Fraction
@@ -109,19 +110,38 @@ class TestRecheck:
         assert serialize.recheck_document(doc)
 
     def test_chamber_linear_form_ignored(self):
-        # documents written while chambers carried "linear_form" and the
-        # evidence carried "antipodal_reduced" still read
+        # documents written while the evidence carried "chambers" (each
+        # with a "linear_form"), "lineality" and "antipodal_reduced" still read
         doc = self._doc(2, 2)
         dim = doc["pair_spec"]["space"]["ambient_dim"]
-        assert "antipodal_reduced" not in doc["evidence"]
+        for key in ("chambers", "lineality", "antipodal_reduced"):
+            assert key not in doc["evidence"]
         doc["evidence"]["antipodal_reduced"] = True
-        for ch in doc["evidence"]["chambers"]:
-            assert "linear_form" not in ch
-            ch["linear_form"] = ["1/2"] * dim
+        doc["evidence"]["lineality"] = [["1"] + ["0"] * (dim - 1)]
+        doc["evidence"]["chambers"] = [
+            {"signs": "+-", "rays": [0, 1], "linear_form": ["1/2"] * dim},
+            {"signs": "x", "rays": "not read"}]
         assert serialize.SCHEMA_VERSION == doc["schema_version"] == 1
         ev = serialize.evidence_from_json(doc["evidence"])
         assert ev == serialize.evidence_from_json(self._doc(2, 2)["evidence"])
         assert serialize.recheck_document(doc) == []
+
+    @pytest.mark.parametrize("spec", [
+        build_sl_block(TABLE1_PATTERNS["H1"](2, 1)),
+        realify(build_so_pair(2, 1, 1, 0)),
+    ], ids=["table1_H1_2_1", "example51_so_C_3_1"])
+    def test_no_hyperplane_certificate(self, spec):
+        # the deficit cancels to zero; the +- slice-basis rays, each of
+        # value 0, show it, and without them the certificate proves nothing
+        v = check(spec)
+        assert v.evidence.hyperplanes == () and spec.space.dim > 0
+        assert not v.evidence.symmetry_reduced
+        assert len(v.evidence.rays) == 2 * spec.space.dim
+        assert set(v.evidence.ray_values) == {0}
+        doc = json.loads(serialize.dumps(serialize.verdict_to_json(v, spec)))
+        assert serialize.recheck_document(doc) == []
+        doc["evidence"]["rays"] = doc["evidence"]["ray_values"] = []
+        assert serialize.recheck_document(doc) == ["certificate has no rays"]
 
     def test_missing_spec_reported(self):
         doc = self._doc(2, 2)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from temperkit.cones import enumerate_cells
 from temperkit.errors import SymmetryError
 from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS,
                                   build_classical_in_sl, build_product_in_sl,
@@ -12,7 +13,6 @@ from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS,
 from temperkit.model import (LinearForm, PLFunction, SymmetryBlock, TorusSpace,
                              deficit, evaluate_pl)
 from temperkit.verify import (NonnegCertificate, Witness, _check_symmetry,
-                              distinct_hyperplanes, enumerate_chambers,
                               grid_oracle, is_nonnegative)
 
 F = Fraction
@@ -70,32 +70,33 @@ class TestKnownCases:
         assert evaluate_pl(f, w.direction) == w.value < 0
 
 
+def cells(normals, space):
+    """The cell complex of the integer hyperplane normals on the slice."""
+    return enumerate_cells(normals, space.slice_basis())
+
+
 class TestChambers:
     def test_coordinate_arrangement_counts(self):
-        s = TorusSpace(2)
-        hps = [lf(1, 0), lf(0, 1)]
-        chambers, rays, lineality = enumerate_chambers(hps, s)
-        assert len(chambers) == 4
-        assert lineality == ()
+        complex_ = cells([(1, 0), (0, 1)], TorusSpace(2))
+        assert len(complex_.cells) == 4
+        assert complex_.lineality == []
 
     def test_braid_arrangement(self):
         # x=y, y=z, x=z in the trace-zero plane: 6 chambers
         s = TorusSpace(3, [lf(1, 1, 1)])
-        hps = [lf(1, -1, 0), lf(0, 1, -1), lf(1, 0, -1)]
-        chambers, rays, lineality = enumerate_chambers(hps, s)
-        assert len(chambers) == 6
-        assert len(rays) == 6
+        complex_ = cells([(1, -1, 0), (0, 1, -1), (1, 0, -1)], s)
+        assert len(complex_.cells) == 6
+        assert len({ray for cell in complex_.cells for ray in cell.rays}) == 6
 
     def test_lineality_detected(self):
-        s = TorusSpace(3)
-        chambers, rays, lineality = enumerate_chambers([lf(1, 0, 0)], s)
-        assert len(chambers) == 2
-        assert len(lineality) == 2
+        complex_ = cells([(1, 0, 0)], TorusSpace(3))
+        assert len(complex_.cells) == 2
+        assert len(complex_.lineality) == 2
 
     def test_chamber_linearization_matches_function(self):
-        # what makes a chamber certificate sound: each chamber has its
-        # recorded sign on every hyperplane, and f is linear on it, so the
-        # ray values determine f there
+        # what makes a ray certificate sound: no hyperplane of f vanishes
+        # inside a cell, so f is linear on it and the values at the cell's
+        # rays, all listed in the certificate, determine f there
         rng = random.Random(7)
         s = TorusSpace(3, [lf(1, 1, 1)])
         cases = [
@@ -109,20 +110,22 @@ class TestChambers:
             f = pl(s, terms)
             cert = is_nonnegative(f)
             assert isinstance(cert, NonnegCertificate)
-            assert cert.chambers and all(ch.ray_indices for ch in cert.chambers)
-            for ch in cert.chambers:
+            value_of = dict(zip(cert.rays, cert.ray_values))
+            complex_ = cells([row for _, row in f.terms], s)
+            assert len(complex_.cells) == cert.chamber_count
+            assert all(cell.rays for cell in complex_.cells)
+            for cell in complex_.cells:
                 # random interior point: positive combination of the rays
-                weights = [rng.randint(1, 5) for _ in ch.ray_indices]
+                weights = [rng.randint(1, 5) for _ in cell.rays]
                 pt = [F(0)] * 3
-                for w, i in zip(weights, ch.ray_indices):
+                for w, ray in zip(weights, cell.rays):
                     for k in range(3):
-                        pt[k] += w * cert.rays[i][k]
-                assert len(ch.sign_vector) == len(cert.hyperplanes)
-                for h, sign in zip(cert.hyperplanes, ch.sign_vector):
-                    assert h(pt) * sign > 0
+                        pt[k] += w * ray[k]
+                for h in cert.hyperplanes:
+                    assert h(pt) != 0
                 value = evaluate_pl(f, pt)
                 assert value == sum(
-                    w * cert.ray_values[i] for w, i in zip(weights, ch.ray_indices))
+                    w * value_of[ray] for w, ray in zip(weights, cell.rays))
                 assert value == sum((c * abs(a(pt)) for c, a in f.abs_terms), F(0))
 
 
@@ -135,12 +138,17 @@ class TestReductions:
 
     def test_symmetry_same_verdict_smaller_certificate(self):
         f = self._example()
-        full = is_nonnegative(f)
-        reduced = is_nonnegative(f, symmetry=(SymmetryBlock((0, 1, 2)),))
-        assert isinstance(full, type(reduced))
-        if isinstance(full, NonnegCertificate):
-            assert reduced.symmetry_reduced
-            assert len(reduced.chambers) < len(full.chambers)
+        block = (SymmetryBlock((0, 1, 2)),)
+        assert isinstance(is_nonnegative(f), Witness)
+        assert isinstance(is_nonnegative(f, symmetry=block), Witness)
+        # with every coefficient made positive it is nonnegative
+        g = PLFunction(f.space, [(abs(c), a) for c, a in f.abs_terms])
+        full, reduced = is_nonnegative(g), is_nonnegative(g, symmetry=block)
+        assert isinstance(full, NonnegCertificate)
+        assert isinstance(reduced, NonnegCertificate)
+        assert reduced.symmetry_reduced and not full.symmetry_reduced
+        assert len(reduced.rays) < len(full.rays)
+        assert reduced.chamber_count < full.chamber_count
 
     def test_symmetry_claim_verified(self):
         s = TorusSpace(2)
