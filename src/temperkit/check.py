@@ -243,8 +243,8 @@ def render_scan_table(report: ScanReport) -> str:
 # ---------------------------------------------------------------------------
 # tensor products of degenerate principal series
 
-def tensor_product_check(variant: int, *params: int) -> Verdict:
-    """Map a tensor-product temperedness question to a block-pattern check.
+def tensor_product_spec(variant: int, *params: int) -> PairSpec:
+    """Map a tensor-product temperedness question to a block-pattern spec.
 
     variant 1, params (k, l, n): product of the two Grassmannian series
         attached to (k, n-k) and (n-l, l); reduces to the three-block
@@ -253,14 +253,15 @@ def tensor_product_check(variant: int, *params: int) -> Verdict:
         reduces to H11 with sizes (b, a, c).
     variant 3, params (a, b, c): flag series (a,b,c) against (c,b,a);
         reduces to H10 with sizes (a, b, c).
-    Bad input raises SchemaError naming tensor_product.variant or
+    Bad input, including a variant or param that is not an int (a bool is
+    not), raises SchemaError naming tensor_product.variant or
     tensor_product.params.
     """
-    if variant not in (1, 2, 3):
+    if type(variant) is not int or variant not in (1, 2, 3):
         raise SchemaError("tensor_product.variant: must be 1, 2 or 3")
-    if len(params) != 3:
+    if len(params) != 3 or any(type(x) is not int for x in params):
         raise SchemaError(f"tensor_product.params: variant {variant} takes "
-                          f"3 params, got {len(params)}")
+                          f"3 integers, got {list(params)}")
     if variant == 1:
         k, l, n = params
         if not (0 < k < n and 0 < l < n):
@@ -283,6 +284,10 @@ def tensor_product_check(variant: int, *params: int) -> Verdict:
         pattern = TABLE2_PATTERNS["H10"](*sizes)
         meta = {"question": "tensor_product", "variant": 3, "a": a, "b": b, "c": c}
     spec = build_sl_block(pattern)
-    spec = PairSpec(g_module=spec.g_module, h_module=spec.h_module,
+    return PairSpec(g_module=spec.g_module, h_module=spec.h_module,
                     metadata={**spec.metadata, **meta}, symmetry=spec.symmetry)
-    return check(spec)
+
+
+def tensor_product_check(variant: int, *params: int) -> Verdict:
+    """The verdict on tensor_product_spec(variant, *params)."""
+    return check(tensor_product_spec(variant, *params))

@@ -13,10 +13,8 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import serialize
-from .check import (render_scan_table, scan_family, tensor_product_check,
+from .check import (render_scan_table, scan_family, tensor_product_spec,
                     check as run_check)
 from .errors import BasisError, SchemaError, TemperkitError
 from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern,
@@ -86,21 +84,17 @@ def _spec_from_file(data: dict):
                           f"found {modes or 'none'}")
     mode = modes[0]
     if mode == "family":
-        return _spec_from_family(data["family"]), None
+        return _spec_from_family(data["family"])
     if mode == "pair_spec":
-        return serialize.pair_spec_from_json(data["pair_spec"]), None
+        return serialize.pair_spec_from_json(data["pair_spec"])
     if mode == "tensor_product":
-        q = data["tensor_product"]
-        try:
-            variant = int(q["variant"])
-            params = [int(x) for x in q["params"]]
-        except (KeyError, TypeError, ValueError):
-            raise SchemaError("tensor_product: need integer variant and params") from None
-        return None, (variant, params)
+        q = serialize._expect(data["tensor_product"], dict, "tensor_product")
+        return tensor_product_spec(q.get("variant"), *serialize._expect(
+            q.get("params"), list, "tensor_product.params"))
     # matrix_pair
     mp = serialize._expect(data["matrix_pair"], dict, "matrix_pair")
     if mp.get("preset") == "sp21":
-        return extract_weights(example_sp21_input()), None
+        return extract_weights(example_sp21_input())
     where = "matrix_pair"
 
     def mats(key):
@@ -121,18 +115,12 @@ def _spec_from_file(data: dict):
             metadata=dict(mp.get("metadata", {})))
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"{where}: {e}") from None
-    return extract_weights(inp), None
+    return extract_weights(inp)
 
 
 def cmd_check(args) -> int:
-    data = _load_json(args.spec)
-    spec, tensor = _spec_from_file(data)
-    if tensor is not None:
-        variant, params = tensor
-        verdict = tensor_product_check(variant, *params)
-        spec = None
-    else:
-        verdict = run_check(spec)
+    spec = _spec_from_file(_load_json(args.spec))
+    verdict = run_check(spec)
     if args.witness_only:
         if verdict.tempered:
             doc = {"tempered": True, "witness": None}
@@ -174,7 +162,8 @@ def _jsonable(obj):
     return obj
 
 
-def _parse_matrix(text: str) -> np.ndarray:
+def _parse_matrix(text: str):
+    import numpy as np
     text = text.strip()
     if text.startswith("diag(") and text.endswith(")"):
         entries = [float(x) for x in text[5:-1].split(",")]
@@ -199,6 +188,7 @@ def _parse_body(text: str, dim: int):
 
 
 def cmd_volume(args) -> int:
+    import numpy as np
     from . import volume as vol
     if args.volume_cmd == "decay":
         A = _parse_matrix(args.matrix)

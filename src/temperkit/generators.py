@@ -440,10 +440,6 @@ class MatrixPairInput:
         object.__setattr__(self, "diagonalizer", Q)
 
 
-def _flat(M) -> list[Fraction]:
-    return [x for row in M for x in row]
-
-
 def extract_weights(inp: MatrixPairInput) -> PairSpec:
     """Joint ad-eigenspace decomposition of h and g/h under the torus.
 
@@ -457,61 +453,81 @@ def extract_weights(inp: MatrixPairInput) -> PairSpec:
     blocks; RREF is unique, so the RREF of that sum is the union of the
     pieces' RREFs.  Hence the span is stable exactly when every RREF row
     lies in one block, else DecompositionError, and the multiplicity of a
-    weight is the number of RREF rows with their pivot in its block.
+    weight is the number of RREF rows with their pivot in its block.  Each
+    matrix is held sparse and integer, scaled by its own positive factor
+    (linalg.to_sparse), which changes none of these tests; the weights
+    divide the torus scales back out.
     """
     n = inp.ambient_dim
-    Q = [list(row) for row in inp.diagonalizer]
     try:
-        Qi = linalg.mat_inv(Q)
+        Qi = linalg.mat_inv(inp.diagonalizer)
     except ValueError:
         raise BasisError("diagonalizer: matrix is singular") from None
+    Q, q_scale = linalg.to_sparse(inp.diagonalizer)
+    Qi, qi_scale = linalg.to_sparse(Qi)
 
-    def conjugate(M):
-        return linalg.mat_mul(Qi, linalg.mat_mul(M, Q))
+    def conjugate(M) -> tuple[linalg.Sparse, int]:
+        M, scale = linalg.to_sparse(M)
+        return (linalg.sparse_mul(Qi, linalg.sparse_mul(M, Q)),
+                scale * q_scale * qi_scale)
 
-    diags = []
+    diags, scales = [], []
     for T in inp.torus_basis:
-        D = conjugate(T)
-        if any(D[a][b] for a in range(n) for b in range(n) if a != b):
+        D, scale = conjugate(T)
+        if any(a != b for a, b in D):
             raise DecompositionError(
                 "torus is not diagonal in the supplied basis")
-        diags.append([D[a][a] for a in range(n)])
-    for T1, T2 in itertools.combinations(inp.torus_basis, 2):
-        if any(x for row in linalg.commutator(T1, T2) for x in row):
+        diags.append(D)
+        scales.append(scale)
+    torus = [linalg.to_sparse(T)[0] for T in inp.torus_basis]
+    for T1, T2 in itertools.combinations(torus, 2):
+        if linalg.sparse_commutator(T1, T2):
             raise DecompositionError("torus matrices do not commute")
-    # the weight of matrix coordinate a*n + b, i.e. of E_ab
-    block = [tuple(d[a] - d[b] for d in diags)
-             for a in range(n) for b in range(n)]
+    # mu_a, each torus coordinate times its scale; E_ab's block is keyed by
+    # mu_a - mu_b, and weights() divides the scales back out
+    mu = [tuple(D.get((a, a), 0) for D in diags) for a in range(n)]
 
-    h_mats = [conjugate(M) for M in inp.h_basis]
+    def block(ab) -> tuple[int, ...]:
+        return tuple(x - y for x, y in zip(mu[ab[0]], mu[ab[1]]))
+
+    h_mats = [conjugate(M)[0] for M in inp.h_basis]
     reduced = {}
     for name, mats in (("h_basis", h_mats),
-                       ("g_basis", [conjugate(M) for M in inp.g_basis])):
-        reduced[name] = linalg.rref([_flat(M) for M in mats])
-        if len(reduced[name][0]) != len(mats):
+                       ("g_basis", [conjugate(M)[0] for M in inp.g_basis])):
+        flat = [[0] * (n * n) for _ in mats]
+        for row, M in zip(flat, mats):
+            for (a, b), x in M.items():
+                row[a * n + b] = x
+        rows, pivots = linalg.rref(flat)
+        if len(rows) != len(mats):
             raise BasisError(f"{name}: matrices are linearly dependent")
+        reduced[name] = ([[(divmod(j, n), x) for j, x in enumerate(row) if x]
+                          for row in rows], [divmod(c, n) for c in pivots])
     for i, M in enumerate(h_mats):
-        if not linalg.in_span(*reduced["g_basis"], _flat(M)):
+        if not linalg.in_span(*reduced["g_basis"], M):
             raise ContainmentError(f"h_basis[{i}] is not in the span of g_basis")
     for A, B in itertools.combinations(h_mats, 2):
-        if not linalg.in_span(*reduced["h_basis"],
-                              _flat(linalg.commutator(A, B))):
+        if not linalg.in_span(*reduced["h_basis"], linalg.sparse_commutator(A, B)):
             raise BracketClosureError("h basis does not span a subalgebra")
 
     def multiplicities(name) -> Counter:
         out: Counter = Counter()
         for row, c in zip(*reduced[name]):
-            if any(x and block[j] != block[c] for j, x in enumerate(row)):
+            if any(block(j) != block(c) for j, _ in row):
                 raise DecompositionError(
                     f"{name}: span is not stable under the torus")
-            out[block[c]] += 1
+            out[block(c)] += 1
         return out
+
+    def weights(counter: Counter) -> Counter:
+        return Counter({tuple(Fraction(x, s) for x, s in zip(w, scales)): m
+                        for w, m in counter.items()})
 
     mh = multiplicities("h_basis")
     space = TorusSpace(len(inp.torus_basis))
     return PairSpec(
-        g_module=_module(space, multiplicities("g_basis") - mh, "g/h"),
-        h_module=_module(space, mh, "h"),
+        g_module=_module(space, weights(multiplicities("g_basis") - mh), "g/h"),
+        h_module=_module(space, weights(mh), "h"),
         metadata=dict(inp.metadata))
 
 

@@ -1,39 +1,47 @@
 """Small exact linear algebra helpers over rational matrices.
 
-Matrices are lists of lists of int or Fraction (row major).  Everything
-here is exact; numpy is deliberately not used so there is no precision
-cliff in the decision path.
+Dense matrices are lists of lists of int or Fraction (row major); sparse
+matrices are dicts {(row, col): int} of their nonzero entries, a rational
+matrix times a positive scale.  Everything here is exact; numpy is
+deliberately not used so there is no precision cliff in the decision path.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Hashable, Mapping, Sequence
 
 Matrix = list[list[Fraction]]
+Sparse = dict[tuple[int, int], int]
 
 
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    m = len(B[0]) if B else 0
-    B_nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in B]
-    out = []
-    for Ai in A:
-        row = [Fraction(0)] * m
-        for a, Bt in zip(Ai, B_nonzero):
-            if a:
-                for j, b in Bt:
-                    row[j] += a * b
-        out.append(row)
-    return out
+def to_sparse(M: Sequence[Sequence[Fraction]]) -> tuple[Sparse, int]:
+    """(S, scale): the nonzero entries of the rational matrix M times scale,
+    the least common multiple of their denominators, so S is integer."""
+    nonzero = [((a, b), x) for a, row in enumerate(M)
+               for b, x in enumerate(row) if x]
+    scale = math.lcm(*(x.denominator for _, x in nonzero))
+    return {key: x.numerator * (scale // x.denominator)
+            for key, x in nonzero}, scale
 
 
-def mat_sub(A: Matrix, B: Matrix) -> Matrix:
-    return [[a - b if b else a for a, b in zip(ra, rb)]
-            for ra, rb in zip(A, B)]
+def sparse_mul(A: Sparse, B: Sparse) -> Sparse:
+    B_rows: dict[int, list[tuple[int, int]]] = {}
+    for (k, j), b in B.items():
+        B_rows.setdefault(k, []).append((j, b))
+    out: Sparse = {}
+    for (i, k), a in A.items():
+        for j, b in B_rows.get(k, ()):
+            out[i, j] = out.get((i, j), 0) + a * b
+    return {key: x for key, x in out.items() if x}
 
 
-def commutator(A: Matrix, B: Matrix) -> Matrix:
-    return mat_sub(mat_mul(A, B), mat_mul(B, A))
+def sparse_commutator(A: Sparse, B: Sparse) -> Sparse:
+    out = sparse_mul(A, B)
+    for key, x in sparse_mul(B, A).items():
+        out[key] = out.get(key, 0) - x
+    return {key: x for key, x in out.items() if x}
 
 
 def mat_inv(A: Matrix) -> Matrix:
@@ -75,15 +83,16 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
     return rows[:rank], pivots
 
 
-def in_span(reduced: Matrix, pivots: Sequence[int],
-            vec: Sequence[Fraction]) -> bool:
-    """Whether vec is in the row span of an RREF: subtracting vec[c] times
-    the row of each pivot c must leave zero."""
-    v = list(vec)
-    for row, c in zip(reduced, pivots):
-        x = v[c]
+def in_span(rows: Sequence[Sequence[tuple[Hashable, Fraction]]],
+            pivots: Sequence[Hashable], vec: Mapping[Hashable, Fraction]) -> bool:
+    """Whether the sparse vector vec, {column: value}, is in the row span of
+    an RREF given as the nonzero (column, value) pairs of each row and its
+    pivot columns: subtracting vec[c] times the row of each pivot c, in
+    pivot order, must leave zero."""
+    v = dict(vec)
+    for row, c in zip(rows, pivots):
+        x = v.get(c)
         if x:
-            for j, b in enumerate(row):
-                if b:
-                    v[j] -= x * b
-    return not any(v)
+            for j, b in row:
+                v[j] = v.get(j, 0) - x * b
+    return not any(v.values())

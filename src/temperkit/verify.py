@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .cones import Cell, CellComplex, enumerate_cells
 from .errors import SymmetryError
 from .model import (LinearForm, PLFunction, SymmetryBlock,
@@ -169,6 +167,7 @@ def grid_oracle(f: PLFunction, resolution: int) -> Optional[Witness]:
     after clearing denominators); returns the most negative point found, or
     None.  Never authoritative for the nonnegative answer.
     """
+    import numpy as np
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     space = f.space

@@ -221,12 +221,31 @@ class TestSpecErrors:
          "tensor_product.variant"),
         ({"tensor_product": {"variant": 2, "params": [1, 1]}}, 2,
          "tensor_product.params"),
+        ({"tensor_product": {"variant": 1.9, "params": [2, 2, 4]}}, 2,
+         "tensor_product.variant"),
+        ({"tensor_product": {"variant": True, "params": [2, 2, 4]}}, 2,
+         "tensor_product.variant"),
+        ({"tensor_product": {"variant": "1", "params": [2, 2, 4]}}, 2,
+         "tensor_product.variant"),
+        ({"tensor_product": {"params": [2, 2, 4]}}, 2, "tensor_product.variant"),
+        ({"tensor_product": {"variant": 1, "params": "224"}}, 2,
+         "tensor_product.params"),
+        ({"tensor_product": {"variant": 1, "params": [2, 2.5, 4]}}, 2,
+         "tensor_product.params"),
+        ({"tensor_product": {"variant": 1, "params": [2, True, 4]}}, 2,
+         "tensor_product.params"),
+        ({"tensor_product": [1, [2, 2, 4]]}, 2,
+         "tensor_product: expected an object"),
     ], ids=["undeclared_symmetry", "non_integer_coord", "coord_out_of_range",
             "bogus_diagonal_kind", "one_part", "short_signature",
             "so_one_param", "family_not_object", "matrix_pair_not_object",
             "symmetry_not_list", "weights_not_list", "constraints_not_list",
             "metadata_not_object", "labels_not_list", "tensor_k_zero",
-            "tensor_unknown_variant", "tensor_two_params"])
+            "tensor_unknown_variant", "tensor_two_params",
+            "tensor_float_variant", "tensor_bool_variant",
+            "tensor_string_variant", "tensor_no_variant",
+            "tensor_string_params", "tensor_float_param", "tensor_bool_param",
+            "tensor_not_object"])
     def test_exit_code_without_traceback(self, tmp_path, payload, code, where):
         spec = write(tmp_path, "s.json", payload)
         got, _, err = run_process(["check", spec])
@@ -440,6 +459,22 @@ class TestRecheck:
         cert = tmp_path / "cert.json"
         cert.write_text(out)
         code, out, _ = run(capsys, ["recheck", str(cert)])
+        assert code == 0
+        assert json.loads(out)["consistent"] is True
+
+    @pytest.mark.parametrize("variant, params, tempered", [
+        (1, [2, 2, 4], True), (2, [5, 1, 2], False), (3, [1, 3, 1], True)])
+    def test_tensor_product_round_trip(self, tmp_path, capsys, variant, params,
+                                       tempered):
+        spec = write(tmp_path, "s.json", {
+            "tensor_product": {"variant": variant, "params": params}})
+        code, out, _ = run(capsys, ["check", spec])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["tempered"] is tempered
+        assert doc["pair_spec"]["metadata"]["variant"] == variant
+        cert = write(tmp_path, "cert.json", doc)
+        code, out, _ = run(capsys, ["recheck", cert])
         assert code == 0
         assert json.loads(out)["consistent"] is True
 

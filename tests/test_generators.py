@@ -124,6 +124,30 @@ def sp11_in_sp2_input():
         torus_basis=(a_part(0, 0), a_part(1, 1)), diagonalizer=ident)
 
 
+def mat_mul(A, B):
+    """Plain dense matrix product, independent of the extractor's own."""
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+            for row in A]
+
+
+def half_torus_sl2_input():
+    """sl(2) with h its diagonal, moved by Q = [[1, 1/2], [0, 1/2]] and with
+    the torus diag(1/4, -1/4): every weight is half an integer, and Q and
+    its inverse have non-integer entries."""
+    Q = [[F(1), F(1, 2)], [F(0), F(1, 2)]]
+    Qi = linalg.mat_inv(Q)
+
+    def moved(M):
+        return mat_mul(Q, mat_mul(M, Qi))
+
+    H = moved([[1, 0], [0, -1]])
+    return MatrixPairInput(
+        ambient_dim=2, g_basis=(H, moved([[0, 1], [0, 0]]),
+                                moved([[0, 0], [1, 0]])),
+        h_basis=(H,), torus_basis=(moved([[F(1, 4), 0], [0, F(-1, 4)]]),),
+        diagonalizer=Q)
+
+
 def weights_by_rank(inp):
     """h and g/h multiplicities by the per-weight rank formula:
     dim(span & W_alpha) = dim span - rank of the rows projected off
@@ -133,7 +157,7 @@ def weights_by_rank(inp):
     Qi = linalg.mat_inv(Q)
 
     def conj(M):
-        return [x for r in linalg.mat_mul(Qi, linalg.mat_mul(M, Q)) for x in r]
+        return [x for r in mat_mul(Qi, mat_mul(M, Q)) for x in r]
 
     mu = [tuple(conj(T)[a * n + a] for T in inp.torus_basis) for a in range(n)]
     positions = {}
@@ -156,6 +180,7 @@ def weights_by_rank(inp):
 RANK_FORMULA_INPUTS = {
     "sp21": lambda: [example_sp21_input()],
     "sp11_in_sp2": lambda: [sp11_in_sp2_input()],
+    "half_torus_sl2": lambda: [half_torus_sl2_input()],
     "table1_3x3": lambda: [
         matrix_input_for_block_pattern(TABLE1_PATTERNS[name](p, q))
         for name in sorted(TABLE1_PATTERNS)
@@ -287,6 +312,13 @@ class TestMatrixMode:
         assert q_by_val[(F(1),)] == 4
         assert q_by_val[(F(-1),)] == 4
 
+    def test_rational_torus_exact_weights(self):
+        spec = extract_weights(half_torus_sl2_input())
+        assert {tuple(f.coeffs): m for f, m in spec.h_module.weights} == \
+            {(F(0),): 1}
+        assert {tuple(f.coeffs): m for f, m in spec.g_module.weights} == \
+            {(F(1, 2),): 1, (F(-1, 2),): 1}
+
     def test_sp11_in_sp2_matches_builder(self):
         spec = extract_weights(sp11_in_sp2_input())
         built = build_product_in_sp((1, 1))
@@ -358,11 +390,11 @@ class TestMatrixMode:
         upper = [[data.draw(entry.filter(bool)) if i == j
                   else (data.draw(entry) if i < j else F(0))
                   for j in range(n)] for i in range(n)]
-        P = linalg.mat_mul(lower, upper)
+        P = mat_mul(lower, upper)
         Pi = linalg.mat_inv(P)
 
         def moved(basis):
-            return tuple(linalg.mat_mul(P, linalg.mat_mul(M, Pi))
+            return tuple(mat_mul(P, mat_mul(M, Pi))
                          for M in basis)
 
         conjugated = MatrixPairInput(

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import temperkit
@@ -12,3 +15,15 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_import_loads_no_numpy():
+    # numpy and scipy serve only `volume` and `grid_oracle`, which import
+    # them when called
+    src = str(Path(temperkit.__file__).parents[1])
+    program = ("import sys, temperkit, temperkit.serialize, temperkit.cli\n"
+               "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", program], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"

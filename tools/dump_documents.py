@@ -15,7 +15,9 @@ symmetry, and the matrix inputs:
 - with symmetry: table1 6x6, table2 max=4, example51 (total 6, rank 4),
   example52 (sl n=8, sp n=4, so total 6);
 - without symmetry: table1 3x3, example52 sl n=6;
-- matrix inputs: every table1 pattern with p, q <= 3, and sp21.
+- matrix inputs, without symmetry: every table1 pattern with p, q <= 4
+  except (4, 4), and sp21 (the matrix-input pool of perfbench);
+- tensor products, with symmetry: one question per variant.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from temperkit import serialize  # noqa: E402
-from temperkit.check import FAMILIES, check  # noqa: E402
+from temperkit.check import FAMILIES, check, tensor_product_spec  # noqa: E402
 from temperkit.generators import (TABLE1_PATTERNS, example_sp21_input,  # noqa: E402
                                   extract_weights,
                                   matrix_input_for_block_pattern)
@@ -42,6 +44,7 @@ SCANS = [
     ("table1", {"pmax": 3, "qmax": 3}, False),
     ("example52-sl", {"n": 6}, False),
 ]
+TENSOR_PRODUCTS = [(1, 2, 2, 4), (2, 5, 1, 2), (3, 1, 3, 1)]
 
 
 def _jsonable(obj):
@@ -54,11 +57,16 @@ def cases():
         for params, spec, _ in FAMILIES[family](**ranges):
             yield {"family": family, "params": _jsonable(params)}, spec, use_symmetry
     for name in TABLE1_PATTERNS:
-        for p, q in itertools.product(range(1, 4), repeat=2):
+        for p, q in itertools.product(range(1, 5), repeat=2):
+            if (p, q) == (4, 4):
+                continue
             inp = matrix_input_for_block_pattern(TABLE1_PATTERNS[name](p, q))
             yield ({"family": "matrix-table1", "params": [name, p, q]},
                    extract_weights(inp), False)
     yield {"family": "matrix-sp21", "params": []}, extract_weights(example_sp21_input()), False
+    for question in TENSOR_PRODUCTS:
+        yield ({"family": "tensor_product", "params": list(question)},
+               tensor_product_spec(*question), True)
 
 
 def main() -> int:
