@@ -19,11 +19,9 @@ from .generators import (BlockPattern, MatrixPairInput, TABLE1_PATTERNS,
                          build_product_in_sp, build_so_pair,
                          build_classical_in_sl, realify, extract_weights,
                          example_sp21_input)
-from .model import (LinearForm, TorusSpace, WeightModule, PLFunction,
-                    SymmetryBlock, PairSpec, evaluate_pl, rho_plus,
-                    rho_function, deficit)
-from .verify import (NonnegCertificate, Witness, distinct_hyperplanes,
-                     is_nonnegative, grid_oracle)
+from .model import (TorusSpace, WeightModule, PLFunction, SymmetryBlock,
+                    PairSpec, evaluate_pl, rho_function, deficit)
+from .verify import NonnegCertificate, Witness, is_nonnegative, grid_oracle
 
 __version__ = "0.1.0"
 
@@ -40,9 +38,8 @@ __all__ = [
     "build_sl_block", "build_product_in_sl", "build_product_in_sp",
     "build_so_pair", "build_classical_in_sl", "realify", "extract_weights",
     "example_sp21_input",
-    "LinearForm", "TorusSpace", "WeightModule", "PLFunction", "SymmetryBlock",
-    "PairSpec", "evaluate_pl", "rho_plus", "rho_function", "deficit",
-    "NonnegCertificate", "Witness", "distinct_hyperplanes",
-    "is_nonnegative", "grid_oracle",
+    "TorusSpace", "WeightModule", "PLFunction", "SymmetryBlock",
+    "PairSpec", "evaluate_pl", "rho_function", "deficit",
+    "NonnegCertificate", "Witness", "is_nonnegative", "grid_oracle",
     "__version__",
 ]

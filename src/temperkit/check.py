@@ -19,7 +19,6 @@ class Verdict:
     tempered: bool
     evidence: object                     # NonnegCertificate or Witness
     deficit_summary: dict
-    spec_echo: dict
 
     def __post_init__(self):
         if self.tempered != isinstance(self.evidence, NonnegCertificate):
@@ -53,8 +52,7 @@ def check(spec: PairSpec, use_symmetry: bool = True) -> Verdict:
                                f"recorded {evidence.value}")
     return Verdict(tempered=isinstance(evidence, NonnegCertificate),
                    evidence=evidence,
-                   deficit_summary=summary,
-                   spec_echo=dict(spec.metadata))
+                   deficit_summary=summary)
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,8 @@ def _spec_from_file(data: dict):
 
     try:
         inp = MatrixPairInput(
-            ambient_dim=int(mp["ambient_dim"]),
+            ambient_dim=serialize._int_from_json(mp.get("ambient_dim"),
+                                                 f"{where}.ambient_dim"),
             g_basis=mats("g_basis"), h_basis=mats("h_basis"),
             torus_basis=mats("torus_basis"),
             diagonalizer=tuple(serialize._vec_from_json(

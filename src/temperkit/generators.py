@@ -14,7 +14,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import linalg
 from .errors import (BasisError, BracketClosureError, ContainmentError,
@@ -68,8 +68,8 @@ def _sp_counter(coords, n: int) -> Counter:
     return c
 
 
-def _module(space: TorusSpace, counter: Counter, name: str) -> WeightModule:
-    return WeightModule(space, [(c, m) for c, m in counter.items() if m > 0], name)
+def _module(space: TorusSpace, counter: Counter) -> WeightModule:
+    return WeightModule(space, [(c, m) for c, m in counter.items() if m > 0])
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +179,8 @@ def build_sl_block(pattern: BlockPattern) -> PairSpec:
                      for blk, kind in zip(blocks, pattern.diagonal_kind)
                      if kind == "full" and len(blk) > 1)
     return PairSpec(
-        g_module=_module(space, g_counter, "g/h"),
-        h_module=_module(space, h_counter, "h"),
+        g_module=_module(space, g_counter),
+        h_module=_module(space, h_counter),
         metadata={"family": "sl_block", "sizes": list(pattern.sizes),
                   "diagonal_kind": list(pattern.diagonal_kind),
                   "upper_blocks": sorted(pattern.upper_blocks)},
@@ -229,8 +229,8 @@ def build_product_in_sp(parts: Sequence[int]) -> PairSpec:
         raise ValueError("subalgebra multiset exceeds sp(n)")
     symmetry = tuple(SymmetryBlock(tuple(blk), signed=True) for blk in blocks)
     return PairSpec(
-        g_module=_module(space, g_counter, "g/h"),
-        h_module=_module(space, h_counter, "h"),
+        g_module=_module(space, g_counter),
+        h_module=_module(space, h_counter),
         metadata={"family": "product_in_sp", "parts": parts},
         symmetry=symmetry)
 
@@ -290,8 +290,8 @@ def build_so_pair(p1: int, q1: int, p2: int, q2: int) -> PairSpec:
     symmetry = tuple(SymmetryBlock(tuple(blk), signed=True)
                      for blk in (u, v) if blk)
     return PairSpec(
-        g_module=_module(space, g_counter, "g/h"),
-        h_module=_module(space, h_counter, "h"),
+        g_module=_module(space, g_counter),
+        h_module=_module(space, h_counter),
         metadata={"family": "so_pair", "signature": [p1, q1, p2, q2]},
         symmetry=symmetry)
 
@@ -343,8 +343,8 @@ def build_classical_in_sl(kind: str, *params: int) -> PairSpec:
     symmetry = ((SymmetryBlock(tuple(range(space.ambient_dim)), signed=True),)
                 if space.ambient_dim > 0 else ())
     return PairSpec(
-        g_module=_module(space, g_counter, "g/h"),
-        h_module=_module(space, h_counter, "h"),
+        g_module=_module(space, g_counter),
+        h_module=_module(space, h_counter),
         metadata=meta,
         symmetry=symmetry)
 
@@ -352,7 +352,7 @@ def build_classical_in_sl(kind: str, *params: int) -> PairSpec:
 def realify(spec: PairSpec) -> PairSpec:
     """View a split complex pair as a real pair: every multiplicity doubles."""
     def double(M: WeightModule) -> WeightModule:
-        return WeightModule(M.space, [(f, 2 * m) for f, m in M.weights], M.name)
+        return WeightModule(M.space, [(f, 2 * m) for f, m in M.weights])
 
     meta = dict(spec.metadata)
     meta["realified"] = True
@@ -401,9 +401,9 @@ def parabolic_decomposition(pattern: BlockPattern):
             for b in blocks[j]:
                 uv_counter[_diff(a, b, n)] += 1
 
-    return (_module(space, s_counter, "s"),
-            _module(space, ls_counter, "l/s"),
-            _module(space, uv_counter, "u/v"))
+    return (_module(space, s_counter),
+            _module(space, ls_counter),
+            _module(space, uv_counter))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +456,9 @@ def extract_weights(inp: MatrixPairInput) -> PairSpec:
     weight is the number of RREF rows with their pivot in its block.  Each
     matrix is held sparse and integer, scaled by its own positive factor
     (linalg.to_sparse), which changes none of these tests; the weights
-    divide the torus scales back out.
+    divide the torus scales back out.  The torus matrices need no separate
+    commutation test: once every Q^-1 T Q is diagonal they commute, as
+    diagonal matrices do and conjugation keeps commutators.
     """
     n = inp.ambient_dim
     try:
@@ -479,10 +481,6 @@ def extract_weights(inp: MatrixPairInput) -> PairSpec:
                 "torus is not diagonal in the supplied basis")
         diags.append(D)
         scales.append(scale)
-    torus = [linalg.to_sparse(T)[0] for T in inp.torus_basis]
-    for T1, T2 in itertools.combinations(torus, 2):
-        if linalg.sparse_commutator(T1, T2):
-            raise DecompositionError("torus matrices do not commute")
     # mu_a, each torus coordinate times its scale; E_ab's block is keyed by
     # mu_a - mu_b, and weights() divides the scales back out
     mu = [tuple(D.get((a, a), 0) for D in diags) for a in range(n)]
@@ -526,8 +524,8 @@ def extract_weights(inp: MatrixPairInput) -> PairSpec:
     mh = multiplicities("h_basis")
     space = TorusSpace(len(inp.torus_basis))
     return PairSpec(
-        g_module=_module(space, weights(multiplicities("g_basis") - mh), "g/h"),
-        h_module=_module(space, weights(mh), "h"),
+        g_module=_module(space, weights(multiplicities("g_basis") - mh)),
+        h_module=_module(space, weights(mh)),
         metadata=dict(inp.metadata))
 
 

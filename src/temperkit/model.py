@@ -7,8 +7,8 @@ constraints (for instance a trace-zero condition per diagonal block).
 Forms are reduced to a canonical representative modulo the constraint rows,
 so equality of forms *on the slice* is decidable by tuple comparison.
 Rationals enter only through JSON documents and matrix-mode extraction;
-_integer_row scales them to integers once, when a LinearForm or a rational
-weight reaches a constructor here.
+_integer_row scales a sequence of them to an integer row once, when it
+reaches a constructor here.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ def _dot(row: Sequence[int], Z: Sequence[int]) -> int:
 
 def _integer_row(coeffs) -> tuple[list[int], int]:
     """(row, d) with row = d * coeffs integral for the least d >= 1, for a
-    LinearForm or a sequence of rationals."""
-    coeffs = getattr(coeffs, "coeffs", coeffs)
+    sequence of rationals."""
     try:
         d = math.lcm(*(c.denominator for c in coeffs))
     except AttributeError:      # not ints or Fractions: convert exactly
@@ -39,9 +38,9 @@ def _integer_row(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
-def _ratios(row: Sequence[int], den: int) -> Sequence:
+def _ratios(row: Sequence[int], den: int) -> tuple:
     """The exact rationals row / den."""
-    return row if den == 1 else [Fraction(x, den) for x in row]
+    return tuple(row) if den == 1 else tuple(Fraction(x, den) for x in row)
 
 
 def _canonical_terms(terms: Iterable[tuple[int, Sequence[int]]]):
@@ -67,48 +66,6 @@ def _canonical_terms(terms: Iterable[tuple[int, Sequence[int]]]):
                         key=itemgetter(1)))
 
 
-class LinearForm:
-    """An exact rational covector on the ambient coordinate space."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable):
-        object.__setattr__(self, "coeffs", tuple(
-            c if type(c) in (int, Fraction) else Fraction(c) for c in coeffs))
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("LinearForm is immutable")
-
-    def __call__(self, Y: Sequence) -> Fraction:
-        if len(Y) != len(self.coeffs):
-            raise ArityError(f"form arity {len(self.coeffs)} vs point arity {len(Y)}")
-        return sum((c * Fraction(y) for c, y in zip(self.coeffs, Y)), Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LinearForm) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        if len(other.coeffs) != len(self.coeffs):
-            raise ArityError("cannot add forms of different arity")
-        return LinearForm(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "LinearForm") -> "LinearForm":
-        return self + (-other)
-
-    def __neg__(self) -> "LinearForm":
-        return LinearForm(-c for c in self.coeffs)
-
-    def scale(self, t) -> "LinearForm":
-        t = Fraction(t)
-        return LinearForm(t * c for c in self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"LinearForm({[str(c) for c in self.coeffs]})"
-
-
 class TorusSpace:
     """Coordinate model of a maximal split abelian subalgebra.
 
@@ -118,10 +75,9 @@ class TorusSpace:
     positive pivot entry; dependent constraint sets are rejected.
     """
 
-    __slots__ = ("ambient_dim", "coordinate_labels", "rows", "_pivots", "_scale")
+    __slots__ = ("ambient_dim", "rows", "_pivots", "_scale")
 
-    def __init__(self, ambient_dim: int, constraints: Iterable = (),
-                 coordinate_labels: Optional[Sequence[str]] = None):
+    def __init__(self, ambient_dim: int, constraints: Iterable[Sequence] = ()):
         if ambient_dim < 0:
             raise ValueError("ambient_dim must be nonnegative")
         rows = [_integer_row(c)[0] for c in constraints]
@@ -132,12 +88,7 @@ class TorusSpace:
             raise ValueError("constraint set is linearly dependent")
         # an RREF row has a 1 at its pivot, so its integer row is primitive
         rows = tuple(tuple(_integer_row(r)[0]) for r in reduced)
-        if coordinate_labels is None:
-            coordinate_labels = tuple(f"t{i}" for i in range(ambient_dim))
-        elif len(coordinate_labels) != ambient_dim:
-            raise ValueError("need one label per ambient coordinate")
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "coordinate_labels", tuple(coordinate_labels))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_pivots", tuple(pivots))
         object.__setattr__(self, "_scale",
@@ -151,10 +102,9 @@ class TorusSpace:
         return self.ambient_dim - len(self.rows)
 
     @property
-    def constraints(self) -> tuple[LinearForm, ...]:
-        """The reduced row echelon form of the constraints, as exact forms."""
-        return tuple(LinearForm(_ratios(r, r[p]))
-                     for r, p in zip(self.rows, self._pivots))
+    def constraints(self) -> tuple[tuple, ...]:
+        """The reduced row echelon form of the constraints, as exact rationals."""
+        return tuple(_ratios(r, r[p]) for r, p in zip(self.rows, self._pivots))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TorusSpace)
@@ -178,22 +128,6 @@ class TorusSpace:
                 c //= row[p]
                 v = [x - c * r for x, r in zip(v, row)]
         return tuple(v)
-
-    def reduce(self, form: LinearForm) -> LinearForm:
-        """Canonical representative of ``form`` modulo the constraint row space."""
-        row, d = _integer_row(form.coeffs)
-        return LinearForm(_ratios(self._reduce(row), d * self._scale))
-
-    def contains(self, Y: Sequence) -> bool:
-        try:
-            self._scaled_point(Y)
-        except ConstraintViolationError:
-            return False
-        return True
-
-    def require_point(self, Y: Sequence) -> tuple:
-        self._scaled_point(Y)
-        return tuple(Y)
 
     def _scaled_point(self, Y: Sequence) -> tuple[list[int], int]:
         """Clear the denominators of a point of the slice: (Z, m) with
@@ -238,16 +172,15 @@ class WeightModule:
     """Finite multiset of (weight, multiplicity) pairs over a torus space.
 
     Held as sorted (row, multiplicity) ``rows`` over one denominator ``den``
-    (weight = row/den), in lowest terms.  Weights, given as LinearForms or
-    sequences of rationals, are reduced modulo the torus constraints and
+    (weight = row/den), in lowest terms.  Weights, given as sequences of
+    rationals, are reduced modulo the torus constraints and
     merged, so no two stored entries are equal on the slice.  Zero weights
     are kept: they add nothing to rho but keep dimension accounting exact.
     """
 
-    __slots__ = ("space", "rows", "den", "name")
+    __slots__ = ("space", "rows", "den")
 
-    def __init__(self, space: TorusSpace, weights: Iterable[tuple[object, int]],
-                 name: str = ""):
+    def __init__(self, space: TorusSpace, weights: Iterable[tuple[Sequence, int]]):
         given = [(_integer_row(form), int(mult)) for form, mult in weights]
         if any(mult <= 0 for _, mult in given):
             raise ValueError("multiplicities must be positive")
@@ -264,15 +197,14 @@ class WeightModule:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "rows", tuple(sorted(merged.items())))
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "name", name)
 
     def __setattr__(self, *a):
         raise AttributeError("WeightModule is immutable")
 
     @property
-    def weights(self) -> tuple[tuple[LinearForm, int], ...]:
-        """The (weight, multiplicity) pairs as exact forms."""
-        return tuple((LinearForm(_ratios(row, self.den)), m) for row, m in self.rows)
+    def weights(self) -> tuple[tuple[tuple, int], ...]:
+        """The (weight, multiplicity) pairs, each weight as exact rationals."""
+        return tuple((_ratios(row, self.den), m) for row, m in self.rows)
 
     @property
     def total_dim(self) -> int:
@@ -283,7 +215,7 @@ class WeightModule:
                 and self.den == other.den and self.rows == other.rows)
 
     def __repr__(self) -> str:
-        return f"WeightModule({self.name!r}, dim={self.total_dim}, weights={len(self.rows)})"
+        return f"WeightModule(dim={self.total_dim}, weights={len(self.rows)})"
 
 
 class PLFunction:
@@ -299,13 +231,13 @@ class PLFunction:
 
     __slots__ = ("space", "den", "linear", "terms")
 
-    def __new__(cls, space: TorusSpace, abs_terms: Iterable[tuple[Fraction, LinearForm]],
-                linear_term: Optional[LinearForm] = None):
+    def __new__(cls, space: TorusSpace, abs_terms: Iterable[tuple[object, Sequence]],
+                linear_term: Optional[Sequence] = None):
         # c*|form| = (c/d)*|row| for row = d*form; over the common denominator
         # den of the c/d and the linear part, _reduce scales rows by _scale
         abs_terms = list(abs_terms)
         rows = [_integer_row(form) for _, form in abs_terms]
-        linear = (0,) * space.ambient_dim if linear_term is None else linear_term.coeffs
+        linear = (0,) * space.ambient_dim if linear_term is None else linear_term
         ints, den = _integer_row([Fraction(c) / d for (c, _), (_, d) in zip(abs_terms, rows)]
                                  + list(linear))
         return cls._from_integers(
@@ -330,15 +262,6 @@ class PLFunction:
 
     def __setattr__(self, *a):
         raise AttributeError("PLFunction is immutable")
-
-    @property
-    def abs_terms(self) -> tuple[tuple[Fraction, LinearForm], ...]:
-        """The (coefficient, form) pairs: f = sum c*|form| + linear_term."""
-        return tuple((Fraction(c, self.den), LinearForm(row)) for c, row in self.terms)
-
-    @property
-    def linear_term(self) -> LinearForm:
-        return LinearForm(_ratios(self.linear, self.den))
 
     def __call__(self, Y: Sequence) -> Fraction:
         return evaluate_pl(self, Y)
@@ -435,13 +358,6 @@ def evaluate_pl(f: PLFunction, Y: Sequence) -> Fraction:
     for c, row in f.terms:
         total += c * abs(_dot(row, Z))
     return Fraction(total, f.den * m)
-
-
-def rho_plus(M: WeightModule, Y: Sequence) -> Fraction:
-    """Trace of Y on the positive part: sum of m*alpha(Y) over alpha(Y) > 0."""
-    Z, m = M.space._scaled_point(Y)
-    total = sum(mult * max(_dot(row, Z), 0) for row, mult in M.rows)
-    return Fraction(total, M.den * m)
 
 
 def rho_function(M: WeightModule) -> PLFunction:

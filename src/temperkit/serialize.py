@@ -4,6 +4,11 @@ Rationals travel as "num/den" strings (or "num" when integral) so every
 round trip is lossless; integral ones are read back as ints.  Documents
 carry a schema_version field.  Parsing errors, including a container of the
 wrong JSON type, raise SchemaError with a JSON-pointer-style location.
+
+Readers ignore the keys that older documents of schema version 1 also
+carry and no check reads: top-level "spec_echo", space "coordinate_labels",
+module "name", and evidence "hyperplanes", "chambers" (with a "linear_form"
+each), "lineality" and "antipodal_reduced".
 """
 
 from __future__ import annotations
@@ -15,8 +20,7 @@ from typing import Optional
 from .check import Verdict
 from .errors import (ArityError, ConstraintViolationError, SchemaError,
                      SymmetryError)
-from .model import (LinearForm, PairSpec, PLFunction, SymmetryBlock,
-                    TorusSpace, WeightModule)
+from .model import PairSpec, SymmetryBlock, TorusSpace, WeightModule
 from .verify import NonnegCertificate, Witness
 
 SCHEMA_VERSION = 1
@@ -56,6 +60,13 @@ def _vec_from_json(data, where: str):
                  for i, x in enumerate(_expect(data, list, where)))
 
 
+def _int_from_json(data, where: str) -> int:
+    """data, if it is a JSON integer (true and false are not); else SchemaError."""
+    if type(data) is not int:
+        raise SchemaError(f"{where}: expected an integer")
+    return data
+
+
 def _expect(data, kind: type, where: str):
     """data, if it has the JSON type kind (list, dict or str); else SchemaError."""
     if not isinstance(data, kind):
@@ -69,32 +80,23 @@ def _expect(data, kind: type, where: str):
 
 def torus_space_to_json(space: TorusSpace) -> dict:
     return {"ambient_dim": space.ambient_dim,
-            "coordinate_labels": list(space.coordinate_labels),
-            "constraints": [_vec_to_json(c.coeffs) for c in space.constraints]}
+            "constraints": [_vec_to_json(c) for c in space.constraints]}
 
 
 def torus_space_from_json(data: dict, where: str = "torus") -> TorusSpace:
     _expect(data, dict, where)
-    try:
-        dim = int(data["ambient_dim"])
-    except (KeyError, TypeError, ValueError):
-        raise SchemaError(f"{where}.ambient_dim: missing or not an integer") from None
-    constraints = [LinearForm(_vec_from_json(c, f"{where}.constraints[{i}]"))
+    dim = _int_from_json(data.get("ambient_dim"), f"{where}.ambient_dim")
+    constraints = [_vec_from_json(c, f"{where}.constraints[{i}]")
                    for i, c in enumerate(_expect(data.get("constraints", []), list,
                                                  f"{where}.constraints"))]
-    labels = data.get("coordinate_labels")
-    if labels is not None:
-        _expect(labels, list, f"{where}.coordinate_labels")
     try:
-        return TorusSpace(dim, constraints, coordinate_labels=labels)
+        return TorusSpace(dim, constraints)
     except ValueError as e:
         raise SchemaError(f"{where}: {e}") from None
 
 
 def weight_module_to_json(M: WeightModule) -> dict:
-    return {"name": M.name,
-            "weights": [{"form": _vec_to_json(f.coeffs), "mult": m}
-                        for f, m in M.weights]}
+    return {"weights": [{"form": _vec_to_json(f), "mult": m} for f, m in M.weights]}
 
 
 def weight_module_from_json(data: dict, space: TorusSpace,
@@ -106,42 +108,12 @@ def weight_module_from_json(data: dict, space: TorusSpace,
         loc = f"{where}.weights[{i}]"
         if not isinstance(entry, dict) or "form" not in entry:
             raise SchemaError(f"{loc}: expected an object with a form")
-        mult = entry.get("mult", 1)
-        if not isinstance(mult, int) or mult < 1:
+        mult = _int_from_json(entry.get("mult", 1), f"{loc}.mult")
+        if mult < 1:
             raise SchemaError(f"{loc}.mult: expected a positive integer")
-        weights.append((LinearForm(_vec_from_json(entry["form"], f"{loc}.form")),
-                        mult))
+        weights.append((_vec_from_json(entry["form"], f"{loc}.form"), mult))
     try:
-        return WeightModule(space, weights, name=data.get("name", ""))
-    except ValueError as e:
-        raise SchemaError(f"{where}: {e}") from None
-
-
-def pl_function_to_json(f: PLFunction) -> dict:
-    return {"space": torus_space_to_json(f.space),
-            "abs_terms": [{"coeff": rational_to_str(c),
-                           "form": _vec_to_json(a.coeffs)}
-                          for c, a in f.abs_terms],
-            "linear_term": _vec_to_json(f.linear_term.coeffs)}
-
-
-def pl_function_from_json(data: dict, where: str = "function") -> PLFunction:
-    _expect(data, dict, where)
-    space = torus_space_from_json(data.get("space", {}), f"{where}.space")
-    terms = []
-    for i, entry in enumerate(_expect(data.get("abs_terms", []), list,
-                                      f"{where}.abs_terms")):
-        loc = f"{where}.abs_terms[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{loc}: expected an object")
-        terms.append((rational_from_str(entry.get("coeff", "1"), f"{loc}.coeff"),
-                      LinearForm(_vec_from_json(entry.get("form", []),
-                                                f"{loc}.form"))))
-    linear = data.get("linear_term")
-    lin = LinearForm(_vec_from_json(linear, f"{where}.linear_term")) \
-        if linear is not None else None
-    try:
-        return PLFunction(space, terms, lin)
+        return WeightModule(space, weights)
     except ValueError as e:
         raise SchemaError(f"{where}: {e}") from None
 
@@ -197,7 +169,6 @@ def evidence_to_json(ev) -> dict:
                 "value": rational_to_str(ev.value)}
     if isinstance(ev, NonnegCertificate):
         return {"kind": "certificate",
-                "hyperplanes": [_vec_to_json(h.coeffs) for h in ev.hyperplanes],
                 "rays": [_vec_to_json(r) for r in ev.rays],
                 "ray_values": [rational_to_str(v) for v in ev.ray_values],
                 "symmetry_reduced": ev.symmetry_reduced}
@@ -222,13 +193,7 @@ def evidence_from_json(data: dict, where: str = "evidence"):
                      for i, r in entries("rays"))
         values = tuple(rational_from_str(v, f"{where}.ray_values[{i}]")
                        for i, v in entries("ray_values"))
-        hyperplanes = tuple(
-            LinearForm(_vec_from_json(h, f"{where}.hyperplanes[{i}]"))
-            for i, h in entries("hyperplanes"))
-        # older documents also carry "chambers" (with a "linear_form" each),
-        # "lineality" and "antipodal_reduced"; no check reads them
-        return NonnegCertificate(hyperplanes=hyperplanes, rays=rays,
-                                 ray_values=values,
+        return NonnegCertificate(rays=rays, ray_values=values,
                                  symmetry_reduced=bool(
                                      data.get("symmetry_reduced", False)))
     raise SchemaError(f"{where}.kind: unknown kind {kind!r}")
@@ -238,7 +203,6 @@ def verdict_to_json(verdict: Verdict, spec: Optional[PairSpec] = None) -> dict:
     out = {"schema_version": SCHEMA_VERSION,
            "tempered": verdict.tempered,
            "deficit_summary": verdict.deficit_summary,
-           "spec_echo": verdict.spec_echo,
            "evidence": evidence_to_json(verdict.evidence)}
     if spec is not None:
         out["pair_spec"] = pair_spec_to_json(spec)

@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 from .cones import Cell, CellComplex, enumerate_cells
 from .errors import SymmetryError
-from .model import (LinearForm, PLFunction, SymmetryBlock,
-                    _canonical_terms, _check_symmetry_coords, _dot, evaluate_pl)
+from .model import (PLFunction, SymmetryBlock, _canonical_terms,
+                    _check_symmetry_coords, _dot, evaluate_pl)
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,6 @@ class NonnegCertificate:
     ``chamber_count`` counts the cells enumerated; it is not part of the proof.
     """
 
-    hyperplanes: tuple[LinearForm, ...]
     rays: tuple[tuple[int, ...], ...]       # ambient coords
     ray_values: tuple[Fraction, ...]        # f at each ray, all >= 0
     symmetry_reduced: bool = False
@@ -44,12 +43,6 @@ class NonnegCertificate:
 class Witness:
     direction: tuple                        # exact rationals, ambient coords
     value: Fraction
-
-
-def distinct_hyperplanes(f: PLFunction) -> list[LinearForm]:
-    """The rows of f's canonical abs terms: primitive, sign-normalized,
-    distinct, sorted, each with a nonzero net coefficient."""
-    return [LinearForm(row) for _, row in f.terms]
 
 
 def _dominant_restrict(symmetry: Sequence[SymmetryBlock], ambient_dim: int):
@@ -123,19 +116,21 @@ def is_nonnegative(f: PLFunction, symmetry: Sequence[SymmetryBlock] = ()):
     size, never the verdict.  A purely linear f is decided on the whole
     slice: its +- slice-basis rays show whether it vanishes.
     """
-    space = f.space
+    basis = f.space.slice_basis()
     restrict: Sequence = ()
     if symmetry:
         _check_symmetry(f, symmetry)
-        restrict = _dominant_restrict(symmetry, space.ambient_dim)
+        # a wall that vanishes on the slice cuts nothing off: the generator
+        # it belongs to fixes every point of the slice
+        restrict = [w for w in _dominant_restrict(symmetry, f.space.ambient_dim)
+                    if any(_dot(w, v) for v in basis)]
     if f.terms:
-        complex_ = enumerate_cells([row for _, row in f.terms],
-                                   space.slice_basis(), restrict=restrict)
+        complex_ = enumerate_cells([row for _, row in f.terms], basis,
+                                   restrict=restrict)
     else:
         # f is linear: the whole slice is one cell without rays, and f >= 0
         # exactly when f = 0, which its +- slice-basis values show
-        complex_ = CellComplex(cells=[Cell(rays=())],
-                               lineality=list(space.slice_basis()))
+        complex_ = CellComplex(cells=[Cell(rays=())], lineality=list(basis))
         restrict = ()
     # f restricted to the lineality space is linear; its +- generators
     # follow the cell rays so the certificate is self-contained
@@ -150,8 +145,7 @@ def is_nonnegative(f: PLFunction, symmetry: Sequence[SymmetryBlock] = ()):
             worst = (val, vec)
     if worst is not None:
         return Witness(direction=worst[1], value=worst[0])
-    return NonnegCertificate(hyperplanes=tuple(distinct_hyperplanes(f)),
-                             rays=tuple(rays), ray_values=tuple(ray_values),
+    return NonnegCertificate(rays=tuple(rays), ray_values=tuple(ray_values),
                              symmetry_reduced=bool(restrict),
                              chamber_count=len(complex_.cells))
 
@@ -183,27 +177,16 @@ def grid_oracle(f: PLFunction, resolution: int) -> Optional[Witness]:
     for row, c in zip(A, C):
         max_abs += abs(c) * sum(abs(x) for x in row) * resolution
     max_abs += sum(abs(x) for x in Lrow) * resolution
+    # int64 sums are exact below the bound; past it numpy sums Python ints
+    dtype = np.int64 if max_abs < _INT64_BOUND else object
     coords = np.array(np.meshgrid(*([np.arange(-resolution, resolution + 1)] * d),
-                                  indexing="ij")).reshape(d, -1).T
-    if max_abs < _INT64_BOUND:
-        coords64 = coords.astype(np.int64)
-        vals = coords64 @ np.array(Lrow, dtype=np.int64)
-        if A:
-            vals = vals + np.abs(coords64 @ np.array(A, dtype=np.int64).T) \
-                @ np.array(C, dtype=np.int64)
-        i = int(np.argmin(vals))
-        if vals[i] >= 0:
-            return None
-        best = tuple(int(x) for x in coords[i])
-    else:
-        best, best_val = None, 0
-        for pt in coords:
-            v = sum(l * int(x) for l, x in zip(Lrow, pt))
-            for row, c in zip(A, C):
-                v += c * abs(sum(a * int(x) for a, x in zip(row, pt)))
-            if v < best_val:
-                best, best_val = tuple(int(x) for x in pt), v
-        if best is None:
-            return None
-    direction = space.lift(best)
+                                  indexing="ij")).reshape(d, -1).T.astype(dtype)
+    vals = coords @ np.array(Lrow, dtype=dtype)
+    if A:
+        vals = vals + np.abs(coords @ np.array(A, dtype=dtype).T) \
+            @ np.array(C, dtype=dtype)
+    i = int(np.argmin(vals))
+    if vals[i] >= 0:
+        return None
+    direction = space.lift(tuple(int(x) for x in coords[i]))
     return Witness(direction=direction, value=evaluate_pl(f, direction))

@@ -22,7 +22,7 @@ from temperkit.cli import main as cli_main
 from temperkit.generators import (TABLE2_PATTERNS, build_sl_block,
                                   example_sp21_input, extract_weights,
                                   parabolic_decomposition)
-from temperkit.model import (LinearForm, PLFunction, TorusSpace, deficit,
+from temperkit.model import (PLFunction, TorusSpace, deficit,
                              evaluate_pl, rho_function)
 from temperkit.verify import NonnegCertificate, Witness, grid_oracle, is_nonnegative
 from temperkit.volume import (ConvexBody, check_brunn_translate,
@@ -164,9 +164,9 @@ class TestCriterion06QuaternionicRatio:
         rho_h = rho_function(spec.h_module)
         rho_q = rho_function(spec.g_module)
         # both are c|t| on a one-dimensional torus; compare the coefficients
-        assert len(rho_h.abs_terms) == len(rho_q.abs_terms) == 1
-        (ch, fh), (cq, fq) = rho_h.abs_terms[0], rho_q.abs_terms[0]
-        assert ch * abs(fh((1,))) == F(3, 2) * cq * abs(fq((1,)))
+        assert len(rho_h.terms) == len(rho_q.terms) == 1
+        (ch, (fh,)), (cq, (fq,)) = rho_h.terms[0], rho_q.terms[0]
+        assert F(ch * abs(fh), rho_h.den) == F(3, 2) * F(cq * abs(fq), rho_q.den)
         assert not check(spec).tempered
 
 
@@ -199,7 +199,7 @@ class TestCriterion08OracleEquivalence:
         space = TorusSpace(dim)
         terms = []
         for _ in range(rng.randint(1, 6)):
-            form = LinearForm([F(rng.randint(-2, 2)) for _ in range(dim)])
+            form = tuple(F(rng.randint(-2, 2)) for _ in range(dim))
             terms.append((F(rng.randint(-3, 3)), form))
         return PLFunction(space, terms)
 
@@ -220,9 +220,9 @@ class TestCriterion08OracleEquivalence:
             direction = tuple(F(rng.randint(-3, 3)) for _ in range(dim))
             if all(c == 0 for c in direction):
                 direction = (F(1),) + direction[1:]
-            beta = LinearForm(direction)
-            drop = (evaluate_pl(f, direction) + 1) / beta(direction)
-            f = f + PLFunction(f.space, [(-drop, beta)])
+            # the term |direction . Y| is |direction|^2 at Y = direction
+            drop = (evaluate_pl(f, direction) + 1) / sum(b * b for b in direction)
+            f = f + PLFunction(f.space, [(-drop, direction)])
             assert evaluate_pl(f, direction) == F(-1)
             w = is_nonnegative(f)
             assert isinstance(w, Witness)

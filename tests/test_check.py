@@ -6,28 +6,29 @@ import pytest
 
 from temperkit.check import (FAMILIES, TABLE1_PREDICATES, Verdict, _partitions,
                              check, render_scan_table, scan_family,
-                             sp_product_tempered, tensor_product_check)
+                             sp_product_tempered, tensor_product_check,
+                             tensor_product_spec)
 from temperkit.generators import (TABLE1_PATTERNS, build_product_in_sl,
                                   build_product_in_sp, build_sl_block)
-from temperkit.model import (LinearForm, PairSpec, TorusSpace, WeightModule,
-                             deficit, evaluate_pl)
+from temperkit.model import PairSpec, TorusSpace, WeightModule, deficit, evaluate_pl
 from temperkit.verify import NonnegCertificate, Witness
 
 F = Fraction
 
 
 def lf(*coeffs):
-    return LinearForm([F(c) for c in coeffs])
+    """A linear form as a tuple of exact rationals."""
+    return tuple(F(c) for c in coeffs)
 
 
 def simple_spec(h_weight=2, g_weight=1, v_mult=None):
     s = TorusSpace(1)
-    h = WeightModule(s, [(lf(h_weight), 1), (lf(-h_weight), 1)], "h")
-    g = WeightModule(s, [(lf(g_weight), 1), (lf(-g_weight), 1)], "g/h")
+    h = WeightModule(s, [(lf(h_weight), 1), (lf(-h_weight), 1)])
+    g = WeightModule(s, [(lf(g_weight), 1), (lf(-g_weight), 1)])
     v = None
     if v_mult is not None:
-        v = WeightModule(s, [(lf(1), v_mult)], "V") if v_mult > 0 else \
-            WeightModule(s, [(lf(0), 1)], "V")
+        v = WeightModule(s, [(lf(1), v_mult)]) if v_mult > 0 else \
+            WeightModule(s, [(lf(0), 1)])
     return PairSpec(g_module=g, h_module=h, v_module=v)
 
 
@@ -63,16 +64,14 @@ class TestCheck:
                 assert reduced.evidence.symmetry_reduced
                 assert not full.evidence.symmetry_reduced
 
-    def test_spec_echo_carries_metadata(self):
+    def test_spec_metadata_records_family(self):
         spec = build_product_in_sl((2, 2))
-        v = check(spec)
-        assert v.spec_echo["family"] == "product_in_sl"
+        assert spec.metadata["family"] == "product_in_sl"
 
     def test_inconsistent_verdict_rejected(self):
         witness = check(simple_spec()).evidence
         with pytest.raises(ValueError):
-            Verdict(tempered=True, evidence=witness, deficit_summary={},
-                    spec_echo={})
+            Verdict(tempered=True, evidence=witness, deficit_summary={})
 
     def test_witness_replay_mismatch_raises(self, monkeypatch):
         # the package's check() shadows the module temperkit.check
@@ -142,9 +141,9 @@ class TestTensorDictionary:
         assert tensor_product_check(3, 2, 2, 2).tempered
 
     def test_metadata_records_question(self):
-        v = tensor_product_check(1, 2, 2, 4)
-        assert v.spec_echo["question"] == "tensor_product"
-        assert v.spec_echo["variant"] == 1
+        spec = tensor_product_spec(1, 2, 2, 4)
+        assert spec.metadata["question"] == "tensor_product"
+        assert spec.metadata["variant"] == 1
 
 
 def sp_ray_deficit(parts, ks):

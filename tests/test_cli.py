@@ -10,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import temperkit
-from temperkit.check import FAMILIES
+from temperkit import serialize
+from temperkit.check import FAMILIES, check
 from temperkit.cli import main
 from temperkit.generators import BlockPattern, matrix_input_for_block_pattern
 
@@ -94,6 +95,25 @@ class TestCheck:
         code, out, _ = run(capsys, ["check", spec])
         assert code == 0
         assert json.loads(out)["tempered"] is True
+
+    def test_symmetry_wall_vanishing_on_slice(self, tmp_path):
+        # t1 = t2 = 0 on the slice, so the swap of t1 and t2 fixes every
+        # point: its wall t1 - t2 cuts nothing off and is dropped
+        doc = {"space": {"ambient_dim": 3,
+                         "constraints": [["0", "1", "0"], ["0", "0", "1"]]},
+               "h_module": {"weights": [{"form": ["1", "0", "0"], "mult": 1},
+                                        {"form": ["-1", "0", "0"], "mult": 1}]},
+               "g_module": {"weights": [{"form": ["1", "0", "0"], "mult": 3},
+                                        {"form": ["-1", "0", "0"], "mult": 3}]},
+               "symmetry": [{"coords": [1, 2]}]}
+        code, out, err = run_process(["check", write(tmp_path, "s.json",
+                                                     {"pair_spec": doc})])
+        assert code == 0, err
+        got = json.loads(out)
+        full = check(serialize.pair_spec_from_json(doc), use_symmetry=False)
+        assert got["tempered"] is full.tempered is True
+        assert got["evidence"]["symmetry_reduced"] is False
+        assert serialize.recheck_document(got) == []
 
 
 class TestInputErrors:
@@ -213,8 +233,16 @@ class TestSpecErrors:
         (pair_spec([], {"space.constraints": 3}), 2,
          "pair_spec.space.constraints: expected a list"),
         (pair_spec([], {"metadata": 3}), 2, "pair_spec.metadata: expected an object"),
-        (pair_spec([], {"space.coordinate_labels": 7}), 2,
-         "pair_spec.space.coordinate_labels: expected a list"),
+        (pair_spec([], {"space.ambient_dim": 2.9}), 2,
+         "pair_spec.space.ambient_dim: expected an integer"),
+        (pair_spec([], {"space.ambient_dim": "2"}), 2,
+         "pair_spec.space.ambient_dim: expected an integer"),
+        (pair_spec([], {"h_module.weights": [{"form": ["1", "0"], "mult": True}]}),
+         2, "pair_spec.h_module.weights[0].mult: expected an integer"),
+        (matrix_pair(ambient_dim=2.9), 2,
+         "matrix_pair.ambient_dim: expected an integer"),
+        (matrix_pair(ambient_dim="2"), 2,
+         "matrix_pair.ambient_dim: expected an integer"),
         ({"tensor_product": {"variant": 1, "params": [0, 1, 3]}}, 2,
          "tensor_product.params"),
         ({"tensor_product": {"variant": 9, "params": [1, 1, 1]}}, 2,
@@ -240,7 +268,9 @@ class TestSpecErrors:
             "bogus_diagonal_kind", "one_part", "short_signature",
             "so_one_param", "family_not_object", "matrix_pair_not_object",
             "symmetry_not_list", "weights_not_list", "constraints_not_list",
-            "metadata_not_object", "labels_not_list", "tensor_k_zero",
+            "metadata_not_object", "float_ambient_dim", "string_ambient_dim",
+            "bool_mult", "matrix_float_ambient_dim",
+            "matrix_string_ambient_dim", "tensor_k_zero",
             "tensor_unknown_variant", "tensor_two_params",
             "tensor_float_variant", "tensor_bool_variant",
             "tensor_string_variant", "tensor_no_variant",

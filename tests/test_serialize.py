@@ -8,13 +8,9 @@ from temperkit.check import check
 from temperkit.errors import SchemaError
 from temperkit.generators import (TABLE1_PATTERNS, build_sl_block, build_so_pair,
                                   realify)
-from temperkit.model import LinearForm, PLFunction, TorusSpace
+from temperkit.model import TorusSpace
 
 F = Fraction
-
-
-def lf(*coeffs):
-    return LinearForm([F(c) for c in coeffs])
 
 
 class TestRationals:
@@ -36,13 +32,8 @@ class TestRationals:
 
 class TestModelRoundTrips:
     def test_torus_space(self):
-        s = TorusSpace(3, [lf(1, 1, 1)])
+        s = TorusSpace(3, [(1, 1, 1)])
         assert serialize.torus_space_from_json(serialize.torus_space_to_json(s)) == s
-
-    def test_pl_function(self):
-        s = TorusSpace(2)
-        f = PLFunction(s, [(F(3, 2), lf(1, -1))], lf(0, 1))
-        assert serialize.pl_function_from_json(serialize.pl_function_to_json(f)) == f
 
     def test_pair_spec(self):
         spec = build_sl_block(TABLE1_PATTERNS["H4"](2, 2))
@@ -56,10 +47,6 @@ class TestModelRoundTrips:
     def test_schema_errors_carry_paths(self):
         with pytest.raises(SchemaError, match="space.ambient_dim"):
             serialize.torus_space_from_json({"constraints": []}, "space")
-        bad = {"space": {"ambient_dim": 1},
-               "abs_terms": [{"coeff": "1/0", "form": ["1"]}]}
-        with pytest.raises(SchemaError, match="abs_terms\\[0\\].coeff"):
-            serialize.pl_function_from_json(bad, "f")
         with pytest.raises(SchemaError, match="mult"):
             serialize.weight_module_from_json(
                 {"weights": [{"form": ["1"], "mult": 0}]}, TorusSpace(1), "m")
@@ -110,12 +97,22 @@ class TestRecheck:
         assert serialize.recheck_document(doc)
 
     def test_chamber_linear_form_ignored(self):
-        # documents written while the evidence carried "chambers" (each
-        # with a "linear_form"), "lineality" and "antipodal_reduced" still read
+        # documents written while the evidence carried "hyperplanes",
+        # "chambers" (each with a "linear_form"), "lineality" and
+        # "antipodal_reduced", the verdict a "spec_echo", the space
+        # "coordinate_labels" and each module a "name" still read
         doc = self._doc(2, 2)
-        dim = doc["pair_spec"]["space"]["ambient_dim"]
-        for key in ("chambers", "lineality", "antipodal_reduced"):
+        space = doc["pair_spec"]["space"]
+        dim = space["ambient_dim"]
+        for key in ("hyperplanes", "chambers", "lineality", "antipodal_reduced"):
             assert key not in doc["evidence"]
+        assert "spec_echo" not in doc and "coordinate_labels" not in space
+        assert "name" not in doc["pair_spec"]["h_module"]
+        doc["spec_echo"] = dict(doc["pair_spec"]["metadata"])
+        space["coordinate_labels"] = [f"t{i}" for i in range(dim)]
+        doc["pair_spec"]["h_module"]["name"] = "h"
+        doc["pair_spec"]["g_module"]["name"] = "g/h"
+        doc["evidence"]["hyperplanes"] = [["1"] + ["0"] * (dim - 1), "not read"]
         doc["evidence"]["antipodal_reduced"] = True
         doc["evidence"]["lineality"] = [["1"] + ["0"] * (dim - 1)]
         doc["evidence"]["chambers"] = [
@@ -134,7 +131,7 @@ class TestRecheck:
         # the deficit cancels to zero; the +- slice-basis rays, each of
         # value 0, show it, and without them the certificate proves nothing
         v = check(spec)
-        assert v.evidence.hyperplanes == () and spec.space.dim > 0
+        assert v.deficit_summary["hyperplanes"] == 0 and spec.space.dim > 0
         assert not v.evidence.symmetry_reduced
         assert len(v.evidence.rays) == 2 * spec.space.dim
         assert set(v.evidence.ray_values) == {0}

@@ -10,8 +10,8 @@ from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS,
                                   build_classical_in_sl, build_product_in_sl,
                                   build_product_in_sp, build_sl_block,
                                   build_so_pair, realify)
-from temperkit.model import (LinearForm, PLFunction, SymmetryBlock, TorusSpace,
-                             deficit, evaluate_pl)
+from temperkit.model import (PLFunction, SymmetryBlock, TorusSpace, deficit,
+                             evaluate_pl)
 from temperkit.verify import (NonnegCertificate, Witness, _check_symmetry,
                               grid_oracle, is_nonnegative)
 
@@ -19,7 +19,13 @@ F = Fraction
 
 
 def lf(*coeffs):
-    return LinearForm([F(c) for c in coeffs])
+    """A linear form as a tuple of exact rationals."""
+    return tuple(F(c) for c in coeffs)
+
+
+def dot(form, Y) -> Fraction:
+    """form(Y) in plain Fraction arithmetic, independent of evaluate_pl."""
+    return sum((F(c) * F(y) for c, y in zip(form, Y)), F(0))
 
 
 def pl(space, terms, linear=None):
@@ -121,12 +127,13 @@ class TestChambers:
                 for w, ray in zip(weights, cell.rays):
                     for k in range(3):
                         pt[k] += w * ray[k]
-                for h in cert.hyperplanes:
-                    assert h(pt) != 0
+                for _, row in f.terms:
+                    assert dot(row, pt) != 0
                 value = evaluate_pl(f, pt)
                 assert value == sum(
                     w * value_of[ray] for w, ray in zip(weights, cell.rays))
-                assert value == sum((c * abs(a(pt)) for c, a in f.abs_terms), F(0))
+                assert value == sum((c * abs(dot(row, pt)) for c, row in f.terms),
+                                    F(0)) / f.den
 
 
 class TestReductions:
@@ -142,7 +149,7 @@ class TestReductions:
         assert isinstance(is_nonnegative(f), Witness)
         assert isinstance(is_nonnegative(f, symmetry=block), Witness)
         # with every coefficient made positive it is nonnegative
-        g = PLFunction(f.space, [(abs(c), a) for c, a in f.abs_terms])
+        g = PLFunction(f.space, [(F(abs(c), f.den), row) for c, row in f.terms])
         full, reduced = is_nonnegative(g), is_nonnegative(g, symmetry=block)
         assert isinstance(full, NonnegCertificate)
         assert isinstance(reduced, NonnegCertificate)
@@ -166,13 +173,13 @@ def rebuilt_symmetry_check(f, symmetry) -> bool:
     def transformed(perm_sign):
         def map_form(form):
             out = [F(0)] * n
-            for i, c in enumerate(form.coeffs):
+            for i, c in enumerate(form):
                 j, s = perm_sign[i]
                 out[j] += s * c
-            return LinearForm(out)
+            return out
         space = TorusSpace(n, [map_form(c) for c in f.space.constraints])
-        return PLFunction(space, [(c, map_form(a)) for c, a in f.abs_terms],
-                          map_form(f.linear_term))
+        return PLFunction(space, [(F(c, f.den), map_form(row)) for c, row in f.terms],
+                          map_form([F(x, f.den) for x in f.linear]))
 
     idmap = [(i, 1) for i in range(n)]
     for block in symmetry:
@@ -317,7 +324,7 @@ class TestOracleAgreement:
             # plant a term making f negative along `direction`
             val = evaluate_pl(f, direction)
             beta = lf(*direction)
-            drop = F(val + 1) / beta(direction)
+            drop = F(val + 1) / dot(beta, direction)
             f = f + pl(f.space, [(-drop, beta)])
             assert evaluate_pl(f, direction) == F(-1)
             w = is_nonnegative(f)
@@ -352,13 +359,26 @@ class TestGridOracle:
         assert grid_oracle(f, resolution=3) is None
 
     def test_fraction_fallback_matches(self):
-        # huge coefficients force the arbitrary-precision path
+        # coefficients past 2**62 take the Python-int matmul; int64 sums
+        # would overflow and invent or hide negative values
         s = TorusSpace(2)
         big = 2 ** 40
         f = pl(s, [(big, lf(big, 0)), (-big, lf(0, big))])
         w = grid_oracle(f, resolution=2)
         assert w is not None
         assert w.value == evaluate_pl(f, w.direction) < 0
+        assert isinstance(is_nonnegative(f), Witness)
+        # big*(|x| + |y| - |x + y|) + |x - y| >= 0 by the triangle inequality
+        big = 2 ** 70
+        g = pl(s, [(big, lf(1, 0)), (big, lf(0, 1)), (-big, lf(1, 1)), (1, lf(1, -1))])
+        assert isinstance(is_nonnegative(g), NonnegCertificate)
+        assert grid_oracle(g, resolution=3) is None
+        # big*|x| - (big + 1)*|y| is least, -3*(big + 1), at x = 0, |y| = 3
+        g = pl(s, [(big, lf(1, 0)), (-big - 1, lf(0, 1))])
+        w = grid_oracle(g, resolution=3)
+        assert isinstance(is_nonnegative(g), Witness)
+        assert w.value == evaluate_pl(g, w.direction) == -3 * (big + 1)
+        assert w.direction == (0, -3)
 
 
 coeff = st.integers(min_value=-3, max_value=3)
@@ -393,7 +413,7 @@ def test_positive_homogeneity(f, t):
 @settings(max_examples=30, deadline=None)
 @given(pl_functions())
 def test_nonnegative_coefficients_certify(f):
-    g = PLFunction(f.space, [(abs(c), a) for c, a in f.abs_terms])
+    g = PLFunction(f.space, [(F(abs(c), f.den), row) for c, row in f.terms])
     assert isinstance(is_nonnegative(g), NonnegCertificate)
 
 
