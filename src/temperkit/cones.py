@@ -11,9 +11,9 @@ Rays are shared between sibling cones.  Each ray caches its value under
 every inserted constraint plus a bitmask of the constraints it is tight on,
 which makes the combinatorial adjacency test a few integer AND operations.
 
-All vectors here are integer tuples in ambient coordinates; normal vectors
-of hyperplanes are integer tuples as well.  No division ever happens except
-exact gcd normalization.
+All vectors here are integer tuples in the coordinates the slice basis is
+given in; normal vectors of hyperplanes are integer tuples in the same
+coordinates.  No division ever happens except exact gcd normalization.
 """
 
 from __future__ import annotations
@@ -51,13 +51,15 @@ class _Ray:
 class Cell:
     """A full-dimensional cell, given by its extreme rays."""
 
-    rays: tuple[tuple[int, ...], ...]  # integer ambient vectors
+    rays: tuple[tuple[int, ...], ...]  # primitive integer vectors
 
 
 @dataclass
 class CellComplex:
     cells: list[Cell]
     lineality: list[tuple[int, ...]]   # basis of the common lineality space
+    # each ray's exact value under every inserted normal, walls first
+    values: dict[tuple[int, ...], list[int]]
 
 
 def _adjacent(p: _Ray, n: _Ray, rays) -> bool:
@@ -203,7 +205,9 @@ def enumerate_cells(hyperplanes, slice_basis, restrict=()):
         are >= 0 is enumerated.  Used for symmetry-reduced enumeration.
 
     Returns a CellComplex; the lineality basis spans the subspace common to
-    every cell (the slice intersected with all hyperplane kernels).
+    every cell (the slice intersected with all hyperplane kernels), and
+    ``values`` maps each ray to its values under the walls, then the
+    hyperplanes, in order.
     """
     L = [tuple(g) for g in slice_basis]
     cones = [[]]        # each cone is the list of its rays
@@ -217,4 +221,5 @@ def enumerate_cells(hyperplanes, slice_basis, restrict=()):
             cones = _insert_case2(cones, h, k, wall)
 
     cells = [Cell(rays=tuple(r.vec for r in cone)) for cone in cones]
-    return CellComplex(cells=cells, lineality=list(L))
+    values = {r.vec: r.vals for cone in cones for r in cone}
+    return CellComplex(cells=cells, lineality=list(L), values=values)

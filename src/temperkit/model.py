@@ -29,8 +29,9 @@ def _dot(row: Sequence[int], Z: Sequence[int]) -> int:
 
 
 def _integer_row(coeffs) -> tuple[list[int], int]:
-    """(row, d) with row = d * coeffs integral for the least d >= 1, for a
-    sequence of rationals."""
+    """(row, d) with row = d * coeffs integral for the least d >= 1, for an
+    iterable of rationals, read once."""
+    coeffs = tuple(coeffs)
     try:
         d = math.lcm(*(c.denominator for c in coeffs))
     except AttributeError:      # not ints or Fractions: convert exactly

@@ -1,7 +1,8 @@
 """JSON serialization for the exact data model, certificates, and verdicts.
 
-Rationals travel as "num/den" strings (or "num" when integral) so every
-round trip is lossless; integral ones are read back as ints.  Documents
+Integral rationals travel as JSON integers and the others as "num/den"
+strings, so every round trip is lossless; readers also accept integral
+ones written as "num" strings, and read them back as ints.  Documents
 carry a schema_version field.  Parsing errors, including a container of the
 wrong JSON type, raise SchemaError with a JSON-pointer-style location.
 
@@ -29,16 +30,22 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 # rationals
 
-def rational_to_str(x) -> str:
-    return str(x if type(x) in (int, Fraction) else Fraction(x))
+def rational_to_json(x):
+    """x as a JSON integer when it is integral, else as a "num/den" string."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else str(x)
 
 
 def rational_from_str(s, where: str = ""):
-    """An int for an integral value, else a Fraction."""
-    if isinstance(s, int):
-        return int(s)
+    """An int for an integral value, else a Fraction; s is a JSON integer
+    (true and false are not) or a rational string."""
+    if type(s) is int:
+        return s
     if not isinstance(s, str):
-        raise SchemaError(f"{where}: expected rational string, got {type(s).__name__}")
+        raise SchemaError(f"{where}: expected a rational, got {type(s).__name__}")
     try:
         num, _, den = s.partition("/")
         if den == "":
@@ -52,18 +59,26 @@ def rational_from_str(s, where: str = ""):
 
 
 def _vec_to_json(vec):
-    return [rational_to_str(x) for x in vec]
+    return [rational_to_json(x) for x in vec]
 
 
 def _vec_from_json(data, where: str):
-    return tuple(rational_from_str(x, f"{where}[{i}]")
-                 for i, x in enumerate(_expect(data, list, where)))
+    if all(type(x) is int for x in _expect(data, list, where)):
+        return tuple(data)
+    return tuple(rational_from_str(x, f"{where}[{i}]") for i, x in enumerate(data))
 
 
 def _int_from_json(data, where: str) -> int:
     """data, if it is a JSON integer (true and false are not); else SchemaError."""
     if type(data) is not int:
         raise SchemaError(f"{where}: expected an integer")
+    return data
+
+
+def _bool_from_json(data, where: str) -> bool:
+    """data, if it is a JSON boolean; else SchemaError."""
+    if type(data) is not bool:
+        raise SchemaError(f"{where}: expected a boolean")
     return data
 
 
@@ -149,7 +164,8 @@ def pair_spec_from_json(data: dict, where: str = "pair_spec") -> PairSpec:
         if not isinstance(b, dict) or "coords" not in b:
             raise SchemaError(f"{loc}: expected an object with coords")
         coords = _expect(b["coords"], list, f"{loc}.coords")
-        symmetry.append(SymmetryBlock(tuple(coords), bool(b.get("signed", False))))
+        symmetry.append(SymmetryBlock(tuple(coords), _bool_from_json(
+            b.get("signed", False), f"{loc}.signed")))
     try:
         return PairSpec(g_module=g, h_module=h, v_module=v,
                         metadata=dict(_expect(data.get("metadata", {}), dict,
@@ -166,11 +182,11 @@ def evidence_to_json(ev) -> dict:
     if isinstance(ev, Witness):
         return {"kind": "witness",
                 "direction": _vec_to_json(ev.direction),
-                "value": rational_to_str(ev.value)}
+                "value": rational_to_json(ev.value)}
     if isinstance(ev, NonnegCertificate):
         return {"kind": "certificate",
                 "rays": [_vec_to_json(r) for r in ev.rays],
-                "ray_values": [rational_to_str(v) for v in ev.ray_values],
+                "ray_values": _vec_to_json(ev.ray_values),
                 "symmetry_reduced": ev.symmetry_reduced}
     raise TypeError(f"not evidence: {type(ev).__name__}")
 
@@ -179,23 +195,19 @@ def evidence_from_json(data: dict, where: str = "evidence"):
     if not isinstance(data, dict) or "kind" not in data:
         raise SchemaError(f"{where}: expected an object with a kind")
     kind = data["kind"]
-
-    def entries(key):
-        return enumerate(_expect(data.get(key, []), list, f"{where}.{key}"))
-
     if kind == "witness":
         return Witness(direction=_vec_from_json(data.get("direction", []),
                                                 f"{where}.direction"),
                        value=rational_from_str(data.get("value", ""),
                                                f"{where}.value"))
     if kind == "certificate":
-        rays = tuple(_vec_from_json(r, f"{where}.rays[{i}]")
-                     for i, r in entries("rays"))
-        values = tuple(rational_from_str(v, f"{where}.ray_values[{i}]")
-                       for i, v in entries("ray_values"))
+        rays = tuple(_vec_from_json(r, f"{where}.rays[{i}]") for i, r in
+                     enumerate(_expect(data.get("rays", []), list, f"{where}.rays")))
+        values = _vec_from_json(data.get("ray_values", []), f"{where}.ray_values")
         return NonnegCertificate(rays=rays, ray_values=values,
-                                 symmetry_reduced=bool(
-                                     data.get("symmetry_reduced", False)))
+                                 symmetry_reduced=_bool_from_json(
+                                     data.get("symmetry_reduced", False),
+                                     f"{where}.symmetry_reduced"))
     raise SchemaError(f"{where}.kind: unknown kind {kind!r}")
 
 

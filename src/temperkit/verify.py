@@ -1,21 +1,24 @@
 """Global nonnegativity decision for homogeneous piecewise-linear functions.
 
-A PLFunction is linear on each full-dimensional cell of the arrangement of
-its absolute-value hyperplanes, so it is nonnegative on a cell exactly when
-it is nonnegative on the cell's extreme rays and on the common lineality
-space.  Enumerating the cells and checking ray values therefore decides
-global nonnegativity exactly, yielding either a replayable certificate (the
-rays and their values) or an explicit direction where the function is
-negative.
+A PLFunction sum c*|row.Y| + ell(Y) is concave on each full-dimensional
+cell of the arrangement of its hyperplanes with c > 0: there the terms with
+c > 0 are linear and those with c < 0 are concave everywhere.  Being also
+positively homogeneous, it is superadditive on the cell, so it is
+nonnegative there exactly when it is nonnegative on the cell's extreme rays
+and on the common lineality space.  Enumerating the cells and checking ray
+values therefore decides global nonnegativity exactly, yielding either a
+replayable certificate (the rays and their values) or an explicit
+direction where the function is negative.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cones import Cell, CellComplex, enumerate_cells
+from .cones import enumerate_cells
 from .errors import SymmetryError
 from .model import (PLFunction, SymmetryBlock, _canonical_terms,
                     _check_symmetry_coords, _dot, evaluate_pl)
@@ -25,9 +28,11 @@ from .model import (PLFunction, SymmetryBlock, _canonical_terms,
 class NonnegCertificate:
     """Proof that f >= 0: its value at every listed ray is >= 0.
 
-    The rays are the extreme rays of the cells of f's arrangement, followed
-    by the +- generators of their common lineality space, so f is a
-    nonnegative combination of ray values at every point they cover.
+    The rays are the extreme rays of the cells of the arrangement of f's
+    hyperplanes with a positive coefficient, followed by the +- generators
+    of their common lineality space.  f is concave on each cell, so at every
+    point the rays cover it is at least a nonnegative combination of ray
+    values.
     ``symmetry_reduced`` means the rays cover one fundamental domain of the
     declared symmetry only; when it is false they cover the whole slice.
     ``chamber_count`` counts the cells enumerated; it is not part of the proof.
@@ -69,21 +74,22 @@ def _restricted(f: PLFunction, vectors):
                              for c, row in f.terms))
 
 
-def _check_symmetry(f: PLFunction, symmetry: Sequence[SymmetryBlock]) -> None:
+def _check_symmetry(f: PLFunction, symmetry: Sequence[SymmetryBlock],
+                    restricted) -> None:
     """Verify f is invariant under the generators of the symmetry group.
 
-    The generators of a block are the transpositions of its adjacent
-    coordinates and, when it is signed, the sign flip of its last
-    coordinate.  Each generator s maps the slice basis b_j to s(b_j).  As s
-    is invertible, it preserves the slice exactly when every constraint row
-    vanishes on each s(b_j); then f o s = f exactly when f restricted to the
-    images s(b_j) equals f restricted to the basis (see _canonical_terms).
+    ``restricted`` is _restricted(f, slice basis).  The generators of a
+    block are the transpositions of its adjacent coordinates and, when it
+    is signed, the sign flip of its last coordinate.  Each generator s maps
+    the slice basis b_j to s(b_j).  As s is invertible, it preserves the
+    slice exactly when every constraint row vanishes on each s(b_j); then
+    f o s = f exactly when f restricted to the images s(b_j) equals f
+    restricted to the basis (see _canonical_terms).
     Raises SymmetryError naming the block, for bad coords or a failing generator.
     """
     space = f.space
     _check_symmetry_coords(symmetry, space.ambient_dim)
     basis = space.slice_basis()
-    expected = _restricted(f, basis)
     for i, block in enumerate(symmetry):
         c = block.coords
         # (a, b, s) maps Y to Y' with Y'[a] = s*Y[b] and Y'[b] = s*Y[a]
@@ -102,7 +108,7 @@ def _check_symmetry(f: PLFunction, symmetry: Sequence[SymmetryBlock]) -> None:
             if any(_dot(row, w) for row in space.rows for w in images):
                 raise SymmetryError(f"{where}: {name} does not preserve "
                                     "the torus slice")
-            if _restricted(f, images) != expected:
+            if _restricted(f, images) != restricted:
                 raise SymmetryError(f"{where}: the function is not invariant "
                                     f"under {name}")
 
@@ -115,38 +121,57 @@ def is_nonnegative(f: PLFunction, symmetry: Sequence[SymmetryBlock] = ()):
     invariant under the declared group; it changes only the certificate
     size, never the verdict.  A purely linear f is decided on the whole
     slice: its +- slice-basis rays show whether it vanishes.
-    """
-    basis = f.space.slice_basis()
-    restrict: Sequence = ()
-    if symmetry:
-        _check_symmetry(f, symmetry)
-        # a wall that vanishes on the slice cuts nothing off: the generator
-        # it belongs to fixes every point of the slice
-        restrict = [w for w in _dominant_restrict(symmetry, f.space.ambient_dim)
-                    if any(_dot(w, v) for v in basis)]
-    if f.terms:
-        complex_ = enumerate_cells([row for _, row in f.terms], basis,
-                                   restrict=restrict)
-    else:
-        # f is linear: the whole slice is one cell without rays, and f >= 0
-        # exactly when f = 0, which its +- slice-basis values show
-        complex_ = CellComplex(cells=[Cell(rays=())], lineality=list(basis))
-        restrict = ()
-    # f restricted to the lineality space is linear; its +- generators
-    # follow the cell rays so the certificate is self-contained
-    rays = list(dict.fromkeys(vec for cell in complex_.cells for vec in cell.rays))
-    for g in complex_.lineality:
-        rays += [g, tuple(-x for x in g)]
-    ray_values = [evaluate_pl(f, r) for r in rays]
 
-    worst = None
-    for vec, val in zip(rays, ray_values):
-        if val < 0 and (worst is None or (val, vec) < worst):
-            worst = (val, vec)
+    The cells are enumerated in slice coordinates y, with f.den*f =
+    linear.y + sum c*|row.y|, and cut by the walls and the rows with c > 0
+    only; the rays are lifted to primitive ambient vectors at the end.
+    """
+    space = f.space
+    basis = space.slice_basis()
+    linear, terms = _restricted(f, basis)
+    walls: Sequence = ()
+    if symmetry:
+        _check_symmetry(f, symmetry, (linear, terms))
+        if terms:
+            # a wall that vanishes on the slice cuts nothing off: the
+            # generator it belongs to fixes every point of the slice
+            walls = [w for w in ([_dot(n, v) for v in basis] for n in
+                                 _dominant_restrict(symmetry, space.ambient_dim))
+                     if any(w)]
+    positive = [(c, row) for c, row in terms if c > 0]
+    negative = [(c, row) for c, row in terms if c < 0]
+    d = len(basis)
+    complex_ = enumerate_cells([row for _, row in positive],
+                               [tuple(int(i == j) for j in range(d)) for i in range(d)],
+                               restrict=walls)
+    columns = list(zip(*basis))
+    skip = len(walls)
+
+    def lifted(y, positive_vals):
+        """The primitive ambient vector along y and f's value there, given
+        the values of the positive rows at y."""
+        Y = [_dot(col, y) for col in columns]
+        g = math.gcd(*Y)
+        total = (_dot(linear, y)
+                 + sum(c * abs(v) for (c, _), v in zip(positive, positive_vals))
+                 + sum(c * abs(_dot(row, y)) for c, row in negative))
+        return tuple(x // g for x in Y), Fraction(total, f.den * g)
+
+    values = complex_.values
+    evaluated = [lifted(y, values[y][skip:])
+                 for y in dict.fromkeys(y for cell in complex_.cells for y in cell.rays)]
+    # every inserted row vanishes on the lineality space, so f is concave
+    # there too; its +- generators follow the cell rays so the certificate
+    # is self-contained
+    for y in complex_.lineality:
+        evaluated += [lifted(y, ()), lifted(tuple(-x for x in y), ())]
+
+    worst = min(((val, vec) for vec, val in evaluated if val < 0), default=None)
     if worst is not None:
         return Witness(direction=worst[1], value=worst[0])
-    return NonnegCertificate(rays=tuple(rays), ray_values=tuple(ray_values),
-                             symmetry_reduced=bool(restrict),
+    return NonnegCertificate(rays=tuple(vec for vec, _ in evaluated),
+                             ray_values=tuple(val for _, val in evaluated),
+                             symmetry_reduced=bool(walls),
                              chamber_count=len(complex_.cells))
 
 

@@ -321,7 +321,7 @@ class TestCriterion12CertificateRoundTrip:
                 mutated = json.loads(path.read_text())
                 bumped = serialize.rational_from_str(values[i]) + 1
                 mutated["evidence"]["ray_values"][i] = \
-                    serialize.rational_to_str(bumped)
+                    serialize.rational_to_json(bumped)
                 target = tmp_path / "mutated.json"
                 target.write_text(json.dumps(mutated))
                 code = cli_main(["recheck", str(target)])

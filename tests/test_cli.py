@@ -264,6 +264,13 @@ class TestSpecErrors:
          "tensor_product.params"),
         ({"tensor_product": [1, [2, 2, 4]]}, 2,
          "tensor_product: expected an object"),
+        # a JSON true is not the rational 1, nor "no" a boolean
+        (pair_spec([], {"h_module.weights": [{"form": [True, "0"], "mult": 1}]}), 2,
+         "pair_spec.h_module.weights[0].form[0]: expected a rational, got bool"),
+        (pair_spec([], {"space.constraints": [[True, 1]]}), 2,
+         "pair_spec.space.constraints[0][0]: expected a rational, got bool"),
+        (pair_spec([{"coords": [0], "signed": "no"}]), 2,
+         "pair_spec.symmetry[0].signed: expected a boolean"),
     ], ids=["undeclared_symmetry", "non_integer_coord", "coord_out_of_range",
             "bogus_diagonal_kind", "one_part", "short_signature",
             "so_one_param", "family_not_object", "matrix_pair_not_object",
@@ -275,7 +282,8 @@ class TestSpecErrors:
             "tensor_float_variant", "tensor_bool_variant",
             "tensor_string_variant", "tensor_no_variant",
             "tensor_string_params", "tensor_float_param", "tensor_bool_param",
-            "tensor_not_object"])
+            "tensor_not_object", "bool_form_entry", "bool_constraint_entry",
+            "string_signed"])
     def test_exit_code_without_traceback(self, tmp_path, payload, code, where):
         spec = write(tmp_path, "s.json", payload)
         got, _, err = run_process(["check", spec])

@@ -76,6 +76,18 @@ class TestCanonicalForm:
         with pytest.raises(ConstraintViolationError):
             evaluate_pl(f, (1, 1))
 
+    def test_iterator_inputs_read_once(self):
+        # forms given as one-shot iterators, of ints and of Fractions, read
+        # as the same tuples do
+        s = TorusSpace(3, [iter((1, 1, 1))])
+        assert s == TorusSpace(3, [(1, 1, 1)])
+        M = WeightModule(s, [(iter((1, -1, 0)), 2), (iter(lf(0, 1, -1)), 1)])
+        assert M == WeightModule(s, [((1, -1, 0), 2), (lf(0, 1, -1), 1)])
+        f = PLFunction(s, [(1, iter(lf("1/2", 0, 0))), (2, iter((0, 1, 0)))],
+                       iter((1, 0, 0)))
+        assert f == PLFunction(s, [(1, lf("1/2", 0, 0)), (2, (0, 1, 0))], (1, 0, 0))
+        assert evaluate_pl(f, (1, 1, -2)) == F(7, 2)
+
 
 class TestTorusSpace:
     def test_plain(self):

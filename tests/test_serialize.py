@@ -16,7 +16,7 @@ F = Fraction
 class TestRationals:
     def test_round_trip(self):
         for x in [F(0), F(3), F(-7, 2), F(10 ** 30, 7)]:
-            assert serialize.rational_from_str(serialize.rational_to_str(x)) == x
+            assert serialize.rational_from_str(serialize.rational_to_json(x)) == x
 
     def test_integer_accepted(self):
         assert serialize.rational_from_str(5) == F(5)
@@ -28,6 +28,15 @@ class TestRationals:
             serialize.rational_from_str("2/x", "here")
         with pytest.raises(SchemaError):
             serialize.rational_from_str(1.5, "here")
+        for flag in (True, False):
+            with pytest.raises(SchemaError, match="here: expected a rational, got bool"):
+                serialize.rational_from_str(flag, "here")
+
+    def test_integral_values_are_json_integers(self):
+        assert serialize._vec_to_json((3, F(4), F(-7, 2), -1)) == [3, 4, "-7/2", -1]
+        back = serialize._vec_from_json([3, 4, "-7/2", "-1"], "v")
+        assert back == (3, 4, F(-7, 2), -1)
+        assert [type(x) for x in back] == [int, int, F, int]
 
 
 class TestModelRoundTrips:
@@ -86,7 +95,7 @@ class TestRecheck:
         doc = self._doc(2, 2)
         values = doc["evidence"]["ray_values"]
         original = values[0]
-        values[0] = serialize.rational_to_str(
+        values[0] = serialize.rational_to_json(
             serialize.rational_from_str(original) + 1)
         problems = serialize.recheck_document(doc)
         assert any("ray 0" in p for p in problems)
@@ -139,6 +148,29 @@ class TestRecheck:
         assert serialize.recheck_document(doc) == []
         doc["evidence"]["rays"] = doc["evidence"]["ray_values"] = []
         assert serialize.recheck_document(doc) == ["certificate has no rays"]
+
+    def test_bool_rational_rejected(self):
+        # a JSON true is not the rational 1, in the spec or in the evidence
+        doc = self._doc(2, 2)
+        rows = doc["pair_spec"]["space"]["constraints"]
+        assert any(1 in row for row in rows)
+        doc["pair_spec"]["space"]["constraints"] = [
+            [True if x in (1, "1") else x for x in row] for row in rows]
+        with pytest.raises(SchemaError,
+                           match=r"pair_spec\.space\.constraints\[0\]\[0\]: "
+                                 "expected a rational"):
+            serialize.recheck_document(doc)
+        doc = self._doc(2, 2)
+        doc["evidence"]["rays"][0][0] = True
+        with pytest.raises(SchemaError, match=r"evidence\.rays\[0\]\[0\]"):
+            serialize.recheck_document(doc)
+
+    def test_symmetry_reduced_must_be_boolean(self):
+        doc = self._doc(2, 2)
+        doc["evidence"]["symmetry_reduced"] = "no"
+        with pytest.raises(SchemaError,
+                           match=r"evidence\.symmetry_reduced: expected a boolean"):
+            serialize.recheck_document(doc)
 
     def test_missing_spec_reported(self):
         doc = self._doc(2, 2)

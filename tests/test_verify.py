@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS,
 from temperkit.model import (PLFunction, SymmetryBlock, TorusSpace, deficit,
                              evaluate_pl)
 from temperkit.verify import (NonnegCertificate, Witness, _check_symmetry,
-                              grid_oracle, is_nonnegative)
+                              _restricted, grid_oracle, is_nonnegative)
 
 F = Fraction
 
@@ -75,10 +77,26 @@ class TestKnownCases:
         assert isinstance(w, Witness)
         assert evaluate_pl(f, w.direction) == w.value < 0
 
+    def test_lifted_rays_primitive(self):
+        # the slice basis of 2x + y + z = 0 is (-1, 2, 0), (-1, 0, 2), so the
+        # slice ray (1, 1) lifts to (-2, 2, 2); the certificate lists its
+        # primitive vector (-1, 1, 1) with f's value there
+        s = TorusSpace(3, [lf(2, 1, 1)])
+        f = pl(s, [(1, lf(0, 1, -1)), (1, lf(1, 0, 0)), (F(-1, 4), lf(0, 1, 1))])
+        cert = is_nonnegative(f)
+        assert isinstance(cert, NonnegCertificate)
+        assert (-1, 1, 1) in cert.rays
+        for ray, value in zip(cert.rays, cert.ray_values):
+            assert math.gcd(*ray) == 1
+            assert evaluate_pl(f, ray) == value
+        # |y - z| - |x| is -1 there
+        w = is_nonnegative(pl(s, [(1, lf(0, 1, -1)), (-1, lf(1, 0, 0))]))
+        assert w == Witness(direction=(-1, 1, 1), value=F(-1))
 
-def cells(normals, space):
+
+def cells(normals, space, restrict=()):
     """The cell complex of the integer hyperplane normals on the slice."""
-    return enumerate_cells(normals, space.slice_basis())
+    return enumerate_cells(normals, space.slice_basis(), restrict=restrict)
 
 
 class TestChambers:
@@ -100,40 +118,78 @@ class TestChambers:
         assert len(complex_.lineality) == 2
 
     def test_chamber_linearization_matches_function(self):
-        # what makes a ray certificate sound: no hyperplane of f vanishes
-        # inside a cell, so f is linear on it and the values at the cell's
-        # rays, all listed in the certificate, determine f there
+        # what makes a ray certificate sound: only the hyperplanes with a
+        # positive coefficient cut cells, so f is concave on each cell and,
+        # at a positive combination of the cell's rays, at least that
+        # combination of the ray values listed in the certificate
         rng = random.Random(7)
         s = TorusSpace(3, [lf(1, 1, 1)])
-        cases = [
-            [(2, lf(1, -1, 0)), (-1, lf(0, 1, -1)), (3, lf(1, 0, -1))],
-            # non-primitive and rational forms, two of them on one hyperplane:
-            # 2|x-y| + (1/2)|y-z| + 4|y-z| - |x-z| >= 0
-            [(1, lf(2, -2, 0)), (F(1, 3), lf(0, "3/2", "-3/2")),
-             (-1, lf(1, 0, -1)), (1, lf(0, 4, -4))],
-        ]
-        for terms in cases:
+        strict = 0
+        for terms in LINEARIZATION_CASES:
             f = pl(s, terms)
             cert = is_nonnegative(f)
             assert isinstance(cert, NonnegCertificate)
             value_of = dict(zip(cert.rays, cert.ray_values))
-            complex_ = cells([row for _, row in f.terms], s)
+            complex_ = cells([row for c, row in f.terms if c > 0], s)
             assert len(complex_.cells) == cert.chamber_count
             assert all(cell.rays for cell in complex_.cells)
             for cell in complex_.cells:
-                # random interior point: positive combination of the rays
-                weights = [rng.randint(1, 5) for _ in cell.rays]
-                pt = [F(0)] * 3
-                for w, ray in zip(weights, cell.rays):
-                    for k in range(3):
-                        pt[k] += w * ray[k]
+                weights, pt = interior_point(rng, cell)
+                for c, row in f.terms:
+                    assert c < 0 or dot(row, pt) != 0
+                value = evaluate_pl(f, pt)
+                lower = sum(w * value_of[ray] for w, ray in zip(weights, cell.rays))
+                assert value >= lower
+                strict += value > lower
+        # a negative hyperplane crosses some cell, so the bound is not vacuous
+        assert strict
+
+    def test_full_arrangement_linearizes_function(self):
+        # on a cell of every hyperplane of f no abs term changes sign, so f
+        # is linear there: its value at a positive combination of the
+        # cell's rays is that combination of the ray values
+        rng = random.Random(8)
+        s = TorusSpace(3, [lf(1, 1, 1)])
+        for terms in LINEARIZATION_CASES:
+            f = pl(s, terms)
+            complex_ = cells([row for _, row in f.terms], s)
+            assert len(complex_.cells) == 6
+            for cell in complex_.cells:
+                weights, pt = interior_point(rng, cell)
                 for _, row in f.terms:
                     assert dot(row, pt) != 0
                 value = evaluate_pl(f, pt)
-                assert value == sum(
-                    w * value_of[ray] for w, ray in zip(weights, cell.rays))
+                assert value == sum(w * evaluate_pl(f, ray)
+                                    for w, ray in zip(weights, cell.rays))
                 assert value == sum((c * abs(dot(row, pt)) for c, row in f.terms),
                                     F(0)) / f.den
+
+    def test_ray_values_listed(self):
+        complex_ = cells([(1, -1, 0), (0, 1, -1)], TorusSpace(3, [lf(1, 1, 1)]),
+                         restrict=[(1, 0, -1)])
+        rays = {ray for cell in complex_.cells for ray in cell.rays}
+        assert set(complex_.values) == rays
+        for ray, vals in complex_.values.items():
+            assert vals == [dot(h, ray) for h in [(1, 0, -1), (1, -1, 0), (0, 1, -1)]]
+
+
+LINEARIZATION_CASES = [
+    [(2, lf(1, -1, 0)), (-1, lf(0, 1, -1)), (3, lf(1, 0, -1))],
+    # non-primitive and rational forms, two of them on one hyperplane:
+    # 2|x-y| + (1/2)|y-z| + 4|y-z| - |x-z| >= 0
+    [(1, lf(2, -2, 0)), (F(1, 3), lf(0, "3/2", "-3/2")),
+     (-1, lf(1, 0, -1)), (1, lf(0, 4, -4))],
+]
+
+
+def interior_point(rng, cell):
+    """Random positive weights on the cell's rays and their combination."""
+    weights = [rng.randint(1, 5) for _ in cell.rays]
+    pt = [F(0)] * len(cell.rays[0])
+    for w, ray in zip(weights, cell.rays):
+        for k, x in enumerate(ray):
+            pt[k] += w * x
+    return weights, pt
 
 
 class TestReductions:
@@ -200,9 +256,13 @@ def rebuilt_symmetry_check(f, symmetry) -> bool:
     return True
 
 
+def check_symmetry(f, symmetry) -> None:
+    _check_symmetry(f, symmetry, _restricted(f, f.space.slice_basis()))
+
+
 def accepts(f, symmetry) -> bool:
     try:
-        _check_symmetry(f, symmetry)
+        check_symmetry(f, symmetry)
     except SymmetryError:
         return False
     return True
@@ -259,7 +319,7 @@ class TestSymmetryCheck:
         with pytest.raises(SymmetryError,
                            match=r"symmetry\[0\] \(coords \[1, 2\]\): the swap "
                                  r"of coordinates 1 and 2 does not preserve"):
-            _check_symmetry(f, block)
+            check_symmetry(f, block)
 
     def test_proportional_abs_forms_merge(self):
         # |2x| + 2|y| - |x + y| is symmetric in (x, y); PLFunction holds
@@ -272,7 +332,7 @@ class TestSymmetryCheck:
         # |2x| + |y| = 2|x| + |y| is not
         g = pl(s, [(1, lf(2, 0)), (1, lf(0, 1))])
         with pytest.raises(SymmetryError, match="not invariant under the swap"):
-            _check_symmetry(g, block)
+            check_symmetry(g, block)
 
     def test_bad_coords_in_direct_call(self):
         f = pl(TorusSpace(2), [(1, lf(1, 0)), (1, lf(0, 1))])
@@ -289,7 +349,7 @@ class TestSymmetryCheck:
         assert not rebuilt_symmetry_check(g, block)
         with pytest.raises(SymmetryError,
                            match="not invariant under the sign flip of coordinate 1"):
-            _check_symmetry(g, block)
+            check_symmetry(g, block)
 
 
 def random_pl(rng: random.Random, dim: int, n_terms: int) -> PLFunction:
@@ -428,3 +488,103 @@ def test_certificate_rays_cover_sign(f):
         assert result.value < 0
     if found is not None:
         assert found.value == evaluate_pl(f, found.direction) < 0
+
+
+def reference_nonnegative(f) -> bool:
+    """f >= 0 decided without the convex arrangement: every row of f cuts
+    the whole slice, and evaluate_pl runs at every ray and at the +-
+    lineality generators."""
+    complex_ = enumerate_cells([row for _, row in f.terms], f.space.slice_basis())
+    rays = {ray for cell in complex_.cells for ray in cell.rays}
+    for g in complex_.lineality:
+        rays |= {g, tuple(-x for x in g)}
+    return all(evaluate_pl(f, ray) >= 0 for ray in rays)
+
+
+def block_orbit(form, block):
+    """The images of form under every element of the block's group: the
+    permutations of its coordinates and, if it is signed, their sign
+    changes, one image per element."""
+    coords = block.coords
+    signs = (itertools.product((1, -1), repeat=len(coords)) if block.signed
+             else [(1,) * len(coords)])
+    out = []
+    for sign in signs:
+        for perm in itertools.permutations(coords):
+            image = list(form)
+            for a, b, s in zip(coords, perm, sign):
+                image[b] = s * form[a]
+            out.append(image)
+    return out
+
+
+@st.composite
+def mixed_pl_functions(draw, symmetric):
+    """(f, symmetry): f has mixed-sign rational coefficients, on a free or a
+    trace-zero space; when symmetric, f is summed over the group of a
+    random block, which is returned with it.  A triangle group
+    c|a| + c|b| - c'|a + b| with 0 < c' <= c is nonnegative, so mixed-sign
+    certificates occur as well as witnesses."""
+    dim = draw(st.integers(min_value=2 if symmetric else 1, max_value=3))
+    symmetry = ()
+    if symmetric:
+        k = draw(st.integers(min_value=2, max_value=dim))
+        symmetry = (SymmetryBlock(tuple(range(dim - k, dim)), signed=draw(st.booleans())),)
+    trace = (dim > 1 and draw(st.booleans())
+             and not (symmetric and (symmetry[0].signed or len(symmetry[0].coords) < dim)))
+    space = TorusSpace(dim, [lf(*[1] * dim)] if trace else [])
+
+    def form():
+        return [draw(coeff) for _ in range(dim)]
+
+    terms = [(draw(rational), form())
+             for _ in range(draw(st.integers(min_value=0, max_value=3)))]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        a, b = form(), form()
+        c = draw(st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4))
+        terms += [(c, a), (c, b),
+                  (-c * draw(st.sampled_from([F(1, 2), F(1)])),
+                   [x + y for x, y in zip(a, b)])]
+    if symmetric:
+        terms = [(c, image) for c, row in terms for image in block_orbit(row, symmetry[0])]
+    linear = None
+    if not symmetric and draw(st.booleans()):
+        linear = form()
+    return pl(space, terms, linear), symmetry
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "symmetric"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_convex_arrangement_matches_full_enumeration(symmetric, data):
+    f, symmetry = data.draw(mixed_pl_functions(symmetric))
+    result = is_nonnegative(f, symmetry)
+    assert isinstance(result, NonnegCertificate) == reference_nonnegative(f)
+    if isinstance(result, Witness):
+        assert evaluate_pl(f, result.direction) == result.value < 0
+    else:
+        assert [evaluate_pl(f, ray) for ray in result.rays] == list(result.ray_values)
+        assert result.symmetry_reduced == bool(symmetry and f.terms)
+
+
+@pytest.mark.parametrize("spec", [
+    build_sl_block(TABLE1_PATTERNS["H4"](3, 2)),
+    build_sl_block(TABLE1_PATTERNS["H2"](2, 2)),
+    build_sl_block(TABLE2_PATTERNS["H10"](2, 1, 2)),
+    build_so_pair(3, 1, 2, 2),
+    realify(build_product_in_sl((2, 2))),
+], ids=["table1_H4_3_2", "table1_H2_2_2", "table2_H10_2_1_2", "so_3_1_2_2",
+        "realified_sl_2_2"])
+def test_certificate_values_are_function_values(spec):
+    # each recorded value is f at its ray, read off the enumeration in
+    # slice coordinates and checked here by ambient evaluation
+    f = deficit(spec)
+    for symmetry in ((), spec.symmetry):
+        result = is_nonnegative(f, symmetry)
+        if isinstance(result, Witness):
+            assert evaluate_pl(f, result.direction) == result.value < 0
+            continue
+        assert result.rays
+        for ray, value in zip(result.rays, result.ray_values):
+            assert all(type(x) is int for x in ray) and math.gcd(*ray) == 1
+            assert evaluate_pl(f, ray) == value >= 0
