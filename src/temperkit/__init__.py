@@ -13,14 +13,14 @@ from .check import (Verdict, ScanPoint, ScanReport, check, scan_family,
 from .errors import (TemperkitError, ArityError, ConstraintViolationError,
                      SpaceMismatchError, BracketClosureError,
                      DecompositionError, NonSplitError, SchemaError,
-                     BasisError, ContainmentError, SymmetryError)
+                     BasisError, ContainmentError)
 from .generators import (BlockPattern, MatrixPairInput, TABLE1_PATTERNS,
                          TABLE2_PATTERNS, build_sl_block, build_product_in_sl,
                          build_product_in_sp, build_so_pair,
                          build_classical_in_sl, realify, extract_weights,
                          example_sp21_input)
-from .model import (TorusSpace, WeightModule, PLFunction, SymmetryBlock,
-                    PairSpec, evaluate_pl, rho_function, deficit)
+from .model import (TorusSpace, WeightModule, PLFunction, PairSpec,
+                    evaluate_pl, rho_function, deficit)
 from .verify import NonnegCertificate, Witness, is_nonnegative, grid_oracle
 
 __version__ = "0.1.0"
@@ -33,13 +33,12 @@ __all__ = [
     "TemperkitError", "ArityError", "ConstraintViolationError",
     "SpaceMismatchError", "BracketClosureError", "DecompositionError",
     "NonSplitError", "SchemaError", "BasisError", "ContainmentError",
-    "SymmetryError",
     "BlockPattern", "MatrixPairInput", "TABLE1_PATTERNS", "TABLE2_PATTERNS",
     "build_sl_block", "build_product_in_sl", "build_product_in_sp",
     "build_so_pair", "build_classical_in_sl", "realify", "extract_weights",
     "example_sp21_input",
-    "TorusSpace", "WeightModule", "PLFunction", "SymmetryBlock",
-    "PairSpec", "evaluate_pl", "rho_function", "deficit",
+    "TorusSpace", "WeightModule", "PLFunction", "PairSpec",
+    "evaluate_pl", "rho_function", "deficit",
     "NonnegCertificate", "Witness", "is_nonnegative", "grid_oracle",
     "__version__",
 ]

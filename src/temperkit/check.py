@@ -29,15 +29,14 @@ class Verdict:
 def check(spec: PairSpec, use_symmetry: bool = True) -> Verdict:
     """Decide the temperedness inequality for a pair, with exact evidence.
 
-    The symmetry group declared on the spec is verified at run time (a
-    false declaration raises SymmetryError) and restricts the enumeration
-    to one fundamental domain; it changes certificate size, never the
-    verdict.  use_symmetry=False enumerates the whole slice instead, as a
-    reference.
+    The deficit is invariant under the restricted Weyl group of h, so the
+    enumeration covers one chamber of the reflections in the roots of h
+    that it is verified invariant under (verify._chamber_walls); that
+    changes certificate size, never the verdict.  With use_symmetry false
+    it enumerates the whole slice instead, as a reference.
     """
     f = deficit(spec)
-    symmetry = spec.symmetry if use_symmetry else ()
-    evidence = is_nonnegative(f, symmetry=symmetry)
+    evidence = is_nonnegative(f, spec if use_symmetry else None)
     summary = {"hyperplanes": len(f.terms),
                "torus_dim": f.space.dim}
     if isinstance(evidence, NonnegCertificate):
@@ -283,7 +282,7 @@ def tensor_product_spec(variant: int, *params: int) -> PairSpec:
         meta = {"question": "tensor_product", "variant": 3, "a": a, "b": b, "c": c}
     spec = build_sl_block(pattern)
     return PairSpec(g_module=spec.g_module, h_module=spec.h_module,
-                    metadata={**spec.metadata, **meta}, symmetry=spec.symmetry)
+                    metadata={**spec.metadata, **meta})
 
 
 def tensor_product_check(variant: int, *params: int) -> Verdict:

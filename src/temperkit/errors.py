@@ -37,9 +37,5 @@ class NonSplitError(TemperkitError, ValueError):
     """A matrix direction is not diagonalizable with real eigenvalues."""
 
 
-class SymmetryError(TemperkitError, ValueError):
-    """A declared symmetry block is malformed, or the data lacks that symmetry."""
-
-
 class SchemaError(TemperkitError, ValueError):
     """A serialized document does not match the JSON schema."""

@@ -19,7 +19,7 @@ from typing import Sequence
 from . import linalg
 from .errors import (BasisError, BracketClosureError, ContainmentError,
                      DecompositionError)
-from .model import PairSpec, SymmetryBlock, TorusSpace, WeightModule
+from .model import PairSpec, TorusSpace, WeightModule
 
 # Weights and constraints are integer rows: tuples of ints, one per ambient
 # coordinate.
@@ -175,16 +175,12 @@ def build_sl_block(pattern: BlockPattern) -> PairSpec:
     if any(m < 0 for m in g_counter.values()):
         raise ValueError("subalgebra multiset exceeds sl(n)")
 
-    symmetry = tuple(SymmetryBlock(tuple(blk), signed=False)
-                     for blk, kind in zip(blocks, pattern.diagonal_kind)
-                     if kind == "full" and len(blk) > 1)
     return PairSpec(
         g_module=_module(space, g_counter),
         h_module=_module(space, h_counter),
         metadata={"family": "sl_block", "sizes": list(pattern.sizes),
                   "diagonal_kind": list(pattern.diagonal_kind),
-                  "upper_blocks": sorted(pattern.upper_blocks)},
-        symmetry=symmetry)
+                  "upper_blocks": sorted(pattern.upper_blocks)})
 
 
 def build_product_in_sl(parts: Sequence[int]) -> PairSpec:
@@ -197,8 +193,7 @@ def build_product_in_sl(parts: Sequence[int]) -> PairSpec:
     pattern = BlockPattern(tuple(parts), ("full",) * len(parts))
     spec = build_sl_block(pattern)
     return PairSpec(g_module=spec.g_module, h_module=spec.h_module,
-                    metadata={"family": "product_in_sl", "parts": parts},
-                    symmetry=spec.symmetry)
+                    metadata={"family": "product_in_sl", "parts": parts})
 
 
 def build_product_in_sp(parts: Sequence[int]) -> PairSpec:
@@ -227,12 +222,10 @@ def build_product_in_sp(parts: Sequence[int]) -> PairSpec:
     g_counter.subtract(h_counter)
     if any(m < 0 for m in g_counter.values()):
         raise ValueError("subalgebra multiset exceeds sp(n)")
-    symmetry = tuple(SymmetryBlock(tuple(blk), signed=True) for blk in blocks)
     return PairSpec(
         g_module=_module(space, g_counter),
         h_module=_module(space, h_counter),
-        metadata={"family": "product_in_sp", "parts": parts},
-        symmetry=symmetry)
+        metadata={"family": "product_in_sp", "parts": parts})
 
 
 def _so_dim(p: int, q: int) -> int:
@@ -287,13 +280,10 @@ def build_so_pair(p1: int, q1: int, p2: int, q2: int) -> PairSpec:
     total = sum(h_counter.values()) + sum(g_counter.values())
     if total != _so_dim(p1 + p2, q1 + q2):
         raise DecompositionError("so pair dimensions do not add up")
-    symmetry = tuple(SymmetryBlock(tuple(blk), signed=True)
-                     for blk in (u, v) if blk)
     return PairSpec(
         g_module=_module(space, g_counter),
         h_module=_module(space, h_counter),
-        metadata={"family": "so_pair", "signature": [p1, q1, p2, q2]},
-        symmetry=symmetry)
+        metadata={"family": "so_pair", "signature": [p1, q1, p2, q2]})
 
 
 def build_classical_in_sl(kind: str, *params: int) -> PairSpec:
@@ -340,13 +330,10 @@ def build_classical_in_sl(kind: str, *params: int) -> PairSpec:
     g_counter.subtract(h_counter)
     if any(mult < 0 for mult in g_counter.values()):
         raise DecompositionError("h multiset exceeds sl weights")
-    symmetry = ((SymmetryBlock(tuple(range(space.ambient_dim)), signed=True),)
-                if space.ambient_dim > 0 else ())
     return PairSpec(
         g_module=_module(space, g_counter),
         h_module=_module(space, h_counter),
-        metadata=meta,
-        symmetry=symmetry)
+        metadata=meta)
 
 
 def realify(spec: PairSpec) -> PairSpec:
@@ -360,8 +347,7 @@ def realify(spec: PairSpec) -> PairSpec:
         g_module=double(spec.g_module),
         h_module=double(spec.h_module),
         v_module=double(spec.v_module) if spec.v_module is not None else None,
-        metadata=meta,
-        symmetry=spec.symmetry)
+        metadata=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,25 @@ def mat_inv(A: Matrix) -> Matrix:
     return [row[n:] for row in rows]
 
 
+def pd_solve(B: Sequence[Sequence[int]], columns) -> "list[list[int]] | None":
+    """adj(B) c for each integer column c, or None unless the symmetric
+    integer matrix B is positive definite: fraction-free Gauss-Jordan
+    elimination (Bareiss 1968) on [B | columns], whose divisions are exact
+    and whose pivots are the leading principal minors (Sylvester)."""
+    d = len(B)
+    rows = [list(B[i]) + [c[i] for c in columns] for i in range(d)]
+    prev = 1
+    for k in range(d):
+        p, pivot = rows[k][k], rows[k]
+        if p <= 0:
+            return None
+        rows = [row if i == k else [(p * a - row[k] * b) // prev
+                                    for a, b in zip(row, pivot)]
+                for i, row in enumerate(rows)]
+        prev = p
+    return [list(col) for col in zip(*(row[d:] for row in rows))]
+
+
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     rows = [list(r) for r in rows]

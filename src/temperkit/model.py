@@ -19,8 +19,7 @@ from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
-from .errors import (ArityError, ConstraintViolationError, SpaceMismatchError,
-                     SymmetryError)
+from .errors import ArityError, ConstraintViolationError, SpaceMismatchError
 from .linalg import rref
 
 
@@ -44,6 +43,21 @@ def _ratios(row: Sequence[int], den: int) -> tuple:
     return tuple(row) if den == 1 else tuple(Fraction(x, den) for x in row)
 
 
+def _lex_positive(v) -> bool:
+    """Whether the first nonzero entry of v is positive."""
+    for x in v:
+        if x:
+            return x > 0
+    return False
+
+
+def _primitive(row: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """(row/g, g) for the g that makes the nonzero row primitive with its
+    first nonzero entry positive."""
+    g = math.gcd(*row) if _lex_positive(row) else -math.gcd(*row)
+    return (tuple(row) if g == 1 else tuple([x // g for x in row])), g
+
+
 def _canonical_terms(terms: Iterable[tuple[int, Sequence[int]]]):
     """Integer abs terms (c, row), standing for sum c*|row.Y|, made canonical.
 
@@ -56,13 +70,9 @@ def _canonical_terms(terms: Iterable[tuple[int, Sequence[int]]]):
     """
     merged: dict[tuple[int, ...], int] = {}
     for c, row in terms:
-        g = math.gcd(*row)
-        if not g:
-            continue
-        if next(x for x in row if x) < 0:
-            g = -g
-        row = tuple(row) if g == 1 else tuple(x // g for x in row)
-        merged[row] = merged.get(row, 0) + c * abs(g)
+        if any(row):
+            row, g = _primitive(row)
+            merged[row] = merged.get(row, 0) + c * abs(g)
     return tuple(sorted(((c, row) for row, c in merged.items() if c),
                         key=itemgetter(1)))
 
@@ -301,29 +311,6 @@ class PLFunction:
 
 
 @dataclass(frozen=True)
-class SymmetryBlock:
-    """A set of ambient coordinates the weight data is symmetric under.
-
-    ``coords`` may be permuted arbitrarily; if ``signed`` the coordinates may
-    additionally change sign, all without changing the weight multiset.
-    """
-
-    coords: tuple[int, ...]
-    signed: bool = False
-
-
-def _check_symmetry_coords(symmetry: Sequence[SymmetryBlock], ambient_dim: int) -> None:
-    """Raise SymmetryError naming the first block whose coords are not
-    distinct integer coordinates in 0..ambient_dim-1."""
-    for i, block in enumerate(symmetry):
-        coords = block.coords
-        if (not all(type(a) is int and 0 <= a < ambient_dim for a in coords)
-                or len(set(coords)) != len(coords)):
-            raise SymmetryError(f"symmetry[{i}].coords: {list(coords)} are not "
-                                f"distinct coordinates in 0..{ambient_dim - 1}")
-
-
-@dataclass(frozen=True)
 class PairSpec:
     """Weight data of a subalgebra pair, plus an optional extra module."""
 
@@ -331,14 +318,12 @@ class PairSpec:
     h_module: WeightModule
     v_module: Optional[WeightModule] = None
     metadata: dict = field(default_factory=dict)
-    symmetry: tuple[SymmetryBlock, ...] = ()
 
     def __post_init__(self):
         if self.h_module.space != self.g_module.space:
             raise SpaceMismatchError("h and g/h modules live on different torus spaces")
         if self.v_module is not None and self.v_module.space != self.g_module.space:
             raise SpaceMismatchError("extra module lives on a different torus space")
-        _check_symmetry_coords(self.symmetry, self.g_module.space.ambient_dim)
 
     @property
     def space(self) -> TorusSpace:

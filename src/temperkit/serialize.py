@@ -7,21 +7,22 @@ carry a schema_version field.  Parsing errors, including a container of the
 wrong JSON type, raise SchemaError with a JSON-pointer-style location.
 
 Readers ignore the keys that older documents of schema version 1 also
-carry and no check reads: top-level "spec_echo", space "coordinate_labels",
-module "name", and evidence "hyperplanes", "chambers" (with a "linear_form"
-each), "lineality" and "antipodal_reduced".
+carry and no check reads: top-level "spec_echo", pair_spec "symmetry",
+space "coordinate_labels", module "name", and evidence "hyperplanes",
+"chambers" (with a "linear_form" each), "lineality" and
+"antipodal_reduced".
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Optional
 
 from .check import Verdict
-from .errors import (ArityError, ConstraintViolationError, SchemaError,
-                     SymmetryError)
-from .model import PairSpec, SymmetryBlock, TorusSpace, WeightModule
+from .errors import ArityError, ConstraintViolationError, SchemaError
+from .model import PairSpec, TorusSpace, WeightModule
 from .verify import NonnegCertificate, Witness
 
 SCHEMA_VERSION = 1
@@ -39,23 +40,22 @@ def rational_to_json(x):
     return x.numerator if x.denominator == 1 else str(x)
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def rational_from_str(s, where: str = ""):
     """An int for an integral value, else a Fraction; s is a JSON integer
-    (true and false are not) or a rational string."""
+    (true and false are not) or an ASCII string -?[0-9]+(/[0-9]+)? with a
+    nonzero denominator."""
     if type(s) is int:
         return s
     if not isinstance(s, str):
         raise SchemaError(f"{where}: expected a rational, got {type(s).__name__}")
-    try:
-        num, _, den = s.partition("/")
-        if den == "":
-            return int(num)
-        d = int(den)
-        if d == 0:
-            raise ZeroDivisionError
-        return Fraction(int(num), d)
-    except (ValueError, ZeroDivisionError):
-        raise SchemaError(f"{where}: malformed rational {s!r}") from None
+    match = _RATIONAL.fullmatch(s)
+    if match is None or match[2] is not None and not int(match[2]):
+        raise SchemaError(f"{where}: malformed rational {s!r}")
+    num, den = match.groups()
+    return int(num) if den is None else Fraction(int(num), int(den))
 
 
 def _vec_to_json(vec):
@@ -72,13 +72,6 @@ def _int_from_json(data, where: str) -> int:
     """data, if it is a JSON integer (true and false are not); else SchemaError."""
     if type(data) is not int:
         raise SchemaError(f"{where}: expected an integer")
-    return data
-
-
-def _bool_from_json(data, where: str) -> bool:
-    """data, if it is a JSON boolean; else SchemaError."""
-    if type(data) is not bool:
-        raise SchemaError(f"{where}: expected a boolean")
     return data
 
 
@@ -141,9 +134,6 @@ def pair_spec_to_json(spec: PairSpec) -> dict:
            "metadata": spec.metadata}
     if spec.v_module is not None:
         out["v_module"] = weight_module_to_json(spec.v_module)
-    if spec.symmetry:
-        out["symmetry"] = [{"coords": list(b.coords), "signed": b.signed}
-                           for b in spec.symmetry]
     return out
 
 
@@ -157,22 +147,9 @@ def pair_spec_from_json(data: dict, where: str = "pair_spec") -> PairSpec:
     v = None
     if "v_module" in data:
         v = weight_module_from_json(data["v_module"], space, f"{where}.v_module")
-    symmetry = []
-    for i, b in enumerate(_expect(data.get("symmetry", []), list,
-                                  f"{where}.symmetry")):
-        loc = f"{where}.symmetry[{i}]"
-        if not isinstance(b, dict) or "coords" not in b:
-            raise SchemaError(f"{loc}: expected an object with coords")
-        coords = _expect(b["coords"], list, f"{loc}.coords")
-        symmetry.append(SymmetryBlock(tuple(coords), _bool_from_json(
-            b.get("signed", False), f"{loc}.signed")))
-    try:
-        return PairSpec(g_module=g, h_module=h, v_module=v,
-                        metadata=dict(_expect(data.get("metadata", {}), dict,
-                                              f"{where}.metadata")),
-                        symmetry=tuple(symmetry))
-    except SymmetryError as e:
-        raise SchemaError(f"{where}.{e}") from None
+    return PairSpec(g_module=g, h_module=h, v_module=v,
+                    metadata=dict(_expect(data.get("metadata", {}), dict,
+                                          f"{where}.metadata")))
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +181,10 @@ def evidence_from_json(data: dict, where: str = "evidence"):
         rays = tuple(_vec_from_json(r, f"{where}.rays[{i}]") for i, r in
                      enumerate(_expect(data.get("rays", []), list, f"{where}.rays")))
         values = _vec_from_json(data.get("ray_values", []), f"{where}.ray_values")
-        return NonnegCertificate(rays=rays, ray_values=values,
-                                 symmetry_reduced=_bool_from_json(
-                                     data.get("symmetry_reduced", False),
-                                     f"{where}.symmetry_reduced"))
+        reduced = data.get("symmetry_reduced", False)
+        if type(reduced) is not bool:
+            raise SchemaError(f"{where}.symmetry_reduced: expected a boolean")
+        return NonnegCertificate(rays=rays, ray_values=values, symmetry_reduced=reduced)
     raise SchemaError(f"{where}.kind: unknown kind {kind!r}")
 
 

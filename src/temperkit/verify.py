@@ -16,12 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .cones import enumerate_cells
-from .errors import SymmetryError
-from .model import (PLFunction, SymmetryBlock, _canonical_terms,
-                    _check_symmetry_coords, _dot, evaluate_pl)
+from .errors import SpaceMismatchError
+from .linalg import pd_solve
+from .model import (PLFunction, PairSpec, _canonical_terms, _dot, _lex_positive,
+                    _primitive, evaluate_pl)
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,9 @@ class NonnegCertificate:
     of their common lineality space.  f is concave on each cell, so at every
     point the rays cover it is at least a nonnegative combination of ray
     values.
-    ``symmetry_reduced`` means the rays cover one fundamental domain of the
-    declared symmetry only; when it is false they cover the whole slice.
+    ``symmetry_reduced`` means the rays cover one chamber of a reflection
+    group that f is invariant under, so f >= 0 there gives f >= 0 on
+    every orbit; when it is false they cover the whole slice.
     ``chamber_count`` counts the cells enumerated; it is not part of the proof.
     """
 
@@ -50,107 +52,143 @@ class Witness:
     value: Fraction
 
 
-def _dominant_restrict(symmetry: Sequence[SymmetryBlock], ambient_dim: int):
-    """Inequality normals cutting out one fundamental domain per symmetry block."""
-    normals = []
-    for block in symmetry:
-        coords = block.coords
-        for a, b in zip(coords, coords[1:]):
-            v = [0] * ambient_dim
-            v[a], v[b] = 1, -1
-            normals.append(tuple(v))
-        if block.signed and coords:
-            v = [0] * ambient_dim
-            v[coords[-1]] = 1
-            normals.append(tuple(v))
-    return normals
+def _restricted(f: PLFunction, basis):
+    """(columns, linear, terms): f on the slice basis in canonical form,
+    f.den*f = linear.y + sum c*|row.y|, and per basis vector its free
+    column c and its entry s there.  A row reduced modulo the constraints,
+    as all stored rows are, is zero at the pivots: its value is row[c] * s."""
+    free = [c for c in range(f.space.ambient_dim) if c not in f.space._pivots]
+    columns = [(c, v[c]) for c, v in zip(free, basis)]
+    return columns, [f.linear[c] * s for c, s in columns], _canonical_terms(
+        (c, [row[j] * s for j, s in columns]) for c, row in f.terms)
 
 
-def _restricted(f: PLFunction, vectors):
-    """f on sum_j y_j v_j, for ``vectors`` v_j in the slice, in canonical
-    form: (linear, terms) with f.den*f = linear.y + sum c*|row.y|."""
-    return ([_dot(f.linear, v) for v in vectors],
-            _canonical_terms((c, [_dot(row, v) for v in vectors])
-                             for c, row in f.terms))
+def _root(R, L):
+    """The root (R, L, R.L): a reduced weight row R and L = det(B) times its
+    coroot B^-1 R lifted, both signed so L is lexicographically positive."""
+    if not _lex_positive(L):
+        R, L = [-x for x in R], [-x for x in L]
+    return tuple(R), L, _dot(R, L)
 
 
-def _check_symmetry(f: PLFunction, symmetry: Sequence[SymmetryBlock],
-                    restricted) -> None:
-    """Verify f is invariant under the generators of the symmetry group.
+def _reflect(a, b, closure):
+    """(key, root) for s_a(b) = b - 2 (b.L_a / k) a, k = R_a.L_a > 0, or
+    None when b is fixed or the key, its primitive row, is in closure."""
+    R, L, k = a
+    x = _dot(b[0], L)
+    if not x:
+        return None
+    key, g = _primitive([k * p - 2 * x * q for p, q in zip(b[0], R)])
+    if key in closure:
+        return None
+    return key, _root(key, [(k * p - 2 * x * q) // g for p, q in zip(b[1], L)])
 
-    ``restricted`` is _restricted(f, slice basis).  The generators of a
-    block are the transpositions of its adjacent coordinates and, when it
-    is signed, the sign flip of its last coordinate.  Each generator s maps
-    the slice basis b_j to s(b_j).  As s is invertible, it preserves the
-    slice exactly when every constraint row vanishes on each s(b_j); then
-    f o s = f exactly when f restricted to the images s(b_j) equals f
-    restricted to the basis (see _canonical_terms).
-    Raises SymmetryError naming the block, for bad coords or a failing generator.
+
+def _invariant(a, f: PLFunction, coeffs, by_column) -> bool:
+    """Whether f o s_a = f; ``coeffs`` maps each row of f to its c, and
+    ``by_column`` holds the rows' columns.  s_a maps distinct rows to
+    distinct directions, a row to (k*row - 2*(row.L)*R) / k."""
+    R, L, k = a
+    xs = [0] * len(f.terms)
+    for column, v in zip(by_column, L):
+        if v:
+            xs = [x + v * y for x, y in zip(xs, column)]
+    for (c, row), x in zip(f.terms, xs):
+        if x:
+            image, g = _primitive([k * p - 2 * x * q for p, q in zip(row, R)])
+            if coeffs.get(image, 0) * k != c * abs(g):
+                return False
+    return not _dot(f.linear, L)
+
+
+def _chamber_walls(f: PLFunction, columns, lift, pair: PairSpec) -> list:
+    """The walls, in slice coordinates, of one chamber of the reflection
+    group of f that the weights of ``pair`` give; [] for the whole slice.
+
+    B = sum m mu(x)mu over the weights mu of h and g/h must be positive
+    definite.  Each root a of h gives the reflection s_a(y) = y -
+    2 a(y) t / a(t), t = B^-1 a, kept when f o s_a = f; a root in the
+    closure of the kept ones is a conjugate of them.  A finite reflection
+    group over the rationals of rank r has at most r(2r - 1) reflections
+    (E8 attains it), so a larger closure for r = d means an infinite group.
+    The simple roots of the positive ones, whose lifted coroot is
+    lexicographically positive, cut out a chamber, which meets every orbit
+    (Humphreys 1990, 1.4-1.12).
     """
-    space = f.space
-    _check_symmetry_coords(symmetry, space.ambient_dim)
-    basis = space.slice_basis()
-    for i, block in enumerate(symmetry):
-        c = block.coords
-        # (a, b, s) maps Y to Y' with Y'[a] = s*Y[b] and Y'[b] = s*Y[a]
-        generators = [(a, b, 1) for a, b in zip(c, c[1:])]
-        if block.signed and c:
-            generators.append((c[-1], c[-1], -1))
-        for a, b, s in generators:
-            images = []
-            for v in basis:
-                w = list(v)
-                w[a], w[b] = s * v[b], s * v[a]
-                images.append(w)
-            name = (f"the swap of coordinates {a} and {b}" if s > 0
-                    else f"the sign flip of coordinate {a}")
-            where = f"symmetry[{i}] (coords {list(c)})"
-            if any(_dot(row, w) for row in space.rows for w in images):
-                raise SymmetryError(f"{where}: {name} does not preserve "
-                                    "the torus slice")
-            if _restricted(f, images) != restricted:
-                raise SymmetryError(f"{where}: the function is not invariant "
-                                    f"under {name}")
+    d = len(columns)
+    h, g = pair.h_module, pair.g_module
+    den = math.lcm(h.den, g.den)
+    B = [[0] * d for _ in range(d)]
+    for M in (h, g):
+        for row, m in M.rows:
+            w = [(j, row[c] * s * (den // M.den)) for j, (c, s) in enumerate(columns)
+                 if row[c]]
+            for j, x in w:
+                for k, y in w:
+                    B[j][k] += m * x * y
+    roots = dict.fromkeys(_primitive(row)[0] for row, _ in h.rows if any(row))
+    coroots = roots and pd_solve(B, [[R[c] * s for c, s in columns] for R in roots])
+    if not coroots:
+        return []
+    coeffs = {row: c for c, row in f.terms}
+    by_column = list(zip(*coeffs))
+    closure, kept = {}, []
+    for R, t in zip(roots, coroots):
+        if R in closure:
+            continue
+        a = _root(R, [_dot(col, t) for col in lift])
+        if not _invariant(a, f, coeffs, by_column):
+            continue
+        kept.append(a)
+        todo = [(b, (a,)) for b in closure.values()] + [(a, kept)]
+        closure[R] = a
+        while todo:
+            b, by = todo.pop()
+            for key, new in filter(None, (_reflect(s, b, closure) for s in by)):
+                if len(closure) >= d * (2 * d - 1):
+                    return []
+                closure[key] = new
+                todo.append((new, kept))
+    positive = list(closure.values())
+    # s_a keeps every other positive root b positive: k s_a(b) = k b - 2x a
+    simple = [a for a in positive if all(
+        b is a or not x or _lex_positive(a[2] * p - 2 * x * q for p, q in zip(b[1], a[1]))
+        for b, x in ((b, _dot(b[0], a[1])) for b in positive))]
+    simple.sort(key=lambda a: _primitive(a[1])[0], reverse=True)
+    return [[a[0][c] * s for c, s in columns] for a in simple]
 
 
-def is_nonnegative(f: PLFunction, symmetry: Sequence[SymmetryBlock] = ()):
+def is_nonnegative(f: PLFunction, pair: Optional[PairSpec] = None):
     """Decide f >= 0 on the whole torus slice, exactly.
 
-    Returns a NonnegCertificate or a Witness.  ``symmetry`` restricts the
-    enumeration to one fundamental domain after verifying that f really is
-    invariant under the declared group; it changes only the certificate
-    size, never the verdict.  A purely linear f is decided on the whole
-    slice: its +- slice-basis rays show whether it vanishes.
+    Returns a NonnegCertificate or a Witness.  With a ``pair``, the
+    enumeration covers one chamber of the reflection group of f that its
+    weights give (_chamber_walls), which changes only the certificate size.
+    A purely linear f is decided on the whole slice: its +- slice-basis
+    rays show whether it vanishes.
 
     The cells are enumerated in slice coordinates y, with f.den*f =
     linear.y + sum c*|row.y|, and cut by the walls and the rows with c > 0
     only; the rays are lifted to primitive ambient vectors at the end.
     """
-    space = f.space
-    basis = space.slice_basis()
-    linear, terms = _restricted(f, basis)
-    walls: Sequence = ()
-    if symmetry:
-        _check_symmetry(f, symmetry, (linear, terms))
-        if terms:
-            # a wall that vanishes on the slice cuts nothing off: the
-            # generator it belongs to fixes every point of the slice
-            walls = [w for w in ([_dot(n, v) for v in basis] for n in
-                                 _dominant_restrict(symmetry, space.ambient_dim))
-                     if any(w)]
+    if pair is not None and pair.space != f.space:
+        raise SpaceMismatchError("the pair lives on another torus space")
+    basis = f.space.slice_basis()
+    lift = list(zip(*basis))
+    columns, linear, terms = _restricted(f, basis)
+    walls = _chamber_walls(f, columns, lift, pair) if terms and pair is not None else []
     positive = [(c, row) for c, row in terms if c > 0]
     negative = [(c, row) for c, row in terms if c < 0]
     d = len(basis)
     complex_ = enumerate_cells([row for _, row in positive],
                                [tuple(int(i == j) for j in range(d)) for i in range(d)],
                                restrict=walls)
-    columns = list(zip(*basis))
     skip = len(walls)
 
     def lifted(y, positive_vals):
         """The primitive ambient vector along y and f's value there, given
         the values of the positive rows at y."""
-        Y = [_dot(col, y) for col in columns]
+        Y = [_dot(col, y) for col in lift]
         g = math.gcd(*Y)
         total = (_dot(linear, y)
                  + sum(c * abs(v) for (c, _), v in zip(positive, positive_vals))
@@ -194,7 +232,7 @@ def grid_oracle(f: PLFunction, resolution: int) -> Optional[Witness]:
     d = len(basis)
     if d == 0:
         return None
-    Lrow, terms = _restricted(f, basis)
+    _, Lrow, terms = _restricted(f, basis)
     A = [row for _, row in terms]
     C = [c for c, _ in terms]
 

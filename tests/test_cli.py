@@ -13,7 +13,8 @@ import temperkit
 from temperkit import serialize
 from temperkit.check import FAMILIES, check
 from temperkit.cli import main
-from temperkit.generators import BlockPattern, matrix_input_for_block_pattern
+from temperkit.generators import (TABLE1_PATTERNS, BlockPattern, build_sl_block,
+                                  extract_weights, matrix_input_for_block_pattern)
 
 
 def write(tmp_path, name, payload):
@@ -97,12 +98,16 @@ class TestCheck:
         assert json.loads(out)["tempered"] is True
 
     def test_symmetry_wall_vanishing_on_slice(self, tmp_path):
-        # t1 = t2 = 0 on the slice, so the swap of t1 and t2 fixes every
-        # point: its wall t1 - t2 cuts nothing off and is dropped
+        # t1 = t2 = 0 on the slice, so the roots +-(t1 - t2) of h vanish
+        # there and give no candidate; the roots +-t0 give the sign flip of
+        # t0, whose wall t0 >= 0 leaves one ray of the line.  The declared
+        # symmetry of an older document is ignored
         doc = {"space": {"ambient_dim": 3,
                          "constraints": [["0", "1", "0"], ["0", "0", "1"]]},
                "h_module": {"weights": [{"form": ["1", "0", "0"], "mult": 1},
-                                        {"form": ["-1", "0", "0"], "mult": 1}]},
+                                        {"form": ["-1", "0", "0"], "mult": 1},
+                                        {"form": ["0", "1", "-1"], "mult": 1},
+                                        {"form": ["0", "-1", "1"], "mult": 1}]},
                "g_module": {"weights": [{"form": ["1", "0", "0"], "mult": 3},
                                         {"form": ["-1", "0", "0"], "mult": 3}]},
                "symmetry": [{"coords": [1, 2]}]}
@@ -112,7 +117,9 @@ class TestCheck:
         got = json.loads(out)
         full = check(serialize.pair_spec_from_json(doc), use_symmetry=False)
         assert got["tempered"] is full.tempered is True
-        assert got["evidence"]["symmetry_reduced"] is False
+        assert got["evidence"]["symmetry_reduced"] is True
+        assert got["evidence"]["rays"] == [[1, 0, 0]]
+        assert len(full.evidence.rays) == 2
         assert serialize.recheck_document(got) == []
 
 
@@ -192,7 +199,7 @@ class TestMatrixInputErrors:
         assert "Traceback" not in err
 
 
-def pair_spec(symmetry, replace=()):
+def pair_spec(replace=()):
     """A pair_spec document; replace maps dotted keys such as
     "space.constraints" to new values."""
     doc = {
@@ -200,8 +207,7 @@ def pair_spec(symmetry, replace=()):
         "h_module": {"weights": [{"form": ["1", "0"], "mult": 1},
                                  {"form": ["-1", "0"], "mult": 1}]},
         "g_module": {"weights": [{"form": ["0", "1"], "mult": 3},
-                                 {"form": ["0", "-1"], "mult": 3}]},
-        "symmetry": symmetry}
+                                 {"form": ["0", "-1"], "mult": 3}]}}
     for key, value in dict(replace).items():
         *path, last = key.split(".")
         node = doc
@@ -213,10 +219,6 @@ def pair_spec(symmetry, replace=()):
 
 class TestSpecErrors:
     @pytest.mark.parametrize("payload, code, where", [
-        # the data is not symmetric in the two coordinates
-        (pair_spec([{"coords": [0, 1]}]), 3, "symmetry[0] (coords [0, 1])"),
-        (pair_spec([{"coords": [0, "x"]}]), 2, "pair_spec.symmetry[0].coords"),
-        (pair_spec([{"coords": [0, 2]}]), 2, "pair_spec.symmetry[0].coords"),
         ({"family": {"name": "sl_block", "sizes": [2, 1],
                      "diagonal_kind": ["full", "bogus"]}}, 2, "family.sl_block"),
         ({"family": {"name": "product_in_sl", "parts": [3]}}, 2,
@@ -227,17 +229,16 @@ class TestSpecErrors:
          "family.classical_in_sl"),
         ({"family": [1]}, 2, "family: expected an object"),
         ({"matrix_pair": [1]}, 2, "matrix_pair: expected an object"),
-        (pair_spec(5), 2, "pair_spec.symmetry: expected a list"),
-        (pair_spec([], {"h_module.weights": 3}), 2,
+        (pair_spec({"h_module.weights": 3}), 2,
          "pair_spec.h_module.weights: expected a list"),
-        (pair_spec([], {"space.constraints": 3}), 2,
+        (pair_spec({"space.constraints": 3}), 2,
          "pair_spec.space.constraints: expected a list"),
-        (pair_spec([], {"metadata": 3}), 2, "pair_spec.metadata: expected an object"),
-        (pair_spec([], {"space.ambient_dim": 2.9}), 2,
+        (pair_spec({"metadata": 3}), 2, "pair_spec.metadata: expected an object"),
+        (pair_spec({"space.ambient_dim": 2.9}), 2,
          "pair_spec.space.ambient_dim: expected an integer"),
-        (pair_spec([], {"space.ambient_dim": "2"}), 2,
+        (pair_spec({"space.ambient_dim": "2"}), 2,
          "pair_spec.space.ambient_dim: expected an integer"),
-        (pair_spec([], {"h_module.weights": [{"form": ["1", "0"], "mult": True}]}),
+        (pair_spec({"h_module.weights": [{"form": ["1", "0"], "mult": True}]}),
          2, "pair_spec.h_module.weights[0].mult: expected an integer"),
         (matrix_pair(ambient_dim=2.9), 2,
          "matrix_pair.ambient_dim: expected an integer"),
@@ -265,16 +266,24 @@ class TestSpecErrors:
         ({"tensor_product": [1, [2, 2, 4]]}, 2,
          "tensor_product: expected an object"),
         # a JSON true is not the rational 1, nor "no" a boolean
-        (pair_spec([], {"h_module.weights": [{"form": [True, "0"], "mult": 1}]}), 2,
+        (pair_spec({"h_module.weights": [{"form": [True, "0"], "mult": 1}]}), 2,
          "pair_spec.h_module.weights[0].form[0]: expected a rational, got bool"),
-        (pair_spec([], {"space.constraints": [[True, 1]]}), 2,
+        (pair_spec({"space.constraints": [[True, 1]]}), 2,
          "pair_spec.space.constraints[0][0]: expected a rational, got bool"),
-        (pair_spec([{"coords": [0], "signed": "no"}]), 2,
-         "pair_spec.symmetry[0].signed: expected a boolean"),
-    ], ids=["undeclared_symmetry", "non_integer_coord", "coord_out_of_range",
-            "bogus_diagonal_kind", "one_part", "short_signature",
+        # a rational is ASCII -?[0-9]+(/[0-9]+)?, nothing int() also reads
+        (pair_spec({"h_module.weights": [{"form": ["1_0", "0"], "mult": 1}]}), 2,
+         "pair_spec.h_module.weights[0].form[0]: malformed rational '1_0'"),
+        (pair_spec({"h_module.weights": [{"form": [" 3 ", "0"], "mult": 1}]}), 2,
+         "pair_spec.h_module.weights[0].form[0]: malformed rational ' 3 '"),
+        (pair_spec({"h_module.weights": [{"form": ["\u0663", "0"], "mult": 1}]}),
+         2, "pair_spec.h_module.weights[0].form[0]: malformed rational"),
+        (pair_spec({"h_module.weights": [{"form": ["+3", "0"], "mult": 1}]}), 2,
+         "pair_spec.h_module.weights[0].form[0]: malformed rational '+3'"),
+        (pair_spec({"space.constraints": [["3/-4", "1"]]}), 2,
+         "pair_spec.space.constraints[0][0]: malformed rational '3/-4'"),
+    ], ids=["bogus_diagonal_kind", "one_part", "short_signature",
             "so_one_param", "family_not_object", "matrix_pair_not_object",
-            "symmetry_not_list", "weights_not_list", "constraints_not_list",
+            "weights_not_list", "constraints_not_list",
             "metadata_not_object", "float_ambient_dim", "string_ambient_dim",
             "bool_mult", "matrix_float_ambient_dim",
             "matrix_string_ambient_dim", "tensor_k_zero",
@@ -283,13 +292,29 @@ class TestSpecErrors:
             "tensor_string_variant", "tensor_no_variant",
             "tensor_string_params", "tensor_float_param", "tensor_bool_param",
             "tensor_not_object", "bool_form_entry", "bool_constraint_entry",
-            "string_signed"])
+            "underscore_rational", "spaced_rational", "non_ascii_rational",
+            "plus_rational", "negative_denominator"])
     def test_exit_code_without_traceback(self, tmp_path, payload, code, where):
         spec = write(tmp_path, "s.json", payload)
         got, _, err = run_process(["check", spec])
         assert got == code, err
         assert where in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("symmetry", [
+        [{"coords": [0, 1]}], [{"coords": [0, "x"]}], [{"coords": [0, 2]}], 5,
+        [{"coords": [0], "signed": "no"}],
+    ], ids=["undeclared_symmetry", "non_integer_coord", "coord_out_of_range",
+            "symmetry_not_list", "string_signed"])
+    def test_symmetry_key_ignored(self, tmp_path, capsys, symmetry):
+        # the domain is derived from the weights, so a declared symmetry,
+        # even a false or malformed one, changes nothing
+        plain = pair_spec()
+        declared = pair_spec({"symmetry": symmetry})
+        code, out, err = run(capsys, ["check", write(tmp_path, "d.json", declared)])
+        assert code == 0, err
+        again = run(capsys, ["check", write(tmp_path, "p.json", plain)])
+        assert (code, out) == again[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +446,68 @@ def test_every_spec_document_exits_cleanly(doc):
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(["check", path])
     assert code in (0, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# the replay contract: every mutated verdict document ends in exit 0, 1 or 2
+
+def _verdict_documents():
+    """A valid verdict document per input mode: family (a certificate and a
+    witness), pair_spec (a witness) and matrix input (a certificate)."""
+    specs = [build_sl_block(TABLE1_PATTERNS["H4"](2, 2)),
+             build_sl_block(TABLE1_PATTERNS["H2"](3, 1)),
+             serialize.pair_spec_from_json(pair_spec()["pair_spec"]),
+             extract_weights(matrix_input_for_block_pattern(
+                 BlockPattern((2, 1), ("full", "full"))))]
+    return [json.loads(serialize.dumps(serialize.verdict_to_json(check(spec), spec)))
+            for spec in specs]
+
+
+VERDICT_DOCUMENTS = _verdict_documents()
+DROP = object()
+
+
+def _leaves(node, path=()):
+    """The path of every leaf: a scalar, or an empty list or object."""
+    if isinstance(node, (dict, list)) and node:
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path
+
+
+leaf_values = st.one_of(junk, st.just(DROP), st.sampled_from(
+    ["1_0", " 3 ", "+3", "3/-4", "\u0663", "1/0", "2/3", "-1", "0/5", "1/-0"]),
+    st.integers(-10 ** 20, 10 ** 20), st.floats(allow_nan=False, width=16))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_every_mutated_verdict_document_rechecks_cleanly(data):
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(VERDICT_DOCUMENTS))))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_leaves(doc))))
+        if not path:
+            break
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        value = data.draw(leaf_values)
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "v.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["recheck", path])
+    assert code in (0, 1, 2)
 
 
 class TestScan:

@@ -5,11 +5,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from temperkit.check import check
 from temperkit.errors import (ArityError, ConstraintViolationError,
-                              SpaceMismatchError, SymmetryError)
+                              SpaceMismatchError)
 from temperkit.generators import TABLE1_PATTERNS, build_sl_block
-from temperkit.model import (PLFunction, PairSpec, SymmetryBlock, TorusSpace,
-                             WeightModule, _canonical_terms, deficit, evaluate_pl,
-                             rho_function)
+from temperkit.model import (PLFunction, PairSpec, TorusSpace, WeightModule,
+                             _canonical_terms, deficit, evaluate_pl, rho_function)
 
 F = Fraction
 
@@ -224,15 +223,6 @@ class TestRho:
         g = WeightModule(TorusSpace(2), [(lf(1, 0), 1)])
         with pytest.raises(SpaceMismatchError):
             PairSpec(g_module=g, h_module=h)
-
-    @pytest.mark.parametrize("coords", [(0, 0), (1, 2), (-1, 0)])
-    def test_pair_spec_symmetry_coords(self, coords):
-        m = WeightModule(TorusSpace(2), [(lf(1, 0), 1)])
-        block = SymmetryBlock((0, 1))
-        PairSpec(g_module=m, h_module=m, symmetry=(block,))
-        with pytest.raises(SymmetryError, match=r"symmetry\[1\]\.coords"):
-            PairSpec(g_module=m, h_module=m,
-                     symmetry=(block, SymmetryBlock(coords)))
 
 
 small = st.integers(min_value=-3, max_value=3)

@@ -50,7 +50,6 @@ class TestModelRoundTrips:
         back = serialize.pair_spec_from_json(data)
         assert back.g_module == spec.g_module
         assert back.h_module == spec.h_module
-        assert back.symmetry == spec.symmetry
         assert back.metadata == spec.metadata
 
     def test_schema_errors_carry_paths(self):

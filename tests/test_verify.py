@@ -6,15 +6,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from temperkit.check import check
 from temperkit.cones import enumerate_cells
-from temperkit.errors import SymmetryError
+from temperkit.errors import SpaceMismatchError
 from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS,
                                   build_classical_in_sl, build_product_in_sl,
                                   build_product_in_sp, build_sl_block,
-                                  build_so_pair, realify)
-from temperkit.model import (PLFunction, SymmetryBlock, TorusSpace, deficit,
-                             evaluate_pl)
-from temperkit.verify import (NonnegCertificate, Witness, _check_symmetry,
+                                  build_so_pair, example_sp21_input,
+                                  extract_weights, matrix_input_for_block_pattern,
+                                  realify)
+from temperkit.linalg import mat_inv, pd_solve
+from temperkit.model import (PLFunction, PairSpec, TorusSpace, WeightModule,
+                             deficit, evaluate_pl)
+from temperkit.verify import (NonnegCertificate, Witness, _chamber_walls,
                               _restricted, grid_oracle, is_nonnegative)
 
 F = Fraction
@@ -192,6 +196,44 @@ def interior_point(rng, cell):
     return weights, pt
 
 
+def module(space, *forms):
+    """The weight module of the given integer forms, multiplicity 1 each."""
+    return WeightModule(space, [(form, 1) for form in forms])
+
+
+def units(space):
+    """The coordinate weights e_a, whose form is the standard inner product."""
+    n = space.ambient_dim
+    return module(space, *(tuple(int(i == a) for i in range(n)) for a in range(n)))
+
+
+def candidates(space, roots, form=None):
+    """A pair whose h holds the candidate roots and whose g/h holds the
+    weights of ``form`` (by default the units).  Its form B also counts
+    the roots; that moves no candidate's coroot B^-1 a when the roots are
+    closed under their reflections, or when a lone root a adds a (x) a."""
+    return PairSpec(g_module=form or units(space), h_module=module(space, *roots))
+
+
+def walls_of(f, pair):
+    """The walls _chamber_walls derives for f from the pair."""
+    basis = f.space.slice_basis()
+    return _chamber_walls(f, _restricted(f, basis)[0], list(zip(*basis)), pair)
+
+
+def root_system(coords, n, signed):
+    """Every root of the group of a block: e_a - e_b for a != b and, if it
+    is signed, +-e_a +- e_b and +-e_a."""
+    roots = [tuple((i == a) - (i == b) for i in range(n))
+             for a, b in itertools.permutations(coords, 2)]
+    if signed:
+        roots += [tuple(s * ((i == a) + (i == b)) for i in range(n))
+                  for a, b in itertools.combinations(coords, 2) for s in (1, -1)]
+        roots += [tuple(s * (i == a) for i in range(n))
+                  for a in coords for s in (1, -1)]
+    return roots
+
+
 class TestReductions:
     def _example(self):
         s = TorusSpace(3, [lf(1, 1, 1)])
@@ -201,12 +243,12 @@ class TestReductions:
 
     def test_symmetry_same_verdict_smaller_certificate(self):
         f = self._example()
-        block = (SymmetryBlock((0, 1, 2)),)
+        pair = candidates(f.space, root_system((0, 1, 2), 3, False))
         assert isinstance(is_nonnegative(f), Witness)
-        assert isinstance(is_nonnegative(f, symmetry=block), Witness)
+        assert isinstance(is_nonnegative(f, pair), Witness)
         # with every coefficient made positive it is nonnegative
         g = PLFunction(f.space, [(F(abs(c), f.den), row) for c, row in f.terms])
-        full, reduced = is_nonnegative(g), is_nonnegative(g, symmetry=block)
+        full, reduced = is_nonnegative(g), is_nonnegative(g, pair)
         assert isinstance(full, NonnegCertificate)
         assert isinstance(reduced, NonnegCertificate)
         assert reduced.symmetry_reduced and not full.symmetry_reduced
@@ -214,58 +256,95 @@ class TestReductions:
         assert reduced.chamber_count < full.chamber_count
 
     def test_symmetry_claim_verified(self):
+        # not symmetric in (x, y): the candidate is dropped, not trusted
         s = TorusSpace(2)
-        f = pl(s, [(1, lf(1, 0)), (2, lf(0, 1))])  # not symmetric in (x, y)
-        with pytest.raises(ValueError):
-            is_nonnegative(f, symmetry=(SymmetryBlock((0, 1)),))
+        f = pl(s, [(1, lf(1, 0)), (2, lf(0, 1))])
+        pair = candidates(s, [(1, -1), (-1, 1)])
+        assert walls_of(f, pair) == []
+        assert is_nonnegative(f, pair) == is_nonnegative(f)
 
 
-def rebuilt_symmetry_check(f, symmetry) -> bool:
-    """Reference for _check_symmetry: for every generator s, rebuild f o s
-    and its space as a new PLFunction and TorusSpace and compare them with
-    f structurally."""
-    n = f.space.ambient_dim
+def reference_invariant(f, root, pair) -> bool:
+    """Reference for the candidate check: the reflection in ``root`` built
+    as a rational matrix S = I - 2 t root^T / root(t), t = B^-1 root, on
+    the slice basis, with B from plain Fraction sums over the weights of
+    the pair and mat_inv; f o S rebuilt as a new PLFunction and compared
+    with f, both in slice coordinates."""
+    basis = f.space.slice_basis()
+    d = len(basis)
 
-    def transformed(perm_sign):
-        def map_form(form):
-            out = [F(0)] * n
-            for i, c in enumerate(form):
-                j, s = perm_sign[i]
-                out[j] += s * c
-            return out
-        space = TorusSpace(n, [map_form(c) for c in f.space.constraints])
-        return PLFunction(space, [(F(c, f.den), map_form(row)) for c, row in f.terms],
-                          map_form([F(x, f.den) for x in f.linear]))
+    def on_slice(row):
+        return [dot(row, v) for v in basis]
 
-    idmap = [(i, 1) for i in range(n)]
-    for block in symmetry:
-        coords = block.coords
-        perms = []
-        for a, b in zip(coords, coords[1:]):
-            pm = list(idmap)
-            pm[a], pm[b] = (b, 1), (a, 1)
-            perms.append(pm)
-        if block.signed and coords:
-            pm = list(idmap)
-            pm[coords[-1]] = (coords[-1], -1)
-            perms.append(pm)
-        for pm in perms:
-            g = transformed(pm)
-            if g.space != f.space or g != f:
-                return False
-    return True
+    B = [[F(0)] * d for _ in range(d)]
+    for M in (pair.h_module, pair.g_module):
+        for weight, m in M.weights:
+            w = on_slice(weight)
+            for i in range(d):
+                for j in range(d):
+                    B[i][j] += m * w[i] * w[j]
+    r = on_slice(root)
+    t = [sum(x * y for x, y in zip(row, r)) for row in mat_inv(B)]
+    k = sum(x * y for x, y in zip(r, t))
 
+    def compose(row):
+        row = on_slice(row)
+        x = sum(a * b for a, b in zip(row, t))
+        return [a - 2 * x * b / k for a, b in zip(row, r)]
 
-def check_symmetry(f, symmetry) -> None:
-    _check_symmetry(f, symmetry, _restricted(f, f.space.slice_basis()))
+    flat = TorusSpace(d)
+    before = PLFunction(flat, [(F(c, f.den), on_slice(row)) for c, row in f.terms],
+                        on_slice([F(x, f.den) for x in f.linear]))
+    after = PLFunction(flat, [(F(c, f.den), compose(row)) for c, row in f.terms],
+                       compose([F(x, f.den) for x in f.linear]))
+    return before == after
 
 
-def accepts(f, symmetry) -> bool:
-    try:
-        check_symmetry(f, symmetry)
-    except SymmetryError:
-        return False
-    return True
+def fraction_det(M):
+    """det M by Fraction elimination with row swaps."""
+    M, det = [[F(x) for x in row] for row in M], F(1)
+    for k in range(len(M)):
+        p = next((i for i in range(k, len(M)) if M[i][k]), None)
+        if p is None:
+            return F(0)
+        if p != k:
+            M[k], M[p], det = M[p], M[k], -det
+        det *= M[k][k]
+        for i in range(k + 1, len(M)):
+            r = M[i][k] / M[k][k]
+            M[i] = [x - r * y for x, y in zip(M[i], M[k])]
+    return det
+
+
+def test_pd_solve_matches_fraction_inverse():
+    # adj(B) c = det(B) B^-1 c for a positive definite Gram matrix B, and
+    # None for a singular or indefinite one
+    rng = random.Random(3)
+    for _ in range(60):
+        d = rng.randint(1, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(d)]
+                for _ in range(rng.randint(d - 1, d + 3))]
+        B = [[sum(w[i] * w[j] for w in rows) for j in range(d)] for i in range(d)]
+        columns = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(2)]
+        det = fraction_det(B)
+        if not det:
+            assert pd_solve(B, columns) is None
+            continue
+        inverse = mat_inv([[F(x) for x in row] for row in B])
+        assert pd_solve(B, columns) == [
+            [det * sum(a * b for a, b in zip(row, c)) for row in inverse]
+            for c in columns]
+    assert pd_solve([[1, 2], [2, 1]], [[1, 0]]) is None
+
+
+def accepts(f, root, form) -> bool:
+    """Whether the candidate root alone is kept, for the form of the
+    weights of ``form``: one kept root is its own closure and its only
+    wall.  Checked against the reference on the same pair."""
+    pair = candidates(f.space, [root], form)
+    kept = bool(walls_of(f, pair))
+    assert kept == reference_invariant(f, root, pair), (root, f)
+    return kept
 
 
 def symmetry_family_specs():
@@ -280,6 +359,41 @@ def symmetry_family_specs():
     return specs
 
 
+def killing(spec):
+    """The weights of h and g/h together, whose form is the Killing form."""
+    return WeightModule(spec.space, spec.h_module.weights + spec.g_module.weights)
+
+
+def formerly_declared(spec):
+    """The generators of the symmetry the family builders used to declare:
+    the swaps of adjacent coordinates in each full block of size > 1, and
+    the sign flip of each coordinate of a signed block, as roots."""
+    meta, n = spec.metadata, spec.space.ambient_dim
+    if meta["family"] == "sl_block":
+        starts = list(itertools.accumulate([0] + meta["sizes"]))
+        blocks = [range(a, b) for a, b, kind in zip(starts, starts[1:],
+                                                    meta["diagonal_kind"])
+                  if kind == "full"]
+        signed = False
+    elif meta["family"] == "product_in_sl":
+        starts = list(itertools.accumulate([0] + meta["parts"]))
+        blocks, signed = [range(a, b) for a, b in zip(starts, starts[1:])], False
+    elif meta["family"] == "product_in_sp":
+        starts = list(itertools.accumulate([0] + meta["parts"]))
+        blocks, signed = [range(a, b) for a, b in zip(starts, starts[1:])], True
+    elif meta["family"] == "so_pair":
+        p1, q1, _, _ = meta["signature"]
+        blocks, signed = [range(min(p1, q1)), range(min(p1, q1), n)], True
+    else:
+        blocks, signed = [range(n)], True
+    roots = [tuple((i == a) - (i == b) for i in range(n))
+             for block in blocks for a, b in zip(block, block[1:])]
+    if signed:
+        roots += [tuple(int(i == a) for i in range(n))
+                  for block in blocks for a in block]
+    return roots
+
+
 class TestSymmetryCheck:
     def test_random_blocks_match_reference(self):
         rng = random.Random(5)
@@ -288,68 +402,123 @@ class TestSymmetryCheck:
             f = deficit(spec)
             n = f.space.ambient_dim
             for _ in range(8):
-                k = rng.randint(1, min(n, 4))
-                block = SymmetryBlock(tuple(rng.sample(range(n), k)),
-                                      signed=rng.random() < 0.5)
-                expected = rebuilt_symmetry_check(f, (block,))
-                assert accepts(f, (block,)) == expected, (spec.metadata, block)
-                verdicts.append(expected)
+                root = [0] * n
+                for a in rng.sample(range(n), rng.randint(1, min(n, 2))):
+                    root[a] = rng.choice((1, -1, 2))
+                if any(dot(root, v) for v in f.space.slice_basis()):
+                    verdicts.append(accepts(f, tuple(root), killing(spec)))
         # both answers occur, so the comparison is not vacuous
         assert any(verdicts) and not all(verdicts)
 
     def test_sub_blocks_of_declared_accepted(self):
-        rng = random.Random(6)
+        # every generator of the symmetry the builders used to declare is
+        # still a reflection of the deficit for the Killing form
         for spec in symmetry_family_specs():
             f = deficit(spec)
-            assert accepts(f, spec.symmetry)
-            for block in spec.symmetry:
-                for _ in range(4):
-                    k = rng.randint(1, len(block.coords))
-                    sub = SymmetryBlock(tuple(rng.sample(block.coords, k)),
-                                        signed=block.signed and rng.random() < 0.7)
-                    assert rebuilt_symmetry_check(f, (sub,))
-                    assert accepts(f, (sub,)), (spec.metadata, sub)
+            for root in formerly_declared(spec):
+                if any(dot(root, v) for v in f.space.slice_basis()):
+                    assert accepts(f, root, killing(spec)), (spec.metadata, root)
 
     def test_slice_not_preserved(self):
-        # swapping y and z moves the slice x + y = 0 off itself, although
-        # |y| + |z| restricted to the images of the slice basis matches
-        f = pl(TorusSpace(3, [lf(1, 1, 0)]), [(1, lf(0, 1, 0)), (1, lf(0, 0, 1))])
-        block = (SymmetryBlock((1, 2)),)
-        assert not rebuilt_symmetry_check(f, block)
-        with pytest.raises(SymmetryError,
-                           match=r"symmetry\[0\] \(coords \[1, 2\]\): the swap "
-                                 r"of coordinates 1 and 2 does not preserve"):
-            check_symmetry(f, block)
+        # swapping y and z moves the slice x + y = 0 off itself, but the
+        # reflection in the root y - z is built on the slice: it swaps the
+        # slice coordinates y and z, and |y| + |z| is invariant under it.
+        # Its coroot lifts to (-1, 1, -1), so the positive root is z - y
+        s = TorusSpace(3, [lf(1, 1, 0)])
+        f = pl(s, [(1, lf(0, 1, 0)), (1, lf(0, 0, 1))])
+        form = module(s, (0, 1, 0), (0, 0, 1))
+        assert accepts(f, (0, 1, -1), form)
+        assert walls_of(f, candidates(s, [(0, 1, -1)], form)) == [[-1, 1]]
+        g = pl(s, [(1, lf(0, 1, 0)), (2, lf(0, 0, 1))])
+        assert not accepts(g, (0, 1, -1), form)
 
     def test_proportional_abs_forms_merge(self):
         # |2x| + 2|y| - |x + y| is symmetric in (x, y); PLFunction holds
         # |2x| as 2|x|, so the rebuilt comparison accepts it too
         s = TorusSpace(2)
-        block = (SymmetryBlock((0, 1)),)
         f = pl(s, [(1, lf(2, 0)), (2, lf(0, 1)), (-1, lf(1, 1))])
-        assert accepts(f, block)
-        assert rebuilt_symmetry_check(f, block)
+        assert accepts(f, (1, -1), units(s))
         # |2x| + |y| = 2|x| + |y| is not
         g = pl(s, [(1, lf(2, 0)), (1, lf(0, 1))])
-        with pytest.raises(SymmetryError, match="not invariant under the swap"):
-            check_symmetry(g, block)
+        assert not accepts(g, (1, -1), units(s))
+
+    def test_linear_part_must_be_invariant(self):
+        # 2|x| + 2|y| + 3(x - y): the swap keeps the abs terms but not the
+        # linear part, so it is dropped; kept, its chamber x >= y would
+        # miss the negative values at (0, 1) and (-1, 0)
+        s = TorusSpace(2)
+        f = pl(s, [(2, lf(1, 0)), (2, lf(0, 1))], lf(3, -3))
+        assert not accepts(f, (1, -1), units(s))
+        result = is_nonnegative(f, candidates(s, [(1, -1), (-1, 1)]))
+        assert isinstance(result, Witness) and result.value < 0
 
     def test_bad_coords_in_direct_call(self):
         f = pl(TorusSpace(2), [(1, lf(1, 0)), (1, lf(0, 1))])
-        with pytest.raises(SymmetryError, match=r"symmetry\[1\]\.coords: \[0, 5\]"):
-            is_nonnegative(f, symmetry=(SymmetryBlock((0, 1)),
-                                        SymmetryBlock((0, 5))))
+        with pytest.raises(SpaceMismatchError):
+            is_nonnegative(f, candidates(TorusSpace(3), [(1, -1, 0)]))
 
     def test_signed_block(self):
         s = TorusSpace(2)
-        block = (SymmetryBlock((0, 1), signed=True),)
         f = pl(s, [(2, lf(1, 0)), (2, lf(0, 1)), (-1, lf(1, -1)), (-1, lf(1, 1))])
-        assert accepts(f, block) and rebuilt_symmetry_check(f, block)
+        assert accepts(f, (1, -1), units(s)) and accepts(f, (0, 1), units(s))
+        # the B2 chamber x >= y >= 0
+        b2 = candidates(s, root_system((0, 1), 2, True))
+        assert walls_of(f, b2) == [[1, -1], [0, 1]]
         g = pl(s, [(1, lf(1, -1))])
-        assert not rebuilt_symmetry_check(g, block)
-        with pytest.raises(SymmetryError,
-                           match="not invariant under the sign flip of coordinate 1"):
-            check_symmetry(g, block)
+        assert not accepts(g, (0, 1), units(s))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: extract_weights(matrix_input_for_block_pattern(
+        TABLE1_PATTERNS["H4"](3, 3))),
+    lambda: extract_weights(example_sp21_input()),
+], ids=["H4_3_3", "sp21"])
+def test_matrix_inputs_get_derived_domain(build):
+    # matrix inputs declare nothing; the domain comes from their weights
+    spec = build()
+    f = deficit(spec)
+    assert walls_of(f, spec)
+    reduced, full = check(spec), check(spec, use_symmetry=False)
+    assert reduced.tempered == full.tempered
+    if reduced.tempered:
+        assert reduced.evidence.symmetry_reduced
+        assert not full.evidence.symmetry_reduced
+        assert reduced.evidence.chamber_count < full.evidence.chamber_count
+    else:
+        assert evaluate_pl(f, reduced.evidence.direction) == reduced.evidence.value < 0
+
+
+@pytest.mark.parametrize("pattern, sizes", [("H12", (1, 3, 3)), ("H7", (2, 2, 1))])
+def test_failing_candidate_cuts_nothing(pattern, sizes):
+    # the upper blocks give roots of h whose reflections do not leave the
+    # deficit invariant: they are dropped, the chamber is the one the
+    # passing roots give under the same form, and the verdict is the
+    # whole-slice one
+    spec = build_sl_block(TABLE2_PATTERNS[pattern](*sizes))
+    f = deficit(spec)
+    basis = f.space.slice_basis()
+    roots = [(w, m) for w, m in spec.h_module.weights if any(dot(w, v) for v in basis)]
+    failing = [(w, m) for w, m in roots if not reference_invariant(f, w, spec)]
+    passing = [(w, m) for w, m in roots if (w, m) not in failing]
+    assert failing and passing
+    walls = walls_of(f, spec)
+    same_form = PairSpec(h_module=WeightModule(f.space, passing),
+                         g_module=WeightModule(f.space, failing + list(
+                             spec.g_module.weights)))
+    assert walls and walls == walls_of(f, same_form)
+    for w, _ in failing:
+        row = [dot(w, v) for v in basis]
+        assert not any(sum(a * b for a, b in zip(row, wall)) ** 2
+                       == sum(a * a for a in row) * sum(b * b for b in wall)
+                       for wall in walls)
+    reduced, full = check(spec), check(spec, use_symmetry=False)
+    assert reduced.tempered == full.tempered == (pattern == "H12")
+    if reduced.tempered:
+        assert reduced.evidence.symmetry_reduced
+        assert [evaluate_pl(f, ray) for ray in reduced.evidence.rays] \
+            == list(reduced.evidence.ray_values)
+    else:
+        assert evaluate_pl(f, reduced.evidence.direction) == reduced.evidence.value < 0
 
 
 def random_pl(rng: random.Random, dim: int, n_terms: int) -> PLFunction:
@@ -501,12 +670,11 @@ def reference_nonnegative(f) -> bool:
     return all(evaluate_pl(f, ray) >= 0 for ray in rays)
 
 
-def block_orbit(form, block):
-    """The images of form under every element of the block's group: the
+def block_orbit(form, coords, signed):
+    """The images of form under every element of the group of a block: the
     permutations of its coordinates and, if it is signed, their sign
     changes, one image per element."""
-    coords = block.coords
-    signs = (itertools.product((1, -1), repeat=len(coords)) if block.signed
+    signs = (itertools.product((1, -1), repeat=len(coords)) if signed
              else [(1,) * len(coords)])
     out = []
     for sign in signs:
@@ -520,18 +688,22 @@ def block_orbit(form, block):
 
 @st.composite
 def mixed_pl_functions(draw, symmetric):
-    """(f, symmetry): f has mixed-sign rational coefficients, on a free or a
-    trace-zero space; when symmetric, f is summed over the group of a
-    random block, which is returned with it.  A triangle group
+    """(f, roots, true_roots): f has mixed-sign rational coefficients, on a
+    free or a trace-zero space.  When symmetric, f is summed over the group
+    of a random block, and true_roots are every root of that group, whose
+    reflections for the standard form leave f invariant.  roots adds to
+    them up to two random candidates, which may be false.  A triangle group
     c|a| + c|b| - c'|a + b| with 0 < c' <= c is nonnegative, so mixed-sign
     certificates occur as well as witnesses."""
     dim = draw(st.integers(min_value=2 if symmetric else 1, max_value=3))
-    symmetry = ()
+    true_roots = []
+    trace = dim > 1 and draw(st.booleans())
     if symmetric:
         k = draw(st.integers(min_value=2, max_value=dim))
-        symmetry = (SymmetryBlock(tuple(range(dim - k, dim)), signed=draw(st.booleans())),)
-    trace = (dim > 1 and draw(st.booleans())
-             and not (symmetric and (symmetry[0].signed or len(symmetry[0].coords) < dim)))
+        coords = tuple(range(dim - k, dim))
+        signed = draw(st.booleans())
+        trace = trace and not signed and k == dim
+        true_roots = root_system(coords, dim, signed)
     space = TorusSpace(dim, [lf(*[1] * dim)] if trace else [])
 
     def form():
@@ -546,25 +718,29 @@ def mixed_pl_functions(draw, symmetric):
                   (-c * draw(st.sampled_from([F(1, 2), F(1)])),
                    [x + y for x, y in zip(a, b)])]
     if symmetric:
-        terms = [(c, image) for c, row in terms for image in block_orbit(row, symmetry[0])]
+        terms = [(c, image) for c, row in terms
+                 for image in block_orbit(row, coords, signed)]
     linear = None
     if not symmetric and draw(st.booleans()):
         linear = form()
-    return pl(space, terms, linear), symmetry
+    roots = true_roots + [form() for _ in range(draw(st.integers(0, 2)))]
+    return pl(space, terms, linear), roots, true_roots
 
 
 @pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "symmetric"])
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_convex_arrangement_matches_full_enumeration(symmetric, data):
-    f, symmetry = data.draw(mixed_pl_functions(symmetric))
-    result = is_nonnegative(f, symmetry)
+    # a false candidate never changes the verdict
+    f, roots, true_roots = data.draw(mixed_pl_functions(symmetric))
+    result = is_nonnegative(f, candidates(f.space, [r for r in roots if any(r)]))
     assert isinstance(result, NonnegCertificate) == reference_nonnegative(f)
     if isinstance(result, Witness):
         assert evaluate_pl(f, result.direction) == result.value < 0
     else:
         assert [evaluate_pl(f, ray) for ray in result.rays] == list(result.ray_values)
-        assert result.symmetry_reduced == bool(symmetry and f.terms)
+        if len(roots) == len(true_roots):
+            assert result.symmetry_reduced == bool(true_roots and f.terms)
 
 
 @pytest.mark.parametrize("spec", [
@@ -579,8 +755,8 @@ def test_certificate_values_are_function_values(spec):
     # each recorded value is f at its ray, read off the enumeration in
     # slice coordinates and checked here by ambient evaluation
     f = deficit(spec)
-    for symmetry in ((), spec.symmetry):
-        result = is_nonnegative(f, symmetry)
+    for pair in (None, spec):
+        result = is_nonnegative(f, pair)
         if isinstance(result, Witness):
             assert evaluate_pl(f, result.direction) == result.value < 0
             continue

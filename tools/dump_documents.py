@@ -9,15 +9,17 @@ Run from the repository root:
 
     python3 tools/dump_documents.py > documents.jsonl
 
-The specs are the acceptance-gate family scans, the small scans without
-symmetry, and the matrix inputs:
+Each spec is decided either on the chamber of its derived domain (the
+reflection group that `check` derives from the weights) or on the whole
+slice (`check(spec, use_symmetry=False)`), as its "domain" field says:
 
-- with symmetry: table1 6x6, table2 max=4, example51 (total 6, rank 4),
+- derived domain: table1 6x6, table2 max=4, example51 (total 6, rank 4),
   example52 (sl n=8, sp n=4, so total 6);
-- without symmetry: table1 3x3, example52 sl n=6;
-- matrix inputs, without symmetry: every table1 pattern with p, q <= 4
-  except (4, 4), and sp21 (the matrix-input pool of perfbench);
-- tensor products, with symmetry: one question per variant.
+- whole slice: table1 3x3, example52 sl n=6;
+- matrix inputs, whole slice: every table1 pattern with p, q <= 4 except
+  (4, 4), and sp21 (the matrix-input pool of perfbench);
+- tensor products, derived domain: one question per variant;
+- the same matrix inputs again, derived domain.
 """
 
 from __future__ import annotations
@@ -51,22 +53,28 @@ def _jsonable(obj):
     return [_jsonable(x) for x in obj] if isinstance(obj, tuple) else obj
 
 
-def cases():
-    """(label, spec, use_symmetry) for every spec, in a fixed order."""
-    for family, ranges, use_symmetry in SCANS:
-        for params, spec, _ in FAMILIES[family](**ranges):
-            yield {"family": family, "params": _jsonable(params)}, spec, use_symmetry
+def matrix_cases(use_symmetry):
     for name in TABLE1_PATTERNS:
         for p, q in itertools.product(range(1, 5), repeat=2):
             if (p, q) == (4, 4):
                 continue
             inp = matrix_input_for_block_pattern(TABLE1_PATTERNS[name](p, q))
             yield ({"family": "matrix-table1", "params": [name, p, q]},
-                   extract_weights(inp), False)
-    yield {"family": "matrix-sp21", "params": []}, extract_weights(example_sp21_input()), False
+                   extract_weights(inp), use_symmetry)
+    yield ({"family": "matrix-sp21", "params": []},
+           extract_weights(example_sp21_input()), use_symmetry)
+
+
+def cases():
+    """(label, spec, use_symmetry) for every spec, in a fixed order."""
+    for family, ranges, use_symmetry in SCANS:
+        for params, spec, _ in FAMILIES[family](**ranges):
+            yield {"family": family, "params": _jsonable(params)}, spec, use_symmetry
+    yield from matrix_cases(False)
     for question in TENSOR_PRODUCTS:
         yield ({"family": "tensor_product", "params": list(question)},
                tensor_product_spec(*question), True)
+    yield from matrix_cases(True)
 
 
 def main() -> int:
@@ -78,7 +86,8 @@ def main() -> int:
         if problems:
             failed += 1
             print(f"{label}: {problems[:3]}", file=sys.stderr)
-        print(serialize.dumps({**label, "symmetry": use_symmetry,
+        domain = "derived domain" if use_symmetry else "whole slice"
+        print(serialize.dumps({**label, "domain": domain,
                                "pair_spec": serialize.pair_spec_to_json(spec),
                                "verdict": serialize.verdict_to_json(verdict)}))
     return 1 if failed else 0
