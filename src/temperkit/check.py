@@ -240,6 +240,12 @@ def render_scan_table(report: ScanReport) -> str:
 # ---------------------------------------------------------------------------
 # tensor products of degenerate principal series
 
+# the largest matrix size n (of sl(n), sp(n), so(p, q) or the sl into which a
+# classical algebra embeds) that a question read from input may name, and so
+# the largest integer parameter; check takes over 10 minutes already at n = 17
+QUESTION_CEILING = 64
+
+
 def tensor_product_spec(variant: int, *params: int) -> PairSpec:
     """Map a tensor-product temperedness question to a block-pattern spec.
 
@@ -251,7 +257,8 @@ def tensor_product_spec(variant: int, *params: int) -> PairSpec:
     variant 3, params (a, b, c): flag series (a,b,c) against (c,b,a);
         reduces to H10 with sizes (a, b, c).
     Bad input, including a variant or param that is not an int (a bool is
-    not), raises SchemaError naming tensor_product.variant or
+    not) and a question whose matrix size n exceeds QUESTION_CEILING,
+    raises SchemaError naming tensor_product.variant or
     tensor_product.params.
     """
     if type(variant) is not int or variant not in (1, 2, 3):
@@ -280,9 +287,12 @@ def tensor_product_spec(variant: int, *params: int) -> PairSpec:
         sizes = (a, b, c)
         pattern = TABLE2_PATTERNS["H10"](*sizes)
         meta = {"question": "tensor_product", "variant": 3, "a": a, "b": b, "c": c}
+    if pattern.n > QUESTION_CEILING:
+        raise SchemaError(f"tensor_product.params: matrix size {pattern.n} exceeds "
+                          f"the ceiling {QUESTION_CEILING}")
     spec = build_sl_block(pattern)
     return PairSpec(g_module=spec.g_module, h_module=spec.h_module,
-                    metadata={**spec.metadata, **meta})
+                    metadata={**spec.metadata, **meta}, built=True)
 
 
 def tensor_product_check(variant: int, *params: int) -> Verdict:

@@ -17,11 +17,8 @@ from . import serialize
 from .check import (render_scan_table, scan_family, tensor_product_spec,
                     check as run_check)
 from .errors import BasisError, SchemaError, TemperkitError
-from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern,
-                         MatrixPairInput, build_classical_in_sl,
-                         build_product_in_sl, build_product_in_sp,
-                         build_so_pair, build_sl_block, example_sp21_input,
-                         extract_weights, realify)
+from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, MatrixPairInput,
+                         example_sp21_input, extract_weights)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -40,39 +37,41 @@ def _load_json(path: str) -> dict:
 
 
 def _spec_from_family(data: dict):
+    """The spec of a family input: a builder call written like the metadata
+    it yields (serialize.read_question), with "name" for "family" and "realify"
+    for "realified", or with two shorthands, an sl_block "pattern" name
+    applied to its "sizes" and classical_in_sl "params"."""
     name = serialize._expect(data, dict, "family").get("name")
+    if type(name) is not str or name not in serialize.BUILDERS:
+        raise SchemaError(f"family.name: unknown family {name!r}")
+    where = f"family.{name}"
+    meta = {key: value for key, value in data.items()
+            if key not in ("name", "realify", "pattern", "params", "question")}
+    meta.update(family=name, realified=bool(data.get("realify")))
     try:
-        if name == "sl_block":
-            if "pattern" in data:
-                sizes = data.get("sizes", [])
-                table = TABLE1_PATTERNS if len(sizes) == 2 else TABLE2_PATTERNS
-                if data["pattern"] not in table:
-                    raise SchemaError(f"family.pattern: unknown pattern "
-                                      f"{data['pattern']!r} for {len(sizes)} blocks")
-                pattern = table[data["pattern"]](*sizes)
-            else:
-                pattern = BlockPattern(
-                    tuple(data.get("sizes", [])), tuple(data.get("diagonal_kind", [])),
-                    frozenset(map(tuple, data.get("upper_blocks", []))))
-            spec = build_sl_block(pattern)
-        elif name == "product_in_sl":
-            spec = build_product_in_sl(data.get("parts", []))
-        elif name == "product_in_sp":
-            spec = build_product_in_sp(data.get("parts", []))
-        elif name == "so_pair":
-            spec = build_so_pair(*data.get("signature", []))
-        elif name == "classical_in_sl":
-            spec = build_classical_in_sl(data.get("kind", ""), *data.get("params", []))
-        else:
-            raise SchemaError(f"family.name: unknown family {name!r}")
+        if name == "sl_block" and "pattern" in data:
+            sizes = data.get("sizes", [])
+            table = TABLE1_PATTERNS if len(sizes) == 2 else TABLE2_PATTERNS
+            if data["pattern"] not in table:
+                raise SchemaError(f"{where}.pattern: unknown pattern "
+                                  f"{data['pattern']!r} for {len(sizes)} blocks")
+            pattern = table[data["pattern"]](*sizes)
+            meta.update(sizes=list(pattern.sizes),
+                        diagonal_kind=list(pattern.diagonal_kind),
+                        upper_blocks=sorted(map(list, pattern.upper_blocks)))
+        elif name == "classical_in_sl" and "params" in data:
+            params = serialize._expect(data["params"], list, f"{where}.params")
+            if data.get("kind") == "so":
+                meta["signature"] = params
+            elif len(params) == 1:
+                meta["m"] = params[0]
     except TemperkitError:
         raise
     except (TypeError, ValueError) as e:
-        # a builder rejecting its parameters is an input error
-        raise SchemaError(f"family.{name}: {e}") from None
-    if data.get("realify"):
-        spec = realify(spec)
-    return spec
+        # a pattern rejecting its sizes is an input error
+        raise SchemaError(f"{where}: {e}") from None
+    _, build = serialize.read_question(meta, where)
+    return build()
 
 
 def _spec_from_file(data: dict):
@@ -116,7 +115,12 @@ def _spec_from_file(data: dict):
             metadata=dict(mp.get("metadata", {})))
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"{where}: {e}") from None
-    return extract_weights(inp)
+    spec = extract_weights(inp)
+    if serialize.read_question(spec.metadata, f"{where}.metadata") is not None:
+        # metadata that names a builder call binds the weights to it, as in
+        # a document; the spec is still written with its weights
+        serialize.pair_spec_from_json(serialize.pair_spec_to_json(spec), where)
+    return spec
 
 
 def cmd_check(args) -> int:
@@ -139,6 +143,7 @@ def cmd_scan(args) -> int:
     for key in ("pmax", "qmax", "max", "n", "total", "rank"):
         value = getattr(args, key, None)
         if value is not None:
+            _at_least(value, f"--{key}")
             ranges[key] = value
     try:
         report = scan_family(args.family, **ranges)
@@ -148,6 +153,8 @@ def cmd_scan(args) -> int:
     except TypeError as e:
         print(f"error: bad range flags for {args.family}: {e}", file=sys.stderr)
         return EXIT_INPUT
+    if not report.points:
+        raise SchemaError(f"{args.family}: the ranges {ranges} hold no points")
     print(render_scan_table(report))
     doc = {"family": report.family, "ranges": report.ranges,
            "points": [{"params": _jsonable(p.params), "tempered": p.tempered,
@@ -163,29 +170,38 @@ def _jsonable(obj):
     return obj
 
 
+def _at_least(value: int, flag: str, least: int = 1) -> int:
+    if value < least:
+        raise SchemaError(f"{flag}: must be at least {least}, got {value}")
+    return value
+
+
 def _parse_matrix(text: str):
     import numpy as np
     text = text.strip()
-    if text.startswith("diag(") and text.endswith(")"):
-        entries = [float(x) for x in text[5:-1].split(",")]
-        return np.diag(entries)
     try:
-        rows = json.loads(text)
-        return np.array(rows, dtype=float)
-    except (json.JSONDecodeError, ValueError):
-        raise SchemaError(f"cannot parse matrix {text!r}; use diag(...) or "
+        if text.startswith("diag(") and text.endswith(")"):
+            A = np.diag([float(x) for x in text[5:-1].split(",")])
+        else:
+            A = np.array(json.loads(text), dtype=float)
+    except (ValueError, TypeError):     # JSONDecodeError is a ValueError
+        raise SchemaError(f"--matrix: cannot parse {text!r}; use diag(...) or "
                           "a JSON list of rows") from None
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise SchemaError(f"--matrix: {text!r} is not a square matrix")
+    return A
 
 
 def _parse_body(text: str, dim: int):
     from .volume import ConvexBody
-    if text.startswith("box"):
-        d = int(text[3:]) if len(text) > 3 else dim
-        return ConvexBody.box(d)
-    if text.startswith("ball"):
-        d = int(text[4:]) if len(text) > 4 else dim
-        return ConvexBody.ball(d)
-    raise SchemaError(f"unknown body {text!r}; use boxN or ballN")
+    for name, make in (("box", ConvexBody.box), ("ball", ConvexBody.ball)):
+        if text.startswith(name):
+            digits = text[len(name):]
+            if digits and not (digits.isascii() and digits.isdigit()
+                               and int(digits) > 0):
+                break
+            return make(int(digits) if digits else dim)
+    raise SchemaError(f"--body: unknown body {text!r}; use boxN or ballN, N >= 1")
 
 
 def cmd_volume(args) -> int:
@@ -197,9 +213,16 @@ def cmd_volume(args) -> int:
         if body.dimension != A.shape[0]:
             print("error: body and matrix dimensions differ", file=sys.stderr)
             return EXIT_INPUT
-        times = list(np.linspace(args.tmin, args.tmax, args.points))
-        fit = vol.verify_lemma_2_8(A, body, times, args.samples, args.seed,
-                                   tolerance=args.tolerance)
+        times = list(np.linspace(args.tmin, args.tmax,
+                                 _at_least(args.points, "--points", 3)))
+        try:
+            fit = vol.verify_lemma_2_8(A, body, times,
+                                       _at_least(args.samples, "--samples", 1000),
+                                       args.seed, tolerance=args.tolerance)
+        except TemperkitError:
+            raise
+        except ValueError as e:     # too few surviving times, an overflow
+            raise SchemaError(f"volume decay: {e}") from None
         if args.data:
             with open(args.data, "w") as fh:
                 for t, y in zip(fit.times, fit.log_volumes):
@@ -212,6 +235,8 @@ def cmd_volume(args) -> int:
         print(serialize.dumps(doc))
         return EXIT_OK if fit.passed else EXIT_MISMATCH
     # translate
+    for flag in ("dim", "trials", "samples"):
+        _at_least(getattr(args, flag), f"--{flag}")
     rng = np.random.default_rng(args.seed)
     failures = []
     for trial in range(args.trials):

@@ -62,8 +62,14 @@ class CellComplex:
     values: dict[tuple[int, ...], list[int]]
 
 
-def _adjacent(p: _Ray, n: _Ray, rays) -> bool:
+def _adjacent(p: _Ray, n: _Ray, rays, need: int) -> bool:
+    """Whether p and n span a face of the cone: no other ray is tight
+    wherever both are.  Two adjacent rays of a pointed cone of dimension d
+    share at least d - 2 tight constraints, so fewer than need = d - 2
+    rules adjacency out at once."""
     T = p.zmask & n.zmask
+    if T.bit_count() < need:
+        return False
     for r in rays:
         if r is p or r is n:
             continue
@@ -138,20 +144,19 @@ def _insert_case1(cones, L, hL, h, k, wall):
     return out, new_L
 
 
-def _insert_case2(cones, h, k, wall):
+def _insert_case2(cones, h, k, wall, need):
     """Insert constraint h vanishing on the lineality space: classic DD split.
 
-    A ``wall`` keeps only its plus side.
+    A ``wall`` keeps only its plus side.  need is the dimension of the
+    cones modulo their lineality space, minus 2 (see _adjacent).
     """
-    valued: set[int] = set()
     combos: dict[tuple[int, int], _Ray] = {}
     out = []
     for cone in cones:
         pos, neg, zero = [], [], []
         for r in cone:
-            if id(r) not in valued:
+            if len(r.vals) == k:        # a ray shared by cones is valued once
                 r.append_val(k, _dot(h, r.vec))
-                valued.add(id(r))
             v = r.vals[k]
             if v > 0:
                 pos.append(r)
@@ -171,7 +176,7 @@ def _insert_case2(cones, h, k, wall):
         new_rays = []
         for p in pos:
             for n in neg:
-                if not _adjacent(p, n, cone):
+                if not _adjacent(p, n, cone, need):
                     continue
                 key = (id(p), id(n))
                 ray = combos.get(key)
@@ -218,7 +223,7 @@ def enumerate_cells(hyperplanes, slice_basis, restrict=()):
         if any(hL):
             cones, L = _insert_case1(cones, L, hL, h, k, wall)
         else:
-            cones = _insert_case2(cones, h, k, wall)
+            cones = _insert_case2(cones, h, k, wall, len(slice_basis) - len(L) - 2)
 
     cells = [Cell(rays=tuple(r.vec for r in cone)) for cone in cones]
     values = {r.vec: r.vals for cone in cones for r in cone}

@@ -26,11 +26,16 @@ from .model import PairSpec, TorusSpace, WeightModule
 
 
 def _e(i: int, n: int, s: int = 1) -> tuple[int, ...]:
-    return tuple(s if k == i else 0 for k in range(n))
+    v = [0] * n
+    v[i] = s
+    return tuple(v)
 
 
 def _diff(i: int, j: int, n: int) -> tuple[int, ...]:
-    return tuple((k == i) - (k == j) for k in range(n))
+    v = [0] * n
+    v[i] = 1
+    v[j] -= 1
+    return tuple(v)
 
 
 def _zero(n: int) -> tuple[int, ...]:
@@ -69,7 +74,9 @@ def _sp_counter(coords, n: int) -> Counter:
 
 
 def _module(space: TorusSpace, counter: Counter) -> WeightModule:
-    return WeightModule(space, [(c, m) for c, m in counter.items() if m > 0])
+    """The module of a counter of integer rows; nonpositive counts drop out."""
+    return WeightModule._from_integers(space, [(c, m) for c, m in counter.items()
+                                               if m > 0])
 
 
 # ---------------------------------------------------------------------------
@@ -146,41 +153,36 @@ def build_sl_block(pattern: BlockPattern) -> PairSpec:
     """Weight data of a block subalgebra h inside g = sl(n).
 
     The torus is the diagonal of h with the center of each diagonal block
-    removed (temperedness is unchanged by dividing out that center).  The
-    g-module is the full sl(n) weight multiset minus the h multiset, so the
-    dimension identity dim h + dim g/h = n^2 - 1 holds by construction.
+    removed (temperedness is unchanged by dividing out that center).  Each
+    weight of sl(n) goes to exactly one of h and g/h: a root e_a - e_b to h
+    when its pair of blocks is a full diagonal block or an upper block of
+    the pattern, and of the n - 1 zero weights, one less than its size per
+    full block.  So dim h + dim g/h = n^2 - 1 holds by construction.
     """
     n = pattern.n
     if n == 0:
         raise ValueError("pattern has no coordinates")
     space = _block_torus(pattern)
     blocks = pattern.block_coords()
-
-    h_counter: Counter = Counter()
-    for blk, kind in zip(blocks, pattern.diagonal_kind):
-        if kind == "full":
-            for a, b in itertools.permutations(blk, 2):
-                h_counter[_diff(a, b, n)] += 1
-            h_counter[_zero(n)] += len(blk) - 1
-    for i, j in pattern.upper_blocks:
-        for a in blocks[i]:
-            for b in blocks[j]:
-                h_counter[_diff(a, b, n)] += 1
-
-    g_counter: Counter = Counter()
+    block = [i for i, blk in enumerate(blocks) for _ in blk]
+    full = [i for i, kind in enumerate(pattern.diagonal_kind) if kind == "full"]
+    in_h = pattern.upper_blocks | {(i, i) for i in full}
+    h_rows, g_rows = [], []
     for a, b in itertools.permutations(range(n), 2):
-        g_counter[_diff(a, b, n)] += 1
-    g_counter[_zero(n)] += n - 1
-    g_counter.subtract(h_counter)
-    if any(m < 0 for m in g_counter.values()):
-        raise ValueError("subalgebra multiset exceeds sl(n)")
+        rows = h_rows if (block[a], block[b]) in in_h else g_rows
+        rows.append((_diff(a, b, n), 1))
+    h_zero = sum(len(blocks[i]) - 1 for i in full)
+    for rows, zero in ((h_rows, h_zero), (g_rows, n - 1 - h_zero)):
+        if zero:
+            rows.append((_zero(n), zero))
 
     return PairSpec(
-        g_module=_module(space, g_counter),
-        h_module=_module(space, h_counter),
+        g_module=WeightModule._from_integers(space, g_rows),
+        h_module=WeightModule._from_integers(space, h_rows),
         metadata={"family": "sl_block", "sizes": list(pattern.sizes),
                   "diagonal_kind": list(pattern.diagonal_kind),
-                  "upper_blocks": sorted(pattern.upper_blocks)})
+                  "upper_blocks": sorted(pattern.upper_blocks)},
+        built=True)
 
 
 def build_product_in_sl(parts: Sequence[int]) -> PairSpec:
@@ -193,7 +195,7 @@ def build_product_in_sl(parts: Sequence[int]) -> PairSpec:
     pattern = BlockPattern(tuple(parts), ("full",) * len(parts))
     spec = build_sl_block(pattern)
     return PairSpec(g_module=spec.g_module, h_module=spec.h_module,
-                    metadata={"family": "product_in_sl", "parts": parts})
+                    metadata={"family": "product_in_sl", "parts": parts}, built=True)
 
 
 def build_product_in_sp(parts: Sequence[int]) -> PairSpec:
@@ -225,7 +227,7 @@ def build_product_in_sp(parts: Sequence[int]) -> PairSpec:
     return PairSpec(
         g_module=_module(space, g_counter),
         h_module=_module(space, h_counter),
-        metadata={"family": "product_in_sp", "parts": parts})
+        metadata={"family": "product_in_sp", "parts": parts}, built=True)
 
 
 def _so_dim(p: int, q: int) -> int:
@@ -283,7 +285,7 @@ def build_so_pair(p1: int, q1: int, p2: int, q2: int) -> PairSpec:
     return PairSpec(
         g_module=_module(space, g_counter),
         h_module=_module(space, h_counter),
-        metadata={"family": "so_pair", "signature": [p1, q1, p2, q2]})
+        metadata={"family": "so_pair", "signature": [p1, q1, p2, q2]}, built=True)
 
 
 def build_classical_in_sl(kind: str, *params: int) -> PairSpec:
@@ -333,13 +335,14 @@ def build_classical_in_sl(kind: str, *params: int) -> PairSpec:
     return PairSpec(
         g_module=_module(space, g_counter),
         h_module=_module(space, h_counter),
-        metadata=meta)
+        metadata=meta, built=True)
 
 
 def realify(spec: PairSpec) -> PairSpec:
     """View a split complex pair as a real pair: every multiplicity doubles."""
     def double(M: WeightModule) -> WeightModule:
-        return WeightModule(M.space, [(f, 2 * m) for f, m in M.weights])
+        return WeightModule._from_integers(M.space, [(row, 2 * m) for row, m in M.rows],
+                                           M.den)
 
     meta = dict(spec.metadata)
     meta["realified"] = True
@@ -347,7 +350,7 @@ def realify(spec: PairSpec) -> PairSpec:
         g_module=double(spec.g_module),
         h_module=double(spec.h_module),
         v_module=double(spec.v_module) if spec.v_module is not None else None,
-        metadata=meta)
+        metadata=meta, built=spec.built)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +513,8 @@ def extract_weights(inp: MatrixPairInput) -> PairSpec:
     mh = multiplicities("h_basis")
     space = TorusSpace(len(inp.torus_basis))
     return PairSpec(
-        g_module=_module(space, weights(multiplicities("g_basis") - mh)),
-        h_module=_module(space, weights(mh)),
+        g_module=WeightModule(space, weights(multiplicities("g_basis") - mh).items()),
+        h_module=WeightModule(space, weights(mh).items()),
         metadata=dict(inp.metadata))
 
 

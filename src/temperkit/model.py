@@ -184,7 +184,8 @@ class WeightModule:
 
     Held as sorted (row, multiplicity) ``rows`` over one denominator ``den``
     (weight = row/den), in lowest terms.  Weights, given as sequences of
-    rationals, are reduced modulo the torus constraints and
+    rationals (or, through _from_integers, as integer rows over one
+    denominator), are reduced modulo the torus constraints and
     merged, so no two stored entries are equal on the slice.  Zero weights
     are kept: they add nothing to rho but keep dimension accounting exact.
     """
@@ -196,9 +197,21 @@ class WeightModule:
         if any(mult <= 0 for _, mult in given):
             raise ValueError("multiplicities must be positive")
         den = math.lcm(*(d for (_, d), _ in given))
+        self._fill(space, [(row if d == den else [x * (den // d) for x in row], mult)
+                           for (row, d), mult in given], den)
+
+    @classmethod
+    def _from_integers(cls, space: TorusSpace, rows, den: int = 1) -> "WeightModule":
+        """The module of the weights row/den, for (row, mult) pairs of
+        integer rows and positive multiplicities."""
+        M = object.__new__(cls)
+        M._fill(space, rows, den)
+        return M
+
+    def _fill(self, space: TorusSpace, rows, den: int):
         merged: dict[tuple[int, ...], int] = {}
-        for (row, d), mult in given:
-            red = space._reduce(row if d == den else [x * (den // d) for x in row])
+        for row, mult in rows:
+            red = space._reduce(row)
             merged[red] = merged.get(red, 0) + mult
         den *= space._scale
         g = math.gcd(den, *(x for row in merged for x in row)) if den > 1 else 1
@@ -318,6 +331,9 @@ class PairSpec:
     h_module: WeightModule
     v_module: Optional[WeightModule] = None
     metadata: dict = field(default_factory=dict)
+    # made by a family builder from its metadata alone, so that the metadata
+    # states the whole question; serialize then writes the metadata only
+    built: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.h_module.space != self.g_module.space:

@@ -6,6 +6,14 @@ ones written as "num" strings, and read them back as ints.  Documents
 carry a schema_version field.  Parsing errors, including a container of the
 wrong JSON type, raise SchemaError with a JSON-pointer-style location.
 
+Schema version 2 writes each question once: a verdict document whose spec
+a family builder made (PairSpec.built) carries only that spec's metadata,
+which names the builder call; any other spec carries its space and modules
+as well.  Readers take every version by one rule (read_pair_spec): metadata
+that names a builder call is bounded and rebuilt, and binds any space,
+modules and metadata the object also carries.  Version 1 documents, which
+carry the space and modules of every spec, read the same way.
+
 Readers ignore the keys that older documents of schema version 1 also
 carry and no check reads: top-level "spec_echo", pair_spec "symmetry",
 space "coordinate_labels", module "name", and evidence "hyperplanes",
@@ -20,12 +28,13 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .check import Verdict
-from .errors import ArityError, ConstraintViolationError, SchemaError
+from .check import QUESTION_CEILING, Verdict
+from .errors import (ArityError, ConstraintViolationError, SchemaError,
+                     TemperkitError)
 from .model import PairSpec, TorusSpace, WeightModule
 from .verify import NonnegCertificate, Witness
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -137,19 +146,185 @@ def pair_spec_to_json(spec: PairSpec) -> dict:
     return out
 
 
-def pair_spec_from_json(data: dict, where: str = "pair_spec") -> PairSpec:
+# ---------------------------------------------------------------------------
+# questions: the builder call that a spec's metadata names
+#
+# Only documents and inputs name questions, so the dispatch lives here and
+# not in check, which every `import temperkit` loads; the builders are
+# imported where a question is read.
+
+def _bounded(value, where: str) -> int:
+    if type(value) is not int:
+        raise SchemaError(f"{where}: expected an integer")
+    if value > QUESTION_CEILING:
+        raise SchemaError(f"{where}: {value} exceeds the ceiling {QUESTION_CEILING}")
+    return value
+
+
+def _ints(meta: dict, key: str, where: str, count: Optional[int] = None) -> list:
+    value = meta.get(key)
+    if not isinstance(value, list) or count is not None and len(value) != count:
+        many = f"{count} integers" if count is not None else "integers"
+        raise SchemaError(f"{where}.{key}: expected a list of {many}")
+    return [_bounded(x, f"{where}.{key}[{i}]") for i, x in enumerate(value)]
+
+
+def _sl_block_question(meta, where):
+    from .generators import BlockPattern, build_sl_block
+    n = sum(_ints(meta, "sizes", where))
+    return n, n, lambda: build_sl_block(BlockPattern(
+        tuple(meta["sizes"]), tuple(meta.get("diagonal_kind", ())),
+        frozenset(map(tuple, meta.get("upper_blocks", ())))))
+
+
+def _product_question(meta, where):
+    from .generators import build_product_in_sl, build_product_in_sp
+    parts = _ints(meta, "parts", where)
+    build = (build_product_in_sl if meta["family"] == "product_in_sl"
+             else build_product_in_sp)
+    return sum(parts), sum(parts), lambda: build(parts)
+
+
+def _so_pair_question(meta, where):
+    from .generators import build_so_pair
+    p1, q1, p2, q2 = signature = _ints(meta, "signature", where, 4)
+    return sum(signature), min(p1, q1) + min(p2, q2), lambda: build_so_pair(*signature)
+
+
+def _classical_question(meta, where):
+    from .generators import build_classical_in_sl
+    kind = meta.get("kind")
+    if kind == "so":
+        p, q = _ints(meta, "signature", where, 2)
+        return p + q, min(p, q), lambda: build_classical_in_sl("so", p, q)
+    if kind == "sp":
+        m = _bounded(meta.get("m"), f"{where}.m")
+        return 2 * m, m, lambda: build_classical_in_sl("sp", m)
+    raise SchemaError(f'{where}.kind: expected "so" or "sp"')
+
+
+_TENSOR_PARAMS = {1: ("k", "l", "n"), 2: ("a", "b", "c"), 3: ("a", "b", "c")}
+
+
+def _tensor_question(meta, where):
+    from .check import tensor_product_spec
+    variant = meta.get("variant")
+    if type(variant) is not int or variant not in _TENSOR_PARAMS:
+        raise SchemaError(f"{where}.variant: must be 1, 2 or 3")
+    params = [_bounded(meta.get(key), f"{where}.{key}")
+              for key in _TENSOR_PARAMS[variant]]
+    n = params[2] if variant == 1 else sum(params)
+    return n, n, lambda: tensor_product_spec(variant, *params)
+
+
+# family name -> reader of its metadata: (matrix size, ambient dimension, build)
+BUILDERS = {
+    "sl_block": _sl_block_question,
+    "product_in_sl": _product_question,
+    "product_in_sp": _product_question,
+    "so_pair": _so_pair_question,
+    "classical_in_sl": _classical_question,
+}
+
+
+def read_question(meta: dict, where: str):
+    """(ambient_dim, build) for the builder call that a spec's metadata
+    names, or None if it names none.
+
+    The metadata names a call when its "question" is "tensor_product" or
+    its "family" is a key of BUILDERS; "realified" makes it the
+    realification of that pair.  The parameters are read, type-checked and
+    bounded by QUESTION_CEILING, and the matrix size n with them, before
+    anything is built, so the ambient dimension is known and the build is
+    small.  build() raises SchemaError, located at where, for a parameter
+    the builder rejects; its domain errors (TemperkitError) pass through.
+    """
+    family = meta.get("family")
+    if meta.get("question") == "tensor_product":
+        reader = _tensor_question
+    elif type(family) is str and family in BUILDERS:
+        reader = BUILDERS[family]
+    else:
+        return None
+    n, dim, build = reader(meta, where)
+    if n > QUESTION_CEILING:
+        raise SchemaError(f"{where}: matrix size {n} exceeds the ceiling "
+                          f"{QUESTION_CEILING}")
+
+    def rebuild() -> PairSpec:
+        from .generators import realify
+        try:
+            spec = build()
+        except TemperkitError:
+            raise
+        except (TypeError, ValueError) as e:
+            raise SchemaError(f"{where}: {e}") from None
+        return realify(spec) if meta.get("realified") else spec
+
+    return dim, rebuild
+
+
+def _modules_from_json(data: dict, space: TorusSpace, where: str) -> dict:
+    """The modules that a pair_spec object carries, by key."""
+    return {key: weight_module_from_json(data[key], space, f"{where}.{key}")
+            for key in ("h_module", "g_module", "v_module") if key in data}
+
+
+def read_pair_spec(data: dict, where: str = "pair_spec",
+                   points=()) -> tuple[Optional[PairSpec], list[str]]:
+    """The spec that a pair_spec object states, and how the object contradicts it.
+
+    When the metadata names a builder call (read_question), the spec
+    is that call's, rebuilt; any space or module the object also carries,
+    and the metadata itself, must equal the rebuilt ones, and each that
+    does not is a problem naming its key.  Otherwise the spec is the
+    carried space and modules.  points are (name, vector) pairs that must
+    have the spec's ambient dimension; a wrong one is a problem, and then
+    nothing is built and the spec is None.
+    """
     _expect(data, dict, where)
-    space = torus_space_from_json(data.get("space", {}), f"{where}.space")
-    h = weight_module_from_json(data.get("h_module", {}), space,
-                                f"{where}.h_module")
-    g = weight_module_from_json(data.get("g_module", {}), space,
-                                f"{where}.g_module")
-    v = None
-    if "v_module" in data:
-        v = weight_module_from_json(data["v_module"], space, f"{where}.v_module")
-    return PairSpec(g_module=g, h_module=h, v_module=v,
-                    metadata=dict(_expect(data.get("metadata", {}), dict,
-                                          f"{where}.metadata")))
+    meta = dict(_expect(data.get("metadata", {}), dict, f"{where}.metadata"))
+    question = read_question(meta, f"{where}.metadata")
+    if question is None:
+        space = torus_space_from_json(data.get("space", {}), f"{where}.space")
+        dim = space.ambient_dim
+    else:
+        dim, build = question
+    problems = [f"{name}: point arity {len(point)} does not match the ambient "
+                f"dimension {dim}" for name, point in points if len(point) != dim]
+    if problems:
+        return None, problems
+    if question is None:
+        modules = _modules_from_json({"h_module": {}, "g_module": {}, **data},
+                                     space, where)
+        return PairSpec(g_module=modules["g_module"], h_module=modules["h_module"],
+                        v_module=modules.get("v_module"), metadata=meta), []
+    try:
+        spec = build()
+    except SchemaError:
+        raise
+    except TemperkitError as e:
+        raise SchemaError(f"{where}.metadata: {e}") from None
+    if dumps(spec.metadata) != dumps(meta):
+        problems.append(f"{where}.metadata: not the metadata its builder writes, "
+                        f"{dumps(spec.metadata)}")
+    space = spec.space
+    if "space" in data:
+        space = torus_space_from_json(data["space"], f"{where}.space")
+        if space != spec.space:
+            problems.append(f"{where}.space: not the space {where}.metadata names")
+    for key, module in _modules_from_json(data, space, where).items():
+        if module != getattr(spec, key):
+            problems.append(f"{where}.{key}: not the module {where}.metadata names")
+    return spec, problems
+
+
+def pair_spec_from_json(data: dict, where: str = "pair_spec") -> PairSpec:
+    """The spec of read_pair_spec; a contradiction is a SchemaError."""
+    spec, problems = read_pair_spec(data, where)
+    if problems:
+        raise SchemaError(problems[0])
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +364,15 @@ def evidence_from_json(data: dict, where: str = "evidence"):
 
 
 def verdict_to_json(verdict: Verdict, spec: Optional[PairSpec] = None) -> dict:
+    """The verdict document; a spec that a family builder made is written as
+    its metadata alone, any other as its space and modules too."""
     out = {"schema_version": SCHEMA_VERSION,
            "tempered": verdict.tempered,
            "deficit_summary": verdict.deficit_summary,
            "evidence": evidence_to_json(verdict.evidence)}
     if spec is not None:
-        out["pair_spec"] = pair_spec_to_json(spec)
+        out["pair_spec"] = ({"metadata": spec.metadata} if spec.built
+                            else pair_spec_to_json(spec))
     return out
 
 
@@ -204,21 +382,29 @@ def verdict_to_json(verdict: Verdict, spec: Optional[PairSpec] = None) -> dict:
 def recheck_document(data: dict) -> list[str]:
     """Re-validate a serialized verdict document through evaluation only.
 
-    Rebuilds the deficit from the embedded pair spec and re-evaluates it at
-    every listed ray (or at the witness direction), comparing against the
-    recorded exact values.  The arrangement is never re-enumerated, so
-    nothing checks that the rays cover the slice.  Returns a list of
-    human-readable problems, each naming the ray or the witness it is
-    about; empty means consistent.
+    Documents of every schema version are read by one rule
+    (read_pair_spec): when the metadata names a builder call, the spec is
+    rebuilt from it, after the call's parameters are bounded and its
+    ambient dimension matched against every evidence vector, and any space,
+    module or metadata the document also carries must equal the rebuilt
+    one.  The deficit of that spec is then re-evaluated at every listed ray
+    (or at the witness direction) and compared against the recorded exact
+    values.  The arrangement is never re-enumerated, so nothing checks
+    that the rays cover the slice.  Returns a list of human-readable
+    problems, each naming the field, the ray or the witness it is about;
+    empty means consistent.  A malformed document raises SchemaError.
     """
     from .model import deficit, evaluate_pl
 
-    problems = []
     if "pair_spec" not in _expect(data, dict, "document"):
         return ["document has no pair_spec to recheck against"]
-    spec = pair_spec_from_json(data["pair_spec"])
-    f = deficit(spec)
     ev = evidence_from_json(data.get("evidence", {}))
+    points = ([("witness direction", ev.direction)] if isinstance(ev, Witness)
+              else [(f"ray {i}", ray) for i, ray in enumerate(ev.rays)])
+    spec, problems = read_pair_spec(data["pair_spec"], "pair_spec", points)
+    if spec is None:
+        return problems
+    f = deficit(spec)
     tempered = data.get("tempered")
 
     def value_at(point, name):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -13,8 +14,9 @@ import temperkit
 from temperkit import serialize
 from temperkit.check import FAMILIES, check
 from temperkit.cli import main
-from temperkit.generators import (TABLE1_PATTERNS, BlockPattern, build_sl_block,
-                                  extract_weights, matrix_input_for_block_pattern)
+from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern,
+                                  build_sl_block, extract_weights,
+                                  matrix_input_for_block_pattern)
 
 
 def write(tmp_path, name, payload):
@@ -453,14 +455,19 @@ def test_every_spec_document_exits_cleanly(doc):
 
 def _verdict_documents():
     """A valid verdict document per input mode: family (a certificate and a
-    witness), pair_spec (a witness) and matrix input (a certificate)."""
+    witness, and the witness in schema version 1), pair_spec (a witness)
+    and matrix input (a certificate)."""
     specs = [build_sl_block(TABLE1_PATTERNS["H4"](2, 2)),
              build_sl_block(TABLE1_PATTERNS["H2"](3, 1)),
              serialize.pair_spec_from_json(pair_spec()["pair_spec"]),
              extract_weights(matrix_input_for_block_pattern(
                  BlockPattern((2, 1), ("full", "full"))))]
-    return [json.loads(serialize.dumps(serialize.verdict_to_json(check(spec), spec)))
+    docs = [json.loads(serialize.dumps(serialize.verdict_to_json(check(spec), spec)))
             for spec in specs]
+    # the family witness as schema version 1 wrote it, its modules in full
+    v1 = {**docs[1], "schema_version": 1,
+          "pair_spec": {**serialize.pair_spec_to_json(specs[1]), "schema_version": 1}}
+    return docs + [json.loads(serialize.dumps(v1))]
 
 
 VERDICT_DOCUMENTS = _verdict_documents()
@@ -541,6 +548,17 @@ class TestScan:
         code, _, err = run(capsys, ["scan", "table1", "--max", "2"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv, where", [
+        (["table1", "--pmax", "-1"], "--pmax: must be at least 1"),
+        (["table2", "--max", "0"], "--max: must be at least 1"),
+        (["example52-sl", "--n", "1"],
+         "example52-sl: the ranges {'n': 1} hold no points"),
+    ], ids=["negative_pmax", "zero_max", "empty_range"])
+    def test_empty_range_is_an_input_error(self, capsys, argv, where):
+        code, out, err = run(capsys, ["scan", *argv])
+        assert code == 2, out
+        assert where in err and not out
+
 
 class TestVolume:
     def test_decay_pass(self, capsys):
@@ -567,6 +585,21 @@ class TestVolume:
         code, _, err = run(capsys, ["volume", "decay", "--matrix",
                                     "diag(1,-1)", "--body", "box3"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv, where", [
+        (["decay", "--matrix", "diag(1,-1)", "--body", "boxa"], "--body"),
+        (["decay", "--matrix", "diag(1,x)"], "--matrix"),
+        (["decay", "--matrix", "[[1, 2, 3]]"], "--matrix"),
+        (["decay", "--matrix", "diag(1,-1)", "--samples", "0"], "--samples"),
+        (["decay", "--matrix", "diag(1,-1)", "--points", "2"], "--points"),
+        (["translate", "--dim", "0"], "--dim"),
+        (["translate", "--samples", "0", "--trials", "1"], "--samples"),
+    ], ids=["body_suffix", "diag_entry", "not_square", "zero_samples",
+            "two_points", "zero_dim", "translate_zero_samples"])
+    def test_bad_flag_exits_two_naming_it(self, capsys, argv, where):
+        code, out, err = run(capsys, ["volume", *argv])
+        assert code == 2, err
+        assert err.startswith(f"error: {where}") and not out
 
     def test_translate(self, capsys):
         code, out, _ = run(capsys, ["volume", "translate", "--dim", "2",
@@ -653,3 +686,68 @@ class TestRecheck:
         report = json.loads(out)
         assert report["consistent"] is False
         assert any(p.startswith(where) for p in report["problems"])
+
+
+class TestQuestionBinding:
+    def _check(self, tmp_path, capsys, payload):
+        code, out, err = run(capsys, ["check", write(tmp_path, "s.json", payload)])
+        assert code == 0, err
+        return json.loads(out)
+
+    def test_family_document_is_its_metadata(self, tmp_path, capsys):
+        doc = self._check(tmp_path, capsys, {"family": {
+            "name": "sl_block", "pattern": "H11", "sizes": [3, 1, 2]}})
+        assert doc["schema_version"] == 2
+        assert doc["pair_spec"] == {"metadata": {
+            "family": "sl_block", "sizes": [3, 1, 2],
+            "diagonal_kind": ["full", "full", "full"], "upper_blocks": [[0, 2]]}}
+
+    def test_pair_spec_input_naming_a_builder(self, tmp_path, capsys):
+        # the question alone, or with its space and modules, as a document
+        # carries it: both are rebuilt and give the family's document
+        family = self._check(tmp_path, capsys, {"family": {
+            "name": "product_in_sp", "parts": [2, 1], "realify": True}})
+        spec = serialize.pair_spec_from_json(family["pair_spec"])
+        for pair in (family["pair_spec"], serialize.pair_spec_to_json(spec)):
+            again = self._check(tmp_path, capsys, {"pair_spec": json.loads(
+                serialize.dumps(pair))})
+            assert again == family
+
+    def test_mislabelled_pair_spec_input_exits_two(self, tmp_path, capsys):
+        pair = serialize.pair_spec_to_json(build_sl_block(TABLE2_PATTERNS["H2"](3, 1, 2)))
+        pair["metadata"]["diagonal_kind"] = ["full", "full", "full"]
+        code, out, err = run(capsys, ["check", write(tmp_path, "s.json",
+                                                     {"pair_spec": pair})])
+        assert code == 2 and not out
+        assert err.startswith("error: pair_spec.space: not the space "
+                              "pair_spec.metadata names")
+
+    def test_matrix_input_keeps_its_weights(self, tmp_path, capsys):
+        doc = self._check(tmp_path, capsys, matrix_pair(metadata={"family": "mine"}))
+        assert set(doc["pair_spec"]) == {"schema_version", "space", "h_module",
+                                         "g_module", "metadata"}
+        named = matrix_pair(metadata={
+            "family": "sl_block", "sizes": [1, 1],
+            "diagonal_kind": ["identity", "identity"], "upper_blocks": [[0, 1]]})
+        code, out, err = run(capsys, ["check", write(tmp_path, "m.json", named)])
+        assert code == 2 and not out
+        assert err.startswith("error: matrix_pair.space: not the space "
+                              "matrix_pair.metadata names")
+
+    @pytest.mark.parametrize("pattern, sizes, huge", [
+        ("H11", [3, 1, 2], [10 ** 20, 1, 1]),
+        ("H4", [2, 2], [1, 10 ** 20]),
+    ], ids=["witness", "rayless_certificate"])
+    def test_huge_question_is_refused_at_once(self, tmp_path, capsys, pattern,
+                                              sizes, huge):
+        doc = self._check(tmp_path, capsys, {"family": {
+            "name": "sl_block", "pattern": pattern, "sizes": sizes}})
+        if doc["tempered"]:
+            doc["evidence"]["rays"] = doc["evidence"]["ray_values"] = []
+        doc["pair_spec"]["metadata"]["sizes"] = huge
+        path = write(tmp_path, "v.json", doc)
+        start = time.perf_counter()
+        code, _, err = run(capsys, ["recheck", path])
+        assert time.perf_counter() - start < 1
+        assert code in (1, 2)
+        assert "pair_spec.metadata.sizes" in err

@@ -4,9 +4,12 @@ from fractions import Fraction
 import pytest
 
 from temperkit import serialize
-from temperkit.check import check
+from temperkit.check import QUESTION_CEILING, check, tensor_product_spec
 from temperkit.errors import SchemaError
-from temperkit.generators import (TABLE1_PATTERNS, build_sl_block, build_so_pair,
+from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern,
+                                  build_classical_in_sl, build_product_in_sl,
+                                  build_product_in_sp, build_sl_block, build_so_pair,
+                                  extract_weights, matrix_input_for_block_pattern,
                                   realify)
 from temperkit.model import TorusSpace
 
@@ -78,10 +81,20 @@ class TestEvidence:
             serialize.evidence_from_json({"kind": "proof"})
 
 
+def v1_document(verdict, spec):
+    """The verdict document as schema version 1 wrote it: the spec's space
+    and modules in full next to its metadata."""
+    return json.loads(serialize.dumps(
+        {**serialize.verdict_to_json(verdict), "schema_version": 1,
+         "pair_spec": {**serialize.pair_spec_to_json(spec), "schema_version": 1}}))
+
+
 class TestRecheck:
-    def _doc(self, p, q, name="H4"):
+    def _doc(self, p, q, name="H4", v1=False):
         spec = build_sl_block(TABLE1_PATTERNS[name](p, q))
         v = check(spec)
+        if v1:
+            return v1_document(v, spec)
         return json.loads(serialize.dumps(serialize.verdict_to_json(v, spec)))
 
     def test_tempered_document_consistent(self):
@@ -109,7 +122,7 @@ class TestRecheck:
         # "chambers" (each with a "linear_form"), "lineality" and
         # "antipodal_reduced", the verdict a "spec_echo", the space
         # "coordinate_labels" and each module a "name" still read
-        doc = self._doc(2, 2)
+        doc = self._doc(2, 2, v1=True)
         space = doc["pair_spec"]["space"]
         dim = space["ambient_dim"]
         for key in ("hyperplanes", "chambers", "lineality", "antipodal_reduced"):
@@ -126,7 +139,7 @@ class TestRecheck:
         doc["evidence"]["chambers"] = [
             {"signs": "+-", "rays": [0, 1], "linear_form": ["1/2"] * dim},
             {"signs": "x", "rays": "not read"}]
-        assert serialize.SCHEMA_VERSION == doc["schema_version"] == 1
+        assert doc["schema_version"] == doc["pair_spec"]["schema_version"] == 1
         ev = serialize.evidence_from_json(doc["evidence"])
         assert ev == serialize.evidence_from_json(self._doc(2, 2)["evidence"])
         assert serialize.recheck_document(doc) == []
@@ -150,7 +163,7 @@ class TestRecheck:
 
     def test_bool_rational_rejected(self):
         # a JSON true is not the rational 1, in the spec or in the evidence
-        doc = self._doc(2, 2)
+        doc = self._doc(2, 2, v1=True)
         rows = doc["pair_spec"]["space"]["constraints"]
         assert any(1 in row for row in rows)
         doc["pair_spec"]["space"]["constraints"] = [
@@ -183,3 +196,112 @@ class TestDeterminism:
         a = serialize.dumps(serialize.verdict_to_json(check(spec), spec))
         b = serialize.dumps(serialize.verdict_to_json(check(spec), spec))
         assert a == b
+
+
+def _h2_as_h11(doc):
+    """Relabel an H2(3,1,2) document as H11(3,1,2): same sizes and upper
+    block, full diagonal blocks."""
+    meta = doc["pair_spec"]["metadata"]
+    assert meta["diagonal_kind"] == ["identity", "full", "identity"]
+    meta["diagonal_kind"] = ["full", "full", "full"]
+    return doc
+
+
+class TestQuestionForm:
+    @pytest.mark.parametrize("spec", [
+        build_sl_block(TABLE2_PATTERNS["H11"](3, 1, 2)),
+        build_product_in_sl((2, 1, 1)),
+        build_product_in_sp((2, 1)),
+        build_so_pair(2, 1, 1, 1),
+        build_classical_in_sl("so", 3, 2),
+        build_classical_in_sl("sp", 2),
+        realify(build_product_in_sp((1, 1))),
+        tensor_product_spec(2, 5, 1, 2),
+    ], ids=["sl_block", "product_in_sl", "product_in_sp", "so_pair",
+            "classical_so", "classical_sp", "realified", "tensor_product"])
+    def test_builder_spec_is_written_as_its_metadata(self, spec):
+        v = check(spec)
+        doc = json.loads(serialize.dumps(serialize.verdict_to_json(v, spec)))
+        assert doc["schema_version"] == serialize.SCHEMA_VERSION == 2
+        assert doc["pair_spec"] == json.loads(serialize.dumps(
+            {"metadata": spec.metadata}))
+        assert serialize.recheck_document(doc) == []
+        assert serialize.recheck_document(v1_document(v, spec)) == []
+        back = serialize.pair_spec_from_json(doc["pair_spec"])
+        assert back == spec and back.built
+
+    def test_extracted_spec_keeps_its_modules(self):
+        spec = extract_weights(matrix_input_for_block_pattern(
+            BlockPattern((2, 1), ("full", "full"))))
+        assert not spec.built
+        doc = serialize.verdict_to_json(check(spec), spec)
+        assert doc["pair_spec"] == serialize.pair_spec_to_json(spec)
+        assert serialize.recheck_document(json.loads(serialize.dumps(doc))) == []
+
+    def _h2(self):
+        spec = build_sl_block(TABLE2_PATTERNS["H2"](3, 1, 2))
+        v = check(spec)
+        assert v.tempered and not check(
+            build_sl_block(TABLE2_PATTERNS["H11"](3, 1, 2))).tempered
+        return v, spec
+
+    def test_relabelled_v1_document_reported(self):
+        v, spec = self._h2()
+        doc = v1_document(v, spec)
+        assert serialize.recheck_document(doc) == []
+        assert serialize.recheck_document(_h2_as_h11(doc)) == [
+            "pair_spec.space: not the space pair_spec.metadata names",
+            "pair_spec.h_module: not the module pair_spec.metadata names",
+            "pair_spec.g_module: not the module pair_spec.metadata names",
+            "certificate has no rays"]
+
+    def test_relabelled_v2_document_reported(self):
+        v, spec = self._h2()
+        doc = json.loads(serialize.dumps(serialize.verdict_to_json(v, spec)))
+        assert serialize.recheck_document(doc) == []
+        # H2(3,1,2) lives on a 0-dimensional slice, so its certificate
+        # lists no rays; H11(3,1,2)'s slice has dimension 3
+        assert not doc["evidence"]["rays"]
+        assert serialize.recheck_document(_h2_as_h11(doc)) == ["certificate has no rays"]
+
+    @pytest.mark.parametrize("key, value, problem", [
+        ("upper_blocks", [[0, 2], [0, 1]], "pair_spec.metadata: not the metadata"),
+        ("realified", False, "pair_spec.metadata: not the metadata"),
+        ("extra", 1, "pair_spec.metadata: not the metadata"),
+    ])
+    def test_metadata_must_be_the_builders(self, key, value, problem):
+        v, spec = self._h2()
+        doc = json.loads(serialize.dumps(serialize.verdict_to_json(v, spec)))
+        doc["pair_spec"]["metadata"][key] = value
+        assert any(p.startswith(problem) for p in serialize.recheck_document(doc))
+
+    def test_carried_space_must_be_the_builders(self):
+        v, spec = self._h2()
+        doc = v1_document(v, spec)
+        doc["pair_spec"]["space"]["constraints"].pop()
+        assert ("pair_spec.space: not the space pair_spec.metadata names"
+                in serialize.recheck_document(doc))
+
+    @pytest.mark.parametrize("key, value, where", [
+        ("sizes", [3, 1, QUESTION_CEILING + 1], r"pair_spec\.metadata\.sizes\[2\]"),
+        ("sizes", [QUESTION_CEILING] * 2, r"pair_spec\.metadata: matrix size 128"),
+        ("sizes", [3, 1.0, 2], r"pair_spec\.metadata\.sizes\[1\]: expected an integer"),
+        ("sizes", "312", r"pair_spec\.metadata\.sizes: expected a list"),
+        ("diagonal_kind", ["full", "full", "bogus"], r"pair_spec\.metadata: unknown"),
+        ("upper_blocks", [[0, 1], [1, 2]], r"pair_spec\.metadata: upper blocks"),
+    ])
+    def test_bad_question_is_a_located_schema_error(self, key, value, where):
+        v, spec = self._h2()
+        doc = json.loads(serialize.dumps(serialize.verdict_to_json(v, spec)))
+        doc["pair_spec"]["metadata"][key] = value
+        with pytest.raises(SchemaError, match=where):
+            serialize.recheck_document(doc)
+
+    def test_evidence_dimension_checked_before_the_build(self):
+        # the question's ambient dimension, 3 + 1 + 1 = 5, is not the
+        # witness's 6; nothing is built
+        spec = build_sl_block(TABLE2_PATTERNS["H11"](3, 1, 2))
+        doc = json.loads(serialize.dumps(serialize.verdict_to_json(check(spec), spec)))
+        doc["pair_spec"]["metadata"]["sizes"] = [3, 1, 1]
+        assert serialize.recheck_document(doc) == [
+            "witness direction: point arity 6 does not match the ambient dimension 5"]

@@ -2,8 +2,12 @@
 its verdict document.
 
 Two checkouts that should produce the same documents can then be compared
-with a plain `diff`.  Every document is also replayed through
-`recheck_document`; the script exits 1 when any replay reports a problem.
+with a plain `diff`.  Every verdict document is also replayed through
+`recheck_document`, and so is, for a spec that a family builder made, its
+schema-version-1 form (the full pair spec next to its metadata); the
+script exits 1 when any replay reports a problem.  Standard error gets the
+bytes of each family's verdict documents, as written and in that full
+form.
 
 Run from the repository root:
 
@@ -25,6 +29,7 @@ slice (`check(spec, use_symmetry=False)`), as its "domain" field says:
 from __future__ import annotations
 
 import itertools
+import json
 import sys
 from pathlib import Path
 
@@ -77,19 +82,37 @@ def cases():
     yield from matrix_cases(True)
 
 
+def v1_document(verdict, spec) -> dict:
+    """The verdict document with the spec's space and modules in full, as
+    schema version 1 wrote it."""
+    return {**serialize.verdict_to_json(verdict), "schema_version": 1,
+            "pair_spec": {**serialize.pair_spec_to_json(spec), "schema_version": 1}}
+
+
 def main() -> int:
     failed = 0
+    sizes = {}
     for label, spec, use_symmetry in cases():
         verdict = check(spec, use_symmetry=use_symmetry)
-        problems = serialize.recheck_document(
-            serialize.verdict_to_json(verdict, spec))
-        if problems:
-            failed += 1
-            print(f"{label}: {problems[:3]}", file=sys.stderr)
+        document = serialize.verdict_to_json(verdict, spec)
+        forms = [("", document)]
+        if spec.built:
+            forms.append((" (v1 form)", v1_document(verdict, spec)))
+        for form, doc in forms:
+            problems = serialize.recheck_document(json.loads(serialize.dumps(doc)))
+            if problems:
+                failed += 1
+                print(f"{label}{form}: {problems[:3]}", file=sys.stderr)
+        written, full = sizes.setdefault(label["family"], [0, 0])
+        sizes[label["family"]] = [written + len(serialize.dumps(document)),
+                                  full + len(serialize.dumps(forms[-1][1]))]
         domain = "derived domain" if use_symmetry else "whole slice"
         print(serialize.dumps({**label, "domain": domain,
                                "pair_spec": serialize.pair_spec_to_json(spec),
                                "verdict": serialize.verdict_to_json(verdict)}))
+    for family, (written, full) in sizes.items():
+        print(f"{family}: {written:,} bytes of verdict documents, {full:,} with "
+              "every builder spec in full", file=sys.stderr)
     return 1 if failed else 0
 
 
