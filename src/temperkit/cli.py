@@ -14,8 +14,8 @@ import json
 import sys
 
 from . import serialize
-from .check import (render_scan_table, scan_family, tensor_product_spec,
-                    check as run_check)
+from .check import (QUESTION_CEILING, render_scan_table, scan_family,
+                    tensor_product_spec, check as run_check)
 from .errors import BasisError, SchemaError, TemperkitError
 from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, MatrixPairInput,
                          example_sp21_input, extract_weights)
@@ -115,6 +115,8 @@ def _spec_from_file(data: dict):
             metadata=dict(mp.get("metadata", {})))
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"{where}: {e}") from None
+    if len(inp.torus_basis) > QUESTION_CEILING:     # the spec's ambient dimension
+        raise SchemaError(f"{where}.torus_basis: more than {QUESTION_CEILING} elements")
     spec = extract_weights(inp)
     if serialize.read_question(spec.metadata, f"{where}.metadata") is not None:
         # metadata that names a builder call binds the weights to it, as in

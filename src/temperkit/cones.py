@@ -7,9 +7,10 @@ cones at a given stage share the same lineality space, namely the slice
 intersected with the kernels of every constraint inserted so far; the code
 maintains that space explicitly instead of assuming pointedness.
 
-Rays are shared between sibling cones.  Each ray caches its value under
-every inserted constraint plus a bitmask of the constraints it is tight on,
-which makes the combinatorial adjacency test a few integer AND operations.
+Rays are shared between sibling cones.  Each ray keeps a bitmask of the
+constraints it is tight on, which makes the combinatorial adjacency test a
+few integer AND operations, and its value under the constraint being
+inserted; no other value is kept.
 
 All vectors here are integer tuples in the coordinates the slice basis is
 given in; normal vectors of hyperplanes are integer tuples in the same
@@ -34,17 +35,12 @@ def _primitive(vec):
 
 
 class _Ray:
-    __slots__ = ("vec", "vals", "zmask")
+    __slots__ = ("vec", "zmask", "val", "at")
 
-    def __init__(self, vec, vals, zmask):
+    def __init__(self, vec, zmask):
         self.vec = vec
-        self.vals = vals
         self.zmask = zmask
-
-    def append_val(self, k: int, v: int):
-        self.vals.append(v)
-        if v == 0:
-            self.zmask |= 1 << k
+        self.at = -1            # val is the value under constraint number at
 
 
 @dataclass
@@ -56,10 +52,10 @@ class Cell:
 
 @dataclass
 class CellComplex:
+    """The cells and the basis of their common lineality space."""
+
     cells: list[Cell]
-    lineality: list[tuple[int, ...]]   # basis of the common lineality space
-    # each ray's exact value under every inserted normal, walls first
-    values: dict[tuple[int, ...], list[int]]
+    lineality: list[tuple[int, ...]]
 
 
 def _adjacent(p: _Ray, n: _Ray, rays, need: int) -> bool:
@@ -106,9 +102,10 @@ def _insert_case1(cones, L, hL, h, k, wall):
     hw = abs(hL[j])
     new_L = _split_lineality(L, hL, j)
 
-    zeros_mask = (1 << k) - 1
-    w_ray = _Ray(w, [0] * k + [hw], zeros_mask)
-    nw_ray = _Ray(tuple(-x for x in w), [0] * k + [-hw], zeros_mask)
+    # w lies in the lineality space, so it is tight on every earlier
+    # constraint, and a ray moved along it into ker h keeps its tight set
+    w_ray = _Ray(w, (1 << k) - 1)
+    nw_ray = _Ray(tuple(-x for x in w), (1 << k) - 1)
 
     adjusted: dict[int, _Ray] = {}
 
@@ -118,20 +115,11 @@ def _insert_case1(cones, L, hL, h, k, wall):
             return got
         hr = _dot(h, r.vec)
         if hr == 0:
-            r.append_val(k, 0)
+            r.zmask |= 1 << k
             new = r
         else:
-            raw = tuple(hw * a - hr * b for a, b in zip(r.vec, w))
-            vec = _primitive(raw)
-            scale = raw[0] // vec[0] if vec[0] else next(
-                a // b for a, b in zip(raw, vec) if b)
-            vals = [hw * v // scale for v in r.vals]
-            vals.append(0)
-            zmask = 0
-            for i, v in enumerate(vals):
-                if v == 0:
-                    zmask |= 1 << i
-            new = _Ray(vec, vals, zmask)
+            new = _Ray(_primitive(tuple(hw * a - hr * b for a, b in zip(r.vec, w))),
+                       r.zmask | 1 << k)
         adjusted[id(r)] = new
         return new
 
@@ -155,9 +143,11 @@ def _insert_case2(cones, h, k, wall, need):
     for cone in cones:
         pos, neg, zero = [], [], []
         for r in cone:
-            if len(r.vals) == k:        # a ray shared by cones is valued once
-                r.append_val(k, _dot(h, r.vec))
-            v = r.vals[k]
+            if r.at != k:               # a ray shared by cones is valued once
+                r.at, r.val = k, _dot(h, r.vec)
+                if r.val == 0:
+                    r.zmask |= 1 << k
+            v = r.val
             if v > 0:
                 pos.append(r)
             elif v < 0:
@@ -181,18 +171,13 @@ def _insert_case2(cones, h, k, wall, need):
                 key = (id(p), id(n))
                 ray = combos.get(key)
                 if ray is None:
-                    hp, hn = p.vals[k], n.vals[k]
-                    raw = tuple(hp * a - hn * b for a, b in zip(n.vec, p.vec))
-                    vec = _primitive(raw)
-                    scale = next(a // b for a, b in zip(raw, vec) if b)
-                    vals = [(hp * nv - hn * pv) // scale
-                            for pv, nv in zip(p.vals, n.vals)]
-                    zmask = 0
-                    for i, v in enumerate(vals):
-                        if v == 0:
-                            zmask |= 1 << i
-                    ray = _Ray(vec, vals, zmask)
-                    combos[key] = ray
+                    # p and n lie on one closed side of every earlier
+                    # constraint, so their positive combination is tight
+                    # exactly where both are
+                    hp, hn = p.val, n.val
+                    ray = combos[key] = _Ray(
+                        _primitive(tuple(hp * a - hn * b for a, b in zip(n.vec, p.vec))),
+                        p.zmask & n.zmask | 1 << k)
                 new_rays.append(ray)
         out.append(pos + zero + new_rays)
         if not wall:
@@ -210,9 +195,7 @@ def enumerate_cells(hyperplanes, slice_basis, restrict=()):
         are >= 0 is enumerated.  Used for symmetry-reduced enumeration.
 
     Returns a CellComplex; the lineality basis spans the subspace common to
-    every cell (the slice intersected with all hyperplane kernels), and
-    ``values`` maps each ray to its values under the walls, then the
-    hyperplanes, in order.
+    every cell (the slice intersected with all hyperplane kernels).
     """
     L = [tuple(g) for g in slice_basis]
     cones = [[]]        # each cone is the list of its rays
@@ -225,6 +208,5 @@ def enumerate_cells(hyperplanes, slice_basis, restrict=()):
         else:
             cones = _insert_case2(cones, h, k, wall, len(slice_basis) - len(L) - 2)
 
-    cells = [Cell(rays=tuple(r.vec for r in cone)) for cone in cones]
-    values = {r.vec: r.vals for cone in cones for r in cone}
-    return CellComplex(cells=cells, lineality=list(L), values=values)
+    return CellComplex(cells=[Cell(rays=tuple(r.vec for r in cone)) for cone in cones],
+                       lineality=list(L))

@@ -14,6 +14,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import sub
 from typing import Sequence
 
 from . import linalg
@@ -75,8 +76,8 @@ def _sp_counter(coords, n: int) -> Counter:
 
 def _module(space: TorusSpace, counter: Counter) -> WeightModule:
     """The module of a counter of integer rows; nonpositive counts drop out."""
-    return WeightModule._from_integers(space, [(c, m) for c, m in counter.items()
-                                               if m > 0])
+    rows = [(space._reduce(c), m) for c, m in counter.items() if m > 0]
+    return WeightModule._from_integers(space, rows, space._scale)
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +168,20 @@ def build_sl_block(pattern: BlockPattern) -> PairSpec:
     block = [i for i, blk in enumerate(blocks) for _ in blk]
     full = [i for i, kind in enumerate(pattern.diagonal_kind) if kind == "full"]
     in_h = pattern.upper_blocks | {(i, i) for i in full}
+    # reduction is linear, so e_a - e_b reduces to u[a] - u[b]
+    u = [space._reduce(_e(a, n)) for a in range(n)]
     h_rows, g_rows = [], []
     for a, b in itertools.permutations(range(n), 2):
         rows = h_rows if (block[a], block[b]) in in_h else g_rows
-        rows.append((_diff(a, b, n), 1))
+        rows.append((tuple(map(sub, u[a], u[b])), 1))
     h_zero = sum(len(blocks[i]) - 1 for i in full)
     for rows, zero in ((h_rows, h_zero), (g_rows, n - 1 - h_zero)):
         if zero:
             rows.append((_zero(n), zero))
 
     return PairSpec(
-        g_module=WeightModule._from_integers(space, g_rows),
-        h_module=WeightModule._from_integers(space, h_rows),
+        g_module=WeightModule._from_integers(space, g_rows, space._scale),
+        h_module=WeightModule._from_integers(space, h_rows, space._scale),
         metadata={"family": "sl_block", "sizes": list(pattern.sizes),
                   "diagonal_kind": list(pattern.diagonal_kind),
                   "upper_blocks": sorted(pattern.upper_blocks)},

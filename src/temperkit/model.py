@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import ArityError, ConstraintViolationError, SpaceMismatchError
@@ -27,10 +27,12 @@ def _dot(row: Sequence[int], Z: Sequence[int]) -> int:
     return sum(map(mul, row, Z))
 
 
-def _integer_row(coeffs) -> tuple[list[int], int]:
+def _integer_row(coeffs) -> tuple[Sequence[int], int]:
     """(row, d) with row = d * coeffs integral for the least d >= 1, for an
     iterable of rationals, read once."""
     coeffs = tuple(coeffs)
+    if {*map(type, coeffs)} <= {int}:
+        return coeffs, 1
     try:
         d = math.lcm(*(c.denominator for c in coeffs))
     except AttributeError:      # not ints or Fractions: convert exactly
@@ -140,17 +142,6 @@ class TorusSpace:
                 v = [x - c * r for x, r in zip(v, row)]
         return tuple(v)
 
-    def _scaled_point(self, Y: Sequence) -> tuple[list[int], int]:
-        """Clear the denominators of a point of the slice: (Z, m) with
-        Z = m*Y integral for the least m >= 1.  Raises ArityError or
-        ConstraintViolationError."""
-        if len(Y) != self.ambient_dim:
-            raise ArityError("point arity does not match ambient dimension")
-        Z, m = _integer_row(Y)
-        if any(_dot(row, Z) for row in self.rows):
-            raise ConstraintViolationError("point violates torus constraints")
-        return Z, m
-
     def slice_basis(self) -> tuple[tuple[int, ...], ...]:
         """Primitive integer basis of the slice (kernel of the constraint
         matrix): one vector per free column j, positive at j and zero at
@@ -197,13 +188,16 @@ class WeightModule:
         if any(mult <= 0 for _, mult in given):
             raise ValueError("multiplicities must be positive")
         den = math.lcm(*(d for (_, d), _ in given))
-        self._fill(space, [(row if d == den else [x * (den // d) for x in row], mult)
-                           for (row, d), mult in given], den)
+        self._fill(space, [(space._reduce(row if d == den else
+                                          [x * (den // d) for x in row]), mult)
+                           for (row, d), mult in given], den * space._scale)
 
     @classmethod
     def _from_integers(cls, space: TorusSpace, rows, den: int = 1) -> "WeightModule":
         """The module of the weights row/den, for (row, mult) pairs of
-        integer rows and positive multiplicities."""
+        integer row tuples already reduced modulo the constraints
+        (TorusSpace._reduce multiplies a row by _scale) and positive
+        multiplicities."""
         M = object.__new__(cls)
         M._fill(space, rows, den)
         return M
@@ -211,9 +205,7 @@ class WeightModule:
     def _fill(self, space: TorusSpace, rows, den: int):
         merged: dict[tuple[int, ...], int] = {}
         for row, mult in rows:
-            red = space._reduce(row)
-            merged[red] = merged.get(red, 0) + mult
-        den *= space._scale
+            merged[row] = merged.get(row, 0) + mult
         g = math.gcd(den, *(x for row in merged for x in row)) if den > 1 else 1
         if g > 1:
             den //= g
@@ -349,17 +341,55 @@ class PairSpec:
 # ---------------------------------------------------------------------------
 # operations
 
-def evaluate_pl(f: PLFunction, Y: Sequence) -> Fraction:
-    """Evaluate sum c_i |alpha_i(Y)| + ell(Y) exactly at a point of the slice.
+def _column_sums(row: Sequence[int], columns, zero: list):
+    """row.Z for every point Z whose coordinates ``columns`` lists column by
+    column, summed over the nonzero entries of row; zero is [0] per point."""
+    out = None
+    for a, column in zip(row, columns):
+        if a and out is None:
+            out = column if a == 1 else list(map(a.__mul__, column))
+        elif a == 1:
+            out = list(map(add, out, column))
+        elif a == -1:
+            out = list(map(sub, out, column))
+        elif a:
+            out = list(map(add, out, map(a.__mul__, column)))
+    return zero if out is None else out
 
-    The sums run in integers: f is positively homogeneous, so
-    f(Y) = f(m*Y)/m where m clears the denominators of Y.
+
+def evaluate_at(f: PLFunction, points: Sequence[Sequence]) -> list:
+    """f at each of the points exactly, or None at a point off the slice.
+
+    Each point Y is scaled to the integer Z = m*Y for the least m >= 1, and
+    f(Y) = (linear.Z + sum c*|row.Z|) / (den*m), f being positively
+    homogeneous.  Each constraint row, term row and the linear part is
+    summed for all points at once, a coordinate column per nonzero entry.
+    Raises ArityError if a point's length is not the ambient dimension.
     """
-    Z, m = f.space._scaled_point(Y)
-    total = _dot(f.linear, Z)
+    if any(len(Y) != f.space.ambient_dim for Y in points):
+        raise ArityError("point arity does not match ambient dimension")
+    scaled = [_integer_row(Y) for Y in points]
+    columns = list(zip(*(Z for Z, _ in scaled)))
+    zero = [0] * len(scaled)
+    off = map(any, zip(zero, *(_column_sums(row, columns, zero) for row in f.space.rows)))
+    total = _column_sums(f.linear, columns, zero)
+    sums: dict[int, list] = {}      # sum |row.Z| over the terms of each coefficient
     for c, row in f.terms:
-        total += c * abs(_dot(row, Z))
-    return Fraction(total, f.den * m)
+        values = map(abs, _column_sums(row, columns, zero))
+        sums[c] = list(map(add, sums.get(c, zero), values))
+    for c, values in sums.items():
+        total = list(map(add, total, map(c.__mul__, values)))
+    return [None if o else Fraction(t, f.den * m)
+            for o, t, (_, m) in zip(off, total, scaled)]
+
+
+def evaluate_pl(f: PLFunction, Y: Sequence) -> Fraction:
+    """sum c_i |alpha_i(Y)| + ell(Y) exactly at a point of the slice, by
+    evaluate_at.  Raises ArityError or ConstraintViolationError."""
+    value, = evaluate_at(f, [Y])
+    if value is None:
+        raise ConstraintViolationError("point violates torus constraints")
+    return value
 
 
 def rho_function(M: WeightModule) -> PLFunction:

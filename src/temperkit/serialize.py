@@ -29,8 +29,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .check import QUESTION_CEILING, Verdict
-from .errors import (ArityError, ConstraintViolationError, SchemaError,
-                     TemperkitError)
+from .errors import ConstraintViolationError, SchemaError, TemperkitError
 from .model import PairSpec, TorusSpace, WeightModule
 from .verify import NonnegCertificate, Witness
 
@@ -103,6 +102,9 @@ def torus_space_to_json(space: TorusSpace) -> dict:
 def torus_space_from_json(data: dict, where: str = "torus") -> TorusSpace:
     _expect(data, dict, where)
     dim = _int_from_json(data.get("ambient_dim"), f"{where}.ambient_dim")
+    if dim > QUESTION_CEILING:
+        raise SchemaError(f"{where}.ambient_dim: {dim} exceeds the ceiling "
+                          f"{QUESTION_CEILING}")
     constraints = [_vec_from_json(c, f"{where}.constraints[{i}]")
                    for i, c in enumerate(_expect(data.get("constraints", []), list,
                                                  f"{where}.constraints"))]
@@ -387,14 +389,15 @@ def recheck_document(data: dict) -> list[str]:
     rebuilt from it, after the call's parameters are bounded and its
     ambient dimension matched against every evidence vector, and any space,
     module or metadata the document also carries must equal the rebuilt
-    one.  The deficit of that spec is then re-evaluated at every listed ray
-    (or at the witness direction) and compared against the recorded exact
-    values.  The arrangement is never re-enumerated, so nothing checks
-    that the rays cover the slice.  Returns a list of human-readable
-    problems, each naming the field, the ray or the witness it is about;
-    empty means consistent.  A malformed document raises SchemaError.
+    one.  The deficit of that spec is then valued at every listed ray in
+    one evaluate_at call (the witness direction through evaluate_pl), and
+    compared against the recorded exact values.  The arrangement is never
+    re-enumerated, so nothing checks that the rays cover the slice.
+    Returns a list of human-readable problems, each naming the field, the
+    ray or the witness it is about; empty means consistent.  A malformed
+    document raises SchemaError.
     """
-    from .model import deficit, evaluate_pl
+    from .model import deficit, evaluate_at, evaluate_pl
 
     if "pair_spec" not in _expect(data, dict, "document"):
         return ["document has no pair_spec to recheck against"]
@@ -406,19 +409,13 @@ def recheck_document(data: dict) -> list[str]:
         return problems
     f = deficit(spec)
     tempered = data.get("tempered")
-
-    def value_at(point, name):
-        try:
-            return evaluate_pl(f, point)
-        except (ArityError, ConstraintViolationError) as e:
-            problems.append(f"{name}: {e}")
-            return None
-
     if isinstance(ev, Witness):
         if tempered is not False:
             problems.append("witness evidence but tempered is not false")
-        value = value_at(ev.direction, "witness direction")
-        if value is None:
+        try:
+            value = evaluate_pl(f, ev.direction)
+        except ConstraintViolationError as e:
+            problems.append(f"witness direction: {e}")
             return problems
         if value != ev.value:
             problems.append(
@@ -431,11 +428,10 @@ def recheck_document(data: dict) -> list[str]:
     if len(ev.rays) != len(ev.ray_values):
         problems.append("ray and value counts differ")
         return problems
-    for i, (ray, recorded) in enumerate(zip(ev.rays, ev.ray_values)):
-        value = value_at(ray, f"ray {i}")
+    for i, (value, recorded) in enumerate(zip(evaluate_at(f, ev.rays), ev.ray_values)):
         if value is None:
-            continue
-        if value != recorded:
+            problems.append(f"ray {i}: point violates torus constraints")
+        elif value != recorded:
             problems.append(
                 f"ray {i}: recorded value {recorded}, computed {value}")
         elif value < 0:

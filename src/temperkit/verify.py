@@ -21,8 +21,8 @@ from typing import Optional
 from .cones import enumerate_cells
 from .errors import SpaceMismatchError
 from .linalg import pd_solve
-from .model import (PLFunction, PairSpec, _canonical_terms, _dot, _lex_positive,
-                    _primitive, evaluate_pl)
+from .model import (PLFunction, PairSpec, _canonical_terms, _column_sums, _dot,
+                    _lex_positive, _primitive, evaluate_at, evaluate_pl)
 
 
 @dataclass(frozen=True)
@@ -169,46 +169,35 @@ def is_nonnegative(f: PLFunction, pair: Optional[PairSpec] = None):
 
     The cells are enumerated in slice coordinates y, with f.den*f =
     linear.y + sum c*|row.y|, and cut by the walls and the rows with c > 0
-    only; the rays are lifted to primitive ambient vectors at the end.
+    only.  Their rays, and the +- generators of the lineality space, are
+    lifted to primitive ambient vectors a column at a time and valued
+    together by evaluate_at.
     """
     if pair is not None and pair.space != f.space:
         raise SpaceMismatchError("the pair lives on another torus space")
     basis = f.space.slice_basis()
     lift = list(zip(*basis))
-    columns, linear, terms = _restricted(f, basis)
+    columns, _, terms = _restricted(f, basis)
     walls = _chamber_walls(f, columns, lift, pair) if terms and pair is not None else []
-    positive = [(c, row) for c, row in terms if c > 0]
-    negative = [(c, row) for c, row in terms if c < 0]
     d = len(basis)
-    complex_ = enumerate_cells([row for _, row in positive],
+    complex_ = enumerate_cells([row for c, row in terms if c > 0],
                                [tuple(int(i == j) for j in range(d)) for i in range(d)],
                                restrict=walls)
-    skip = len(walls)
-
-    def lifted(y, positive_vals):
-        """The primitive ambient vector along y and f's value there, given
-        the values of the positive rows at y."""
-        Y = [_dot(col, y) for col in lift]
-        g = math.gcd(*Y)
-        total = (_dot(linear, y)
-                 + sum(c * abs(v) for (c, _), v in zip(positive, positive_vals))
-                 + sum(c * abs(_dot(row, y)) for c, row in negative))
-        return tuple(x // g for x in Y), Fraction(total, f.den * g)
-
-    values = complex_.values
-    evaluated = [lifted(y, values[y][skip:])
-                 for y in dict.fromkeys(y for cell in complex_.cells for y in cell.rays)]
+    ys = list(dict.fromkeys(y for cell in complex_.cells for y in cell.rays))
     # every inserted row vanishes on the lineality space, so f is concave
     # there too; its +- generators follow the cell rays so the certificate
     # is self-contained
     for y in complex_.lineality:
-        evaluated += [lifted(y, ()), lifted(tuple(-x for x in y), ())]
-
-    worst = min(((val, vec) for vec, val in evaluated if val < 0), default=None)
+        ys += [y, tuple(-x for x in y)]
+    slice_columns = list(zip(*ys))
+    zero = [0] * len(ys)
+    rays = [Y if (g := math.gcd(*Y)) == 1 else tuple(x // g for x in Y)
+            for Y in zip(*(_column_sums(row, slice_columns, zero) for row in lift))]
+    values = evaluate_at(f, rays)
+    worst = min(((val, vec) for vec, val in zip(rays, values) if val < 0), default=None)
     if worst is not None:
         return Witness(direction=worst[1], value=worst[0])
-    return NonnegCertificate(rays=tuple(vec for vec, _ in evaluated),
-                             ray_values=tuple(val for _, val in evaluated),
+    return NonnegCertificate(rays=tuple(rays), ray_values=tuple(values),
                              symmetry_reduced=bool(walls),
                              chamber_count=len(complex_.cells))
 

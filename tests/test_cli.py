@@ -688,6 +688,47 @@ class TestRecheck:
         assert any(p.startswith(where) for p in report["problems"])
 
 
+class TestAmbientCeiling:
+    # empty modules on a free space of dimension n give a certificate of
+    # the 2n +- basis rays of length n, so n is held to QUESTION_CEILING
+    @pytest.mark.parametrize("dim", [65, 10 ** 9])
+    def test_past_the_ceiling_is_refused_at_once(self, tmp_path, capsys, dim):
+        path = write(tmp_path, "s.json", {"pair_spec": {"space": {"ambient_dim": dim}}})
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["check", path])
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert "pair_spec.space.ambient_dim" in err
+
+    def test_at_the_ceiling_decides_and_rechecks(self, tmp_path, capsys):
+        path = write(tmp_path, "s.json", {"pair_spec": {"space": {"ambient_dim": 64}}})
+        code, out, _ = run(capsys, ["check", path])
+        doc = json.loads(out)
+        assert code == 0 and doc["tempered"] is True
+        assert len(doc["evidence"]["rays"]) == 128
+        code, out, _ = run(capsys, ["recheck", write(tmp_path, "v.json", doc)])
+        assert code == 0 and json.loads(out)["consistent"] is True
+
+    def test_matrix_torus_past_the_ceiling_is_refused(self, tmp_path, capsys):
+        # the torus basis gives the space its ambient dimension, so check
+        # writes no document that recheck would refuse
+        path = write(tmp_path, "s.json", matrix_pair(torus_basis=[[[1, 0], [0, -1]]] * 65))
+        code, out, err = run(capsys, ["check", path])
+        assert code == 2 and out == ""
+        assert "matrix_pair.torus_basis: more than 64 elements" in err
+
+    @pytest.mark.parametrize("dim", [65, 10 ** 9])
+    def test_recheck_refuses_a_document_past_the_ceiling(self, tmp_path, capsys, dim):
+        path = write(tmp_path, "s.json", {"pair_spec": {"space": {"ambient_dim": 2}}})
+        doc = json.loads(run(capsys, ["check", path])[1])
+        doc["pair_spec"]["space"]["ambient_dim"] = dim
+        start = time.perf_counter()
+        code, _, err = run(capsys, ["recheck", write(tmp_path, "v.json", doc)])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "pair_spec.space.ambient_dim" in err
+
+
 class TestQuestionBinding:
     def _check(self, tmp_path, capsys, payload):
         code, out, err = run(capsys, ["check", write(tmp_path, "s.json", payload)])

@@ -8,7 +8,8 @@ from temperkit.errors import (ArityError, ConstraintViolationError,
                               SpaceMismatchError)
 from temperkit.generators import TABLE1_PATTERNS, build_sl_block
 from temperkit.model import (PLFunction, PairSpec, TorusSpace, WeightModule,
-                             _canonical_terms, deficit, evaluate_pl, rho_function)
+                             _canonical_terms, deficit, evaluate_at, evaluate_pl,
+                             rho_function)
 
 F = Fraction
 
@@ -264,3 +265,50 @@ def test_integer_evaluation_matches_fraction_sum(data):
         evaluate_pl(f, Y + (F(1, 2),))
     with pytest.raises(ArityError):
         evaluate_pl(f, Y[:-1])
+
+
+def deficit_reference(spec, Y) -> Fraction:
+    """rho_{g/h} + 2 rho_V - rho_h at Y in plain Fraction arithmetic, summed
+    over the modules' weights: (1/2) sum m|mu(Y)| per module."""
+    def rho(M):
+        return sum((m * abs(dot(mu, Y)) for mu, m in M.weights), F(0)) / 2
+    v = 2 * rho(spec.v_module) if spec.v_module is not None else 0
+    return rho(spec.g_module) + v - rho(spec.h_module)
+
+
+@st.composite
+def pair_specs(draw, max_dim=4):
+    """Specs with rational weights, an extra module or none, on a slice cut
+    out by up to two rows."""
+    dim = draw(st.integers(min_value=1, max_value=max_dim))
+    vectors = st.lists(rationals, min_size=dim, max_size=dim)
+    try:
+        space = TorusSpace(dim, draw(st.lists(vectors, max_size=min(2, dim))))
+    except ValueError:  # dependent rows
+        assume(False)
+    modules = [WeightModule(space, draw(st.lists(
+        st.tuples(vectors, st.integers(min_value=1, max_value=3)), max_size=4)))
+        for _ in range(3)]
+    return PairSpec(g_module=modules[0], h_module=modules[1],
+                    v_module=modules[2] if draw(st.booleans()) else None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_evaluate_at_matches_weight_sums(data):
+    spec = data.draw(pair_specs())
+    f, space = deficit(spec), spec.space
+    slice_vecs = data.draw(st.lists(
+        st.lists(rationals, min_size=space.dim, max_size=space.dim), max_size=5))
+    points = [space.lift(v) for v in slice_vecs]
+    # k(Y + k) = k(Y) + |k|^2, so Y + k is off the slice for each constraint k
+    off = [tuple(y + c for y, c in zip(Y, k)) for Y in points for k in space.constraints]
+    order = data.draw(st.permutations(range(len(points) + len(off))))
+    mixed = [(points + off)[i] for i in order]
+    assert evaluate_at(f, mixed) == [deficit_reference(spec, points[i])
+                                     if i < len(points) else None for i in order]
+    assert evaluate_at(f, []) == []
+    for bad in (space.lift([0] * space.dim) + (F(1, 2),),
+                (F(1),) * (space.ambient_dim - 1)):
+        with pytest.raises(ArityError):
+            evaluate_at(f, mixed + [bad])

@@ -112,6 +112,27 @@ class TestRecheck:
         problems = serialize.recheck_document(doc)
         assert any("ray 0" in p for p in problems)
 
+    def test_ray_problems_reported_in_ray_order(self):
+        # rays 1 and 3 leave the trace-zero slice, ray 2's value is
+        # tampered, and ray 4 is halved to "1/2" entries with its value
+        # halved too, which is consistent
+        doc = self._doc(3, 3)
+        ev = doc["evidence"]
+        rays, values = ev["rays"], ev["ray_values"]
+        assert len(rays) > 5
+        for i in (1, 3):
+            rays[i][0] += 1
+        computed = serialize.rational_from_str(values[2])
+        values[2] = serialize.rational_to_json(computed + 1)
+        rays[4] = [serialize.rational_to_json(F(x, 2)) for x in rays[4]]
+        values[4] = serialize.rational_to_json(serialize.rational_from_str(values[4]) / 2)
+        assert any(type(x) is str and x.endswith("/2") for x in rays[4])
+        assert serialize.recheck_document(doc) == [
+            "ray 1: point violates torus constraints",
+            f"ray 2: recorded value {computed + 1}, computed {computed}",
+            "ray 3: point violates torus constraints",
+        ]
+
     def test_flipped_verdict_detected(self):
         doc = self._doc(2, 2)
         doc["tempered"] = False
