@@ -438,9 +438,10 @@ def extract_weights(inp: MatrixPairInput) -> PairSpec:
     Conjugated by the diagonalizer Q, the torus is diagonal, diag(mu), and
     the unit matrix E_ab has weight mu_a - mu_b; this splits the n*n matrix
     coordinates into weight blocks.  Each basis is conjugated and
-    row-reduced once.  Independence is the row count; h in g and bracket
-    closure are membership tests against an RREF (brackets of conjugated
-    matrices, as conjugation is an algebra homomorphism).  A span is
+    row-reduced once.  Independence is the row count (for the torus, that
+    of its conjugated diagonals); h in g and bracket closure are membership
+    tests against an RREF (brackets of conjugated matrices, as conjugation
+    is an algebra homomorphism).  A span is
     torus-stable exactly when it is the direct sum of its pieces in the
     blocks; RREF is unique, so the RREF of that sum is the union of the
     pieces' RREFs.  Hence the span is stable exactly when every RREF row
@@ -476,6 +477,8 @@ def extract_weights(inp: MatrixPairInput) -> PairSpec:
     # mu_a, each torus coordinate times its scale; E_ab's block is keyed by
     # mu_a - mu_b, and weights() divides the scales back out
     mu = [tuple(D.get((a, a), 0) for D in diags) for a in range(n)]
+    if len(linalg.rref(list(zip(*mu)))[0]) != len(diags):
+        raise BasisError("torus_basis: matrices are linearly dependent")
 
     def block(ab) -> tuple[int, ...]:
         return tuple(x - y for x, y in zip(mu[ab[0]], mu[ab[1]]))

@@ -30,8 +30,9 @@ class NonnegCertificate:
     """Proof that f >= 0: its value at every listed ray is >= 0.
 
     The rays are the extreme rays of the cells of the arrangement of f's
-    hyperplanes with a positive coefficient, followed by the +- generators
-    of their common lineality space.  f is concave on each cell, so at every
+    hyperplanes with a positive coefficient, each once and sorted as
+    primitive ambient vectors, followed by the +- generators of their
+    common lineality space.  f is concave on each cell, so at every
     point the rays cover it is at least a nonnegative combination of ray
     values.
     ``symmetry_reduced`` means the rays cover one chamber of a reflection
@@ -169,9 +170,12 @@ def is_nonnegative(f: PLFunction, pair: Optional[PairSpec] = None):
 
     The cells are enumerated in slice coordinates y, with f.den*f =
     linear.y + sum c*|row.y|, and cut by the walls and the rows with c > 0
-    only.  Their rays, and the +- generators of the lineality space, are
-    lifted to primitive ambient vectors a column at a time and valued
-    together by evaluate_at.
+    only; a row that does not cut the chamber cuts no cell and is left
+    out.  The enumeration's distinct rays, and the +- generators of the
+    lineality space, are lifted to primitive ambient vectors a column at a
+    time and valued together by evaluate_at; the cell rays are listed in
+    sorted order, so the certificate does not depend on the order of
+    insertion.
     """
     if pair is not None and pair.space != f.space:
         raise SpaceMismatchError("the pair lives on another torus space")
@@ -183,7 +187,7 @@ def is_nonnegative(f: PLFunction, pair: Optional[PairSpec] = None):
     complex_ = enumerate_cells([row for c, row in terms if c > 0],
                                [tuple(int(i == j) for j in range(d)) for i in range(d)],
                                restrict=walls)
-    ys = list(dict.fromkeys(y for cell in complex_.cells for y in cell.rays))
+    ys = list(complex_.rays)
     # every inserted row vanishes on the lineality space, so f is concave
     # there too; its +- generators follow the cell rays so the certificate
     # is self-contained
@@ -193,13 +197,15 @@ def is_nonnegative(f: PLFunction, pair: Optional[PairSpec] = None):
     zero = [0] * len(ys)
     rays = [Y if (g := math.gcd(*Y)) == 1 else tuple(x // g for x in Y)
             for Y in zip(*(_column_sums(row, slice_columns, zero) for row in lift))]
+    cell_rays = len(complex_.rays)
+    rays[:cell_rays] = sorted(rays[:cell_rays])
     values = evaluate_at(f, rays)
     worst = min(((val, vec) for vec, val in zip(rays, values) if val < 0), default=None)
     if worst is not None:
         return Witness(direction=worst[1], value=worst[0])
     return NonnegCertificate(rays=tuple(rays), ray_values=tuple(values),
                              symmetry_reduced=bool(walls),
-                             chamber_count=len(complex_.cells))
+                             chamber_count=complex_.count)
 
 
 _INT64_BOUND = 2 ** 62

@@ -246,6 +246,9 @@ class TestSpecErrors:
          "matrix_pair.ambient_dim: expected an integer"),
         (matrix_pair(ambient_dim="2"), 2,
          "matrix_pair.ambient_dim: expected an integer"),
+        # diag(1, -1) three times spans a one-dimensional torus
+        (matrix_pair(torus_basis=[[[1, 0], [0, -1]]] * 3), 2,
+         "torus_basis: matrices are linearly dependent"),
         ({"tensor_product": {"variant": 1, "params": [0, 1, 3]}}, 2,
          "tensor_product.params"),
         ({"tensor_product": {"variant": 9, "params": [1, 1, 1]}}, 2,
@@ -288,7 +291,7 @@ class TestSpecErrors:
             "weights_not_list", "constraints_not_list",
             "metadata_not_object", "float_ambient_dim", "string_ambient_dim",
             "bool_mult", "matrix_float_ambient_dim",
-            "matrix_string_ambient_dim", "tensor_k_zero",
+            "matrix_string_ambient_dim", "dependent_torus", "tensor_k_zero",
             "tensor_unknown_variant", "tensor_two_params",
             "tensor_float_variant", "tensor_bool_variant",
             "tensor_string_variant", "tensor_no_variant",

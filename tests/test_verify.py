@@ -178,6 +178,20 @@ class TestChambers:
                                     F(0)) / f.den
 
 
+    @pytest.mark.parametrize("table, name, sizes, chambers, rays", [
+        (TABLE2_PATTERNS, "H10", (3, 3, 3), 312, 92),
+        (TABLE2_PATTERNS, "H10", (4, 3, 3), 1288, 339),
+        (TABLE1_PATTERNS, "H4", (5, 6), 378, 155),
+        (TABLE2_PATTERNS, "H11", (3, 4, 3), 517, 240),
+    ], ids=["H10(3,3,3)", "H10(4,3,3)", "H4(5,6)", "H11(3,4,3)"])
+    def test_named_points(self, table, name, sizes, chambers, rays):
+        # no lineality here, so every listed ray is a cell ray, in sorted
+        # order of the primitive ambient vectors
+        cert = check(build_sl_block(table[name](*sizes))).evidence
+        assert (cert.chamber_count, len(cert.rays)) == (chambers, rays)
+        assert list(cert.rays) == sorted(set(cert.rays))
+
+
 LINEARIZATION_CASES = [
     [(2, lf(1, -1, 0)), (-1, lf(0, 1, -1)), (3, lf(1, 0, -1))],
     # non-primitive and rational forms, two of them on one hyperplane:
