@@ -3,27 +3,25 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import SchemaError
 from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, build_classical_in_sl,
                          build_product_in_sl, build_product_in_sp, build_so_pair,
                          build_sl_block, realify)
-from .model import PairSpec, deficit, evaluate_pl
+from .model import PairSpec, Record, deficit, evaluate_pl
 from .verify import NonnegCertificate, Witness, is_nonnegative
 
 
-@dataclass(frozen=True)
-class Verdict:
-    tempered: bool
-    evidence: object                     # NonnegCertificate or Witness
-    deficit_summary: dict
+class Verdict(Record):
+    __slots__ = _fields = ("tempered", "evidence", "deficit_summary")
 
-    def __post_init__(self):
-        if self.tempered != isinstance(self.evidence, NonnegCertificate):
+    def __init__(self, tempered: bool, evidence, deficit_summary: dict):
+        # evidence is a NonnegCertificate or a Witness
+        if tempered != isinstance(evidence, NonnegCertificate):
             raise ValueError("tempered must be True exactly when the evidence "
                              "is a NonnegCertificate")
+        self._set(tempered, evidence, deficit_summary)
 
 
 def check(spec: PairSpec, use_symmetry: bool = True) -> Verdict:
@@ -57,20 +55,19 @@ def check(spec: PairSpec, use_symmetry: bool = True) -> Verdict:
 # ---------------------------------------------------------------------------
 # family scans
 
-@dataclass(frozen=True)
-class ScanPoint:
-    params: tuple
-    tempered: bool
-    predicted: bool
-    summary: dict
+class ScanPoint(Record):
+    __slots__ = _fields = ("params", "tempered", "predicted", "summary")
+
+    def __init__(self, params: tuple, tempered: bool, predicted: bool, summary: dict):
+        self._set(params, tempered, predicted, summary)
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    family: str
-    ranges: dict
-    points: tuple[ScanPoint, ...]
-    mismatches: tuple[ScanPoint, ...]
+class ScanReport(Record):
+    __slots__ = _fields = ("family", "ranges", "points", "mismatches")
+
+    def __init__(self, family: str, ranges: dict, points: tuple[ScanPoint, ...],
+                 mismatches: tuple[ScanPoint, ...]):
+        self._set(family, ranges, points, mismatches)
 
     @property
     def clean(self) -> bool:

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import serialize
-from .check import (QUESTION_CEILING, render_scan_table, scan_family,
+from .check import (FAMILIES, QUESTION_CEILING, render_scan_table, scan_family,
                     tensor_product_spec, check as run_check)
 from .errors import BasisError, SchemaError, TemperkitError
 from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, MatrixPairInput,
@@ -24,6 +24,8 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
+
+RANGE_FLAGS = ("pmax", "qmax", "max", "n", "total", "rank")
 
 
 def _load_json(path: str) -> dict:
@@ -50,12 +52,16 @@ def _spec_from_family(data: dict):
     meta.update(family=name, realified=bool(data.get("realify")))
     try:
         if name == "sl_block" and "pattern" in data:
-            sizes = data.get("sizes", [])
+            sizes = serialize._ints(data, "sizes", where)
+            if len(sizes) not in (2, 3):
+                raise SchemaError(f"{where}.sizes: a pattern takes 2 or 3 "
+                                  f"sizes, got {len(sizes)}")
+            given = serialize._expect(data["pattern"], str, f"{where}.pattern")
             table = TABLE1_PATTERNS if len(sizes) == 2 else TABLE2_PATTERNS
-            if data["pattern"] not in table:
+            if given not in table:
                 raise SchemaError(f"{where}.pattern: unknown pattern "
-                                  f"{data['pattern']!r} for {len(sizes)} blocks")
-            pattern = table[data["pattern"]](*sizes)
+                                  f"{given!r} for {len(sizes)} blocks")
+            pattern = table[given](*sizes)
             meta.update(sizes=list(pattern.sizes),
                         diagonal_kind=list(pattern.diagonal_kind),
                         upper_blocks=sorted(map(list, pattern.upper_blocks)))
@@ -142,7 +148,7 @@ def cmd_check(args) -> int:
 
 def cmd_scan(args) -> int:
     ranges = {}
-    for key in ("pmax", "qmax", "max", "n", "total", "rank"):
+    for key in RANGE_FLAGS:
         value = getattr(args, key, None)
         if value is not None:
             _at_least(value, f"--{key}")
@@ -152,9 +158,16 @@ def cmd_scan(args) -> int:
     except KeyError as e:
         print(f"error: {e.args[0]}", file=sys.stderr)
         return EXIT_INPUT
-    except TypeError as e:
-        print(f"error: bad range flags for {args.family}: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    except TypeError:
+        # a family's parameters are the range flags it takes
+        code = FAMILIES[args.family].__code__
+        takes = [k for k in RANGE_FLAGS if k in code.co_varnames[:code.co_argcount]]
+        extra = [k for k in ranges if k not in takes]
+        if not extra:
+            raise
+        raise SchemaError(f"{args.family} takes the range flags "
+                          f"{', '.join('--' + k for k in takes)}, not "
+                          f"{', '.join('--' + k for k in extra)}") from None
     if not report.points:
         raise SchemaError(f"{args.family}: the ranges {ranges} hold no points")
     print(render_scan_table(report))

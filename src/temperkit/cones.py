@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from functools import cached_property
 from operator import mul
+
+from .model import Record
 
 
 def _dot(a, b) -> int:
@@ -40,32 +40,44 @@ def _primitive(vec):
     return tuple(v // g for v in vec)
 
 
-@dataclass
-class Cell:
-    """A full-dimensional cell, given by its extreme rays."""
+class Cell(Record):
+    """A full-dimensional cell, given by its extreme rays (primitive
+    integer vectors)."""
 
-    rays: tuple[tuple[int, ...], ...]  # primitive integer vectors
+    __slots__ = _fields = ("rays",)
+    __hash__ = None
+
+    def __init__(self, rays: tuple[tuple[int, ...], ...]):
+        self._set(rays)
 
 
-@dataclass
-class CellComplex:
+class CellComplex(Record):
     """The rays of the cells, each once, and the basis of the cells' common
     lineality space, read off the ray table; ``cells`` is built on first
-    use from each cell's table indices."""
+    use from each cell's table indices.  ``_table`` holds the ray vector of
+    each table index, ``_cones`` the table indices of each cell."""
 
-    rays: list[tuple[int, ...]]
-    lineality: list[tuple[int, ...]]
-    _table: list = field(repr=False)        # ray vector of each table index
-    _cones: list = field(repr=False)        # table indices of each cell
+    __slots__ = ("rays", "lineality", "_table", "_cones", "_cells")
+    _fields = __slots__[:2]
+    __hash__ = None
+
+    def __init__(self, rays: list[tuple[int, ...]], lineality: list[tuple[int, ...]],
+                 _table: list, _cones: list):
+        self._set(rays, lineality, _table, _cones, None)
+
+    def _key(self) -> tuple:
+        return self.rays, self.lineality, self._table, self._cones
 
     @property
     def count(self) -> int:
         return len(self._cones)
 
-    @cached_property
+    @property
     def cells(self) -> list[Cell]:
-        return [Cell(rays=tuple(self._table[i] for i in rays))
-                for rays in self._cones]
+        if self._cells is None:
+            cells = [Cell(tuple(self._table[i] for i in rays)) for rays in self._cones]
+            object.__setattr__(self, "_cells", cells)
+        return self._cells
 
 
 def _split_lineality(L, hL, j):

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import sub
-from typing import Sequence
+from typing import Optional, Sequence
 
 from . import linalg
 from .errors import (BasisError, BracketClosureError, ContainmentError,
                      DecompositionError)
-from .model import PairSpec, TorusSpace, WeightModule
+from .model import PairSpec, Record, TorusSpace, WeightModule
 
 # Weights and constraints are integer rows: tuples of ints, one per ambient
 # coordinate.
@@ -83,8 +82,7 @@ def _module(space: TorusSpace, counter: Counter) -> WeightModule:
 # ---------------------------------------------------------------------------
 # block subalgebras of sl(n)
 
-@dataclass(frozen=True)
-class BlockPattern:
+class BlockPattern(Record):
     """Shape of a block subalgebra of sl(n): diagonal blocks plus selected
     strictly-upper off-diagonal blocks.
 
@@ -94,35 +92,32 @@ class BlockPattern:
     off-diagonal block belongs to the subalgebra.
     """
 
-    sizes: tuple[int, ...]
-    diagonal_kind: tuple[str, ...]
-    upper_blocks: frozenset = frozenset()
+    __slots__ = _fields = ("sizes", "diagonal_kind", "upper_blocks")
 
-    def __post_init__(self):
-        if len(self.sizes) != len(self.diagonal_kind):
+    def __init__(self, sizes: tuple[int, ...], diagonal_kind: tuple[str, ...],
+                 upper_blocks: frozenset = frozenset()):
+        if len(sizes) != len(diagonal_kind):
             raise ValueError("need one diagonal kind per block")
-        for k in self.diagonal_kind:
+        for k in diagonal_kind:
             if k not in ("full", "identity"):
                 raise ValueError(f"unknown diagonal kind {k!r}")
-        if any(s < 0 for s in self.sizes):
+        if any(s < 0 for s in sizes):
             raise ValueError("block sizes must be nonnegative")
-        keep = [i for i, s in enumerate(self.sizes) if s > 0]
-        if len(keep) != len(self.sizes):
+        keep = [i for i, s in enumerate(sizes) if s > 0]
+        if len(keep) != len(sizes):
             remap = {old: new for new, old in enumerate(keep)}
-            uppers = frozenset((remap[i], remap[j]) for i, j in self.upper_blocks
-                               if i in remap and j in remap)
-            object.__setattr__(self, "sizes", tuple(self.sizes[i] for i in keep))
-            object.__setattr__(self, "diagonal_kind",
-                               tuple(self.diagonal_kind[i] for i in keep))
-            object.__setattr__(self, "upper_blocks", uppers)
-        else:
-            object.__setattr__(self, "upper_blocks", frozenset(self.upper_blocks))
-        k = len(self.sizes)
-        for i, j in self.upper_blocks:
+            upper_blocks = [(remap[i], remap[j]) for i, j in upper_blocks
+                            if i in remap and j in remap]
+            sizes = tuple(sizes[i] for i in keep)
+            diagonal_kind = tuple(diagonal_kind[i] for i in keep)
+        upper_blocks = frozenset(upper_blocks)
+        self._set(sizes, diagonal_kind, upper_blocks)
+        k = len(sizes)
+        for i, j in upper_blocks:
             if not (0 <= i < j < k):
                 raise ValueError(f"bad upper block ({i},{j})")
-        for (i, j), (a, b) in itertools.product(self.upper_blocks, repeat=2):
-            if j == a and (i, b) not in self.upper_blocks:
+        for (i, j), (a, b) in itertools.product(upper_blocks, repeat=2):
+            if j == a and (i, b) not in upper_blocks:
                 raise BracketClosureError(
                     f"upper blocks ({i},{j}) and ({a},{b}) require ({i},{b})")
 
@@ -401,8 +396,7 @@ def parabolic_decomposition(pattern: BlockPattern):
 # ---------------------------------------------------------------------------
 # matrix mode
 
-@dataclass(frozen=True)
-class MatrixPairInput:
+class MatrixPairInput(Record):
     """Explicit matrix realization of a pair h inside g in gl(ambient_dim).
 
     diagonalizer is a rational change of basis Q such that every
@@ -410,26 +404,25 @@ class MatrixPairInput:
     caller so the whole pipeline stays rational.
     """
 
-    ambient_dim: int
-    g_basis: tuple
-    h_basis: tuple
-    torus_basis: tuple
-    diagonalizer: tuple
-    metadata: dict = field(default_factory=dict)
+    __slots__ = _fields = ("ambient_dim", "g_basis", "h_basis", "torus_basis",
+                           "diagonalizer", "metadata")
 
-    def __post_init__(self):
-        n = self.ambient_dim
-        for name in ("g_basis", "h_basis", "torus_basis"):
+    def __init__(self, ambient_dim: int, g_basis: tuple, h_basis: tuple,
+                 torus_basis: tuple, diagonalizer: tuple,
+                 metadata: Optional[dict] = None):
+        n = ambient_dim
+        bases = []
+        for name, basis in zip(self.__slots__[1:], (g_basis, h_basis, torus_basis)):
             mats = tuple(tuple(tuple(Fraction(x) for x in row) for row in M)
-                         for M in getattr(self, name))
-            object.__setattr__(self, name, mats)
+                         for M in basis)
             for M in mats:
                 if len(M) != n or any(len(row) != n for row in M):
                     raise ValueError(f"{name} entries must be {n}x{n}")
-        Q = tuple(tuple(Fraction(x) for x in row) for row in self.diagonalizer)
+            bases.append(mats)
+        Q = tuple(tuple(Fraction(x) for x in row) for row in diagonalizer)
         if len(Q) != n or any(len(row) != n for row in Q):
             raise ValueError("diagonalizer must be square of ambient size")
-        object.__setattr__(self, "diagonalizer", Q)
+        self._set(n, *bases, Q, {} if metadata is None else metadata)
 
 
 def extract_weights(inp: MatrixPairInput) -> PairSpec:

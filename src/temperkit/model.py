@@ -14,7 +14,6 @@ reaches a constructor here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, itemgetter, mul, sub
 from typing import Iterable, Optional, Sequence
@@ -79,7 +78,44 @@ def _canonical_terms(terms: Iterable[tuple[int, Sequence[int]]]):
                         key=itemgetter(1)))
 
 
-class TorusSpace:
+class Record:
+    """Base of the immutable records, which need no generated code.
+
+    A subclass lists its attributes in __slots__ and sets them, in that
+    order, through _set in its own __init__.  ``_fields`` names the attributes
+    that repr shows and that equality and hashing compare, unless the
+    subclass overrides _key; records of different classes are never equal.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class TorusSpace(Record):
     """Coordinate model of a maximal split abelian subalgebra.
 
     The space is the subspace of Q^ambient_dim where every constraint form
@@ -89,6 +125,7 @@ class TorusSpace:
     """
 
     __slots__ = ("ambient_dim", "rows", "_pivots", "_scale")
+    _fields = ("ambient_dim", "rows")
 
     def __init__(self, ambient_dim: int, constraints: Iterable[Sequence] = ()):
         if ambient_dim < 0:
@@ -101,14 +138,8 @@ class TorusSpace:
             raise ValueError("constraint set is linearly dependent")
         # an RREF row has a 1 at its pivot, so its integer row is primitive
         rows = tuple(tuple(_integer_row(r)[0]) for r in reduced)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_pivots", tuple(pivots))
-        object.__setattr__(self, "_scale",
-                           math.lcm(*(r[p] for r, p in zip(rows, pivots))))
-
-    def __setattr__(self, *a):
-        raise AttributeError("TorusSpace is immutable")
+        self._set(ambient_dim, rows, tuple(pivots),
+                  math.lcm(*(r[p] for r, p in zip(rows, pivots))))
 
     @property
     def dim(self) -> int:
@@ -118,14 +149,6 @@ class TorusSpace:
     def constraints(self) -> tuple[tuple, ...]:
         """The reduced row echelon form of the constraints, as exact rationals."""
         return tuple(_ratios(r, r[p]) for r, p in zip(self.rows, self._pivots))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TorusSpace)
-                and self.ambient_dim == other.ambient_dim
-                and self.rows == other.rows)
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.rows))
 
     def _reduce(self, v: Sequence[int]) -> tuple[int, ...]:
         """The representative of the integer row _scale*v modulo the constraint
@@ -170,7 +193,7 @@ class TorusSpace:
         return f"TorusSpace(ambient_dim={self.ambient_dim}, dim={self.dim})"
 
 
-class WeightModule:
+class WeightModule(Record):
     """Finite multiset of (weight, multiplicity) pairs over a torus space.
 
     Held as sorted (row, multiplicity) ``rows`` over one denominator ``den``
@@ -181,7 +204,8 @@ class WeightModule:
     are kept: they add nothing to rho but keep dimension accounting exact.
     """
 
-    __slots__ = ("space", "rows", "den")
+    __slots__ = _fields = ("space", "rows", "den")
+    __hash__ = None
 
     def __init__(self, space: TorusSpace, weights: Iterable[tuple[Sequence, int]]):
         given = [(_integer_row(form), int(mult)) for form, mult in weights]
@@ -210,12 +234,7 @@ class WeightModule:
         if g > 1:
             den //= g
             merged = {tuple(x // g for x in row): m for row, m in merged.items()}
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "rows", tuple(sorted(merged.items())))
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("WeightModule is immutable")
+        self._set(space, tuple(sorted(merged.items())), den)
 
     @property
     def weights(self) -> tuple[tuple[tuple, int], ...]:
@@ -226,15 +245,11 @@ class WeightModule:
     def total_dim(self) -> int:
         return sum(m for _, m in self.rows)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, WeightModule) and self.space == other.space
-                and self.den == other.den and self.rows == other.rows)
-
     def __repr__(self) -> str:
         return f"WeightModule(dim={self.total_dim}, weights={len(self.rows)})"
 
 
-class PLFunction:
+class PLFunction(Record):
     """Finite sum  sum_i c_i * |alpha_i(Y)|  +  ell(Y)  with rational data.
 
     Held in one canonical form, f(Y) = (linear.Y + sum c*|row.Y|) / den
@@ -245,7 +260,8 @@ class PLFunction:
     Evaluation is positively homogeneous of degree 1 by construction.
     """
 
-    __slots__ = ("space", "den", "linear", "terms")
+    __slots__ = _fields = ("space", "den", "linear", "terms")
+    __hash__ = None
 
     def __new__(cls, space: TorusSpace, abs_terms: Iterable[tuple[object, Sequence]],
                 linear_term: Optional[Sequence] = None):
@@ -271,21 +287,11 @@ class PLFunction:
             linear = [x // g for x in linear]
             terms = tuple((c // g, row) for c, row in terms)
         f = object.__new__(cls)
-        for name, value in (("space", space), ("den", den), ("linear", tuple(linear)),
-                            ("terms", terms)):
-            object.__setattr__(f, name, value)
+        f._set(space, den, tuple(linear), terms)
         return f
-
-    def __setattr__(self, *a):
-        raise AttributeError("PLFunction is immutable")
 
     def __call__(self, Y: Sequence) -> Fraction:
         return evaluate_pl(self, Y)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PLFunction) and self.space == other.space
-                and self.den == other.den and self.linear == other.linear
-                and self.terms == other.terms)
 
     def __add__(self, other: "PLFunction") -> "PLFunction":
         if other.space != self.space:
@@ -315,23 +321,27 @@ class PLFunction:
         return f"PLFunction(terms={len(self.terms)}, dim={self.space.dim})"
 
 
-@dataclass(frozen=True)
-class PairSpec:
-    """Weight data of a subalgebra pair, plus an optional extra module."""
+class PairSpec(Record):
+    """Weight data of a subalgebra pair, plus an optional extra module.
 
-    g_module: WeightModule     # weights on the quotient g/h
-    h_module: WeightModule
-    v_module: Optional[WeightModule] = None
-    metadata: dict = field(default_factory=dict)
-    # made by a family builder from its metadata alone, so that the metadata
-    # states the whole question; serialize then writes the metadata only
-    built: bool = field(default=False, compare=False, repr=False)
+    ``built`` marks a spec that a family builder made from its metadata
+    alone, so that the metadata states the whole question; serialize then
+    writes the metadata only.  It is neither shown nor compared.
+    """
 
-    def __post_init__(self):
-        if self.h_module.space != self.g_module.space:
+    __slots__ = ("g_module", "h_module", "v_module", "metadata", "built")
+    _fields = __slots__[:4]
+
+    def __init__(self, g_module: WeightModule, h_module: WeightModule,
+                 v_module: Optional[WeightModule] = None,
+                 metadata: Optional[dict] = None, built: bool = False):
+        # g_module holds the weights on the quotient g/h
+        if h_module.space != g_module.space:
             raise SpaceMismatchError("h and g/h modules live on different torus spaces")
-        if self.v_module is not None and self.v_module.space != self.g_module.space:
+        if v_module is not None and v_module.space != g_module.space:
             raise SpaceMismatchError("extra module lives on a different torus space")
+        self._set(g_module, h_module, v_module,
+                  {} if metadata is None else metadata, built)
 
     @property
     def space(self) -> TorusSpace:

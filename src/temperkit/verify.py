@@ -14,19 +14,17 @@ direction where the function is negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .cones import enumerate_cells
 from .errors import SpaceMismatchError
 from .linalg import pd_solve
-from .model import (PLFunction, PairSpec, _canonical_terms, _column_sums, _dot,
+from .model import (PLFunction, PairSpec, Record, _canonical_terms, _column_sums, _dot,
                     _lex_positive, _primitive, evaluate_at, evaluate_pl)
 
 
-@dataclass(frozen=True)
-class NonnegCertificate:
+class NonnegCertificate(Record):
     """Proof that f >= 0: its value at every listed ray is >= 0.
 
     The rays are the extreme rays of the cells of the arrangement of f's
@@ -38,19 +36,30 @@ class NonnegCertificate:
     ``symmetry_reduced`` means the rays cover one chamber of a reflection
     group that f is invariant under, so f >= 0 there gives f >= 0 on
     every orbit; when it is false they cover the whole slice.
-    ``chamber_count`` counts the cells enumerated; it is not part of the proof.
+    ``chamber_count`` counts the cells enumerated; it is not part of the
+    proof, so equality and hashing leave it out.
     """
 
-    rays: tuple[tuple[int, ...], ...]       # ambient coords
-    ray_values: tuple[Fraction, ...]        # f at each ray, all >= 0
-    symmetry_reduced: bool = False
-    chamber_count: int = field(default=0, compare=False)
+    __slots__ = _fields = ("rays", "ray_values", "symmetry_reduced", "chamber_count")
+
+    def __init__(self, rays: tuple[tuple[int, ...], ...],
+                 ray_values: tuple[Fraction, ...], symmetry_reduced: bool = False,
+                 chamber_count: int = 0):
+        # rays in ambient coords, ray_values f at each ray, all >= 0
+        self._set(rays, ray_values, symmetry_reduced, chamber_count)
+
+    def _key(self) -> tuple:
+        return self.rays, self.ray_values, self.symmetry_reduced
 
 
-@dataclass(frozen=True)
-class Witness:
-    direction: tuple                        # exact rationals, ambient coords
-    value: Fraction
+class Witness(Record):
+    """A direction, in exact rational ambient coords, where f is negative,
+    and f's value there."""
+
+    __slots__ = _fields = ("direction", "value")
+
+    def __init__(self, direction: tuple, value: Fraction):
+        self._set(direction, value)
 
 
 def _restricted(f: PLFunction, basis):

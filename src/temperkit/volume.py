@@ -10,7 +10,6 @@ vol((B + v) ∩ B') <= vol(B ∩ B').
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,23 +17,26 @@ from scipy.linalg import expm
 from scipy.spatial import ConvexHull
 
 from .errors import NonSplitError
+from .model import Record
 
 
-@dataclass(frozen=True)
-class ConvexBody:
+class ConvexBody(Record):
     """A compact convex body centered at the origin.
 
     kind "box": axis box with per-axis halfwidths; kind "ball": Euclidean
     ball of given radius; kind "polytope": convex hull of a centrally
     symmetric vertex set (the vertex list is symmetrized on construction).
+    ``_facets``, a polytope's (A, b) with A x <= b inside, is neither shown
+    nor compared.
     """
 
-    kind: str
-    dimension: int
-    halfwidths: Optional[tuple] = None
-    radius: Optional[float] = None
-    vertices: Optional[tuple] = None
-    _facets: Optional[tuple] = field(default=None, repr=False, compare=False)
+    __slots__ = ("kind", "dimension", "halfwidths", "radius", "vertices", "_facets")
+    _fields = __slots__[:5]
+
+    def __init__(self, kind: str, dimension: int, halfwidths: Optional[tuple] = None,
+                 radius: Optional[float] = None, vertices: Optional[tuple] = None,
+                 _facets: Optional[tuple] = None):
+        self._set(kind, dimension, halfwidths, radius, vertices, _facets)
 
     @staticmethod
     def box(dimension: int, halfwidth=1.0) -> "ConvexBody":
@@ -64,10 +66,8 @@ class ConvexBody:
         b = -hull.equations[:, -1]
         if np.any(b <= 0):
             raise ValueError("origin is not interior to the polytope")
-        body = ConvexBody(kind="polytope", dimension=V.shape[1],
-                          vertices=tuple(map(tuple, sym)))
-        object.__setattr__(body, "_facets", (A, b))
-        return body
+        return ConvexBody(kind="polytope", dimension=V.shape[1],
+                          vertices=tuple(map(tuple, sym)), _facets=(A, b))
 
     def bounding_halfwidths(self) -> np.ndarray:
         if self.kind == "box":
@@ -131,16 +131,16 @@ def mc_intersection_volume(A, t: float, C: ConvexBody, samples: int,
     return est, stderr
 
 
-@dataclass(frozen=True)
-class DecayFit:
-    times: tuple
-    log_volumes: tuple          # trace-corrected: log(e^{-t tr(A)/2} vol)
-    stderrs: tuple
-    fitted_slope: float
-    predicted_slope: float
-    tolerance: float
-    passed: bool
-    dropped_times: tuple = ()
+class DecayFit(Record):
+    __slots__ = _fields = ("times", "log_volumes", "stderrs", "fitted_slope",
+                           "predicted_slope", "tolerance", "passed", "dropped_times")
+
+    def __init__(self, times: tuple, log_volumes: tuple, stderrs: tuple,
+                 fitted_slope: float, predicted_slope: float, tolerance: float,
+                 passed: bool, dropped_times: tuple = ()):
+        # log_volumes are trace-corrected: log(e^{-t tr(A)/2} vol)
+        self._set(times, log_volumes, stderrs, fitted_slope, predicted_slope,
+                  tolerance, passed, dropped_times)
 
 
 def verify_lemma_2_8(A, C: ConvexBody, t_range: Sequence[float], samples: int,

@@ -72,6 +72,9 @@ class TestCheck:
         witness = check(simple_spec()).evidence
         with pytest.raises(ValueError):
             Verdict(tempered=True, evidence=witness, deficit_summary={})
+        certificate = check(build_sl_block(TABLE1_PATTERNS["H1"](1, 1))).evidence
+        with pytest.raises(ValueError):
+            Verdict(tempered=False, evidence=certificate, deficit_summary={})
 
     def test_witness_replay_mismatch_raises(self, monkeypatch):
         # the package's check() shadows the module temperkit.check

@@ -286,6 +286,17 @@ class TestSpecErrors:
          "pair_spec.h_module.weights[0].form[0]: malformed rational '+3'"),
         (pair_spec({"space.constraints": [["3/-4", "1"]]}), 2,
          "pair_spec.space.constraints[0][0]: malformed rational '3/-4'"),
+        # the pattern shorthand reads its name and sizes before applying it
+        ({"family": {"name": "sl_block", "pattern": "H1", "sizes": [2, "x"]}}, 2,
+         "family.sl_block.sizes"),
+        ({"family": {"name": "sl_block", "pattern": "H1", "sizes": 5}}, 2,
+         "family.sl_block.sizes"),
+        ({"family": {"name": "sl_block", "pattern": ["H1"], "sizes": [2, 2]}}, 2,
+         "family.sl_block.pattern"),
+        ({"family": {"name": "sl_block", "pattern": "H1", "sizes": [2, 2, 2, 2]}},
+         2, "family.sl_block.sizes"),
+        ({"family": {"name": "sl_block", "pattern": "H1"}}, 2,
+         "family.sl_block.sizes"),
     ], ids=["bogus_diagonal_kind", "one_part", "short_signature",
             "so_one_param", "family_not_object", "matrix_pair_not_object",
             "weights_not_list", "constraints_not_list",
@@ -298,7 +309,9 @@ class TestSpecErrors:
             "tensor_string_params", "tensor_float_param", "tensor_bool_param",
             "tensor_not_object", "bool_form_entry", "bool_constraint_entry",
             "underscore_rational", "spaced_rational", "non_ascii_rational",
-            "plus_rational", "negative_denominator"])
+            "plus_rational", "negative_denominator", "pattern_string_size",
+            "pattern_sizes_not_list", "pattern_not_string", "pattern_four_sizes",
+            "pattern_no_sizes"])
     def test_exit_code_without_traceback(self, tmp_path, payload, code, where):
         spec = write(tmp_path, "s.json", payload)
         got, _, err = run_process(["check", spec])
@@ -550,6 +563,7 @@ class TestScan:
     def test_bad_range_flag(self, capsys):
         code, _, err = run(capsys, ["scan", "table1", "--max", "2"])
         assert code == 2
+        assert "table1 takes the range flags --pmax, --qmax, not --max" in err
 
     @pytest.mark.parametrize("argv, where", [
         (["table1", "--pmax", "-1"], "--pmax: must be at least 1"),

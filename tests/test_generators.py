@@ -28,6 +28,13 @@ class TestBlockPattern:
                          frozenset({(0, 2)}))
         assert p.sizes == (2, 3)
         assert p.upper_blocks == frozenset({(0, 1)})
+        # the kinds follow their blocks; upper blocks at a dropped block go
+        p = BlockPattern((0, 2, 0, 3, 1), ("identity", "full", "full", "identity",
+                                           "full"),
+                         frozenset({(0, 1), (1, 3), (2, 4), (3, 4), (1, 4)}))
+        assert p.sizes == (2, 3, 1)
+        assert p.diagonal_kind == ("full", "identity", "full")
+        assert p.upper_blocks == frozenset({(0, 1), (1, 2), (0, 2)})
 
     def test_bracket_closure_enforced(self):
         with pytest.raises(BracketClosureError):

@@ -27,3 +27,17 @@ def test_import_loads_no_numpy():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out.strip() == "[]"
+
+
+def test_import_loads_no_dataclasses():
+    # dataclasses loads inspect, ast, dis and tokenize, and each decorated
+    # class compiles its methods at import; the records are plain classes
+    src = str(Path(temperkit.__file__).parents[1])
+    program = ("import sys\n"
+               "bare = set(sys.modules)\n"
+               "import temperkit, temperkit.serialize, temperkit.cli\n"
+               "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))")
+    out = subprocess.run([sys.executable, "-c", program], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"
