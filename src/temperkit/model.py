@@ -81,10 +81,13 @@ def _canonical_terms(terms: Iterable[tuple[int, Sequence[int]]]):
 class Record:
     """Base of the immutable records, which need no generated code.
 
-    A subclass lists its attributes in __slots__ and sets them, in that
-    order, through _set in its own __init__.  ``_fields`` names the attributes
-    that repr shows and that equality and hashing compare, unless the
-    subclass overrides _key; records of different classes are never equal.
+    A subclass lists its attributes in __slots__ and sets them in its own
+    __init__ through _set, which takes them in that order, or one by one
+    through object.__setattr__, which is faster and which TorusSpace and
+    WeightModule, built for every spec, use.  ``_fields`` names the
+    attributes that repr shows and that equality and hashing compare,
+    unless the subclass overrides _key; records of different classes are
+    never equal.
     """
 
     __slots__ = ()
@@ -103,9 +106,9 @@ class Record:
         return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or self._key() == other._key()
 
     def __hash__(self) -> int:
         return hash(self._key())
@@ -138,8 +141,11 @@ class TorusSpace(Record):
             raise ValueError("constraint set is linearly dependent")
         # an RREF row has a 1 at its pivot, so its integer row is primitive
         rows = tuple(tuple(_integer_row(r)[0]) for r in reduced)
-        self._set(ambient_dim, rows, tuple(pivots),
-                  math.lcm(*(r[p] for r, p in zip(rows, pivots))))
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_pivots", tuple(pivots))
+        object.__setattr__(self, "_scale",
+                           math.lcm(*(r[p] for r, p in zip(rows, pivots))))
 
     @property
     def dim(self) -> int:
@@ -234,7 +240,9 @@ class WeightModule(Record):
         if g > 1:
             den //= g
             merged = {tuple(x // g for x in row): m for row, m in merged.items()}
-        self._set(space, tuple(sorted(merged.items())), den)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "rows", tuple(sorted(merged.items())))
+        object.__setattr__(self, "den", den)
 
     @property
     def weights(self) -> tuple[tuple[tuple, int], ...]:
