@@ -41,8 +41,7 @@ def _primitive(vec):
 
 
 class Cell(Record):
-    """A full-dimensional cell, given by its extreme rays (primitive
-    integer vectors)."""
+    """A full-dimensional cell, given by its primitive extreme rays."""
 
     __slots__ = _fields = ("rays",)
     __hash__ = None

@@ -81,13 +81,11 @@ def _canonical_terms(terms: Iterable[tuple[int, Sequence[int]]]):
 class Record:
     """Base of the immutable records, which need no generated code.
 
-    A subclass lists its attributes in __slots__ and sets them in its own
-    __init__ through _set, which takes them in that order, or one by one
-    through object.__setattr__, which is faster and which TorusSpace and
-    WeightModule, built for every spec, use.  ``_fields`` names the
-    attributes that repr shows and that equality and hashing compare,
-    unless the subclass overrides _key; records of different classes are
-    never equal.
+    A subclass lists its attributes in __slots__ and sets them in __init__
+    through _set (in that order) or object.__setattr__ (faster, for
+    TorusSpace and WeightModule, built for every spec).  ``_fields`` names
+    what repr shows and equality and hashing compare, unless _key is
+    overridden; records of different classes are never equal.
     """
 
     __slots__ = ()
