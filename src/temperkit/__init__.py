@@ -21,7 +21,7 @@ from .generators import (BlockPattern, MatrixPairInput, TABLE1_PATTERNS,
                          example_sp21_input)
 from .model import (TorusSpace, WeightModule, PLFunction, PairSpec,
                     evaluate_pl, rho_function, deficit)
-from .verify import NonnegCertificate, Witness, is_nonnegative, grid_oracle
+from .verify import NonnegCertificate, Witness, is_nonnegative
 
 __version__ = "0.1.0"
 
@@ -39,6 +39,6 @@ __all__ = [
     "example_sp21_input",
     "TorusSpace", "WeightModule", "PLFunction", "PairSpec",
     "evaluate_pl", "rho_function", "deficit",
-    "NonnegCertificate", "Witness", "is_nonnegative", "grid_oracle",
+    "NonnegCertificate", "Witness", "is_nonnegative",
     "__version__",
 ]

@@ -49,7 +49,10 @@ def _spec_from_family(data: dict):
     where = f"family.{name}"
     meta = {key: value for key, value in data.items()
             if key not in ("name", "realify", "pattern", "params", "question")}
-    meta.update(family=name, realified=bool(data.get("realify")))
+    realify = data.get("realify", False)
+    if type(realify) is not bool:
+        raise SchemaError(f"{where}.realify: expected true or false")
+    meta.update(family=name, realified=realify)
     try:
         if name == "sl_block" and "pattern" in data:
             sizes = serialize._ints(data, "sizes", where)

@@ -31,13 +31,6 @@ def _e(i: int, n: int, s: int = 1) -> tuple[int, ...]:
     return tuple(v)
 
 
-def _diff(i: int, j: int, n: int) -> tuple[int, ...]:
-    v = [0] * n
-    v[i] = 1
-    v[j] -= 1
-    return tuple(v)
-
-
 def _zero(n: int) -> tuple[int, ...]:
     return (0,) * n
 
@@ -352,48 +345,6 @@ def realify(spec: PairSpec) -> PairSpec:
 
 
 # ---------------------------------------------------------------------------
-# parabolic-relative decomposition of a block pattern
-
-def parabolic_decomposition(pattern: BlockPattern):
-    """Weight modules (s, l/s, u/v) for h inside the block upper-triangular
-    parabolic with the same block structure.
-
-    s = diagonal part of h, l/s = rest of the block-diagonal Levi,
-    u/v = strictly-upper cross blocks not belonging to h.  All three live
-    on the torus of build_sl_block(pattern).
-    """
-    n = pattern.n
-    space = _block_torus(pattern)
-    blocks = pattern.block_coords()
-
-    s_counter: Counter = Counter()
-    l_counter: Counter = Counter()
-    for blk, kind in zip(blocks, pattern.diagonal_kind):
-        for a, b in itertools.permutations(blk, 2):
-            l_counter[_diff(a, b, n)] += 1
-        l_counter[_zero(n)] += len(blk)
-        if kind == "full":
-            for a, b in itertools.permutations(blk, 2):
-                s_counter[_diff(a, b, n)] += 1
-            s_counter[_zero(n)] += len(blk) - 1
-    ls_counter = l_counter.copy()
-    ls_counter.subtract(s_counter)
-
-    uv_counter: Counter = Counter()
-    k = len(blocks)
-    for i, j in itertools.combinations(range(k), 2):
-        if (i, j) in pattern.upper_blocks:
-            continue
-        for a in blocks[i]:
-            for b in blocks[j]:
-                uv_counter[_diff(a, b, n)] += 1
-
-    return (_module(space, s_counter),
-            _module(space, ls_counter),
-            _module(space, uv_counter))
-
-
-# ---------------------------------------------------------------------------
 # matrix mode
 
 class MatrixPairInput(Record):
@@ -447,17 +398,17 @@ def extract_weights(inp: MatrixPairInput) -> PairSpec:
     diagonal matrices do and conjugation keeps commutators.
     """
     n = inp.ambient_dim
-    try:
-        Qi = linalg.mat_inv(inp.diagonalizer)
-    except ValueError:
-        raise BasisError("diagonalizer: matrix is singular") from None
-    Q, q_scale = linalg.to_sparse(inp.diagonalizer)
-    Qi, qi_scale = linalg.to_sparse(Qi)
+    Q, _ = linalg.to_sparse(inp.diagonalizer)
+    inverse = linalg.solve([[Q.get((a, b), 0) for b in range(n)] for a in range(n)],
+                           [[int(a == b) for a in range(n)] for b in range(n)])
+    if inverse is None:
+        raise BasisError("diagonalizer: matrix is singular")
+    # the columns of s*Q^-1; the scale of Q cancels in Q^-1 M Q, leaving s
+    Qi = {(a, b): x for b, col in enumerate(inverse[0]) for a, x in enumerate(col) if x}
 
     def conjugate(M) -> tuple[linalg.Sparse, int]:
         M, scale = linalg.to_sparse(M)
-        return (linalg.sparse_mul(Qi, linalg.sparse_mul(M, Q)),
-                scale * q_scale * qi_scale)
+        return linalg.sparse_mul(Qi, linalg.sparse_mul(M, Q)), scale * inverse[1]
 
     diags, scales = [], []
     for T in inp.torus_basis:

@@ -1,22 +1,22 @@
-"""Small exact linear algebra helpers over rational matrices.
+"""Small exact linear algebra helpers over integer matrices.
 
-Dense matrices are lists of lists of int or Fraction (row major); sparse
-matrices are dicts {(row, col): int} of their nonzero entries, a rational
-matrix times a positive scale.  Everything here is exact; numpy is
-deliberately not used so there is no precision cliff in the decision path.
+Dense matrices are lists of lists of int (row major); sparse matrices are
+dicts {(row, col): int} of their nonzero entries, a rational matrix times
+a positive scale.  Row reduction is fraction-free: rref keeps every row
+integer and primitive, so no Fraction arithmetic happens here.  Everything
+is exact; numpy is deliberately not used so there is no precision cliff
+in the decision path.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Optional, Sequence
 
-Matrix = list[list[Fraction]]
 Sparse = dict[tuple[int, int], int]
 
 
-def to_sparse(M: Sequence[Sequence[Fraction]]) -> tuple[Sparse, int]:
+def to_sparse(M: Sequence[Sequence]) -> tuple[Sparse, int]:
     """(S, scale): the nonzero entries of the rational matrix M times scale,
     the least common multiple of their denominators, so S is integer."""
     nonzero = [((a, b), x) for a, row in enumerate(M)
@@ -44,74 +44,69 @@ def sparse_commutator(A: Sparse, B: Sparse) -> Sparse:
     return {key: x for key, x in out.items() if x}
 
 
-def mat_inv(A: Matrix) -> Matrix:
-    """Inverse as the right half of rref([A | I]); ValueError if singular."""
-    n = len(A)
-    rows, pivots = rref([list(row) + [Fraction(int(i == j)) for j in range(n)]
-                         for i, row in enumerate(A)])
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in rows]
+def _primitive(row: list[int], negate: bool = False) -> list[int]:
+    g = -math.gcd(*row) if negate else math.gcd(*row)
+    return row if g in (0, 1) else [x // g for x in row]
 
 
-def pd_solve(B: Sequence[Sequence[int]], columns) -> "list[list[int]] | None":
-    """adj(B) c for each integer column c, or None unless the symmetric
-    integer matrix B is positive definite: fraction-free Gauss-Jordan
-    elimination (Bareiss 1968) on [B | columns], whose divisions are exact
-    and whose pivots are the leading principal minors (Sylvester)."""
-    d = len(B)
-    rows = [list(B[i]) + [c[i] for c in columns] for i in range(d)]
-    prev = 1
-    for k in range(d):
-        p, pivot = rows[k][k], rows[k]
-        if p <= 0:
-            return None
-        rows = [row if i == k else [(p * a - row[k] * b) // prev
-                                    for a, b in zip(row, pivot)]
-                for i, row in enumerate(rows)]
-        prev = p
-    return [list(col) for col in zip(*(row[d:] for row in rows))]
-
-
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+def rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of integer rows: (nonzero rows, pivot
+    columns), each row the primitive multiple of its RREF row with a
+    positive pivot entry.  Against a pivot row with entry p, a row with
+    entry x becomes (p/g)*row - (x/g)*pivot over its content, g = gcd(p, x)."""
     rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
     pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        if pv != 1:
-            pv = Fraction(pv)   # int / int would be a float
-            rows[rank] = [x / pv if x else x for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                c = rows[i][col]
-                rows[i] = [x - c * y if y else x
-                           for x, y in zip(rows[i], rows[rank])]
+        pivot = _primitive(rows[piv], rows[piv][col] < 0)
+        rows[piv], rows[rank] = rows[rank], pivot
+        p = pivot[col]
+        for i, row in enumerate(rows):
+            x = row[col]
+            if x and i != rank:
+                g = math.gcd(p, x)
+                a, b = p // g, x // g
+                rows[i] = _primitive([y - b * z for y, z in zip(row, pivot)] if a == 1
+                                     else [a * y - b * z for y, z in zip(row, pivot)])
         pivots.append(col)
-        rank += 1
-        if rank == len(rows):
+        if len(pivots) == len(rows):
             break
-    return rows[:rank], pivots
+    return rows[:len(pivots)], pivots
 
 
-def in_span(rows: Sequence[Sequence[tuple[Hashable, Fraction]]],
-            pivots: Sequence[Hashable], vec: Mapping[Hashable, Fraction]) -> bool:
+def solve(A: Sequence[Sequence[int]],
+          columns: Sequence[Sequence[int]]) -> Optional[tuple[list[list[int]], int]]:
+    """(X, s) with X[k] = s * A^-1 columns[k] for the square integer matrix
+    A and the least common multiple s > 0 of the pivot entries of rref([A |
+    columns]), or None if A is singular."""
+    n = len(A)
+    rows, pivots = rref([list(row) + [c[i] for c in columns]
+                         for i, row in enumerate(A)])
+    if pivots[:n] != list(range(n)):
+        return None
+    s = math.lcm(*(row[i] for i, row in enumerate(rows)))
+    return [[row[j] * (s // row[i]) for i, row in enumerate(rows)]
+            for j in range(n, n + len(columns))], s
+
+
+def in_span(rows: Sequence[Sequence[tuple[Hashable, int]]],
+            pivots: Sequence[Hashable], vec: Mapping[Hashable, int]) -> bool:
     """Whether the sparse vector vec, {column: value}, is in the row span of
-    an RREF given as the nonzero (column, value) pairs of each row and its
-    pivot columns: subtracting vec[c] times the row of each pivot c, in
-    pivot order, must leave zero."""
+    an rref given as the nonzero (column, value) pairs of each row, pivot
+    first, and its pivot columns: at each pivot c, in order, scaling vec by
+    p/g and subtracting x/g times the row, for p = row[c], x = vec[c] and
+    g = gcd(p, x), must leave zero."""
     v = dict(vec)
     for row, c in zip(rows, pivots):
         x = v.get(c)
         if x:
-            for j, b in row:
-                v[j] = v.get(j, 0) - x * b
+            p = row[0][1]
+            g = math.gcd(p, x)
+            if p != g:
+                v = {j: y * (p // g) for j, y in v.items()}
+            for j, y in row:
+                v[j] = v.get(j, 0) - x // g * y
     return not any(v.values())

@@ -137,8 +137,7 @@ class TorusSpace(Record):
         reduced, pivots = rref(rows)
         if len(reduced) != len(rows):
             raise ValueError("constraint set is linearly dependent")
-        # an RREF row has a 1 at its pivot, so its integer row is primitive
-        rows = tuple(tuple(_integer_row(r)[0]) for r in reduced)
+        rows = tuple(map(tuple, reduced))
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_pivots", tuple(pivots))

@@ -163,20 +163,28 @@ def _bounded(value, where: str) -> int:
     return value
 
 
-def _ints(meta: dict, key: str, where: str, count: Optional[int] = None) -> list:
-    value = meta.get(key)
+def _int_list(value, where: str, count: Optional[int] = None) -> list:
     if not isinstance(value, list) or count is not None and len(value) != count:
         many = f"{count} integers" if count is not None else "integers"
-        raise SchemaError(f"{where}.{key}: expected a list of {many}")
-    return [_bounded(x, f"{where}.{key}[{i}]") for i, x in enumerate(value)]
+        raise SchemaError(f"{where}: expected a list of {many}")
+    return [_bounded(x, f"{where}[{i}]") for i, x in enumerate(value)]
+
+
+def _ints(meta: dict, key: str, where: str, count: Optional[int] = None) -> list:
+    return _int_list(meta.get(key), f"{where}.{key}", count)
 
 
 def _sl_block_question(meta, where):
     from .generators import BlockPattern, build_sl_block
-    n = sum(_ints(meta, "sizes", where))
-    return n, n, lambda: build_sl_block(BlockPattern(
-        tuple(meta["sizes"]), tuple(meta.get("diagonal_kind", ())),
-        frozenset(map(tuple, meta.get("upper_blocks", ())))))
+    sizes = _ints(meta, "sizes", where)
+    kinds = meta.get("diagonal_kind", [])
+    if not isinstance(kinds, list) or any(type(k) is not str for k in kinds):
+        raise SchemaError(f"{where}.diagonal_kind: expected a list of strings")
+    blocks = _expect(meta.get("upper_blocks", []), list, f"{where}.upper_blocks")
+    upper = frozenset(tuple(_int_list(b, f"{where}.upper_blocks[{i}]", 2))
+                      for i, b in enumerate(blocks))
+    n = sum(sizes)
+    return n, n, lambda: build_sl_block(BlockPattern(tuple(sizes), tuple(kinds), upper))
 
 
 def _product_question(meta, where):

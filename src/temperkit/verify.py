@@ -19,9 +19,9 @@ from typing import Optional
 
 from .cones import enumerate_cells
 from .errors import SpaceMismatchError
-from .linalg import pd_solve
+from .linalg import solve
 from .model import (PLFunction, PairSpec, Record, _canonical_terms, _column_sums, _dot,
-                    _lex_positive, _primitive, evaluate_at, evaluate_pl)
+                    _lex_positive, _primitive, evaluate_at)
 
 
 class NonnegCertificate(Record):
@@ -74,8 +74,9 @@ def _restricted(f: PLFunction, basis):
 
 
 def _root(R, L):
-    """The root (R, L, R.L): a reduced weight row R and L = det(B) times its
-    coroot B^-1 R lifted, both signed so L is lexicographically positive."""
+    """The root (R, L, R.L): a reduced weight row R and L = s*B^-1 R lifted,
+    s > 0 one integer that makes s*B^-1 integral, both signed so L is
+    lexicographically positive.  Only the direction of L is read."""
     if not _lex_positive(L):
         R, L = [-x for x in R], [-x for x in L]
     return tuple(R), L, _dot(R, L)
@@ -116,7 +117,9 @@ def _chamber_walls(f: PLFunction, columns, lift, pair: PairSpec) -> list:
     group of f that the weights of ``pair`` give; [] for the whole slice.
 
     B = sum m mu(x)mu over the weights mu of h and g/h must be positive
-    definite.  Each root a of h gives the reflection s_a(y) = y -
+    definite.  With every m > 0, B is positive semidefinite, so it is
+    positive definite exactly when it is nonsingular, when linalg.solve
+    accepts it.  Each root a of h gives the reflection s_a(y) = y -
     2 a(y) t / a(t), t = B^-1 a, kept when f o s_a = f; a root in the
     closure of the kept ones is a conjugate of them.  A finite reflection
     group over the rationals of rank r has at most r(2r - 1) reflections
@@ -137,9 +140,11 @@ def _chamber_walls(f: PLFunction, columns, lift, pair: PairSpec) -> list:
                 for k, y in w:
                     B[j][k] += m * x * y
     roots = dict.fromkeys(_primitive(row)[0] for row, _ in h.rows if any(row))
-    coroots = roots and pd_solve(B, [[R[c] * s for c, s in columns] for R in roots])
-    if not coroots:
+    inverse = roots and solve(B, [[int(i == j) for i in range(d)] for j in range(d)])
+    if not inverse:
         return []
+    # s*B^-1 is symmetric: its columns are its rows
+    coroots = [[_dot(x, [R[c] * s for c, s in columns]) for x in inverse[0]] for R in roots]
     coeffs = {row: c for c, row in f.terms}
     by_column = list(zip(*coeffs))
     closure, kept = {}, []
@@ -216,44 +221,3 @@ def is_nonnegative(f: PLFunction, pair: Optional[PairSpec] = None):
                              symmetry_reduced=bool(walls),
                              chamber_count=complex_.count)
 
-
-_INT64_BOUND = 2 ** 62
-
-
-def grid_oracle(f: PLFunction, resolution: int) -> Optional[Witness]:
-    """Brute-force search for a negative value on an integer grid.
-
-    Evaluates f at every integer point of the closed ball of the given
-    l-infinity radius in slice coordinates.  Exact (integer arithmetic
-    after clearing denominators); returns the most negative point found, or
-    None.  Never authoritative for the nonnegative answer.
-    """
-    import numpy as np
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
-    space = f.space
-    basis = space.slice_basis()
-    d = len(basis)
-    if d == 0:
-        return None
-    _, Lrow, terms = _restricted(f, basis)
-    A = [row for _, row in terms]
-    C = [c for c, _ in terms]
-
-    max_abs = 0
-    for row, c in zip(A, C):
-        max_abs += abs(c) * sum(abs(x) for x in row) * resolution
-    max_abs += sum(abs(x) for x in Lrow) * resolution
-    # int64 sums are exact below the bound; past it numpy sums Python ints
-    dtype = np.int64 if max_abs < _INT64_BOUND else object
-    coords = np.array(np.meshgrid(*([np.arange(-resolution, resolution + 1)] * d),
-                                  indexing="ij")).reshape(d, -1).T.astype(dtype)
-    vals = coords @ np.array(Lrow, dtype=dtype)
-    if A:
-        vals = vals + np.abs(coords @ np.array(A, dtype=dtype).T) \
-            @ np.array(C, dtype=dtype)
-    i = int(np.argmin(vals))
-    if vals[i] >= 0:
-        return None
-    direction = space.lift(tuple(int(x) for x in coords[i]))
-    return Witness(direction=direction, value=evaluate_pl(f, direction))

@@ -1,0 +1,163 @@
+"""Reference implementations the tests compare the package against.
+
+None of this is on the decision path.  rref and mat_inv are plain Fraction
+Gauss-Jordan elimination, and fraction_det is Fraction elimination with
+row swaps: the references for linalg's integer rref and solve.
+grid_oracle is a brute-force search for a negative value;
+parabolic_decomposition gives the weight modules of a block pattern
+relative to its parabolic.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import Counter
+from fractions import Fraction
+from typing import Optional, Sequence
+
+from temperkit.generators import BlockPattern, _block_torus, _module, _zero
+from temperkit.model import PLFunction, evaluate_pl
+from temperkit.verify import Witness, _restricted
+
+
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pv = rows[rank][col]
+        if pv != 1:
+            pv = Fraction(pv)   # int / int would be a float
+            rows[rank] = [x / pv if x else x for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                c = rows[i][col]
+                rows[i] = [x - c * y if y else x
+                           for x, y in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(rows):
+            break
+    return rows[:rank], pivots
+
+
+def mat_inv(A: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Inverse as the right half of rref([A | I]); ValueError if singular."""
+    n = len(A)
+    rows, pivots = rref([list(row) + [Fraction(int(i == j)) for j in range(n)]
+                         for i, row in enumerate(A)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in rows]
+
+
+def fraction_det(M):
+    """det M by Fraction elimination with row swaps."""
+    M, det = [[Fraction(x) for x in row] for row in M], Fraction(1)
+    for k in range(len(M)):
+        p = next((i for i in range(k, len(M)) if M[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            M[k], M[p], det = M[p], M[k], -det
+        det *= M[k][k]
+        for i in range(k + 1, len(M)):
+            r = M[i][k] / M[k][k]
+            M[i] = [x - r * y for x, y in zip(M[i], M[k])]
+    return det
+
+
+_INT64_BOUND = 2 ** 62
+
+
+def grid_oracle(f: PLFunction, resolution: int) -> Optional[Witness]:
+    """Brute-force search for a negative value on an integer grid.
+
+    Evaluates f at every integer point of the closed ball of the given
+    l-infinity radius in slice coordinates.  Exact (integer arithmetic
+    after clearing denominators); returns the most negative point found, or
+    None.  Never authoritative for the nonnegative answer.
+    """
+    import numpy as np
+    if resolution < 1:
+        raise ValueError("resolution must be >= 1")
+    space = f.space
+    basis = space.slice_basis()
+    d = len(basis)
+    if d == 0:
+        return None
+    _, Lrow, terms = _restricted(f, basis)
+    A = [row for _, row in terms]
+    C = [c for c, _ in terms]
+
+    max_abs = 0
+    for row, c in zip(A, C):
+        max_abs += abs(c) * sum(abs(x) for x in row) * resolution
+    max_abs += sum(abs(x) for x in Lrow) * resolution
+    # int64 sums are exact below the bound; past it numpy sums Python ints
+    dtype = np.int64 if max_abs < _INT64_BOUND else object
+    coords = np.array(np.meshgrid(*([np.arange(-resolution, resolution + 1)] * d),
+                                  indexing="ij")).reshape(d, -1).T.astype(dtype)
+    vals = coords @ np.array(Lrow, dtype=dtype)
+    if A:
+        vals = vals + np.abs(coords @ np.array(A, dtype=dtype).T) \
+            @ np.array(C, dtype=dtype)
+    i = int(np.argmin(vals))
+    if vals[i] >= 0:
+        return None
+    direction = space.lift(tuple(int(x) for x in coords[i]))
+    return Witness(direction=direction, value=evaluate_pl(f, direction))
+
+
+def _diff(i: int, j: int, n: int) -> tuple[int, ...]:
+    v = [0] * n
+    v[i] = 1
+    v[j] -= 1
+    return tuple(v)
+
+
+def parabolic_decomposition(pattern: BlockPattern):
+    """Weight modules (s, l/s, u/v) for h inside the block upper-triangular
+    parabolic with the same block structure.
+
+    s = diagonal part of h, l/s = rest of the block-diagonal Levi,
+    u/v = strictly-upper cross blocks not belonging to h.  All three live
+    on the torus of build_sl_block(pattern).
+    """
+    n = pattern.n
+    space = _block_torus(pattern)
+    blocks = pattern.block_coords()
+
+    s_counter: Counter = Counter()
+    l_counter: Counter = Counter()
+    for blk, kind in zip(blocks, pattern.diagonal_kind):
+        for a, b in itertools.permutations(blk, 2):
+            l_counter[_diff(a, b, n)] += 1
+        l_counter[_zero(n)] += len(blk)
+        if kind == "full":
+            for a, b in itertools.permutations(blk, 2):
+                s_counter[_diff(a, b, n)] += 1
+            s_counter[_zero(n)] += len(blk) - 1
+    ls_counter = l_counter.copy()
+    ls_counter.subtract(s_counter)
+
+    uv_counter: Counter = Counter()
+    k = len(blocks)
+    for i, j in itertools.combinations(range(k), 2):
+        if (i, j) in pattern.upper_blocks:
+            continue
+        for a in blocks[i]:
+            for b in blocks[j]:
+                uv_counter[_diff(a, b, n)] += 1
+
+    return (_module(space, s_counter),
+            _module(space, ls_counter),
+            _module(space, uv_counter))

@@ -20,13 +20,14 @@ from temperkit import serialize
 from temperkit.check import FAMILIES, TABLE2_PREDICATES, check, tensor_product_check
 from temperkit.cli import main as cli_main
 from temperkit.generators import (TABLE2_PATTERNS, build_sl_block,
-                                  example_sp21_input, extract_weights,
-                                  parabolic_decomposition)
+                                  example_sp21_input, extract_weights)
 from temperkit.model import (PLFunction, TorusSpace, deficit,
                              evaluate_pl, rho_function)
-from temperkit.verify import NonnegCertificate, Witness, grid_oracle, is_nonnegative
+from temperkit.verify import NonnegCertificate, Witness, is_nonnegative
 from temperkit.volume import (ConvexBody, check_brunn_translate,
                               random_symmetric_polytope, verify_lemma_2_8)
+
+from reference import grid_oracle, parabolic_decomposition
 
 F = Fraction
 

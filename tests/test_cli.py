@@ -219,6 +219,13 @@ def pair_spec(replace=()):
     return {"pair_spec": doc}
 
 
+def sl_block21(**fields) -> dict:
+    """An sl_block family input with sizes [2, 1], full and identity, and
+    the given fields."""
+    return {"family": {"name": "sl_block", "sizes": [2, 1],
+                       "diagonal_kind": ["full", "identity"], **fields}}
+
+
 class TestSpecErrors:
     @pytest.mark.parametrize("payload, code, where", [
         ({"family": {"name": "sl_block", "sizes": [2, 1],
@@ -297,6 +304,18 @@ class TestSpecErrors:
          2, "family.sl_block.sizes"),
         ({"family": {"name": "sl_block", "pattern": "H1"}}, 2,
          "family.sl_block.sizes"),
+        # an upper block is two integers and diagonal_kind a list of strings;
+        # [[0, 1.5]] once dropped the block and answered another question
+        (sl_block21(upper_blocks=[[0, 1.5]]), 2,
+         "family.sl_block.upper_blocks[0][1]: expected an integer"),
+        (sl_block21(upper_blocks=[[0, 1, 5]]), 2,
+         "family.sl_block.upper_blocks[0]: expected a list of 2 integers"),
+        (sl_block21(upper_blocks=5), 2,
+         "family.sl_block.upper_blocks: expected a list"),
+        (sl_block21(diagonal_kind="fi"), 2,
+         "family.sl_block.diagonal_kind: expected a list of strings"),
+        (sl_block21(realify="no"), 2,
+         "family.sl_block.realify: expected true or false"),
     ], ids=["bogus_diagonal_kind", "one_part", "short_signature",
             "so_one_param", "family_not_object", "matrix_pair_not_object",
             "weights_not_list", "constraints_not_list",
@@ -311,7 +330,8 @@ class TestSpecErrors:
             "underscore_rational", "spaced_rational", "non_ascii_rational",
             "plus_rational", "negative_denominator", "pattern_string_size",
             "pattern_sizes_not_list", "pattern_not_string", "pattern_four_sizes",
-            "pattern_no_sizes"])
+            "pattern_no_sizes", "float_upper_block", "long_upper_block",
+            "upper_blocks_not_list", "diagonal_kind_string", "string_realify"])
     def test_exit_code_without_traceback(self, tmp_path, payload, code, where):
         spec = write(tmp_path, "s.json", payload)
         got, _, err = run_process(["check", spec])

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from temperkit import linalg
 from temperkit.check import check, sp_product_tempered
 from temperkit.errors import (BasisError, BracketClosureError,
                               DecompositionError)
@@ -16,8 +15,10 @@ from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS,
                                   build_sl_block, example_sp21_input,
                                   extract_weights,
                                   matrix_input_for_block_pattern,
-                                  parabolic_decomposition, realify)
+                                  realify)
 from temperkit.model import deficit, evaluate_pl, rho_function
+
+from reference import mat_inv, parabolic_decomposition, rref
 
 F = Fraction
 
@@ -142,7 +143,7 @@ def half_torus_sl2_input():
     the torus diag(1/4, -1/4): every weight is half an integer, and Q and
     its inverse have non-integer entries."""
     Q = [[F(1), F(1, 2)], [F(0), F(1, 2)]]
-    Qi = linalg.mat_inv(Q)
+    Qi = mat_inv(Q)
 
     def moved(M):
         return mat_mul(Q, mat_mul(M, Qi))
@@ -161,7 +162,7 @@ def weights_by_rank(inp):
     alpha's positions."""
     n = inp.ambient_dim
     Q = [list(r) for r in inp.diagonalizer]
-    Qi = linalg.mat_inv(Q)
+    Qi = mat_inv(Q)
 
     def conj(M):
         return [x for r in mat_mul(Qi, mat_mul(M, Q)) for x in r]
@@ -174,7 +175,7 @@ def weights_by_rank(inp):
 
     def mult(basis):
         rows = [conj(M) for M in basis]
-        return {alpha: len(rows) - len(linalg.rref(
+        return {alpha: len(rows) - len(rref(
                     [[r[c] for c in range(n * n) if c not in pos]
                      for r in rows])[0])
                 for alpha, pos in positions.items()}
@@ -396,7 +397,7 @@ class TestMatrixMode:
                   else (data.draw(entry) if i < j else F(0))
                   for j in range(n)] for i in range(n)]
         P = mat_mul(lower, upper)
-        Pi = linalg.mat_inv(P)
+        Pi = mat_inv(P)
 
         def moved(basis):
             return tuple(mat_mul(P, mat_mul(M, Pi))

@@ -310,6 +310,8 @@ class TestQuestionForm:
         ("sizes", "312", r"pair_spec\.metadata\.sizes: expected a list"),
         ("diagonal_kind", ["full", "full", "bogus"], r"pair_spec\.metadata: unknown"),
         ("upper_blocks", [[0, 1], [1, 2]], r"pair_spec\.metadata: upper blocks"),
+        ("upper_blocks", [[0, 1.5]],
+         r"pair_spec\.metadata\.upper_blocks\[0\]\[1\]: expected an integer"),
     ])
     def test_bad_question_is_a_located_schema_error(self, key, value, where):
         v, spec = self._h2()

@@ -18,8 +18,8 @@ def test_no_assert_statements():
 
 
 def test_import_loads_no_numpy():
-    # numpy and scipy serve only `volume` and `grid_oracle`, which import
-    # them when called
+    # numpy and scipy serve only `volume`, which imports them when called;
+    # the tests' grid_oracle lives outside the package
     src = str(Path(temperkit.__file__).parents[1])
     program = ("import sys, temperkit, temperkit.serialize, temperkit.cli\n"
                "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")

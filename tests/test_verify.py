@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from temperkit.check import check
+from temperkit import verify
+from temperkit.check import FAMILIES, check
 from temperkit.cones import enumerate_cells
 from temperkit.errors import SpaceMismatchError
 from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS,
@@ -15,11 +16,13 @@ from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS,
                                   build_so_pair, example_sp21_input,
                                   extract_weights, matrix_input_for_block_pattern,
                                   realify)
-from temperkit.linalg import mat_inv, pd_solve
+from temperkit.linalg import solve
 from temperkit.model import (PLFunction, PairSpec, TorusSpace, WeightModule,
                              deficit, evaluate_pl)
 from temperkit.verify import (NonnegCertificate, Witness, _chamber_walls,
-                              _restricted, grid_oracle, is_nonnegative)
+                              _restricted, is_nonnegative)
+
+from reference import fraction_det, grid_oracle, mat_inv
 
 F = Fraction
 
@@ -315,41 +318,47 @@ def reference_invariant(f, root, pair) -> bool:
     return before == after
 
 
-def fraction_det(M):
-    """det M by Fraction elimination with row swaps."""
-    M, det = [[F(x) for x in row] for row in M], F(1)
+def leading_minors_positive(B) -> bool:
+    """Whether every leading principal minor of B is positive: elimination
+    without row swaps, whose k-th pivot is the k-th minor over the one
+    before it."""
+    M = [[F(x) for x in row] for row in B]
     for k in range(len(M)):
-        p = next((i for i in range(k, len(M)) if M[i][k]), None)
-        if p is None:
-            return F(0)
-        if p != k:
-            M[k], M[p], det = M[p], M[k], -det
-        det *= M[k][k]
+        if M[k][k] <= 0:
+            return False
         for i in range(k + 1, len(M)):
             r = M[i][k] / M[k][k]
             M[i] = [x - r * y for x, y in zip(M[i], M[k])]
-    return det
+    return True
 
 
-def test_pd_solve_matches_fraction_inverse():
-    # adj(B) c = det(B) B^-1 c for a positive definite Gram matrix B, and
-    # None for a singular or indefinite one
-    rng = random.Random(3)
-    for _ in range(60):
-        d = rng.randint(1, 5)
-        rows = [[rng.randint(-3, 3) for _ in range(d)]
-                for _ in range(rng.randint(d - 1, d + 3))]
-        B = [[sum(w[i] * w[j] for w in rows) for j in range(d)] for i in range(d)]
-        columns = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(2)]
-        det = fraction_det(B)
-        if not det:
-            assert pd_solve(B, columns) is None
-            continue
-        inverse = mat_inv([[F(x) for x in row] for row in B])
-        assert pd_solve(B, columns) == [
-            [det * sum(a * b for a, b in zip(row, c)) for row in inverse]
-            for c in columns]
-    assert pd_solve([[1, 2], [2, 1]], [[1, 0]]) is None
+def test_chamber_form_is_positive_definite_when_solve_accepts_it(monkeypatch):
+    # B = sum m mu(x)mu with every m > 0 is positive semidefinite, so it is
+    # positive definite exactly when it is nonsingular and _chamber_walls
+    # reads no pivot signs: over the scan-mix specs, every B that solve
+    # accepts has positive leading minors (Sylvester), and every B it
+    # rejects is singular
+    forms, calls = {}, []
+
+    def recording(A, columns):
+        out = solve(A, columns)
+        forms[tuple(map(tuple, A))] = out is not None
+        calls.append(A)
+        return out
+
+    monkeypatch.setattr(verify, "solve", recording)
+    ranges = {"table1": {"pmax": 5, "qmax": 5}, "table2": {"max": 3},
+              "example51": {"total": 6, "rank": 4}, "example52-sl": {"n": 8},
+              "example52-sp": {"n": 4}, "example52-so": {"total": 6}}
+    for family, kwargs in ranges.items():
+        for _, spec, _ in FAMILIES[family](**kwargs):
+            check(spec)
+    assert len(calls) > 400 and len(forms) > 50
+    for B, accepted in forms.items():
+        if accepted:
+            assert leading_minors_positive(B), B
+        else:
+            assert fraction_det(B) == 0, B
 
 
 def accepts(f, root, form) -> bool:
