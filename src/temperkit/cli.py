@@ -100,29 +100,29 @@ def _spec_from_file(data: dict):
         return tensor_product_spec(q.get("variant"), *serialize._expect(
             q.get("params"), list, "tensor_product.params"))
     # matrix_pair
-    mp = serialize._expect(data["matrix_pair"], dict, "matrix_pair")
-    if mp.get("preset") == "sp21":
-        return extract_weights(example_sp21_input())
     where = "matrix_pair"
+    mp = serialize._expect(data[where], dict, where)
+    if "preset" in mp:
+        if mp["preset"] != "sp21":
+            raise SchemaError(f"{where}.preset: unknown preset {mp['preset']!r}")
+        return extract_weights(example_sp21_input())
 
-    def mats(key):
-        out = []
-        for i, M in enumerate(mp.get(key, [])):
-            out.append(tuple(serialize._vec_from_json(row, f"{where}.{key}[{i}][{j}]")
-                             for j, row in enumerate(M)))
-        return tuple(out)
+    def items(data, at, read=serialize._vec_from_json):
+        # a basis is a list of matrices, a matrix a list of rows
+        return tuple(read(x, f"{at}[{i}]")
+                     for i, x in enumerate(serialize._expect(data, list, at)))
 
     try:
         inp = MatrixPairInput(
             ambient_dim=serialize._int_from_json(mp.get("ambient_dim"),
                                                  f"{where}.ambient_dim"),
-            g_basis=mats("g_basis"), h_basis=mats("h_basis"),
-            torus_basis=mats("torus_basis"),
-            diagonalizer=tuple(serialize._vec_from_json(
-                row, f"{where}.diagonalizer[{i}]")
-                for i, row in enumerate(mp.get("diagonalizer", []))),
-            metadata=dict(mp.get("metadata", {})))
-    except (KeyError, TypeError, ValueError) as e:
+            **{key: items(mp.get(key, []), f"{where}.{key}", items)
+               for key in ("g_basis", "h_basis", "torus_basis")},
+            diagonalizer=items(mp.get("diagonalizer", []), f"{where}.diagonalizer"),
+            metadata=serialize._expect(mp.get("metadata", {}), dict, f"{where}.metadata"))
+    except TemperkitError:
+        raise
+    except (TypeError, ValueError) as e:
         raise SchemaError(f"{where}: {e}") from None
     if len(inp.torus_basis) > QUESTION_CEILING:     # the spec's ambient dimension
         raise SchemaError(f"{where}.torus_basis: more than {QUESTION_CEILING} elements")

@@ -11,6 +11,7 @@ independent cross-check of the family builders.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from operator import sub
@@ -381,21 +382,21 @@ def extract_weights(inp: MatrixPairInput) -> PairSpec:
 
     Conjugated by the diagonalizer Q, the torus is diagonal, diag(mu), and
     the unit matrix E_ab has weight mu_a - mu_b; this splits the n*n matrix
-    coordinates into weight blocks.  Each basis is conjugated and
-    row-reduced once.  Independence is the row count (for the torus, that
-    of its conjugated diagonals); h in g and bracket closure are membership
-    tests against an RREF (brackets of conjugated matrices, as conjugation
-    is an algebra homomorphism).  A span is
-    torus-stable exactly when it is the direct sum of its pieces in the
-    blocks; RREF is unique, so the RREF of that sum is the union of the
-    pieces' RREFs.  Hence the span is stable exactly when every RREF row
-    lies in one block, else DecompositionError, and the multiplicity of a
-    weight is the number of RREF rows with their pivot in its block.  Each
-    matrix is held sparse and integer, scaled by its own positive factor
-    (linalg.to_sparse), which changes none of these tests; the weights
-    divide the torus scales back out.  The torus matrices need no separate
-    commutation test: once every Q^-1 T Q is diagonal they commute, as
-    diagonal matrices do and conjugation keeps commutators.
+    coordinates into weight blocks.  Each matrix is held sparse and integer,
+    scaled by its own positive factor (linalg.to_sparse), which changes no
+    test below.  Q's rows and Q^-1's columns are indexed once; Q^-1 M Q is
+    a pass over M's entries, then one over MQ's.  Independence is the row
+    count of each conjugated basis's RREF (for the torus, of its diagonals);
+    h in g and closure under brackets, formed from the h matrices' row
+    indexes, are tests against an RREF at the vector's own pivots
+    (linalg.in_span).  A span is torus-stable exactly when it is the direct
+    sum of its pieces in the blocks; RREF is unique, so the RREF of that
+    sum is the union of the pieces' RREFs.  Hence the span is stable
+    exactly when every RREF row lies in one block, else DecompositionError,
+    and a weight's multiplicity is the number of RREF rows with their pivot
+    in its block, its row mu_a - mu_b over L = lcm of the torus scales.
+    Once every Q^-1 T Q is diagonal the torus commutes, as conjugation
+    keeps commutators; that needs no separate test.
     """
     n = inp.ambient_dim
     Q, _ = linalg.to_sparse(inp.diagonalizer)
@@ -403,29 +404,29 @@ def extract_weights(inp: MatrixPairInput) -> PairSpec:
                            [[int(a == b) for a in range(n)] for b in range(n)])
     if inverse is None:
         raise BasisError("diagonalizer: matrix is singular")
-    # the columns of s*Q^-1; the scale of Q cancels in Q^-1 M Q, leaving s
-    Qi = {(a, b): x for b, col in enumerate(inverse[0]) for a, x in enumerate(col) if x}
+    # Q's rows and the columns of s*Q^-1; the scale of Q cancels in
+    # Q^-1 M Q, leaving s
+    Q_rows, s = linalg.row_index(Q), inverse[1]
+    Qi_cols = [[(a, x) for a, x in enumerate(col) if x] for col in inverse[0]]
 
     def conjugate(M) -> tuple[linalg.Sparse, int]:
         M, scale = linalg.to_sparse(M)
-        return linalg.sparse_mul(Qi, linalg.sparse_mul(M, Q)), scale * inverse[1]
+        out: linalg.Sparse = {}
+        for (b, c), x in linalg.sparse_mul(M, Q_rows).items():
+            for a, y in Qi_cols[b]:
+                out[a, c] = out.get((a, c), 0) + y * x
+        return {key: x for key, x in out.items() if x}, scale * s
 
-    diags, scales = [], []
-    for T in inp.torus_basis:
-        D, scale = conjugate(T)
-        if any(a != b for a, b in D):
-            raise DecompositionError(
-                "torus is not diagonal in the supplied basis")
-        diags.append(D)
-        scales.append(scale)
-    # mu_a, each torus coordinate times its scale; E_ab's block is keyed by
-    # mu_a - mu_b, and weights() divides the scales back out
-    mu = [tuple(D.get((a, a), 0) for D in diags) for a in range(n)]
+    diags = [conjugate(T) for T in inp.torus_basis]
+    if any(a != b for D, _ in diags for a, b in D):
+        raise DecompositionError("torus is not diagonal in the supplied basis")
+    # mu_a, the torus coordinates over L; E_ab's block is keyed by
+    # mu_a - mu_b, which is its weight over L
+    L = math.lcm(*(scale for _, scale in diags))
+    mu = [tuple(D.get((a, a), 0) * (L // scale) for D, scale in diags) for a in range(n)]
     if len(linalg.rref(list(zip(*mu)))[0]) != len(diags):
         raise BasisError("torus_basis: matrices are linearly dependent")
-
-    def block(ab) -> tuple[int, ...]:
-        return tuple(x - y for x, y in zip(mu[ab[0]], mu[ab[1]]))
+    block = {(a, b): tuple(map(sub, mu[a], mu[b])) for a in range(n) for b in range(n)}
 
     h_mats = [conjugate(M)[0] for M in inp.h_basis]
     reduced = {}
@@ -438,34 +439,33 @@ def extract_weights(inp: MatrixPairInput) -> PairSpec:
         rows, pivots = linalg.rref(flat)
         if len(rows) != len(mats):
             raise BasisError(f"{name}: matrices are linearly dependent")
-        reduced[name] = ([[(divmod(j, n), x) for j, x in enumerate(row) if x]
-                          for row in rows], [divmod(c, n) for c in pivots])
+        reduced[name] = {divmod(c, n): [(divmod(j, n), x) for j, x in enumerate(row) if x]
+                         for row, c in zip(rows, pivots)}
     for i, M in enumerate(h_mats):
-        if not linalg.in_span(*reduced["g_basis"], M):
+        if not linalg.in_span(reduced["g_basis"], M):
             raise ContainmentError(f"h_basis[{i}] is not in the span of g_basis")
-    for A, B in itertools.combinations(h_mats, 2):
-        if not linalg.in_span(*reduced["h_basis"], linalg.sparse_commutator(A, B)):
+    indexed = [(M, linalg.row_index(M)) for M in h_mats]
+    for (A, rA), (B, rB) in itertools.combinations(indexed, 2):
+        if not linalg.in_span(reduced["h_basis"],
+                              linalg.sparse_mul(B, rA, linalg.sparse_mul(A, rB), -1)):
             raise BracketClosureError("h basis does not span a subalgebra")
 
     def multiplicities(name) -> Counter:
         out: Counter = Counter()
-        for row, c in zip(*reduced[name]):
-            if any(block(j) != block(c) for j, _ in row):
+        for c, row in reduced[name].items():
+            if any(block[j] != block[c] for j, _ in row):
                 raise DecompositionError(
                     f"{name}: span is not stable under the torus")
-            out[block(c)] += 1
+            out[block[c]] += 1
         return out
 
-    def weights(counter: Counter) -> Counter:
-        return Counter({tuple(Fraction(x, s) for x, s in zip(w, scales)): m
-                        for w, m in counter.items()})
-
     mh = multiplicities("h_basis")
+    mq = multiplicities("g_basis") - mh
+    # the space has no constraints, so every row is already reduced
     space = TorusSpace(len(inp.torus_basis))
-    return PairSpec(
-        g_module=WeightModule(space, weights(multiplicities("g_basis") - mh).items()),
-        h_module=WeightModule(space, weights(mh).items()),
-        metadata=dict(inp.metadata))
+    return PairSpec(g_module=WeightModule._from_integers(space, mq.items(), L),
+                    h_module=WeightModule._from_integers(space, mh.items(), L),
+                    metadata=dict(inp.metadata))
 
 
 def matrix_input_for_block_pattern(pattern: BlockPattern) -> MatrixPairInput:

@@ -1,11 +1,11 @@
 """Small exact linear algebra helpers over integer matrices.
 
 Dense matrices are lists of lists of int (row major); sparse matrices are
-dicts {(row, col): int} of their nonzero entries, a rational matrix times
-a positive scale.  Row reduction is fraction-free: rref keeps every row
-integer and primitive, so no Fraction arithmetic happens here.  Everything
-is exact; numpy is deliberately not used so there is no precision cliff
-in the decision path.
+dicts {(row, col): int}, a rational matrix times a positive scale, whose
+products take the right factor's row_index, built once.  Row reduction is
+fraction-free: rref keeps every row integer and primitive, so no Fraction
+arithmetic happens here.  Everything is exact; numpy is deliberately not
+used so there is no precision cliff in the decision path.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 from typing import Hashable, Mapping, Optional, Sequence
 
 Sparse = dict[tuple[int, int], int]
+Index = dict[int, list[tuple[int, int]]]
 
 
 def to_sparse(M: Sequence[Sequence]) -> tuple[Sparse, int]:
@@ -26,22 +27,22 @@ def to_sparse(M: Sequence[Sequence]) -> tuple[Sparse, int]:
             for key, x in nonzero}, scale
 
 
-def sparse_mul(A: Sparse, B: Sparse) -> Sparse:
-    B_rows: dict[int, list[tuple[int, int]]] = {}
-    for (k, j), b in B.items():
-        B_rows.setdefault(k, []).append((j, b))
-    out: Sparse = {}
-    for (i, k), a in A.items():
-        for j, b in B_rows.get(k, ()):
-            out[i, j] = out.get((i, j), 0) + a * b
-    return {key: x for key, x in out.items() if x}
+def row_index(S: Sparse) -> Index:
+    """The nonzero entries of S by row: {i: [(j, S[i][j])]}."""
+    out: Index = {}
+    for (i, j), x in S.items():
+        out.setdefault(i, []).append((j, x))
+    return out
 
 
-def sparse_commutator(A: Sparse, B: Sparse) -> Sparse:
-    out = sparse_mul(A, B)
-    for key, x in sparse_mul(B, A).items():
-        out[key] = out.get(key, 0) - x
-    return {key: x for key, x in out.items() if x}
+def sparse_mul(A: Sparse, B: Index, out: Optional[Sparse] = None, sign: int = 1) -> Sparse:
+    """out plus sign*A*B, for B given by its row_index; zero entries stay."""
+    out = {} if out is None else out
+    for (i, k), x in A.items():
+        x *= sign
+        for j, y in B.get(k, ()):
+            out[i, j] = out.get((i, j), 0) + x * y
+    return out
 
 
 def _primitive(row: list[int], negate: bool = False) -> list[int]:
@@ -92,21 +93,20 @@ def solve(A: Sequence[Sequence[int]],
             for j in range(n, n + len(columns))], s
 
 
-def in_span(rows: Sequence[Sequence[tuple[Hashable, int]]],
-            pivots: Sequence[Hashable], vec: Mapping[Hashable, int]) -> bool:
+def in_span(reduced: Mapping[Hashable, Sequence[tuple[Hashable, int]]],
+            vec: Mapping[Hashable, int]) -> bool:
     """Whether the sparse vector vec, {column: value}, is in the row span of
-    an rref given as the nonzero (column, value) pairs of each row, pivot
-    first, and its pivot columns: at each pivot c, in order, scaling vec by
+    an rref given as {pivot: the nonzero (column, value) pairs of its row,
+    pivot first}: reducing at each pivot c in vec's support, scaling vec by
     p/g and subtracting x/g times the row, for p = row[c], x = vec[c] and
-    g = gcd(p, x), must leave zero."""
+    g = gcd(p, x), must leave zero.  A row is zero at every other pivot, so
+    a step only rescales vec there and the order does not matter."""
     v = dict(vec)
-    for row, c in zip(rows, pivots):
-        x = v.get(c)
-        if x:
-            p = row[0][1]
-            g = math.gcd(p, x)
-            if p != g:
-                v = {j: y * (p // g) for j, y in v.items()}
-            for j, y in row:
-                v[j] = v.get(j, 0) - x // g * y
+    for c, row in [(c, reduced[c]) for c, x in vec.items() if x and c in reduced]:
+        x, p = v[c], row[0][1]
+        g = math.gcd(p, x)
+        if p != g:
+            v = {j: y * (p // g) for j, y in v.items()}
+        for j, y in row:
+            v[j] = v.get(j, 0) - x // g * y
     return not any(v.values())

@@ -316,6 +316,14 @@ class TestSpecErrors:
          "family.sl_block.diagonal_kind: expected a list of strings"),
         (sl_block21(realify="no"), 2,
          "family.sl_block.realify: expected true or false"),
+        # a basis is a list of matrices, a matrix a list of rows, and the
+        # metadata an object, not the pairs dict() also reads
+        (matrix_pair(g_basis=5), 2, "matrix_pair.g_basis: expected a list"),
+        (matrix_pair(g_basis=[5]), 2, "matrix_pair.g_basis[0]: expected a list"),
+        (matrix_pair(diagonalizer=7), 2, "matrix_pair.diagonalizer: expected a list"),
+        (matrix_pair(metadata=[["family", "x"]]), 2,
+         "matrix_pair.metadata: expected an object"),
+        ({"matrix_pair": {"preset": "sp22"}}, 2, "matrix_pair.preset"),
     ], ids=["bogus_diagonal_kind", "one_part", "short_signature",
             "so_one_param", "family_not_object", "matrix_pair_not_object",
             "weights_not_list", "constraints_not_list",
@@ -331,13 +339,28 @@ class TestSpecErrors:
             "plus_rational", "negative_denominator", "pattern_string_size",
             "pattern_sizes_not_list", "pattern_not_string", "pattern_four_sizes",
             "pattern_no_sizes", "float_upper_block", "long_upper_block",
-            "upper_blocks_not_list", "diagonal_kind_string", "string_realify"])
+            "upper_blocks_not_list", "diagonal_kind_string", "string_realify",
+            "basis_not_list", "matrix_not_list", "diagonalizer_not_list",
+            "metadata_pairs", "unknown_preset"])
     def test_exit_code_without_traceback(self, tmp_path, payload, code, where):
         spec = write(tmp_path, "s.json", payload)
         got, _, err = run_process(["check", spec])
         assert got == code, err
         assert where in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("payload, message", [
+        (matrix_pair(ambient_dim="2"), "matrix_pair.ambient_dim: expected an integer"),
+        ({"matrix_pair": {"preset": "sp22"}}, "matrix_pair.preset: unknown preset 'sp22'"),
+        (matrix_pair(h_basis=[[[0, 1], 5]]), "matrix_pair.h_basis[0][1]: expected a list"),
+        (matrix_pair(diagonalizer=[[1, 0], ["x", 1]]),
+         "matrix_pair.diagonalizer[1][0]: malformed rational 'x'"),
+    ], ids=["ambient_dim", "unknown_preset", "row_not_list", "diagonalizer_entry"])
+    def test_message_starts_with_the_field(self, tmp_path, capsys, payload, message):
+        # the field's own message, not wrapped again in "matrix_pair: "
+        code, _, err = run(capsys, ["check", write(tmp_path, "s.json", payload)])
+        assert code == 2
+        assert err.startswith(f"error: {message}\n"), err
 
     @pytest.mark.parametrize("symmetry", [
         [{"coords": [0, 1]}], [{"coords": [0, "x"]}], [{"coords": [0, 2]}], 5,

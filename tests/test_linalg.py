@@ -45,18 +45,25 @@ def test_rref_rows_are_primitive_multiples_of_the_reference(rows):
 
 
 @settings(max_examples=200, deadline=None)
-@given(integer_rows(), st.data())
-def test_in_span_is_the_reference_rank_test(rows, data):
+@given(integer_rows(), st.sampled_from(["span", "any", "off_pivots", "on_pivots"]),
+       st.data())
+def test_in_span_is_the_reference_rank_test(rows, kind, data):
+    # a vector off every pivot is in the span only when it is zero; one on
+    # pivots alone is reduced without touching any other column
     ncols = len(rows[0]) if rows else 3
-    if rows and data.draw(st.booleans()):
+    reduced, pivots = rref(rows)
+    if rows and kind == "span":
         vec = [sum(data.draw(entry) * row[j] for row in rows) for j in range(ncols)]
     else:
         vec = data.draw(st.lists(entry, min_size=ncols, max_size=ncols))
-    reduced, pivots = rref(rows)
-    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in reduced]
+        if kind != "any":
+            vec = [x if (j in pivots) == (kind == "on_pivots") else 0
+                   for j, x in enumerate(vec)]
+    by_pivot = {c: [(j, x) for j, x in enumerate(row) if x]
+                for row, c in zip(reduced, pivots)}
     rank = len(fraction_rref([[Fraction(x) for x in row] for row in rows])[0])
     grown = len(fraction_rref([[Fraction(x) for x in row] for row in rows + [vec]])[0])
-    assert in_span(sparse, pivots, {j: x for j, x in enumerate(vec) if x}) == (grown == rank)
+    assert in_span(by_pivot, {j: x for j, x in enumerate(vec) if x}) == (grown == rank)
 
 
 def test_solve_matches_fraction_inverse():
