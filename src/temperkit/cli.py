@@ -10,6 +10,7 @@ in the JSON payload, never through the exit code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -189,7 +190,7 @@ def _jsonable(obj):
 
 
 def _at_least(value: int, flag: str, least: int = 1) -> int:
-    if value < least:
+    if not value >= least:      # so a NaN fails too
         raise SchemaError(f"{flag}: must be at least {least}, got {value}")
     return value
 
@@ -233,18 +234,22 @@ def cmd_volume(args) -> int:
             return EXIT_INPUT
         times = list(np.linspace(args.tmin, args.tmax,
                                  _at_least(args.points, "--points", 3)))
-        try:
-            fit = vol.verify_lemma_2_8(A, body, times,
-                                       _at_least(args.samples, "--samples", 1000),
-                                       args.seed, tolerance=args.tolerance)
-        except TemperkitError:
-            raise
-        except ValueError as e:     # too few surviving times, an overflow
-            raise SchemaError(f"volume decay: {e}") from None
-        if args.data:
-            with open(args.data, "w") as fh:
-                for t, y in zip(fit.times, fit.log_volumes):
-                    fh.write(f"{t} {y}\n")
+        samples = _at_least(args.samples, "--samples", 1000)
+        _at_least(args.tolerance, "--tolerance", 0)
+        try:    # before sampling, so a path that cannot be written fails at once
+            data = open(args.data, "w") if args.data else contextlib.nullcontext()
+        except OSError as e:
+            raise SchemaError(f"--data: cannot write {args.data!r}: {e.strerror}") from None
+        with data as fh:
+            try:
+                fit = vol.verify_lemma_2_8(A, body, times, samples, args.seed,
+                                           tolerance=args.tolerance)
+            except TemperkitError:
+                raise
+            except ValueError as e:     # too few surviving times, an overflow
+                raise SchemaError(f"volume decay: {e}") from None
+            if fh is not None:
+                fh.writelines(f"{t} {y}\n" for t, y in zip(fit.times, fit.log_volumes))
         doc = {"times": list(fit.times), "log_volumes": list(fit.log_volumes),
                "stderrs": list(fit.stderrs), "fitted_slope": fit.fitted_slope,
                "predicted_slope": fit.predicted_slope,
@@ -253,8 +258,8 @@ def cmd_volume(args) -> int:
         print(serialize.dumps(doc))
         return EXIT_OK if fit.passed else EXIT_MISMATCH
     # translate
-    for flag in ("dim", "trials", "samples"):
-        _at_least(getattr(args, flag), f"--{flag}")
+    for flag, least in (("dim", 2), ("trials", 1), ("samples", 1)):
+        _at_least(getattr(args, flag), f"--{flag}", least)
     rng = np.random.default_rng(args.seed)
     failures = []
     for trial in range(args.trials):

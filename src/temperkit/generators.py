@@ -1,11 +1,16 @@
 """Weight-data constructors for concrete subalgebra pairs.
 
 Two kinds of constructors live here.  The family builders produce exact
-weight multisets from combinatorial descriptions (block patterns inside
-sl(n), products inside sp(n), orthogonal pairs, classical subalgebras of
-sl(n)).  The matrix extractor computes the same data from explicit rational
-matrix bases by simultaneous eigenspace decomposition, and serves as an
-independent cross-check of the family builders.
+weight multisets: block patterns inside sl(n) from the roots e_a - e_b,
+and products inside sp(n), orthogonal pairs and classical subalgebras of
+sl(n) from the defining module V, whose weights on the split torus are
++-e_a (and zeros for so(p,q)).  For these, sp(V) = S^2 V, so(V) = L^2 V
+and, V being self-dual, gl(V) = V (x) V* = S^2 V + L^2 V (Fulton-Harris,
+Representation Theory, 1991), so each multiset, zero weights included,
+has the right dimension by construction.  The matrix extractor computes
+the same data from explicit rational matrix bases by simultaneous
+eigenspace decomposition, and serves as an independent cross-check of
+the family builders.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from operator import sub
+from operator import add, sub
 from typing import Optional, Sequence
 
 from . import linalg
@@ -36,35 +41,23 @@ def _zero(n: int) -> tuple[int, ...]:
     return (0,) * n
 
 
-def _pair_roots(pairs, n: int) -> Counter:
-    """The roots +-e_a +- e_b of every coordinate pair (a, b), once each."""
-    c: Counter = Counter()
-    for a, b in pairs:
-        for sa, sb in itertools.product((1, -1), repeat=2):
-            v = [0] * n
-            v[a], v[b] = sa, sb
-            c[tuple(v)] += 1
-    return c
+def _rep(coords, n: int, zeros: int = 0) -> list[tuple[int, ...]]:
+    """Weights of a defining module V on the split torus R^n: +-e_a for each
+    torus coordinate a in coords, and zeros zero weights."""
+    return [_e(a, n, s) for a in coords for s in (1, -1)] + [_zero(n)] * zeros
 
 
-def _axis_roots(coords, k: int, mult: int, n: int) -> Counter:
-    """The weights +-k*e_a of every coordinate a, with multiplicity mult each."""
-    c: Counter = Counter()
-    for a in coords:
-        for s in (k, -k):
-            v = [0] * n
-            v[a] = s
-            c[tuple(v)] += mult
-    return c
+def _square(rep, alternating: bool) -> Counter:
+    """Weights of the exterior square (alternating) or the symmetric square
+    of the module with weights rep: w_i + w_j over i < j, or over i <= j."""
+    pairs = (itertools.combinations if alternating
+             else itertools.combinations_with_replacement)(rep, 2)
+    return Counter(tuple(map(add, a, b)) for a, b in pairs)
 
 
-def _sp_counter(coords, n: int) -> Counter:
-    """Weight multiset of sp on the given coordinates: the type C roots plus one
-    zero weight per coordinate."""
-    c = _pair_roots(itertools.combinations(coords, 2), n)
-    c.update(_axis_roots(coords, 2, 1, n))
-    c[_zero(n)] += len(coords)
-    return c
+def _tensor(rep1, rep2) -> Counter:
+    """Weights of the tensor product of two modules: w + w' over all pairs."""
+    return Counter(tuple(map(add, a, b)) for a, b in itertools.product(rep1, rep2))
 
 
 def _module(space: TorusSpace, counter: Counter) -> WeightModule:
@@ -193,9 +186,9 @@ def build_product_in_sl(parts: Sequence[int]) -> PairSpec:
 def build_product_in_sp(parts: Sequence[int]) -> PairSpec:
     """sp(n_1) x ... x sp(n_r) inside sp(n), split real forms.
 
-    Torus = R^n with no constraints; weights are the C_n root data
-    (+-e_a +- e_b, +-2e_a) split into within-block (h) and cross-block
-    (g/h) parts.
+    sp(V) = S^2 V for the defining module V, here V_1 + ... + V_r with
+    weights +-e_a on the split torus R^n (no constraints).  So h is the sum
+    of the S^2 V_i and g/h the sum of the V_i (x) V_j over i < j.
     """
     parts = [int(p) for p in parts]
     if len(parts) < 2:
@@ -204,129 +197,74 @@ def build_product_in_sp(parts: Sequence[int]) -> PairSpec:
         raise ValueError("factor sizes must be positive")
     n = sum(parts)
     space = TorusSpace(n)
-    blocks, start = [], 0
-    for p in parts:
-        blocks.append(list(range(start, start + p)))
-        start += p
-
+    ends = list(itertools.accumulate(parts, initial=0))
+    reps = [_rep(range(a, b), n) for a, b in zip(ends, ends[1:])]
     h_counter: Counter = Counter()
-    for blk in blocks:
-        h_counter.update(_sp_counter(blk, n))
-    g_counter = _sp_counter(range(n), n)
-    g_counter.subtract(h_counter)
-    if any(m < 0 for m in g_counter.values()):
-        raise ValueError("subalgebra multiset exceeds sp(n)")
+    for rep in reps:
+        h_counter.update(_square(rep, alternating=False))
+    g_counter: Counter = Counter()
+    for rep1, rep2 in itertools.combinations(reps, 2):
+        g_counter.update(_tensor(rep1, rep2))
     return PairSpec(
         g_module=_module(space, g_counter),
         h_module=_module(space, h_counter),
         metadata={"family": "product_in_sp", "parts": parts}, built=True)
 
 
-def _so_dim(p: int, q: int) -> int:
-    n = p + q
-    return n * (n - 1) // 2
-
-
-def _so_restricted_counter(p: int, q: int, coords: Sequence[int], n: int) -> Counter:
-    """Restricted-root multiset of so(p,q) on its split torus coordinates.
-
-    Root multiplicities are the standard ones for the real form; the zero
-    multiplicity is fixed by dimension accounting.
-    """
-    d = p + q - 2 * min(p, q)
-    c = _pair_roots(itertools.combinations(coords, 2), n)
-    c.update(_axis_roots(coords, 1, d, n))
-    zero = _so_dim(p, q) - sum(c.values())
-    if zero < 0:
-        raise DecompositionError("so(p,q) multiplicities exceed its dimension")
-    if zero > 0:
-        c[_zero(n)] += zero
-    return c
-
-
 def build_so_pair(p1: int, q1: int, p2: int, q2: int) -> PairSpec:
     """so(p1,q1) + so(p2,q2) inside so(p1+p2, q1+q2).
 
-    The torus is a split torus of h, of rank min(p1,q1) + min(p2,q2).  The
-    complement g/h is the tensor product of the two defining
-    representations, whose weights are written down directly.
+    so(V) = L^2 V for the defining module V = V_1 + V_2.  The torus is a
+    split torus of h, of rank min(p1,q1) + min(p2,q2); on it V_i has the
+    weights +-e_a of its own coordinates and p_i + q_i - 2 min(p_i, q_i)
+    zero weights.  So h = L^2 V_1 + L^2 V_2 and g/h = V_1 (x) V_2.
     """
     for v in (p1, q1, p2, q2):
         if v < 0:
             raise ValueError("signature entries must be nonnegative")
     m1, m2 = min(p1, q1), min(p2, q2)
-    d1 = p1 + q1 - 2 * m1
-    d2 = p2 + q2 - 2 * m2
     n = m1 + m2
     space = TorusSpace(n)
-    u = list(range(m1))
-    v = list(range(m1, n))
-
-    h_counter = _so_restricted_counter(p1, q1, u, n)
-    h_counter.update(_so_restricted_counter(p2, q2, v, n))
-
-    g_counter = _pair_roots(itertools.product(u, v), n)
-    g_counter.update(_axis_roots(u, 1, d2, n))
-    g_counter.update(_axis_roots(v, 1, d1, n))
-    if d1 * d2 > 0:
-        g_counter[_zero(n)] += d1 * d2
-
-    total = sum(h_counter.values()) + sum(g_counter.values())
-    if total != _so_dim(p1 + p2, q1 + q2):
-        raise DecompositionError("so pair dimensions do not add up")
+    rep1 = _rep(range(m1), n, p1 + q1 - 2 * m1)
+    rep2 = _rep(range(m1, n), n, p2 + q2 - 2 * m2)
     return PairSpec(
-        g_module=_module(space, g_counter),
-        h_module=_module(space, h_counter),
+        g_module=_module(space, _tensor(rep1, rep2)),
+        h_module=_module(space, _square(rep1, alternating=True)
+                         + _square(rep2, alternating=True)),
         metadata={"family": "so_pair", "signature": [p1, q1, p2, q2]}, built=True)
 
 
 def build_classical_in_sl(kind: str, *params: int) -> PairSpec:
-    """A classical subalgebra inside sl of its defining representation.
+    """A classical subalgebra inside sl of its defining representation V.
 
     kind "so": so(p,q) inside sl(p+q); kind "sp": sp(m) inside sl(2m).
-    The torus is a split torus of h; the sl weights are the pairwise
-    differences of the defining-representation weights.
+    The torus is a split torus of h, on which V has the weights +-e_a (and
+    p + q - 2 min(p, q) zero weights for so).  V is self-dual, so
+    gl(V) = V (x) V* = S^2 V + L^2 V.  h is so(V) = L^2 V or sp(V) = S^2 V,
+    and g/h is the other square less one zero weight, the trace.
     """
     if kind == "so":
         p, q = params
         if p < 0 or q < 0 or p + q < 2:
             raise ValueError("need p + q >= 2")
         m = min(p, q)
-        d = p + q - 2 * m
-        space = TorusSpace(m)
-        rep = []
-        for a in range(m):
-            rep.append(_e(a, m))
-            rep.append(_e(a, m, -1))
-        rep.extend([_zero(m)] * d)
-        h_counter = _so_restricted_counter(p, q, list(range(m)), m)
+        rep = _rep(range(m), m, p + q - 2 * m)
         meta = {"family": "classical_in_sl", "kind": "so", "signature": [p, q]}
     elif kind == "sp":
         (m,) = params
         if m < 1:
             raise ValueError("need m >= 1")
-        space = TorusSpace(m)
-        rep = []
-        for a in range(m):
-            rep.append(_e(a, m))
-            rep.append(_e(a, m, -1))
-        h_counter = _sp_counter(range(m), m)
+        rep = _rep(range(m), m)
         meta = {"family": "classical_in_sl", "kind": "sp", "m": m}
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
-    # sl(dim rep) weights: pairwise differences of the rep weights, minus
-    # one zero for the removed trace
-    g_counter: Counter = Counter()
-    for wa, wb in itertools.product(rep, repeat=2):
-        g_counter[tuple(a - b for a, b in zip(wa, wb))] += 1
-    g_counter[_zero(space.ambient_dim)] -= 1
-    g_counter.subtract(h_counter)
-    if any(mult < 0 for mult in g_counter.values()):
-        raise DecompositionError("h multiset exceeds sl weights")
+    space = TorusSpace(m)
+    g_counter = _square(rep, alternating=kind == "sp")
+    g_counter[_zero(m)] -= 1
     return PairSpec(
         g_module=_module(space, g_counter),
-        h_module=_module(space, h_counter),
+        h_module=_module(space, _square(rep, alternating=kind == "so")),
         metadata=meta, built=True)
 
 

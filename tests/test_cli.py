@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import temperkit
-from temperkit import serialize
+from temperkit import serialize, volume
 from temperkit.check import FAMILIES, check
 from temperkit.cli import main
 from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern,
@@ -652,14 +652,40 @@ class TestVolume:
         (["decay", "--matrix", "[[1, 2, 3]]"], "--matrix"),
         (["decay", "--matrix", "diag(1,-1)", "--samples", "0"], "--samples"),
         (["decay", "--matrix", "diag(1,-1)", "--points", "2"], "--points"),
+        (["decay", "--matrix", "diag(1,-1)", "--tolerance", "-0.1"], "--tolerance"),
+        (["decay", "--matrix", "diag(1,-1)", "--tolerance", "nan"], "--tolerance"),
         (["translate", "--dim", "0"], "--dim"),
+        (["translate", "--dim", "1"], "--dim"),
         (["translate", "--samples", "0", "--trials", "1"], "--samples"),
     ], ids=["body_suffix", "diag_entry", "not_square", "zero_samples",
-            "two_points", "zero_dim", "translate_zero_samples"])
+            "two_points", "negative_tolerance", "nan_tolerance", "zero_dim",
+            "one_dim", "translate_zero_samples"])
     def test_bad_flag_exits_two_naming_it(self, capsys, argv, where):
         code, out, err = run(capsys, ["volume", *argv])
         assert code == 2, err
         assert err.startswith(f"error: {where}") and not out
+
+    def test_unwritable_data_exits_two_before_sampling(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def sample(*args, **kwargs):
+            raise AssertionError("sampled before --data was opened")
+
+        monkeypatch.setattr(volume, "verify_lemma_2_8", sample)
+        code, out, err = run(capsys, ["volume", "decay", "--matrix", "diag(1,-1)",
+                                      "--data", str(tmp_path / "missing" / "x")])
+        assert code == 2, err
+        assert err.startswith("error: --data") and not out
+
+    def test_data_file_holds_the_fit(self, tmp_path, capsys, monkeypatch):
+        fit = volume.DecayFit(times=(1.0, 2.0), log_volumes=(-1.0, -2.0),
+                              stderrs=(0.1, 0.1), fitted_slope=-1.0,
+                              predicted_slope=-1.0, tolerance=0.1, passed=True)
+        monkeypatch.setattr(volume, "verify_lemma_2_8", lambda *a, **k: fit)
+        data = tmp_path / "fit.txt"
+        code, _, err = run(capsys, ["volume", "decay", "--matrix", "diag(1,-1)",
+                                    "--data", str(data)])
+        assert code == 0, err
+        assert data.read_text() == "1.0 -1.0\n2.0 -2.0\n"
 
     def test_translate(self, capsys):
         code, out, _ = run(capsys, ["volume", "translate", "--dim", "2",

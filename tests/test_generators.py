@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from temperkit.check import check, sp_product_tempered
+from temperkit.check import FAMILIES, check, sp_product_tempered
 from temperkit.errors import (BasisError, BracketClosureError,
                               DecompositionError)
 from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS,
@@ -65,28 +65,45 @@ class TestDimensionAccounting:
             assert spec.h_module.total_dim == h_dim
             assert spec.h_module.total_dim + spec.g_module.total_dim == n * n - 1
 
+    @staticmethod
+    def assert_dims(spec, h_dim, g_dim):
+        assert spec.h_module.total_dim == h_dim
+        assert spec.h_module.total_dim + spec.g_module.total_dim == g_dim
+
     def test_product_in_sp_dims(self):
-        spec = build_product_in_sp((2, 1))
-        # sp(m, R) has dimension m(2m+1)
-        assert spec.h_module.total_dim == 2 * 5 + 1 * 3
-        assert spec.h_module.total_dim + spec.g_module.total_dim == 3 * 7
+        for (parts,), spec, _ in FAMILIES["example52-sp"](n=6):
+            self.assert_dims(spec, sum(map(sp_dim, parts)), sp_dim(sum(parts)))
 
     def test_so_pair_dims(self):
-        spec = build_so_pair(2, 1, 1, 1)
-        def so_dim(p, q):
-            n = p + q
-            return n * (n - 1) // 2
-        assert spec.h_module.total_dim == so_dim(2, 1) + so_dim(1, 1)
-        assert (spec.h_module.total_dim + spec.g_module.total_dim
-                == so_dim(3, 2))
+        for (p1, q1, p2, q2), spec, _ in FAMILIES["example52-so"](total=6):
+            self.assert_dims(spec, so_dim(p1 + q1) + so_dim(p2 + q2),
+                             so_dim(p1 + q1 + p2 + q2))
 
     def test_classical_in_sl_dims(self):
-        spec = build_classical_in_sl("so", 2, 2)
-        assert spec.h_module.total_dim == 6
-        assert spec.h_module.total_dim + spec.g_module.total_dim == 16 - 1
-        spec = build_classical_in_sl("sp", 2)
-        assert spec.h_module.total_dim == 10
-        assert spec.h_module.total_dim + spec.g_module.total_dim == 16 - 1
+        for n in range(2, 9):
+            for p in range(n + 1):
+                self.assert_dims(build_classical_in_sl("so", p, n - p),
+                                 so_dim(n), n * n - 1)
+        for m in range(1, 7):
+            self.assert_dims(build_classical_in_sl("sp", m), sp_dim(m),
+                             4 * m * m - 1)
+
+    def test_example51_dims(self):
+        dims = {"so_in_sl": lambda p, q: (so_dim(p + q), (p + q) ** 2 - 1),
+                "sp_in_sl": lambda m: (sp_dim(m), 4 * m * m - 1),
+                "sl_C": lambda m, n: (2 * (m * m + n * n - 2), 2 * ((m + n) ** 2 - 1)),
+                "so_C": lambda m, n: (2 * (so_dim(m) + so_dim(n)), 2 * so_dim(m + n)),
+                "sp_C": lambda m, n: (2 * (sp_dim(m) + sp_dim(n)), 2 * sp_dim(m + n))}
+        for (kind, *params), spec, _ in FAMILIES["example51"](total=6, rank=4):
+            self.assert_dims(spec, *dims[kind](*params))
+
+
+def so_dim(n):
+    return n * (n - 1) // 2
+
+
+def sp_dim(m):
+    return m * (2 * m + 1)
 
 
 def slice_weights(module):
@@ -99,37 +116,54 @@ def slice_weights(module):
     return out
 
 
-def sp11_in_sp2_input():
-    """Explicit 4x4 bases of sp(1,R) x sp(1,R) inside sp(2,R).
+def sp_unit(n, kind, i, j):
+    """One basis matrix of the split sp(n,R) in gl(2n,R).  The X with
+    X^T J + J X = 0 for J = [[0, I], [-I, 0]] are [[A, B], [C, -A^T]] with
+    B and C symmetric; kind "a", "b" or "c" puts a unit at (i, j) of A, B
+    or C (symmetrized in B and C).  sp_unit(n, "a", i, i) is diag(t, -t)
+    for t = e_i."""
+    M = [[0] * (2 * n) for _ in range(2 * n)]
+    entries = {"a": ((i, j, 1), (j + n, i + n, -1)),
+               "b": ((i, j + n, 1), (j, i + n, 1)),
+               "c": ((i + n, j, 1), (j + n, i, 1))}[kind]
+    for r, c, v in entries:
+        M[r][c] = v
+    return M
 
-    sp(2,R) = {[[A, B], [C, -A^T]] : B, C symmetric}; factor i of
-    sp(1,R) x sp(1,R) acts on coordinates i and i + 2.
-    """
-    def mat(*entries):
-        M = [[0] * 4 for _ in range(4)]
-        for r, c, v in entries:
-            M[r][c] = v
-        return M
 
-    def a_part(i, j):
-        return mat((i, j, 1), (j + 2, i + 2, -1))
+def sp_matrices(n, coords):
+    """A basis of sp on the coordinates coords and their partners + n."""
+    pairs = list(itertools.combinations_with_replacement(coords, 2))
+    return ([sp_unit(n, "a", i, j) for i, j in itertools.product(coords, repeat=2)]
+            + [sp_unit(n, k, i, j) for k in "bc" for i, j in pairs])
 
-    def b_part(i, j):
-        return mat((i, j + 2, 1), (j, i + 2, 1))
 
-    def c_part(i, j):
-        return mat((i + 2, j, 1), (j + 2, i, 1))
-
-    pairs = [(0, 0), (0, 1), (1, 1)]
-    g_basis = [a_part(i, j) for i, j in itertools.product(range(2), repeat=2)]
-    g_basis += [b_part(i, j) for i, j in pairs]
-    g_basis += [c_part(i, j) for i, j in pairs]
-    h_basis = [part(i, i) for i in range(2)
-               for part in (a_part, b_part, c_part)]
-    ident = [[int(a == b) for b in range(4)] for a in range(4)]
+def sp_product_input(parts):
+    """Explicit bases of sp(n_1,R) x ... x sp(n_r,R) inside sp(n,R),
+    factor k acting on its block of coordinates i and on i + n, with the
+    torus diag(t, -t)."""
+    n = sum(parts)
+    ends = list(itertools.accumulate(parts, initial=0))
+    h_basis = [M for a, b in zip(ends, ends[1:]) for M in sp_matrices(n, range(a, b))]
+    ident = [[int(a == b) for b in range(2 * n)] for a in range(2 * n)]
     return MatrixPairInput(
-        ambient_dim=4, g_basis=tuple(g_basis), h_basis=tuple(h_basis),
-        torus_basis=(a_part(0, 0), a_part(1, 1)), diagonalizer=ident)
+        ambient_dim=2 * n, g_basis=tuple(sp_matrices(n, range(n))),
+        h_basis=tuple(h_basis),
+        torus_basis=tuple(sp_unit(n, "a", i, i) for i in range(n)), diagonalizer=ident)
+
+
+def sp_in_sl_input(m):
+    """Explicit bases of sp(m,R) inside sl(2m,R), with the torus diag(t, -t)."""
+    sl = matrix_input_for_block_pattern(BlockPattern((2 * m,), ("full",)))
+    return MatrixPairInput(
+        ambient_dim=2 * m, g_basis=sl.g_basis,
+        h_basis=tuple(sp_matrices(m, range(m))),
+        torus_basis=tuple(sp_unit(m, "a", i, i) for i in range(m)),
+        diagonalizer=sl.diagonalizer)
+
+
+SP_PRODUCTS = [parts for n in range(2, 5) for k in range(2, n + 1)
+               for parts in itertools.product(range(1, n), repeat=k) if sum(parts) == n]
 
 
 def mat_mul(A, B):
@@ -187,7 +221,8 @@ def weights_by_rank(inp):
 
 RANK_FORMULA_INPUTS = {
     "sp21": lambda: [example_sp21_input()],
-    "sp11_in_sp2": lambda: [sp11_in_sp2_input()],
+    "sp11_in_sp2": lambda: [sp_product_input((1, 1))],
+    "sp_in_sl": lambda: [sp_in_sl_input(m) for m in range(1, 4)],
     "half_torus_sl2": lambda: [half_torus_sl2_input()],
     "table1_3x3": lambda: [
         matrix_input_for_block_pattern(TABLE1_PATTERNS[name](p, q))
@@ -325,12 +360,21 @@ class TestMatrixMode:
         assert dict(spec.g_module.weights) == \
             {(F(1, 2),): 1, (F(-1, 2),): 1}
 
+    @pytest.mark.parametrize("parts", SP_PRODUCTS, ids=str)
+    def test_sp_product_matches_builder(self, parts):
+        spec = extract_weights(sp_product_input(parts))
+        built = build_product_in_sp(parts)
+        assert (spec.h_module, spec.g_module) == (built.h_module, built.g_module)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_sp_in_sl_matches_builder(self, m):
+        spec = extract_weights(sp_in_sl_input(m))
+        built = build_classical_in_sl("sp", m)
+        assert (spec.h_module, spec.g_module) == (built.h_module, built.g_module)
+
     def test_sp11_in_sp2_matches_builder(self):
-        spec = extract_weights(sp11_in_sp2_input())
-        built = build_product_in_sp((1, 1))
-        for got, want in ((spec.h_module, built.h_module),
-                          (spec.g_module, built.g_module)):
-            assert slice_weights(got) == slice_weights(want)
+        # the modules are test_sp_product_matches_builder[(1, 1)]'s
+        spec = extract_weights(sp_product_input((1, 1)))
         assert evaluate_pl(deficit(spec), (F(1), F(1))) == -2
         sp_verdict = check(spec).tempered
         assert not sp_verdict
