@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from fractions import Fraction
 from operator import add, sub
 from typing import Optional, Sequence
 
@@ -60,6 +59,15 @@ def _tensor(rep1, rep2) -> Counter:
     return Counter(tuple(map(add, a, b)) for a, b in itertools.product(rep1, rep2))
 
 
+def _int_param(value, name: str) -> int:
+    """value, if its type is exactly int (a bool is not); else TypeError
+    naming the parameter, as a float would build a wrong pair or fail
+    without saying where."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    return value
+
+
 def _module(space: TorusSpace, counter: Counter) -> WeightModule:
     """The module of a counter of integer rows; nonpositive counts drop out."""
     rows = [(space._reduce(c), m) for c, m in counter.items() if m > 0]
@@ -83,6 +91,7 @@ class BlockPattern(Record):
 
     def __init__(self, sizes: tuple[int, ...], diagonal_kind: tuple[str, ...],
                  upper_blocks: frozenset = frozenset()):
+        sizes = tuple(_int_param(s, f"sizes[{i}]") for i, s in enumerate(sizes))
         if len(sizes) != len(diagonal_kind):
             raise ValueError("need one diagonal kind per block")
         for k in diagonal_kind:
@@ -172,7 +181,7 @@ def build_sl_block(pattern: BlockPattern) -> PairSpec:
 
 def build_product_in_sl(parts: Sequence[int]) -> PairSpec:
     """sl(n_1) x ... x sl(n_r) block-diagonal inside sl(n)."""
-    parts = [int(p) for p in parts]
+    parts = [_int_param(p, f"parts[{i}]") for i, p in enumerate(parts)]
     if len(parts) < 2:
         raise ValueError("need at least two factors (a single part gives h = g)")
     if any(p < 1 for p in parts):
@@ -190,7 +199,7 @@ def build_product_in_sp(parts: Sequence[int]) -> PairSpec:
     weights +-e_a on the split torus R^n (no constraints).  So h is the sum
     of the S^2 V_i and g/h the sum of the V_i (x) V_j over i < j.
     """
-    parts = [int(p) for p in parts]
+    parts = [_int_param(p, f"parts[{i}]") for i, p in enumerate(parts)]
     if len(parts) < 2:
         raise ValueError("need at least two factors (a single part gives h = g)")
     if any(p < 1 for p in parts):
@@ -219,8 +228,8 @@ def build_so_pair(p1: int, q1: int, p2: int, q2: int) -> PairSpec:
     weights +-e_a of its own coordinates and p_i + q_i - 2 min(p_i, q_i)
     zero weights.  So h = L^2 V_1 + L^2 V_2 and g/h = V_1 (x) V_2.
     """
-    for v in (p1, q1, p2, q2):
-        if v < 0:
+    for name, v in zip(("p1", "q1", "p2", "q2"), (p1, q1, p2, q2)):
+        if _int_param(v, name) < 0:
             raise ValueError("signature entries must be nonnegative")
     m1, m2 = min(p1, q1), min(p2, q2)
     n = m1 + m2
@@ -245,14 +254,14 @@ def build_classical_in_sl(kind: str, *params: int) -> PairSpec:
     """
     if kind == "so":
         p, q = params
-        if p < 0 or q < 0 or p + q < 2:
+        if _int_param(p, "p") < 0 or _int_param(q, "q") < 0 or p + q < 2:
             raise ValueError("need p + q >= 2")
         m = min(p, q)
         rep = _rep(range(m), m, p + q - 2 * m)
         meta = {"family": "classical_in_sl", "kind": "so", "signature": [p, q]}
     elif kind == "sp":
         (m,) = params
-        if m < 1:
+        if _int_param(m, "m") < 1:
             raise ValueError("need m >= 1")
         rep = _rep(range(m), m)
         meta = {"family": "classical_in_sl", "kind": "sp", "m": m}
@@ -289,6 +298,9 @@ def realify(spec: PairSpec) -> PairSpec:
 class MatrixPairInput(Record):
     """Explicit matrix realization of a pair h inside g in gl(ambient_dim).
 
+    Each matrix is given dense, as nested rationals, and held in the sparse
+    integer form of linalg.to_sparse, (entries, scale); that form is
+    unique, so two inputs are equal exactly when their matrices are.
     diagonalizer is a rational change of basis Q such that every
     Q^-1 T Q, T in torus_basis, is diagonal; it must be supplied by the
     caller so the whole pipeline stays rational.
@@ -301,17 +313,16 @@ class MatrixPairInput(Record):
                  torus_basis: tuple, diagonalizer: tuple,
                  metadata: Optional[dict] = None):
         n = ambient_dim
-        bases = []
-        for name, basis in zip(self.__slots__[1:], (g_basis, h_basis, torus_basis)):
-            mats = tuple(tuple(tuple(Fraction(x) for x in row) for row in M)
-                         for M in basis)
-            for M in mats:
-                if len(M) != n or any(len(row) != n for row in M):
-                    raise ValueError(f"{name} entries must be {n}x{n}")
-            bases.append(mats)
-        Q = tuple(tuple(Fraction(x) for x in row) for row in diagonalizer)
-        if len(Q) != n or any(len(row) != n for row in Q):
-            raise ValueError("diagonalizer must be square of ambient size")
+
+        def held(M, error):
+            if len(M) != n or any(len(row) != n for row in M):
+                raise ValueError(error)
+            return linalg.to_sparse(M)
+
+        bases = [tuple(held(M, f"{name} entries must be {n}x{n}") for M in basis)
+                 for name, basis in zip(self.__slots__[1:],
+                                        (g_basis, h_basis, torus_basis))]
+        Q = held(diagonalizer, "diagonalizer must be square of ambient size")
         self._set(n, *bases, Q, {} if metadata is None else metadata)
 
 
@@ -320,9 +331,9 @@ def extract_weights(inp: MatrixPairInput) -> PairSpec:
 
     Conjugated by the diagonalizer Q, the torus is diagonal, diag(mu), and
     the unit matrix E_ab has weight mu_a - mu_b; this splits the n*n matrix
-    coordinates into weight blocks.  Each matrix is held sparse and integer,
-    scaled by its own positive factor (linalg.to_sparse), which changes no
-    test below.  Q's rows and Q^-1's columns are indexed once; Q^-1 M Q is
+    coordinates into weight blocks.  Each matrix is read as the input holds
+    it, sparse and integer, scaled by its own positive factor, which changes
+    no test below.  Q's rows and Q^-1's columns are indexed once; Q^-1 M Q is
     a pass over M's entries, then one over MQ's.  Independence is the row
     count of each conjugated basis's RREF (for the torus, of its diagonals);
     h in g and closure under brackets, formed from the h matrices' row
@@ -337,18 +348,18 @@ def extract_weights(inp: MatrixPairInput) -> PairSpec:
     keeps commutators; that needs no separate test.
     """
     n = inp.ambient_dim
-    Q, _ = linalg.to_sparse(inp.diagonalizer)
+    Q = dict(inp.diagonalizer[0])
     inverse = linalg.solve([[Q.get((a, b), 0) for b in range(n)] for a in range(n)],
                            [[int(a == b) for a in range(n)] for b in range(n)])
     if inverse is None:
         raise BasisError("diagonalizer: matrix is singular")
     # Q's rows and the columns of s*Q^-1; the scale of Q cancels in
     # Q^-1 M Q, leaving s
-    Q_rows, s = linalg.row_index(Q), inverse[1]
+    Q_rows, s = linalg.row_index(Q.items()), inverse[1]
     Qi_cols = [[(a, x) for a, x in enumerate(col) if x] for col in inverse[0]]
 
-    def conjugate(M) -> tuple[linalg.Sparse, int]:
-        M, scale = linalg.to_sparse(M)
+    def conjugate(held) -> tuple[linalg.Sparse, int]:
+        M, scale = held
         out: linalg.Sparse = {}
         for (b, c), x in linalg.sparse_mul(M, Q_rows).items():
             for a, y in Qi_cols[b]:
@@ -382,7 +393,7 @@ def extract_weights(inp: MatrixPairInput) -> PairSpec:
     for i, M in enumerate(h_mats):
         if not linalg.in_span(reduced["g_basis"], M):
             raise ContainmentError(f"h_basis[{i}] is not in the span of g_basis")
-    indexed = [(M, linalg.row_index(M)) for M in h_mats]
+    indexed = [(M.items(), linalg.row_index(M.items())) for M in h_mats]
     for (A, rA), (B, rB) in itertools.combinations(indexed, 2):
         if not linalg.in_span(reduced["h_basis"],
                               linalg.sparse_mul(B, rA, linalg.sparse_mul(A, rB), -1)):
@@ -412,12 +423,10 @@ def matrix_input_for_block_pattern(pattern: BlockPattern) -> MatrixPairInput:
     blocks = pattern.block_coords()
 
     def unit(a, b):
-        return [[Fraction(int(r == a and c == b)) for c in range(n)]
-                for r in range(n)]
+        return [[int(r == a and c == b) for c in range(n)] for r in range(n)]
 
     def diag(vec):
-        return [[Fraction(vec[r]) if r == c else Fraction(0) for c in range(n)]
-                for r in range(n)]
+        return [[vec[r] if r == c else 0 for c in range(n)] for r in range(n)]
 
     g_basis = [unit(a, b) for a in range(n) for b in range(n) if a != b]
     g_basis += [diag([1 if i == a else (-1 if i == a + 1 else 0) for i in range(n)])
@@ -436,7 +445,7 @@ def matrix_input_for_block_pattern(pattern: BlockPattern) -> MatrixPairInput:
                 h_basis.append(unit(a, b))
 
     torus = [diag(v) for v in _block_torus(pattern).slice_basis()]
-    ident = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    ident = [[int(r == c) for c in range(n)] for r in range(n)]
     return MatrixPairInput(ambient_dim=n, g_basis=tuple(g_basis),
                            h_basis=tuple(h_basis), torus_basis=tuple(torus),
                            diagonalizer=tuple(ident),
@@ -454,20 +463,20 @@ _LQ = {
 }
 
 
-def _quat_matrix(entries: dict) -> list[list[Fraction]]:
+def _quat_matrix(entries: dict) -> list[list[int]]:
     """12x12 real matrix from a sparse 3x3 quaternionic matrix.
 
-    entries maps (row, col) to a dict of quaternion units to rational
+    entries maps (row, col) to a dict of quaternion units to integer
     coefficients; each unit acts by left multiplication on H = R^4.
     """
-    M = [[Fraction(0)] * 12 for _ in range(12)]
+    M = [[0] * 12 for _ in range(12)]
     for (r, c), q in entries.items():
         for unit, coeff in q.items():
             L = _LQ[unit]
             for a in range(4):
                 for b in range(4):
                     if L[a][b]:
-                        M[4 * r + a][4 * c + b] += Fraction(coeff) * L[a][b]
+                        M[4 * r + a][4 * c + b] += coeff * L[a][b]
     return M
 
 
@@ -508,16 +517,13 @@ def example_sp21_input() -> MatrixPairInput:
     torus = [_quat_matrix({(1, 2): {"1": 1}, (2, 1): {"1": 1}})]
     # eigenvectors: slot-0 coordinates (eigenvalue 0), then sums and
     # differences of slot-1 and slot-2 coordinates (eigenvalues +1, -1)
-    Q = [[Fraction(0)] * 12 for _ in range(12)]
+    Q = [[0] * 12 for _ in range(12)]
     for a in range(4):
-        Q[a][a] = Fraction(1)
-        Q[4 + a][4 + a] = Fraction(1)
-        Q[8 + a][4 + a] = Fraction(1)
-        Q[4 + a][8 + a] = Fraction(1)
-        Q[8 + a][8 + a] = Fraction(-1)
+        Q[a][a] = Q[4 + a][4 + a] = Q[8 + a][4 + a] = Q[4 + a][8 + a] = 1
+        Q[8 + a][8 + a] = -1
     return MatrixPairInput(ambient_dim=12, g_basis=tuple(g_basis),
                            h_basis=tuple(h_basis), torus_basis=tuple(torus),
-                           diagonalizer=tuple(tuple(row) for row in Q),
+                           diagonalizer=tuple(Q),
                            metadata={"family": "sp21_quaternionic"})
 
 

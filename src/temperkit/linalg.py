@@ -1,44 +1,49 @@
 """Small exact linear algebra helpers over integer matrices.
 
 Dense matrices are lists of lists of int (row major); sparse matrices are
-dicts {(row, col): int}, a rational matrix times a positive scale, whose
-products take the right factor's row_index, built once.  Row reduction is
-fraction-free: rref keeps every row integer and primitive, so no Fraction
-arithmetic happens here.  Everything is exact; numpy is deliberately not
+the nonzero entries ((row, col), int) of a rational matrix times a
+positive scale (a dict, or to_sparse's tuple), whose products take the
+right factor's row_index, built once.  Row reduction is fraction-free:
+rref keeps every row integer and primitive, so no Fraction arithmetic
+happens past to_sparse.  Everything is exact; numpy is deliberately not
 used so there is no precision cliff in the decision path.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Hashable, Mapping, Optional, Sequence
+from fractions import Fraction
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 Sparse = dict[tuple[int, int], int]
+Entries = Iterable[tuple[tuple[int, int], int]]
 Index = dict[int, list[tuple[int, int]]]
 
 
-def to_sparse(M: Sequence[Sequence]) -> tuple[Sparse, int]:
-    """(S, scale): the nonzero entries of the rational matrix M times scale,
-    the least common multiple of their denominators, so S is integer."""
-    nonzero = [((a, b), x) for a, row in enumerate(M)
-               for b, x in enumerate(row) if x]
-    scale = math.lcm(*(x.denominator for _, x in nonzero))
-    return {key: x.numerator * (scale // x.denominator)
-            for key, x in nonzero}, scale
+def to_sparse(M: Sequence[Sequence]) -> tuple[tuple, int]:
+    """(entries, scale): the nonzero entries ((row, col), x) of the dense
+    rational matrix M in row-major order times scale, the lcm of their
+    denominators, so every x is an int; unique, and ((), 1) for M = 0."""
+    entries = [((a, b), x if type(x) is int else Fraction(x))
+               for a, row in enumerate(M) for b, x in enumerate(row)
+               if x or type(x) is not int]  # so a false None still raises
+    scale = math.lcm(*(x.denominator for _, x in entries))
+    return tuple([(key, x.numerator * (scale // x.denominator))
+                  for key, x in entries if x]), scale
 
 
-def row_index(S: Sparse) -> Index:
-    """The nonzero entries of S by row: {i: [(j, S[i][j])]}."""
+def row_index(S: Entries) -> Index:
+    """The entries of S by row: {i: [(j, S[i][j])]}."""
     out: Index = {}
-    for (i, j), x in S.items():
+    for (i, j), x in S:
         out.setdefault(i, []).append((j, x))
     return out
 
 
-def sparse_mul(A: Sparse, B: Index, out: Optional[Sparse] = None, sign: int = 1) -> Sparse:
+def sparse_mul(A: Entries, B: Index, out: Optional[Sparse] = None, sign: int = 1) -> Sparse:
     """out plus sign*A*B, for B given by its row_index; zero entries stay."""
     out = {} if out is None else out
-    for (i, k), x in A.items():
+    for (i, k), x in A:
         x *= sign
         for j, y in B.get(k, ()):
             out[i, j] = out.get((i, j), 0) + x * y

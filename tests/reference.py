@@ -2,7 +2,8 @@
 
 None of this is on the decision path.  rref and mat_inv are plain Fraction
 Gauss-Jordan elimination, and fraction_det is Fraction elimination with
-row swaps: the references for linalg's integer rref and solve.
+row swaps: the references for linalg's integer rref and solve.  dense
+gives back the rational matrix of a matrix held by MatrixPairInput.
 grid_oracle is a brute-force search for a negative value;
 parabolic_decomposition gives the weight modules of a block pattern
 relative to its parabolic.
@@ -73,6 +74,16 @@ def fraction_det(M):
             r = M[i][k] / M[k][k]
             M[i] = [x - r * y for x, y in zip(M[i], M[k])]
     return det
+
+
+def dense(held, n: int) -> list[list[Fraction]]:
+    """The n x n Fraction matrix of (entries, scale), the sparse integer
+    form in which MatrixPairInput holds each matrix."""
+    entries, scale = held
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for (a, b), x in entries:
+        M[a][b] = Fraction(x, scale)
+    return M
 
 
 _INT64_BOUND = 2 ** 62

@@ -18,6 +18,8 @@ from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern
                                   build_sl_block, extract_weights,
                                   matrix_input_for_block_pattern)
 
+from reference import dense
+
 
 def write(tmp_path, name, payload):
     path = tmp_path / name
@@ -479,9 +481,9 @@ def matrix_pair_docs(draw):
     inp = matrix_input_for_block_pattern(BlockPattern(tuple(blocks), tuple(kinds)))
     n = inp.ambient_dim
     doc = {"ambient_dim": n,
-           "g_basis": _matrices(inp.g_basis), "h_basis": _matrices(inp.h_basis),
-           "torus_basis": _matrices(inp.torus_basis),
-           "diagonalizer": _matrices([inp.diagonalizer])[0]}
+           **{key: _matrices(dense(M, n) for M in getattr(inp, key))
+              for key in ("g_basis", "h_basis", "torus_basis")},
+           "diagonalizer": _matrices([dense(inp.diagonalizer, n)])[0]}
     matrix = st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n),
                       min_size=n, max_size=n)
     key = draw(st.sampled_from([None, None, "ambient_dim", "diagonalizer",

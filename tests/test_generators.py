@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS,
                                   realify)
 from temperkit.model import deficit, evaluate_pl, rho_function
 
-from reference import mat_inv, parabolic_decomposition, rref
+from reference import dense, mat_inv, parabolic_decomposition, rref
 
 F = Fraction
 
@@ -48,6 +49,24 @@ class TestBlockPattern:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             BlockPattern((1,), ("diagonal",))
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: BlockPattern((1, 1.5), ("full", "full")), "sizes[1]"),
+    (lambda: build_product_in_sl([1.5, 2]), "parts[0]"),
+    (lambda: build_product_in_sl([2, True]), "parts[1]"),
+    (lambda: build_product_in_sp([2.7, 1]), "parts[0]"),
+    (lambda: build_so_pair(1.5, 1, 1, 1), "p1"),
+    (lambda: build_so_pair(1, 1, 1, False), "q2"),
+    (lambda: build_classical_in_sl("so", 2.0, 1), "p"),
+    (lambda: build_classical_in_sl("so", 2, True), "q"),
+    (lambda: build_classical_in_sl("sp", 1.0), "m"),
+], ids=["block_size", "sl_float", "sl_bool", "sp_float", "so_pair_float",
+        "so_pair_bool", "so_in_sl_float", "so_in_sl_bool", "sp_in_sl_float"])
+def test_non_integer_parameter_is_named(build, name):
+    # a float or bool parameter once built a wrong pair or failed unlocated
+    with pytest.raises(TypeError, match=rf"^{re.escape(name)} must be an int, not"):
+        build()
 
 
 class TestDimensionAccounting:
@@ -152,14 +171,43 @@ def sp_product_input(parts):
         torus_basis=tuple(sp_unit(n, "a", i, i) for i in range(n)), diagonalizer=ident)
 
 
+def in_sl_input(n, h_basis, torus_basis):
+    """Explicit bases of h inside sl(n,R), with the identity diagonalizer."""
+    sl = matrix_input_for_block_pattern(BlockPattern((n,), ("full",)))
+    return MatrixPairInput(
+        ambient_dim=n, g_basis=tuple(dense(M, n) for M in sl.g_basis),
+        h_basis=tuple(h_basis), torus_basis=tuple(torus_basis),
+        diagonalizer=dense(sl.diagonalizer, n))
+
+
 def sp_in_sl_input(m):
     """Explicit bases of sp(m,R) inside sl(2m,R), with the torus diag(t, -t)."""
-    sl = matrix_input_for_block_pattern(BlockPattern((2 * m,), ("full",)))
-    return MatrixPairInput(
-        ambient_dim=2 * m, g_basis=sl.g_basis,
-        h_basis=tuple(sp_matrices(m, range(m))),
-        torus_basis=tuple(sp_unit(m, "a", i, i) for i in range(m)),
-        diagonalizer=sl.diagonalizer)
+    return in_sl_input(2 * m, sp_matrices(m, range(m)),
+                       [sp_unit(m, "a", i, i) for i in range(m)])
+
+
+def so_in_sl_input(p, q):
+    """Explicit bases of so(p,q) inside sl(p+q,R) for the form S of
+    min(p,q) hyperbolic planes, then I and -I: S is symmetric with
+    S^2 = I, so X = S A has X^T S + S X = A^T + A = 0 for A = E_ij - E_ji.
+    The torus is diag(t, -t) on each plane."""
+    n, m = p + q, min(p, q)
+
+    def matrix(entries):
+        M = [[0] * n for _ in range(n)]
+        for (r, c), x in entries.items():
+            M[r][c] = x
+        return M
+
+    S = matrix({**{(a, a ^ 1): 1 for a in range(2 * m)},
+                **{(a, a): 1 if a < p + m else -1 for a in range(2 * m, n)}})
+    return in_sl_input(
+        n, [mat_mul(S, matrix({(i, j): 1, (j, i): -1}))
+            for i, j in itertools.combinations(range(n), 2)],
+        [matrix({(2 * k, 2 * k): 1, (2 * k + 1, 2 * k + 1): -1}) for k in range(m)])
+
+
+SO_SIGNATURES = [(p, n - p) for n in range(2, 7) for p in range(n + 1)]
 
 
 SP_PRODUCTS = [parts for n in range(2, 5) for k in range(2, n + 1)
@@ -195,11 +243,11 @@ def weights_by_rank(inp):
     dim(span & W_alpha) = dim span - rank of the rows projected off
     alpha's positions."""
     n = inp.ambient_dim
-    Q = [list(r) for r in inp.diagonalizer]
+    Q = dense(inp.diagonalizer, n)
     Qi = mat_inv(Q)
 
     def conj(M):
-        return [x for r in mat_mul(Qi, mat_mul(M, Q)) for x in r]
+        return [x for r in mat_mul(Qi, mat_mul(dense(M, n), Q)) for x in r]
 
     mu = [tuple(conj(T)[a * n + a] for T in inp.torus_basis) for a in range(n)]
     positions = {}
@@ -236,7 +284,10 @@ class TestCrossOracle:
 
     @pytest.mark.parametrize("name", sorted(TABLE1_PATTERNS))
     def test_table1_patterns(self, name):
-        for p, q in itertools.product(range(1, 4), repeat=2):
+        # every table1 input of the matrix-input benchmark
+        for p, q in itertools.product(range(1, 5), repeat=2):
+            if (p, q) == (4, 4):
+                continue
             pattern = TABLE1_PATTERNS[name](p, q)
             combinatorial = build_sl_block(pattern)
             extracted = extract_weights(matrix_input_for_block_pattern(pattern))
@@ -372,6 +423,12 @@ class TestMatrixMode:
         built = build_classical_in_sl("sp", m)
         assert (spec.h_module, spec.g_module) == (built.h_module, built.g_module)
 
+    @pytest.mark.parametrize("signature", SO_SIGNATURES, ids=str)
+    def test_so_in_sl_matches_builder(self, signature):
+        spec = extract_weights(so_in_sl_input(*signature))
+        built = build_classical_in_sl("so", *signature)
+        assert (spec.h_module, spec.g_module) == (built.h_module, built.g_module)
+
     def test_sp11_in_sp2_matches_builder(self):
         # the modules are test_sp_product_matches_builder[(1, 1)]'s
         spec = extract_weights(sp_product_input((1, 1)))
@@ -418,6 +475,36 @@ class TestMatrixMode:
                 ambient_dim=2, g_basis=(D,), h_basis=(),
                 torus_basis=(D,), diagonalizer=((1, 2), (2, 4))))
 
+    def test_held_form_is_normal(self):
+        # one rational matrix however written gives one input: its nonzero
+        # entries in row-major order times the lcm of their denominators
+        D = ((1, 0), (0, -1))
+        E01, E10 = ((0, 1), (0, 0)), ((0, 0), (1, 0))
+        halves = [((F(1, 2), 0), (0, F(-1, 2))),
+                  ((F(1, 2), F(0)), (F(0), F(-1, 2))),
+                  ((F(2, 4), 0), (0, F(-2, 4))),
+                  ((0.5, 0), (0, -0.5))]
+        diagonals = [D, tuple(tuple(map(F, row)) for row in D),
+                     tuple(tuple(map(float, row)) for row in D), D]
+        inputs = [MatrixPairInput(ambient_dim=2, g_basis=(Dg, E01, E10), h_basis=(Dg,),
+                                  torus_basis=(T,), diagonalizer=((1, 0), (0, 1)))
+                  for Dg, T in zip(diagonals, halves)]
+        assert inputs[0].g_basis[0] == ((((0, 0), 1), ((1, 1), -1)), 1)
+        assert inputs[0].torus_basis == (((((0, 0), 1), ((1, 1), -1)), 2),)
+        assert all(inp == inputs[0] for inp in inputs)
+        specs = [extract_weights(inp) for inp in inputs]
+        assert all(spec == specs[0] for spec in specs)
+        assert dict(specs[0].g_module.weights) == {(F(1),): 1, (F(-1),): 1}
+
+    def test_zero_matrix_held_empty(self):
+        inp = MatrixPairInput(ambient_dim=2, g_basis=(((0, 0), (0, 0)),
+                                                     ((F(0), 0.0), (0, F(0, 3)))),
+                              h_basis=(), torus_basis=(), diagonalizer=((1, 0), (0, 1)))
+        assert inp.g_basis == (((), 1), ((), 1))
+        with pytest.raises(TypeError):     # not a rational, though false
+            MatrixPairInput(ambient_dim=1, g_basis=(((None,),),), h_basis=(),
+                            torus_basis=(), diagonalizer=((1,),))
+
     @pytest.mark.parametrize("label", sorted(RANK_FORMULA_INPUTS))
     def test_matches_rank_formula(self, label):
         for inp in RANK_FORMULA_INPUTS[label]():
@@ -444,7 +531,7 @@ class TestMatrixMode:
         Pi = mat_inv(P)
 
         def moved(basis):
-            return tuple(mat_mul(P, mat_mul(M, Pi))
+            return tuple(mat_mul(P, mat_mul(dense(M, n), Pi))
                          for M in basis)
 
         conjugated = MatrixPairInput(

@@ -28,9 +28,9 @@ def records():
          "BlockPattern(sizes=(2, 1), diagonal_kind=('full', 'identity'), "
          "upper_blocks=frozenset({(0, 1)}))"),
         (MatrixPairInput(1, ([[1]],), (), ([[F(1, 2)]],), [[1]], {"a": 1}),
-         "MatrixPairInput(ambient_dim=1, g_basis=(((Fraction(1, 1),),),), "
-         "h_basis=(), torus_basis=(((Fraction(1, 2),),),), "
-         "diagonalizer=((Fraction(1, 1),),), metadata={'a': 1})"),
+         "MatrixPairInput(ambient_dim=1, g_basis=(((((0, 0), 1),), 1),), "
+         "h_basis=(), torus_basis=(((((0, 0), 1),), 2),), "
+         "diagonalizer=((((0, 0), 1),), 1), metadata={'a': 1})"),
         (Cell(rays=((1, 0), (0, 1))), "Cell(rays=((1, 0), (0, 1)))"),
         (enumerate_cells([(1, 0)], [(1, 0), (0, 1)]),
          "CellComplex(rays=[(1, 0), (-1, 0)], lineality=[(0, 1)])"),
@@ -99,17 +99,17 @@ def test_uncompared_fields():
     assert Witness((1,), F(-1)) != Cell(rays=((1,), F(-1)))
 
 
-@pytest.mark.parametrize("shape", [
-    dict(g_basis=([[1, 0]],)),
-    dict(h_basis=([[1, 0], [0]],)),
-    dict(torus_basis=([[1, 0], [0, 1], [0, 0]],)),
-    dict(diagonalizer=[[1, 0]]),
-    dict(diagonalizer=[[1], [0]]),
+@pytest.mark.parametrize("shape, name", [
+    (dict(g_basis=([[1, 0]],)), "g_basis"),
+    (dict(h_basis=([[1, 0], [0]],)), "h_basis"),
+    (dict(torus_basis=([[1, 0], [0, 1], [0, 0]],)), "torus_basis"),
+    (dict(diagonalizer=[[1, 0]]), "diagonalizer"),
+    (dict(diagonalizer=[[1], [0]]), "diagonalizer"),
 ], ids=["g_rows", "h_row_length", "torus_rows", "diagonalizer_rows",
         "diagonalizer_row_length"])
-def test_matrix_input_shape(shape):
+def test_matrix_input_shape(shape, name):
     given = dict(ambient_dim=2, g_basis=(), h_basis=(), torus_basis=(),
                  diagonalizer=[[1, 0], [0, 1]])
     MatrixPairInput(**given)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=name):
         MatrixPairInput(**{**given, **shape})
