@@ -28,10 +28,11 @@ def check(spec: PairSpec, use_symmetry: bool = True) -> Verdict:
     """Decide the temperedness inequality for a pair, with exact evidence.
 
     The deficit is invariant under the restricted Weyl group of h, so the
-    enumeration covers one chamber of the reflections in the roots of h
-    that it is verified invariant under (verify._chamber_walls); that
-    changes certificate size, never the verdict.  With use_symmetry false
-    it enumerates the whole slice instead, as a reference.
+    enumeration covers one chamber of a finite group of reflections in
+    roots of h that it is verified invariant under
+    (verify._chamber_walls); that changes certificate size, never the
+    verdict.  With use_symmetry false it enumerates the whole slice
+    instead, as a reference.
     """
     f = deficit(spec)
     evidence = is_nonnegative(f, spec if use_symmetry else None)
@@ -109,18 +110,16 @@ TABLE2_PREDICATES = {
 }
 
 
-def _scan_table1(pmax: int = 6, qmax: int = 6, patterns: Sequence[str] = ()):
-    names = list(patterns) or list(TABLE1_PATTERNS)
-    for name in names:
+def _scan_table1(pmax: int = 6, qmax: int = 6):
+    for name in TABLE1_PATTERNS:
         for p in range(1, pmax + 1):
             for q in range(1, qmax + 1):
                 spec = build_sl_block(TABLE1_PATTERNS[name](p, q))
                 yield (name, p, q), spec, TABLE1_PREDICATES[name](p, q)
 
 
-def _scan_table2(max: int = 4, patterns: Sequence[str] = ()):
-    names = list(patterns) or list(TABLE2_PATTERNS)
-    for name in names:
+def _scan_table2(max: int = 4):
+    for name in TABLE2_PATTERNS:
         for p, q, r in itertools.product(range(1, max + 1), repeat=3):
             spec = build_sl_block(TABLE2_PATTERNS[name](p, q, r))
             yield (name, p, q, r), spec, TABLE2_PREDICATES[name](p, q, r)

@@ -71,7 +71,7 @@ def _vec_to_json(vec):
 
 
 def _vec_from_json(data, where: str):
-    if all(type(x) is int for x in _expect(data, list, where)):
+    if {*map(type, _expect(data, list, where))} <= {int}:
         return tuple(data)
     return tuple(rational_from_str(x, f"{where}[{i}]") for i, x in enumerate(data))
 

@@ -75,24 +75,11 @@ def _restricted(f: PLFunction, basis):
 
 def _root(R, L):
     """The root (R, L, R.L): a reduced weight row R and L = s*B^-1 R lifted,
-    s > 0 one integer that makes s*B^-1 integral, both signed so L is
-    lexicographically positive.  Only the direction of L is read."""
+    s > 0 one integer shared by every root that makes each L integral,
+    both signed so L is lexicographically positive."""
     if not _lex_positive(L):
         R, L = [-x for x in R], [-x for x in L]
     return tuple(R), L, _dot(R, L)
-
-
-def _reflect(a, b, closure):
-    """(key, root) for s_a(b) = b - 2 (b.L_a / k) a, k = R_a.L_a > 0, or
-    None when b is fixed or the key, its primitive row, is in closure."""
-    R, L, k = a
-    x = _dot(b[0], L)
-    if not x:
-        return None
-    key, g = _primitive([k * p - 2 * x * q for p, q in zip(b[0], R)])
-    if key in closure:
-        return None
-    return key, _root(key, [(k * p - 2 * x * q) // g for p, q in zip(b[1], L)])
 
 
 def _invariant(a, f: PLFunction, coeffs, by_column) -> bool:
@@ -113,20 +100,24 @@ def _invariant(a, f: PLFunction, coeffs, by_column) -> bool:
 
 
 def _chamber_walls(f: PLFunction, columns, lift, pair: PairSpec) -> list:
-    """The walls, in slice coordinates, of one chamber of the reflection
-    group of f that the weights of ``pair`` give; [] for the whole slice.
+    """The walls, in slice coordinates, of one chamber of a finite
+    reflection group that f is invariant under, from the weights of
+    ``pair``; [] for the whole slice.
 
     B = sum m mu(x)mu over the weights mu of h and g/h must be positive
     definite.  With every m > 0, B is positive semidefinite, so it is
     positive definite exactly when it is nonsingular, when linalg.solve
     accepts it.  Each root a of h gives the reflection s_a(y) = y -
-    2 a(y) t / a(t), t = B^-1 a, kept when f o s_a = f; a root in the
-    closure of the kept ones is a conjugate of them.  A finite reflection
-    group over the rationals of rank r has at most r(2r - 1) reflections
-    (E8 attains it), so a larger closure for r = d means an infinite group.
-    The simple roots of the positive ones, whose lifted coroot is
-    lexicographically positive, cut out a chamber, which meets every orbit
-    (Humphreys 1990, 1.4-1.12).
+    2 a(y) t / a(t), t = B^-1 a, kept when f o s_a = f; one solve gives
+    every coroot t at one scale.  A kept root is positive when its lifted
+    coroot is lexicographically positive, and simple when s_a keeps every
+    other kept root positive.  The simple roots are the walls when every
+    pair passes the angle test: (a, b)* = R_a.L_b <= 0 and 4(a, b)*^2 in
+    {0, 1, 2, 3} (a, a)*(b, b)*.  Obtuse roots in one half-space are
+    linearly independent, and with B^-1 positive definite the test makes
+    their reflections generate a finite group with this chamber as a
+    fundamental domain (Humphreys 1990, 1.3, 5.13 and 6.4); it meets every
+    orbit.  Otherwise the whole slice is the domain.
     """
     d = len(columns)
     h, g = pair.h_module, pair.g_module
@@ -140,35 +131,23 @@ def _chamber_walls(f: PLFunction, columns, lift, pair: PairSpec) -> list:
                 for k, y in w:
                     B[j][k] += m * x * y
     roots = dict.fromkeys(_primitive(row)[0] for row, _ in h.rows if any(row))
-    inverse = roots and solve(B, [[int(i == j) for i in range(d)] for j in range(d)])
-    if not inverse:
+    solved = roots and solve(B, [[R[c] * s for c, s in columns] for R in roots])
+    if not solved:
         return []
-    # s*B^-1 is symmetric: its columns are its rows
-    coroots = [[_dot(x, [R[c] * s for c, s in columns]) for x in inverse[0]] for R in roots]
     coeffs = {row: c for c, row in f.terms}
     by_column = list(zip(*coeffs))
-    closure, kept = {}, []
-    for R, t in zip(roots, coroots):
-        if R in closure:
-            continue
-        a = _root(R, [_dot(col, t) for col in lift])
-        if not _invariant(a, f, coeffs, by_column):
-            continue
-        kept.append(a)
-        todo = [(b, (a,)) for b in closure.values()] + [(a, kept)]
-        closure[R] = a
-        while todo:
-            b, by = todo.pop()
-            for key, new in filter(None, (_reflect(s, b, closure) for s in by)):
-                if len(closure) >= d * (2 * d - 1):
-                    return []
-                closure[key] = new
-                todo.append((new, kept))
-    positive = list(closure.values())
-    # s_a keeps every other positive root b positive: k s_a(b) = k b - 2x a
-    simple = [a for a in positive if all(
+    kept = [a for a in (_root(R, [_dot(col, t) for col in lift])
+                        for R, t in zip(roots, solved[0]))
+            if _invariant(a, f, coeffs, by_column)]
+    # s_a keeps every other kept root b positive: k s_a(b) = k b - 2x a
+    simple = [a for a in kept if all(
         b is a or not x or _lex_positive(a[2] * p - 2 * x * q for p, q in zip(b[1], a[1]))
-        for b, x in ((b, _dot(b[0], a[1])) for b in positive))]
+        for b, x in ((b, _dot(b[0], a[1])) for b in kept))]
+    for i, (R, _, k) in enumerate(simple):
+        for _, L, j in simple[:i]:
+            x = _dot(R, L)
+            if x > 0 or 4 * x * x not in (0, k * j, 2 * k * j, 3 * k * j):
+                return []
     simple.sort(key=lambda a: _primitive(a[1])[0], reverse=True)
     return [[a[0][c] * s for c, s in columns] for a in simple]
 
@@ -177,8 +156,8 @@ def is_nonnegative(f: PLFunction, pair: Optional[PairSpec] = None):
     """Decide f >= 0 on the whole torus slice, exactly.
 
     Returns a NonnegCertificate or a Witness.  With a ``pair``, the
-    enumeration covers one chamber of the reflection group of f that its
-    weights give (_chamber_walls), which changes only the certificate size.
+    enumeration covers one chamber of a finite reflection group of f that
+    its weights give (_chamber_walls), which changes only the certificate size.
     A purely linear f is decided on the whole slice: its +- slice-basis
     rays show whether it vanishes.
 

@@ -113,10 +113,11 @@ class TestScans:
             scan_family("nope")
 
     def test_render_table(self):
-        report = scan_family("table1", pmax=1, qmax=2, patterns=["H2"])
+        report = scan_family("table1", pmax=1, qmax=2)
         text = render_scan_table(report)
         assert "mismatches: 0" in text
-        assert "tempered" in text
+        rows = [line.split() for line in text.splitlines() if line.startswith("('H2',")]
+        assert [row[3:5] for row in rows] == [["tempered", "tempered"]] * 2
 
     def test_full_enumeration_agrees_on_small_points(self):
         fast = scan_family("table1", pmax=2, qmax=2)

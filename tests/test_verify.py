@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from temperkit.model import (PLFunction, PairSpec, TorusSpace, WeightModule,
 from temperkit.verify import (NonnegCertificate, Witness, _chamber_walls,
                               _restricted, is_nonnegative)
 
-from reference import fraction_det, grid_oracle, mat_inv
+from reference import fraction_det, grid_oracle, mat_inv, rref
 
 F = Fraction
 
@@ -281,41 +282,80 @@ class TestReductions:
         assert walls_of(f, pair) == []
         assert is_nonnegative(f, pair) == is_nonnegative(f)
 
+    def test_roots_not_closed_under_their_reflections(self):
+        # the kept roots e1 - e2 and e1 - e3 are not closed: their
+        # reflections give e2 - e3, a weight of g/h, which makes the form
+        # S3-invariant.  s_{e1-e3} sends e1 - e2 to e3 - e2, whose coroot is
+        # lexicographically negative, so only e1 - e2 is simple; the domain
+        # is its half-plane, [-2, -1] on the slice basis (-1, 1, 0),
+        # (-1, 0, 1), where the closure gave the chamber of e1 - e2, e2 - e3
+        f = self._example()
+        f = PLFunction(f.space, [(F(abs(c), f.den), row) for c, row in f.terms])
+        s = f.space
+        pair = PairSpec(g_module=module(s, (0, 1, -1)),
+                        h_module=module(s, (1, -1, 0), (1, 0, -1)))
+        assert walls_of(f, pair) == [[-2, -1]]
+        reduced = is_nonnegative(f, pair)
+        assert isinstance(reduced, NonnegCertificate) and reduced.symmetry_reduced
+        assert len(reduced.rays) == 7
+        assert isinstance(is_nonnegative(f), NonnegCertificate)
 
-def reference_invariant(f, root, pair) -> bool:
-    """Reference for the candidate check: the reflection in ``root`` built
-    as a rational matrix S = I - 2 t root^T / root(t), t = B^-1 root, on
-    the slice basis, with B from plain Fraction sums over the weights of
-    the pair and mat_inv; f o S rebuilt as a new PLFunction and compared
-    with f, both in slice coordinates."""
+    def test_simple_roots_failing_the_angle_test_give_the_whole_slice(self):
+        # |z| is invariant under both reflections, which fix z, and both
+        # roots are simple; under B^-1 their lex-positive forms meet at an
+        # acute angle, so no finite group is proved and the slice is whole
+        s = TorusSpace(3)
+        f = pl(s, [(1, lf(0, 0, 1))])
+        pair = candidates(s, [(2, 1, 0), (-1, 1, 0)])
+        assert walls_of(f, pair) == []
+        result = is_nonnegative(f, pair)
+        assert result == is_nonnegative(f) and not result.symmetry_reduced
+
+
+def reference_form(f, pair):
+    """(on_slice, flat, B^-1): the map of an ambient row to its values on
+    the slice basis, f rebuilt there as a new PLFunction, and the inverse,
+    by mat_inv, of B from plain sums over the weights of the pair in slice
+    coordinates."""
     basis = f.space.slice_basis()
     d = len(basis)
 
     def on_slice(row):
-        return [dot(row, v) for v in basis]
+        return [sum(map(operator.mul, row, v)) for v in basis]
 
     B = [[F(0)] * d for _ in range(d)]
     for M in (pair.h_module, pair.g_module):
         for weight, m in M.weights:
-            w = on_slice(weight)
-            for i in range(d):
-                for j in range(d):
-                    B[i][j] += m * w[i] * w[j]
-    r = on_slice(root)
-    t = [sum(x * y for x, y in zip(row, r)) for row in mat_inv(B)]
+            w = [(i, x) for i, x in enumerate(on_slice(weight)) if x]
+            for i, x in w:
+                for j, y in w:
+                    B[i][j] += m * x * y
+    flat = PLFunction(TorusSpace(d), [(F(c, f.den), on_slice(row)) for c, row in f.terms],
+                      on_slice([F(x, f.den) for x in f.linear]))
+    return on_slice, flat, mat_inv(B)
+
+
+def reference_invariant(f, root, pair) -> bool:
+    """Reference for the candidate check on an ambient ``root``."""
+    on_slice, flat, inverse = reference_form(f, pair)
+    return invariant_on_slice(flat, on_slice(root), inverse)
+
+
+def invariant_on_slice(flat, r, inverse) -> bool:
+    """Whether f o S = f, for f rebuilt on the slice basis as ``flat`` and
+    the reflection in the slice covector r built as a rational matrix S =
+    I - 2 t r^T / r(t), t = B^-1 r; f o S rebuilt as a new PLFunction and
+    compared with f."""
+    t = [sum(x * y for x, y in zip(row, r)) for row in inverse]
     k = sum(x * y for x, y in zip(r, t))
 
     def compose(row):
-        row = on_slice(row)
         x = sum(a * b for a, b in zip(row, t))
         return [a - 2 * x * b / k for a, b in zip(row, r)]
 
-    flat = TorusSpace(d)
-    before = PLFunction(flat, [(F(c, f.den), on_slice(row)) for c, row in f.terms],
-                        on_slice([F(x, f.den) for x in f.linear]))
-    after = PLFunction(flat, [(F(c, f.den), compose(row)) for c, row in f.terms],
-                       compose([F(x, f.den) for x in f.linear]))
-    return before == after
+    after = PLFunction(flat.space, [(F(c, flat.den), compose(row)) for c, row in flat.terms],
+                       compose([F(x, flat.den) for x in flat.linear]))
+    return flat == after
 
 
 def leading_minors_positive(B) -> bool:
@@ -330,6 +370,11 @@ def leading_minors_positive(B) -> bool:
             r = M[i][k] / M[k][k]
             M[i] = [x - r * y for x, y in zip(M[i], M[k])]
     return True
+
+
+SCAN_MIX = {"table1": {"pmax": 5, "qmax": 5}, "table2": {"max": 3},
+            "example51": {"total": 6, "rank": 4}, "example52-sl": {"n": 8},
+            "example52-sp": {"n": 4}, "example52-so": {"total": 6}}
 
 
 def test_chamber_form_is_positive_definite_when_solve_accepts_it(monkeypatch):
@@ -347,10 +392,7 @@ def test_chamber_form_is_positive_definite_when_solve_accepts_it(monkeypatch):
         return out
 
     monkeypatch.setattr(verify, "solve", recording)
-    ranges = {"table1": {"pmax": 5, "qmax": 5}, "table2": {"max": 3},
-              "example51": {"total": 6, "rank": 4}, "example52-sl": {"n": 8},
-              "example52-sp": {"n": 4}, "example52-so": {"total": 6}}
-    for family, kwargs in ranges.items():
+    for family, kwargs in SCAN_MIX.items():
         for _, spec, _ in FAMILIES[family](**kwargs):
             check(spec)
     assert len(calls) > 400 and len(forms) > 50
@@ -363,8 +405,8 @@ def test_chamber_form_is_positive_definite_when_solve_accepts_it(monkeypatch):
 
 def accepts(f, root, form) -> bool:
     """Whether the candidate root alone is kept, for the form of the
-    weights of ``form``: one kept root is its own closure and its only
-    wall.  Checked against the reference on the same pair."""
+    weights of ``form``: a lone kept root is its only simple root and its
+    only wall.  Checked against the reference on the same pair."""
     pair = candidates(f.space, [root], form)
     kept = bool(walls_of(f, pair))
     assert kept == reference_invariant(f, root, pair), (root, f)
@@ -510,6 +552,46 @@ def test_matrix_inputs_get_derived_domain(build):
         assert reduced.evidence.chamber_count < full.evidence.chamber_count
     else:
         assert evaluate_pl(f, reduced.evidence.direction) == reduced.evidence.value < 0
+
+
+def reference_chamber_problems(f, walls, pair) -> list:
+    """What fails, recomputed in Fractions, of the conditions that make the
+    walls, in slice coordinates, cut out a fundamental chamber of a finite
+    reflection group that f is invariant under: B is nonsingular (mat_inv
+    raises otherwise), the walls are linearly independent (rref), every
+    pair is obtuse under B^-1 with 4 cos^2 in {0, 1, 2, 3}, and f o s = f
+    for the reflection in every wall."""
+    _, flat, inverse = reference_form(f, pair)
+    walls = [[F(x) for x in wall] for wall in walls]
+    coroots = [[dot(row, a) for row in inverse] for a in walls]
+    problems = []
+    if len(rref(walls)[0]) < len(walls):
+        problems.append("dependent")
+    for i, (a, t) in enumerate(zip(walls, coroots)):
+        for b, u in zip(walls, coroots[:i]):
+            x = dot(a, u)
+            if x > 0 or 4 * x * x / (dot(a, t) * dot(b, u)) not in (0, 1, 2, 3):
+                problems.append(("angle", a, b))
+        if not invariant_on_slice(flat, a, inverse):
+            problems.append(("not invariant", a))
+    return problems
+
+
+def test_derived_chambers_meet_the_reference_conditions():
+    # every chamber check derives for the scan-mix families and two matrix
+    # inputs, replayed without verify's integer code
+    specs = [spec for family, kwargs in SCAN_MIX.items()
+             for _, spec, _ in FAMILIES[family](**kwargs)]
+    specs += [extract_weights(matrix_input_for_block_pattern(TABLE1_PATTERNS["H4"](3, 3))),
+              extract_weights(example_sp21_input())]
+    chambers = 0
+    for spec in specs:
+        f = deficit(spec)
+        walls = walls_of(f, spec)
+        if walls:
+            chambers += 1
+            assert reference_chamber_problems(f, walls, spec) == [], spec.metadata
+    assert chambers > 450
 
 
 @pytest.mark.parametrize("pattern, sizes", [("H12", (1, 3, 3)), ("H7", (2, 2, 1))])
