@@ -8,8 +8,8 @@ where the deficit is negative.
 """
 
 from .check import (Verdict, ScanPoint, ScanReport, check, scan_family,
-                    render_scan_table, tensor_product_check,
-                    tensor_product_spec, TABLE1_PREDICATES, TABLE2_PREDICATES)
+                    render_scan_table, tensor_product_spec,
+                    TABLE1_PREDICATES, TABLE2_PREDICATES)
 from .errors import (TemperkitError, ArityError, ConstraintViolationError,
                      SpaceMismatchError, BracketClosureError,
                      DecompositionError, NonSplitError, SchemaError,
@@ -27,8 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Verdict", "ScanPoint", "ScanReport", "check",
-    "scan_family", "render_scan_table", "tensor_product_check",
-    "tensor_product_spec",
+    "scan_family", "render_scan_table", "tensor_product_spec",
     "TABLE1_PREDICATES", "TABLE2_PREDICATES",
     "TemperkitError", "ArityError", "ConstraintViolationError",
     "SpaceMismatchError", "BracketClosureError", "DecompositionError",

@@ -243,55 +243,54 @@ def render_scan_table(report: ScanReport) -> str:
 QUESTION_CEILING = 64
 
 
-def tensor_product_spec(variant: int, *params: int) -> PairSpec:
-    """Map a tensor-product temperedness question to a block-pattern spec.
+# variant -> the names of its parameters, the table 2 pattern it reduces to,
+# and that pattern's sizes.  Variant 1, (k, l, n): the product of the two
+# Grassmannian series attached to (k, n-k) and (n-l, l).  Variant 2, (a, b, c):
+# the flag series (a,b,c) against (b+c, a).  Variant 3: (a,b,c) against (c,b,a).
+TENSOR_PRODUCTS = {
+    1: (("k", "l", "n"), "H12", lambda k, l, n: (abs(k - l), min(k, l), n - max(k, l))),
+    2: (("a", "b", "c"), "H11", lambda a, b, c: (b, a, c)),
+    3: (("a", "b", "c"), "H10", lambda a, b, c: (a, b, c)),
+}
 
-    variant 1, params (k, l, n): product of the two Grassmannian series
-        attached to (k, n-k) and (n-l, l); reduces to the three-block
-        pattern H12 with sizes (|k-l|, min(k,l), n-max(k,l)).
-    variant 2, params (a, b, c): flag series (a,b,c) against (b+c, a);
-        reduces to H11 with sizes (b, a, c).
-    variant 3, params (a, b, c): flag series (a,b,c) against (c,b,a);
-        reduces to H10 with sizes (a, b, c).
-    Bad input, including a variant or param that is not an int (a bool is
-    not) and a question whose matrix size n exceeds QUESTION_CEILING,
-    raises SchemaError naming tensor_product.variant or
-    tensor_product.params.
-    """
-    if type(variant) is not int or variant not in (1, 2, 3):
-        raise SchemaError("tensor_product.variant: must be 1, 2 or 3")
+
+def tensor_question(variant, params, where: str):
+    """(matrix size n, build) for a tensor-product question, checked first:
+    params are three ints (a bool is not) at {where}.params, or a document's
+    metadata, holding them by name at where.  Bad input, n past the ceiling
+    among it, raises SchemaError naming {where}.variant or the params' place."""
+    if type(variant) is not int or variant not in TENSOR_PRODUCTS:
+        raise SchemaError(f"{where}.variant: must be 1, 2 or 3")
+    names, pattern, to_sizes = TENSOR_PRODUCTS[variant]
+    at = f"{where}.params"
+    if isinstance(params, dict):
+        params, at = [params.get(key) for key in names], where
     if len(params) != 3 or any(type(x) is not int for x in params):
-        raise SchemaError(f"tensor_product.params: variant {variant} takes "
-                          f"3 integers, got {list(params)}")
+        raise SchemaError(f"{at}: variant {variant} takes 3 integers, "
+                          f"got {list(params)}")
     if variant == 1:
         k, l, n = params
         if not (0 < k < n and 0 < l < n):
-            raise SchemaError("tensor_product.params: need 0 < k, l < n")
-        sizes = (abs(k - l), min(k, l), n - max(k, l))
-        pattern = TABLE2_PATTERNS["H12"](*sizes)
-        meta = {"question": "tensor_product", "variant": 1, "k": k, "l": l, "n": n}
-    elif variant == 2:
-        a, b, c = params
-        if min(a, b, c) < 1:
-            raise SchemaError("tensor_product.params: need a, b, c >= 1")
-        sizes = (b, a, c)
-        pattern = TABLE2_PATTERNS["H11"](*sizes)
-        meta = {"question": "tensor_product", "variant": 2, "a": a, "b": b, "c": c}
-    else:
-        a, b, c = params
-        if min(a, b, c) < 1:
-            raise SchemaError("tensor_product.params: need a, b, c >= 1")
-        sizes = (a, b, c)
-        pattern = TABLE2_PATTERNS["H10"](*sizes)
-        meta = {"question": "tensor_product", "variant": 3, "a": a, "b": b, "c": c}
-    if pattern.n > QUESTION_CEILING:
-        raise SchemaError(f"tensor_product.params: matrix size {pattern.n} exceeds "
-                          f"the ceiling {QUESTION_CEILING}")
-    spec = build_sl_block(pattern)
-    return PairSpec(g_module=spec.g_module, h_module=spec.h_module,
-                    metadata={**spec.metadata, **meta}, built=True)
+            raise SchemaError(f"{at}: need 0 < k, l < n")
+    elif min(params) < 1:
+        raise SchemaError(f"{at}: need a, b, c >= 1")
+    sizes = to_sizes(*params)
+    if sum(sizes) > QUESTION_CEILING:
+        raise SchemaError(f"{at}: matrix size {sum(sizes)} exceeds the ceiling "
+                          f"{QUESTION_CEILING}")
+
+    def build() -> PairSpec:
+        spec = build_sl_block(TABLE2_PATTERNS[pattern](*sizes))
+        return PairSpec(g_module=spec.g_module, h_module=spec.h_module,
+                        metadata={**spec.metadata, "question": "tensor_product",
+                                  "variant": variant, **dict(zip(names, params))},
+                        built=True)
+
+    return sum(sizes), build
 
 
-def tensor_product_check(variant: int, *params: int) -> Verdict:
-    """The verdict on tensor_product_spec(variant, *params)."""
-    return check(tensor_product_spec(variant, *params))
+def tensor_product_spec(variant: int, *params: int) -> PairSpec:
+    """The block-pattern spec of a tensor-product question (TENSOR_PRODUCTS).
+    Bad input raises SchemaError naming tensor_product.variant or
+    tensor_product.params."""
+    return tensor_question(variant, params, "tensor_product")[1]()

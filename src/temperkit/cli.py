@@ -15,11 +15,8 @@ import json
 import sys
 
 from . import serialize
-from .check import (FAMILIES, QUESTION_CEILING, render_scan_table, scan_family,
-                    tensor_product_spec, check as run_check)
+from .check import FAMILIES, render_scan_table, scan_family, check as run_check
 from .errors import BasisError, SchemaError, TemperkitError
-from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, MatrixPairInput,
-                         example_sp21_input, extract_weights)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -39,104 +36,8 @@ def _load_json(path: str) -> dict:
         raise SchemaError(f"{path}: not valid JSON ({e})") from None
 
 
-def _spec_from_family(data: dict):
-    """The spec of a family input: a builder call written like the metadata
-    it yields (serialize.read_question), with "name" for "family" and "realify"
-    for "realified", or with two shorthands, an sl_block "pattern" name
-    applied to its "sizes" and classical_in_sl "params"."""
-    name = serialize._expect(data, dict, "family").get("name")
-    if type(name) is not str or name not in serialize.BUILDERS:
-        raise SchemaError(f"family.name: unknown family {name!r}")
-    where = f"family.{name}"
-    meta = {key: value for key, value in data.items()
-            if key not in ("name", "realify", "pattern", "params", "question")}
-    realify = data.get("realify", False)
-    if type(realify) is not bool:
-        raise SchemaError(f"{where}.realify: expected true or false")
-    meta.update(family=name, realified=realify)
-    try:
-        if name == "sl_block" and "pattern" in data:
-            sizes = serialize._ints(data, "sizes", where)
-            if len(sizes) not in (2, 3):
-                raise SchemaError(f"{where}.sizes: a pattern takes 2 or 3 "
-                                  f"sizes, got {len(sizes)}")
-            given = serialize._expect(data["pattern"], str, f"{where}.pattern")
-            table = TABLE1_PATTERNS if len(sizes) == 2 else TABLE2_PATTERNS
-            if given not in table:
-                raise SchemaError(f"{where}.pattern: unknown pattern "
-                                  f"{given!r} for {len(sizes)} blocks")
-            pattern = table[given](*sizes)
-            meta.update(sizes=list(pattern.sizes),
-                        diagonal_kind=list(pattern.diagonal_kind),
-                        upper_blocks=sorted(map(list, pattern.upper_blocks)))
-        elif name == "classical_in_sl" and "params" in data:
-            params = serialize._expect(data["params"], list, f"{where}.params")
-            if data.get("kind") == "so":
-                meta["signature"] = params
-            elif len(params) == 1:
-                meta["m"] = params[0]
-    except TemperkitError:
-        raise
-    except (TypeError, ValueError) as e:
-        # a pattern rejecting its sizes is an input error
-        raise SchemaError(f"{where}: {e}") from None
-    _, build = serialize.read_question(meta, where)
-    return build()
-
-
-def _spec_from_file(data: dict):
-    modes = [m for m in ("family", "pair_spec", "tensor_product", "matrix_pair")
-             if m in data]
-    if len(modes) != 1:
-        raise SchemaError("spec file must contain exactly one of family, "
-                          "pair_spec, tensor_product, matrix_pair; "
-                          f"found {modes or 'none'}")
-    mode = modes[0]
-    if mode == "family":
-        return _spec_from_family(data["family"])
-    if mode == "pair_spec":
-        return serialize.pair_spec_from_json(data["pair_spec"])
-    if mode == "tensor_product":
-        q = serialize._expect(data["tensor_product"], dict, "tensor_product")
-        return tensor_product_spec(q.get("variant"), *serialize._expect(
-            q.get("params"), list, "tensor_product.params"))
-    # matrix_pair
-    where = "matrix_pair"
-    mp = serialize._expect(data[where], dict, where)
-    if "preset" in mp:
-        if mp["preset"] != "sp21":
-            raise SchemaError(f"{where}.preset: unknown preset {mp['preset']!r}")
-        return extract_weights(example_sp21_input())
-
-    def items(data, at, read=serialize._vec_from_json):
-        # a basis is a list of matrices, a matrix a list of rows
-        return tuple(read(x, f"{at}[{i}]")
-                     for i, x in enumerate(serialize._expect(data, list, at)))
-
-    try:
-        inp = MatrixPairInput(
-            ambient_dim=serialize._int_from_json(mp.get("ambient_dim"),
-                                                 f"{where}.ambient_dim"),
-            **{key: items(mp.get(key, []), f"{where}.{key}", items)
-               for key in ("g_basis", "h_basis", "torus_basis")},
-            diagonalizer=items(mp.get("diagonalizer", []), f"{where}.diagonalizer"),
-            metadata=serialize._expect(mp.get("metadata", {}), dict, f"{where}.metadata"))
-    except TemperkitError:
-        raise
-    except (TypeError, ValueError) as e:
-        raise SchemaError(f"{where}: {e}") from None
-    if len(inp.torus_basis) > QUESTION_CEILING:     # the spec's ambient dimension
-        raise SchemaError(f"{where}.torus_basis: more than {QUESTION_CEILING} elements")
-    spec = extract_weights(inp)
-    if serialize.read_question(spec.metadata, f"{where}.metadata") is not None:
-        # metadata that names a builder call binds the weights to it, as in
-        # a document; the spec is still written with its weights
-        serialize.pair_spec_from_json(serialize.pair_spec_to_json(spec), where)
-    return spec
-
-
 def cmd_check(args) -> int:
-    spec = _spec_from_file(_load_json(args.spec))
+    spec = serialize.read_input(_load_json(args.spec))
     verdict = run_check(spec)
     if args.witness_only:
         if verdict.tempered:

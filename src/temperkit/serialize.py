@@ -26,11 +26,15 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
-from .check import QUESTION_CEILING, Verdict
+from .check import QUESTION_CEILING, Verdict, tensor_question
 from .errors import ConstraintViolationError, SchemaError, TemperkitError
-from .model import PairSpec, TorusSpace, WeightModule
+from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern,
+                         MatrixPairInput, build_classical_in_sl, build_product_in_sl,
+                         build_product_in_sp, build_sl_block, build_so_pair,
+                         example_sp21_input, extract_weights, realify)
+from .model import PairSpec, TorusSpace, WeightModule, deficit, evaluate_at, evaluate_pl
 from .verify import NonnegCertificate, Witness
 
 SCHEMA_VERSION = 2
@@ -83,6 +87,13 @@ def _int_from_json(data, where: str) -> int:
     return data
 
 
+def _bounded(data, where: str) -> int:
+    """data, if it is a JSON integer at most QUESTION_CEILING; else SchemaError."""
+    if _int_from_json(data, where) > QUESTION_CEILING:
+        raise SchemaError(f"{where}: {data} exceeds the ceiling {QUESTION_CEILING}")
+    return data
+
+
 def _expect(data, kind: type, where: str):
     """data, if it has the JSON type kind (list, dict or str); else SchemaError."""
     if not isinstance(data, kind):
@@ -101,10 +112,7 @@ def torus_space_to_json(space: TorusSpace) -> dict:
 
 def torus_space_from_json(data: dict, where: str = "torus") -> TorusSpace:
     _expect(data, dict, where)
-    dim = _int_from_json(data.get("ambient_dim"), f"{where}.ambient_dim")
-    if dim > QUESTION_CEILING:
-        raise SchemaError(f"{where}.ambient_dim: {dim} exceeds the ceiling "
-                          f"{QUESTION_CEILING}")
+    dim = _bounded(data.get("ambient_dim"), f"{where}.ambient_dim")
     constraints = [_vec_from_json(c, f"{where}.constraints[{i}]")
                    for i, c in enumerate(_expect(data.get("constraints", []), list,
                                                  f"{where}.constraints"))]
@@ -150,18 +158,6 @@ def pair_spec_to_json(spec: PairSpec) -> dict:
 
 # ---------------------------------------------------------------------------
 # questions: the builder call that a spec's metadata names
-#
-# Only documents and inputs name questions, so the dispatch lives here and
-# not in check, which every `import temperkit` loads; the builders are
-# imported where a question is read.
-
-def _bounded(value, where: str) -> int:
-    if type(value) is not int:
-        raise SchemaError(f"{where}: expected an integer")
-    if value > QUESTION_CEILING:
-        raise SchemaError(f"{where}: {value} exceeds the ceiling {QUESTION_CEILING}")
-    return value
-
 
 def _int_list(value, where: str, count: Optional[int] = None) -> list:
     if not isinstance(value, list) or count is not None and len(value) != count:
@@ -175,7 +171,6 @@ def _ints(meta: dict, key: str, where: str, count: Optional[int] = None) -> list
 
 
 def _sl_block_question(meta, where):
-    from .generators import BlockPattern, build_sl_block
     sizes = _ints(meta, "sizes", where)
     kinds = meta.get("diagonal_kind", [])
     if not isinstance(kinds, list) or any(type(k) is not str for k in kinds):
@@ -188,7 +183,6 @@ def _sl_block_question(meta, where):
 
 
 def _product_question(meta, where):
-    from .generators import build_product_in_sl, build_product_in_sp
     parts = _ints(meta, "parts", where)
     build = (build_product_in_sl if meta["family"] == "product_in_sl"
              else build_product_in_sp)
@@ -196,13 +190,11 @@ def _product_question(meta, where):
 
 
 def _so_pair_question(meta, where):
-    from .generators import build_so_pair
     p1, q1, p2, q2 = signature = _ints(meta, "signature", where, 4)
     return sum(signature), min(p1, q1) + min(p2, q2), lambda: build_so_pair(*signature)
 
 
 def _classical_question(meta, where):
-    from .generators import build_classical_in_sl
     kind = meta.get("kind")
     if kind == "so":
         p, q = _ints(meta, "signature", where, 2)
@@ -211,20 +203,6 @@ def _classical_question(meta, where):
         m = _bounded(meta.get("m"), f"{where}.m")
         return 2 * m, m, lambda: build_classical_in_sl("sp", m)
     raise SchemaError(f'{where}.kind: expected "so" or "sp"')
-
-
-_TENSOR_PARAMS = {1: ("k", "l", "n"), 2: ("a", "b", "c"), 3: ("a", "b", "c")}
-
-
-def _tensor_question(meta, where):
-    from .check import tensor_product_spec
-    variant = meta.get("variant")
-    if type(variant) is not int or variant not in _TENSOR_PARAMS:
-        raise SchemaError(f"{where}.variant: must be 1, 2 or 3")
-    params = [_bounded(meta.get(key), f"{where}.{key}")
-              for key in _TENSOR_PARAMS[variant]]
-    n = params[2] if variant == 1 else sum(params)
-    return n, n, lambda: tensor_product_spec(variant, *params)
 
 
 # family name -> reader of its metadata: (matrix size, ambient dimension, build)
@@ -251,18 +229,17 @@ def read_question(meta: dict, where: str):
     """
     family = meta.get("family")
     if meta.get("question") == "tensor_product":
-        reader = _tensor_question
+        n, build = tensor_question(meta.get("variant"), meta, where)
+        dim = n
     elif type(family) is str and family in BUILDERS:
-        reader = BUILDERS[family]
+        n, dim, build = BUILDERS[family](meta, where)
     else:
         return None
-    n, dim, build = reader(meta, where)
     if n > QUESTION_CEILING:
         raise SchemaError(f"{where}: matrix size {n} exceeds the ceiling "
                           f"{QUESTION_CEILING}")
 
     def rebuild() -> PairSpec:
-        from .generators import realify
         try:
             spec = build()
         except TemperkitError:
@@ -278,6 +255,29 @@ def _modules_from_json(data: dict, space: TorusSpace, where: str) -> dict:
     """The modules that a pair_spec object carries, by key."""
     return {key: weight_module_from_json(data[key], space, f"{where}.{key}")
             for key in ("h_module", "g_module", "v_module") if key in data}
+
+
+def _bind(build, meta: dict, carried: Callable[[TorusSpace], dict],
+          where: str) -> tuple[PairSpec, list[str]]:
+    """The spec that build(), the builder call meta names, makes, with a
+    domain error of the builder an input error at {where}.metadata; and a
+    problem for meta, and for each space or module that carried(the rebuilt
+    space) gives by key, that is not the rebuilt one."""
+    try:
+        spec = build()
+    except SchemaError:
+        raise
+    except TemperkitError as e:
+        raise SchemaError(f"{where}.metadata: {e}") from None
+    problems = []
+    if dumps(spec.metadata) != dumps(meta):
+        problems.append(f"{where}.metadata: not the metadata its builder writes, "
+                        f"{dumps(spec.metadata)}")
+    for key, value in carried(spec.space).items():
+        if value != getattr(spec, key):
+            kind = "space" if key == "space" else "module"
+            problems.append(f"{where}.{key}: not the {kind} {where}.metadata names")
+    return spec, problems
 
 
 def read_pair_spec(data: dict, where: str = "pair_spec",
@@ -309,32 +309,133 @@ def read_pair_spec(data: dict, where: str = "pair_spec",
                                      space, where)
         return PairSpec(g_module=modules["g_module"], h_module=modules["h_module"],
                         v_module=modules.get("v_module"), metadata=meta), []
-    try:
-        spec = build()
-    except SchemaError:
-        raise
-    except TemperkitError as e:
-        raise SchemaError(f"{where}.metadata: {e}") from None
-    if dumps(spec.metadata) != dumps(meta):
-        problems.append(f"{where}.metadata: not the metadata its builder writes, "
-                        f"{dumps(spec.metadata)}")
-    space = spec.space
-    if "space" in data:
-        space = torus_space_from_json(data["space"], f"{where}.space")
-        if space != spec.space:
-            problems.append(f"{where}.space: not the space {where}.metadata names")
-    for key, module in _modules_from_json(data, space, where).items():
-        if module != getattr(spec, key):
-            problems.append(f"{where}.{key}: not the module {where}.metadata names")
-    return spec, problems
+
+    def carried(space: TorusSpace) -> dict:
+        # the modules are read on the carried space, or else the rebuilt one
+        found = {}
+        if "space" in data:
+            space = found["space"] = torus_space_from_json(data["space"], f"{where}.space")
+        return {**found, **_modules_from_json(data, space, where)}
+
+    return _bind(build, meta, carried, where)
 
 
-def pair_spec_from_json(data: dict, where: str = "pair_spec") -> PairSpec:
-    """The spec of read_pair_spec; a contradiction is a SchemaError."""
-    spec, problems = read_pair_spec(data, where)
+# ---------------------------------------------------------------------------
+# check inputs: a spec file holds one question, in one of four modes
+
+def read_input(data) -> PairSpec:
+    """The spec of the question that a spec file's object asks, in one of
+    four modes.  A family input is rewritten into its builder call's
+    metadata, read as a pair_spec's is and bound to the builder's by key;
+    tensor_question reads a tensor_product input and a document's alike."""
+    modes = ("family", "pair_spec", "tensor_product", "matrix_pair")
+    found = [mode for mode in modes if mode in data] if isinstance(data, dict) else []
+    if len(found) != 1:
+        raise SchemaError(f"spec file must contain exactly one of {', '.join(modes)}; "
+                          f"found {found or 'none'}")
+    mode, = found
+    if mode == "pair_spec":
+        spec, problems = read_pair_spec(data[mode])
+    elif mode == "family":
+        meta, where = _family_metadata(data[mode])
+        spec = read_question(meta, where)[1]()
+        # bound by key, not value: a builder writes the values it is given in
+        # its own form (an sl_block's upper_blocks sorted, and [] if left out)
+        problems = [f"{where}.{key}: not a key of the metadata its builder writes, "
+                    f"{dumps(spec.metadata)}" for key in meta if key not in spec.metadata]
+    elif mode == "tensor_product":
+        question = _expect(data[mode], dict, mode)
+        params = _expect(question.get("params"), list, f"{mode}.params")
+        return tensor_question(question.get("variant"), params, mode)[1]()
+    else:
+        spec, problems = _matrix_pair_spec(data[mode])
     if problems:
         raise SchemaError(problems[0])
     return spec
+
+
+def _family_metadata(data) -> tuple[dict, str]:
+    """The metadata of the builder call that a family input names, and its
+    location.  The input is that metadata with "name" for "family" and
+    "realify" for "realified" (false adds no key), or with two shorthands:
+    an sl_block "pattern" applied to its "sizes", and classical_in_sl "params".
+    """
+    name = _expect(data, dict, "family").get("name")
+    if type(name) is not str or name not in BUILDERS:
+        raise SchemaError(f"family.name: unknown family {name!r}")
+    where = f"family.{name}"
+    realify = data.get("realify", False)
+    if type(realify) is not bool:
+        raise SchemaError(f"{where}.realify: expected true or false")
+    for key, use in (("family", "name"), ("realified", "realify"),
+                     ("question", "tensor_product")):
+        if key in data:
+            raise SchemaError(f"{where}.{key}: not a family input key; use {use!r}")
+    meta = {**{k: v for k, v in data.items() if k not in ("name", "realify")}, "family": name}
+    if realify:
+        meta["realified"] = True
+    if name == "sl_block" and "pattern" in meta:
+        sizes = _ints(meta, "sizes", where)
+        if len(sizes) not in (2, 3):
+            raise SchemaError(f"{where}.sizes: a pattern takes 2 or 3 "
+                              f"sizes, got {len(sizes)}")
+        given = _expect(meta.pop("pattern"), str, f"{where}.pattern")
+        table = TABLE1_PATTERNS if len(sizes) == 2 else TABLE2_PATTERNS
+        if given not in table:
+            raise SchemaError(f"{where}.pattern: unknown pattern "
+                              f"{given!r} for {len(sizes)} blocks")
+        try:
+            pattern = table[given](*sizes)
+        except ValueError as e:     # a negative size
+            raise SchemaError(f"{where}: {e}") from None
+        meta.update(sizes=list(pattern.sizes), diagonal_kind=list(pattern.diagonal_kind),
+                    upper_blocks=sorted(map(list, pattern.upper_blocks)))
+    elif name == "classical_in_sl" and "params" in meta:
+        params = _expect(meta.pop("params"), list, f"{where}.params")
+        if meta.get("kind") == "so":
+            meta["signature"] = params
+        elif len(params) == 1:
+            meta["m"] = params[0]
+    return meta, where
+
+
+def _matrix_pair_spec(data) -> tuple[PairSpec, list[str]]:
+    """The spec that a matrix_pair input's matrices give, and, when its
+    metadata names a builder call, how the spec contradicts that call's."""
+    where = "matrix_pair"
+    mp = _expect(data, dict, where)
+    if "preset" in mp:
+        if mp["preset"] != "sp21":
+            raise SchemaError(f"{where}.preset: unknown preset {mp['preset']!r}")
+        return extract_weights(example_sp21_input()), []
+
+    def items(data, at, read=_vec_from_json):
+        # a basis is a list of matrices, a matrix a list of rows
+        return tuple(read(x, f"{at}[{i}]")
+                     for i, x in enumerate(_expect(data, list, at)))
+
+    try:
+        inp = MatrixPairInput(
+            ambient_dim=_int_from_json(mp.get("ambient_dim"), f"{where}.ambient_dim"),
+            **{key: items(mp.get(key, []), f"{where}.{key}", items)
+               for key in ("g_basis", "h_basis", "torus_basis")},
+            diagonalizer=items(mp.get("diagonalizer", []), f"{where}.diagonalizer"),
+            metadata=_expect(mp.get("metadata", {}), dict, f"{where}.metadata"))
+    except TemperkitError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"{where}: {e}") from None
+    if len(inp.torus_basis) > QUESTION_CEILING:     # the spec's ambient dimension
+        raise SchemaError(f"{where}.torus_basis: more than {QUESTION_CEILING} elements")
+    spec = extract_weights(inp)
+    question = read_question(spec.metadata, f"{where}.metadata")
+    if question is None:
+        return spec, []
+    # metadata that names a builder call binds the weights to it, as in a
+    # document; the spec is still written with its weights
+    carried = {key: value for key in ("space", "h_module", "g_module", "v_module")
+               if (value := getattr(spec, key)) is not None}
+    return spec, _bind(question[1], spec.metadata, lambda space: carried, where)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +506,6 @@ def recheck_document(data: dict) -> list[str]:
     ray or the witness it is about; empty means consistent.  A malformed
     document raises SchemaError.
     """
-    from .model import deficit, evaluate_at, evaluate_pl
-
     if "pair_spec" not in _expect(data, dict, "document"):
         return ["document has no pair_spec to recheck against"]
     ev = evidence_from_json(data.get("evidence", {}))

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from temperkit import serialize
-from temperkit.check import FAMILIES, TABLE2_PREDICATES, check, tensor_product_check
+from temperkit.check import FAMILIES, TABLE2_PREDICATES, check, tensor_product_spec
 from temperkit.cli import main as cli_main
 from temperkit.generators import (TABLE2_PATTERNS, build_sl_block,
                                   example_sp21_input, extract_weights)
@@ -175,21 +175,21 @@ class TestCriterion07TensorProducts:
     def test_variant_1(self):
         for n in range(2, 9):
             for k, l in itertools.product(range(1, n), repeat=2):
-                got = tensor_product_check(1, k, l, n).tempered
+                got = check(tensor_product_spec(1, k, l, n)).tempered
                 assert got == (abs(k - l) <= 1 and abs(k + l - n) <= 1), (k, l, n)
 
     def test_variant_2(self):
         for a, b, c in itertools.product(range(1, 7), repeat=3):
             if a + b + c > 8:
                 continue
-            got = tensor_product_check(2, a, b, c).tempered
+            got = check(tensor_product_spec(2, a, b, c)).tempered
             assert got == (max(b, c) - 1 <= a <= b + c + 1), (a, b, c)
 
     def test_variant_3(self):
         for a, b, c in itertools.product(range(1, 7), repeat=3):
             if a + b + c > 8:
                 continue
-            got = tensor_product_check(3, a, b, c).tempered
+            got = check(tensor_product_spec(3, a, b, c)).tempered
             assert got == (2 * max(a, b, c) <= a + b + c + 1), (a, b, c)
 
 

@@ -6,8 +6,7 @@ import pytest
 
 from temperkit.check import (FAMILIES, TABLE1_PREDICATES, Verdict, _partitions,
                              check, render_scan_table, scan_family,
-                             sp_product_tempered, tensor_product_check,
-                             tensor_product_spec)
+                             sp_product_tempered, tensor_product_spec)
 from temperkit.generators import (TABLE1_PATTERNS, build_product_in_sl,
                                   build_product_in_sp, build_sl_block)
 from temperkit.model import PairSpec, TorusSpace, WeightModule, deficit, evaluate_pl
@@ -129,20 +128,20 @@ class TestScans:
 class TestTensorDictionary:
     def test_variant_validation(self):
         with pytest.raises(ValueError):
-            tensor_product_check(1, 0, 1, 3)
+            check(tensor_product_spec(1, 0, 1, 3))
         with pytest.raises(ValueError):
-            tensor_product_check(2, 0, 1, 1)
+            check(tensor_product_spec(2, 0, 1, 1))
         with pytest.raises(ValueError):
-            tensor_product_check(4, 1, 1, 1)
+            check(tensor_product_spec(4, 1, 1, 1))
 
     def test_spot_values(self):
-        assert tensor_product_check(1, 2, 2, 4).tempered
-        assert not tensor_product_check(1, 1, 1, 5).tempered
-        assert tensor_product_check(2, 2, 1, 2).tempered
-        assert not tensor_product_check(2, 5, 1, 2).tempered
-        assert tensor_product_check(3, 1, 3, 1).tempered
-        assert not tensor_product_check(3, 1, 4, 1).tempered
-        assert tensor_product_check(3, 2, 2, 2).tempered
+        assert check(tensor_product_spec(1, 2, 2, 4)).tempered
+        assert not check(tensor_product_spec(1, 1, 1, 5)).tempered
+        assert check(tensor_product_spec(2, 2, 1, 2)).tempered
+        assert not check(tensor_product_spec(2, 5, 1, 2)).tempered
+        assert check(tensor_product_spec(3, 1, 3, 1)).tempered
+        assert not check(tensor_product_spec(3, 1, 4, 1)).tempered
+        assert check(tensor_product_spec(3, 2, 2, 2)).tempered
 
     def test_metadata_records_question(self):
         spec = tensor_product_spec(1, 2, 2, 4)

@@ -119,7 +119,7 @@ class TestCheck:
                                                      {"pair_spec": doc})])
         assert code == 0, err
         got = json.loads(out)
-        full = check(serialize.pair_spec_from_json(doc), use_symmetry=False)
+        full = check(serialize.read_input({"pair_spec": doc}), use_symmetry=False)
         assert got["tempered"] is full.tempered is True
         assert got["evidence"]["symmetry_reduced"] is True
         assert got["evidence"]["rays"] == [[1, 0, 0]]
@@ -326,6 +326,19 @@ class TestSpecErrors:
         (matrix_pair(metadata=[["family", "x"]]), 2,
          "matrix_pair.metadata: expected an object"),
         ({"matrix_pair": {"preset": "sp22"}}, 2, "matrix_pair.preset"),
+        # a family input is the metadata of its builder call, bound to the
+        # builder's keys: a key the builder does not write, or one that name,
+        # realify or the tensor_product mode stands for, is named, never dropped
+        ({"family": {"name": "product_in_sp", "parts": [2, 1], "realified": True}}, 2,
+         "family.product_in_sp.realified: not a family input key; use 'realify'"),
+        ({"family": {"name": "product_in_sp", "parts": [2, 1], "realifyy": True}}, 2,
+         "family.product_in_sp.realifyy: not a key of the metadata its builder writes"),
+        ({"family": {"name": "product_in_sp", "parts": [2, 1], "family": "so_pair"}}, 2,
+         "family.product_in_sp.family: not a family input key; use 'name'"),
+        ({"family": {"name": "sl_block", "pattern": "H1", "sizes": [2, 1],
+                     "question": "tensor_product"}}, 2,
+         "family.sl_block.question: not a family input key; use 'tensor_product'"),
+        ("family", 2, "spec file must contain exactly one of"),
     ], ids=["bogus_diagonal_kind", "one_part", "short_signature",
             "so_one_param", "family_not_object", "matrix_pair_not_object",
             "weights_not_list", "constraints_not_list",
@@ -343,7 +356,8 @@ class TestSpecErrors:
             "pattern_no_sizes", "float_upper_block", "long_upper_block",
             "upper_blocks_not_list", "diagonal_kind_string", "string_realify",
             "basis_not_list", "matrix_not_list", "diagonalizer_not_list",
-            "metadata_pairs", "unknown_preset"])
+            "metadata_pairs", "unknown_preset", "realified_key", "misspelt_realify",
+            "inner_family", "family_question", "spec_file_not_object"])
     def test_exit_code_without_traceback(self, tmp_path, payload, code, where):
         spec = write(tmp_path, "s.json", payload)
         got, _, err = run_process(["check", spec])
@@ -520,7 +534,7 @@ def _verdict_documents():
     and matrix input (a certificate)."""
     specs = [build_sl_block(TABLE1_PATTERNS["H4"](2, 2)),
              build_sl_block(TABLE1_PATTERNS["H2"](3, 1)),
-             serialize.pair_spec_from_json(pair_spec()["pair_spec"]),
+             serialize.read_input(pair_spec()),
              extract_weights(matrix_input_for_block_pattern(
                  BlockPattern((2, 1), ("full", "full"))))]
     docs = [json.loads(serialize.dumps(serialize.verdict_to_json(check(spec), spec)))
@@ -833,14 +847,36 @@ class TestQuestionBinding:
 
     def test_pair_spec_input_naming_a_builder(self, tmp_path, capsys):
         # the question alone, or with its space and modules, as a document
-        # carries it: both are rebuilt and give the family's document
-        family = self._check(tmp_path, capsys, {"family": {
-            "name": "product_in_sp", "parts": [2, 1], "realify": True}})
-        spec = serialize.pair_spec_from_json(family["pair_spec"])
-        for pair in (family["pair_spec"], serialize.pair_spec_to_json(spec)):
-            again = self._check(tmp_path, capsys, {"pair_spec": json.loads(
-                serialize.dumps(pair))})
-            assert again == family
+        # carries it: both are rebuilt and give the input's document, byte
+        # for byte, whichever input mode named the builder call
+        for payload in (
+                {"family": {"name": "product_in_sp", "parts": [2, 1], "realify": True}},
+                {"tensor_product": {"variant": 2, "params": [5, 1, 2]}},
+                {"family": {"name": "classical_in_sl", "kind": "so", "params": [2, 1],
+                            "realify": True}}):
+            code, out, err = run(capsys, ["check", write(tmp_path, "s.json", payload)])
+            assert code == 0, err
+            pair = json.loads(out)["pair_spec"]
+            spec = serialize.read_input({"pair_spec": pair})
+            assert spec == serialize.read_input(payload)
+            for given in (pair, serialize.pair_spec_to_json(spec)):
+                again = run(capsys, ["check", write(tmp_path, "p.json",
+                                                    {"pair_spec": given})])
+                assert again == (0, out, ""), given
+
+    @pytest.mark.parametrize("command", ["check", "recheck"])
+    def test_rejected_tensor_question_names_the_metadata(self, tmp_path, capsys,
+                                                         command):
+        # k = n poses no question; the error names the field the file has,
+        # not the tensor_product.params of a tensor_product input
+        payload = {"pair_spec": {"metadata": {
+            "question": "tensor_product", "variant": 1, "k": 3, "l": 1, "n": 3}}}
+        if command == "recheck":
+            payload = {**self._check(tmp_path, capsys, {"tensor_product": {
+                "variant": 1, "params": [2, 2, 4]}}), **payload}
+        code, out, err = run(capsys, [command, write(tmp_path, "v.json", payload)])
+        assert code == 2 and not out
+        assert err == "error: pair_spec.metadata: need 0 < k, l < n\n"
 
     def test_mislabelled_pair_spec_input_exits_two(self, tmp_path, capsys):
         pair = serialize.pair_spec_to_json(build_sl_block(TABLE2_PATTERNS["H2"](3, 1, 2)))

@@ -50,7 +50,7 @@ class TestModelRoundTrips:
     def test_pair_spec(self):
         spec = build_sl_block(TABLE1_PATTERNS["H4"](2, 2))
         data = serialize.pair_spec_to_json(spec)
-        back = serialize.pair_spec_from_json(data)
+        back = serialize.read_input({"pair_spec": data})
         assert back.g_module == spec.g_module
         assert back.h_module == spec.h_module
         assert back.metadata == spec.metadata
@@ -248,7 +248,7 @@ class TestQuestionForm:
             {"metadata": spec.metadata}))
         assert serialize.recheck_document(doc) == []
         assert serialize.recheck_document(v1_document(v, spec)) == []
-        back = serialize.pair_spec_from_json(doc["pair_spec"])
+        back = serialize.read_input({"pair_spec": doc["pair_spec"]})
         assert back == spec and back.built
 
     def test_extracted_spec_keeps_its_modules(self):

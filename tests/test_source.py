@@ -41,3 +41,22 @@ def test_import_loads_no_dataclasses():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_reads_no_question():
+    # serialize is the one question reader; the command line parses
+    # arguments and passes a spec file's object to serialize.read_input
+    tree = ast.parse((Path(temperkit.__file__).parent / "cli.py").read_text())
+    imported, named = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            named.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert not any(module.split(".")[-1] == "generators" for module in imported)
+    assert not named & {"generators", "tensor_product_spec", "extract_weights"}
