@@ -161,7 +161,7 @@ def pair_spec_to_json(spec: PairSpec) -> dict:
 
 def _int_list(value, where: str, count: Optional[int] = None) -> list:
     if not isinstance(value, list) or count is not None and len(value) != count:
-        many = f"{count} integers" if count is not None else "integers"
+        many = "integers" if count is None else f"{count} integer{'s' * (count != 1)}"
         raise SchemaError(f"{where}: expected a list of {many}")
     return [_bounded(x, f"{where}[{i}]") for i, x in enumerate(value)]
 
@@ -375,6 +375,10 @@ def _family_metadata(data) -> tuple[dict, str]:
     if realify:
         meta["realified"] = True
     if name == "sl_block" and "pattern" in meta:
+        for key in ("diagonal_kind", "upper_blocks"):
+            if key in meta:
+                raise SchemaError(f"{where}.{key}: not allowed with pattern, "
+                                  "which sets it")
         sizes = _ints(meta, "sizes", where)
         if len(sizes) not in (2, 3):
             raise SchemaError(f"{where}.sizes: a pattern takes 2 or 3 "
@@ -390,12 +394,13 @@ def _family_metadata(data) -> tuple[dict, str]:
             raise SchemaError(f"{where}: {e}") from None
         meta.update(sizes=list(pattern.sizes), diagonal_kind=list(pattern.diagonal_kind),
                     upper_blocks=sorted(map(list, pattern.upper_blocks)))
-    elif name == "classical_in_sl" and "params" in meta:
-        params = _expect(meta.pop("params"), list, f"{where}.params")
-        if meta.get("kind") == "so":
-            meta["signature"] = params
-        elif len(params) == 1:
-            meta["m"] = params[0]
+    elif name == "classical_in_sl" and "params" in meta and meta.get("kind") in ("so", "sp"):
+        so = meta["kind"] == "so"
+        key = "signature" if so else "m"
+        if key in meta:
+            raise SchemaError(f"{where}.params: not allowed with {key}, which it sets")
+        params = _int_list(meta.pop("params"), f"{where}.params", 2 if so else 1)
+        meta[key] = params if so else params[0]
     return meta, where
 
 

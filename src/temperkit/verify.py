@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
+from operator import add, itemgetter, mul, sub
 from typing import Optional
 
 from .cones import enumerate_cells
 from .errors import SpaceMismatchError
 from .linalg import solve
-from .model import (PLFunction, PairSpec, Record, _canonical_terms, _column_sums, _dot,
-                    _lex_positive, _primitive, evaluate_at)
+from .model import (PLFunction, PairSpec, Record, _canonical_terms, _column_sums,
+                    _lex_positive, _primitive)
 
 
 class NonnegCertificate(Record):
@@ -73,83 +75,128 @@ def _restricted(f: PLFunction, basis):
         (c, [row[j] * s for j, s in columns]) for c, row in f.terms)
 
 
-def _root(R, L):
-    """The root (R, L, R.L): a reduced weight row R and L = s*B^-1 R lifted,
-    s > 0 one integer shared by every root that makes each L integral,
-    both signed so L is lexicographically positive."""
-    if not _lex_positive(L):
-        R, L = [-x for x in R], [-x for x in L]
-    return tuple(R), L, _dot(R, L)
+def _nonzero(row) -> list:
+    """The nonzero entries (j, row[j]) of a row."""
+    return [(j, x) for j, x in enumerate(row) if x]
 
 
-def _invariant(a, f: PLFunction, coeffs, by_column) -> bool:
-    """Whether f o s_a = f; ``coeffs`` maps each row of f to its c, and
-    ``by_column`` holds the rows' columns.  s_a maps distinct rows to
-    distinct directions, a row to (k*row - 2*(row.L)*R) / k."""
-    R, L, k = a
-    xs = [0] * len(f.terms)
-    for column, v in zip(by_column, L):
+def _apply(columns, t, size: int) -> list:
+    """M.t for the matrix M with ``size`` rows given column by column, each
+    column j by its nonzero entries (i, M[i][j])."""
+    out = [0] * size
+    for v, column in zip(t, columns):
         if v:
-            xs = [x + v * y for x, y in zip(xs, column)]
-    for (c, row), x in zip(f.terms, xs):
-        if x:
-            image, g = _primitive([k * p - 2 * x * q for p, q in zip(row, R)])
-            if coeffs.get(image, 0) * k != c * abs(g):
-                return False
-    return not _dot(f.linear, L)
+            for i, y in column:
+                out[i] += v * y
+    return out
 
 
-def _chamber_walls(f: PLFunction, columns, lift, pair: PairSpec) -> list:
+def _combine(entries, vectors) -> list:
+    """The sum of x * vectors[j] over the entries (j, x), at least one."""
+    (j, x), *rest = entries
+    out = [x * v for v in vectors[j]]
+    for j, x in rest:
+        out = [u + x * v for u, v in zip(out, vectors[j])]
+    return out
+
+
+def _preserves(R, t, k: int, linear, terms, by_column, coeffs) -> bool:
+    """Whether f o s = f for the reflection s in the slice root R, given by
+    its nonzero entries, with coroot t and k = R.t > 0; ``coeffs`` maps
+    each row of f's ``terms`` to its c, and ``by_column`` holds the rows
+    column by column, as _apply takes them.  s keeps the linear part when
+    it vanishes at t, and maps distinct rows to distinct directions, a row
+    h with x = h.t != 0 to (k*h - 2*x*R) / k, which over gcd(k, 2x) is a
+    multiple of h adjusted on R's support."""
+    if sum(map(mul, linear, t)):
+        return False
+    xs = _apply(by_column, t, len(terms))
+    matched = set()     # checked images: s maps each back to its preimage
+    for (c, row), x in compress(zip(terms, xs), xs):
+        if row in matched:
+            continue
+        g = math.gcd(k, 2 * x)
+        m, x = k // g, 2 * x // g
+        image = list(row) if m == 1 else [m * y for y in row]
+        for j, y in R:
+            image[j] -= x * y
+        image, g = _primitive(image)
+        if coeffs.get(image, 0) * m != c * abs(g):
+            return False
+        matched.add(image)
+    return True
+
+
+def _chamber_walls(columns, linear, terms, basis, pair: PairSpec) -> list:
     """The walls, in slice coordinates, of one chamber of a finite
     reflection group that f is invariant under, from the weights of
-    ``pair``; [] for the whole slice.
+    ``pair``; [] for the whole slice.  f is given by _restricted's
+    (columns, linear, terms) on the slice ``basis``.
 
     B = sum m mu(x)mu over the weights mu of h and g/h must be positive
     definite.  With every m > 0, B is positive semidefinite, so it is
     positive definite exactly when it is nonsingular, when linalg.solve
-    accepts it.  Each root a of h gives the reflection s_a(y) = y -
-    2 a(y) t / a(t), t = B^-1 a, kept when f o s_a = f; one solve gives
-    every coroot t at one scale.  A kept root is positive when its lifted
-    coroot is lexicographically positive, and simple when s_a keeps every
-    other kept root positive.  The simple roots are the walls when every
-    pair passes the angle test: (a, b)* = R_a.L_b <= 0 and 4(a, b)*^2 in
-    {0, 1, 2, 3} (a, a)*(b, b)*.  Obtuse roots in one half-space are
-    linearly independent, and with B^-1 positive definite the test makes
-    their reflections generate a finite group with this chamber as a
-    fundamental domain (Humphreys 1990, 1.3, 5.13 and 6.4); it meets every
-    orbit.  Otherwise the whole slice is the domain.
+    accepts it.  Each root a of h, its primitive ambient row on the slice,
+    gives the reflection s_a(y) = y - 2 a(y) t / a(t), t = B^-1 a, kept
+    when f o s_a = f; one solve gives s*B^-1 for one s > 0, and each
+    coroot t, at that scale, is the sum of its root's few nonzero entries
+    times their columns.  Every test below is homogeneous in s.  A kept
+    root is positive when its coroot, lifted to ambient coordinates as L,
+    is lexicographically positive, and simple when s_a keeps every other
+    kept root b positive: k_a L_b - 2x L_a with x = (b, a)* = a.t_b, a sum
+    of positive vectors unless x > 0.  The simple roots are the walls
+    when every pair passes the angle test:
+    (a, b)* <= 0 and 4(a, b)*^2 in {0, 1, 2, 3} (a, a)*(b, b)*.  Obtuse
+    roots in one half-space are linearly independent, and with B^-1
+    positive definite the test makes their reflections generate a finite
+    group with this chamber as a fundamental domain (Humphreys 1990, 1.3,
+    5.13 and 6.4); it meets every orbit.  Otherwise the whole slice is the
+    domain.
     """
     d = len(columns)
     h, g = pair.h_module, pair.g_module
     den = math.lcm(h.den, g.den)
     B = [[0] * d for _ in range(d)]
+    roots = {}      # each root of h once, on the slice, up to sign
     for M in (h, g):
+        scale = (den // M.den) ** 2
         for row, m in M.rows:
-            w = [(j, row[c] * s * (den // M.den)) for j, (c, s) in enumerate(columns)
-                 if row[c]]
+            w = [(j, row[c] * s) for j, (c, s) in enumerate(columns) if row[c]]
+            if w and M is h:
+                e = math.gcd(*row) if w[0][1] > 0 else -math.gcd(*row)
+                roots[tuple([(j, x // e) for j, x in w])] = None
             for j, x in w:
                 for k, y in w:
-                    B[j][k] += m * x * y
-    roots = dict.fromkeys(_primitive(row)[0] for row, _ in h.rows if any(row))
-    solved = roots and solve(B, [[R[c] * s for c, s in columns] for R in roots])
+                    B[j][k] += m * scale * x * y
+    solved = roots and solve(B, [[int(i == j) for i in range(d)] for j in range(d)])
     if not solved:
         return []
-    coeffs = {row: c for c, row in f.terms}
-    by_column = list(zip(*coeffs))
-    kept = [a for a in (_root(R, [_dot(col, t) for col in lift])
-                        for R, t in zip(roots, solved[0]))
-            if _invariant(a, f, coeffs, by_column)]
-    # s_a keeps every other kept root b positive: k s_a(b) = k b - 2x a
+    X = solved[0]
+    coeffs = {row: c for c, row in terms}
+    by_column = [_nonzero(column) for column in zip(*(row for _, row in terms))]
+    lift = [_nonzero(v) for v in basis]     # the slice basis, column by column
+    kept = []
+    for R in roots:
+        t = _combine(R, X)
+        k = sum(x * t[j] for j, x in R)
+        if _preserves(R, t, k, linear, terms, by_column, coeffs):
+            L = _apply(lift, t, pair.space.ambient_dim)
+            if not _lex_positive(L):
+                R, t, L = [(j, -x) for j, x in R], [-x for x in t], [-x for x in L]
+            kept.append((R, t, L, k))
+    # s_a keeps every other kept root b positive: k s_a(b) = k b - 2x a,
+    # with x = (b, a)* = R_a.t_b for every b at once; only x > 0 can fail
+    by_coordinate = list(zip(*(t for _, t, _, _ in kept)))
     simple = [a for a in kept if all(
-        b is a or not x or _lex_positive(a[2] * p - 2 * x * q for p, q in zip(b[1], a[1]))
-        for b, x in ((b, _dot(b[0], a[1])) for b in kept))]
-    for i, (R, _, k) in enumerate(simple):
-        for _, L, j in simple[:i]:
-            x = _dot(R, L)
+        b is a or _lex_positive(map(sub, map(a[3].__mul__, b[2]), map((2 * x).__mul__, a[2])))
+        for b, x in zip(kept, _combine(a[0], by_coordinate)) if x > 0)]
+    for i, (R, _, _, k) in enumerate(simple):
+        for _, t, _, j in simple[:i]:
+            x = sum(y * t[c] for c, y in R)
             if x > 0 or 4 * x * x not in (0, k * j, 2 * k * j, 3 * k * j):
                 return []
-    simple.sort(key=lambda a: _primitive(a[1])[0], reverse=True)
-    return [[a[0][c] * s for c, s in columns] for a in simple]
+    simple.sort(key=lambda a: _primitive(a[2])[0], reverse=True)
+    return [[dict(R).get(j, 0) for j in range(d)] for R, *_ in simple]
 
 
 def is_nonnegative(f: PLFunction, pair: Optional[PairSpec] = None):
@@ -165,17 +212,18 @@ def is_nonnegative(f: PLFunction, pair: Optional[PairSpec] = None):
     linear.y + sum c*|row.y|, and cut by the walls and the rows with c > 0
     only; a row that does not cut the chamber cuts no cell and is left
     out.  The enumeration's distinct rays, and the +- generators of the
-    lineality space, are lifted to primitive ambient vectors a column at a
-    time and valued together by evaluate_at; the cell rays are listed in
-    sorted order, so the certificate does not depend on the order of
-    insertion.
+    lineality space, are valued there a column at a time, and lifted to
+    ambient vectors Y made primitive by their content g: f(Y/g) is the
+    slice value over f.den*g.  The cell rays are listed in sorted order,
+    so the certificate does not depend on the order of insertion.
     """
     if pair is not None and pair.space != f.space:
         raise SpaceMismatchError("the pair lives on another torus space")
     basis = f.space.slice_basis()
     lift = list(zip(*basis))
-    columns, _, terms = _restricted(f, basis)
-    walls = _chamber_walls(f, columns, lift, pair) if terms and pair is not None else []
+    columns, linear, terms = _restricted(f, basis)
+    walls = (_chamber_walls(columns, linear, terms, basis, pair)
+             if terms and pair is not None else [])
     d = len(basis)
     complex_ = enumerate_cells([row for c, row in terms if c > 0],
                                [tuple(int(i == j) for j in range(d)) for i in range(d)],
@@ -188,15 +236,23 @@ def is_nonnegative(f: PLFunction, pair: Optional[PairSpec] = None):
         ys += [y, tuple(-x for x in y)]
     slice_columns = list(zip(*ys))
     zero = [0] * len(ys)
-    rays = [Y if (g := math.gcd(*Y)) == 1 else tuple(x // g for x in Y)
-            for Y in zip(*(_column_sums(row, slice_columns, zero) for row in lift))]
+    total = _column_sums(linear, slice_columns, zero)
+    sums: dict[int, list] = {}      # sum |row.y| over the terms of each coefficient
+    for c, row in terms:
+        values = map(abs, _column_sums(row, slice_columns, zero))
+        sums[c] = list(map(add, sums.get(c, zero), values))
+    for c, values in sums.items():
+        total = list(map(add, total, map(c.__mul__, values)))
+    points = []
+    for Y, t in zip(zip(*(_column_sums(row, slice_columns, zero) for row in lift)), total):
+        g = math.gcd(*Y)
+        points.append((Y if g == 1 else tuple(x // g for x in Y), Fraction(t, f.den * g)))
     cell_rays = len(complex_.rays)
-    rays[:cell_rays] = sorted(rays[:cell_rays])
-    values = evaluate_at(f, rays)
-    worst = min(((val, vec) for vec, val in zip(rays, values) if val < 0), default=None)
+    points[:cell_rays] = sorted(points[:cell_rays], key=itemgetter(0))
+    worst = min(((val, vec) for vec, val in points if val < 0), default=None)
     if worst is not None:
         return Witness(direction=worst[1], value=worst[0])
-    return NonnegCertificate(rays=tuple(rays), ray_values=tuple(values),
+    return NonnegCertificate(rays=tuple(vec for vec, _ in points),
+                             ray_values=tuple(val for _, val in points),
                              symmetry_reduced=bool(walls),
                              chamber_count=complex_.count)
-

@@ -6,18 +6,23 @@ row swaps: the references for linalg's integer rref and solve.  dense
 gives back the rational matrix of a matrix held by MatrixPairInput.
 grid_oracle is a brute-force search for a negative value;
 parabolic_decomposition gives the weight modules of a block pattern
-relative to its parabolic.
+relative to its parabolic.  dense_chamber_walls derives the chamber the
+way verify once did, from a coroot solve per root and dense ambient rows:
+the reference for verify._chamber_walls.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from temperkit.generators import BlockPattern, _block_torus, _module, _zero
-from temperkit.model import PLFunction, evaluate_pl
+from temperkit.linalg import solve
+from temperkit.model import (PLFunction, PairSpec, _dot, _lex_positive, _primitive,
+                             evaluate_pl)
 from temperkit.verify import Witness, _restricted
 
 
@@ -172,3 +177,69 @@ def parabolic_decomposition(pattern: BlockPattern):
     return (_module(space, s_counter),
             _module(space, ls_counter),
             _module(space, uv_counter))
+
+
+def _root(R, L):
+    """The root (R, L, R.L): a reduced weight row R and L = s*B^-1 R lifted,
+    s > 0 one integer shared by every root that makes each L integral,
+    both signed so L is lexicographically positive."""
+    if not _lex_positive(L):
+        R, L = [-x for x in R], [-x for x in L]
+    return tuple(R), L, _dot(R, L)
+
+
+def _invariant(a, f: PLFunction, coeffs, by_column) -> bool:
+    """Whether f o s_a = f; ``coeffs`` maps each row of f to its c, and
+    ``by_column`` holds the rows' columns.  s_a maps distinct rows to
+    distinct directions, a row to (k*row - 2*(row.L)*R) / k."""
+    R, L, k = a
+    xs = [0] * len(f.terms)
+    for column, v in zip(by_column, L):
+        if v:
+            xs = [x + v * y for x, y in zip(xs, column)]
+    for (c, row), x in zip(f.terms, xs):
+        if x:
+            image, g = _primitive([k * p - 2 * x * q for p, q in zip(row, R)])
+            if coeffs.get(image, 0) * k != c * abs(g):
+                return False
+    return not _dot(f.linear, L)
+
+
+def dense_chamber_walls(f: PLFunction, columns, lift, pair: PairSpec) -> list:
+    """The walls of verify._chamber_walls, derived on dense ambient rows
+    for f, with ``columns`` from verify._restricted and ``lift`` the
+    ambient rows of the slice basis.  One solve gives every coroot, a
+    column per root; each root is lifted, and its reflection tested on
+    f's ambient terms, before it is kept; the simple-root and angle tests
+    take ambient dot products."""
+    d = len(columns)
+    h, g = pair.h_module, pair.g_module
+    den = math.lcm(h.den, g.den)
+    B = [[0] * d for _ in range(d)]
+    for M in (h, g):
+        for row, m in M.rows:
+            w = [(j, row[c] * s * (den // M.den)) for j, (c, s) in enumerate(columns)
+                 if row[c]]
+            for j, x in w:
+                for k, y in w:
+                    B[j][k] += m * x * y
+    roots = dict.fromkeys(_primitive(row)[0] for row, _ in h.rows if any(row))
+    solved = roots and solve(B, [[R[c] * s for c, s in columns] for R in roots])
+    if not solved:
+        return []
+    coeffs = {row: c for c, row in f.terms}
+    by_column = list(zip(*coeffs))
+    kept = [a for a in (_root(R, [_dot(col, t) for col in lift])
+                        for R, t in zip(roots, solved[0]))
+            if _invariant(a, f, coeffs, by_column)]
+    # s_a keeps every other kept root b positive: k s_a(b) = k b - 2x a
+    simple = [a for a in kept if all(
+        b is a or not x or _lex_positive(a[2] * p - 2 * x * q for p, q in zip(b[1], a[1]))
+        for b, x in ((b, _dot(b[0], a[1])) for b in kept))]
+    for i, (R, _, k) in enumerate(simple):
+        for _, L, j in simple[:i]:
+            x = _dot(R, L)
+            if x > 0 or 4 * x * x not in (0, k * j, 2 * k * j, 3 * k * j):
+                return []
+    simple.sort(key=lambda a: _primitive(a[1])[0], reverse=True)
+    return [[a[0][c] * s for c, s in columns] for a in simple]

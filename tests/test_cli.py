@@ -338,6 +338,21 @@ class TestSpecErrors:
         ({"family": {"name": "sl_block", "pattern": "H1", "sizes": [2, 1],
                      "question": "tensor_product"}}, 2,
          "family.sl_block.question: not a family input key; use 'tensor_product'"),
+        # a shorthand never overrides a key it sets, nor drops its own value
+        ({"family": {"name": "sl_block", "pattern": "H1", "sizes": [2, 1],
+                     "diagonal_kind": ["identity", "identity"]}}, 2,
+         "family.sl_block.diagonal_kind: not allowed with pattern"),
+        ({"family": {"name": "sl_block", "pattern": "H1", "sizes": [2, 1],
+                     "upper_blocks": []}}, 2,
+         "family.sl_block.upper_blocks: not allowed with pattern"),
+        ({"family": {"name": "classical_in_sl", "kind": "sp", "m": 2,
+                     "params": [1, 5]}}, 2,
+         "family.classical_in_sl.params: not allowed with m"),
+        ({"family": {"name": "classical_in_sl", "kind": "so", "signature": [2, 2],
+                     "params": [3, 1]}}, 2,
+         "family.classical_in_sl.params: not allowed with signature"),
+        ({"family": {"name": "classical_in_sl", "kind": "sp", "params": [1, 5]}}, 2,
+         "family.classical_in_sl.params: expected a list of 1 integer"),
         ("family", 2, "spec file must contain exactly one of"),
     ], ids=["bogus_diagonal_kind", "one_part", "short_signature",
             "so_one_param", "family_not_object", "matrix_pair_not_object",
@@ -357,7 +372,9 @@ class TestSpecErrors:
             "upper_blocks_not_list", "diagonal_kind_string", "string_realify",
             "basis_not_list", "matrix_not_list", "diagonalizer_not_list",
             "metadata_pairs", "unknown_preset", "realified_key", "misspelt_realify",
-            "inner_family", "family_question", "spec_file_not_object"])
+            "inner_family", "family_question", "pattern_and_diagonal_kind",
+            "pattern_and_upper_blocks", "sp_params_and_m", "so_params_and_signature",
+            "sp_two_params", "spec_file_not_object"])
     def test_exit_code_without_traceback(self, tmp_path, payload, code, where):
         spec = write(tmp_path, "s.json", payload)
         got, _, err = run_process(["check", spec])

@@ -23,7 +23,7 @@ from temperkit.model import (PLFunction, PairSpec, TorusSpace, WeightModule,
 from temperkit.verify import (NonnegCertificate, Witness, _chamber_walls,
                               _restricted, is_nonnegative)
 
-from reference import fraction_det, grid_oracle, mat_inv, rref
+from reference import dense_chamber_walls, fraction_det, grid_oracle, mat_inv, rref
 
 F = Fraction
 
@@ -237,7 +237,7 @@ def candidates(space, roots, form=None):
 def walls_of(f, pair):
     """The walls _chamber_walls derives for f from the pair."""
     basis = f.space.slice_basis()
-    return _chamber_walls(f, _restricted(f, basis)[0], list(zip(*basis)), pair)
+    return _chamber_walls(*_restricted(f, basis), basis, pair)
 
 
 def root_system(coords, n, signed):
@@ -518,6 +518,14 @@ class TestSymmetryCheck:
         result = is_nonnegative(f, candidates(s, [(1, -1), (-1, 1)]))
         assert isinstance(result, Witness) and result.value < 0
 
+    def test_invariant_linear_part_is_kept(self):
+        # |x| + |y| + (x + y): the swap keeps the linear part, whose value
+        # at the coroot (1, -1) sums to 0 from two nonzero products
+        s = TorusSpace(2)
+        f = pl(s, [(1, lf(1, 0)), (1, lf(0, 1))], lf(1, 1))
+        assert accepts(f, (1, -1), units(s))
+        assert walls_of(f, candidates(s, [(1, -1)])) == [[1, -1]]
+
     def test_bad_coords_in_direct_call(self):
         f = pl(TorusSpace(2), [(1, lf(1, 0)), (1, lf(0, 1))])
         with pytest.raises(SpaceMismatchError):
@@ -592,6 +600,72 @@ def test_derived_chambers_meet_the_reference_conditions():
             chambers += 1
             assert reference_chamber_problems(f, walls, spec) == [], spec.metadata
     assert chambers > 450
+
+
+ACCEPTANCE = {"table1": {"pmax": 6, "qmax": 6}, "table2": {"max": 4},
+              "example51": {"total": 6, "rank": 4}, "example52-sl": {"n": 8},
+              "example52-sp": {"n": 4}, "example52-so": {"total": 6}}
+
+
+def test_walls_match_the_dense_reference():
+    # the slice-coordinate derivation, one solve for every coroot, gives the
+    # walls of the dense ambient one on every acceptance spec and on the 61
+    # matrix inputs: every table1 pattern with p, q <= 4 but (4, 4), and sp21
+    specs = [spec for family, kwargs in ACCEPTANCE.items()
+             for _, spec, _ in FAMILIES[family](**kwargs)]
+    specs += [extract_weights(matrix_input_for_block_pattern(TABLE1_PATTERNS[name](p, q)))
+              for name in TABLE1_PATTERNS
+              for p, q in itertools.product(range(1, 5), repeat=2) if (p, q) != (4, 4)]
+    specs.append(extract_weights(example_sp21_input()))
+    assert len(specs) == 1041 + 61
+    chambers = 0
+    for spec in specs:
+        f = deficit(spec)
+        basis = f.space.slice_basis()
+        columns, _, terms = _restricted(f, basis)
+        if terms:
+            walls = walls_of(f, spec)
+            chambers += bool(walls)
+            assert walls == dense_chamber_walls(f, columns, list(zip(*basis)), spec), \
+                spec.metadata
+    assert chambers > 900
+
+
+def test_walls_match_the_dense_reference_on_random_pairs():
+    # tori whose slice basis has entries other than 1 at its free columns,
+    # rational weights, roots of h that are not closed under their
+    # reflections, and f with a linear part or unrelated to the pair: none
+    # of these occur at the acceptance specs
+    rng = random.Random(11)
+    compared = chambers = scaled = 0
+    for _ in range(600):
+        n = rng.randint(2, 5)
+        try:
+            space = TorusSpace(n, [[rng.choice([0, 0, 1, -1, 2, 3, -2]) for _ in range(n)]
+                                   for _ in range(rng.randint(0, min(2, n - 1)))])
+        except ValueError:      # dependent constraints
+            continue
+
+        def form():
+            return tuple(rng.choice([0, 0, 1, -1, 2, -2, F(1, 2)]) for _ in range(n))
+
+        h = [(form(), rng.randint(1, 2)) for _ in range(rng.randint(1, 5))]
+        g = [(form(), rng.randint(1, 3)) for _ in range(rng.randint(1, 6))]
+        h += [(tuple(-x for x in w), m) for w, m in h if rng.random() < 0.7]
+        g += [(tuple(-x for x in w), m) for w, m in g if rng.random() < 0.5]
+        pair = PairSpec(g_module=WeightModule(space, g), h_module=WeightModule(space, h))
+        f = deficit(pair) if rng.random() < 0.5 else PLFunction(
+            space, [(F(rng.randint(-3, 3)), form()) for _ in range(rng.randint(1, 6))],
+            form() if rng.random() < 0.3 else None)
+        basis = space.slice_basis()
+        columns, _, terms = _restricted(f, basis)
+        if terms:
+            walls = walls_of(f, pair)
+            assert walls == dense_chamber_walls(f, columns, list(zip(*basis)), pair)
+            compared += 1
+            chambers += bool(walls)
+            scaled += bool(walls) and any(s != 1 for _, s in columns)
+    assert compared > 500 and chambers > 80 and scaled > 10
 
 
 @pytest.mark.parametrize("pattern, sizes", [("H12", (1, 3, 3)), ("H7", (2, 2, 1))])
