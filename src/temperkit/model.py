@@ -372,6 +372,19 @@ def _column_sums(row: Sequence[int], columns, zero: list):
     return zero if out is None else out
 
 
+def _pl_totals(linear, terms, columns, zero) -> list:
+    """linear.Z + sum c*|row.Z| over the (c, row) of ``terms``, for every
+    point Z that ``columns`` lists column by column, as _column_sums."""
+    total = _column_sums(linear, columns, zero)
+    sums: dict[int, list] = {}      # sum |row.Z| over the terms of each coefficient
+    for c, row in terms:
+        values = map(abs, _column_sums(row, columns, zero))
+        sums[c] = list(map(add, sums.get(c, zero), values))
+    for c, values in sums.items():
+        total = list(map(add, total, map(c.__mul__, values)))
+    return total
+
+
 def evaluate_at(f: PLFunction, points: Sequence[Sequence]) -> list:
     """f at each of the points exactly, or None at a point off the slice.
 
@@ -387,13 +400,7 @@ def evaluate_at(f: PLFunction, points: Sequence[Sequence]) -> list:
     columns = list(zip(*(Z for Z, _ in scaled)))
     zero = [0] * len(scaled)
     off = map(any, zip(zero, *(_column_sums(row, columns, zero) for row in f.space.rows)))
-    total = _column_sums(f.linear, columns, zero)
-    sums: dict[int, list] = {}      # sum |row.Z| over the terms of each coefficient
-    for c, row in f.terms:
-        values = map(abs, _column_sums(row, columns, zero))
-        sums[c] = list(map(add, sums.get(c, zero), values))
-    for c, values in sums.items():
-        total = list(map(add, total, map(c.__mul__, values)))
+    total = _pl_totals(f.linear, f.terms, columns, zero)
     return [None if o else Fraction(t, f.den * m)
             for o, t, (_, m) in zip(off, total, scaled)]
 

@@ -16,14 +16,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import compress
-from operator import add, itemgetter, mul, sub
+from operator import itemgetter, mul, sub
 from typing import Optional
 
 from .cones import enumerate_cells
 from .errors import SpaceMismatchError
 from .linalg import solve
 from .model import (PLFunction, PairSpec, Record, _canonical_terms, _column_sums,
-                    _lex_positive, _primitive)
+                    _lex_positive, _pl_totals, _primitive)
 
 
 class NonnegCertificate(Record):
@@ -212,7 +212,8 @@ def is_nonnegative(f: PLFunction, pair: Optional[PairSpec] = None):
     linear.y + sum c*|row.y|, and cut by the walls and the rows with c > 0
     only; a row that does not cut the chamber cuts no cell and is left
     out.  The enumeration's distinct rays, and the +- generators of the
-    lineality space, are valued there a column at a time, and lifted to
+    lineality space, are valued there a column at a time by the pass
+    evaluate_at makes on ambient points (_pl_totals), and lifted to
     ambient vectors Y made primitive by their content g: f(Y/g) is the
     slice value over f.den*g.  The cell rays are listed in sorted order,
     so the certificate does not depend on the order of insertion.
@@ -236,13 +237,7 @@ def is_nonnegative(f: PLFunction, pair: Optional[PairSpec] = None):
         ys += [y, tuple(-x for x in y)]
     slice_columns = list(zip(*ys))
     zero = [0] * len(ys)
-    total = _column_sums(linear, slice_columns, zero)
-    sums: dict[int, list] = {}      # sum |row.y| over the terms of each coefficient
-    for c, row in terms:
-        values = map(abs, _column_sums(row, slice_columns, zero))
-        sums[c] = list(map(add, sums.get(c, zero), values))
-    for c, values in sums.items():
-        total = list(map(add, total, map(c.__mul__, values)))
+    total = _pl_totals(linear, terms, slice_columns, zero)
     points = []
     for Y, t in zip(zip(*(_column_sums(row, slice_columns, zero) for row in lift)), total):
         g = math.gcd(*Y)

@@ -7,11 +7,11 @@ is almost all `_chamber_walls`.  The enumeration itself is not run:
 is given and stops the decision, so the script runs unchanged on any
 checkout whose `is_nonnegative` calls `enumerate_cells(..., restrict=walls)`.
 
-Each stage is timed as the median of --runs runs (default 3), in wall
-seconds.  The record holds, per corner, the stage times, the wall count
+Each stage is timed as the median of RUNS = 3 runs, in wall seconds.  The record holds, per corner, the stage times, the wall count
 (57 at each corner, where the derived chamber is simplicial) and a digest
 of the walls, so two checkouts' records show whether their walls agree.
-The script exits 1 when a wall count is not 57.
+The script exits 1 when a wall count is not 57.  The run metadata is
+perfbench's, less its seed and points.
 
 Run from the repository root:
 
@@ -23,16 +23,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from run import metadata  # noqa: E402
 
 from temperkit import verify  # noqa: E402
 from temperkit.generators import TABLE2_PATTERNS, build_sl_block  # noqa: E402
@@ -40,6 +39,7 @@ from temperkit.model import deficit  # noqa: E402
 
 CORNERS = [("H10", (20, 20, 20)), ("H11", (20, 20, 20)), ("H12", (20, 20, 20))]
 WALLS = 57
+RUNS = 3
 
 
 class _Stop(Exception):
@@ -74,11 +74,11 @@ def _to_enumeration(f, spec, timing: dict):
     return seen["walls"]
 
 
-def corner(name: str, sizes: tuple, runs: int) -> dict:
+def corner(name: str, sizes: tuple) -> dict:
     times: dict[str, list] = {"build_s": [], "deficit_s": [], "to_enumeration_s": [],
                               "walls_s": []}
     walls = None
-    for _ in range(runs):
+    for _ in range(RUNS):
         t0 = time.perf_counter()
         spec = build_sl_block(TABLE2_PATTERNS[name](*sizes))
         t1 = time.perf_counter()
@@ -98,37 +98,14 @@ def corner(name: str, sizes: tuple, runs: int) -> dict:
             **{key: round(statistics.median(v), 4) for key, v in times.items()}}
 
 
-def metadata() -> dict:
-    cpu = platform.machine()
-    try:
-        with open("/proc/cpuinfo") as fh:
-            cpu = next(line.split(":", 1)[1].strip() for line in fh
-                       if line.startswith("model name"))
-    except (OSError, StopIteration):
-        pass
-    sha = ""
-    if (ROOT / ".git").exists():
-        try:
-            sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, timeout=10,
-                                 capture_output=True, text=True).stdout.strip()
-        except (OSError, subprocess.SubprocessError):
-            pass
-    src_lines = sum(len(p.read_bytes().splitlines())
-                    for p in sorted((ROOT / "src" / "temperkit").rglob("*.py")))
-    return {"nproc": os.cpu_count(), "cpu": cpu, "python": platform.python_version(),
-            "git_sha": sha or "unknown", "src_lines": src_lines}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=3, help="runs per corner")
     parser.add_argument("--out", help="write the record to this file as well")
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
-    record = {"runs": args.runs, "corners": [corner(name, sizes, args.runs)
-                                             for name, sizes in CORNERS],
-              "meta": metadata()}
+    meta = metadata(None, ())
+    del meta["seed"], meta["points"]
+    record = {"runs": RUNS, "corners": [corner(name, sizes) for name, sizes in CORNERS],
+              "meta": meta}
     line = json.dumps(record)
     print(line)
     if args.out:
