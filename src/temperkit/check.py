@@ -255,8 +255,8 @@ TENSOR_PRODUCTS = {
 }
 
 
-def tensor_question(variant, params, where: str):
-    """(matrix size n, build) for a tensor-product question, checked first:
+def tensor_question(variant, params, where: str) -> PairSpec:
+    """The block-pattern spec of a tensor-product question, checked first:
     params are three ints (a bool is not) at {where}.params, or a document's
     metadata, holding them by name at where.  Bad input, n past the ceiling
     among it, raises SchemaError naming {where}.variant or the params' place."""
@@ -279,19 +279,15 @@ def tensor_question(variant, params, where: str):
     if sum(sizes) > QUESTION_CEILING:
         raise SchemaError(f"{at}: matrix size {sum(sizes)} exceeds the ceiling "
                           f"{QUESTION_CEILING}")
-
-    def build() -> PairSpec:
-        spec = build_sl_block(TABLE2_PATTERNS[pattern](*sizes))
-        return PairSpec(g_module=spec.g_module, h_module=spec.h_module,
-                        metadata={**spec.metadata, "question": "tensor_product",
-                                  "variant": variant, **dict(zip(names, params))},
-                        built=True)
-
-    return sum(sizes), build
+    spec = build_sl_block(TABLE2_PATTERNS[pattern](*sizes))
+    return PairSpec(g_module=spec.g_module, h_module=spec.h_module,
+                    metadata={**spec.metadata, "question": "tensor_product",
+                              "variant": variant, **dict(zip(names, params))},
+                    built=True)
 
 
 def tensor_product_spec(variant: int, *params: int) -> PairSpec:
     """The block-pattern spec of a tensor-product question (TENSOR_PRODUCTS).
     Bad input raises SchemaError naming tensor_product.variant or
     tensor_product.params."""
-    return tensor_question(variant, params, "tensor_product")[1]()
+    return tensor_question(variant, params, "tensor_product")

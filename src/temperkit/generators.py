@@ -278,7 +278,11 @@ def build_classical_in_sl(kind: str, *params: int) -> PairSpec:
 
 
 def realify(spec: PairSpec) -> PairSpec:
-    """View a split complex pair as a real pair: every multiplicity doubles."""
+    """View a split complex pair as a real pair: every multiplicity doubles.
+    A pair already realified is real, not complex: ValueError."""
+    if spec.metadata.get("realified"):
+        raise ValueError("the pair is already realified")
+
     def double(M: WeightModule) -> WeightModule:
         return WeightModule._from_integers(M.space, [(row, 2 * m) for row, m in M.rows],
                                            M.den)

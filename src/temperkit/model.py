@@ -15,15 +15,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import ArityError, ConstraintViolationError, SpaceMismatchError
 from .linalg import rref
-
-
-def _dot(row: Sequence[int], Z: Sequence[int]) -> int:
-    return sum(map(mul, row, Z))
 
 
 def _integer_row(coeffs) -> tuple[Sequence[int], int]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .check import QUESTION_CEILING, Verdict, tensor_question
 from .errors import ConstraintViolationError, SchemaError, TemperkitError
@@ -178,34 +178,34 @@ def _sl_block_question(meta, where):
     blocks = _expect(meta.get("upper_blocks", []), list, f"{where}.upper_blocks")
     upper = frozenset(tuple(_int_list(b, f"{where}.upper_blocks[{i}]", 2))
                       for i, b in enumerate(blocks))
-    n = sum(sizes)
-    return n, n, lambda: build_sl_block(BlockPattern(tuple(sizes), tuple(kinds), upper))
+    return sum(sizes), lambda: build_sl_block(
+        BlockPattern(tuple(sizes), tuple(kinds), upper))
 
 
 def _product_question(meta, where):
     parts = _ints(meta, "parts", where)
     build = (build_product_in_sl if meta["family"] == "product_in_sl"
              else build_product_in_sp)
-    return sum(parts), sum(parts), lambda: build(parts)
+    return sum(parts), lambda: build(parts)
 
 
 def _so_pair_question(meta, where):
-    p1, q1, p2, q2 = signature = _ints(meta, "signature", where, 4)
-    return sum(signature), min(p1, q1) + min(p2, q2), lambda: build_so_pair(*signature)
+    signature = _ints(meta, "signature", where, 4)
+    return sum(signature), lambda: build_so_pair(*signature)
 
 
 def _classical_question(meta, where):
     kind = meta.get("kind")
     if kind == "so":
         p, q = _ints(meta, "signature", where, 2)
-        return p + q, min(p, q), lambda: build_classical_in_sl("so", p, q)
+        return p + q, lambda: build_classical_in_sl("so", p, q)
     if kind == "sp":
         m = _bounded(meta.get("m"), f"{where}.m")
-        return 2 * m, m, lambda: build_classical_in_sl("sp", m)
+        return 2 * m, lambda: build_classical_in_sl("sp", m)
     raise SchemaError(f'{where}.kind: expected "so" or "sp"')
 
 
-# family name -> reader of its metadata: (matrix size, ambient dimension, build)
+# family name -> reader of its metadata: (matrix size, build)
 BUILDERS = {
     "sl_block": _sl_block_question,
     "product_in_sl": _product_question,
@@ -215,40 +215,46 @@ BUILDERS = {
 }
 
 
-def read_question(meta: dict, where: str):
-    """(ambient_dim, build) for the builder call that a spec's metadata
-    names, or None if it names none.
+def read_question(meta: dict, where: str) -> Optional[PairSpec]:
+    """The spec of the builder call that a spec's metadata names, rebuilt,
+    or None if it names none.
 
     The metadata names a call when its "question" is "tensor_product" or
     its "family" is a key of BUILDERS; "realified" makes it the
     realification of that pair.  The parameters are read, type-checked and
     bounded by QUESTION_CEILING, and the matrix size n with them, before
-    anything is built, so the ambient dimension is known and the build is
-    small.  build() raises SchemaError, located at where, for a parameter
-    the builder rejects; its domain errors (TemperkitError) pass through.
+    anything is built, so the build is small.  A parameter the builder
+    rejects raises SchemaError located at where; its domain errors
+    (TemperkitError) pass through.
     """
     family = meta.get("family")
     if meta.get("question") == "tensor_product":
-        n, build = tensor_question(meta.get("variant"), meta, where)
-        dim = n
+        spec = tensor_question(meta.get("variant"), meta, where)
     elif type(family) is str and family in BUILDERS:
-        n, dim, build = BUILDERS[family](meta, where)
-    else:
-        return None
-    if n > QUESTION_CEILING:
-        raise SchemaError(f"{where}: matrix size {n} exceeds the ceiling "
-                          f"{QUESTION_CEILING}")
-
-    def rebuild() -> PairSpec:
+        n, build = BUILDERS[family](meta, where)
+        if n > QUESTION_CEILING:
+            raise SchemaError(f"{where}: matrix size {n} exceeds the ceiling "
+                              f"{QUESTION_CEILING}")
         try:
             spec = build()
         except TemperkitError:
             raise
         except (TypeError, ValueError) as e:
             raise SchemaError(f"{where}: {e}") from None
-        return realify(spec) if meta.get("realified") else spec
+    else:
+        return None
+    return realify(spec) if meta.get("realified") else spec
 
-    return dim, rebuild
+
+def _rebuild(meta: dict, where: str) -> Optional[PairSpec]:
+    """read_question at {where}.metadata, with a domain error of the
+    builder an input error there too."""
+    try:
+        return read_question(meta, f"{where}.metadata")
+    except SchemaError:
+        raise
+    except TemperkitError as e:
+        raise SchemaError(f"{where}.metadata: {e}") from None
 
 
 def _modules_from_json(data: dict, space: TorusSpace, where: str) -> dict:
@@ -257,67 +263,44 @@ def _modules_from_json(data: dict, space: TorusSpace, where: str) -> dict:
             for key in ("h_module", "g_module", "v_module") if key in data}
 
 
-def _bind(build, meta: dict, carried: Callable[[TorusSpace], dict],
-          where: str) -> tuple[PairSpec, list[str]]:
-    """The spec that build(), the builder call meta names, makes, with a
-    domain error of the builder an input error at {where}.metadata; and a
-    problem for meta, and for each space or module that carried(the rebuilt
-    space) gives by key, that is not the rebuilt one."""
-    try:
-        spec = build()
-    except SchemaError:
-        raise
-    except TemperkitError as e:
-        raise SchemaError(f"{where}.metadata: {e}") from None
+def _bind(spec: PairSpec, meta: dict, carried: dict, where: str) -> list[str]:
+    """A problem for meta, and for each space or module that carried gives
+    by key, that is not spec's, the rebuilt one."""
     problems = []
     if dumps(spec.metadata) != dumps(meta):
         problems.append(f"{where}.metadata: not the metadata its builder writes, "
                         f"{dumps(spec.metadata)}")
-    for key, value in carried(spec.space).items():
+    for key, value in carried.items():
         if value != getattr(spec, key):
             kind = "space" if key == "space" else "module"
             problems.append(f"{where}.{key}: not the {kind} {where}.metadata names")
-    return spec, problems
+    return problems
 
 
-def read_pair_spec(data: dict, where: str = "pair_spec",
-                   points=()) -> tuple[Optional[PairSpec], list[str]]:
+def read_pair_spec(data: dict, where: str = "pair_spec") -> tuple[PairSpec, list[str]]:
     """The spec that a pair_spec object states, and how the object contradicts it.
 
     When the metadata names a builder call (read_question), the spec
     is that call's, rebuilt; any space or module the object also carries,
     and the metadata itself, must equal the rebuilt ones, and each that
     does not is a problem naming its key.  Otherwise the spec is the
-    carried space and modules.  points are (name, vector) pairs that must
-    have the spec's ambient dimension; a wrong one is a problem, and then
-    nothing is built and the spec is None.
+    carried space and modules.
     """
     _expect(data, dict, where)
     meta = dict(_expect(data.get("metadata", {}), dict, f"{where}.metadata"))
-    question = read_question(meta, f"{where}.metadata")
-    if question is None:
+    spec = _rebuild(meta, where)
+    if spec is None:
         space = torus_space_from_json(data.get("space", {}), f"{where}.space")
-        dim = space.ambient_dim
-    else:
-        dim, build = question
-    problems = [f"{name}: point arity {len(point)} does not match the ambient "
-                f"dimension {dim}" for name, point in points if len(point) != dim]
-    if problems:
-        return None, problems
-    if question is None:
         modules = _modules_from_json({"h_module": {}, "g_module": {}, **data},
                                      space, where)
         return PairSpec(g_module=modules["g_module"], h_module=modules["h_module"],
                         v_module=modules.get("v_module"), metadata=meta), []
-
-    def carried(space: TorusSpace) -> dict:
-        # the modules are read on the carried space, or else the rebuilt one
-        found = {}
-        if "space" in data:
-            space = found["space"] = torus_space_from_json(data["space"], f"{where}.space")
-        return {**found, **_modules_from_json(data, space, where)}
-
-    return _bind(build, meta, carried, where)
+    # the modules are read on the carried space, or else the rebuilt one
+    space, carried = spec.space, {}
+    if "space" in data:
+        space = carried["space"] = torus_space_from_json(data["space"], f"{where}.space")
+    carried.update(_modules_from_json(data, space, where))
+    return spec, _bind(spec, meta, carried, where)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +321,7 @@ def read_input(data) -> PairSpec:
         spec, problems = read_pair_spec(data[mode])
     elif mode == "family":
         meta, where = _family_metadata(data[mode])
-        spec = read_question(meta, where)[1]()
+        spec = read_question(meta, where)
         # bound by key, not value: a builder writes the values it is given in
         # its own form (an sl_block's upper_blocks sorted, and [] if left out)
         problems = [f"{where}.{key}: not a key of the metadata its builder writes, "
@@ -346,7 +329,7 @@ def read_input(data) -> PairSpec:
     elif mode == "tensor_product":
         question = _expect(data[mode], dict, mode)
         params = _expect(question.get("params"), list, f"{mode}.params")
-        return tensor_question(question.get("variant"), params, mode)[1]()
+        return tensor_question(question.get("variant"), params, mode)
     else:
         spec, problems = _matrix_pair_spec(data[mode])
     if problems:
@@ -433,14 +416,14 @@ def _matrix_pair_spec(data) -> tuple[PairSpec, list[str]]:
     if len(inp.torus_basis) > QUESTION_CEILING:     # the spec's ambient dimension
         raise SchemaError(f"{where}.torus_basis: more than {QUESTION_CEILING} elements")
     spec = extract_weights(inp)
-    question = read_question(spec.metadata, f"{where}.metadata")
-    if question is None:
+    rebuilt = _rebuild(spec.metadata, where)
+    if rebuilt is None:
         return spec, []
     # metadata that names a builder call binds the weights to it, as in a
     # document; the spec is still written with its weights
     carried = {key: value for key in ("space", "h_module", "g_module", "v_module")
                if (value := getattr(spec, key)) is not None}
-    return spec, _bind(question[1], spec.metadata, lambda space: carried, where)[1]
+    return spec, _bind(rebuilt, spec.metadata, carried, where)
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +483,10 @@ def recheck_document(data: dict) -> list[str]:
 
     Documents of every schema version are read by one rule
     (read_pair_spec): when the metadata names a builder call, the spec is
-    rebuilt from it, after the call's parameters are bounded and its
-    ambient dimension matched against every evidence vector, and any space,
+    rebuilt from it, after the call's parameters are bounded, and any space,
     module or metadata the document also carries must equal the rebuilt
-    one.  The deficit of that spec is then valued at every listed ray in
+    one.  Each evidence vector's length is then checked against the spec's
+    ambient dimension, before anything is valued.  The deficit of that spec is then valued at every listed ray in
     one evaluate_at call (the witness direction through evaluate_pl), and
     compared against the recorded exact values.  The arrangement is never
     re-enumerated, so nothing checks that the rays cover the slice.
@@ -514,11 +497,14 @@ def recheck_document(data: dict) -> list[str]:
     if "pair_spec" not in _expect(data, dict, "document"):
         return ["document has no pair_spec to recheck against"]
     ev = evidence_from_json(data.get("evidence", {}))
+    spec, problems = read_pair_spec(data["pair_spec"])
+    dim = spec.space.ambient_dim
     points = ([("witness direction", ev.direction)] if isinstance(ev, Witness)
               else [(f"ray {i}", ray) for i, ray in enumerate(ev.rays)])
-    spec, problems = read_pair_spec(data["pair_spec"], "pair_spec", points)
-    if spec is None:
-        return problems
+    arity = [f"{name}: point arity {len(point)} does not match the ambient "
+             f"dimension {dim}" for name, point in points if len(point) != dim]
+    if arity:
+        return problems + arity
     f = deficit(spec)
     tempered = data.get("tempered")
     if isinstance(ev, Witness):

@@ -21,9 +21,12 @@ from typing import Optional, Sequence
 
 from temperkit.generators import BlockPattern, _block_torus, _module, _zero
 from temperkit.linalg import solve
-from temperkit.model import (PLFunction, PairSpec, _dot, _lex_positive, _primitive,
-                             evaluate_pl)
+from temperkit.model import PLFunction, PairSpec, _lex_positive, _primitive, evaluate_pl
 from temperkit.verify import Witness, _restricted
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

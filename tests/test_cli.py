@@ -780,19 +780,36 @@ class TestRecheck:
         assert code == 1
         assert json.loads(out)["consistent"] is False
 
-    @pytest.mark.parametrize("pattern, key, point, where", [
-        ("H4", "rays", ["1", "0", "0", "0", "0"], "ray 0: point arity"),
-        ("H4", "rays", ["1", "0", "0", "0"], "ray 0: point violates"),
-        ("H2", "direction", ["1", "0", "0"], "witness direction: point arity"),
-        ("H2", "direction", ["1", "0", "0", "0"], "witness direction: point violates"),
-    ], ids=["ray_length", "ray_off_slice", "witness_length", "witness_off_slice"])
-    def test_bad_point_is_a_located_problem(self, tmp_path, capsys, pattern,
+    H4 = {"family": {"name": "sl_block", "pattern": "H4", "sizes": [2, 2]}}
+    H2 = {"family": {"name": "sl_block", "pattern": "H2", "sizes": [3, 1]}}
+
+    @pytest.mark.parametrize("inp, key, point, where", [
+        (H4, "rays", ["1", "0", "0", "0", "0"], "ray 0: point arity"),
+        (H4, "rays", ["1", "0", "0", "0"], "ray 0: point violates"),
+        (H2, "direction", ["1", "0", "0"], "witness direction: point arity"),
+        (H2, "direction", ["1", "0", "0", "0"], "witness direction: point violates"),
+        ({"family": {"name": "so_pair", "signature": [1, 1, 1, 1]}}, "rays",
+         ["1", "0", "0", "0"], "ray 0: point arity 4 does not match the ambient "
+                               "dimension 2"),
+        ({"family": {"name": "classical_in_sl", "kind": "so", "params": [2, 2]}},
+         "rays", ["1", "0", "0", "0"], "ray 0: point arity 4 does not match the "
+                                       "ambient dimension 2"),
+        ({"family": {"name": "classical_in_sl", "kind": "sp", "params": [2]}},
+         "direction", ["1", "0", "0", "0"], "witness direction: point arity 4 does "
+                                            "not match the ambient dimension 2"),
+        ({"tensor_product": {"variant": 1, "params": [2, 2, 4]}}, "rays",
+         ["1", "0"], "ray 0: point arity 2 does not match the ambient dimension 4"),
+    ], ids=["ray_length", "ray_off_slice", "witness_length", "witness_off_slice",
+            "so_pair_ray_length", "so_in_sl_ray_length", "sp_in_sl_witness_length",
+            "tensor_ray_length"])
+    def test_bad_point_is_a_located_problem(self, tmp_path, capsys, inp,
                                             key, point, where):
         # H4(2, 2) is tempered and H2(3, 1) is not; both live on the
-        # trace-zero slice of a 4-dimensional ambient space
-        sizes = [2, 2] if pattern == "H4" else [3, 1]
-        spec = write(tmp_path, "s.json", {
-            "family": {"name": "sl_block", "pattern": pattern, "sizes": sizes}})
+        # trace-zero slice of a 4-dimensional ambient space.  so(1,1) x so(1,1)
+        # in so(2,2), so(2,2) in sl(4) and sp(2) in sl(4) have a torus of rank
+        # 2, not the matrix size 4; the tensor question's sl(4) has 4
+        # coordinates on a slice of dimension 2
+        spec = write(tmp_path, "s.json", inp)
         _, out, _ = run(capsys, ["check", spec])
         doc = json.loads(out)
         if key == "rays":
@@ -805,6 +822,17 @@ class TestRecheck:
         report = json.loads(out)
         assert report["consistent"] is False
         assert any(p.startswith(where) for p in report["problems"])
+
+    def test_unbuildable_metadata_before_evidence_length(self, tmp_path, capsys):
+        # so(1, 0) poses no question, and a direction cannot be measured
+        # against a spec that is never built: the metadata is the input error
+        doc = {"schema_version": 2, "tempered": False, "deficit_summary": {},
+               "evidence": {"kind": "witness", "direction": [1, 0], "value": -1},
+               "pair_spec": {"metadata": {"family": "classical_in_sl", "kind": "so",
+                                          "signature": [1, 0]}}}
+        code, out, err = run(capsys, ["recheck", write(tmp_path, "v.json", doc)])
+        assert code == 2 and not out
+        assert err == "error: pair_spec.metadata: need p + q >= 2\n"
 
 
 class TestAmbientCeiling:

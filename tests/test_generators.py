@@ -326,6 +326,10 @@ class TestFamilies:
         assert doubled.g_module.total_dim == 2 * spec.g_module.total_dim
         assert doubled.h_module.total_dim == 2 * spec.h_module.total_dim
         assert doubled.metadata["realified"] is True
+        # a realified pair is real; realifying it again would double it twice
+        # under metadata that names one realification
+        with pytest.raises(ValueError, match="already realified"):
+            realify(doubled)
 
     def test_so_pair_torus_rank(self):
         spec = build_so_pair(3, 1, 2, 2)
