@@ -14,14 +14,18 @@ from .verify import NonnegCertificate, Witness, is_nonnegative
 
 
 class Verdict(Record):
-    __slots__ = _fields = ("tempered", "evidence", "deficit_summary")
+    """A decision and its evidence: the pair is tempered exactly when the
+    evidence is a NonnegCertificate rather than a Witness."""
 
-    def __init__(self, tempered: bool, evidence, deficit_summary: dict):
-        # evidence is a NonnegCertificate or a Witness
-        if tempered != isinstance(evidence, NonnegCertificate):
-            raise ValueError("tempered must be True exactly when the evidence "
-                             "is a NonnegCertificate")
-        self._set(tempered, evidence, deficit_summary)
+    __slots__ = ("evidence", "deficit_summary")
+    _fields = ("tempered",) + __slots__
+
+    def __init__(self, evidence, deficit_summary: dict):
+        self._set(evidence, deficit_summary)
+
+    @property
+    def tempered(self) -> bool:
+        return isinstance(self.evidence, NonnegCertificate)
 
 
 def check(spec: PairSpec, use_symmetry: bool = True) -> Verdict:
@@ -49,9 +53,7 @@ def check(spec: PairSpec, use_symmetry: bool = True) -> Verdict:
         if not value == evidence.value < 0:
             raise RuntimeError(f"witness replays to {value}, "
                                f"recorded {evidence.value}")
-    return Verdict(tempered=isinstance(evidence, NonnegCertificate),
-                   evidence=evidence,
-                   deficit_summary=summary)
+    return Verdict(evidence, summary)
 
 
 # ---------------------------------------------------------------------------

@@ -38,16 +38,11 @@ def _load_json(path: str) -> dict:
 
 def cmd_check(args) -> int:
     spec = serialize.read_input(_load_json(args.spec))
-    verdict = run_check(spec)
+    doc = serialize.verdict_to_json(run_check(spec), spec)
     if args.witness_only:
-        if verdict.tempered:
-            doc = {"tempered": True, "witness": None}
-        else:
-            doc = {"tempered": False,
-                   "witness": serialize.evidence_to_json(verdict.evidence)}
-        print(serialize.dumps(doc))
-        return EXIT_OK
-    print(serialize.dumps(serialize.verdict_to_json(verdict, spec)))
+        doc = {"tempered": doc["tempered"],
+               "witness": None if doc["tempered"] else doc["evidence"]}
+    print(serialize.dumps(doc))
     return EXIT_OK
 
 
@@ -77,17 +72,11 @@ def cmd_scan(args) -> int:
         raise SchemaError(f"{args.family}: the ranges {ranges} hold no points")
     print(render_scan_table(report))
     doc = {"family": report.family, "ranges": report.ranges,
-           "points": [{"params": _jsonable(p.params), "tempered": p.tempered,
+           "points": [{"params": p.params, "tempered": p.tempered,
                        "predicted": p.predicted} for p in report.points],
-           "mismatches": [_jsonable(p.params) for p in report.mismatches]}
+           "mismatches": [p.params for p in report.mismatches]}
     print(serialize.dumps(doc))
     return EXIT_OK if report.clean else EXIT_MISMATCH
-
-
-def _jsonable(obj):
-    if isinstance(obj, tuple):
-        return [_jsonable(x) for x in obj]
-    return obj
 
 
 def _at_least(value: int, flag: str, least: int = 1) -> int:
@@ -151,12 +140,7 @@ def cmd_volume(args) -> int:
                 raise SchemaError(f"volume decay: {e}") from None
             if fh is not None:
                 fh.writelines(f"{t} {y}\n" for t, y in zip(fit.times, fit.log_volumes))
-        doc = {"times": list(fit.times), "log_volumes": list(fit.log_volumes),
-               "stderrs": list(fit.stderrs), "fitted_slope": fit.fitted_slope,
-               "predicted_slope": fit.predicted_slope,
-               "tolerance": fit.tolerance, "passed": fit.passed,
-               "dropped_times": list(fit.dropped_times)}
-        print(serialize.dumps(doc))
+        print(serialize.dumps({name: getattr(fit, name) for name in fit._fields}))
         return EXIT_OK if fit.passed else EXIT_MISMATCH
     # translate
     for flag, least in (("dim", 2), ("trials", 1), ("samples", 1)):

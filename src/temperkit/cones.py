@@ -64,9 +64,6 @@ class CellComplex(Record):
                  _table: list, _cones: list):
         self._set(rays, lineality, _table, _cones, None)
 
-    def _key(self) -> tuple:
-        return self.rays, self.lineality, self._table, self._cones
-
     @property
     def count(self) -> int:
         return len(self._cones)

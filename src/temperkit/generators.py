@@ -226,11 +226,14 @@ def build_so_pair(p1: int, q1: int, p2: int, q2: int) -> PairSpec:
     so(V) = L^2 V for the defining module V = V_1 + V_2.  The torus is a
     split torus of h, of rank min(p1,q1) + min(p2,q2); on it V_i has the
     weights +-e_a of its own coordinates and p_i + q_i - 2 min(p_i, q_i)
-    zero weights.  So h = L^2 V_1 + L^2 V_2 and g/h = V_1 (x) V_2.
+    zero weights.  So h = L^2 V_1 + L^2 V_2 and g/h = V_1 (x) V_2.  Each
+    factor needs p_i + q_i >= 1: an empty one leaves no pair, or h = g.
     """
     for name, v in zip(("p1", "q1", "p2", "q2"), (p1, q1, p2, q2)):
         if _int_param(v, name) < 0:
             raise ValueError("signature entries must be nonnegative")
+    if p1 + q1 < 1 or p2 + q2 < 1:
+        raise ValueError("need p1 + q1 >= 1 and p2 + q2 >= 1")
     m1, m2 = min(p1, q1), min(p2, q2)
     n = m1 + m2
     space = TorusSpace(n)
@@ -534,38 +537,34 @@ def example_sp21_input() -> MatrixPairInput:
 # ---------------------------------------------------------------------------
 # named block patterns for the two-block and three-block families
 
-def _uppers(*pairs):
-    return frozenset(pairs)
-
-
 TABLE1_PATTERNS = {
     "H1": lambda p, q: BlockPattern((p, q), ("full", "identity")),
-    "H2": lambda p, q: BlockPattern((p, q), ("full", "identity"), _uppers((0, 1))),
-    "H3": lambda p, q: BlockPattern((p, q), ("full", "full"), _uppers((0, 1))),
+    "H2": lambda p, q: BlockPattern((p, q), ("full", "identity"), {(0, 1)}),
+    "H3": lambda p, q: BlockPattern((p, q), ("full", "full"), {(0, 1)}),
     "H4": lambda p, q: BlockPattern((p, q), ("full", "full")),
 }
 
 TABLE2_PATTERNS = {
     "H1": lambda p, q, r: BlockPattern((p, q, r), ("full", "identity", "identity"),
-                                       _uppers((0, 2))),
+                                       {(0, 2)}),
     "H2": lambda p, q, r: BlockPattern((p, q, r), ("identity", "full", "identity"),
-                                       _uppers((0, 2))),
+                                       {(0, 2)}),
     "H3": lambda p, q, r: BlockPattern((p, q, r), ("identity", "full", "identity"),
-                                       _uppers((0, 1), (0, 2))),
+                                       {(0, 1), (0, 2)}),
     "H4": lambda p, q, r: BlockPattern((p, q, r), ("full", "full", "full"),
-                                       _uppers((0, 1), (0, 2), (1, 2))),
+                                       {(0, 1), (0, 2), (1, 2)}),
     "H5": lambda p, q, r: BlockPattern((p, q, r), ("full", "full", "identity")),
     "H6": lambda p, q, r: BlockPattern((p, q, r), ("full", "full", "identity"),
-                                       _uppers((0, 2))),
+                                       {(0, 2)}),
     "H7": lambda p, q, r: BlockPattern((p, q, r), ("full", "full", "identity"),
-                                       _uppers((0, 1), (0, 2))),
+                                       {(0, 1), (0, 2)}),
     "H8": lambda p, q, r: BlockPattern((p, q, r), ("full", "identity", "full"),
-                                       _uppers((0, 2))),
+                                       {(0, 2)}),
     "H9": lambda p, q, r: BlockPattern((p, q, r), ("identity", "full", "full"),
-                                       _uppers((0, 1), (0, 2))),
+                                       {(0, 1), (0, 2)}),
     "H10": lambda p, q, r: BlockPattern((p, q, r), ("full", "full", "full")),
     "H11": lambda p, q, r: BlockPattern((p, q, r), ("full", "full", "full"),
-                                        _uppers((0, 2))),
+                                        {(0, 2)}),
     "H12": lambda p, q, r: BlockPattern((p, q, r), ("full", "full", "full"),
-                                        _uppers((0, 1), (0, 2))),
+                                        {(0, 1), (0, 2)}),
 }

@@ -29,12 +29,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .check import QUESTION_CEILING, Verdict, tensor_question
-from .errors import ConstraintViolationError, SchemaError, TemperkitError
+from .errors import SchemaError, TemperkitError
 from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern,
                          MatrixPairInput, build_classical_in_sl, build_product_in_sl,
                          build_product_in_sp, build_sl_block, build_so_pair,
                          example_sp21_input, extract_weights, realify)
-from .model import PairSpec, TorusSpace, WeightModule, deficit, evaluate_at, evaluate_pl
+from .model import PairSpec, TorusSpace, WeightModule, deficit, evaluate_at
 from .verify import NonnegCertificate, Witness
 
 SCHEMA_VERSION = 2
@@ -486,10 +486,13 @@ def recheck_document(data: dict) -> list[str]:
     rebuilt from it, after the call's parameters are bounded, and any space,
     module or metadata the document also carries must equal the rebuilt
     one.  Each evidence vector's length is then checked against the spec's
-    ambient dimension, before anything is valued.  The deficit of that spec is then valued at every listed ray in
-    one evaluate_at call (the witness direction through evaluate_pl), and
-    compared against the recorded exact values.  The arrangement is never
-    re-enumerated, so nothing checks that the rays cover the slice.
+    ambient dimension, before anything is valued.  One rule then replays
+    either kind of evidence: the document is tempered exactly when its
+    evidence is a certificate, and one evaluate_at call values the deficit
+    at the witness direction or every ray, each of which must lie on the
+    slice, have its recorded value, and have the sign the verdict claims
+    (negative at a witness, nonnegative at a ray).  The arrangement is
+    never re-enumerated, so nothing checks that the rays cover the slice.
     Returns a list of human-readable problems, each naming the field, the
     ray or the witness it is about; empty means consistent.  A malformed
     document raises SchemaError.
@@ -499,42 +502,31 @@ def recheck_document(data: dict) -> list[str]:
     ev = evidence_from_json(data.get("evidence", {}))
     spec, problems = read_pair_spec(data["pair_spec"])
     dim = spec.space.ambient_dim
-    points = ([("witness direction", ev.direction)] if isinstance(ev, Witness)
-              else [(f"ray {i}", ray) for i, ray in enumerate(ev.rays)])
+    tempered = isinstance(ev, NonnegCertificate)
+    points, recorded = ((ev.rays, ev.ray_values) if tempered
+                        else ([ev.direction], [ev.value]))
+    names = [f"ray {i}" if tempered else "witness direction" for i in range(len(points))]
     arity = [f"{name}: point arity {len(point)} does not match the ambient "
-             f"dimension {dim}" for name, point in points if len(point) != dim]
+             f"dimension {dim}"
+             for name, point in zip(names, points) if len(point) != dim]
     if arity:
         return problems + arity
-    f = deficit(spec)
-    tempered = data.get("tempered")
-    if isinstance(ev, Witness):
-        if tempered is not False:
-            problems.append("witness evidence but tempered is not false")
-        try:
-            value = evaluate_pl(f, ev.direction)
-        except ConstraintViolationError as e:
-            problems.append(f"witness direction: {e}")
-            return problems
-        if value != ev.value:
-            problems.append(
-                f"witness value mismatch: recorded {ev.value}, computed {value}")
-        if value >= 0:
-            problems.append("witness direction does not make the deficit negative")
-        return problems
-    if tempered is not True:
-        problems.append("certificate evidence but tempered is not true")
-    if len(ev.rays) != len(ev.ray_values):
+    claim = dumps(tempered)
+    if data.get("tempered") is not tempered:
+        kind = "certificate" if tempered else "witness"
+        problems.append(f"{kind} evidence but tempered is not {claim}")
+    if len(points) != len(recorded):
         problems.append("ray and value counts differ")
         return problems
-    for i, (value, recorded) in enumerate(zip(evaluate_at(f, ev.rays), ev.ray_values)):
+    f = deficit(spec)
+    for name, value, expected in zip(names, evaluate_at(f, points), recorded):
         if value is None:
-            problems.append(f"ray {i}: point violates torus constraints")
-        elif value != recorded:
-            problems.append(
-                f"ray {i}: recorded value {recorded}, computed {value}")
-        elif value < 0:
-            problems.append(f"ray {i}: negative deficit {value} in a certificate")
-    if f.space.dim > 0 and not ev.rays:
+            problems.append(f"{name}: point violates torus constraints")
+        elif value != expected:
+            problems.append(f"{name}: recorded value {expected}, computed {value}")
+        elif (value >= 0) != tempered:
+            problems.append(f"{name}: deficit {value} contradicts tempered {claim}")
+    if tempered and f.space.dim > 0 and not points:
         problems.append("certificate has no rays")
     return problems
 

@@ -67,13 +67,15 @@ class TestCheck:
         spec = build_product_in_sl((2, 2))
         assert spec.metadata["family"] == "product_in_sl"
 
-    def test_inconsistent_verdict_rejected(self):
+    def test_tempered_follows_the_evidence(self):
+        # a verdict cannot contradict its evidence: tempered is read off it
         witness = check(simple_spec()).evidence
-        with pytest.raises(ValueError):
-            Verdict(tempered=True, evidence=witness, deficit_summary={})
         certificate = check(build_sl_block(TABLE1_PATTERNS["H1"](1, 1))).evidence
-        with pytest.raises(ValueError):
-            Verdict(tempered=False, evidence=certificate, deficit_summary={})
+        assert Verdict(witness, {}).tempered is False
+        assert Verdict(certificate, {}).tempered is True
+        assert Verdict(witness, {}) != Verdict(certificate, {})
+        with pytest.raises(TypeError):
+            Verdict(True, witness, {})
 
     def test_witness_replay_mismatch_raises(self, monkeypatch):
         # the package's check() shadows the module temperkit.check

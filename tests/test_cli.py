@@ -75,7 +75,13 @@ class TestCheck:
         code, out, _ = run(capsys, ["check", spec, "--witness-only"])
         doc = json.loads(out)
         assert code == 0
+        assert doc["tempered"] is False
         assert doc["witness"]["kind"] == "witness"
+        spec = write(tmp_path, "t.json", {
+            "family": {"name": "sl_block", "pattern": "H1", "sizes": [2, 2]}})
+        code, out, _ = run(capsys, ["check", spec, "--witness-only"])
+        assert code == 0
+        assert out == '{"tempered":true,"witness":null}\n'
 
     def test_tensor_mode(self, tmp_path, capsys):
         spec = write(tmp_path, "s.json", {
@@ -354,6 +360,14 @@ class TestSpecErrors:
         ({"family": {"name": "classical_in_sl", "kind": "sp", "params": [1, 5]}}, 2,
          "family.classical_in_sl.params: expected a list of 1 integer"),
         ("family", 2, "spec file must contain exactly one of"),
+        # each so_pair factor is so(p_i, q_i) with p_i + q_i >= 1: an empty
+        # one leaves no pair, or h = g
+        ({"family": {"name": "so_pair", "signature": [0, 0, 0, 0]}}, 2,
+         "family.so_pair: need p1 + q1 >= 1 and p2 + q2 >= 1"),
+        ({"family": {"name": "so_pair", "signature": [1, 0, 0, 0]}}, 2,
+         "family.so_pair: need p1 + q1 >= 1 and p2 + q2 >= 1"),
+        ({"family": {"name": "so_pair", "signature": [2, 1, 0, 0]}}, 2,
+         "family.so_pair: need p1 + q1 >= 1 and p2 + q2 >= 1"),
     ], ids=["bogus_diagonal_kind", "one_part", "short_signature",
             "so_one_param", "family_not_object", "matrix_pair_not_object",
             "weights_not_list", "constraints_not_list",
@@ -374,7 +388,8 @@ class TestSpecErrors:
             "metadata_pairs", "unknown_preset", "realified_key", "misspelt_realify",
             "inner_family", "family_question", "pattern_and_diagonal_kind",
             "pattern_and_upper_blocks", "sp_params_and_m", "so_params_and_signature",
-            "sp_two_params", "spec_file_not_object"])
+            "sp_two_params", "spec_file_not_object", "so_pair_empty",
+            "so_pair_empty_second_factor", "so_pair_h_is_g"])
     def test_exit_code_without_traceback(self, tmp_path, payload, code, where):
         spec = write(tmp_path, "s.json", payload)
         got, _, err = run_process(["check", spec])

@@ -39,7 +39,7 @@ def records():
          "symmetry_reduced=True, chamber_count=3)"),
         (Witness((F(1, 2), 0), F(-2)),
          "Witness(direction=(Fraction(1, 2), 0), value=Fraction(-2, 1))"),
-        (Verdict(False, Witness((1,), F(-1)), {"hyperplanes": 1}),
+        (Verdict(Witness((1,), F(-1)), {"hyperplanes": 1}),
          "Verdict(tempered=False, evidence=Witness(direction=(1,), "
          "value=Fraction(-1, 1)), deficit_summary={'hyperplanes': 1})"),
         (point, "ScanPoint(params=('H1', 1, 1), tempered=True, predicted=False, "

@@ -205,6 +205,41 @@ class TestRecheck:
                            match=r"evidence\.symmetry_reduced: expected a boolean"):
             serialize.recheck_document(doc)
 
+    @pytest.mark.parametrize("case", [
+        "witness_at_a_ray", "certificate_of_the_witness", "ray_value_dropped",
+        "witness_claims_tempered"])
+    def test_each_rule_is_applied(self, case):
+        # each case breaks one rule of the replay: the document is tempered
+        # exactly when its evidence is a certificate, a witness's deficit is
+        # negative and a certificate ray's is not, and a certificate
+        # records one value per ray.  H4(2, 2) is tempered, H4(4, 1) is not.
+        if case == "witness_at_a_ray":
+            doc = self._doc(2, 2)
+            ev = doc["evidence"]
+            value = serialize.rational_from_str(ev["ray_values"][0])
+            assert value >= 0
+            doc["tempered"] = False
+            doc["evidence"] = {"kind": "witness", "direction": ev["rays"][0],
+                               "value": ev["ray_values"][0]}
+            expected = [f"witness direction: deficit {value} contradicts tempered false"]
+        elif case == "certificate_of_the_witness":
+            doc = self._doc(4, 1)
+            ev = doc["evidence"]
+            value = serialize.rational_from_str(ev["value"])
+            doc["tempered"] = True
+            doc["evidence"] = {"kind": "certificate", "rays": [ev["direction"]],
+                               "ray_values": [ev["value"]], "symmetry_reduced": False}
+            expected = [f"ray 0: deficit {value} contradicts tempered true"]
+        elif case == "ray_value_dropped":
+            doc = self._doc(2, 2)
+            doc["evidence"]["ray_values"].pop()
+            expected = ["ray and value counts differ"]
+        else:
+            doc = self._doc(4, 1)
+            doc["tempered"] = True
+            expected = ["witness evidence but tempered is not false"]
+        assert serialize.recheck_document(doc) == expected
+
     def test_missing_spec_reported(self):
         doc = self._doc(2, 2)
         del doc["pair_spec"]

@@ -54,10 +54,6 @@ SCANS = [
 TENSOR_PRODUCTS = [(1, 2, 2, 4), (2, 5, 1, 2), (3, 1, 3, 1)]
 
 
-def _jsonable(obj):
-    return [_jsonable(x) for x in obj] if isinstance(obj, tuple) else obj
-
-
 def matrix_cases(use_symmetry):
     for name in TABLE1_PATTERNS:
         for p, q in itertools.product(range(1, 5), repeat=2):
@@ -74,7 +70,7 @@ def cases():
     """(label, spec, use_symmetry) for every spec, in a fixed order."""
     for family, ranges, use_symmetry in SCANS:
         for params, spec, _ in FAMILIES[family](**ranges):
-            yield {"family": family, "params": _jsonable(params)}, spec, use_symmetry
+            yield {"family": family, "params": params}, spec, use_symmetry
     yield from matrix_cases(False)
     for question in TENSOR_PRODUCTS:
         yield ({"family": "tensor_product", "params": list(question)},
