@@ -14,11 +14,9 @@ from .errors import (TemperkitError, ArityError, ConstraintViolationError,
                      SpaceMismatchError, BracketClosureError,
                      DecompositionError, NonSplitError, SchemaError,
                      BasisError, ContainmentError)
-from .generators import (BlockPattern, MatrixPairInput, TABLE1_PATTERNS,
-                         TABLE2_PATTERNS, build_sl_block, build_product_in_sl,
-                         build_product_in_sp, build_so_pair,
-                         build_classical_in_sl, realify, extract_weights,
-                         example_sp21_input)
+from .generators import (BlockPattern, TABLE1_PATTERNS, TABLE2_PATTERNS,
+                         build_sl_block, build_product_in_sl, build_product_in_sp,
+                         build_so_pair, build_classical_in_sl, realify)
 from .model import (TorusSpace, WeightModule, PLFunction, PairSpec,
                     evaluate_pl, rho_function, deficit)
 from .verify import NonnegCertificate, Witness, is_nonnegative
@@ -41,3 +39,11 @@ __all__ = [
     "NonnegCertificate", "Witness", "is_nonnegative",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # matrix mode loads on first use, so importing the package compiles none of it
+    if name in ("MatrixPairInput", "extract_weights", "example_sp21_input"):
+        from . import matrices
+        return getattr(matrices, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

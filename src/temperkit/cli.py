@@ -34,6 +34,8 @@ def _load_json(path: str) -> dict:
         raise SchemaError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}: not valid JSON ({e})") from None
+    except ValueError as e:     # not UTF-8, or an integer of more digits than int() converts
+        raise SchemaError(f"{path}: {e}") from None
 
 
 def cmd_check(args) -> int:

@@ -18,7 +18,8 @@ Readers ignore the keys that older documents of schema version 1 also
 carry and no check reads: top-level "spec_echo", pair_spec "symmetry",
 space "coordinate_labels", module "name", and evidence "hyperplanes",
 "chambers" (with a "linear_form" each), "lineality" and
-"antipodal_reduced".
+"antipodal_reduced".  A pair_spec object or a matrix_pair input refuses
+any key it does not read or ignore, naming it.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from typing import Optional
 from .check import QUESTION_CEILING, Verdict, tensor_question
 from .errors import SchemaError, TemperkitError
 from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern,
-                         MatrixPairInput, build_classical_in_sl, build_product_in_sl,
-                         build_product_in_sp, build_sl_block, build_so_pair,
-                         example_sp21_input, extract_weights, realify)
+                         build_classical_in_sl, build_product_in_sl, build_product_in_sp,
+                         build_sl_block, build_so_pair, realify)
 from .model import PairSpec, TorusSpace, WeightModule, deficit, evaluate_at
 from .verify import NonnegCertificate, Witness
 
@@ -58,16 +58,19 @@ _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 def rational_from_str(s, where: str = ""):
     """An int for an integral value, else a Fraction; s is a JSON integer
     (true and false are not) or an ASCII string -?[0-9]+(/[0-9]+)? with a
-    nonzero denominator."""
+    nonzero denominator, each of no more digits than int() converts."""
     if type(s) is int:
         return s
     if not isinstance(s, str):
         raise SchemaError(f"{where}: expected a rational, got {type(s).__name__}")
     match = _RATIONAL.fullmatch(s)
-    if match is None or match[2] is not None and not int(match[2]):
+    if match is None or match[2] is not None and not match[2].strip("0"):
         raise SchemaError(f"{where}: malformed rational {s!r}")
     num, den = match.groups()
-    return int(num) if den is None else Fraction(int(num), int(den))
+    try:
+        return int(num) if den is None else Fraction(int(num), int(den))
+    except ValueError as e:     # more digits than int() converts
+        raise SchemaError(f"{where}: {e}") from None
 
 
 def _vec_to_json(vec):
@@ -100,6 +103,13 @@ def _expect(data, kind: type, where: str):
         name = {list: "a list", dict: "an object", str: "a string"}[kind]
         raise SchemaError(f"{where}: expected {name}")
     return data
+
+
+def _unknown_key(data: dict, keys, where: str, why: str) -> None:
+    """SchemaError naming the first key of data that is not in keys."""
+    key = next((key for key in data if key not in keys), None)
+    if key is not None:
+        raise SchemaError(f"{where}.{key}: {why}")
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +287,11 @@ def _bind(spec: PairSpec, meta: dict, carried: dict, where: str) -> list[str]:
     return problems
 
 
+# the keys a pair_spec object may carry; the last two are read by no check
+PAIR_SPEC_KEYS = ("space", "h_module", "g_module", "v_module", "metadata",
+                  "schema_version", "symmetry")
+
+
 def read_pair_spec(data: dict, where: str = "pair_spec") -> tuple[PairSpec, list[str]]:
     """The spec that a pair_spec object states, and how the object contradicts it.
 
@@ -286,7 +301,7 @@ def read_pair_spec(data: dict, where: str = "pair_spec") -> tuple[PairSpec, list
     does not is a problem naming its key.  Otherwise the spec is the
     carried space and modules.
     """
-    _expect(data, dict, where)
+    _unknown_key(_expect(data, dict, where), PAIR_SPEC_KEYS, where, "not a pair_spec key")
     meta = dict(_expect(data.get("metadata", {}), dict, f"{where}.metadata"))
     spec = _rebuild(meta, where)
     if spec is None:
@@ -387,15 +402,23 @@ def _family_metadata(data) -> tuple[dict, str]:
     return meta, where
 
 
+# the keys of a matrix_pair input of explicit matrices
+MATRIX_PAIR_KEYS = ("ambient_dim", "g_basis", "h_basis", "torus_basis",
+                    "diagonalizer", "metadata")
+
+
 def _matrix_pair_spec(data) -> tuple[PairSpec, list[str]]:
     """The spec that a matrix_pair input's matrices give, and, when its
     metadata names a builder call, how the spec contradicts that call's."""
+    from .matrices import MatrixPairInput, example_sp21_input, extract_weights
     where = "matrix_pair"
     mp = _expect(data, dict, where)
     if "preset" in mp:
+        _unknown_key(mp, ("preset",), where, "not allowed with preset, which sets it")
         if mp["preset"] != "sp21":
             raise SchemaError(f"{where}.preset: unknown preset {mp['preset']!r}")
         return extract_weights(example_sp21_input()), []
+    _unknown_key(mp, MATRIX_PAIR_KEYS, where, "not a matrix_pair key")
 
     def items(data, at, read=_vec_from_json):
         # a basis is a list of matrices, a matrix a list of rows

@@ -19,8 +19,8 @@ import pytest
 from temperkit import serialize
 from temperkit.check import FAMILIES, TABLE2_PREDICATES, check, tensor_product_spec
 from temperkit.cli import main as cli_main
-from temperkit.generators import (TABLE2_PATTERNS, build_sl_block,
-                                  example_sp21_input, extract_weights)
+from temperkit.generators import TABLE2_PATTERNS, build_sl_block
+from temperkit.matrices import example_sp21_input, extract_weights
 from temperkit.model import (PLFunction, TorusSpace, deficit,
                              evaluate_pl, rho_function)
 from temperkit.verify import NonnegCertificate, Witness, is_nonnegative

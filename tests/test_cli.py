@@ -15,8 +15,8 @@ from temperkit import serialize, volume
 from temperkit.check import FAMILIES, check
 from temperkit.cli import main
 from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern,
-                                  build_sl_block, extract_weights,
-                                  matrix_input_for_block_pattern)
+                                  build_sl_block, matrix_input_for_block_pattern)
+from temperkit.matrices import extract_weights
 
 from reference import dense
 
@@ -403,7 +403,19 @@ class TestSpecErrors:
         (matrix_pair(h_basis=[[[0, 1], 5]]), "matrix_pair.h_basis[0][1]: expected a list"),
         (matrix_pair(diagonalizer=[[1, 0], ["x", 1]]),
          "matrix_pair.diagonalizer[1][0]: malformed rational 'x'"),
-    ], ids=["ambient_dim", "unknown_preset", "row_not_list", "diagonalizer_entry"])
+        # a key that is not read is named: a misspelt basis once read as an
+        # empty one, the preset once won over explicit matrices, and a
+        # misspelt module once read as an empty h
+        ({"matrix_pair": {"h_bases" if key == "h_basis" else key: value
+                          for key, value in matrix_pair()["matrix_pair"].items()}},
+         "matrix_pair.h_bases: not a matrix_pair key"),
+        ({"matrix_pair": {"preset": "sp21", **matrix_pair()["matrix_pair"]}},
+         "matrix_pair.ambient_dim: not allowed with preset, which sets it"),
+        ({"pair_spec": {"h_modul" if key == "h_module" else key: value
+                        for key, value in pair_spec()["pair_spec"].items()}},
+         "pair_spec.h_modul: not a pair_spec key"),
+    ], ids=["ambient_dim", "unknown_preset", "row_not_list", "diagonalizer_entry",
+            "misspelt_basis", "preset_and_matrices", "misspelt_module"])
     def test_message_starts_with_the_field(self, tmp_path, capsys, payload, message):
         # the field's own message, not wrapped again in "matrix_pair: "
         code, _, err = run(capsys, ["check", write(tmp_path, "s.json", payload)])
@@ -424,6 +436,53 @@ class TestSpecErrors:
         assert code == 0, err
         again = run(capsys, ["check", write(tmp_path, "p.json", plain)])
         assert (code, out) == again[:2]
+
+    def test_document_pair_spec_refuses_an_unread_key(self, tmp_path, capsys):
+        spec = serialize.read_input(pair_spec())
+        doc = serialize.verdict_to_json(check(spec), spec)
+        doc["pair_spec"]["g_modules"] = doc["pair_spec"].pop("g_module")
+        code, out, err = run(capsys, ["recheck", write(tmp_path, "v.json", doc)])
+        assert (code, out) == (2, "")
+        assert err == "error: pair_spec.g_modules: not a pair_spec key\n"
+
+
+class TestOversizedIntegers:
+    """An integer of more digits than int() converts (4,300 by default) is
+    an input error naming the file or the field; it once raised a bare
+    ValueError, a traceback and exit 1, the exit code of a mismatch."""
+
+    DIGITS = "9" * 5000
+
+    @pytest.mark.parametrize("command", ["check", "recheck"])
+    def test_json_integer_literal(self, tmp_path, command):
+        path = tmp_path / "s.json"
+        path.write_text('{"family": {"name": "so_pair", "signature": ['
+                        + self.DIGITS + ', 1, 1, 1]}}')
+        code, out, err = run_process([command, str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: Exceeds the limit"), err
+
+    @pytest.mark.parametrize("command, field", [
+        ("check", "pair_spec.h_module.weights[0].form[0]"),
+        ("recheck", "evidence.value"),
+    ])
+    def test_rational_string(self, tmp_path, command, field):
+        payload = pair_spec({"h_module.weights": [{"form": [self.DIGITS, "0"], "mult": 1}]})
+        if command == "recheck":
+            spec = serialize.read_input(pair_spec())
+            payload = serialize.verdict_to_json(check(spec), spec)
+            payload["evidence"]["value"] = f"-1/{self.DIGITS}"
+        code, out, err = run_process([command, write(tmp_path, "s.json", payload)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field}: Exceeds the limit"), err
+
+
+def test_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_bytes(b'{"family": "\xff"}')
+    code, out, err = run_process(["check", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode"), err
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,13 @@ from temperkit.check import FAMILIES, check, sp_product_tempered
 from temperkit.errors import (BasisError, BracketClosureError,
                               DecompositionError)
 from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS,
-                                  BlockPattern, MatrixPairInput,
+                                  BlockPattern,
                                   build_classical_in_sl, build_product_in_sl,
                                   build_product_in_sp, build_so_pair,
-                                  build_sl_block, example_sp21_input,
-                                  extract_weights,
+                                  build_sl_block,
                                   matrix_input_for_block_pattern,
                                   realify)
+from temperkit.matrices import MatrixPairInput, example_sp21_input, extract_weights
 from temperkit.model import deficit, evaluate_pl, rho_function
 
 from reference import dense, mat_inv, parabolic_decomposition, rref

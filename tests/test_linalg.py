@@ -6,7 +6,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from temperkit.linalg import in_span, rref, solve
+from temperkit.linalg import rref, solve
+from temperkit.matrices import in_span
 
 from reference import fraction_det, mat_inv
 from reference import rref as fraction_rref

@@ -7,7 +7,8 @@ import pytest
 
 from temperkit.check import ScanPoint, ScanReport, Verdict
 from temperkit.cones import Cell, enumerate_cells
-from temperkit.generators import BlockPattern, MatrixPairInput
+from temperkit.generators import BlockPattern
+from temperkit.matrices import MatrixPairInput
 from temperkit.model import PairSpec, TorusSpace, WeightModule
 from temperkit.verify import NonnegCertificate, Witness
 from temperkit.volume import ConvexBody, DecayFit

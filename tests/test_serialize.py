@@ -9,8 +9,8 @@ from temperkit.errors import SchemaError
 from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern,
                                   build_classical_in_sl, build_product_in_sl,
                                   build_product_in_sp, build_sl_block, build_so_pair,
-                                  extract_weights, matrix_input_for_block_pattern,
-                                  realify)
+                                  matrix_input_for_block_pattern, realify)
+from temperkit.matrices import extract_weights
 from temperkit.model import TorusSpace
 
 F = Fraction

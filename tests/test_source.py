@@ -1,4 +1,7 @@
 import ast
+import contextlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -60,3 +63,54 @@ def test_cli_reads_no_question():
             named.add(node.attr)
     assert not any(module.split(".")[-1] == "generators" for module in imported)
     assert not named & {"generators", "tensor_product_spec", "extract_weights"}
+
+
+# check and recheck one family question, then list every loaded temperkit
+# module that holds a matrix-mode name, and whether matrix mode was loaded
+MATRIX_GUARD = """
+import contextlib, io, sys
+import temperkit, temperkit.serialize, temperkit.cli
+spec, doc = sys.argv[1:]
+with open(doc, "w") as fh, contextlib.redirect_stdout(fh):
+    codes = [temperkit.cli.main(["check", spec])]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    codes.append(temperkit.cli.main(["recheck", doc]))
+names = {"MatrixPairInput", "extract_weights", "to_sparse"}
+held = sorted(f"{name}.{key}" for name, module in list(sys.modules.items())
+              if name.split(".")[0] == "temperkit" for key in vars(module) if key in names)
+print(codes, out.getvalue().strip(), held, "temperkit.matrices" in sys.modules)
+"""
+
+
+def test_family_questions_load_no_matrix_mode(tmp_path):
+    # matrix mode is one module, which only a matrix_pair question loads
+    src = str(Path(temperkit.__file__).parents[1])
+    spec = tmp_path / "s.json"
+    spec.write_text('{"family": {"name": "sl_block", "pattern": "H2", "sizes": [3, 1]}}')
+    out = subprocess.run([sys.executable, "-c", MATRIX_GUARD, str(spec),
+                          str(tmp_path / "v.json")], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == '[0, 0] {"consistent":true,"problems":[]} [] False'
+
+
+def test_matrix_pair_questions_decide_as_before(tmp_path):
+    # the 2x2 sl(2) with h = span(E01), and the preset, as their documents read
+    from temperkit.cli import main
+    D, E01, E10 = [[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]
+    sl2 = {"ambient_dim": 2, "g_basis": [D, E01, E10], "h_basis": [E01],
+           "torus_basis": [D], "diagonalizer": [[1, 0], [0, 1]]}
+    found = []
+    for question in (sl2, {"preset": "sp21"}):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"matrix_pair": question}))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["check", str(path)])
+        doc = json.loads(out.getvalue())
+        found.append((code, doc["tempered"], doc["evidence"], doc["deficit_summary"]))
+    assert found == [
+        (0, True, {"kind": "certificate", "ray_values": [0, 0], "rays": [[1], [-1]],
+                   "symmetry_reduced": False},
+         {"chambers": 1, "hyperplanes": 0, "rays": 2, "torus_dim": 1}),
+        (0, False, {"direction": [1], "kind": "witness", "value": -2},
+         {"hyperplanes": 1, "torus_dim": 1}),
+    ]

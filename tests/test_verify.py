@@ -14,10 +14,10 @@ from temperkit.errors import SpaceMismatchError
 from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS,
                                   build_classical_in_sl, build_product_in_sl,
                                   build_product_in_sp, build_sl_block,
-                                  build_so_pair, example_sp21_input,
-                                  extract_weights, matrix_input_for_block_pattern,
+                                  build_so_pair, matrix_input_for_block_pattern,
                                   realify)
 from temperkit.linalg import solve
+from temperkit.matrices import example_sp21_input, extract_weights
 from temperkit.model import (PLFunction, PairSpec, TorusSpace, WeightModule,
                              deficit, evaluate_pl)
 from temperkit.verify import (NonnegCertificate, Witness, _chamber_walls,

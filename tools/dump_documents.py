@@ -37,9 +37,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from temperkit import serialize  # noqa: E402
 from temperkit.check import FAMILIES, check, tensor_product_spec  # noqa: E402
-from temperkit.generators import (TABLE1_PATTERNS, example_sp21_input,  # noqa: E402
-                                  extract_weights,
+from temperkit.generators import (TABLE1_PATTERNS,  # noqa: E402
                                   matrix_input_for_block_pattern)
+from temperkit.matrices import example_sp21_input, extract_weights  # noqa: E402
 
 SCANS = [
     ("table1", {"pmax": 6, "qmax": 6}, True),
