@@ -7,16 +7,13 @@ ray certificate of global nonnegativity or a rational witness direction
 where the deficit is negative.
 """
 
-from .check import (Verdict, ScanPoint, ScanReport, check, scan_family,
-                    render_scan_table, tensor_product_spec,
-                    TABLE1_PREDICATES, TABLE2_PREDICATES)
+from .check import Verdict, check
 from .errors import (TemperkitError, ArityError, ConstraintViolationError,
                      SpaceMismatchError, BracketClosureError,
                      DecompositionError, NonSplitError, SchemaError,
                      BasisError, ContainmentError)
 from .generators import (BlockPattern, TABLE1_PATTERNS, TABLE2_PATTERNS,
-                         build_sl_block, build_product_in_sl, build_product_in_sp,
-                         build_so_pair, build_classical_in_sl, realify)
+                         build_sl_block, build_product_in_sl, realify)
 from .model import (TorusSpace, WeightModule, PLFunction, PairSpec,
                     evaluate_pl, rho_function, deficit)
 from .verify import NonnegCertificate, Witness, is_nonnegative
@@ -42,8 +39,19 @@ __all__ = [
 
 
 def __getattr__(name):
-    # matrix mode loads on first use, so importing the package compiles none of it
+    # matrix mode and the family questions load on first use, so importing
+    # the package compiles neither
     if name in ("MatrixPairInput", "extract_weights", "example_sp21_input"):
-        from . import matrices
-        return getattr(matrices, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        from . import matrices as module
+    elif name in ("ScanPoint", "ScanReport", "scan_family", "render_scan_table",
+                  "tensor_product_spec", "TABLE1_PREDICATES", "TABLE2_PREDICATES",
+                  "build_product_in_sp", "build_so_pair", "build_classical_in_sl"):
+        from . import families as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
+
+
+def __dir__():
+    # the names __getattr__ serves are public too
+    return sorted({*globals(), *__all__})

@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import serialize
-from .check import FAMILIES, render_scan_table, scan_family, check as run_check
+from .check import check as run_check
 from .errors import BasisError, SchemaError, TemperkitError
 
 EXIT_OK = 0
@@ -34,21 +34,34 @@ def _load_json(path: str) -> dict:
         raise SchemaError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}: not valid JSON ({e})") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: nested too deeply to read") from None
     except ValueError as e:     # not UTF-8, or an integer of more digits than int() converts
         raise SchemaError(f"{path}: {e}") from None
 
 
 def cmd_check(args) -> int:
     spec = serialize.read_input(_load_json(args.spec))
-    doc = serialize.verdict_to_json(run_check(spec), spec)
-    if args.witness_only:
-        doc = {"tempered": doc["tempered"],
-               "witness": None if doc["tempered"] else doc["evidence"]}
-    print(serialize.dumps(doc))
+    verdict = run_check(spec)
+    try:
+        if args.witness_only:
+            doc = {"tempered": verdict.tempered, "witness": None if verdict.tempered
+                   else serialize.evidence_to_json(verdict.evidence)}
+        else:
+            doc = serialize.verdict_to_json(verdict, spec)
+        text = serialize.dumps(doc)
+    except ValueError:
+        # str() converts no integer of more digits than int() does, the limit
+        # on every number a reader takes, so no document may hold this one
+        raise SchemaError(f"{args.spec}: the verdict holds a number of more than "
+                          f"{sys.get_int_max_str_digits()} digits, too long to "
+                          "write") from None
+    print(text)
     return EXIT_OK
 
 
 def cmd_scan(args) -> int:
+    from .families import FAMILIES, render_scan_table, scan_family
     ranges = {}
     for key in RANGE_FLAGS:
         value = getattr(args, key, None)

@@ -1,22 +1,19 @@
-"""Weight-data constructors for concrete subalgebra pairs.
+"""Weight-data constructors for block subalgebras of sl(n).
 
-Two kinds of constructors live here.  The family builders produce exact
-weight multisets: block patterns inside sl(n) from the roots e_a - e_b,
-and products inside sp(n), orthogonal pairs and classical subalgebras of
-sl(n) from the defining module V, whose weights on the split torus are
-+-e_a (and zeros for so(p,q)).  For these, sp(V) = S^2 V, so(V) = L^2 V
-and, V being self-dual, gl(V) = V (x) V* = S^2 V + L^2 V (Fulton-Harris,
-Representation Theory, 1991), so each multiset, zero weights included,
-has the right dimension by construction.  matrix_input_for_block_pattern
-gives a block pattern's explicit matrices, for the extractor in
-temperkit.matrices to cross-check the family builders.
+The builders here produce exact weight multisets from the roots e_a - e_b:
+block patterns inside sl(n) (build_sl_block, with the named patterns of
+tables 1 and 2), products inside sl(n) among them, and realify, which views
+a split complex pair as a real one.  matrix_input_for_block_pattern gives a
+block pattern's explicit matrices, for the extractor in temperkit.matrices
+to cross-check the family builders.  The builders that derive a pair from
+the defining module (products inside sp(n), orthogonal pairs, classical
+subalgebras of sl(n)) live in temperkit.families, which no verdict loads.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from operator import add, sub
+from operator import sub
 from typing import Sequence
 
 from .errors import BracketClosureError
@@ -36,25 +33,6 @@ def _zero(n: int) -> tuple[int, ...]:
     return (0,) * n
 
 
-def _rep(coords, n: int, zeros: int = 0) -> list[tuple[int, ...]]:
-    """Weights of a defining module V on the split torus R^n: +-e_a for each
-    torus coordinate a in coords, and zeros zero weights."""
-    return [_e(a, n, s) for a in coords for s in (1, -1)] + [_zero(n)] * zeros
-
-
-def _square(rep, alternating: bool) -> Counter:
-    """Weights of the exterior square (alternating) or the symmetric square
-    of the module with weights rep: w_i + w_j over i < j, or over i <= j."""
-    pairs = (itertools.combinations if alternating
-             else itertools.combinations_with_replacement)(rep, 2)
-    return Counter(tuple(map(add, a, b)) for a, b in pairs)
-
-
-def _tensor(rep1, rep2) -> Counter:
-    """Weights of the tensor product of two modules: w + w' over all pairs."""
-    return Counter(tuple(map(add, a, b)) for a, b in itertools.product(rep1, rep2))
-
-
 def _int_param(value, name: str) -> int:
     """value, if its type is exactly int (a bool is not); else TypeError
     naming the parameter, as a float would build a wrong pair or fail
@@ -62,12 +40,6 @@ def _int_param(value, name: str) -> int:
     if type(value) is not int:
         raise TypeError(f"{name} must be an int, not {type(value).__name__}")
     return value
-
-
-def _module(space: TorusSpace, counter: Counter) -> WeightModule:
-    """The module of a counter of integer rows; nonpositive counts drop out."""
-    rows = [(space._reduce(c), m) for c, m in counter.items() if m > 0]
-    return WeightModule._from_integers(space, rows, space._scale)
 
 
 # ---------------------------------------------------------------------------
@@ -186,94 +158,6 @@ def build_product_in_sl(parts: Sequence[int]) -> PairSpec:
     spec = build_sl_block(pattern)
     return PairSpec(g_module=spec.g_module, h_module=spec.h_module,
                     metadata={"family": "product_in_sl", "parts": parts}, built=True)
-
-
-def build_product_in_sp(parts: Sequence[int]) -> PairSpec:
-    """sp(n_1) x ... x sp(n_r) inside sp(n), split real forms.
-
-    sp(V) = S^2 V for the defining module V, here V_1 + ... + V_r with
-    weights +-e_a on the split torus R^n (no constraints).  So h is the sum
-    of the S^2 V_i and g/h the sum of the V_i (x) V_j over i < j.
-    """
-    parts = [_int_param(p, f"parts[{i}]") for i, p in enumerate(parts)]
-    if len(parts) < 2:
-        raise ValueError("need at least two factors (a single part gives h = g)")
-    if any(p < 1 for p in parts):
-        raise ValueError("factor sizes must be positive")
-    n = sum(parts)
-    space = TorusSpace(n)
-    ends = list(itertools.accumulate(parts, initial=0))
-    reps = [_rep(range(a, b), n) for a, b in zip(ends, ends[1:])]
-    h_counter: Counter = Counter()
-    for rep in reps:
-        h_counter.update(_square(rep, alternating=False))
-    g_counter: Counter = Counter()
-    for rep1, rep2 in itertools.combinations(reps, 2):
-        g_counter.update(_tensor(rep1, rep2))
-    return PairSpec(
-        g_module=_module(space, g_counter),
-        h_module=_module(space, h_counter),
-        metadata={"family": "product_in_sp", "parts": parts}, built=True)
-
-
-def build_so_pair(p1: int, q1: int, p2: int, q2: int) -> PairSpec:
-    """so(p1,q1) + so(p2,q2) inside so(p1+p2, q1+q2).
-
-    so(V) = L^2 V for the defining module V = V_1 + V_2.  The torus is a
-    split torus of h, of rank min(p1,q1) + min(p2,q2); on it V_i has the
-    weights +-e_a of its own coordinates and p_i + q_i - 2 min(p_i, q_i)
-    zero weights.  So h = L^2 V_1 + L^2 V_2 and g/h = V_1 (x) V_2.  Each
-    factor needs p_i + q_i >= 1: an empty one leaves no pair, or h = g.
-    """
-    for name, v in zip(("p1", "q1", "p2", "q2"), (p1, q1, p2, q2)):
-        if _int_param(v, name) < 0:
-            raise ValueError("signature entries must be nonnegative")
-    if p1 + q1 < 1 or p2 + q2 < 1:
-        raise ValueError("need p1 + q1 >= 1 and p2 + q2 >= 1")
-    m1, m2 = min(p1, q1), min(p2, q2)
-    n = m1 + m2
-    space = TorusSpace(n)
-    rep1 = _rep(range(m1), n, p1 + q1 - 2 * m1)
-    rep2 = _rep(range(m1, n), n, p2 + q2 - 2 * m2)
-    return PairSpec(
-        g_module=_module(space, _tensor(rep1, rep2)),
-        h_module=_module(space, _square(rep1, alternating=True)
-                         + _square(rep2, alternating=True)),
-        metadata={"family": "so_pair", "signature": [p1, q1, p2, q2]}, built=True)
-
-
-def build_classical_in_sl(kind: str, *params: int) -> PairSpec:
-    """A classical subalgebra inside sl of its defining representation V.
-
-    kind "so": so(p,q) inside sl(p+q); kind "sp": sp(m) inside sl(2m).
-    The torus is a split torus of h, on which V has the weights +-e_a (and
-    p + q - 2 min(p, q) zero weights for so).  V is self-dual, so
-    gl(V) = V (x) V* = S^2 V + L^2 V.  h is so(V) = L^2 V or sp(V) = S^2 V,
-    and g/h is the other square less one zero weight, the trace.
-    """
-    if kind == "so":
-        p, q = params
-        if _int_param(p, "p") < 0 or _int_param(q, "q") < 0 or p + q < 2:
-            raise ValueError("need p + q >= 2")
-        m = min(p, q)
-        rep = _rep(range(m), m, p + q - 2 * m)
-        meta = {"family": "classical_in_sl", "kind": "so", "signature": [p, q]}
-    elif kind == "sp":
-        (m,) = params
-        if _int_param(m, "m") < 1:
-            raise ValueError("need m >= 1")
-        rep = _rep(range(m), m)
-        meta = {"family": "classical_in_sl", "kind": "sp", "m": m}
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-
-    space = TorusSpace(m)
-    g_counter = _square(rep, alternating=kind == "sp")
-    g_counter[_zero(m)] -= 1
-    return PairSpec(
-        g_module=_module(space, g_counter),
-        h_module=_module(space, _square(rep, alternating=kind == "so")),
-        metadata=meta, built=True)
 
 
 def realify(spec: PairSpec) -> PairSpec:

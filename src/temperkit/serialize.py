@@ -29,11 +29,10 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .check import QUESTION_CEILING, Verdict, tensor_question
+from .check import QUESTION_CEILING, Verdict
 from .errors import SchemaError, TemperkitError
 from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern,
-                         build_classical_in_sl, build_product_in_sl, build_product_in_sp,
-                         build_sl_block, build_so_pair, realify)
+                         build_product_in_sl, build_sl_block, realify)
 from .model import PairSpec, TorusSpace, WeightModule, deficit, evaluate_at
 from .verify import NonnegCertificate, Witness
 
@@ -194,17 +193,21 @@ def _sl_block_question(meta, where):
 
 def _product_question(meta, where):
     parts = _ints(meta, "parts", where)
-    build = (build_product_in_sl if meta["family"] == "product_in_sl"
-             else build_product_in_sp)
+    if meta["family"] == "product_in_sl":
+        build = build_product_in_sl
+    else:
+        from .families import build_product_in_sp as build
     return sum(parts), lambda: build(parts)
 
 
 def _so_pair_question(meta, where):
+    from .families import build_so_pair
     signature = _ints(meta, "signature", where, 4)
     return sum(signature), lambda: build_so_pair(*signature)
 
 
 def _classical_question(meta, where):
+    from .families import build_classical_in_sl
     kind = meta.get("kind")
     if kind == "so":
         p, q = _ints(meta, "signature", where, 2)
@@ -239,6 +242,7 @@ def read_question(meta: dict, where: str) -> Optional[PairSpec]:
     """
     family = meta.get("family")
     if meta.get("question") == "tensor_product":
+        from .families import tensor_question
         spec = tensor_question(meta.get("variant"), meta, where)
     elif type(family) is str and family in BUILDERS:
         n, build = BUILDERS[family](meta, where)
@@ -342,6 +346,7 @@ def read_input(data) -> PairSpec:
         problems = [f"{where}.{key}: not a key of the metadata its builder writes, "
                     f"{dumps(spec.metadata)}" for key in meta if key not in spec.metadata]
     elif mode == "tensor_product":
+        from .families import tensor_question
         question = _expect(data[mode], dict, mode)
         params = _expect(question.get("params"), list, f"{mode}.params")
         return tensor_question(question.get("variant"), params, mode)

@@ -19,7 +19,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from temperkit.generators import BlockPattern, _block_torus, _module, _zero
+from temperkit.families import _module
+from temperkit.generators import BlockPattern, _block_torus, _zero
 from temperkit.linalg import solve
 from temperkit.model import PLFunction, PairSpec, _lex_positive, _primitive, evaluate_pl
 from temperkit.verify import Witness, _restricted

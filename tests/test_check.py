@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from temperkit.check import (FAMILIES, TABLE1_PREDICATES, Verdict, _partitions,
+from temperkit.check import (FAMILIES, TABLE1_PREDICATES, Verdict,
                              check, render_scan_table, scan_family,
                              sp_product_tempered, tensor_product_spec)
-from temperkit.generators import (TABLE1_PATTERNS, build_product_in_sl,
-                                  build_product_in_sp, build_sl_block)
+from temperkit.families import _partitions, build_product_in_sp
+from temperkit.generators import TABLE1_PATTERNS, build_product_in_sl, build_sl_block
 from temperkit.model import PairSpec, TorusSpace, WeightModule, deficit, evaluate_pl
 from temperkit.verify import NonnegCertificate, Witness
 

@@ -448,8 +448,9 @@ class TestSpecErrors:
 
 class TestOversizedIntegers:
     """An integer of more digits than int() converts (4,300 by default) is
-    an input error naming the file or the field; it once raised a bare
-    ValueError, a traceback and exit 1, the exit code of a mismatch."""
+    an input error naming the file or the field, and so is a verdict that
+    would hold one; each once raised a bare ValueError, a traceback and
+    exit 1, the exit code of a mismatch."""
 
     DIGITS = "9" * 5000
 
@@ -476,6 +477,33 @@ class TestOversizedIntegers:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {field}: Exceeds the limit"), err
 
+    SEVENS, THREES = "7" * 4000, "3" * 3999 + "1"
+
+    def long_denominators(self, tmp_path, h, g):
+        # the forms' 4,000-digit denominators read, but the deficit's values
+        # have about 8,000 digits, which str() does not write
+        return write(tmp_path, "s.json", pair_spec({
+            "space.ambient_dim": 1,
+            "h_module.weights": [{"form": [f"{sign}1/{h}"]} for sign in ("", "-")],
+            "g_module.weights": [{"form": [f"{sign}1/{g}"]} for sign in ("", "-")]}))
+
+    @pytest.mark.parametrize("h, g, flags", [
+        (SEVENS, THREES, []),                   # tempered: the ray values
+        (THREES, SEVENS, []),                   # not tempered: the witness value
+        (THREES, SEVENS, ["--witness-only"]),
+    ], ids=["certificate", "witness", "witness-only"])
+    def test_verdict_too_long_to_write(self, tmp_path, h, g, flags):
+        path = self.long_denominators(tmp_path, h, g)
+        code, out, err = run_process(["check", *flags, path])
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: the verdict holds a number of more than "
+                       "4300 digits, too long to write\n")
+
+    def test_witness_only_writes_a_tempered_verdict(self, tmp_path):
+        path = self.long_denominators(tmp_path, self.SEVENS, self.THREES)
+        code, out, err = run_process(["check", "--witness-only", path])
+        assert (code, out, err) == (0, '{"tempered":true,"witness":null}\n', "")
+
 
 def test_file_that_is_not_utf8(tmp_path):
     path = tmp_path / "s.json"
@@ -483,6 +511,15 @@ def test_file_that_is_not_utf8(tmp_path):
     code, out, err = run_process(["check", str(path)])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {path}: 'utf-8' codec can't decode"), err
+
+
+@pytest.mark.parametrize("command", ["check", "recheck"])
+def test_deeply_nested_file(tmp_path, command):
+    # json.load recurses once per level, and its RecursionError was a traceback
+    path = tmp_path / "s.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_process([command, str(path)])
+    assert (code, out, err) == (2, "", f"error: {path}: nested too deeply to read\n")
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 from temperkit.check import FAMILIES, check, sp_product_tempered
 from temperkit.errors import (BasisError, BracketClosureError,
                               DecompositionError)
+from temperkit.families import build_classical_in_sl, build_product_in_sp, build_so_pair
 from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS,
-                                  BlockPattern,
-                                  build_classical_in_sl, build_product_in_sl,
-                                  build_product_in_sp, build_so_pair,
+                                  BlockPattern, build_product_in_sl,
                                   build_sl_block,
                                   matrix_input_for_block_pattern,
                                   realify)

@@ -6,9 +6,9 @@ import pytest
 from temperkit import serialize
 from temperkit.check import QUESTION_CEILING, check, tensor_product_spec
 from temperkit.errors import SchemaError
+from temperkit.families import build_classical_in_sl, build_product_in_sp, build_so_pair
 from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern,
-                                  build_classical_in_sl, build_product_in_sl,
-                                  build_product_in_sp, build_sl_block, build_so_pair,
+                                  build_product_in_sl, build_sl_block,
                                   matrix_input_for_block_pattern, realify)
 from temperkit.matrices import extract_weights
 from temperkit.model import TorusSpace

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import temperkit
 
 
@@ -114,3 +116,67 @@ def test_matrix_pair_questions_decide_as_before(tmp_path):
         (0, False, {"direction": [1], "kind": "witness", "value": -2},
          {"hyperplanes": 1, "torus_dim": 1}),
     ]
+
+
+# perfbench's set-up program (the import and the H1(1,1) verdict), then check
+# and recheck one family question; list every loaded temperkit module that
+# holds a name that temperkit.families defines, and whether it was loaded
+FAMILY_GUARD = """
+import contextlib, io, sys
+import temperkit as tk
+v = tk.check(tk.build_sl_block(tk.TABLE1_PATTERNS['H1'](1, 1)))
+import temperkit.cli
+spec, doc, *names = sys.argv[1:]
+with open(doc, "w") as fh, contextlib.redirect_stdout(fh):
+    codes = [temperkit.cli.main(["check", spec])]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    codes.append(temperkit.cli.main(["recheck", doc]))
+held = sorted(f"{name}.{key}" for name, module in list(sys.modules.items())
+              if name.split(".")[0] == "temperkit" for key in vars(module) if key in names)
+print(v.tempered, codes, out.getvalue().strip(), held, "temperkit.families" in sys.modules)
+"""
+
+
+def test_verdicts_load_no_family_module(tmp_path):
+    # the scans, predicates, tensor questions and defining-module builders
+    # are one module, which the set-up verdict and a family question skip
+    package = Path(temperkit.__file__).parent
+    names = []
+    for node in ast.parse((package / "families.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [target.id for target in node.targets]
+        elif isinstance(node, ast.AnnAssign):
+            names.append(node.target.id)
+    assert {"FAMILIES", "tensor_question", "build_so_pair", "_module"} <= set(names)
+    spec = tmp_path / "s.json"
+    spec.write_text('{"family": {"name": "sl_block", "pattern": "H2", "sizes": [3, 1]}}')
+    out = subprocess.run([sys.executable, "-c", FAMILY_GUARD, str(spec),
+                          str(tmp_path / "v.json"), *names], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(package.parent))).stdout
+    assert out.strip() == 'True [0, 0] {"consistent":true,"problems":[]} [] False'
+
+
+@pytest.mark.parametrize("imports", [
+    ["import temperkit.serialize", "import temperkit.cli", "import temperkit.families",
+     "from temperkit.check import FAMILIES"],
+    ["from temperkit.check import FAMILIES", "import temperkit.families",
+     "import temperkit.cli", "import temperkit.serialize"],
+])
+def test_check_stays_the_verdict_function(imports):
+    # the first import of a submodule binds it on the package, so
+    # temperkit.check is the function only if the package loads the module
+    src = str(Path(temperkit.__file__).parents[1])
+    program = "\n".join([*imports, "import temperkit",
+                         "print(temperkit.check.__module__, temperkit.check.__name__,"
+                         " len(FAMILIES))"])
+    out = subprocess.run([sys.executable, "-c", program], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "temperkit.check check 6"
+
+
+def test_dir_lists_every_public_name():
+    # the package's __getattr__ serves some of them, which dir() would miss
+    assert set(temperkit.__all__) <= set(dir(temperkit))

@@ -11,11 +11,10 @@ from temperkit import verify
 from temperkit.check import FAMILIES, check
 from temperkit.cones import enumerate_cells
 from temperkit.errors import SpaceMismatchError
+from temperkit.families import build_classical_in_sl, build_product_in_sp, build_so_pair
 from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS,
-                                  build_classical_in_sl, build_product_in_sl,
-                                  build_product_in_sp, build_sl_block,
-                                  build_so_pair, matrix_input_for_block_pattern,
-                                  realify)
+                                  build_product_in_sl, build_sl_block,
+                                  matrix_input_for_block_pattern, realify)
 from temperkit.linalg import solve
 from temperkit.matrices import example_sp21_input, extract_weights
 from temperkit.model import (PLFunction, PairSpec, TorusSpace, WeightModule,
