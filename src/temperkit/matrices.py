@@ -7,7 +7,6 @@ a positive scale; products take the right factor's row_index, built once.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -16,7 +15,7 @@ from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (BasisError, BracketClosureError, ContainmentError,
                      DecompositionError)
-from .linalg import rref, solve
+from .linalg import rref
 from .model import PairSpec, Record, TorusSpace, WeightModule
 
 Sparse = dict[tuple[int, int], int]
@@ -104,6 +103,49 @@ class MatrixPairInput(Record):
         self._set(n, *bases, Q, {} if metadata is None else metadata)
 
 
+def reduce_components(vectors: Sequence[Mapping[Hashable, int]]) -> dict:
+    """The rref of the sparse integer vectors, each the nonzero entries
+    {column: value} over sortable columns, as {pivot: the nonzero (column, value) pairs of its
+    row in column order, pivot first}; the rank is its length.  Two vectors
+    are linked when they share a column.  A connected component's span
+    lies on its own columns, so the span is the direct sum of the
+    components' spans, and as RREF is unique, its rref is the union of
+    theirs: one linalg.rref per component, over its columns in order.  A
+    component of one vector is that vector over the gcd of its entries,
+    signed to make its pivot entry positive, so [(column, 1)] if it has
+    one entry, and has no rref call."""
+    parent = list(range(len(vectors)))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    owner: dict = {}
+    for i, vec in enumerate(vectors):
+        for c in vec:
+            j = owner.setdefault(c, i)
+            if j != i:
+                parent[root(j)] = root(i)
+    groups: dict[int, list] = {}
+    for i, vec in enumerate(vectors):
+        groups.setdefault(root(i), []).append(vec)
+    out = {}
+    for group in groups.values():
+        if len(group) == 1:
+            vec, = group
+            cols = sorted(vec)
+            if cols:
+                g = math.gcd(*vec.values()) * (1 if vec[cols[0]] > 0 else -1)
+                out[cols[0]] = [(c, vec[c] // g) for c in cols]
+            continue
+        cols = sorted({c for vec in group for c in vec})
+        rows, pivots = rref([[vec.get(c, 0) for c in cols] for vec in group])
+        for row, p in zip(rows, pivots):
+            out[cols[p]] = [(cols[j], x) for j, x in enumerate(row) if x]
+    return out
+
+
 def extract_weights(inp: MatrixPairInput) -> PairSpec:
     """Joint ad-eigenspace decomposition of h and g/h under the torus.
 
@@ -111,38 +153,53 @@ def extract_weights(inp: MatrixPairInput) -> PairSpec:
     the unit matrix E_ab has weight mu_a - mu_b; this splits the n*n matrix
     coordinates into weight blocks.  Each matrix is read as the input holds
     it, sparse and integer, scaled by its own positive factor, which changes
-    no test below.  Q's rows and Q^-1's columns are indexed once; Q^-1 M Q is
-    a pass over M's entries, then one over MQ's.  Independence is the row
-    count of each conjugated basis's RREF (for the torus, of its diagonals);
-    h in g and closure under brackets, formed from the h matrices' row
-    indexes, are tests against an RREF at the vector's own pivots
-    (in_span).  A span is torus-stable exactly when it is the direct
-    sum of its pieces in the blocks; RREF is unique, so the RREF of that
-    sum is the union of the pieces' RREFs.  Hence the span is stable
-    exactly when every RREF row lies in one block, else DecompositionError,
-    and a weight's multiplicity is the number of RREF rows with their pivot
-    in its block, its row mu_a - mu_b over L = lcm of the torus scales.
-    Once every Q^-1 T Q is diagonal the torus commutes, as conjugation
-    keeps commutators; that needs no separate test.
+    no test below.  s*Q^-1 comes from the rref of [Q | I]; Q's rows and
+    s*Q^-1's columns are indexed once, and Q^-1 M Q is a pass over M's
+    entries, then one over MQ's, made once for each distinct matrix of the
+    input, as h's matrices are mostly g's too.  Every rref is taken by
+    reduce_components, one connected component of the support at a time,
+    and is the rref of the dense rows.  Independence is the row count of
+    each conjugated basis's RREF (for the torus, of its diagonals); h in g
+    and closure under brackets, formed from the h matrices' row indexes,
+    are tests against an RREF at the vector's own pivots (in_span).  A
+    bracket [A, B] is formed only when A's columns meet B's rows or B's
+    columns meet A's rows; otherwise AB = BA = 0.  A span is torus-stable
+    exactly when it is the direct sum of its pieces in the blocks; RREF is
+    unique, so the RREF of that sum is the union of the pieces' RREFs.
+    Hence the span is stable exactly when every RREF row lies in one
+    block, else DecompositionError, and a weight's multiplicity is the
+    number of RREF rows with their pivot in its block, its row mu_a - mu_b
+    over L = lcm of the torus scales; a position's block is computed only
+    when a row of two or more entries, or a pivot, needs it.  Once every
+    Q^-1 T Q is diagonal the torus commutes, as conjugation keeps
+    commutators; that needs no separate test.
     """
     n = inp.ambient_dim
-    Q = dict(inp.diagonalizer[0])
-    inverse = solve([[Q.get((a, b), 0) for b in range(n)] for a in range(n)],
-                    [[int(a == b) for a in range(n)] for b in range(n)])
-    if inverse is None:
+    Q = inp.diagonalizer[0]
+    Q_rows = row_index(Q)
+    inverse = reduce_components([{**dict(Q_rows.get(a, ())), n + a: 1} for a in range(n)])
+    if any(a not in inverse for a in range(n)):
         raise BasisError("diagonalizer: matrix is singular")
-    # Q's rows and the columns of s*Q^-1; the scale of Q cancels in
-    # Q^-1 M Q, leaving s
-    Q_rows, s = row_index(Q.items()), inverse[1]
-    Qi_cols = [[(a, x) for a, x in enumerate(col) if x] for col in inverse[0]]
+    # the columns of s*Q^-1, for s the lcm of the pivot entries; the scale
+    # of Q cancels in Q^-1 M Q, leaving s
+    s = math.lcm(*(inverse[a][0][1] for a in range(n)))
+    Qi_cols: list[list] = [[] for _ in range(n)]
+    for a in range(n):
+        (_, p), *rest = inverse[a]
+        for j, x in rest:
+            Qi_cols[j - n].append((a, x * (s // p)))
+    conjugated: dict = {}
 
     def conjugate(held) -> tuple[Sparse, int]:
-        M, scale = held
-        out: Sparse = {}
-        for (b, c), x in sparse_mul(M, Q_rows).items():
-            for a, y in Qi_cols[b]:
-                out[a, c] = out.get((a, c), 0) + y * x
-        return {key: x for key, x in out.items() if x}, scale * s
+        result = conjugated.get(held)
+        if result is None:
+            M, scale = held
+            out: Sparse = {}
+            for (b, c), x in sparse_mul(M, Q_rows).items():
+                for a, y in Qi_cols[b]:
+                    out[a, c] = out.get((a, c), 0) + y * x
+            result = conjugated[held] = {key: x for key, x in out.items() if x}, scale * s
+        return result
 
     diags = [conjugate(T) for T in inp.torus_basis]
     if any(a != b for D, _ in diags for a, b in D):
@@ -153,36 +210,47 @@ def extract_weights(inp: MatrixPairInput) -> PairSpec:
     mu = [tuple(D.get((a, a), 0) * (L // scale) for D, scale in diags) for a in range(n)]
     if len(rref(list(zip(*mu)))[0]) != len(diags):
         raise BasisError("torus_basis: matrices are linearly dependent")
-    block = {(a, b): tuple(map(sub, mu[a], mu[b])) for a in range(n) for b in range(n)}
+
+    def block(key) -> tuple:
+        a, b = key
+        return tuple(map(sub, mu[a], mu[b]))
 
     h_mats = [conjugate(M)[0] for M in inp.h_basis]
     reduced = {}
     for name, mats in (("h_basis", h_mats),
                        ("g_basis", [conjugate(M)[0] for M in inp.g_basis])):
-        flat = [[0] * (n * n) for _ in mats]
-        for row, M in zip(flat, mats):
-            for (a, b), x in M.items():
-                row[a * n + b] = x
-        rows, pivots = rref(flat)
-        if len(rows) != len(mats):
+        reduced[name] = reduce_components(mats)
+        if len(reduced[name]) != len(mats):
             raise BasisError(f"{name}: matrices are linearly dependent")
-        reduced[name] = {divmod(c, n): [(divmod(j, n), x) for j, x in enumerate(row) if x]
-                         for row, c in zip(rows, pivots)}
     for i, M in enumerate(h_mats):
         if not in_span(reduced["g_basis"], M):
             raise ContainmentError(f"h_basis[{i}] is not in the span of g_basis")
+    # [A, B] = AB - BA is formed only for pairs that overlap
     indexed = [(M.items(), row_index(M.items())) for M in h_mats]
-    for (A, rA), (B, rB) in itertools.combinations(indexed, 2):
-        if not in_span(reduced["h_basis"], sparse_mul(B, rA, sparse_mul(A, rB), -1)):
-            raise BracketClosureError("h basis does not span a subalgebra")
+    cols = [{b for _, b in M} for M in h_mats]
+    with_row: dict[int, list[int]] = {}
+    with_col: dict[int, list[int]] = {}
+    for i, (_, rA) in enumerate(indexed):
+        for a in rA:
+            with_row.setdefault(a, []).append(i)
+        for b in cols[i]:
+            with_col.setdefault(b, []).append(i)
+    for i, (A, rA) in enumerate(indexed):
+        meets = {j for b in cols[i] for j in with_row.get(b, ()) if j > i}
+        meets.update(j for a in rA for j in with_col.get(a, ()) if j > i)
+        for j in meets:
+            B, rB = indexed[j]
+            if not in_span(reduced["h_basis"], sparse_mul(B, rA, sparse_mul(A, rB), -1)):
+                raise BracketClosureError("h basis does not span a subalgebra")
 
     def multiplicities(name) -> Counter:
         out: Counter = Counter()
         for c, row in reduced[name].items():
-            if any(block[j] != block[c] for j, _ in row):
+            weight = block(c)
+            if len(row) > 1 and any(block(j) != weight for j, _ in row[1:]):
                 raise DecompositionError(
                     f"{name}: span is not stable under the torus")
-            out[block[c]] += 1
+            out[weight] += 1
         return out
 
     mh = multiplicities("h_basis")

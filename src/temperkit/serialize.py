@@ -25,6 +25,7 @@ any key it does not read or ignore, naming it.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from typing import Optional
@@ -70,6 +71,25 @@ def rational_from_str(s, where: str = ""):
         return int(num) if den is None else Fraction(int(num), int(den))
     except ValueError as e:     # more digits than int() converts
         raise SchemaError(f"{where}: {e}") from None
+
+
+def _digits(k: int) -> int:
+    """The decimal digits of |k|, counted without str()."""
+    k = abs(k)
+    d = 1 + int(math.log10(k)) if k else 1
+    return d + (k >= 10 ** d) - (k < 10 ** (d - 1))
+
+
+def _rational_text(x) -> str:
+    """str(x) for a problem line, or "a rational of N digits", N those of
+    its numerator and any denominator other than 1, when one of them has
+    more digits than str() converts; never raises."""
+    try:
+        return str(x)
+    except ValueError:
+        x = Fraction(x)
+        parts = (x.numerator,) if x.denominator == 1 else (x.numerator, x.denominator)
+        return f"a rational of {sum(map(_digits, parts))} digits"
 
 
 def _vec_to_json(vec):
@@ -551,9 +571,11 @@ def recheck_document(data: dict) -> list[str]:
         if value is None:
             problems.append(f"{name}: point violates torus constraints")
         elif value != expected:
-            problems.append(f"{name}: recorded value {expected}, computed {value}")
+            problems.append(f"{name}: recorded value {_rational_text(expected)}, "
+                            f"computed {_rational_text(value)}")
         elif (value >= 0) != tempered:
-            problems.append(f"{name}: deficit {value} contradicts tempered {claim}")
+            problems.append(f"{name}: deficit {_rational_text(value)} "
+                            f"contradicts tempered {claim}")
     if tempered and f.space.dim > 0 and not points:
         problems.append("certificate has no rays")
     return problems

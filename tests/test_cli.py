@@ -504,6 +504,23 @@ class TestOversizedIntegers:
         code, out, err = run_process(["check", "--witness-only", path])
         assert (code, out, err) == (0, '{"tempered":true,"witness":null}\n', "")
 
+    def test_recheck_names_the_length_of_a_value_too_long_to_write(self, tmp_path):
+        # the 2,500-digit denominators read, but the deficit at each ray has
+        # 7,500 digits: its problem line gives that count, where str() once
+        # raised ValueError, a traceback and exit 1
+        doc = pair_spec({
+            "space.ambient_dim": 1,
+            "h_module.weights": [{"form": [f"{sign}1/{'3' * 2499}1"]} for sign in ("", "-")],
+            "g_module.weights": [{"form": [f"{sign}1/{'7' * 2500}"]} for sign in ("", "-")]})
+        doc.update(schema_version=2, tempered=True, deficit_summary={},
+                   evidence={"kind": "certificate", "rays": [["1"], ["-1"]],
+                             "ray_values": [0, 0], "symmetry_reduced": False})
+        code, out, err = run_process(["recheck", write(tmp_path, "v.json", doc)])
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"consistent": False, "problems": [
+            f"ray {i}: recorded value 0, computed a rational of 7500 digits"
+            for i in (0, 1)]}
+
 
 def test_file_that_is_not_utf8(tmp_path):
     path = tmp_path / "s.json"

@@ -394,6 +394,31 @@ class TestMatrixMode:
                 ambient_dim=2, g_basis=(D, E01, E10), h_basis=(E01, E10),
                 torus_basis=(D,), diagonalizer=ident))
 
+    def test_bracket_with_one_vanishing_product_is_tested(self):
+        # E01 E12 = E02 while E12 E01 = 0: a pair may be passed over only
+        # when both products vanish, so span{E01, E12} is not closed
+        def unit(a, b):
+            return tuple(tuple(int((r, c) == (a, b)) for c in range(3)) for r in range(3))
+
+        ident = tuple(tuple(int(r == c) for c in range(3)) for r in range(3))
+        with pytest.raises(BracketClosureError):
+            extract_weights(MatrixPairInput(
+                ambient_dim=3, g_basis=(unit(0, 1), unit(1, 2), unit(0, 2)),
+                h_basis=(unit(0, 1), unit(1, 2)),
+                torus_basis=(((1, 0, 0), (0, 0, 0), (0, 0, -1)),), diagonalizer=ident))
+
+    def test_closure_is_tested_before_stability(self):
+        # span{E00, E01 + E10} is neither closed, [E00, S] = E01 - E10, nor
+        # stable, as S mixes the weights 2 and -2: closure is reported
+        D = ((1, 0), (0, -1))
+        S = ((0, 1), (1, 0))
+        units = [tuple(tuple(int((r, c) == (a, b)) for c in range(2)) for r in range(2))
+                 for a in range(2) for b in range(2)]
+        with pytest.raises(BracketClosureError):
+            extract_weights(MatrixPairInput(
+                ambient_dim=2, g_basis=tuple(units), h_basis=(units[0], S),
+                torus_basis=(D,), diagonalizer=((1, 0), (0, 1))))
+
     def test_sp21_weight_data(self):
         spec = extract_weights(example_sp21_input())
         assert spec.space.dim == 1

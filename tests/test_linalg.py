@@ -1,4 +1,5 @@
-"""linalg's integer elimination against the Fraction reference."""
+"""linalg's integer elimination against the Fraction reference, and the
+matrix-mode reductions built on it against linalg's dense rref."""
 
 import math
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from temperkit.linalg import rref, solve
-from temperkit.matrices import in_span
+from temperkit.matrices import in_span, reduce_components
 
 from reference import fraction_det, mat_inv
 from reference import rref as fraction_rref
@@ -95,3 +96,50 @@ def test_solve_matches_fraction_inverse():
         assert X == [[s * sum(a * b for a, b in zip(row, c)) for row in inverse]
                      for c in columns]
     assert 50 < singular < 250
+
+
+def test_reduce_components_is_the_dense_rref():
+    # reduce_components, one rref per connected component of the support,
+    # against linalg.rref of the dense n*n-column flattening: the same
+    # {pivot: row} and rank, on random sparse integer bases with a zero
+    # matrix, a repeated matrix, integer combinations of others, and two
+    # components joined through one shared entry, in shuffled order
+    rng = random.Random(28)
+    seen = {"negative_lead": 0, "joined": 0, "dependent": 0}
+
+    def sparse(n, k, rows=None, cols=None):
+        rows, cols = rows or range(n), cols or range(n)
+        return {(rng.choice(rows), rng.choice(cols)): rng.choice([-3, -2, -1, 1, 2, 3])
+                for _ in range(k)}
+
+    for trial in range(400):
+        n = rng.randint(2, 5)
+        kind = trial % 4
+        if kind == 3:
+            h = rng.randint(1, n - 1)
+            left = [sparse(n, rng.randint(1, 3), range(h), range(h)) for _ in range(2)]
+            right = [sparse(n, rng.randint(1, 3), range(h, n), range(h, n)) for _ in range(2)]
+            right[0][rng.choice(list(left[0]))] = rng.choice([-1, 2])
+            mats = left + right
+            seen["joined"] += 1
+        else:
+            mats = [sparse(n, rng.randint(1, 3)) for _ in range(rng.randint(1, 6))]
+        if kind == 0:
+            mats.append({})
+        elif kind == 1:
+            mats.append(dict(rng.choice(mats)))
+        elif kind == 2:
+            a, b = rng.choice(mats), rng.choice(mats)
+            k, m = rng.choice([-2, -1, 1, 3]), rng.choice([-1, 1, 2])
+            mats.append({c: x for c in {*a, *b}
+                         if (x := k * a.get(c, 0) + m * b.get(c, 0))})
+        rng.shuffle(mats)
+        seen["negative_lead"] += any(M[min(M)] < 0 for M in mats if M)
+        rows, pivots = rref([[M.get(divmod(j, n), 0) for j in range(n * n)] for M in mats])
+        seen["dependent"] += len(rows) < len(mats)
+        want = {divmod(c, n): [(divmod(j, n), x) for j, x in enumerate(row) if x]
+                for row, c in zip(rows, pivots)}
+        got = reduce_components(mats)
+        assert got == want
+        assert len(got) == len(rows)
+    assert min(seen.values()) >= 100, seen

@@ -1,4 +1,5 @@
-"""Time the set-up of a verdict at the table2 corners H10, H11 and H12(20,20,20).
+"""Time the set-up of a verdict at the table2 corners H10, H11 and H12(20,20,20),
+and matrix mode's extraction at n = 24, 32 and 48.
 
 The set-up is everything before the cell enumeration: the spec build,
 `deficit`, and `is_nonnegative` up to its call of `enumerate_cells`, which
@@ -7,11 +8,18 @@ is almost all `_chamber_walls`.  The enumeration itself is not run:
 is given and stops the decision, so the script runs unchanged on any
 checkout whose `is_nonnegative` calls `enumerate_cells(..., restrict=walls)`.
 
-Each stage is timed as the median of RUNS = 3 runs, in wall seconds.  The record holds, per corner, the stage times, the wall count
-(57 at each corner, where the derived chamber is simplicial) and a digest
-of the walls, so two checkouts' records show whether their walls agree.
-The script exits 1 when a wall count is not 57.  The run metadata is
-perfbench's, less its seed and points.
+The extraction is `matrices.extract_weights` alone, on the explicit
+matrices `matrix_input_for_block_pattern` gives for H1(16,8), H1(16,16)
+and H4(24,24); each input is built once, outside the timer.
+
+Each stage is timed as the median of RUNS = 3 runs, in wall seconds.  The
+record holds, per corner, the stage times, the wall count (57 at each
+corner, where the derived chamber is simplicial) and a digest of the
+walls, and per extraction, its time, the sizes of the bases and a digest
+of the extracted modules as a document writes them, so two checkouts'
+records show whether their walls and modules agree.  The script exits 1
+when a wall count is not 57.  The run metadata is perfbench's, less its
+seed and points.
 
 Run from the repository root:
 
@@ -33,12 +41,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from run import metadata  # noqa: E402
 
-from temperkit import verify  # noqa: E402
-from temperkit.generators import TABLE2_PATTERNS, build_sl_block  # noqa: E402
+from temperkit import serialize, verify  # noqa: E402
+from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, build_sl_block,  # noqa: E402
+                                  matrix_input_for_block_pattern)
+from temperkit.matrices import extract_weights  # noqa: E402
 from temperkit.model import deficit  # noqa: E402
 
 CORNERS = [("H10", (20, 20, 20)), ("H11", (20, 20, 20)), ("H12", (20, 20, 20))]
 WALLS = 57
+EXTRACTIONS = [("H1", (16, 8)), ("H1", (16, 16)), ("H4", (24, 24))]
 RUNS = 3
 
 
@@ -98,6 +109,20 @@ def corner(name: str, sizes: tuple) -> dict:
             **{key: round(statistics.median(v), 4) for key, v in times.items()}}
 
 
+def extraction(name: str, sizes: tuple) -> dict:
+    inp = matrix_input_for_block_pattern(TABLE1_PATTERNS[name](*sizes))
+    times = []
+    for _ in range(RUNS):
+        t0 = time.perf_counter()
+        spec = extract_weights(inp)
+        times.append(time.perf_counter() - t0)
+    modules = serialize.dumps(serialize.pair_spec_to_json(spec))
+    return {"point": f"{name}{sizes}".replace(" ", ""), "n": inp.ambient_dim,
+            "h_basis": len(inp.h_basis), "g_basis": len(inp.g_basis),
+            "modules_sha256": hashlib.sha256(modules.encode()).hexdigest(),
+            "extract_s": round(statistics.median(times), 4)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="write the record to this file as well")
@@ -105,6 +130,7 @@ def main(argv=None) -> int:
     meta = metadata(None, ())
     del meta["seed"], meta["points"]
     record = {"runs": RUNS, "corners": [corner(name, sizes) for name, sizes in CORNERS],
+              "extractions": [extraction(name, sizes) for name, sizes in EXTRACTIONS],
               "meta": meta}
     line = json.dumps(record)
     print(line)
