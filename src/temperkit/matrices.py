@@ -105,15 +105,15 @@ class MatrixPairInput(Record):
 
 def reduce_components(vectors: Sequence[Mapping[Hashable, int]]) -> dict:
     """The rref of the sparse integer vectors, each the nonzero entries
-    {column: value} over sortable columns, as {pivot: the nonzero (column, value) pairs of its
-    row in column order, pivot first}; the rank is its length.  Two vectors
-    are linked when they share a column.  A connected component's span
-    lies on its own columns, so the span is the direct sum of the
-    components' spans, and as RREF is unique, its rref is the union of
-    theirs: one linalg.rref per component, over its columns in order.  A
-    component of one vector is that vector over the gcd of its entries,
-    signed to make its pivot entry positive, so [(column, 1)] if it has
-    one entry, and has no rref call."""
+    {column: value} over sortable columns, as {pivot: the nonzero (column,
+    value) pairs of its row in column order, pivot first}; the rank is its
+    length.  Two vectors are linked when they share a column.  A connected
+    component's span lies on its own columns, so the span is the direct
+    sum of the components' spans, and as RREF is unique, its rref is the
+    union of theirs: one linalg.rref per component, over its columns in
+    order.  A component of one vector is that vector over the gcd of its
+    entries, signed to make its pivot entry positive, so [(column, 1)] if
+    it has one entry, and needs no rref call."""
     parent = list(range(len(vectors)))
 
     def root(i):
@@ -134,8 +134,11 @@ def reduce_components(vectors: Sequence[Mapping[Hashable, int]]) -> dict:
     for group in groups.values():
         if len(group) == 1:
             vec, = group
-            cols = sorted(vec)
-            if cols:
+            if len(vec) == 1:
+                c, = vec
+                out[c] = [(c, 1)]
+            elif vec:
+                cols = sorted(vec)
                 g = math.gcd(*vec.values()) * (1 if vec[cols[0]] > 0 else -1)
                 out[cols[0]] = [(c, vec[c] // g) for c in cols]
             continue
@@ -154,29 +157,30 @@ def extract_weights(inp: MatrixPairInput) -> PairSpec:
     coordinates into weight blocks.  Each matrix is read as the input holds
     it, sparse and integer, scaled by its own positive factor, which changes
     no test below.  s*Q^-1 comes from the rref of [Q | I]; Q's rows and
-    s*Q^-1's columns are indexed once, and Q^-1 M Q is a pass over M's
-    entries, then one over MQ's, made once for each distinct matrix of the
-    input, as h's matrices are mostly g's too.  Every rref is taken by
-    reduce_components, one connected component of the support at a time,
-    and is the rref of the dense rows.  Independence is the row count of
-    each conjugated basis's RREF (for the torus, of its diagonals); h in g
-    and closure under brackets, formed from the h matrices' row indexes,
-    are tests against an RREF at the vector's own pivots (in_span).  A
-    bracket [A, B] is formed only when A's columns meet B's rows or B's
-    columns meet A's rows; otherwise AB = BA = 0.  A span is torus-stable
+    s*Q^-1's columns are indexed once, and Q^-1 M Q is one pass over M's
+    entries against them, made once for each distinct matrix of the
+    input, as h's matrices are mostly g's too.  The rrefs of [Q | I] and
+    of each basis are taken by reduce_components, one connected component
+    of the support at a time, and are the rrefs of the dense rows.
+    Independence is the row count of each conjugated basis's RREF (for the
+    torus, of its diagonals); h in g and closure under brackets, formed
+    from the h matrices' row indexes, are tests against an RREF at the
+    vector's own pivots (in_span).  A bracket [A, B] is formed only when
+    A's columns meet B's rows or B's columns meet A's rows; otherwise
+    AB = BA = 0.  A span is torus-stable
     exactly when it is the direct sum of its pieces in the blocks; RREF is
     unique, so the RREF of that sum is the union of the pieces' RREFs.
     Hence the span is stable exactly when every RREF row lies in one
     block, else DecompositionError, and a weight's multiplicity is the
     number of RREF rows with their pivot in its block, its row mu_a - mu_b
-    over L = lcm of the torus scales; a position's block is computed only
-    when a row of two or more entries, or a pivot, needs it.  Once every
-    Q^-1 T Q is diagonal the torus commutes, as conjugation keeps
-    commutators; that needs no separate test.
+    over L = lcm of the torus scales.  A position's block is computed only
+    for a row of two or more entries; pivots are counted by the torus
+    coordinates of their ends, and each pair's difference is taken once.
+    Once every Q^-1 T Q is diagonal the torus commutes, as conjugation
+    keeps commutators; that needs no separate test.
     """
     n = inp.ambient_dim
-    Q = inp.diagonalizer[0]
-    Q_rows = row_index(Q)
+    Q_rows = row_index(inp.diagonalizer[0])
     inverse = reduce_components([{**dict(Q_rows.get(a, ())), n + a: 1} for a in range(n)])
     if any(a not in inverse for a in range(n)):
         raise BasisError("diagonalizer: matrix is singular")
@@ -195,9 +199,10 @@ def extract_weights(inp: MatrixPairInput) -> PairSpec:
         if result is None:
             M, scale = held
             out: Sparse = {}
-            for (b, c), x in sparse_mul(M, Q_rows).items():
-                for a, y in Qi_cols[b]:
-                    out[a, c] = out.get((a, c), 0) + y * x
+            for (b, k), x in M:
+                for c, q in Q_rows.get(k, ()):
+                    for a, y in Qi_cols[b]:
+                        out[a, c] = out.get((a, c), 0) + y * x * q
             result = conjugated[held] = {key: x for key, x in out.items() if x}, scale * s
         return result
 
@@ -244,13 +249,15 @@ def extract_weights(inp: MatrixPairInput) -> PairSpec:
                 raise BracketClosureError("h basis does not span a subalgebra")
 
     def multiplicities(name) -> Counter:
-        out: Counter = Counter()
         for c, row in reduced[name].items():
-            weight = block(c)
-            if len(row) > 1 and any(block(j) != weight for j, _ in row[1:]):
+            if len(row) > 1 and any(block(j) != block(c) for j, _ in row[1:]):
                 raise DecompositionError(
                     f"{name}: span is not stable under the torus")
-            out[weight] += 1
+        # pivots counted by their ends' torus coordinates, which many share
+        ends = Counter((mu[a], mu[b]) for a, b in reduced[name])
+        out: Counter = Counter()
+        for (x, y), m in ends.items():
+            out[tuple(map(sub, x, y))] += m
         return out
 
     mh = multiplicities("h_basis")

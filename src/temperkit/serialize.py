@@ -87,7 +87,6 @@ def _rational_text(x) -> str:
     try:
         return str(x)
     except ValueError:
-        x = Fraction(x)
         parts = (x.numerator,) if x.denominator == 1 else (x.numerator, x.denominator)
         return f"a rational of {sum(map(_digits, parts))} digits"
 

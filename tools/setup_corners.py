@@ -1,16 +1,17 @@
-"""Time the set-up of a verdict at the table2 corners H10, H11 and H12(20,20,20),
-and matrix mode's extraction at n = 24, 32 and 48.
+"""Time a verdict's set-up at the table2 corners and matrix mode's extraction.
 
-The set-up is everything before the cell enumeration: the spec build,
-`deficit`, and `is_nonnegative` up to its call of `enumerate_cells`, which
-is almost all `_chamber_walls`.  The enumeration itself is not run:
+The corners are H10, H11 and H12(20,20,20).  The set-up is everything
+before the cell enumeration: the spec build, `deficit`, and
+`is_nonnegative` up to its call of `enumerate_cells`, which is almost all
+`_chamber_walls`.  The enumeration itself is not run:
 `verify.enumerate_cells` is swapped for a stub that records the walls it
 is given and stops the decision, so the script runs unchanged on any
 checkout whose `is_nonnegative` calls `enumerate_cells(..., restrict=walls)`.
 
 The extraction is `matrices.extract_weights` alone, on the explicit
 matrices `matrix_input_for_block_pattern` gives for H1(16,8), H1(16,16)
-and H4(24,24); each input is built once, outside the timer.
+and H4(24,24) (n = 24, 32 and 48); each input is built once, outside the
+timer.
 
 Each stage is timed as the median of RUNS = 3 runs, in wall seconds.  The
 record holds, per corner, the stage times, the wall count (57 at each
@@ -42,8 +43,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from run import metadata  # noqa: E402
 
 from temperkit import serialize, verify  # noqa: E402
-from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, build_sl_block,  # noqa: E402
-                                  matrix_input_for_block_pattern)
+from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS,  # noqa: E402
+                                  build_sl_block, matrix_input_for_block_pattern)
 from temperkit.matrices import extract_weights  # noqa: E402
 from temperkit.model import deficit  # noqa: E402
 
