@@ -67,19 +67,19 @@ class BlockPattern(Record):
                 raise ValueError(f"unknown diagonal kind {k!r}")
         if any(s < 0 for s in sizes):
             raise ValueError("block sizes must be nonnegative")
+        # the given indices are checked before an empty block drops a pair
+        upper_blocks = frozenset(upper_blocks)
+        for i, j in upper_blocks:
+            if not (0 <= i < j < len(sizes)):
+                raise ValueError(f"bad upper block ({i},{j})")
         keep = [i for i, s in enumerate(sizes) if s > 0]
         if len(keep) != len(sizes):
             remap = {old: new for new, old in enumerate(keep)}
-            upper_blocks = [(remap[i], remap[j]) for i, j in upper_blocks
-                            if i in remap and j in remap]
+            upper_blocks = frozenset((remap[i], remap[j]) for i, j in upper_blocks
+                                     if i in remap and j in remap)
             sizes = tuple(sizes[i] for i in keep)
             diagonal_kind = tuple(diagonal_kind[i] for i in keep)
-        upper_blocks = frozenset(upper_blocks)
         self._set(sizes, diagonal_kind, upper_blocks)
-        k = len(sizes)
-        for i, j in upper_blocks:
-            if not (0 <= i < j < k):
-                raise ValueError(f"bad upper block ({i},{j})")
         for (i, j), (a, b) in itertools.product(upper_blocks, repeat=2):
             if j == a and (i, b) not in upper_blocks:
                 raise BracketClosureError(
@@ -98,15 +98,25 @@ class BlockPattern(Record):
 
 
 def _block_torus(pattern: BlockPattern) -> TorusSpace:
-    """Ambient R^n with trace-zero full blocks and zeroed identity blocks."""
-    n = pattern.n
-    constraints = []
-    for blk, kind in zip(pattern.block_coords(), pattern.diagonal_kind):
+    """Ambient R^n with trace-zero full blocks and zeroed identity blocks.
+
+    The constraints are the indicator row of each full block and the unit
+    row of each identity-block coordinate.  Their supports are disjoint and
+    each leads with a 1, so they are already the reduced rows TorusSpace
+    keeps (with _scale 1), pivoted at each full block's first coordinate and
+    at every identity-block coordinate, and go to it without row reduction.
+    """
+    n, start = pattern.n, 0
+    rows, pivots = [], []
+    for s, kind in zip(pattern.sizes, pattern.diagonal_kind):
         if kind == "full":
-            constraints.append(tuple(int(a in blk) for a in range(n)))
+            rows.append((0,) * start + (1,) * s + (0,) * (n - start - s))
+            pivots.append(start)
         else:
-            constraints.extend(_e(a, n) for a in blk)
-    return TorusSpace(n, constraints)
+            rows.extend(_e(a, n) for a in range(start, start + s))
+            pivots.extend(range(start, start + s))
+        start += s
+    return TorusSpace._from_reduced(n, rows, pivots)
 
 
 def build_sl_block(pattern: BlockPattern) -> PairSpec:
@@ -118,29 +128,49 @@ def build_sl_block(pattern: BlockPattern) -> PairSpec:
     when its pair of blocks is a full diagonal block or an upper block of
     the pattern, and of the n - 1 zero weights, one less than its size per
     full block.  So dim h + dim g/h = n^2 - 1 holds by construction.
+
+    The root e_a - e_b reduces modulo the constraints (_block_torus) to
+    u_a - u_b, where u_a is e_a at a full block's other coordinates, minus
+    the block's other coordinates at its first, and zero on an identity
+    block.  So the coordinates fall into classes of equal u: each
+    full-block coordinate is a class of one, and each identity block one
+    class of its s coordinates.  The roots from class x to class y give
+    the one weight u_x - u_y, of multiplicity c_x * c_y for the class
+    sizes, or c * (c - 1) from a class to itself.
     """
     n = pattern.n
     if n == 0:
         raise ValueError("pattern has no coordinates")
     space = _block_torus(pattern)
-    blocks = pattern.block_coords()
-    block = [i for i, blk in enumerate(blocks) for _ in blk]
     full = [i for i, kind in enumerate(pattern.diagonal_kind) if kind == "full"]
     in_h = pattern.upper_blocks | {(i, i) for i in full}
-    # reduction is linear, so e_a - e_b reduces to u[a] - u[b]
-    u = [space._reduce(_e(a, n)) for a in range(n)]
+    classes, start = [], 0      # per block, its classes: (u, size)
+    for s, kind in zip(pattern.sizes, pattern.diagonal_kind):
+        if kind == "full":
+            first = (0,) * (start + 1) + (-1,) * (s - 1) + (0,) * (n - start - s)
+            classes.append([(first, 1)] + [(_e(a, n), 1)
+                                           for a in range(start + 1, start + s)])
+        else:
+            classes.append([(_zero(n), s)])
+        start += s
     h_rows, g_rows = [], []
-    for a, b in itertools.permutations(range(n), 2):
-        rows = h_rows if (block[a], block[b]) in in_h else g_rows
-        rows.append((tuple(map(sub, u[a], u[b])), 1))
-    h_zero = sum(len(blocks[i]) - 1 for i in full)
+    for i, xs in enumerate(classes):
+        for j, ys in enumerate(classes):
+            rows = h_rows if (i, j) in in_h else g_rows
+            if i != j:
+                pairs = itertools.product(xs, ys)
+            else:       # a class with itself gives only the zero weight
+                pairs = itertools.permutations(xs, 2)
+                rows += [(_zero(n), c * (c - 1)) for _, c in xs if c > 1]
+            rows += [(tuple(map(sub, u, w)), c * d) for (u, c), (w, d) in pairs]
+    h_zero = sum(pattern.sizes[i] - 1 for i in full)
     for rows, zero in ((h_rows, h_zero), (g_rows, n - 1 - h_zero)):
         if zero:
             rows.append((_zero(n), zero))
 
     return PairSpec(
-        g_module=WeightModule._from_integers(space, g_rows, space._scale),
-        h_module=WeightModule._from_integers(space, h_rows, space._scale),
+        g_module=WeightModule._from_integers(space, g_rows),
+        h_module=WeightModule._from_integers(space, h_rows),
         metadata={"family": "sl_block", "sizes": list(pattern.sizes),
                   "diagonal_kind": list(pattern.diagonal_kind),
                   "upper_blocks": sorted(pattern.upper_blocks)},

@@ -51,7 +51,7 @@ def _lex_positive(v) -> bool:
 def _primitive(row: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """(row/g, g) for the g that makes the nonzero row primitive with its
     first nonzero entry positive."""
-    g = math.gcd(*row) if _lex_positive(row) else -math.gcd(*row)
+    g = math.gcd(*row) if next(filter(None, row)) > 0 else -math.gcd(*row)
     return (tuple(row) if g == 1 else tuple([x // g for x in row])), g
 
 
@@ -133,10 +133,21 @@ class TorusSpace(Record):
         reduced, pivots = rref(rows)
         if len(reduced) != len(rows):
             raise ValueError("constraint set is linearly dependent")
-        rows = tuple(map(tuple, reduced))
+        self._fill(ambient_dim, tuple(map(tuple, reduced)), tuple(pivots))
+
+    @classmethod
+    def _from_reduced(cls, ambient_dim: int, rows, pivots) -> "TorusSpace":
+        """The space of constraint rows already in the form __init__ gives
+        them: integer tuples in reduced row echelon form, each primitive
+        with a positive entry at its pivot column, the pivots increasing."""
+        space = object.__new__(cls)
+        space._fill(ambient_dim, tuple(rows), tuple(pivots))
+        return space
+
+    def _fill(self, ambient_dim: int, rows: tuple, pivots: tuple) -> None:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_pivots", tuple(pivots))
+        object.__setattr__(self, "_pivots", pivots)
         object.__setattr__(self, "_scale",
                            math.lcm(*(r[p] for r, p in zip(rows, pivots))))
 
@@ -381,8 +392,9 @@ def _pl_totals(linear, terms, columns, zero) -> list:
     return total
 
 
-def evaluate_at(f: PLFunction, points: Sequence[Sequence]) -> list:
-    """f at each of the points exactly, or None at a point off the slice.
+def _evaluate(f: PLFunction, points: Sequence[Sequence]) -> list:
+    """f at each of the points exactly, as (total, scale) with f(Y) =
+    total/scale and scale > 0, or None at a point off the slice.
 
     Each point Y is scaled to the integer Z = m*Y for the least m >= 1, and
     f(Y) = (linear.Z + sum c*|row.Z|) / (den*m), f being positively
@@ -397,8 +409,14 @@ def evaluate_at(f: PLFunction, points: Sequence[Sequence]) -> list:
     zero = [0] * len(scaled)
     off = map(any, zip(zero, *(_column_sums(row, columns, zero) for row in f.space.rows)))
     total = _pl_totals(f.linear, f.terms, columns, zero)
-    return [None if o else Fraction(t, f.den * m)
-            for o, t, (_, m) in zip(off, total, scaled)]
+    return [None if o else (t, f.den * m) for o, t, (_, m) in zip(off, total, scaled)]
+
+
+def evaluate_at(f: PLFunction, points: Sequence[Sequence]) -> list:
+    """f at each of the points as an exact Fraction, or None at a point off
+    the slice, by _evaluate.  Raises ArityError if a point's length is not
+    the ambient dimension."""
+    return [None if v is None else Fraction(*v) for v in _evaluate(f, points)]
 
 
 def evaluate_pl(f: PLFunction, Y: Sequence) -> Fraction:

@@ -34,7 +34,7 @@ from .check import QUESTION_CEILING, Verdict
 from .errors import SchemaError, TemperkitError
 from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern,
                          build_product_in_sl, build_sl_block, realify)
-from .model import PairSpec, TorusSpace, WeightModule, deficit, evaluate_at
+from .model import PairSpec, TorusSpace, WeightModule, _evaluate, deficit
 from .verify import NonnegCertificate, Witness
 
 SCHEMA_VERSION = 2
@@ -535,11 +535,13 @@ def recheck_document(data: dict) -> list[str]:
     one.  Each evidence vector's length is then checked against the spec's
     ambient dimension, before anything is valued.  One rule then replays
     either kind of evidence: the document is tempered exactly when its
-    evidence is a certificate, and one evaluate_at call values the deficit
-    at the witness direction or every ray, each of which must lie on the
-    slice, have its recorded value, and have the sign the verdict claims
-    (negative at a witness, nonnegative at a ray).  The arrangement is
-    never re-enumerated, so nothing checks that the rays cover the slice.
+    evidence is a certificate, and one model._evaluate pass values the
+    deficit at the witness direction or every ray as an exact total/scale,
+    each of which must lie on the slice, have its recorded value p/q
+    (total*q == p*scale), and have the sign the verdict claims (total < 0
+    at a witness, >= 0 at a ray).  The value is made a Fraction, and the
+    point named, only for a problem line.  The arrangement is never
+    re-enumerated, so nothing checks that the rays cover the slice.
     Returns a list of human-readable problems, each naming the field, the
     ray or the witness it is about; empty means consistent.  A malformed
     document raises SchemaError.
@@ -552,29 +554,33 @@ def recheck_document(data: dict) -> list[str]:
     tempered = isinstance(ev, NonnegCertificate)
     points, recorded = ((ev.rays, ev.ray_values) if tempered
                         else ([ev.direction], [ev.value]))
-    names = [f"ray {i}" if tempered else "witness direction" for i in range(len(points))]
-    arity = [f"{name}: point arity {len(point)} does not match the ambient "
+
+    def name(i: int) -> str:
+        return f"ray {i}" if tempered else "witness direction"
+
+    arity = [f"{name(i)}: point arity {len(point)} does not match the ambient "
              f"dimension {dim}"
-             for name, point in zip(names, points) if len(point) != dim]
+             for i, point in enumerate(points) if len(point) != dim]
     if arity:
         return problems + arity
-    claim = dumps(tempered)
     if data.get("tempered") is not tempered:
         kind = "certificate" if tempered else "witness"
-        problems.append(f"{kind} evidence but tempered is not {claim}")
+        problems.append(f"{kind} evidence but tempered is not {dumps(tempered)}")
     if len(points) != len(recorded):
         problems.append("ray and value counts differ")
         return problems
     f = deficit(spec)
-    for name, value, expected in zip(names, evaluate_at(f, points), recorded):
+    for i, (value, expected) in enumerate(zip(_evaluate(f, points), recorded)):
         if value is None:
-            problems.append(f"{name}: point violates torus constraints")
-        elif value != expected:
-            problems.append(f"{name}: recorded value {_rational_text(expected)}, "
-                            f"computed {_rational_text(value)}")
-        elif (value >= 0) != tempered:
-            problems.append(f"{name}: deficit {_rational_text(value)} "
-                            f"contradicts tempered {claim}")
+            problems.append(f"{name(i)}: point violates torus constraints")
+            continue
+        total, scale = value
+        if total * expected.denominator != expected.numerator * scale:
+            problems.append(f"{name(i)}: recorded value {_rational_text(expected)}, "
+                            f"computed {_rational_text(Fraction(total, scale))}")
+        elif (total >= 0) != tempered:
+            problems.append(f"{name(i)}: deficit {_rational_text(Fraction(total, scale))} "
+                            f"contradicts tempered {dumps(tempered)}")
     if tempered and f.space.dim > 0 and not points:
         problems.append("certificate has no rays")
     return problems

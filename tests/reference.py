@@ -8,7 +8,12 @@ grid_oracle is a brute-force search for a negative value;
 parabolic_decomposition gives the weight modules of a block pattern
 relative to its parabolic.  dense_chamber_walls derives the chamber the
 way verify once did, from a coroot solve per root and dense ambient rows:
-the reference for verify._chamber_walls.
+the reference for verify._chamber_walls.  generic_sl_block builds a block
+pattern's spec the generic way, its torus row-reduced by TorusSpace and
+every root of sl(n) reduced one coordinate at a time: the reference for
+generators.build_sl_block.  replay_problems applies recheck's rule to the
+evidence through evaluate_at's Fractions: the reference for
+serialize.recheck_document's integer replay.
 """
 
 from __future__ import annotations
@@ -17,12 +22,14 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from operator import sub
 from typing import Optional, Sequence
 
 from temperkit.families import _module
-from temperkit.generators import BlockPattern, _block_torus, _zero
+from temperkit.generators import BlockPattern, _block_torus, _e, _zero
 from temperkit.linalg import solve
-from temperkit.model import PLFunction, PairSpec, _lex_positive, _primitive, evaluate_pl
+from temperkit.model import (PLFunction, PairSpec, TorusSpace, WeightModule,
+                             _lex_positive, _primitive, evaluate_pl)
 from temperkit.verify import Witness, _restricted
 
 
@@ -183,6 +190,48 @@ def parabolic_decomposition(pattern: BlockPattern):
             _module(space, uv_counter))
 
 
+def generic_block_torus(pattern: BlockPattern) -> TorusSpace:
+    """generators._block_torus through TorusSpace's row reduction."""
+    n = pattern.n
+    constraints = []
+    for blk, kind in zip(pattern.block_coords(), pattern.diagonal_kind):
+        if kind == "full":
+            constraints.append(tuple(int(a in blk) for a in range(n)))
+        else:
+            constraints.extend(_e(a, n) for a in blk)
+    return TorusSpace(n, constraints)
+
+
+def generic_sl_block(pattern: BlockPattern) -> PairSpec:
+    """build_sl_block root by root: every root e_a - e_b of sl(n), reduced
+    as u[a] - u[b] with u[a] = TorusSpace._reduce(e_a), goes to h when its
+    pair of blocks is a full diagonal block or an upper block."""
+    n = pattern.n
+    if n == 0:
+        raise ValueError("pattern has no coordinates")
+    space = generic_block_torus(pattern)
+    blocks = pattern.block_coords()
+    block = [i for i, blk in enumerate(blocks) for _ in blk]
+    full = [i for i, kind in enumerate(pattern.diagonal_kind) if kind == "full"]
+    in_h = pattern.upper_blocks | {(i, i) for i in full}
+    u = [space._reduce(_e(a, n)) for a in range(n)]
+    h_rows, g_rows = [], []
+    for a, b in itertools.permutations(range(n), 2):
+        rows = h_rows if (block[a], block[b]) in in_h else g_rows
+        rows.append((tuple(map(sub, u[a], u[b])), 1))
+    h_zero = sum(len(blocks[i]) - 1 for i in full)
+    for rows, zero in ((h_rows, h_zero), (g_rows, n - 1 - h_zero)):
+        if zero:
+            rows.append((_zero(n), zero))
+    return PairSpec(
+        g_module=WeightModule._from_integers(space, g_rows, space._scale),
+        h_module=WeightModule._from_integers(space, h_rows, space._scale),
+        metadata={"family": "sl_block", "sizes": list(pattern.sizes),
+                  "diagonal_kind": list(pattern.diagonal_kind),
+                  "upper_blocks": sorted(pattern.upper_blocks)},
+        built=True)
+
+
 def _root(R, L):
     """The root (R, L, R.L): a reduced weight row R and L = s*B^-1 R lifted,
     s > 0 one integer shared by every root that makes each L integral,
@@ -247,3 +296,47 @@ def dense_chamber_walls(f: PLFunction, columns, lift, pair: PairSpec) -> list:
                 return []
     simple.sort(key=lambda a: _primitive(a[1])[0], reverse=True)
     return [[a[0][c] * s for c, s in columns] for a in simple]
+
+
+def replay_problems(data: dict) -> list[str]:
+    """serialize.recheck_document's problems, its replay valued through
+    evaluate_at: each point's deficit as a Fraction, compared with the
+    recorded value and with zero, and every name formed up front."""
+    from temperkit.model import deficit, evaluate_at
+    from temperkit.serialize import (_expect, _rational_text, dumps,
+                                     evidence_from_json, read_pair_spec)
+    from temperkit.verify import NonnegCertificate
+    if "pair_spec" not in _expect(data, dict, "document"):
+        return ["document has no pair_spec to recheck against"]
+    ev = evidence_from_json(data.get("evidence", {}))
+    spec, problems = read_pair_spec(data["pair_spec"])
+    dim = spec.space.ambient_dim
+    tempered = isinstance(ev, NonnegCertificate)
+    points, recorded = ((ev.rays, ev.ray_values) if tempered
+                        else ([ev.direction], [ev.value]))
+    names = [f"ray {i}" if tempered else "witness direction" for i in range(len(points))]
+    arity = [f"{name}: point arity {len(point)} does not match the ambient "
+             f"dimension {dim}"
+             for name, point in zip(names, points) if len(point) != dim]
+    if arity:
+        return problems + arity
+    claim = dumps(tempered)
+    if data.get("tempered") is not tempered:
+        kind = "certificate" if tempered else "witness"
+        problems.append(f"{kind} evidence but tempered is not {claim}")
+    if len(points) != len(recorded):
+        problems.append("ray and value counts differ")
+        return problems
+    f = deficit(spec)
+    for name, value, expected in zip(names, evaluate_at(f, points), recorded):
+        if value is None:
+            problems.append(f"{name}: point violates torus constraints")
+        elif value != expected:
+            problems.append(f"{name}: recorded value {_rational_text(expected)}, "
+                            f"computed {_rational_text(value)}")
+        elif (value >= 0) != tempered:
+            problems.append(f"{name}: deficit {_rational_text(value)} "
+                            f"contradicts tempered {claim}")
+    if tempered and f.space.dim > 0 and not points:
+        problems.append("certificate has no rays")
+    return problems

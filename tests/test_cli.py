@@ -368,6 +368,17 @@ class TestSpecErrors:
          "family.so_pair: need p1 + q1 >= 1 and p2 + q2 >= 1"),
         ({"family": {"name": "so_pair", "signature": [2, 1, 0, 0]}}, 2,
          "family.so_pair: need p1 + q1 >= 1 and p2 + q2 >= 1"),
+        # an upper block's indices are checked as given: one out of range, or
+        # reversed, once vanished with the empty block 1 and decided another
+        # pattern with exit 0
+        ({"family": {"name": "sl_block", "sizes": [2, 0, 1],
+                     "diagonal_kind": ["full", "full", "identity"],
+                     "upper_blocks": [[-1, 7]]}}, 2,
+         "family.sl_block: bad upper block (-1,7)"),
+        ({"family": {"name": "sl_block", "sizes": [2, 0, 1],
+                     "diagonal_kind": ["full", "full", "identity"],
+                     "upper_blocks": [[1, 0]]}}, 2,
+         "family.sl_block: bad upper block (1,0)"),
     ], ids=["bogus_diagonal_kind", "one_part", "short_signature",
             "so_one_param", "family_not_object", "matrix_pair_not_object",
             "weights_not_list", "constraints_not_list",
@@ -389,7 +400,9 @@ class TestSpecErrors:
             "inner_family", "family_question", "pattern_and_diagonal_kind",
             "pattern_and_upper_blocks", "sp_params_and_m", "so_params_and_signature",
             "sp_two_params", "spec_file_not_object", "so_pair_empty",
-            "so_pair_empty_second_factor", "so_pair_h_is_g"])
+            "so_pair_empty_second_factor", "so_pair_h_is_g",
+            "upper_block_out_of_range_at_empty_block",
+            "reversed_upper_block_at_empty_block"])
     def test_exit_code_without_traceback(self, tmp_path, payload, code, where):
         spec = write(tmp_path, "s.json", payload)
         got, _, err = run_process(["check", spec])

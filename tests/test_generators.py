@@ -18,7 +18,7 @@ from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS,
 from temperkit.matrices import MatrixPairInput, example_sp21_input, extract_weights
 from temperkit.model import deficit, evaluate_pl, rho_function
 
-from reference import dense, mat_inv, parabolic_decomposition, rref
+from reference import dense, generic_sl_block, mat_inv, parabolic_decomposition, rref
 
 F = Fraction
 
@@ -45,6 +45,13 @@ class TestBlockPattern:
         with pytest.raises(ValueError):
             BlockPattern((1, 1), ("full", "full"), frozenset({(1, 0)}))
 
+    @pytest.mark.parametrize("pair", [(-1, 7), (1, 0)])
+    def test_bad_upper_block_at_an_empty_block(self, pair):
+        # the given indices are checked before the empty block 1 is dropped,
+        # which once dropped the pair too and decided another pattern
+        with pytest.raises(ValueError, match=re.escape(f"bad upper block ({pair[0]},{pair[1]})")):
+            BlockPattern((2, 0, 1), ("full", "full", "identity"), frozenset({pair}))
+
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             BlockPattern((1,), ("diagonal",))
@@ -66,6 +73,56 @@ def test_non_integer_parameter_is_named(build, name):
     # a float or bool parameter once built a wrong pair or failed unlocated
     with pytest.raises(TypeError, match=rf"^{re.escape(name)} must be an int, not"):
         build()
+
+
+def _random_pattern(rng: random.Random) -> BlockPattern:
+    """A pattern of 1 to 5 blocks of sizes 0 to 4, with random kinds (all
+    identity a fifth of the time) and a random set of upper blocks closed
+    under composition."""
+    k = rng.randint(1, 5)
+    sizes = [rng.choice((0, 1, 1, 2, 3, 4)) for _ in range(k)]
+    if rng.random() < 0.2:
+        kinds = ["identity"] * k
+    else:
+        kinds = [rng.choice(("full", "identity")) for _ in range(k)]
+    upper = {pair for pair in itertools.combinations(range(k), 2) if rng.random() < 0.4}
+    while True:
+        grown = upper | {(i, b) for i, j in upper for a, b in upper if j == a}
+        if grown == upper:
+            break
+        upper = grown
+    return BlockPattern(tuple(sizes), tuple(kinds), frozenset(upper))
+
+
+def _patterns_to_match():
+    yield from (TABLE1_PATTERNS[name](p, q) for name in TABLE1_PATTERNS
+                for p, q in itertools.product(range(1, 7), repeat=2))
+    yield from (TABLE2_PATTERNS[name](*sizes) for name in TABLE2_PATTERNS
+                for sizes in itertools.product(range(1, 5), repeat=3))
+    rng = random.Random(29)
+    yield from (_random_pattern(rng) for _ in range(300))
+
+
+def test_build_sl_block_is_the_generic_construction():
+    # the classes of equal reduced coordinates and the constraint rows
+    # written reduced give exactly the spec that row-reducing the torus and
+    # reducing every root of sl(n) gives, down to the held integers
+    empty = 0
+    for pattern in _patterns_to_match():
+        if pattern.n == 0:
+            empty += 1
+            for build in (build_sl_block, generic_sl_block):
+                with pytest.raises(ValueError, match="no coordinates"):
+                    build(pattern)
+            continue
+        got, want = build_sl_block(pattern), generic_sl_block(pattern)
+        assert (got.space.rows, got.space._pivots, got.space._scale) == \
+            (want.space.rows, want.space._pivots, want.space._scale), pattern
+        for key in ("g_module", "h_module"):
+            assert getattr(got, key).rows == getattr(want, key).rows, (pattern, key)
+            assert getattr(got, key).den == getattr(want, key).den, (pattern, key)
+        assert (got.metadata, got.built) == (want.metadata, want.built), pattern
+    assert empty > 0
 
 
 class TestDimensionAccounting:

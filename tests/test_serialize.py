@@ -11,7 +11,10 @@ from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern
                                   build_product_in_sl, build_sl_block,
                                   matrix_input_for_block_pattern, realify)
 from temperkit.matrices import extract_weights
-from temperkit.model import TorusSpace
+from temperkit.model import TorusSpace, WeightModule
+from temperkit.model import PairSpec
+
+from reference import replay_problems
 
 F = Fraction
 
@@ -244,6 +247,96 @@ class TestRecheck:
         doc = self._doc(2, 2)
         del doc["pair_spec"]
         assert serialize.recheck_document(doc)
+
+
+def _replay_specs():
+    """Small specs of every family builder, a realified and a tensor-product
+    question, an extracted spec and one with half-integral weights."""
+    space = TorusSpace(2)
+    halves = PairSpec(g_module=WeightModule(space, [((F(1, 2), F(3, 2)), 1), ((1, 0), 2)]),
+                      h_module=WeightModule(space, [((F(1, 3), 0), 3)]))
+    return [
+        build_sl_block(TABLE1_PATTERNS["H4"](2, 2)),
+        build_sl_block(TABLE1_PATTERNS["H4"](4, 1)),
+        build_sl_block(TABLE2_PATTERNS["H2"](1, 2, 1)),
+        build_sl_block(TABLE2_PATTERNS["H1"](3, 1, 1)),
+        build_product_in_sl([2, 1]),
+        build_product_in_sl([1, 1, 3]),
+        build_product_in_sp([1, 1]),
+        build_product_in_sp([2, 1]),
+        build_so_pair(2, 1, 1, 0),
+        build_so_pair(1, 0, 3, 1),
+        build_classical_in_sl("so", 2, 1),
+        build_classical_in_sl("sp", 2),
+        realify(build_so_pair(2, 1, 1, 1)),
+        tensor_product_spec(1, 2, 2, 4),
+        extract_weights(matrix_input_for_block_pattern(TABLE1_PATTERNS["H2"](2, 1))),
+        halves,
+    ]
+
+
+def _mutants(doc: dict):
+    """Copies of a verdict document, each with one point or recorded value
+    changed: the value +-1/k, its sign flipped, the point scaled by a
+    rational with its value scaled too or left, a point moved by e_0, and
+    a recorded or computed value of more than 4,300 digits; then the
+    tempered flag flipped, and the points as the other kind of evidence."""
+    ev = doc["evidence"]
+    witness = ev["kind"] == "witness"
+    points = [ev["direction"]] if witness else ev["rays"]
+    values = [ev["value"]] if witness else ev["ray_values"]
+    for i in range(min(len(points), 4)):
+        value = serialize.rational_from_str(values[i])
+        point = [serialize.rational_from_str(x) for x in points[i]]
+        k = abs(F(value).numerator) + 1     # value / k is not integral unless 0
+        changes = [(None, value + F(1, d)) for d in (1, 2, 3)]
+        changes += [(None, value - F(1, d)) for d in (1, 2, 3)]
+        changes += [(None, -value), (None, 10 ** 4400),
+                    ([F(x) / k for x in point], F(value) / k),
+                    ([F(x) / k for x in point], value),
+                    ([x + (j == 0) for j, x in enumerate(point)], value),
+                    ([x * 10 ** 4400 for x in point], value)]
+        for point, recorded in changes:
+            new = json.loads(serialize.dumps({**doc, "evidence": {}}))
+            new["evidence"] = dict(ev)
+            moved = [list(p) for p in points]
+            kept = list(values)
+            if point is not None:
+                moved[i] = [serialize.rational_to_json(x) for x in point]
+            kept[i] = recorded if type(recorded) is int else serialize.rational_to_json(recorded)
+            if witness:
+                new["evidence"].update(direction=moved[0], value=kept[0])
+            else:
+                new["evidence"].update(rays=moved, ray_values=kept)
+            yield new
+    yield {**doc, "tempered": not doc["tempered"]}
+    # the other kind of evidence at the same points, each with its value
+    if witness:
+        yield {**doc, "tempered": True, "evidence": {
+            "kind": "certificate", "rays": points, "ray_values": values,
+            "symmetry_reduced": False}}
+    else:
+        yield from ({**doc, "tempered": False, "evidence": {
+            "kind": "witness", "direction": point, "value": value}}
+            for point, value in zip(points[:4], values))
+
+
+class TestIntegerReplay:
+    def test_problems_are_those_of_the_fraction_replay(self):
+        # recheck compares total*q with p*scale and the sign of total; the
+        # reference compares evaluate_at's Fractions, by the rule as stated
+        kinds, found, clean = set(), 0, 0
+        for spec in _replay_specs():
+            doc = json.loads(serialize.dumps(serialize.verdict_to_json(check(spec), spec)))
+            kinds.add(doc["evidence"]["kind"])
+            assert serialize.recheck_document(doc) == replay_problems(doc) == []
+            for mutant in _mutants(doc):
+                problems = serialize.recheck_document(mutant)
+                assert problems == replay_problems(mutant), mutant["evidence"]
+                found += bool(problems)
+                clean += not problems
+        assert kinds == {"witness", "certificate"}
+        assert found > 0 and clean > 0
 
 
 class TestDeterminism:

@@ -180,3 +180,39 @@ def test_check_stays_the_verdict_function(imports):
 def test_dir_lists_every_public_name():
     # the package's __getattr__ serves some of them, which dir() would miss
     assert set(temperkit.__all__) <= set(dir(temperkit))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a slow path was taken")
+
+
+def test_build_sl_block_reduces_nothing(monkeypatch):
+    # the block torus's rows are written reduced and each class's reduced
+    # coordinate is written out, so neither row reduction nor _reduce runs
+    from temperkit import generators, linalg, model
+    for module in (linalg, model):
+        monkeypatch.setattr(module, "rref", _refuse)
+    monkeypatch.setattr(model.TorusSpace, "_reduce", _refuse)
+    for pattern in (generators.TABLE1_PATTERNS["H2"](3, 2),
+                    generators.TABLE2_PATTERNS["H4"](2, 1, 3),
+                    generators.BlockPattern((2, 0, 3, 1), ("identity", "full", "full", "identity"),
+                                            frozenset({(0, 3), (2, 3)}))):
+        spec = generators.build_sl_block(pattern)
+        assert spec.h_module.total_dim + spec.g_module.total_dim == pattern.n ** 2 - 1
+
+
+def test_clean_recheck_makes_no_fractions_of_its_values(monkeypatch):
+    # the replay compares each point's exact total and scale with the
+    # recorded value; evaluate_at's Fractions serve problem lines only
+    from temperkit import model, serialize
+    from temperkit.check import check
+    from temperkit.generators import TABLE1_PATTERNS, build_sl_block
+    docs = []
+    for p, q in ((2, 2), (4, 1)):
+        spec = build_sl_block(TABLE1_PATTERNS["H4"](p, q))
+        docs.append(json.loads(serialize.dumps(serialize.verdict_to_json(check(spec), spec))))
+    assert {doc["evidence"]["kind"] for doc in docs} == {"certificate", "witness"}
+    monkeypatch.setattr(model, "evaluate_at", _refuse)
+    monkeypatch.setattr(serialize, "evaluate_at", _refuse, raising=False)
+    for doc in docs:
+        assert serialize.recheck_document(doc) == []
