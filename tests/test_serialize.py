@@ -11,8 +11,7 @@ from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern
                                   build_product_in_sl, build_sl_block,
                                   matrix_input_for_block_pattern, realify)
 from temperkit.matrices import extract_weights
-from temperkit.model import TorusSpace, WeightModule
-from temperkit.model import PairSpec
+from temperkit.model import PairSpec, TorusSpace, WeightModule
 
 from reference import replay_problems
 
