@@ -33,7 +33,7 @@ def check(spec: PairSpec, use_symmetry: bool = True) -> Verdict:
     The deficit is invariant under the restricted Weyl group of h, so the
     enumeration covers one chamber of a finite group of reflections in
     roots of h that it is verified invariant under
-    (verify._chamber_walls, which derives the chamber in slice
+    (verify._chamber_walls, which derives the chamber in free-column
     coordinates from one solve for every coroot); that changes
     certificate size, never the verdict.  With use_symmetry false it
     enumerates the whole slice instead, as a reference.

@@ -122,7 +122,9 @@ def build_classical_in_sl(kind: str, *params: int) -> PairSpec:
     """
     if kind == "so":
         p, q = params
-        if _int_param(p, "p") < 0 or _int_param(q, "q") < 0 or p + q < 2:
+        if _int_param(p, "p") < 0 or _int_param(q, "q") < 0:
+            raise ValueError("signature entries must be nonnegative")
+        if p + q < 2:
             raise ValueError("need p + q >= 2")
         m = min(p, q)
         rep = _rep(range(m), m, p + q - 2 * m)

@@ -175,18 +175,27 @@ class TorusSpace(Record):
                 v = [x - c * r for x, r in zip(v, row)]
         return tuple(v)
 
+    def slice_view(self) -> tuple[list[int], list[list[int]]]:
+        """(free, vectors): the free columns and, per free column c, the
+        integer vector _scale*Y of the slice point Y that is 1 at c and 0 at
+        the other free columns.  A reduced row is zero at the pivots, so its
+        entries at the free columns are its form in these coordinates."""
+        free = [c for c in range(self.ambient_dim) if c not in self._pivots]
+        vectors = []
+        for c in free:
+            vec = [0] * self.ambient_dim
+            vec[c] = self._scale
+            for row, p in zip(self.rows, self._pivots):
+                vec[p] = -row[c] * (self._scale // row[p])
+            vectors.append(vec)
+        return free, vectors
+
     def slice_basis(self) -> tuple[tuple[int, ...], ...]:
         """Primitive integer basis of the slice (kernel of the constraint
-        matrix): one vector per free column j, positive at j and zero at
-        the other free columns."""
+        matrix): the vectors of slice_view, each made primitive, one per
+        free column j, positive at j and zero at the other free columns."""
         basis = []
-        for j in range(self.ambient_dim):
-            if j in self._pivots:
-                continue
-            vec = [0] * self.ambient_dim
-            vec[j] = self._scale
-            for row, p in zip(self.rows, self._pivots):
-                vec[p] = -row[j] * (self._scale // row[p])
+        for vec in self.slice_view()[1]:
             g = math.gcd(*vec)
             basis.append(tuple(x // g for x in vec))
         return tuple(basis)
@@ -363,29 +372,30 @@ class PairSpec(Record):
 # ---------------------------------------------------------------------------
 # operations
 
-def _column_sums(row: Sequence[int], columns, zero: list):
-    """row.Z for every point Z whose coordinates ``columns`` lists column by
-    column, summed over the nonzero entries of row; zero is [0] per point."""
+def _combine_columns(entries, columns, zero: Optional[list] = None):
+    """The sum of a*columns[j] over the entries (j, a): for enumerate(row),
+    row.Z at every point Z that ``columns`` lists column by column.  It is
+    ``zero``, [0] per point where a row may vanish, when every a is 0."""
     out = None
-    for a, column in zip(row, columns):
+    for j, a in entries:
         if a and out is None:
-            out = column if a == 1 else list(map(a.__mul__, column))
+            out = columns[j] if a == 1 else list(map(a.__mul__, columns[j]))
         elif a == 1:
-            out = list(map(add, out, column))
+            out = list(map(add, out, columns[j]))
         elif a == -1:
-            out = list(map(sub, out, column))
+            out = list(map(sub, out, columns[j]))
         elif a:
-            out = list(map(add, out, map(a.__mul__, column)))
+            out = list(map(add, out, map(a.__mul__, columns[j])))
     return zero if out is None else out
 
 
 def _pl_totals(linear, terms, columns, zero) -> list:
     """linear.Z + sum c*|row.Z| over the (c, row) of ``terms``, for every
-    point Z that ``columns`` lists column by column, as _column_sums."""
-    total = _column_sums(linear, columns, zero)
+    point Z that ``columns`` lists column by column, as _combine_columns."""
+    total = _combine_columns(enumerate(linear), columns, zero)
     sums: dict[int, list] = {}      # sum |row.Z| over the terms of each coefficient
     for c, row in terms:
-        values = map(abs, _column_sums(row, columns, zero))
+        values = map(abs, _combine_columns(enumerate(row), columns, zero))
         sums[c] = list(map(add, sums.get(c, zero), values))
     for c, values in sums.items():
         total = list(map(add, total, map(c.__mul__, values)))
@@ -404,10 +414,13 @@ def _evaluate(f: PLFunction, points: Sequence[Sequence]) -> list:
     """
     if any(len(Y) != f.space.ambient_dim for Y in points):
         raise ArityError("point arity does not match ambient dimension")
+    if not points:
+        return []
     scaled = [_integer_row(Y) for Y in points]
     columns = list(zip(*(Z for Z, _ in scaled)))
     zero = [0] * len(scaled)
-    off = map(any, zip(zero, *(_column_sums(row, columns, zero) for row in f.space.rows)))
+    off = map(any, zip(zero, *(_combine_columns(enumerate(row), columns, zero)
+                               for row in f.space.rows)))
     total = _pl_totals(f.linear, f.terms, columns, zero)
     return [None if o else (t, f.den * m) for o, t, (_, m) in zip(off, total, scaled)]
 

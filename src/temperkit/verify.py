@@ -22,8 +22,8 @@ from typing import Optional
 from .cones import enumerate_cells
 from .errors import SpaceMismatchError
 from .linalg import solve
-from .model import (PLFunction, PairSpec, Record, _canonical_terms, _column_sums,
-                    _lex_positive, _pl_totals, _primitive)
+from .model import (PLFunction, PairSpec, Record, _combine_columns, _lex_positive,
+                    _pl_totals, _primitive)
 
 
 class NonnegCertificate(Record):
@@ -64,17 +64,6 @@ class Witness(Record):
         self._set(direction, value)
 
 
-def _restricted(f: PLFunction, basis):
-    """(columns, linear, terms): f on the slice basis in canonical form,
-    f.den*f = linear.y + sum c*|row.y|, and per basis vector its free
-    column c and its entry s there.  A row reduced modulo the constraints,
-    as all stored rows are, is zero at the pivots: its value is row[c] * s."""
-    free = [c for c in range(f.space.ambient_dim) if c not in f.space._pivots]
-    columns = [(c, v[c]) for c, v in zip(free, basis)]
-    return columns, [f.linear[c] * s for c, s in columns], _canonical_terms(
-        (c, [row[j] * s for j, s in columns]) for c, row in f.terms)
-
-
 def _nonzero(row) -> list:
     """The nonzero entries (j, row[j]) of a row."""
     return [(j, x) for j, x in enumerate(row) if x]
@@ -88,15 +77,6 @@ def _apply(columns, t, size: int) -> list:
         if v:
             for i, y in column:
                 out[i] += v * y
-    return out
-
-
-def _combine(entries, vectors) -> list:
-    """The sum of x * vectors[j] over the entries (j, x), at least one."""
-    (j, x), *rest = entries
-    out = [x * v for v in vectors[j]]
-    for j, x in rest:
-        out = [u + x * v for u, v in zip(out, vectors[j])]
     return out
 
 
@@ -127,25 +107,25 @@ def _preserves(R, t, k: int, linear, terms, by_column, coeffs) -> bool:
     return True
 
 
-def _chamber_walls(columns, linear, terms, basis, pair: PairSpec) -> list:
-    """The walls, in slice coordinates, of one chamber of a finite
+def _chamber_walls(free, vectors, linear, terms, pair: PairSpec) -> list:
+    """The walls, in free-column coordinates, of one chamber of a finite
     reflection group that f is invariant under, from the weights of
-    ``pair``; [] for the whole slice.  f is given by _restricted's
-    (columns, linear, terms) on the slice ``basis``.
+    ``pair``; [] for the whole slice.  ``free`` and ``vectors`` are
+    TorusSpace.slice_view, and f.den*f = linear.y + sum c*|row.y|.
 
     B = sum m mu(x)mu over the weights mu of h and g/h must be positive
     definite.  With every m > 0, B is positive semidefinite, so it is
     positive definite exactly when it is nonsingular, when linalg.solve
-    accepts it.  Each root a of h, its primitive ambient row on the slice,
-    gives the reflection s_a(y) = y - 2 a(y) t / a(t), t = B^-1 a, kept
-    when f o s_a = f; one solve gives s*B^-1 for one s > 0, and each
-    coroot t, at that scale, is the sum of its root's few nonzero entries
-    times their columns.  Every test below is homogeneous in s.  A kept
-    root is positive when its coroot, lifted to ambient coordinates as L,
-    is lexicographically positive, and simple when s_a keeps every other
-    kept root b positive: k_a L_b - 2x L_a with x = (b, a)* = a.t_b, a sum
-    of positive vectors unless x > 0.  The simple roots are the walls
-    when every pair passes the angle test:
+    accepts it.  Each root a of h, its stored row at the free columns made
+    primitive, gives the reflection s_a(y) = y - 2 a(y) t / a(t), t =
+    B^-1 a, kept when f o s_a = f; one solve gives s*B^-1 for one s > 0,
+    and each coroot t, at that scale, is the sum of its root's few nonzero
+    entries times their columns.  Every test below is homogeneous in s.  A
+    kept root is positive when its coroot, lifted to ambient coordinates
+    as L by the view, is lexicographically positive, and simple when s_a
+    keeps every other kept root b positive: k_a L_b - 2x L_a with x =
+    (b, a)* = a.t_b, a sum of positive vectors unless x > 0.  The simple
+    roots are the walls when every pair passes the angle test:
     (a, b)* <= 0 and 4(a, b)*^2 in {0, 1, 2, 3} (a, a)*(b, b)*.  Obtuse
     roots in one half-space are linearly independent, and with B^-1
     positive definite the test makes their reflections generate a finite
@@ -153,7 +133,7 @@ def _chamber_walls(columns, linear, terms, basis, pair: PairSpec) -> list:
     5.13 and 6.4); it meets every orbit.  Otherwise the whole slice is the
     domain.
     """
-    d = len(columns)
+    d = len(free)
     h, g = pair.h_module, pair.g_module
     den = math.lcm(h.den, g.den)
     B = [[0] * d for _ in range(d)]
@@ -161,7 +141,7 @@ def _chamber_walls(columns, linear, terms, basis, pair: PairSpec) -> list:
     for M in (h, g):
         scale = (den // M.den) ** 2
         for row, m in M.rows:
-            w = [(j, row[c] * s) for j, (c, s) in enumerate(columns) if row[c]]
+            w = [(j, row[c]) for j, c in enumerate(free) if row[c]]
             if w and M is h:
                 e = math.gcd(*row) if w[0][1] > 0 else -math.gcd(*row)
                 roots[tuple([(j, x // e) for j, x in w])] = None
@@ -174,10 +154,10 @@ def _chamber_walls(columns, linear, terms, basis, pair: PairSpec) -> list:
     X = solved[0]
     coeffs = {row: c for c, row in terms}
     by_column = [_nonzero(column) for column in zip(*(row for _, row in terms))]
-    lift = [_nonzero(v) for v in basis]     # the slice basis, column by column
+    lift = [_nonzero(v) for v in vectors]
     kept = []
     for R in roots:
-        t = _combine(R, X)
+        t = _combine_columns(R, X)
         k = sum(x * t[j] for j, x in R)
         if _preserves(R, t, k, linear, terms, by_column, coeffs):
             L = _apply(lift, t, pair.space.ambient_dim)
@@ -189,7 +169,7 @@ def _chamber_walls(columns, linear, terms, basis, pair: PairSpec) -> list:
     by_coordinate = list(zip(*(t for _, t, _, _ in kept)))
     simple = [a for a in kept if all(
         b is a or _lex_positive(map(sub, map(a[3].__mul__, b[2]), map((2 * x).__mul__, a[2])))
-        for b, x in zip(kept, _combine(a[0], by_coordinate)) if x > 0)]
+        for b, x in zip(kept, _combine_columns(a[0], by_coordinate)) if x > 0)]
     for i, (R, _, _, k) in enumerate(simple):
         for _, t, _, j in simple[:i]:
             x = sum(y * t[c] for c, y in R)
@@ -208,24 +188,26 @@ def is_nonnegative(f: PLFunction, pair: Optional[PairSpec] = None):
     A purely linear f is decided on the whole slice: its +- slice-basis
     rays show whether it vanishes.
 
-    The cells are enumerated in slice coordinates y, with f.den*f =
-    linear.y + sum c*|row.y|, and cut by the walls and the rows with c > 0
-    only; a row that does not cut the chamber cuts no cell and is left
-    out.  The enumeration's distinct rays, and the +- generators of the
-    lineality space, are valued there a column at a time by the pass
-    evaluate_at makes on ambient points (_pl_totals), and lifted to
-    ambient vectors Y made primitive by their content g: f(Y/g) is the
-    slice value over f.den*g.  The cell rays are listed in sorted order,
-    so the certificate does not depend on the order of insertion.
+    The cells are enumerated in the free-column coordinates y of
+    TorusSpace.slice_view, where f's stored rows, zero at the pivots, read
+    at the free columns are f in canonical form: f.den*f = linear.y + sum
+    c*|row.y|.  They are cut by the walls and the rows with c > 0 only; a
+    row that does not cut the chamber cuts no cell and is left out.  The
+    enumeration's distinct rays, and the +- generators of the lineality
+    space, are valued there a column at a time by the pass evaluate_at
+    makes on ambient points (_pl_totals), and lifted by the view to
+    _scale*Y, made primitive by its content g: f there is
+    total*_scale/(f.den*g).  The cell rays are listed in sorted order, so
+    the certificate does not depend on the order of insertion.
     """
     if pair is not None and pair.space != f.space:
         raise SpaceMismatchError("the pair lives on another torus space")
-    basis = f.space.slice_basis()
-    lift = list(zip(*basis))
-    columns, linear, terms = _restricted(f, basis)
-    walls = (_chamber_walls(columns, linear, terms, basis, pair)
+    free, vectors = f.space.slice_view()
+    linear = [f.linear[c] for c in free]
+    terms = [(c, tuple([row[j] for j in free])) for c, row in f.terms]
+    walls = (_chamber_walls(free, vectors, linear, terms, pair)
              if terms and pair is not None else [])
-    d = len(basis)
+    d = len(free)
     complex_ = enumerate_cells([row for c, row in terms if c > 0],
                                [tuple(int(i == j) for j in range(d)) for i in range(d)],
                                restrict=walls)
@@ -239,9 +221,11 @@ def is_nonnegative(f: PLFunction, pair: Optional[PairSpec] = None):
     zero = [0] * len(ys)
     total = _pl_totals(linear, terms, slice_columns, zero)
     points = []
-    for Y, t in zip(zip(*(_column_sums(row, slice_columns, zero) for row in lift)), total):
+    for Y, t in zip(zip(*(_combine_columns(enumerate(row), slice_columns, zero)
+                          for row in zip(*vectors))), total):
         g = math.gcd(*Y)
-        points.append((Y if g == 1 else tuple(x // g for x in Y), Fraction(t, f.den * g)))
+        points.append((Y if g == 1 else tuple(x // g for x in Y),
+                       Fraction(t * f.space._scale, f.den * g)))
     cell_rays = len(complex_.rays)
     points[:cell_rays] = sorted(points[:cell_rays], key=itemgetter(0))
     worst = min(((val, vec) for vec, val in points if val < 0), default=None)

@@ -29,8 +29,8 @@ from temperkit.families import _module
 from temperkit.generators import BlockPattern, _block_torus, _e, _zero
 from temperkit.linalg import solve
 from temperkit.model import (PLFunction, PairSpec, TorusSpace, WeightModule,
-                             _lex_positive, _primitive, evaluate_pl)
-from temperkit.verify import Witness, _restricted
+                             _canonical_terms, _lex_positive, _primitive, evaluate_pl)
+from temperkit.verify import Witness
 
 
 def _dot(a, b):
@@ -105,6 +105,18 @@ def dense(held, n: int) -> list[list[Fraction]]:
 _INT64_BOUND = 2 ** 62
 
 
+def _on_slice_basis(f: PLFunction, basis):
+    """(linear, terms): f on the slice basis in canonical form, f.den*f =
+    linear.y + sum c*|row.y|.  A row reduced modulo the constraints, as all
+    stored rows are, is zero at the pivots, so its value at a basis vector
+    is its entry at the vector's free column times the vector's entry
+    there."""
+    free = [c for c in range(f.space.ambient_dim) if c not in f.space._pivots]
+    columns = [(c, v[c]) for c, v in zip(free, basis)]
+    return [f.linear[c] * s for c, s in columns], _canonical_terms(
+        (c, [row[j] * s for j, s in columns]) for c, row in f.terms)
+
+
 def grid_oracle(f: PLFunction, resolution: int) -> Optional[Witness]:
     """Brute-force search for a negative value on an integer grid.
 
@@ -121,7 +133,7 @@ def grid_oracle(f: PLFunction, resolution: int) -> Optional[Witness]:
     d = len(basis)
     if d == 0:
         return None
-    _, Lrow, terms = _restricted(f, basis)
+    Lrow, terms = _on_slice_basis(f, basis)
     A = [row for _, row in terms]
     C = [c for c, _ in terms]
 
@@ -260,8 +272,9 @@ def _invariant(a, f: PLFunction, coeffs, by_column) -> bool:
 
 def dense_chamber_walls(f: PLFunction, columns, lift, pair: PairSpec) -> list:
     """The walls of verify._chamber_walls, derived on dense ambient rows
-    for f, with ``columns`` from verify._restricted and ``lift`` the
-    ambient rows of the slice basis.  One solve gives every coroot, a
+    for f, in the slice coordinates whose basis vector j has the entry s
+    at the free column c of the pair (c, s) = columns[j], and whose
+    ambient rows ``lift`` gives.  One solve gives every coroot, a
     column per root; each root is lifted, and its reflection tested on
     f's ambient terms, before it is kept; the simple-root and angle tests
     take ambient dot products."""

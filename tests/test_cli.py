@@ -133,6 +133,38 @@ class TestCheck:
         assert serialize.recheck_document(got) == []
 
 
+    def test_extra_module_on_a_scaled_torus(self, tmp_path, capsys):
+        # the pivot entry 2 of 2x + 3y = 0 makes the stored rows carry the
+        # factor _scale = 2.  The roots +-(1, 0, -1) of h outweigh g/h at
+        # (3, -2, -2), where the deficit is -5, until V adds them twice
+        def module(*forms, mult=1):
+            return {"weights": [{"form": [str(x) for x in form], "mult": mult}
+                                for form in forms]}
+
+        doc = {"space": {"ambient_dim": 3, "constraints": [["2", "3", "0"]]},
+               "h_module": module((1, 0, -1), (-1, 0, 1)),
+               "g_module": module((0, 1, -1), (0, -1, 1), mult=2)}
+        code, out, err = run(capsys, ["check", write(tmp_path, "s.json", {"pair_spec": doc})])
+        assert code == 0, err
+        assert json.loads(out)["evidence"] == {"kind": "witness", "direction": [3, -2, -2],
+                                               "value": -5}
+        doc["v_module"] = module((1, 0, -1), (-1, 0, 1))
+        code, out, err = run(capsys, ["check", write(tmp_path, "v.json", {"pair_spec": doc})])
+        assert code == 0, err
+        verdict = json.loads(out)
+        assert verdict["tempered"] is True
+        assert verdict["evidence"]["symmetry_reduced"] is True
+        assert verdict["evidence"]["ray_values"] == [10, 5, 10]
+        code, out, _ = run(capsys, ["recheck", write(tmp_path, "d.json", verdict)])
+        assert (code, json.loads(out)) == (0, {"consistent": True, "problems": []})
+        # twice one weight of V: the recorded values no longer replay
+        verdict["pair_spec"]["v_module"]["weights"][0]["mult"] = 2
+        code, out, _ = run(capsys, ["recheck", write(tmp_path, "e.json", verdict)])
+        report = json.loads(out)
+        assert code == 1 and report["consistent"] is False
+        assert any(p.startswith("ray ") for p in report["problems"])
+
+
 class TestInputErrors:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["check", "/nonexistent.json"])
@@ -379,6 +411,20 @@ class TestSpecErrors:
                      "diagonal_kind": ["full", "full", "identity"],
                      "upper_blocks": [[1, 0]]}}, 2,
          "family.sl_block: bad upper block (1,0)"),
+        # a negative entry is named before the sum is tested: [-1, 3] sums
+        # to 2 and was once refused as "need p + q >= 2"
+        ({"family": {"name": "classical_in_sl", "kind": "so", "signature": [-1, 3]}}, 2,
+         "family.classical_in_sl: signature entries must be nonnegative"),
+        ({"family": {"name": "so_pair", "signature": [1, -1, 2, 1]}}, 2,
+         "family.so_pair: signature entries must be nonnegative"),
+        ({"family": {"name": "product_in_sl", "parts": [2, 0]}}, 2,
+         "family.product_in_sl: factor sizes must be positive"),
+        ({"family": {"name": "product_in_sp", "parts": [2, 0]}}, 2,
+         "family.product_in_sp: factor sizes must be positive"),
+        ({"family": {"name": "classical_in_sl", "kind": "sp", "m": 0}}, 2,
+         "family.classical_in_sl: need m >= 1"),
+        ({"family": {"name": "sl_block", "sizes": [2, 1], "diagonal_kind": ["full"]}}, 2,
+         "family.sl_block: need one diagonal kind per block"),
     ], ids=["bogus_diagonal_kind", "one_part", "short_signature",
             "so_one_param", "family_not_object", "matrix_pair_not_object",
             "weights_not_list", "constraints_not_list",
@@ -402,7 +448,9 @@ class TestSpecErrors:
             "sp_two_params", "spec_file_not_object", "so_pair_empty",
             "so_pair_empty_second_factor", "so_pair_h_is_g",
             "upper_block_out_of_range_at_empty_block",
-            "reversed_upper_block_at_empty_block"])
+            "reversed_upper_block_at_empty_block", "so_in_sl_negative_entry",
+            "so_pair_negative_entry", "product_in_sl_zero_part",
+            "product_in_sp_zero_part", "sp_in_sl_zero_m", "short_diagonal_kind"])
     def test_exit_code_without_traceback(self, tmp_path, payload, code, where):
         spec = write(tmp_path, "s.json", payload)
         got, _, err = run_process(["check", spec])

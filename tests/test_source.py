@@ -216,3 +216,26 @@ def test_clean_recheck_makes_no_fractions_of_its_values(monkeypatch):
     monkeypatch.setattr(serialize, "evaluate_at", _refuse, raising=False)
     for doc in docs:
         assert serialize.recheck_document(doc) == []
+
+
+def test_decision_makes_no_second_canonical_pass(monkeypatch):
+    # f's stored rows are zero at the pivots, so read at the free columns
+    # they are already its canonical form on the slice: deciding, with the
+    # chamber's walls, never canonicalizes terms again
+    from temperkit import model, verify
+    from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, build_sl_block,
+                                      matrix_input_for_block_pattern)
+    from temperkit.matrices import extract_weights
+    space = model.TorusSpace(3, [(2, 3, 0)])    # _scale 2
+    roots = [((1, 0, -1), 1), ((-1, 0, 1), 1)]
+    specs = [build_sl_block(TABLE2_PATTERNS["H10"](2, 1, 2)),
+             extract_weights(matrix_input_for_block_pattern(TABLE1_PATTERNS["H4"](3, 2))),
+             model.PairSpec(g_module=model.WeightModule(space, [((0, 1, -1), 2), ((0, -1, 1), 2)]),
+                            h_module=model.WeightModule(space, roots),
+                            v_module=model.WeightModule(space, roots))]
+    fs = [model.deficit(spec) for spec in specs]
+    want = [verify.is_nonnegative(f, spec) for f, spec in zip(fs, specs)]
+    assert all(w.symmetry_reduced for w in want)
+    monkeypatch.setattr(model, "_canonical_terms", _refuse)
+    monkeypatch.setattr(verify, "_canonical_terms", _refuse, raising=False)
+    assert [verify.is_nonnegative(f, spec) for f, spec in zip(fs, specs)] == want

@@ -19,8 +19,7 @@ from temperkit.linalg import solve
 from temperkit.matrices import example_sp21_input, extract_weights
 from temperkit.model import (PLFunction, PairSpec, TorusSpace, WeightModule,
                              deficit, evaluate_pl)
-from temperkit.verify import (NonnegCertificate, Witness, _chamber_walls,
-                              _restricted, is_nonnegative)
+from temperkit.verify import NonnegCertificate, Witness, _chamber_walls, is_nonnegative
 
 from reference import dense_chamber_walls, fraction_det, grid_oracle, mat_inv, rref
 
@@ -234,9 +233,19 @@ def candidates(space, roots, form=None):
 
 
 def walls_of(f, pair):
-    """The walls _chamber_walls derives for f from the pair."""
-    basis = f.space.slice_basis()
-    return _chamber_walls(*_restricted(f, basis), basis, pair)
+    """The walls _chamber_walls derives for f from the pair, in free-column
+    coordinates."""
+    free, vectors = f.space.slice_view()
+    return _chamber_walls(free, vectors, [f.linear[c] for c in free],
+                          [(c, tuple(row[j] for j in free)) for c, row in f.terms], pair)
+
+
+def dense_walls_of(f, pair):
+    """The walls of dense_chamber_walls for f and the pair, in free-column
+    coordinates: its columns are the free columns, each with entry 1, and
+    its lift the rows of the slice view's vectors."""
+    free, vectors = f.space.slice_view()
+    return dense_chamber_walls(f, [(c, 1) for c in free], list(zip(*vectors)), pair)
 
 
 def root_system(coords, n, signed):
@@ -312,15 +321,16 @@ class TestReductions:
 
 
 def reference_form(f, pair):
-    """(on_slice, flat, B^-1): the map of an ambient row to its values on
-    the slice basis, f rebuilt there as a new PLFunction, and the inverse,
-    by mat_inv, of B from plain sums over the weights of the pair in slice
-    coordinates."""
-    basis = f.space.slice_basis()
-    d = len(basis)
+    """(on_slice, flat, B^-1): the map of an ambient row to its values at
+    the slice points of the free-column coordinates (the slice view's
+    vectors over _scale), f rebuilt there as a new PLFunction, and the
+    inverse, by mat_inv, of B from plain sums over the weights of the pair
+    in those coordinates."""
+    free, vectors = f.space.slice_view()
+    d = len(free)
 
     def on_slice(row):
-        return [sum(map(operator.mul, row, v)) for v in basis]
+        return [F(sum(map(operator.mul, row, v)), f.space._scale) for v in vectors]
 
     B = [[F(0)] * d for _ in range(d)]
     for M in (pair.h_module, pair.g_module):
@@ -563,7 +573,7 @@ def test_matrix_inputs_get_derived_domain(build):
 
 def reference_chamber_problems(f, walls, pair) -> list:
     """What fails, recomputed in Fractions, of the conditions that make the
-    walls, in slice coordinates, cut out a fundamental chamber of a finite
+    walls, in free-column coordinates, cut out a fundamental chamber of a finite
     reflection group that f is invariant under: B is nonsingular (mat_inv
     raises otherwise), the walls are linearly independent (rref), every
     pair is obtuse under B^-1 with 4 cos^2 in {0, 1, 2, 3}, and f o s = f
@@ -620,13 +630,10 @@ def test_walls_match_the_dense_reference():
     chambers = 0
     for spec in specs:
         f = deficit(spec)
-        basis = f.space.slice_basis()
-        columns, _, terms = _restricted(f, basis)
-        if terms:
+        if f.terms:
             walls = walls_of(f, spec)
             chambers += bool(walls)
-            assert walls == dense_chamber_walls(f, columns, list(zip(*basis)), spec), \
-                spec.metadata
+            assert walls == dense_walls_of(f, spec), spec.metadata
     assert chambers > 900
 
 
@@ -656,14 +663,12 @@ def test_walls_match_the_dense_reference_on_random_pairs():
         f = deficit(pair) if rng.random() < 0.5 else PLFunction(
             space, [(F(rng.randint(-3, 3)), form()) for _ in range(rng.randint(1, 6))],
             form() if rng.random() < 0.3 else None)
-        basis = space.slice_basis()
-        columns, _, terms = _restricted(f, basis)
-        if terms:
+        if f.terms:
             walls = walls_of(f, pair)
-            assert walls == dense_chamber_walls(f, columns, list(zip(*basis)), pair)
+            assert walls == dense_walls_of(f, pair)
             compared += 1
             chambers += bool(walls)
-            scaled += bool(walls) and any(s != 1 for _, s in columns)
+            scaled += bool(walls) and space._scale != 1
     assert compared > 500 and chambers > 80 and scaled > 10
 
 
@@ -685,8 +690,9 @@ def test_failing_candidate_cuts_nothing(pattern, sizes):
                          g_module=WeightModule(f.space, failing + list(
                              spec.g_module.weights)))
     assert walls and walls == walls_of(f, same_form)
+    free, _ = f.space.slice_view()
     for w, _ in failing:
-        row = [dot(w, v) for v in basis]
+        row = [w[c] for c in free]      # w is stored reduced: zero at the pivots
         assert not any(sum(a * b for a, b in zip(row, wall)) ** 2
                        == sum(a * a for a in row) * sum(b * b for b in wall)
                        for wall in walls)
