@@ -15,8 +15,8 @@ from .errors import (TemperkitError, ArityError, ConstraintViolationError,
 from .generators import (BlockPattern, TABLE1_PATTERNS, TABLE2_PATTERNS,
                          build_sl_block, build_product_in_sl, realify)
 from .model import (TorusSpace, WeightModule, PLFunction, PairSpec,
-                    evaluate_pl, rho_function, deficit)
-from .verify import NonnegCertificate, Witness, is_nonnegative
+                    NonnegCertificate, Witness, evaluate_pl, rho_function, deficit)
+from .verify import is_nonnegative
 
 __version__ = "0.1.0"
 

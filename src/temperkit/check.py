@@ -1,15 +1,15 @@
-"""Verdict assembly, and the ceiling on the size of a question read from input.
+"""Verdict assembly; the evidence records live in temperkit.model and the
+input ceiling in temperkit.serialize, so recheck loads no decision module.
 
-The family scans, their closed-form predicates and the tensor-product
-dictionary live in temperkit.families, which no verdict loads; the
-module-level __getattr__ serves their public names from here as well, and
-loads that module on the first such name.
+The family scans, their predicates and the tensor-product dictionary live
+in temperkit.families, which no verdict loads; __getattr__ below serves
+their public names from here too, loading that module on the first one.
 """
 
 from __future__ import annotations
 
-from .model import PairSpec, Record, deficit, evaluate_pl
-from .verify import NonnegCertificate, is_nonnegative
+from .model import NonnegCertificate, PairSpec, Record, deficit, evaluate_pl
+from .verify import is_nonnegative
 
 
 class Verdict(Record):
@@ -53,13 +53,6 @@ def check(spec: PairSpec, use_symmetry: bool = True) -> Verdict:
             raise RuntimeError(f"witness replays to {value}, "
                                f"recorded {evidence.value}")
     return Verdict(evidence, summary)
-
-
-# the largest matrix size n (of sl(n), sp(n), so(p, q) or the sl into which a
-# classical algebra embeds) that a question read from input may name, and so
-# the largest integer parameter; check on H10(6,5,6), at n = 17, took 265 s CPU
-# and 1.76 GiB peak RSS (ROADMAP.md, 2 cores, Python 3.11.7)
-QUESTION_CEILING = 64
 
 
 # the public names of temperkit.families that `from temperkit.check import ...`

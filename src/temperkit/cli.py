@@ -129,8 +129,13 @@ def _parse_body(text: str, dim: int):
 
 
 def cmd_volume(args) -> int:
-    import numpy as np
-    from . import volume as vol
+    try:
+        import numpy as np
+        from . import volume as vol
+    except ImportError as e:
+        print(f"error: volume needs numpy and scipy, installed by "
+              f"`pip install 'temperkit[volume]'`: {e}", file=sys.stderr)
+        return EXIT_INPUT
     if args.volume_cmd == "decay":
         A = _parse_matrix(args.matrix)
         body = _parse_body(args.body, A.shape[0])

@@ -2,10 +2,10 @@
 family scans with their closed-form predicates, and the tensor-product
 dictionary.
 
-`import temperkit` does not load this module.  The package's and
-`temperkit.check`'s module-level `__getattr__` load it when one of its
-public names is first asked for, `serialize` when a question names one of
-these builders or a tensor product, and `cli` when it runs a scan.
+`import temperkit` does not load this module; the package's and `check`'s
+`__getattr__` load it on the first of its public names, `serialize` for a
+question naming its builders or a tensor product, `cli` for a scan.  It
+imports `check` only in scan_family, so a recheck loads no decision module.
 
 The defining-module builders derive products inside sp(n), orthogonal
 pairs and classical subalgebras of sl(n) from the defining module V, whose
@@ -22,11 +22,11 @@ from collections import Counter
 from operator import add
 from typing import Callable, Optional, Sequence
 
-from .check import QUESTION_CEILING, check
 from .errors import SchemaError
 from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, _e, _int_param, _zero,
                          build_product_in_sl, build_sl_block, realify)
 from .model import PairSpec, Record, TorusSpace, WeightModule
+from .serialize import QUESTION_CEILING
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +295,7 @@ FAMILIES: dict[str, Callable] = {
 def scan_family(family: str, **ranges) -> ScanReport:
     """Run check over a named parameter family and compare with its
     closed-form predicate."""
+    from .check import check
     if family not in FAMILIES:
         raise KeyError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
     points = []

@@ -369,6 +369,44 @@ class PairSpec(Record):
         return self.g_module.space
 
 
+class NonnegCertificate(Record):
+    """Proof that f >= 0: its value at every listed ray is >= 0.
+
+    The rays are the extreme rays of the cells of the arrangement of f's
+    hyperplanes with a positive coefficient, each once and sorted as
+    primitive ambient vectors, followed by the +- generators of their
+    common lineality space.  f is concave on each cell, so at every
+    point the rays cover it is at least a nonnegative combination of ray
+    values.
+    ``symmetry_reduced`` means the rays cover one chamber of a reflection
+    group that f is invariant under, so f >= 0 there gives f >= 0 on
+    every orbit; when it is false they cover the whole slice.
+    ``chamber_count`` counts the cells enumerated; it is not part of the
+    proof, so equality and hashing leave it out.
+    """
+
+    __slots__ = _fields = ("rays", "ray_values", "symmetry_reduced", "chamber_count")
+
+    def __init__(self, rays: tuple[tuple[int, ...], ...],
+                 ray_values: tuple[Fraction, ...], symmetry_reduced: bool = False,
+                 chamber_count: int = 0):
+        # rays in ambient coords, ray_values f at each ray, all >= 0
+        self._set(rays, ray_values, symmetry_reduced, chamber_count)
+
+    def _key(self) -> tuple:
+        return self.rays, self.ray_values, self.symmetry_reduced
+
+
+class Witness(Record):
+    """A direction, in exact rational ambient coords, where f is negative,
+    and f's value there."""
+
+    __slots__ = _fields = ("direction", "value")
+
+    def __init__(self, direction: tuple, value: Fraction):
+        self._set(direction, value)
+
+
 # ---------------------------------------------------------------------------
 # operations
 

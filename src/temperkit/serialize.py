@@ -1,4 +1,5 @@
-"""JSON serialization for the exact data model, certificates, and verdicts.
+"""JSON for the exact data model, certificates (model's records) and
+verdicts, QUESTION_CEILING, and a replay that loads no decision module.
 
 Integral rationals travel as JSON integers and the others as "num/den"
 strings, so every round trip is lossless; readers also accept integral
@@ -30,14 +31,19 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .check import QUESTION_CEILING, Verdict
 from .errors import SchemaError, TemperkitError
 from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern,
                          build_product_in_sl, build_sl_block, realify)
-from .model import PairSpec, TorusSpace, WeightModule, _evaluate, deficit
-from .verify import NonnegCertificate, Witness
+from .model import (NonnegCertificate, PairSpec, TorusSpace, WeightModule, Witness,
+                    _evaluate, deficit)
 
 SCHEMA_VERSION = 2
+
+# the largest matrix size n (of sl(n), sp(n), so(p, q) or the sl into which a
+# classical algebra embeds) that a question read from input may name, and so
+# the largest integer parameter; check on H10(6,5,6), at n = 17, took 265 s CPU
+# and 1.76 GiB peak RSS (ROADMAP.md, 2 cores, Python 3.11.7)
+QUESTION_CEILING = 64
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +515,7 @@ def evidence_from_json(data: dict, where: str = "evidence"):
     raise SchemaError(f"{where}.kind: unknown kind {kind!r}")
 
 
-def verdict_to_json(verdict: Verdict, spec: Optional[PairSpec] = None) -> dict:
+def verdict_to_json(verdict, spec: Optional[PairSpec] = None) -> dict:
     """The verdict document; a spec that a family builder made is written as
     its metadata alone, any other as its space and modules too."""
     out = {"schema_version": SCHEMA_VERSION,

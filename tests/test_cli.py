@@ -915,6 +915,19 @@ class TestVolume:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    def test_without_numpy_exits_two_naming_the_extra(self):
+        # numpy and scipy are the optional extra `volume`; without them
+        # volume exits 2 and names the extra, not a traceback
+        src = os.path.dirname(os.path.dirname(temperkit.__file__))
+        program = ("import sys; sys.modules['numpy'] = None\n"
+                   "from temperkit.cli import main\n"
+                   "sys.exit(main(['volume', 'decay', '--matrix', 'diag(1,-1)']))")
+        proc = subprocess.run([sys.executable, "-c", program], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: volume needs numpy and scipy")
+        assert "temperkit[volume]" in proc.stderr and not proc.stdout
+
 
 class TestRecheck:
     def test_round_trip(self, tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from temperkit import serialize
-from temperkit.check import QUESTION_CEILING, check, tensor_product_spec
+from temperkit.check import check, tensor_product_spec
 from temperkit.errors import SchemaError
 from temperkit.families import build_classical_in_sl, build_product_in_sp, build_so_pair
 from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern,
@@ -12,6 +12,7 @@ from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern
                                   matrix_input_for_block_pattern, realify)
 from temperkit.matrices import extract_weights
 from temperkit.model import PairSpec, TorusSpace, WeightModule
+from temperkit.serialize import QUESTION_CEILING
 
 from reference import replay_problems
 
@@ -245,6 +246,19 @@ class TestRecheck:
     def test_missing_spec_reported(self):
         doc = self._doc(2, 2)
         del doc["pair_spec"]
+        assert serialize.recheck_document(doc)
+
+    @pytest.mark.xfail(strict=True,
+                       reason="ROADMAP item 2: recheck cannot prove ray coverage")
+    def test_certificate_that_misses_a_negative_direction_rejected(self):
+        # H11(3,1,2) is not tempered: its deficit is -2 at (1,0,-1,0,0,0).
+        # A certificate with one ray, where the deficit is 0, replays cleanly
+        # because recheck values the rays it is given and no others
+        spec = build_sl_block(TABLE2_PATTERNS["H11"](3, 1, 2))
+        doc = json.loads(serialize.dumps(serialize.verdict_to_json(check(spec), spec)))
+        doc["tempered"] = True
+        doc["evidence"] = {"kind": "certificate", "rays": [[0, 0, 0, 0, -1, 1]],
+                           "ray_values": [0], "symmetry_reduced": True}
         assert serialize.recheck_document(doc)
 
 

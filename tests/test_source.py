@@ -239,3 +239,50 @@ def test_decision_makes_no_second_canonical_pass(monkeypatch):
     monkeypatch.setattr(model, "_canonical_terms", _refuse)
     monkeypatch.setattr(verify, "_canonical_terms", _refuse, raising=False)
     assert [verify.is_nonnegative(f, spec) for f, spec in zip(fs, specs)] == want
+
+
+# recheck documents with the package __init__ bypassed (a bare temperkit
+# module whose __path__ is the package directory), then list which decision
+# modules were loaded
+RECHECK_GUARD = """
+import json, sys, types
+package = types.ModuleType("temperkit")
+package.__path__ = [sys.argv[1]]
+sys.modules["temperkit"] = package
+import temperkit.serialize
+problems = [temperkit.serialize.recheck_document(doc) for doc in json.load(sys.stdin)]
+print(problems, sorted(m for m in ("temperkit.check", "temperkit.verify", "temperkit.cones")
+                       if m in sys.modules))
+"""
+
+
+def test_recheck_loads_no_decision_module():
+    # a document is replayed through evaluation only, so the decider's
+    # modules stay unloaded whatever question the document names
+    from temperkit import serialize
+    from temperkit.check import check
+    inputs = [
+        {"family": {"name": "sl_block", "pattern": "H11", "sizes": [2, 1, 2]}},
+        {"family": {"name": "product_in_sl", "parts": [2, 1]}},
+        {"family": {"name": "product_in_sp", "parts": [2, 1]}},
+        {"family": {"name": "so_pair", "signature": [2, 1, 1, 1]}},
+        {"family": {"name": "classical_in_sl", "kind": "so", "params": [2, 1]}},
+        {"family": {"name": "classical_in_sl", "kind": "sp", "params": [2]}},
+        {"tensor_product": {"variant": 2, "params": [2, 1, 2]}},
+        {"family": {"name": "product_in_sp", "parts": [2, 1], "realify": True}},
+        {"pair_spec": {"space": {"ambient_dim": 3, "constraints": [["1", "1", "1"]]},
+                       "h_module": {"weights": [{"form": ["1", "-1", "0"], "mult": 1},
+                                                {"form": ["-1", "1", "0"], "mult": 1}]},
+                       "g_module": {"weights": [{"form": ["1", "0", "-1"], "mult": 1},
+                                                {"form": ["-1", "0", "1"], "mult": 1}]}}},
+    ]
+    docs = []
+    for data in inputs:
+        spec = serialize.read_input(data)
+        docs.append(serialize.verdict_to_json(check(spec), spec))
+    assert "h_module" in docs[-1]["pair_spec"]
+    package = Path(temperkit.__file__).parent
+    out = subprocess.run([sys.executable, "-c", RECHECK_GUARD, str(package)],
+                         input=json.dumps(docs), capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH="")).stdout
+    assert out.strip() == f"{[[]] * len(inputs)} []"
