@@ -22,22 +22,15 @@ coordinates.  No division ever happens except exact gcd normalization.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from operator import mul
 
+from .linalg import row_step
 from .model import Record
 
 
 def _dot(a, b) -> int:
     return sum(map(mul, a, b))
-
-
-def _primitive(vec):
-    g = math.gcd(*vec)
-    if g <= 1:
-        return tuple(vec)
-    return tuple(v // g for v in vec)
 
 
 class Cell(Record):
@@ -52,17 +45,17 @@ class Cell(Record):
 
 class CellComplex(Record):
     """The rays of the cells, each once, and the basis of the cells' common
-    lineality space, read off the ray table; ``cells`` is built on first
-    use from each cell's table indices.  ``_table`` holds the ray vector of
-    each table index, ``_cones`` the table indices of each cell."""
+    lineality space, read off the ray table; ``cells`` is built on each
+    call from each cell's table indices.  ``_table`` holds the ray vector
+    of each table index, ``_cones`` the table indices of each cell."""
 
-    __slots__ = ("rays", "lineality", "_table", "_cones", "_cells")
+    __slots__ = ("rays", "lineality", "_table", "_cones")
     _fields = __slots__[:2]
     __hash__ = None
 
     def __init__(self, rays: list[tuple[int, ...]], lineality: list[tuple[int, ...]],
                  _table: list, _cones: list):
-        self._set(rays, lineality, _table, _cones, None)
+        self._set(rays, lineality, _table, _cones)
 
     @property
     def count(self) -> int:
@@ -70,25 +63,13 @@ class CellComplex(Record):
 
     @property
     def cells(self) -> list[Cell]:
-        if self._cells is None:
-            cells = [Cell(tuple(self._table[i] for i in rays)) for rays in self._cones]
-            object.__setattr__(self, "_cells", cells)
-        return self._cells
+        return [Cell(tuple(self._table[i] for i in rays)) for rays in self._cones]
 
 
 def _split_lineality(L, hL, j):
     """Basis of L ∩ ker h given values hL of h on the generators, pivot j."""
-    hj = hL[j]
-    new = []
-    for i, g in enumerate(L):
-        if i == j:
-            continue
-        if hL[i] == 0:
-            new.append(g)
-        else:
-            new.append(_primitive(tuple(hj * a - hL[i] * b
-                                        for a, b in zip(g, L[j]))))
-    return new
+    return [tuple(row_step(hL[j], g, x, L[j])) if x else g
+            for i, (g, x) in enumerate(zip(L, hL)) if i != j]
 
 
 def _insert_case1(table, tight, cones, L, hL, h, k, wall):
@@ -110,7 +91,7 @@ def _insert_case1(table, tight, cones, L, hL, h, k, wall):
     bit = 1 << k
     for i, v in enumerate(table):
         if hr := _dot(h, v):
-            table[i] = _primitive(tuple(hw * a - hr * b for a, b in zip(v, w)))
+            table[i] = tuple(row_step(hw, v, hr, w))
         tight[i] |= bit
     plus, minus = len(table), len(table) + 1
     table += [w, tuple(-x for x in w)]
@@ -137,14 +118,13 @@ def _adjacent(T: int, tight, rays) -> bool:
     return True
 
 
-def _insert_case2(table, tight, cones, h, k, wall, need):
+def _insert_case2(table, tight, cones, h, k, need):
     """Insert constraint number k, h, vanishing on the lineality space: the
     classic DD split.
 
-    A ``wall`` keeps only its plus side.  need is the dimension of the
-    cones modulo their lineality space, minus 2: two adjacent rays of a
-    pointed cone of dimension d share at least d - 2 tight constraints, so
-    fewer rule adjacency out at once.
+    need is the dimension of the cones modulo their lineality space, minus
+    2: two adjacent rays of a pointed cone of dimension d share at least
+    d - 2 tight constraints, so fewer rule adjacency out at once.
 
     Adjacency of a pair (p, n) is decided once per insertion, in the first
     cone that holds both.  It is a property of the fan, not of the cell:
@@ -163,14 +143,11 @@ def _insert_case2(table, tight, cones, h, k, wall, need):
     stride = len(table)             # key of (p, n): p * stride + n
     out = []
     for rays in cones:
-        if N.isdisjoint(rays):
-            if P.isdisjoint(rays):
+        below, above = not N.isdisjoint(rays), not P.isdisjoint(rays)
+        if not (below and above):
+            if not (below or above):
                 raise AssertionError("hyperplane vanishes on a full-dimensional cell")
             out.append(rays)
-            continue
-        if P.isdisjoint(rays):
-            if not wall:
-                out.append(rays)
             continue
         # by value: negative rays[:i], zero rays[i:j], positive rays[j:]
         rays = sorted(rays, key=vals.__getitem__)
@@ -190,25 +167,13 @@ def _insert_case2(table, tight, cones, h, k, wall, need):
                         # p and n lie on one closed side of every earlier
                         # constraint, so their positive combination is
                         # tight exactly where both are
-                        hp, hn = vals[p], vals[n]
-                        table.append(_primitive(tuple(
-                            hp * a - hn * b for a, b in zip(table[n], table[p]))))
+                        table.append(tuple(row_step(vals[p], table[n], vals[n], table[p])))
                         tight.append(T | bit)
                 if r >= 0:
                     new_rays.append(r)
         out.append(rays[i:] + new_rays)
-        if not wall:
-            out.append(rays[:j] + new_rays)
+        out.append(rays[:j] + new_rays)
     return out
-
-
-def _insert(table, tight, cones, L, h, k, wall, d):
-    """Insert constraint number k, h, into the cones on a slice of
-    dimension d; returns the new cones and lineality basis."""
-    hL = [_dot(h, g) for g in L]
-    if any(hL):
-        return _insert_case1(table, tight, cones, L, hL, h, k, wall)
-    return _insert_case2(table, tight, cones, h, k, wall, d - len(L) - 2), L
 
 
 def _cuts(h, rays, L) -> bool:
@@ -231,10 +196,13 @@ def enumerate_cells(hyperplanes, slice_basis, restrict=()):
     hyperplanes: integer normal vectors, each nonzero on the slice and
         pairwise non-proportional.
     slice_basis: integer basis of the slice (kernel of torus constraints).
-    restrict: integer normals of walls; only the region where all of them
-        are >= 0 is enumerated.  Used for symmetry-reduced enumeration.
-        They are inserted first, and a hyperplane that does not cut that
-        region (_cuts) is then left out.
+    restrict: integer normals of walls, linearly independent on the
+        slice; only the region where all of them are >= 0 is enumerated.
+        Used for symmetry-reduced enumeration.  They are inserted first,
+        each through the lineality split (_insert_case1), and a hyperplane
+        that does not cut that region (_cuts) is then left out.  A wall
+        that vanishes on the slice cut by the walls before it raises
+        ValueError.
 
     Returns a CellComplex; the lineality basis spans the subspace common to
     every cell (the slice intersected with all hyperplane kernels).
@@ -245,11 +213,18 @@ def enumerate_cells(hyperplanes, slice_basis, restrict=()):
     tight: list[int] = []           # tight-set bitmask of each table ray
     cones = [[]]                    # each cone's table indices
     for k, h in enumerate(restrict):
-        cones, L = _insert(table, tight, cones, L, tuple(h), k, True, d)
+        hL = [_dot(h, g) for g in L]
+        if not any(hL):
+            raise ValueError(f"wall {k} is not linearly independent of the walls before it")
+        cones, L = _insert_case1(table, tight, cones, L, hL, h, k, True)
     chamber = [table[i] for i in set().union(*cones)]
     rows = [h for h in map(tuple, hyperplanes) if _cuts(h, chamber, L)]
     for k, h in enumerate(rows, len(restrict)):
-        cones, L = _insert(table, tight, cones, L, h, k, False, d)
+        hL = [_dot(h, g) for g in L]
+        if any(hL):
+            cones, L = _insert_case1(table, tight, cones, L, hL, h, k, False)
+        else:
+            cones = _insert_case2(table, tight, cones, h, k, d - len(L) - 2)
 
     live = set().union(*cones)
     return CellComplex(rays=[v for i, v in enumerate(table) if i in live],

@@ -17,11 +17,20 @@ def _primitive(row: list[int], negate: bool = False) -> list[int]:
     return row if g in (0, 1) else [x // g for x in row]
 
 
+def row_step(p: int, row: Sequence[int], x: int, pivot: Sequence[int]) -> list[int]:
+    """The primitive multiple of (p/g)*row - (x/g)*pivot, g = gcd(p, x):
+    against a pivot entry p, the row's entry x becomes 0."""
+    g = math.gcd(p, x)
+    a, b = p // g, x // g
+    return _primitive([y - b * z for y, z in zip(row, pivot)] if a == 1
+                      else [a * y - b * z for y, z in zip(row, pivot)])
+
+
 def rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form of integer rows: (nonzero rows, pivot
     columns), each row the primitive multiple of its RREF row with a
     positive pivot entry.  Against a pivot row with entry p, a row with
-    entry x becomes (p/g)*row - (x/g)*pivot over its content, g = gcd(p, x)."""
+    entry x becomes row_step(p, row, x, pivot)."""
     rows = [list(r) for r in rows]
     pivots: list[int] = []
     for col in range(len(rows[0]) if rows else 0):
@@ -35,10 +44,7 @@ def rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
         for i, row in enumerate(rows):
             x = row[col]
             if x and i != rank:
-                g = math.gcd(p, x)
-                a, b = p // g, x // g
-                rows[i] = _primitive([y - b * z for y, z in zip(row, pivot)] if a == 1
-                                     else [a * y - b * z for y, z in zip(row, pivot)])
+                rows[i] = row_step(p, row, x, pivot)
         pivots.append(col)
         if len(pivots) == len(rows):
             break

@@ -19,7 +19,7 @@ from operator import add, itemgetter, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import ArityError, ConstraintViolationError, SpaceMismatchError
-from .linalg import rref
+from .linalg import _primitive as _content_free, rref
 
 
 def _integer_row(coeffs) -> tuple[Sequence[int], int]:
@@ -194,11 +194,7 @@ class TorusSpace(Record):
         """Primitive integer basis of the slice (kernel of the constraint
         matrix): the vectors of slice_view, each made primitive, one per
         free column j, positive at j and zero at the other free columns."""
-        basis = []
-        for vec in self.slice_view()[1]:
-            g = math.gcd(*vec)
-            basis.append(tuple(x // g for x in vec))
-        return tuple(basis)
+        return tuple(tuple(_content_free(vec)) for vec in self.slice_view()[1])
 
     def lift(self, slice_vec: Sequence) -> tuple:
         """Map rational slice coordinates to an ambient point."""

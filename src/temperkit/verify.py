@@ -33,7 +33,10 @@ def _nonzero(row) -> list:
 
 def _apply(columns, t, size: int) -> list:
     """M.t for the matrix M with ``size`` rows given column by column, each
-    column j by its nonzero entries (i, M[i][j])."""
+    column j by its nonzero entries (i, M[i][j]).  It stays sparse, not
+    model._combine_columns's dense pass: at the table2 (20,20,20) corners
+    a coroot has about 23 nonzero entries, and a dense column for each
+    would run over all 970-1,770 term rows, most of them zero there."""
     out = [0] * size
     for v, column in zip(t, columns):
         if v:

@@ -119,3 +119,10 @@ def test_rays_are_the_lines_of_the_flats_in_the_region(arrangement):
     assert set(complex_.rays) == expected
     assert {r for cell in complex_.cells for r in cell.rays} == expected
     assert complex_.count == len(complex_.cells)
+
+
+def test_dependent_walls_are_refused():
+    # walls are inserted through the lineality split, so each must be
+    # nonzero on the slice the walls before it cut
+    with pytest.raises(ValueError, match="linearly independent"):
+        enumerate_cells([(1, -1)], [(1, 0), (0, 1)], restrict=[(1, 0), (2, 0)])

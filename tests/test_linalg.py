@@ -5,9 +5,9 @@ import math
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from temperkit.linalg import rref, solve
+from temperkit.linalg import row_step, rref, solve
 from temperkit.matrices import in_span, reduce_components
 
 from reference import fraction_det, mat_inv
@@ -44,6 +44,24 @@ def test_rref_rows_are_primitive_multiples_of_the_reference(rows):
         assert all(type(x) is int for x in row)
         assert math.gcd(*row) == 1 and row[c] > 0
         assert row == [row[c] * x for x in ref]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-6, 6).filter(bool), st.integers(-6, 6).filter(bool),
+       st.lists(st.tuples(entry, entry), max_size=5), st.integers(0, 5))
+@example(3, 6, [(1, 2), (-2, 5)], 1)        # p/g = 1
+@example(-4, 6, [(1, -1), (3, 0)], 0)       # negative p
+def test_row_step_is_the_primitive_elimination(p, x, others, c):
+    # the primitive positive multiple of p*row - x*pivot, which is 0 in the
+    # column c where row has x and pivot has p
+    c = min(c, len(others))
+    columns = others[:c] + [(x, p)] + others[c:]
+    got = row_step(p, [a for a, _ in columns], x, [b for _, b in columns])
+    want = [p * a - x * b for a, b in columns]
+    m = math.gcd(*want)
+    assert all(type(y) is int for y in got)
+    assert got == ([w // m for w in want] if m else want)
+    assert got[c] == 0
 
 
 @settings(max_examples=200, deadline=None)

@@ -13,6 +13,10 @@ Run from the repository root:
 
     python3 tools/dump_documents.py > documents.jsonl
 
+`tools/documents.sha256` holds the `sha256sum` line of this output, which
+CI compares with the output's; a change that alters the documents on
+purpose updates it and says why.
+
 Each spec is decided either on the chamber of its derived domain (the
 reflection group that `check` derives from the weights) or on the whole
 slice (`check(spec, use_symmetry=False)`), as its "domain" field says:
