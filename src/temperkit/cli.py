@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 
 from . import serialize
@@ -142,6 +143,9 @@ def cmd_volume(args) -> int:
         if body.dimension != A.shape[0]:
             print("error: body and matrix dimensions differ", file=sys.stderr)
             return EXIT_INPUT
+        if not -math.inf < args.tmin < args.tmax < math.inf:     # so a NaN fails too
+            raise SchemaError(f"--tmin and --tmax: need finite --tmin < --tmax, "
+                              f"got {args.tmin} and {args.tmax}")
         times = list(np.linspace(args.tmin, args.tmax,
                                  _at_least(args.points, "--points", 3)))
         samples = _at_least(args.samples, "--samples", 1000)
@@ -205,12 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="run a named family scan")
     p.add_argument("family", help="family name, e.g. table1, table2, "
                                   "example51, example52-sl")
-    p.add_argument("--pmax", type=int)
-    p.add_argument("--qmax", type=int)
-    p.add_argument("--max", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--total", type=int)
-    p.add_argument("--rank", type=int)
+    for key in RANGE_FLAGS:
+        p.add_argument(f"--{key}", type=int)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("volume", help="Monte-Carlo volume validations")

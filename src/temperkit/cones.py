@@ -44,18 +44,17 @@ class Cell(Record):
 
 
 class CellComplex(Record):
-    """The rays of the cells, each once, and the basis of the cells' common
-    lineality space, read off the ray table; ``cells`` is built on each
-    call from each cell's table indices.  ``_table`` holds the ray vector
-    of each table index, ``_cones`` the table indices of each cell."""
+    """The ray table, whose every ray some cell holds, and the basis of the
+    cells' common lineality space; ``cells`` is built on each call from
+    ``_cones``, the table indices of each cell."""
 
-    __slots__ = ("rays", "lineality", "_table", "_cones")
+    __slots__ = ("rays", "lineality", "_cones")
     _fields = __slots__[:2]
     __hash__ = None
 
     def __init__(self, rays: list[tuple[int, ...]], lineality: list[tuple[int, ...]],
-                 _table: list, _cones: list):
-        self._set(rays, lineality, _table, _cones)
+                 _cones: list):
+        self._set(rays, lineality, _cones)
 
     @property
     def count(self) -> int:
@@ -63,7 +62,7 @@ class CellComplex(Record):
 
     @property
     def cells(self) -> list[Cell]:
-        return [Cell(tuple(self._table[i] for i in rays)) for rays in self._cones]
+        return [Cell(tuple(self.rays[i] for i in rays)) for rays in self._cones]
 
 
 def _split_lineality(L, hL, j):
@@ -78,7 +77,8 @@ def _insert_case1(table, tight, cones, L, hL, h, k, wall):
     Every cone meets both open sides, so every cone splits in two.  Rays
     are projected into ker h along a lineality vector w with h(w) > 0; the
     vector w itself (resp. -w) becomes the one new ray of the plus (resp.
-    minus) side.  A ``wall`` keeps only its plus side.
+    minus) side.  A ``wall`` keeps only its plus side, so it adds w alone
+    to the table.
     """
     j = next(i for i, v in enumerate(hL) if v != 0)
     w = L[j] if hL[j] > 0 else tuple(-x for x in L[j])
@@ -93,16 +93,11 @@ def _insert_case1(table, tight, cones, L, hL, h, k, wall):
         if hr := _dot(h, v):
             table[i] = tuple(row_step(hw, v, hr, w))
         tight[i] |= bit
-    plus, minus = len(table), len(table) + 1
-    table += [w, tuple(-x for x in w)]
-    tight += [bit - 1, bit - 1]
-
-    out = []
-    for rays in cones:
-        out.append(rays + [plus])
-        if not wall:
-            out.append(rays + [minus])
-    return out, new_L
+    sides = [w] if wall else [w, tuple(-x for x in w)]
+    new = range(len(table), len(table) + len(sides))
+    table += sides
+    tight += [bit - 1] * len(sides)
+    return [rays + [r] for rays in cones for r in new], new_L
 
 
 def _adjacent(T: int, tight, rays) -> bool:
@@ -204,8 +199,10 @@ def enumerate_cells(hyperplanes, slice_basis, restrict=()):
         that vanishes on the slice cut by the walls before it raises
         ValueError.
 
-    Returns a CellComplex; the lineality basis spans the subspace common to
-    every cell (the slice intersected with all hyperplane kernels).
+    Returns a CellComplex whose rays are the ray table itself: a wall adds
+    only its plus ray and no split drops a ray, so some cell holds each.
+    The lineality basis spans the subspace common to every cell (the slice
+    intersected with all hyperplane kernels).
     """
     L = [tuple(g) for g in slice_basis]
     d = len(L)
@@ -217,15 +214,11 @@ def enumerate_cells(hyperplanes, slice_basis, restrict=()):
         if not any(hL):
             raise ValueError(f"wall {k} is not linearly independent of the walls before it")
         cones, L = _insert_case1(table, tight, cones, L, hL, h, k, True)
-    chamber = [table[i] for i in set().union(*cones)]
-    rows = [h for h in map(tuple, hyperplanes) if _cuts(h, chamber, L)]
+    rows = [h for h in map(tuple, hyperplanes) if _cuts(h, table, L)]
     for k, h in enumerate(rows, len(restrict)):
         hL = [_dot(h, g) for g in L]
         if any(hL):
             cones, L = _insert_case1(table, tight, cones, L, hL, h, k, False)
         else:
             cones = _insert_case2(table, tight, cones, h, k, d - len(L) - 2)
-
-    live = set().union(*cones)
-    return CellComplex(rays=[v for i, v in enumerate(table) if i in live],
-                       lineality=list(L), _table=table, _cones=cones)
+    return CellComplex(rays=table, lineality=list(L), _cones=cones)

@@ -876,11 +876,15 @@ class TestVolume:
         (["decay", "--matrix", "diag(1,-1)", "--points", "2"], "--points"),
         (["decay", "--matrix", "diag(1,-1)", "--tolerance", "-0.1"], "--tolerance"),
         (["decay", "--matrix", "diag(1,-1)", "--tolerance", "nan"], "--tolerance"),
+        (["decay", "--matrix", "diag(1,-1)", "--tmin", "3", "--tmax", "3"], "--tmin"),
+        (["decay", "--matrix", "diag(1,-1)", "--tmin", "nan"], "--tmin"),
+        (["decay", "--matrix", "diag(1,-1)", "--tmax", "inf"], "--tmin and --tmax"),
         (["translate", "--dim", "0"], "--dim"),
         (["translate", "--dim", "1"], "--dim"),
         (["translate", "--samples", "0", "--trials", "1"], "--samples"),
     ], ids=["body_suffix", "diag_entry", "not_square", "zero_samples",
-            "two_points", "negative_tolerance", "nan_tolerance", "zero_dim",
+            "two_points", "negative_tolerance", "nan_tolerance", "equal_times",
+            "nan_tmin", "infinite_tmax", "zero_dim",
             "one_dim", "translate_zero_samples"])
     def test_bad_flag_exits_two_naming_it(self, capsys, argv, where):
         code, out, err = run(capsys, ["volume", *argv])

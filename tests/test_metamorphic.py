@@ -16,6 +16,13 @@ About a third of them carry an extra module V.
 - (b) Scaling every weight by 3/2 and doubling every multiplicity scales
   the deficit by 3: the evidence keeps its rays or direction, and its
   values are tripled.
+- (c) A direct sum of two drawn pairs on the product torus is tempered
+  exactly when both factors are; a factor's witness, padded with zeros,
+  has the same value on the sum.
+- (d) Adding a weight w and -w to g/h or to V never turns "tempered" into
+  "not tempered", and adding them to h never does the reverse; a witness
+  of the side with the larger deficit is valued on the other side no
+  higher.
 - (e) Zero weights added to g/h, to h and to V change nothing.
 """
 
@@ -140,3 +147,57 @@ def test_zero_weights_change_nothing():
         zero = ((0,) * n, 2)
         padded = [None if M is None else M + [zero] for M in modules]
         assert check(_spec(n, constraints, padded)) == verdict
+
+
+def _direct_sum(one, two):
+    """The spec of the two drawn pairs side by side on the product torus:
+    constraint rows and weights padded with zeros, V kept when either
+    factor has one."""
+    (n1, c1, m1), (n2, c2, m2) = one[:3], two[:3]
+
+    def pad(row, left):
+        return (*(0,) * left, *row, *(0,) * (n1 + n2 - left - len(row)))
+
+    modules = []
+    for M1, M2 in zip(m1, m2):
+        rows = [(pad(w, 0), m) for w, m in M1 or ()] + [(pad(w, n1), m) for w, m in M2 or ()]
+        modules.append(rows if M1 is not None or M2 is not None else None)
+    return _spec(n1 + n2, [pad(c, 0) for c in c1] + [pad(c, n1) for c in c2], modules)
+
+
+def test_direct_sum_is_tempered_exactly_when_both_factors_are():
+    rng = random.Random(17)
+    drawn = _drawn()
+    tempered = 0
+    for _ in range(300):
+        one, two = rng.sample(drawn, 2)
+        total = _direct_sum(one, two)
+        verdict = check(total)
+        assert verdict.tempered == (one[4].tempered and two[4].tempered), (one[:3], two[:3])
+        tempered += verdict.tempered
+        for factor, left, right in ((one[4], 0, two[0]), (two[4], one[0], 0)):
+            if not factor.tempered:
+                y = (0,) * left + factor.evidence.direction + (0,) * right
+                assert evaluate_pl(deficit(total), y) == factor.evidence.value
+    assert 20 < tempered < 280
+
+
+def test_added_weights_move_the_verdict_one_way_only():
+    rng = random.Random(19)
+    flips = [0, 0, 0]
+    for n, constraints, modules, spec, verdict in _drawn():
+        w = tuple(rng.choice([0, 1, -1, 2, F(1, 2)]) for _ in range(n))
+        pm = [(w, 1), (tuple(-x for x in w), 1)]
+        for k in range(3):      # g/h, h, V
+            grown = _spec(n, constraints, [(M or []) + pm if i == k else M
+                                           for i, M in enumerate(modules)])
+            other = check(grown)
+            # adding to g/h or V raises the deficit, adding to h lowers it
+            (low, low_verdict), (high, high_verdict) = (
+                ((spec, verdict), (grown, other)) if k != 1 else ((grown, other), (spec, verdict)))
+            assert low_verdict.tempered <= high_verdict.tempered, (n, constraints, modules, k, w)
+            if not high_verdict.tempered:
+                ev = high_verdict.evidence
+                assert evaluate_pl(deficit(low), ev.direction) <= ev.value
+            flips[k] += other.tempered != verdict.tempered
+    assert min(flips) > 30, flips
