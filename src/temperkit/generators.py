@@ -17,7 +17,7 @@ from operator import sub
 from typing import Sequence
 
 from .errors import BracketClosureError
-from .model import PairSpec, Record, TorusSpace, WeightModule
+from .model import PairSpec, PLFunction, Record, TorusSpace, WeightModule
 
 # Weights and constraints are integer rows: tuples of ints, one per ambient
 # coordinate.
@@ -119,6 +119,68 @@ def _block_torus(pattern: BlockPattern) -> TorusSpace:
     return TorusSpace._from_reduced(n, rows, pivots)
 
 
+def _block_classes(pattern: BlockPattern) -> tuple[list, frozenset]:
+    """Per block, its classes of coordinates of equal reduced e_a, each as
+    (u, size) (build_sl_block); and the pairs of blocks whose roots lie in h,
+    the full diagonal blocks and the upper blocks."""
+    n, start = pattern.n, 0
+    if n == 0:
+        raise ValueError("pattern has no coordinates")
+    classes, full = [], set()
+    for i, (s, kind) in enumerate(zip(pattern.sizes, pattern.diagonal_kind)):
+        if kind == "full":
+            first = (0,) * (start + 1) + (-1,) * (s - 1) + (0,) * (n - start - s)
+            classes.append([(first, 1)] + [(_e(a, n), 1)
+                                           for a in range(start + 1, start + s)])
+            full.add((i, i))
+        else:
+            classes.append([(_zero(n), s)])
+        start += s
+    return classes, pattern.upper_blocks | full
+
+
+def _sl_block_metadata(pattern: BlockPattern) -> dict:
+    """The metadata build_sl_block writes for a pattern."""
+    return {"family": "sl_block", "sizes": list(pattern.sizes),
+            "diagonal_kind": list(pattern.diagonal_kind),
+            "upper_blocks": sorted(pattern.upper_blocks)}
+
+
+def _product_pattern(parts: Sequence[int]) -> tuple[BlockPattern, dict]:
+    """The block pattern of sl(n_1) x ... x sl(n_r) inside sl(n), and the
+    metadata build_product_in_sl writes for it."""
+    parts = [_int_param(p, f"parts[{i}]") for i, p in enumerate(parts)]
+    if len(parts) < 2:
+        raise ValueError("need at least two factors (a single part gives h = g)")
+    if any(p < 1 for p in parts):
+        raise ValueError("factor sizes must be positive")
+    return (BlockPattern(tuple(parts), ("full",) * len(parts)),
+            {"family": "product_in_sl", "parts": parts})
+
+
+def _block_spec(pattern: BlockPattern, metadata: dict) -> PairSpec:
+    """build_sl_block's spec of a pattern, with the given metadata."""
+    n, (classes, in_h) = pattern.n, _block_classes(pattern)
+    space = _block_torus(pattern)
+    h_rows, g_rows = [], []
+    for i, xs in enumerate(classes):
+        for j, ys in enumerate(classes):
+            rows = h_rows if (i, j) in in_h else g_rows
+            if i != j:
+                pairs = itertools.product(xs, ys)
+            else:       # a class with itself gives only the zero weight
+                pairs = itertools.permutations(xs, 2)
+                rows += [(_zero(n), c * (c - 1)) for _, c in xs if c > 1]
+            rows += [(tuple(map(sub, u, w)), c * d) for (u, c), (w, d) in pairs]
+    h_zero = sum(pattern.sizes[i] - 1 for i, j in in_h if i == j)
+    for rows, zero in ((h_rows, h_zero), (g_rows, n - 1 - h_zero)):
+        if zero:
+            rows.append((_zero(n), zero))
+    return PairSpec(g_module=WeightModule._from_integers(space, g_rows),
+                    h_module=WeightModule._from_integers(space, h_rows),
+                    metadata=metadata, built=True)
+
+
 def build_sl_block(pattern: BlockPattern) -> PairSpec:
     """Weight data of a block subalgebra h inside g = sl(n).
 
@@ -134,60 +196,38 @@ def build_sl_block(pattern: BlockPattern) -> PairSpec:
     the block's other coordinates at its first, and zero on an identity
     block.  So the coordinates fall into classes of equal u: each
     full-block coordinate is a class of one, and each identity block one
-    class of its s coordinates.  The roots from class x to class y give
-    the one weight u_x - u_y, of multiplicity c_x * c_y for the class
-    sizes, or c * (c - 1) from a class to itself.
+    class of its s coordinates (_block_classes).  The roots from class x to
+    class y give the one weight u_x - u_y, of multiplicity c_x * c_y for
+    the class sizes, or c * (c - 1) from a class to itself.
     """
-    n = pattern.n
-    if n == 0:
-        raise ValueError("pattern has no coordinates")
-    space = _block_torus(pattern)
-    full = [i for i, kind in enumerate(pattern.diagonal_kind) if kind == "full"]
-    in_h = pattern.upper_blocks | {(i, i) for i in full}
-    classes, start = [], 0      # per block, its classes: (u, size)
-    for s, kind in zip(pattern.sizes, pattern.diagonal_kind):
-        if kind == "full":
-            first = (0,) * (start + 1) + (-1,) * (s - 1) + (0,) * (n - start - s)
-            classes.append([(first, 1)] + [(_e(a, n), 1)
-                                           for a in range(start + 1, start + s)])
-        else:
-            classes.append([(_zero(n), s)])
-        start += s
-    h_rows, g_rows = [], []
-    for i, xs in enumerate(classes):
-        for j, ys in enumerate(classes):
-            rows = h_rows if (i, j) in in_h else g_rows
-            if i != j:
-                pairs = itertools.product(xs, ys)
-            else:       # a class with itself gives only the zero weight
-                pairs = itertools.permutations(xs, 2)
-                rows += [(_zero(n), c * (c - 1)) for _, c in xs if c > 1]
-            rows += [(tuple(map(sub, u, w)), c * d) for (u, c), (w, d) in pairs]
-    h_zero = sum(pattern.sizes[i] - 1 for i in full)
-    for rows, zero in ((h_rows, h_zero), (g_rows, n - 1 - h_zero)):
-        if zero:
-            rows.append((_zero(n), zero))
+    return _block_spec(pattern, _sl_block_metadata(pattern))
 
-    return PairSpec(
-        g_module=WeightModule._from_integers(space, g_rows),
-        h_module=WeightModule._from_integers(space, h_rows),
-        metadata={"family": "sl_block", "sizes": list(pattern.sizes),
-                  "diagonal_kind": list(pattern.diagonal_kind),
-                  "upper_blocks": sorted(pattern.upper_blocks)},
-        built=True)
+
+def block_deficit(pattern: BlockPattern, realified: bool = False) -> PLFunction:
+    """The deficit of build_sl_block(pattern), or of its realification,
+    in closed form, with no weight module built.
+
+    With sigma(i, j) = +1 when the roots from block i to block j go to g/h
+    and -1 when they go to h, the roots between classes x and y of blocks
+    i and j (build_sl_block) give the term c_x c_y (sigma(i, j) +
+    sigma(j, i)) |u_x - u_y| / 2, each unordered pair once; a class with
+    itself and the zero weights give nothing.  A realified pair doubles
+    every coefficient.
+    """
+    classes, in_h = _block_classes(pattern)
+    k = 2 if realified else 1
+    terms = []
+    for (i, u, c), (j, w, d) in itertools.combinations(
+            [(i, u, c) for i, xs in enumerate(classes) for u, c in xs], 2):
+        sigma = 2 - 2 * ((i, j) in in_h) - 2 * ((j, i) in in_h)
+        if sigma:
+            terms.append((k * sigma * c * d, tuple(map(sub, u, w))))
+    return PLFunction._from_integers(_block_torus(pattern), 2, _zero(pattern.n), terms)
 
 
 def build_product_in_sl(parts: Sequence[int]) -> PairSpec:
     """sl(n_1) x ... x sl(n_r) block-diagonal inside sl(n)."""
-    parts = [_int_param(p, f"parts[{i}]") for i, p in enumerate(parts)]
-    if len(parts) < 2:
-        raise ValueError("need at least two factors (a single part gives h = g)")
-    if any(p < 1 for p in parts):
-        raise ValueError("factor sizes must be positive")
-    pattern = BlockPattern(tuple(parts), ("full",) * len(parts))
-    spec = build_sl_block(pattern)
-    return PairSpec(g_module=spec.g_module, h_module=spec.h_module,
-                    metadata={"family": "product_in_sl", "parts": parts}, built=True)
+    return _block_spec(*_product_pattern(parts))
 
 
 def realify(spec: PairSpec) -> PairSpec:

@@ -32,10 +32,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import SchemaError, TemperkitError
-from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern,
-                         build_product_in_sl, build_sl_block, realify)
-from .model import (NonnegCertificate, PairSpec, TorusSpace, WeightModule, Witness,
-                    _evaluate, deficit)
+from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern, _block_spec,
+                         _product_pattern, _sl_block_metadata, block_deficit, realify)
+from .model import (NonnegCertificate, PairSpec, PLFunction, TorusSpace, WeightModule,
+                    Witness, _evaluate, deficit)
 
 SCHEMA_VERSION = 2
 
@@ -204,7 +204,7 @@ def _ints(meta: dict, key: str, where: str, count: Optional[int] = None) -> list
     return _int_list(meta.get(key), f"{where}.{key}", count)
 
 
-def _sl_block_question(meta, where):
+def _sl_block_question(meta, where, make=_block_spec):
     sizes = _ints(meta, "sizes", where)
     kinds = meta.get("diagonal_kind", [])
     if not isinstance(kinds, list) or any(type(k) is not str for k in kinds):
@@ -212,17 +212,19 @@ def _sl_block_question(meta, where):
     blocks = _expect(meta.get("upper_blocks", []), list, f"{where}.upper_blocks")
     upper = frozenset(tuple(_int_list(b, f"{where}.upper_blocks[{i}]", 2))
                       for i, b in enumerate(blocks))
-    return sum(sizes), lambda: build_sl_block(
-        BlockPattern(tuple(sizes), tuple(kinds), upper))
+
+    def build():
+        pattern = BlockPattern(tuple(sizes), tuple(kinds), upper)
+        return make(pattern, _sl_block_metadata(pattern))
+    return sum(sizes), build
 
 
-def _product_question(meta, where):
+def _product_question(meta, where, make=_block_spec):
     parts = _ints(meta, "parts", where)
     if meta["family"] == "product_in_sl":
-        build = build_product_in_sl
-    else:
-        from .families import build_product_in_sp as build
-    return sum(parts), lambda: build(parts)
+        return sum(parts), lambda: make(*_product_pattern(parts))
+    from .families import build_product_in_sp
+    return sum(parts), lambda: build_product_in_sp(parts)
 
 
 def _so_pair_question(meta, where):
@@ -243,7 +245,9 @@ def _classical_question(meta, where):
     raise SchemaError(f'{where}.kind: expected "so" or "sp"')
 
 
-# family name -> reader of its metadata: (matrix size, build)
+# family name -> reader of its metadata: (matrix size, build); a block
+# question's reader takes what to make of its BlockPattern and the metadata
+# its builder writes, the spec (generators._block_spec) by default
 BUILDERS = {
     "sl_block": _sl_block_question,
     "product_in_sl": _product_question,
@@ -270,26 +274,44 @@ def read_question(meta: dict, where: str) -> Optional[PairSpec]:
         from .families import tensor_question
         spec = tensor_question(meta.get("variant"), meta, where)
     elif type(family) is str and family in BUILDERS:
-        n, build = BUILDERS[family](meta, where)
-        if n > QUESTION_CEILING:
-            raise SchemaError(f"{where}: matrix size {n} exceeds the ceiling "
-                              f"{QUESTION_CEILING}")
-        try:
-            spec = build()
-        except TemperkitError:
-            raise
-        except (TypeError, ValueError) as e:
-            raise SchemaError(f"{where}: {e}") from None
+        spec = _call(*BUILDERS[family](meta, where), where)
     else:
         return None
     return realify(spec) if meta.get("realified") else spec
 
 
-def _rebuild(meta: dict, where: str) -> Optional[PairSpec]:
-    """read_question at {where}.metadata, with a domain error of the
-    builder an input error there too."""
+def _call(n: int, call, where: str):
+    """call(), once the matrix size n is bounded by QUESTION_CEILING; a
+    parameter it rejects raises SchemaError located at where, and its
+    domain errors (TemperkitError) pass through."""
+    if n > QUESTION_CEILING:
+        raise SchemaError(f"{where}: matrix size {n} exceeds the ceiling "
+                          f"{QUESTION_CEILING}")
     try:
-        return read_question(meta, f"{where}.metadata")
+        return call()
+    except TemperkitError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"{where}: {e}") from None
+
+
+def _block_deficit(meta: dict, where: str) -> tuple[PLFunction, dict]:
+    """The deficit of the block question that meta names, in closed form
+    (generators.block_deficit), and the metadata its builder writes, read
+    and bounded as read_question reads them, with no weight module built."""
+    realified = bool(meta.get("realified"))
+
+    def closed_form(pattern, written):
+        return block_deficit(pattern, realified), (
+            {**written, "realified": True} if realified else written)
+    return _call(*BUILDERS[meta["family"]](meta, where, closed_form), where)
+
+
+def _rebuild(meta: dict, where: str, read=read_question):
+    """read(meta) at {where}.metadata, with a domain error of the builder
+    an input error there too."""
+    try:
+        return read(meta, f"{where}.metadata")
     except SchemaError:
         raise
     except TemperkitError as e:
@@ -302,13 +324,17 @@ def _modules_from_json(data: dict, space: TorusSpace, where: str) -> dict:
             for key in ("h_module", "g_module", "v_module") if key in data}
 
 
+def _bind_metadata(written: dict, meta: dict, where: str) -> list[str]:
+    """A problem for meta if it is not the metadata written, its builder's."""
+    if dumps(written) == dumps(meta):
+        return []
+    return [f"{where}.metadata: not the metadata its builder writes, {dumps(written)}"]
+
+
 def _bind(spec: PairSpec, meta: dict, carried: dict, where: str) -> list[str]:
     """A problem for meta, and for each space or module that carried gives
     by key, that is not spec's, the rebuilt one."""
-    problems = []
-    if dumps(spec.metadata) != dumps(meta):
-        problems.append(f"{where}.metadata: not the metadata its builder writes, "
-                        f"{dumps(spec.metadata)}")
+    problems = _bind_metadata(spec.metadata, meta, where)
     for key, value in carried.items():
         if value != getattr(spec, key):
             kind = "space" if key == "space" else "module"
@@ -321,6 +347,13 @@ PAIR_SPEC_KEYS = ("space", "h_module", "g_module", "v_module", "metadata",
                   "schema_version", "symmetry")
 
 
+def _pair_spec_metadata(data: dict, where: str) -> dict:
+    """A copy of a pair_spec object's metadata, once the object holds no
+    key that it may not carry."""
+    _unknown_key(_expect(data, dict, where), PAIR_SPEC_KEYS, where, "not a pair_spec key")
+    return dict(_expect(data.get("metadata", {}), dict, f"{where}.metadata"))
+
+
 def read_pair_spec(data: dict, where: str = "pair_spec") -> tuple[PairSpec, list[str]]:
     """The spec that a pair_spec object states, and how the object contradicts it.
 
@@ -330,8 +363,7 @@ def read_pair_spec(data: dict, where: str = "pair_spec") -> tuple[PairSpec, list
     does not is a problem naming its key.  Otherwise the spec is the
     carried space and modules.
     """
-    _unknown_key(_expect(data, dict, where), PAIR_SPEC_KEYS, where, "not a pair_spec key")
-    meta = dict(_expect(data.get("metadata", {}), dict, f"{where}.metadata"))
+    meta = _pair_spec_metadata(data, where)
     spec = _rebuild(meta, where)
     if spec is None:
         space = torus_space_from_json(data.get("space", {}), f"{where}.space")
@@ -531,6 +563,23 @@ def verdict_to_json(verdict, spec: Optional[PairSpec] = None) -> dict:
 # ---------------------------------------------------------------------------
 # certificate replay
 
+def _read_deficit(data: dict, where: str = "pair_spec") -> tuple[PLFunction, list[str]]:
+    """The deficit of the spec that a pair_spec object states, and how the
+    object contradicts it, as read_pair_spec gives them.  An object of
+    metadata alone that names a block question, an sl_block or a
+    product_in_sl, is not built: its deficit is the closed form of
+    generators.block_deficit, and its metadata is bound to the one its
+    builder writes."""
+    meta = _pair_spec_metadata(data, where)
+    if (meta.get("family") in ("sl_block", "product_in_sl")
+            and meta.get("question") != "tensor_product"
+            and not {"space", "h_module", "g_module", "v_module"} & data.keys()):
+        f, written = _rebuild(meta, where, _block_deficit)
+        return f, _bind_metadata(written, meta, where)
+    spec, problems = read_pair_spec(data, where)
+    return deficit(spec), problems
+
+
 def recheck_document(data: dict) -> list[str]:
     """Re-validate a serialized verdict document through evaluation only.
 
@@ -538,8 +587,10 @@ def recheck_document(data: dict) -> list[str]:
     (read_pair_spec): when the metadata names a builder call, the spec is
     rebuilt from it, after the call's parameters are bounded, and any space,
     module or metadata the document also carries must equal the rebuilt
-    one.  Each evidence vector's length is then checked against the spec's
-    ambient dimension, before anything is valued.  One rule then replays
+    one.  A block question written as its metadata alone is not rebuilt:
+    its deficit is taken in closed form (_read_deficit).  Each evidence
+    vector's length is then checked against the spec's ambient dimension,
+    before anything is valued.  One rule then replays
     either kind of evidence: the document is tempered exactly when its
     evidence is a certificate, and one model._evaluate pass values the
     deficit at the witness direction or every ray as an exact total/scale,
@@ -555,8 +606,8 @@ def recheck_document(data: dict) -> list[str]:
     if "pair_spec" not in _expect(data, dict, "document"):
         return ["document has no pair_spec to recheck against"]
     ev = evidence_from_json(data.get("evidence", {}))
-    spec, problems = read_pair_spec(data["pair_spec"])
-    dim = spec.space.ambient_dim
+    f, problems = _read_deficit(data["pair_spec"])
+    dim = f.space.ambient_dim
     tempered = isinstance(ev, NonnegCertificate)
     points, recorded = ((ev.rays, ev.ray_values) if tempered
                         else ([ev.direction], [ev.value]))
@@ -575,7 +626,6 @@ def recheck_document(data: dict) -> list[str]:
     if len(points) != len(recorded):
         problems.append("ray and value counts differ")
         return problems
-    f = deficit(spec)
     for i, (value, expected) in enumerate(zip(_evaluate(f, points), recorded)):
         if value is None:
             problems.append(f"{name(i)}: point violates torus constraints")

@@ -49,11 +49,12 @@ def _preserves(R, t, k: int, linear, terms, by_column, coeffs) -> bool:
     """Whether f o s = f for the reflection s in the slice root R, given by
     its nonzero entries, with coroot t and k = R.t > 0; ``coeffs`` maps
     each row of f's ``terms`` to its c, and ``by_column`` holds the rows
-    column by column, as _apply takes them.  s keeps the linear part when
-    it vanishes at t, and maps distinct rows to distinct directions, a row
+    column by column, as _apply takes them; ``linear`` is f's linear part,
+    or empty when f has none.  s keeps the linear part when it vanishes at
+    t, and maps distinct rows to distinct directions, a row
     h with x = h.t != 0 to (k*h - 2*x*R) / k, which over gcd(k, 2x) is a
     multiple of h adjusted on R's support."""
-    if sum(map(mul, linear, t)):
+    if linear and sum(map(mul, linear, t)):
         return False
     xs = _apply(by_column, t, len(terms))
     matched = set()     # checked images: s maps each back to its preimage
@@ -118,6 +119,7 @@ def _chamber_walls(free, vectors, linear, terms, pair: PairSpec) -> list:
         return []
     X = solved[0]
     coeffs = {row: c for c, row in terms}
+    linear = linear if any(linear) else ()
     by_column = [_nonzero(column) for column in zip(*(row for _, row in terms))]
     lift = [_nonzero(v) for v in vectors]
     kept = []

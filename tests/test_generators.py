@@ -11,8 +11,8 @@ from temperkit.errors import (BasisError, BracketClosureError,
                               DecompositionError)
 from temperkit.families import build_classical_in_sl, build_product_in_sp, build_so_pair
 from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS,
-                                  BlockPattern, build_product_in_sl,
-                                  build_sl_block,
+                                  BlockPattern, _product_pattern, block_deficit,
+                                  build_product_in_sl, build_sl_block,
                                   matrix_input_for_block_pattern,
                                   realify)
 from temperkit.matrices import MatrixPairInput, example_sp21_input, extract_weights
@@ -123,6 +123,39 @@ def test_build_sl_block_is_the_generic_construction():
             assert getattr(got, key).den == getattr(want, key).den, (pattern, key)
         assert (got.metadata, got.built) == (want.metadata, want.built), pattern
     assert empty > 0
+
+
+def _compositions(n):
+    """Every ordered partition of n into at least two positive parts."""
+    for cuts in itertools.chain.from_iterable(
+            itertools.combinations(range(1, n), k) for k in range(1, n)):
+        yield [b - a for a, b in zip((0, *cuts), (*cuts, n))]
+
+
+def test_block_deficit_is_the_deficit_of_the_built_spec():
+    # the closed form that recheck values for a block question is exactly
+    # model.deficit of the spec its builder makes, down to the held integers
+    def held(f):
+        return (f.space.rows, f.space._pivots, f.space._scale, f.den, f.linear, f.terms)
+
+    cases = 0
+    for pattern in _patterns_to_match():
+        if pattern.n == 0:
+            for call in (build_sl_block, block_deficit):
+                with pytest.raises(ValueError, match="no coordinates"):
+                    call(pattern)
+            continue
+        spec = build_sl_block(pattern)
+        assert held(block_deficit(pattern)) == held(deficit(spec)), pattern
+        assert held(block_deficit(pattern, True)) == held(deficit(realify(spec))), pattern
+        cases += 2
+    for n in range(2, 9):
+        for parts in _compositions(n):
+            pattern, _ = _product_pattern(parts)
+            assert held(block_deficit(pattern)) == \
+                held(deficit(build_product_in_sl(parts))), parts
+            cases += 1
+    assert cases == 2 * 1198 + 247
 
 
 class TestDimensionAccounting:

@@ -263,8 +263,9 @@ class TestRecheck:
 
 
 def _replay_specs():
-    """Small specs of every family builder, a realified and a tensor-product
-    question, an extracted spec and one with half-integral weights."""
+    """Small specs of every family builder, realified and tensor-product
+    questions, an all-identity block pattern, an extracted spec and one
+    with half-integral weights."""
     space = TorusSpace(2)
     halves = PairSpec(g_module=WeightModule(space, [((F(1, 2), F(3, 2)), 1), ((1, 0), 2)]),
                       h_module=WeightModule(space, [((F(1, 3), 0), 3)]))
@@ -282,6 +283,9 @@ def _replay_specs():
         build_classical_in_sl("so", 2, 1),
         build_classical_in_sl("sp", 2),
         realify(build_so_pair(2, 1, 1, 1)),
+        realify(build_product_in_sl([2, 1])),
+        realify(build_sl_block(TABLE2_PATTERNS["H6"](1, 2, 1))),
+        build_sl_block(BlockPattern((2, 1, 1), ("identity",) * 3, {(0, 1)})),
         tensor_product_spec(1, 2, 2, 4),
         extract_weights(matrix_input_for_block_pattern(TABLE1_PATTERNS["H2"](2, 1))),
         halves,
@@ -334,13 +338,23 @@ def _mutants(doc: dict):
             for point, value in zip(points[:4], values))
 
 
+def _replay_documents():
+    """The document of every spec of _replay_specs as written, then a block
+    question in its schema-1 form, which carries its space and modules."""
+    for spec in _replay_specs():
+        yield json.loads(serialize.dumps(serialize.verdict_to_json(check(spec), spec)))
+    spec = build_sl_block(TABLE2_PATTERNS["H11"](2, 1, 2))
+    yield v1_document(check(spec), spec)
+
+
 class TestIntegerReplay:
     def test_problems_are_those_of_the_fraction_replay(self):
         # recheck compares total*q with p*scale and the sign of total; the
-        # reference compares evaluate_at's Fractions, by the rule as stated
+        # reference compares evaluate_at's Fractions, by the rule as stated,
+        # on the deficit of the spec read_pair_spec builds, where recheck
+        # takes a block question's deficit in closed form
         kinds, found, clean = set(), 0, 0
-        for spec in _replay_specs():
-            doc = json.loads(serialize.dumps(serialize.verdict_to_json(check(spec), spec)))
+        for doc in _replay_documents():
             kinds.add(doc["evidence"]["kind"])
             assert serialize.recheck_document(doc) == replay_problems(doc) == []
             for mutant in _mutants(doc):
@@ -350,6 +364,22 @@ class TestIntegerReplay:
                 clean += not problems
         assert kinds == {"witness", "certificate"}
         assert found > 0 and clean > 0
+
+    @pytest.mark.parametrize("change", [
+        {"sizes": [2, 1, 0, 2], "diagonal_kind": ["full"] * 4,
+         "upper_blocks": [[0, 1], [0, 3]]},
+        {"upper_blocks": [[0, 2], [0, 1]]},
+        {"note": "x"},
+    ], ids=["zero_size_block", "unsorted_upper_blocks", "extra_key"])
+    def test_block_metadata_not_the_builders_is_reported(self, change):
+        # the same pattern, written otherwise than its builder writes it
+        spec = build_sl_block(TABLE2_PATTERNS["H12"](2, 1, 2))
+        doc = json.loads(serialize.dumps(serialize.verdict_to_json(check(spec), spec)))
+        doc["pair_spec"]["metadata"].update(change)
+        assert serialize.recheck_document(doc) == replay_problems(doc) == [
+            'pair_spec.metadata: not the metadata its builder writes, '
+            '{"diagonal_kind":["full","full","full"],"family":"sl_block",'
+            '"sizes":[2,1,2],"upper_blocks":[[0,1],[0,2]]}']
 
 
 class TestDeterminism:

@@ -286,3 +286,26 @@ def test_recheck_loads_no_decision_module():
                          input=json.dumps(docs), capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH="")).stdout
     assert out.strip() == f"{[[]] * len(inputs)} []"
+
+
+def test_block_recheck_builds_no_module(monkeypatch):
+    # a block question written as its metadata alone is replayed on its
+    # closed-form deficit (generators.block_deficit): no weight module is
+    # built and model.deficit is never called
+    from temperkit import model, serialize
+    from temperkit.check import check
+    docs = []
+    for family in ({"name": "sl_block", "pattern": "H11", "sizes": [2, 1, 2]},
+                   {"name": "sl_block", "pattern": "H2", "sizes": [3, 1]},
+                   {"name": "product_in_sl", "parts": [2, 1, 1]},
+                   {"name": "product_in_sl", "parts": [2, 1], "realify": True}):
+        spec = serialize.read_input({"family": family})
+        docs.append(json.loads(serialize.dumps(serialize.verdict_to_json(check(spec), spec))))
+    assert all(doc["pair_spec"].keys() == {"metadata"} for doc in docs)
+    assert {doc["evidence"]["kind"] for doc in docs} == {"certificate", "witness"}
+    for module in (model, serialize):
+        monkeypatch.setattr(module, "deficit", _refuse)
+    monkeypatch.setattr(model.WeightModule, "_from_integers", _refuse)
+    monkeypatch.setattr(model.WeightModule, "__init__", _refuse)
+    for doc in docs:
+        assert serialize.recheck_document(doc) == []
