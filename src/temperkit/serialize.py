@@ -590,9 +590,9 @@ def recheck_document(data: dict) -> list[str]:
     one.  A block question written as its metadata alone is not rebuilt:
     its deficit is taken in closed form (_read_deficit).  Each evidence
     vector's length is then checked against the spec's ambient dimension,
-    before anything is valued.  One rule then replays
-    either kind of evidence: the document is tempered exactly when its
-    evidence is a certificate, and one model._evaluate pass values the
+    before anything is valued.  One rule then replays either kind of
+    evidence: the document is tempered exactly when its evidence is a
+    certificate, and one model._evaluate pass values the
     deficit at the witness direction or every ray as an exact total/scale,
     each of which must lie on the slice, have its recorded value p/q
     (total*q == p*scale), and have the sign the verdict claims (total < 0

@@ -51,9 +51,9 @@ def _preserves(R, t, k: int, linear, terms, by_column, coeffs) -> bool:
     each row of f's ``terms`` to its c, and ``by_column`` holds the rows
     column by column, as _apply takes them; ``linear`` is f's linear part,
     or empty when f has none.  s keeps the linear part when it vanishes at
-    t, and maps distinct rows to distinct directions, a row
-    h with x = h.t != 0 to (k*h - 2*x*R) / k, which over gcd(k, 2x) is a
-    multiple of h adjusted on R's support."""
+    t, and maps distinct rows to distinct directions, a row h with x = h.t
+    != 0 to (k*h - 2*x*R) / k, which over gcd(k, 2x) is a multiple of h
+    adjusted on R's support."""
     if linear and sum(map(mul, linear, t)):
         return False
     xs = _apply(by_column, t, len(terms))
