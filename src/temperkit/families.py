@@ -23,8 +23,8 @@ from operator import add
 from typing import Callable, Optional, Sequence
 
 from .errors import SchemaError
-from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, _e, _int_param, _zero,
-                         build_product_in_sl, build_sl_block, realify)
+from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, _e, _int_param, _product_parts,
+                         _zero, build_product_in_sl, build_sl_block, realify)
 from .model import PairSpec, Record, TorusSpace, WeightModule
 from .serialize import QUESTION_CEILING
 
@@ -64,11 +64,7 @@ def build_product_in_sp(parts: Sequence[int]) -> PairSpec:
     weights +-e_a on the split torus R^n (no constraints).  So h is the sum
     of the S^2 V_i and g/h the sum of the V_i (x) V_j over i < j.
     """
-    parts = [_int_param(p, f"parts[{i}]") for i, p in enumerate(parts)]
-    if len(parts) < 2:
-        raise ValueError("need at least two factors (a single part gives h = g)")
-    if any(p < 1 for p in parts):
-        raise ValueError("factor sizes must be positive")
+    parts = _product_parts(parts)
     n = sum(parts)
     space = TorusSpace(n)
     ends = list(itertools.accumulate(parts, initial=0))
@@ -257,6 +253,13 @@ def _scan_example52_sp(n: int = 4):
 
 
 def _scan_example52_so(total: int = 6):
+    """so(p1,q1) + so(p2,q2) inside so(p1+p2, q1+q2), predicted tempered
+    exactly when |p1 + q1 - p2 - q2| <= 2.
+
+    The rule is claimed only for signatures whose entries are all >= 1,
+    which are all that this scan visits; with a zero entry it can fail
+    (so(6) + so(1,2) inside so(7,2) is tempered, its deficit 5|y|).
+    """
     for p1, q1, p2, q2 in itertools.product(range(1, total + 1), repeat=4):
         if p1 + q1 + p2 + q2 > total:
             continue

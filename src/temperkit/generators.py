@@ -146,14 +146,21 @@ def _sl_block_metadata(pattern: BlockPattern) -> dict:
             "upper_blocks": sorted(pattern.upper_blocks)}
 
 
-def _product_pattern(parts: Sequence[int]) -> tuple[BlockPattern, dict]:
-    """The block pattern of sl(n_1) x ... x sl(n_r) inside sl(n), and the
-    metadata build_product_in_sl writes for it."""
+def _product_parts(parts: Sequence[int]) -> list[int]:
+    """The factor sizes of a product subalgebra, checked: ints, at least
+    two of them, each >= 1."""
     parts = [_int_param(p, f"parts[{i}]") for i, p in enumerate(parts)]
     if len(parts) < 2:
         raise ValueError("need at least two factors (a single part gives h = g)")
     if any(p < 1 for p in parts):
         raise ValueError("factor sizes must be positive")
+    return parts
+
+
+def _product_pattern(parts: Sequence[int]) -> tuple[BlockPattern, dict]:
+    """The block pattern of sl(n_1) x ... x sl(n_r) inside sl(n), and the
+    metadata build_product_in_sl writes for it."""
+    parts = _product_parts(parts)
     return (BlockPattern(tuple(parts), ("full",) * len(parts)),
             {"family": "product_in_sl", "parts": parts})
 
@@ -222,7 +229,7 @@ def block_deficit(pattern: BlockPattern, realified: bool = False) -> PLFunction:
         sigma = 2 - 2 * ((i, j) in in_h) - 2 * ((j, i) in in_h)
         if sigma:
             terms.append((k * sigma * c * d, tuple(map(sub, u, w))))
-    return PLFunction._from_integers(_block_torus(pattern), 2, _zero(pattern.n), terms)
+    return PLFunction._from_integers(_block_torus(pattern), 2, terms)
 
 
 def build_product_in_sl(parts: Sequence[int]) -> PairSpec:

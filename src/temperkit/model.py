@@ -61,9 +61,9 @@ def _canonical_terms(terms: Iterable[tuple[int, Sequence[int]]]):
     Each row is made primitive with its first nonzero entry positive, the
     factor folded into its coefficient, and equal rows merged; zero rows
     and zero coefficients are dropped, and the terms are sorted by row.
-    The function's gradient jumps by 2*c*row across each row.Y = 0, so two
-    sums with one linear part are one function exactly when their
-    canonical terms are equal.
+    The function's gradient jumps by 2*c*row across each row.Y = 0, and
+    an even function is determined by those jumps, so two sums are one
+    function exactly when their canonical terms are equal.
     """
     merged: dict[tuple[int, ...], int] = {}
     for c, row in terms:
@@ -267,44 +267,41 @@ class WeightModule(Record):
 
 
 class PLFunction(Record):
-    """Finite sum  sum_i c_i * |alpha_i(Y)|  +  ell(Y)  with rational data.
+    """Finite sum  sum_i c_i * |alpha_i(Y)|  with rational data.
 
-    Held in one canonical form, f(Y) = (linear.Y + sum c*|row.Y|) / den
-    with integer data: ``terms``, the (c, row) of _canonical_terms, and
-    ``linear`` are reduced modulo the constraints; den > 0, and den, linear
-    and the c share no common factor.
+    This is the form of every deficit: it has no linear part, so it is
+    even, f(-Y) = f(Y).  Held in one canonical form, f(Y) = (sum
+    c*|row.Y|) / den with integer data: ``terms``, the (c, row) of
+    _canonical_terms, reduced modulo the constraints; den > 0, and den and
+    the c share no common factor.
     So f == g exactly when f and g are the same function on the slice.
     Evaluation is positively homogeneous of degree 1 by construction.
     """
 
-    __slots__ = _fields = ("space", "den", "linear", "terms")
+    __slots__ = _fields = ("space", "den", "terms")
     __hash__ = None
 
-    def __new__(cls, space: TorusSpace, abs_terms: Iterable[tuple[object, Sequence]],
-                linear_term: Optional[Sequence] = None):
+    def __new__(cls, space: TorusSpace, abs_terms: Iterable[tuple[object, Sequence]]):
         # c*|form| = (c/d)*|row| for row = d*form; over the common denominator
-        # den of the c/d and the linear part, _reduce scales rows by _scale
+        # den of the c/d, _reduce scales rows by _scale
         abs_terms = list(abs_terms)
         rows = [_integer_row(form) for _, form in abs_terms]
-        linear = (0,) * space.ambient_dim if linear_term is None else linear_term
-        ints, den = _integer_row([Fraction(c) / d for (c, _), (_, d) in zip(abs_terms, rows)]
-                                 + list(linear))
+        ints, den = _integer_row([Fraction(c) / d for (c, _), (_, d) in zip(abs_terms, rows)])
         return cls._from_integers(
-            space, den * space._scale, space._reduce(ints[len(rows):]),
+            space, den * space._scale,
             [(c, space._reduce(row)) for c, (row, _) in zip(ints, rows)])
 
     @classmethod
-    def _from_integers(cls, space, den, linear, terms) -> "PLFunction":
-        """(linear.Y + sum c*|row.Y|) / den, its rows and linear part
-        already reduced modulo the constraints, in canonical form."""
+    def _from_integers(cls, space, den, terms) -> "PLFunction":
+        """(sum c*|row.Y|) / den, its rows already reduced modulo the
+        constraints, in canonical form."""
         terms = _canonical_terms(terms)
-        g = math.gcd(den, *linear, *(c for c, _ in terms))
+        g = math.gcd(den, *(c for c, _ in terms))
         if g > 1:
             den //= g
-            linear = [x // g for x in linear]
             terms = tuple((c // g, row) for c, row in terms)
         f = object.__new__(cls)
-        f._set(space, den, tuple(linear), terms)
+        f._set(space, den, terms)
         return f
 
     def __call__(self, Y: Sequence) -> Fraction:
@@ -316,9 +313,7 @@ class PLFunction(Record):
         den = math.lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
         return PLFunction._from_integers(
-            self.space, den,
-            [a * x + b * y for x, y in zip(self.linear, other.linear)],
-            [(a * c, row) for c, row in self.terms]
+            self.space, den, [(a * c, row) for c, row in self.terms]
             + [(b * c, row) for c, row in other.terms])
 
     def __sub__(self, other: "PLFunction") -> "PLFunction":
@@ -328,11 +323,10 @@ class PLFunction(Record):
         t = Fraction(t)
         k = t.numerator
         return PLFunction._from_integers(
-            self.space, self.den * t.denominator, [k * x for x in self.linear],
-            [(k * c, row) for c, row in self.terms])
+            self.space, self.den * t.denominator, [(k * c, row) for c, row in self.terms])
 
     def is_zero(self) -> bool:
-        return not self.terms and not any(self.linear)
+        return not self.terms
 
     def __repr__(self) -> str:
         return f"PLFunction(terms={len(self.terms)}, dim={self.space.dim})"
@@ -423,10 +417,10 @@ def _combine_columns(entries, columns, zero: Optional[list] = None):
     return zero if out is None else out
 
 
-def _pl_totals(linear, terms, columns, zero) -> list:
-    """linear.Z + sum c*|row.Z| over the (c, row) of ``terms``, for every
-    point Z that ``columns`` lists column by column, as _combine_columns."""
-    total = _combine_columns(enumerate(linear), columns, zero)
+def _pl_totals(terms, columns, zero) -> list:
+    """sum c*|row.Z| over the (c, row) of ``terms``, for every point Z
+    that ``columns`` lists column by column, as _combine_columns."""
+    total = zero
     sums: dict[int, list] = {}      # sum |row.Z| over the terms of each coefficient
     for c, row in terms:
         values = map(abs, _combine_columns(enumerate(row), columns, zero))
@@ -441,9 +435,9 @@ def _evaluate(f: PLFunction, points: Sequence[Sequence]) -> list:
     total/scale and scale > 0, or None at a point off the slice.
 
     Each point Y is scaled to the integer Z = m*Y for the least m >= 1, and
-    f(Y) = (linear.Z + sum c*|row.Z|) / (den*m), f being positively
-    homogeneous.  Each constraint row, term row and the linear part is
-    summed for all points at once, a coordinate column per nonzero entry.
+    f(Y) = (sum c*|row.Z|) / (den*m), f being positively homogeneous.
+    Each constraint row and term row is summed for all points at once, a
+    coordinate column per nonzero entry.
     Raises ArityError if a point's length is not the ambient dimension.
     """
     if any(len(Y) != f.space.ambient_dim for Y in points):
@@ -455,7 +449,7 @@ def _evaluate(f: PLFunction, points: Sequence[Sequence]) -> list:
     zero = [0] * len(scaled)
     off = map(any, zip(zero, *(_combine_columns(enumerate(row), columns, zero)
                                for row in f.space.rows)))
-    total = _pl_totals(f.linear, f.terms, columns, zero)
+    total = _pl_totals(f.terms, columns, zero)
     return [None if o else (t, f.den * m) for o, t, (_, m) in zip(off, total, scaled)]
 
 
@@ -467,7 +461,7 @@ def evaluate_at(f: PLFunction, points: Sequence[Sequence]) -> list:
 
 
 def evaluate_pl(f: PLFunction, Y: Sequence) -> Fraction:
-    """sum c_i |alpha_i(Y)| + ell(Y) exactly at a point of the slice, by
+    """sum c_i |alpha_i(Y)| exactly at a point of the slice, by
     evaluate_at.  Raises ArityError or ConstraintViolationError."""
     value, = evaluate_at(f, [Y])
     if value is None:
@@ -477,8 +471,7 @@ def evaluate_pl(f: PLFunction, Y: Sequence) -> Fraction:
 
 def rho_function(M: WeightModule) -> PLFunction:
     """The function (1/2) sum_alpha m_alpha |alpha(Y)| as a PLFunction."""
-    return PLFunction._from_integers(M.space, 2 * M.den, [0] * M.space.ambient_dim,
-                                     [(m, row) for row, m in M.rows])
+    return PLFunction._from_integers(M.space, 2 * M.den, [(m, row) for row, m in M.rows])
 
 
 def deficit(spec: PairSpec) -> PLFunction:
@@ -492,5 +485,5 @@ def deficit(spec: PairSpec) -> PLFunction:
         parts.append((spec.v_module, 2))
     den = math.lcm(*(2 * M.den for M, _ in parts))
     return PLFunction._from_integers(
-        spec.space, den, (0,) * spec.space.ambient_dim,
+        spec.space, den,
         [(k * (den // (2 * M.den)) * m, row) for M, k in parts for row, m in M.rows])

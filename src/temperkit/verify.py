@@ -1,8 +1,8 @@
 """Global nonnegativity decision for homogeneous piecewise-linear functions.
 
-A PLFunction sum c*|row.Y| + ell(Y) is concave on each full-dimensional
-cell of the arrangement of its hyperplanes with c > 0: there the terms with
-c > 0 are linear and those with c < 0 are concave everywhere.  Being also
+A PLFunction sum c*|row.Y| is concave on each full-dimensional cell of
+the arrangement of its hyperplanes with c > 0: there the terms with c > 0
+are linear and those with c < 0 are concave everywhere.  Being also
 positively homogeneous, it is superadditive on the cell, so it is
 nonnegative there exactly when it is nonnegative on the cell's extreme rays
 and on the common lineality space.  Enumerating the cells and checking ray
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import compress
-from operator import itemgetter, mul, sub
+from operator import itemgetter, sub
 from typing import Optional
 
 from .cones import enumerate_cells
@@ -45,17 +45,13 @@ def _apply(columns, t, size: int) -> list:
     return out
 
 
-def _preserves(R, t, k: int, linear, terms, by_column, coeffs) -> bool:
+def _preserves(R, t, k: int, terms, by_column, coeffs) -> bool:
     """Whether f o s = f for the reflection s in the slice root R, given by
     its nonzero entries, with coroot t and k = R.t > 0; ``coeffs`` maps
     each row of f's ``terms`` to its c, and ``by_column`` holds the rows
-    column by column, as _apply takes them; ``linear`` is f's linear part,
-    or empty when f has none.  s keeps the linear part when it vanishes at
-    t, and maps distinct rows to distinct directions, a row h with x = h.t
-    != 0 to (k*h - 2*x*R) / k, which over gcd(k, 2x) is a multiple of h
-    adjusted on R's support."""
-    if linear and sum(map(mul, linear, t)):
-        return False
+    column by column, as _apply takes them.  s maps distinct rows to
+    distinct directions, a row h with x = h.t != 0 to (k*h - 2*x*R) / k,
+    which over gcd(k, 2x) is a multiple of h adjusted on R's support."""
     xs = _apply(by_column, t, len(terms))
     matched = set()     # checked images: s maps each back to its preimage
     for (c, row), x in compress(zip(terms, xs), xs):
@@ -73,11 +69,11 @@ def _preserves(R, t, k: int, linear, terms, by_column, coeffs) -> bool:
     return True
 
 
-def _chamber_walls(free, vectors, linear, terms, pair: PairSpec) -> list:
+def _chamber_walls(free, vectors, terms, pair: PairSpec) -> list:
     """The walls, in free-column coordinates, of one chamber of a finite
     reflection group that f is invariant under, from the weights of
     ``pair``; [] for the whole slice.  ``free`` and ``vectors`` are
-    TorusSpace.slice_view, and f.den*f = linear.y + sum c*|row.y|.
+    TorusSpace.slice_view, and f.den*f = sum c*|row.y|.
 
     B = sum m mu(x)mu over the weights mu of h and g/h must be positive
     definite.  With every m > 0, B is positive semidefinite, so it is
@@ -119,14 +115,13 @@ def _chamber_walls(free, vectors, linear, terms, pair: PairSpec) -> list:
         return []
     X = solved[0]
     coeffs = {row: c for c, row in terms}
-    linear = linear if any(linear) else ()
     by_column = [_nonzero(column) for column in zip(*(row for _, row in terms))]
     lift = [_nonzero(v) for v in vectors]
     kept = []
     for R in roots:
         t = _combine_columns(R, X)
         k = sum(x * t[j] for j, x in R)
-        if _preserves(R, t, k, linear, terms, by_column, coeffs):
+        if _preserves(R, t, k, terms, by_column, coeffs):
             L = _apply(lift, t, pair.space.ambient_dim)
             if not _lex_positive(L):
                 R, t, L = [(j, -x) for j, x in R], [-x for x in t], [-x for x in L]
@@ -152,14 +147,13 @@ def is_nonnegative(f: PLFunction, pair: Optional[PairSpec] = None):
     Returns a NonnegCertificate or a Witness.  With a ``pair``, the
     enumeration covers one chamber of a finite reflection group of f that
     its weights give (_chamber_walls), which changes only the certificate size.
-    A purely linear f is decided on the whole slice: its +- slice-basis
-    rays show whether it vanishes.
+    A zero f is decided on the whole slice, at its +- slice-basis rays.
 
     The cells are enumerated in the free-column coordinates y of
     TorusSpace.slice_view, where f's stored rows, zero at the pivots, read
-    at the free columns are f in canonical form: f.den*f = linear.y + sum
-    c*|row.y|.  They are cut by the walls and the rows with c > 0 only; a
-    row that does not cut the chamber cuts no cell and is left out.  The
+    at the free columns are f in canonical form: f.den*f = sum c*|row.y|.
+    They are cut by the walls and the rows with c > 0 only; a row that
+    does not cut the chamber cuts no cell and is left out.  The
     enumeration's distinct rays, and the +- generators of the lineality
     space, are valued there a column at a time by the pass evaluate_at
     makes on ambient points (_pl_totals), and lifted by the view to
@@ -170,9 +164,8 @@ def is_nonnegative(f: PLFunction, pair: Optional[PairSpec] = None):
     if pair is not None and pair.space != f.space:
         raise SpaceMismatchError("the pair lives on another torus space")
     free, vectors = f.space.slice_view()
-    linear = [f.linear[c] for c in free]
     terms = [(c, tuple([row[j] for j in free])) for c, row in f.terms]
-    walls = (_chamber_walls(free, vectors, linear, terms, pair)
+    walls = (_chamber_walls(free, vectors, terms, pair)
              if terms and pair is not None else [])
     d = len(free)
     complex_ = enumerate_cells([row for c, row in terms if c > 0],
@@ -186,7 +179,7 @@ def is_nonnegative(f: PLFunction, pair: Optional[PairSpec] = None):
         ys += [y, tuple(-x for x in y)]
     slice_columns = list(zip(*ys))
     zero = [0] * len(ys)
-    total = _pl_totals(linear, terms, slice_columns, zero)
+    total = _pl_totals(terms, slice_columns, zero)
     points = []
     for Y, t in zip(zip(*(_combine_columns(enumerate(row), slice_columns, zero)
                           for row in zip(*vectors))), total):

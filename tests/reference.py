@@ -106,15 +106,14 @@ _INT64_BOUND = 2 ** 62
 
 
 def _on_slice_basis(f: PLFunction, basis):
-    """(linear, terms): f on the slice basis in canonical form, f.den*f =
-    linear.y + sum c*|row.y|.  A row reduced modulo the constraints, as all
+    """The terms of f on the slice basis in canonical form, f.den*f =
+    sum c*|row.y|.  A row reduced modulo the constraints, as all
     stored rows are, is zero at the pivots, so its value at a basis vector
     is its entry at the vector's free column times the vector's entry
     there."""
     free = [c for c in range(f.space.ambient_dim) if c not in f.space._pivots]
     columns = [(c, v[c]) for c, v in zip(free, basis)]
-    return [f.linear[c] * s for c, s in columns], _canonical_terms(
-        (c, [row[j] * s for j, s in columns]) for c, row in f.terms)
+    return _canonical_terms((c, [row[j] * s for j, s in columns]) for c, row in f.terms)
 
 
 def grid_oracle(f: PLFunction, resolution: int) -> Optional[Witness]:
@@ -131,24 +130,20 @@ def grid_oracle(f: PLFunction, resolution: int) -> Optional[Witness]:
     space = f.space
     basis = space.slice_basis()
     d = len(basis)
-    if d == 0:
+    terms = _on_slice_basis(f, basis)
+    if d == 0 or not terms:     # f is zero
         return None
-    Lrow, terms = _on_slice_basis(f, basis)
     A = [row for _, row in terms]
     C = [c for c, _ in terms]
 
     max_abs = 0
     for row, c in zip(A, C):
         max_abs += abs(c) * sum(abs(x) for x in row) * resolution
-    max_abs += sum(abs(x) for x in Lrow) * resolution
     # int64 sums are exact below the bound; past it numpy sums Python ints
     dtype = np.int64 if max_abs < _INT64_BOUND else object
     coords = np.array(np.meshgrid(*([np.arange(-resolution, resolution + 1)] * d),
                                   indexing="ij")).reshape(d, -1).T.astype(dtype)
-    vals = coords @ np.array(Lrow, dtype=dtype)
-    if A:
-        vals = vals + np.abs(coords @ np.array(A, dtype=dtype).T) \
-            @ np.array(C, dtype=dtype)
+    vals = np.abs(coords @ np.array(A, dtype=dtype).T) @ np.array(C, dtype=dtype)
     i = int(np.argmin(vals))
     if vals[i] >= 0:
         return None
@@ -267,7 +262,7 @@ def _invariant(a, f: PLFunction, coeffs, by_column) -> bool:
             image, g = _primitive([k * p - 2 * x * q for p, q in zip(row, R)])
             if coeffs.get(image, 0) * k != c * abs(g):
                 return False
-    return not _dot(f.linear, L)
+    return True
 
 
 def dense_chamber_walls(f: PLFunction, columns, lift, pair: PairSpec) -> list:

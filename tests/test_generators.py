@@ -16,7 +16,7 @@ from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS,
                                   matrix_input_for_block_pattern,
                                   realify)
 from temperkit.matrices import MatrixPairInput, example_sp21_input, extract_weights
-from temperkit.model import deficit, evaluate_pl, rho_function
+from temperkit.model import NonnegCertificate, deficit, evaluate_pl, rho_function
 
 from reference import dense, generic_sl_block, mat_inv, parabolic_decomposition, rref
 
@@ -136,7 +136,7 @@ def test_block_deficit_is_the_deficit_of_the_built_spec():
     # the closed form that recheck values for a block question is exactly
     # model.deficit of the spec its builder makes, down to the held integers
     def held(f):
-        return (f.space.rows, f.space._pivots, f.space._scale, f.den, f.linear, f.terms)
+        return (f.space.rows, f.space._pivots, f.space._scale, f.den, f.terms)
 
     cases = 0
     for pattern in _patterns_to_match():
@@ -423,6 +423,23 @@ class TestFamilies:
     def test_so_pair_torus_rank(self):
         spec = build_so_pair(3, 1, 2, 2)
         assert spec.space.dim == min(3, 1) + min(2, 2)
+
+    def test_so_rule_is_claimed_where_every_entry_is_positive(self):
+        # example52-so's rule |p1 + q1 - p2 - q2| <= 2 is claimed only where
+        # every signature entry is >= 1, all that its scan visits
+        assert all(min(params) >= 1 for params, _, _ in FAMILIES["example52-so"](total=6))
+        # so(6) + so(1,2) inside so(7,2): g/h gives 6|y| and h gives |y|,
+        # so the pair is tempered where the rule says not
+        spec = build_so_pair(6, 0, 1, 2)
+        f = deficit(spec)
+        assert (f.space.dim, f.den, f.terms) == (1, 1, ((5, (1,)),))
+        assert check(spec).tempered
+        assert not abs(6 + 0 - 1 - 2) <= 2
+        # so(4) + so(0,1) inside so(4,1): h is compact, its torus of rank 0
+        spec = build_so_pair(4, 0, 0, 1)
+        evidence = check(spec).evidence
+        assert spec.space.dim == 0
+        assert isinstance(evidence, NonnegCertificate) and evidence.rays == ()
 
 
 class TestParabolicDecomposition:

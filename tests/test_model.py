@@ -66,13 +66,13 @@ class TestCanonicalForm:
         # _reduce scales by the pivot 2: x = (0, -3/2) modulo the constraint
         assert s._reduce((1, 0)) == (0, -3)
         assert s._reduce((2, 0)) == s._reduce((0, -3))
-        # |x| + y = (3/2)|y| + y on the slice
-        f = PLFunction(s, [(1, lf(1, 0))], lf(0, 1))
-        assert (f.den, f.linear, f.terms) == (2, (0, 2), ((3, (0, 1)),))
+        # |x| = (3/2)|y| on the slice
+        f = PLFunction(s, [(1, lf(1, 0))])
+        assert (f.den, f.terms) == (2, ((3, (0, 1)),))
         for y in [(-3, 2), (F(3, 5), F(-2, 5)), (6, -4)]:
             value = evaluate_pl(f, y)
             assert type(value) is F
-            assert value == abs(F(y[0])) + F(y[1])
+            assert value == abs(F(y[0]))
         with pytest.raises(ConstraintViolationError):
             evaluate_pl(f, (1, 1))
 
@@ -83,10 +83,9 @@ class TestCanonicalForm:
         assert s == TorusSpace(3, [(1, 1, 1)])
         M = WeightModule(s, [(iter((1, -1, 0)), 2), (iter(lf(0, 1, -1)), 1)])
         assert M == WeightModule(s, [((1, -1, 0), 2), (lf(0, 1, -1), 1)])
-        f = PLFunction(s, [(1, iter(lf("1/2", 0, 0))), (2, iter((0, 1, 0)))],
-                       iter((1, 0, 0)))
-        assert f == PLFunction(s, [(1, lf("1/2", 0, 0)), (2, (0, 1, 0))], (1, 0, 0))
-        assert evaluate_pl(f, (1, 1, -2)) == F(7, 2)
+        f = PLFunction(s, [(1, iter(lf("1/2", 0, 0))), (2, iter((0, 1, 0)))])
+        assert f == PLFunction(s, [(1, lf("1/2", 0, 0)), (2, (0, 1, 0))])
+        assert evaluate_pl(f, (1, 1, -2)) == F(5, 2)
 
 
 class TestTorusSpace:
@@ -129,7 +128,7 @@ class TestTorusSpace:
     def test_require_point(self):
         # evaluation accepts exactly the points of the slice
         s = TorusSpace(2, [lf(1, 1)])
-        f = PLFunction(s, [], lf(1, 0))
+        f = PLFunction(s, [(1, lf(1, 0))])
         with pytest.raises(ConstraintViolationError):
             evaluate_pl(f, (1, 1))
         assert evaluate_pl(f, (F(1), F(-1))) == 1
@@ -174,13 +173,13 @@ class TestPLFunction:
 
     def test_evaluation(self):
         s = TorusSpace(2)
-        f = PLFunction(s, [(F(2), lf(1, -1))], lf(0, 1))
-        assert evaluate_pl(f, (3, 1)) == 2 * 2 + 1
-        assert f((3, 1)) == 5
+        f = PLFunction(s, [(F(2), lf(1, -1))])
+        assert evaluate_pl(f, (3, 1)) == 2 * 2
+        assert f((3, 1)) == 4
 
     def test_homogeneous(self):
         s = TorusSpace(2)
-        f = PLFunction(s, [(F(1), lf(1, 2)), (F(-1), lf(1, 0))], lf(0, 1))
+        f = PLFunction(s, [(F(1), lf(1, 2)), (F(-1), lf(1, 0))])
         y = (F(3), F(-2))
         assert f(tuple(5 * c for c in y)) == 5 * f(y)
 
@@ -242,7 +241,7 @@ def pl_functions(draw, max_dim=4, max_terms=4):
         assume(False)
     n = draw(st.integers(min_value=1, max_value=max_terms))
     terms = [(draw(rationals), tuple(draw(vectors))) for _ in range(n)]
-    return PLFunction(space, terms, tuple(draw(vectors)))
+    return PLFunction(space, terms)
 
 
 @settings(max_examples=80, deadline=None)
@@ -254,8 +253,7 @@ def test_integer_evaluation_matches_fraction_sum(data):
     slice_vec = data.draw(st.lists(st.builds(F, st.integers(-5, 5), denominators),
                                    min_size=space.dim, max_size=space.dim))
     Y = space.lift(slice_vec)
-    expected = (dot(f.linear, Y)
-                + sum((c * abs(dot(row, Y)) for c, row in f.terms), F(0))) / f.den
+    expected = sum((c * abs(dot(row, Y)) for c, row in f.terms), F(0)) / f.den
     assert evaluate_pl(f, Y) == expected
     for k in space.constraints:
         off = tuple(y + c for y, c in zip(Y, k))   # k(off) = k(Y) + |k|^2
@@ -265,6 +263,16 @@ def test_integer_evaluation_matches_fraction_sum(data):
         evaluate_pl(f, Y + (F(1, 2),))
     with pytest.raises(ArityError):
         evaluate_pl(f, Y[:-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_functions_are_even(data):
+    # a PLFunction has no linear part: f(-Y) = f(Y) at every slice point
+    f = data.draw(pl_functions())
+    slice_vec = data.draw(st.lists(rationals, min_size=f.space.dim, max_size=f.space.dim))
+    Y = f.space.lift(slice_vec)
+    assert f(tuple(-y for y in Y)) == f(Y)
 
 
 def deficit_reference(spec, Y) -> Fraction:

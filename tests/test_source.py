@@ -288,6 +288,35 @@ def test_recheck_loads_no_decision_module():
     assert out.strip() == f"{[[]] * len(inputs)} []"
 
 
+# recheck one document through the command line, with the package
+# __init__ run as every real import runs it, then list which decision
+# modules were loaded
+CLI_RECHECK_GUARD = """
+import contextlib, io, sys
+import temperkit.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = temperkit.cli.main(["recheck", sys.argv[1]])
+print(code, sorted(m for m in ("temperkit.check", "temperkit.verify", "temperkit.cones")
+                   if m in sys.modules))
+"""
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 20: the package __init__ and "
+                   "cli import check, which imports verify and cones")
+def test_cli_recheck_loads_no_decision_module(tmp_path):
+    from temperkit import serialize
+    from temperkit.check import check
+    spec = serialize.read_input(
+        {"family": {"name": "sl_block", "pattern": "H11", "sizes": [2, 1, 2]}})
+    doc = tmp_path / "v.json"
+    doc.write_text(serialize.dumps(serialize.verdict_to_json(check(spec), spec)))
+    src = str(Path(temperkit.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", CLI_RECHECK_GUARD, str(doc)],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "0 []"
+
+
 def test_block_recheck_builds_no_module(monkeypatch):
     # a block question written as its metadata alone is replayed on its
     # closed-form deficit (generators.block_deficit): no weight module is

@@ -45,8 +45,8 @@ def deficit_reference(spec, Y) -> Fraction:
     return rho(spec.g_module) + v - rho(spec.h_module)
 
 
-def pl(space, terms, linear=None):
-    return PLFunction(space, [(F(c), f) for c, f in terms], linear)
+def pl(space, terms):
+    return PLFunction(space, [(F(c), f) for c, f in terms])
 
 
 class TestKnownCases:
@@ -72,18 +72,6 @@ class TestKnownCases:
         f = pl(s, [(1, lf(1))])
         cert = is_nonnegative(f)
         assert isinstance(cert, NonnegCertificate)
-
-    def test_pure_linear_nonzero_is_witness(self):
-        s = TorusSpace(2)
-        f = pl(s, [], lf(1, 0))
-        w = is_nonnegative(f)
-        assert isinstance(w, Witness)
-        assert w.value < 0
-
-    def test_pure_linear_zero_on_slice(self):
-        s = TorusSpace(2, [lf(1, -1)])
-        f = pl(s, [], lf(1, -1))
-        assert isinstance(is_nonnegative(f), NonnegCertificate)
 
     def test_witness_replay(self):
         s = TorusSpace(3, [lf(1, 1, 1)])
@@ -236,7 +224,7 @@ def walls_of(f, pair):
     """The walls _chamber_walls derives for f from the pair, in free-column
     coordinates."""
     free, vectors = f.space.slice_view()
-    return _chamber_walls(free, vectors, [f.linear[c] for c in free],
+    return _chamber_walls(free, vectors,
                           [(c, tuple(row[j] for j in free)) for c, row in f.terms], pair)
 
 
@@ -339,8 +327,7 @@ def reference_form(f, pair):
             for i, x in w:
                 for j, y in w:
                     B[i][j] += m * x * y
-    flat = PLFunction(TorusSpace(d), [(F(c, f.den), on_slice(row)) for c, row in f.terms],
-                      on_slice([F(x, f.den) for x in f.linear]))
+    flat = PLFunction(TorusSpace(d), [(F(c, f.den), on_slice(row)) for c, row in f.terms])
     return on_slice, flat, mat_inv(B)
 
 
@@ -362,8 +349,7 @@ def invariant_on_slice(flat, r, inverse) -> bool:
         x = sum(a * b for a, b in zip(row, t))
         return [a - 2 * x * b / k for a, b in zip(row, r)]
 
-    after = PLFunction(flat.space, [(F(c, flat.den), compose(row)) for c, row in flat.terms],
-                       compose([F(x, flat.den) for x in flat.linear]))
+    after = PLFunction(flat.space, [(F(c, flat.den), compose(row)) for c, row in flat.terms])
     return flat == after
 
 
@@ -517,24 +503,6 @@ class TestSymmetryCheck:
         g = pl(s, [(1, lf(2, 0)), (1, lf(0, 1))])
         assert not accepts(g, (1, -1), units(s))
 
-    def test_linear_part_must_be_invariant(self):
-        # 2|x| + 2|y| + 3(x - y): the swap keeps the abs terms but not the
-        # linear part, so it is dropped; kept, its chamber x >= y would
-        # miss the negative values at (0, 1) and (-1, 0)
-        s = TorusSpace(2)
-        f = pl(s, [(2, lf(1, 0)), (2, lf(0, 1))], lf(3, -3))
-        assert not accepts(f, (1, -1), units(s))
-        result = is_nonnegative(f, candidates(s, [(1, -1), (-1, 1)]))
-        assert isinstance(result, Witness) and result.value < 0
-
-    def test_invariant_linear_part_is_kept(self):
-        # |x| + |y| + (x + y): the swap keeps the linear part, whose value
-        # at the coroot (1, -1) sums to 0 from two nonzero products
-        s = TorusSpace(2)
-        f = pl(s, [(1, lf(1, 0)), (1, lf(0, 1))], lf(1, 1))
-        assert accepts(f, (1, -1), units(s))
-        assert walls_of(f, candidates(s, [(1, -1)])) == [[1, -1]]
-
     def test_bad_coords_in_direct_call(self):
         f = pl(TorusSpace(2), [(1, lf(1, 0)), (1, lf(0, 1))])
         with pytest.raises(SpaceMismatchError):
@@ -640,7 +608,7 @@ def test_walls_match_the_dense_reference():
 def test_walls_match_the_dense_reference_on_random_pairs():
     # tori whose slice basis has entries other than 1 at its free columns,
     # rational weights, roots of h that are not closed under their
-    # reflections, and f with a linear part or unrelated to the pair: none
+    # reflections, and f unrelated to the pair: none
     # of these occur at the acceptance specs
     rng = random.Random(11)
     compared = chambers = scaled = 0
@@ -661,8 +629,7 @@ def test_walls_match_the_dense_reference_on_random_pairs():
         g += [(tuple(-x for x in w), m) for w, m in g if rng.random() < 0.5]
         pair = PairSpec(g_module=WeightModule(space, g), h_module=WeightModule(space, h))
         f = deficit(pair) if rng.random() < 0.5 else PLFunction(
-            space, [(F(rng.randint(-3, 3)), form()) for _ in range(rng.randint(1, 6))],
-            form() if rng.random() < 0.3 else None)
+            space, [(F(rng.randint(-3, 3)), form()) for _ in range(rng.randint(1, 6))])
         if f.terms:
             walls = walls_of(f, pair)
             assert walls == dense_walls_of(f, pair)
@@ -905,11 +872,8 @@ def mixed_pl_functions(draw, symmetric):
     if symmetric:
         terms = [(c, image) for c, row in terms
                  for image in block_orbit(row, coords, signed)]
-    linear = None
-    if not symmetric and draw(st.booleans()):
-        linear = form()
     roots = true_roots + [form() for _ in range(draw(st.integers(0, 2)))]
-    return pl(space, terms, linear), roots, true_roots
+    return pl(space, terms), roots, true_roots
 
 
 @pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "symmetric"])
