@@ -12,7 +12,9 @@ pairs and classical subalgebras of sl(n) from the defining module V, whose
 weights on the split torus are +-e_a (and zeros for so(p,q)).  sp(V) =
 S^2 V, so(V) = L^2 V and, V being self-dual, gl(V) = V (x) V* = S^2 V +
 L^2 V (Fulton-Harris, Representation Theory, 1991), so each multiset, zero
-weights included, has the right dimension by construction.
+weights included, has the right dimension by construction.  Beside each
+builder is its deficit in closed form, which recheck values with no
+module built.
 """
 
 from __future__ import annotations
@@ -57,6 +59,29 @@ def _module(space: TorusSpace, counter: Counter) -> WeightModule:
     return WeightModule._from_integers(space, rows, space._scale)
 
 
+def _product_form(factor: list[int], diagonal: list[int]) -> tuple[TorusSpace, int, list]:
+    """(space, 1, terms) for a product's deficit on R^n, coordinate a of
+    factor[a]: -|y_a +- y_b| for a < b in one factor, +|y_a +- y_b| across
+    two, and diagonal[a]*|y_a| where that is nonzero."""
+    n = len(factor)
+    terms = []
+    for a, b in itertools.combinations(range(n), 2):
+        c = 1 if factor[a] != factor[b] else -1
+        for sign in (-1, 1):
+            row = [0] * n
+            row[a], row[b] = 1, sign
+            terms.append((c, tuple(row)))
+    terms += [(c, _e(a, n)) for a, c in enumerate(diagonal) if c]
+    return TorusSpace(n), 1, terms
+
+
+def _product_in_sp(parts: Sequence[int]) -> tuple[list[int], dict]:
+    """The checked parts of sp(n_1) x ... x sp(n_r) inside sp(n), and the
+    metadata build_product_in_sp writes."""
+    parts = _product_parts(parts)
+    return parts, {"family": "product_in_sp", "parts": parts}
+
+
 def build_product_in_sp(parts: Sequence[int]) -> PairSpec:
     """sp(n_1) x ... x sp(n_r) inside sp(n), split real forms.
 
@@ -64,7 +89,7 @@ def build_product_in_sp(parts: Sequence[int]) -> PairSpec:
     weights +-e_a on the split torus R^n (no constraints).  So h is the sum
     of the S^2 V_i and g/h the sum of the V_i (x) V_j over i < j.
     """
-    parts = _product_parts(parts)
+    parts, meta = _product_in_sp(parts)
     n = sum(parts)
     space = TorusSpace(n)
     ends = list(itertools.accumulate(parts, initial=0))
@@ -78,7 +103,37 @@ def build_product_in_sp(parts: Sequence[int]) -> PairSpec:
     return PairSpec(
         g_module=_module(space, g_counter),
         h_module=_module(space, h_counter),
-        metadata={"family": "product_in_sp", "parts": parts}, built=True)
+        metadata=meta, built=True)
+
+
+def product_in_sp_deficit(parts: Sequence[int]) -> tuple[tuple, dict]:
+    """The deficit of build_product_in_sp(parts) in closed form, as (space,
+    den, terms) with the rows as built (model._evaluate), and the metadata
+    the builder writes; no weight module is built.
+
+    Half the sum of |w| over S^2 V_i is, for a < b inside the part,
+    |y_a + y_b| + |y_a - y_b| (from +-e_a +- e_b, each twice over the two
+    signs), and 2|y_a| (from +-2e_a); over V_i (x) V_j it is
+    |y_a + y_b| + |y_a - y_b| for a in part i and b in part j.  So the
+    deficit is -|y_a +- y_b| inside a part, +|y_a +- y_b| across parts and
+    -2|y_a| for each coordinate.
+    """
+    parts, meta = _product_in_sp(parts)
+    return _product_form([i for i, p in enumerate(parts) for _ in range(p)],
+                         [-2] * sum(parts)), meta
+
+
+def _so_pair(p1: int, q1: int, p2: int, q2: int) -> tuple[list, dict]:
+    """Each factor's (m_i, z_i) of a checked signature, m_i = min(p_i, q_i)
+    its rank and z_i = p_i + q_i - 2 m_i the zero weights of V_i, and the
+    metadata build_so_pair writes."""
+    for name, v in zip(("p1", "q1", "p2", "q2"), (p1, q1, p2, q2)):
+        if _int_param(v, name) < 0:
+            raise ValueError("signature entries must be nonnegative")
+    if p1 + q1 < 1 or p2 + q2 < 1:
+        raise ValueError("need p1 + q1 >= 1 and p2 + q2 >= 1")
+    return ([(min(p, q), p + q - 2 * min(p, q)) for p, q in ((p1, q1), (p2, q2))],
+            {"family": "so_pair", "signature": [p1, q1, p2, q2]})
 
 
 def build_so_pair(p1: int, q1: int, p2: int, q2: int) -> PairSpec:
@@ -90,21 +145,53 @@ def build_so_pair(p1: int, q1: int, p2: int, q2: int) -> PairSpec:
     zero weights.  So h = L^2 V_1 + L^2 V_2 and g/h = V_1 (x) V_2.  Each
     factor needs p_i + q_i >= 1: an empty one leaves no pair, or h = g.
     """
-    for name, v in zip(("p1", "q1", "p2", "q2"), (p1, q1, p2, q2)):
-        if _int_param(v, name) < 0:
-            raise ValueError("signature entries must be nonnegative")
-    if p1 + q1 < 1 or p2 + q2 < 1:
-        raise ValueError("need p1 + q1 >= 1 and p2 + q2 >= 1")
-    m1, m2 = min(p1, q1), min(p2, q2)
+    ((m1, z1), (m2, z2)), meta = _so_pair(p1, q1, p2, q2)
     n = m1 + m2
     space = TorusSpace(n)
-    rep1 = _rep(range(m1), n, p1 + q1 - 2 * m1)
-    rep2 = _rep(range(m1, n), n, p2 + q2 - 2 * m2)
+    rep1 = _rep(range(m1), n, z1)
+    rep2 = _rep(range(m1, n), n, z2)
     return PairSpec(
         g_module=_module(space, _tensor(rep1, rep2)),
         h_module=_module(space, _square(rep1, alternating=True)
                          + _square(rep2, alternating=True)),
-        metadata={"family": "so_pair", "signature": [p1, q1, p2, q2]}, built=True)
+        metadata=meta, built=True)
+
+
+def so_pair_deficit(p1: int, q1: int, p2: int, q2: int) -> tuple[tuple, dict]:
+    """The deficit of build_so_pair(p1, q1, p2, q2) in closed form, as
+    (space, den, terms) with the rows as built (model._evaluate), and the
+    metadata the builder writes; no weight module is built.
+
+    Half the sum of |w| over L^2 V_i is, for a < b inside factor i,
+    |y_a + y_b| + |y_a - y_b|, and z_i |y_a| for each of its coordinates
+    (+-e_a against each zero weight); over V_1 (x) V_2 it is |y_a + y_b| +
+    |y_a - y_b| across the factors, z_2 |y_a| on factor 1 and z_1 |y_b| on
+    factor 2.  So the deficit is -|y_a +- y_b| inside a factor, +|y_a +-
+    y_b| across, (z_2 - z_1)|y_a| on factor 1 and (z_1 - z_2)|y_b| on
+    factor 2.
+    """
+    ((m1, z1), (m2, z2)), meta = _so_pair(p1, q1, p2, q2)
+    return _product_form([0] * m1 + [1] * m2, [z2 - z1] * m1 + [z1 - z2] * m2), meta
+
+
+def _classical(kind: str, *params: int) -> tuple[int, int, dict]:
+    """The rank m and the zero weights z of V for a checked classical
+    subalgebra, and the metadata build_classical_in_sl writes."""
+    if kind == "so":
+        p, q = params
+        if _int_param(p, "p") < 0 or _int_param(q, "q") < 0:
+            raise ValueError("signature entries must be nonnegative")
+        if p + q < 2:
+            raise ValueError("need p + q >= 2")
+        m = min(p, q)
+        return m, p + q - 2 * m, {"family": "classical_in_sl", "kind": "so",
+                                  "signature": [p, q]}
+    if kind == "sp":
+        (m,) = params
+        if _int_param(m, "m") < 1:
+            raise ValueError("need m >= 1")
+        return m, 0, {"family": "classical_in_sl", "kind": "sp", "m": m}
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 def build_classical_in_sl(kind: str, *params: int) -> PairSpec:
@@ -116,31 +203,35 @@ def build_classical_in_sl(kind: str, *params: int) -> PairSpec:
     gl(V) = V (x) V* = S^2 V + L^2 V.  h is so(V) = L^2 V or sp(V) = S^2 V,
     and g/h is the other square less one zero weight, the trace.
     """
-    if kind == "so":
-        p, q = params
-        if _int_param(p, "p") < 0 or _int_param(q, "q") < 0:
-            raise ValueError("signature entries must be nonnegative")
-        if p + q < 2:
-            raise ValueError("need p + q >= 2")
-        m = min(p, q)
-        rep = _rep(range(m), m, p + q - 2 * m)
-        meta = {"family": "classical_in_sl", "kind": "so", "signature": [p, q]}
-    elif kind == "sp":
-        (m,) = params
-        if _int_param(m, "m") < 1:
-            raise ValueError("need m >= 1")
-        rep = _rep(range(m), m)
-        meta = {"family": "classical_in_sl", "kind": "sp", "m": m}
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-
+    m, zeros, meta = _classical(kind, *params)
     space = TorusSpace(m)
+    rep = _rep(range(m), m, zeros)
     g_counter = _square(rep, alternating=kind == "sp")
     g_counter[_zero(m)] -= 1
     return PairSpec(
         g_module=_module(space, g_counter),
         h_module=_module(space, _square(rep, alternating=kind == "so")),
         metadata=meta, built=True)
+
+
+def classical_in_sl_deficit(kind: str, *params: int) -> tuple[tuple, dict]:
+    """The deficit of build_classical_in_sl(kind, *params) in closed form,
+    as (space, den, terms), and the metadata the builder writes; no weight
+    module is built.
+
+    S^2 V is L^2 V together with the weights 2w, one for each weight w of
+    V.  So half the sum of |w| over S^2 V exceeds that over L^2 V by half
+    of sum |2w| = 2 sum_a (|y_a| + |-y_a|), that is by 2 sum_a |y_a|, and
+    the zero weights of V and the trace add nothing.  For so(p,q) inside
+    sl(p+q), where h = L^2 V, the deficit is 2 sum_a |y_a| >= 0, so the
+    pair is tempered for every p + q >= 2 (with min(p, q) = 0 the torus
+    is a point).  For sp(m) inside sl(2m), where h = S^2 V, it is
+    -2 sum_a |y_a|, negative at every y != 0 of R^m, so no m >= 1 gives a
+    tempered pair.
+    """
+    m, _, meta = _classical(kind, *params)
+    c = 2 if kind == "so" else -2
+    return (TorusSpace(m), 1, [(c, _e(a, m)) for a in range(m)]), meta
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +307,9 @@ def _scan_table2(max: int = 4):
 
 
 def _scan_example52_sl(n: int = 8):
+    """sl(n_1) x ... x sl(n_r) inside sl(n), predicted tempered exactly
+    when 2 max n_i <= n + 1; claimed for at least two parts, each >= 1,
+    which are all that this scan visits."""
     for total in range(2, n + 1):
         for parts in _partitions(total):
             if len(parts) < 2:
@@ -225,7 +319,8 @@ def _scan_example52_sl(n: int = 8):
 
 def sp_product_tempered(parts: Sequence[int]) -> bool:
     """Closed form for sp(n_1) x ... x sp(n_r) inside sp(n), n = sum n_i:
-    tempered exactly when r >= 3 and 2 max n_i <= n.
+    tempered exactly when r >= 3 and 2 max n_i <= n.  The rule is claimed
+    for at least two parts, each >= 1, as the builder requires.
 
     The deficit is linear on each C_n Weyl chamber and invariant under sign
     changes and under permutations inside a block, so it is nonnegative
@@ -268,6 +363,18 @@ def _scan_example52_so(total: int = 6):
 
 
 def _scan_example51(total: int = 6, rank: int = 4):
+    """Example 5.1's pairs and their rules:
+
+    - so(p,q) inside sl(p+q): always tempered, proven for every p + q >= 2
+      by its closed-form deficit 2 sum |y_a| (classical_in_sl_deficit);
+    - sp(m) inside sl(2m): never tempered, proven for every m >= 1 by its
+      deficit -2 sum |y_a|;
+    - sl_C(m, n), sl(m, C) x sl(n, C) inside sl(m + n, C): tempered
+      exactly when |m - n| <= 1, claimed for m, n >= 1;
+    - so_C(m, n), so(m, C) + so(n, C) inside so(m + n, C): tempered
+      exactly when |m - n| <= 2, claimed for m, n >= 1;
+    - sp_C(m, n): sp_product_tempered((m, n)), for m, n >= 1.
+    """
     for p in range(1, total):
         for q in range(1, total - p + 1):
             yield ("so_in_sl", p, q), build_classical_in_sl("so", p, q), True

@@ -17,7 +17,7 @@ from operator import sub
 from typing import Sequence
 
 from .errors import BracketClosureError
-from .model import PairSpec, PLFunction, Record, TorusSpace, WeightModule
+from .model import PairSpec, Record, TorusSpace, WeightModule
 
 # Weights and constraints are integer rows: tuples of ints, one per ambient
 # coordinate.
@@ -210,26 +210,25 @@ def build_sl_block(pattern: BlockPattern) -> PairSpec:
     return _block_spec(pattern, _sl_block_metadata(pattern))
 
 
-def block_deficit(pattern: BlockPattern, realified: bool = False) -> PLFunction:
-    """The deficit of build_sl_block(pattern), or of its realification,
-    in closed form, with no weight module built.
+def block_deficit(pattern: BlockPattern) -> tuple[TorusSpace, int, list]:
+    """The deficit of build_sl_block(pattern) in closed form, as (space,
+    den, terms) for (sum c*|row.Y|) / den, with no weight module built and
+    the rows as built, not canonical (model._evaluate values them).
 
     With sigma(i, j) = +1 when the roots from block i to block j go to g/h
     and -1 when they go to h, the roots between classes x and y of blocks
     i and j (build_sl_block) give the term c_x c_y (sigma(i, j) +
     sigma(j, i)) |u_x - u_y| / 2, each unordered pair once; a class with
-    itself and the zero weights give nothing.  A realified pair doubles
-    every coefficient.
+    itself, the zero weights and two identity classes (u = 0) give nothing.
     """
     classes, in_h = _block_classes(pattern)
-    k = 2 if realified else 1
     terms = []
     for (i, u, c), (j, w, d) in itertools.combinations(
             [(i, u, c) for i, xs in enumerate(classes) for u, c in xs], 2):
-        sigma = 2 - 2 * ((i, j) in in_h) - 2 * ((j, i) in in_h)
-        if sigma:
-            terms.append((k * sigma * c * d, tuple(map(sub, u, w))))
-    return PLFunction._from_integers(_block_torus(pattern), 2, terms)
+        sigma = 1 - ((i, j) in in_h) - ((j, i) in in_h)
+        if sigma and u != w:
+            terms.append((sigma * c * d, tuple(map(sub, u, w))))
+    return _block_torus(pattern), 1, terms
 
 
 def build_product_in_sl(parts: Sequence[int]) -> PairSpec:

@@ -430,17 +430,18 @@ def _pl_totals(terms, columns, zero) -> list:
     return total
 
 
-def _evaluate(f: PLFunction, points: Sequence[Sequence]) -> list:
-    """f at each of the points exactly, as (total, scale) with f(Y) =
-    total/scale and scale > 0, or None at a point off the slice.
+def _evaluate(space: TorusSpace, den: int, terms, points: Sequence[Sequence]) -> list:
+    """(sum c*|row.Y|) / den over (c, row) terms, canonical or not, at each
+    of the points exactly, as (total, scale) with value total/scale and
+    scale > 0, or None at a point off the slice of space.
 
     Each point Y is scaled to the integer Z = m*Y for the least m >= 1, and
-    f(Y) = (sum c*|row.Z|) / (den*m), f being positively homogeneous.
+    the value is (sum c*|row.Z|) / (den*m), it being positively homogeneous.
     Each constraint row and term row is summed for all points at once, a
     coordinate column per nonzero entry.
     Raises ArityError if a point's length is not the ambient dimension.
     """
-    if any(len(Y) != f.space.ambient_dim for Y in points):
+    if any(len(Y) != space.ambient_dim for Y in points):
         raise ArityError("point arity does not match ambient dimension")
     if not points:
         return []
@@ -448,16 +449,16 @@ def _evaluate(f: PLFunction, points: Sequence[Sequence]) -> list:
     columns = list(zip(*(Z for Z, _ in scaled)))
     zero = [0] * len(scaled)
     off = map(any, zip(zero, *(_combine_columns(enumerate(row), columns, zero)
-                               for row in f.space.rows)))
-    total = _pl_totals(f.terms, columns, zero)
-    return [None if o else (t, f.den * m) for o, t, (_, m) in zip(off, total, scaled)]
+                               for row in space.rows)))
+    total = _pl_totals(terms, columns, zero)
+    return [None if o else (t, den * m) for o, t, (_, m) in zip(off, total, scaled)]
 
 
 def evaluate_at(f: PLFunction, points: Sequence[Sequence]) -> list:
     """f at each of the points as an exact Fraction, or None at a point off
     the slice, by _evaluate.  Raises ArityError if a point's length is not
     the ambient dimension."""
-    return [None if v is None else Fraction(*v) for v in _evaluate(f, points)]
+    return [v and Fraction(*v) for v in _evaluate(f.space, f.den, f.terms, points)]
 
 
 def evaluate_pl(f: PLFunction, Y: Sequence) -> Fraction:

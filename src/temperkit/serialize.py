@@ -34,8 +34,8 @@ from typing import Optional
 from .errors import SchemaError, TemperkitError
 from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern, _block_spec,
                          _product_pattern, _sl_block_metadata, block_deficit, realify)
-from .model import (NonnegCertificate, PairSpec, PLFunction, TorusSpace, WeightModule,
-                    Witness, _evaluate, deficit)
+from .model import (NonnegCertificate, PairSpec, TorusSpace, WeightModule, Witness,
+                    _evaluate, deficit)
 
 SCHEMA_VERSION = 2
 
@@ -204,7 +204,18 @@ def _ints(meta: dict, key: str, where: str, count: Optional[int] = None) -> list
     return _int_list(meta.get(key), f"{where}.{key}", count)
 
 
-def _sl_block_question(meta, where, make=_block_spec):
+def _spec(build, closed_form, *args):
+    """What a question's reader makes of it by default: the spec build(*args)."""
+    return build(*args)
+
+
+def _block_form(pattern: BlockPattern, metadata: dict) -> tuple[tuple, dict]:
+    """A block question's closed-form deficit (generators.block_deficit)
+    and the metadata its builder writes."""
+    return block_deficit(pattern), metadata
+
+
+def _sl_block_question(meta, where, make=_spec):
     sizes = _ints(meta, "sizes", where)
     kinds = meta.get("diagonal_kind", [])
     if not isinstance(kinds, list) or any(type(k) is not str for k in kinds):
@@ -215,39 +226,41 @@ def _sl_block_question(meta, where, make=_block_spec):
 
     def build():
         pattern = BlockPattern(tuple(sizes), tuple(kinds), upper)
-        return make(pattern, _sl_block_metadata(pattern))
+        return make(_block_spec, _block_form, pattern, _sl_block_metadata(pattern))
     return sum(sizes), build
 
 
-def _product_question(meta, where, make=_block_spec):
+def _product_question(meta, where, make=_spec):
     parts = _ints(meta, "parts", where)
     if meta["family"] == "product_in_sl":
-        return sum(parts), lambda: make(*_product_pattern(parts))
-    from .families import build_product_in_sp
-    return sum(parts), lambda: build_product_in_sp(parts)
+        return sum(parts), lambda: make(_block_spec, _block_form, *_product_pattern(parts))
+    from .families import build_product_in_sp, product_in_sp_deficit
+    return sum(parts), lambda: make(build_product_in_sp, product_in_sp_deficit, parts)
 
 
-def _so_pair_question(meta, where):
-    from .families import build_so_pair
+def _so_pair_question(meta, where, make=_spec):
+    from .families import build_so_pair, so_pair_deficit
     signature = _ints(meta, "signature", where, 4)
-    return sum(signature), lambda: build_so_pair(*signature)
+    return sum(signature), lambda: make(build_so_pair, so_pair_deficit, *signature)
 
 
-def _classical_question(meta, where):
-    from .families import build_classical_in_sl
+def _classical_question(meta, where, make=_spec):
+    from .families import build_classical_in_sl, classical_in_sl_deficit
     kind = meta.get("kind")
     if kind == "so":
         p, q = _ints(meta, "signature", where, 2)
-        return p + q, lambda: build_classical_in_sl("so", p, q)
+        return p + q, lambda: make(build_classical_in_sl, classical_in_sl_deficit,
+                                   "so", p, q)
     if kind == "sp":
         m = _bounded(meta.get("m"), f"{where}.m")
-        return 2 * m, lambda: build_classical_in_sl("sp", m)
+        return 2 * m, lambda: make(build_classical_in_sl, classical_in_sl_deficit, "sp", m)
     raise SchemaError(f'{where}.kind: expected "so" or "sp"')
 
 
-# family name -> reader of its metadata: (matrix size, build); a block
-# question's reader takes what to make of its BlockPattern and the metadata
-# its builder writes, the spec (generators._block_spec) by default
+# family name -> reader of its metadata: (matrix size, build).  A reader
+# takes what to make of its question, make(build, closed_form, *args):
+# by default the spec build(*args), and for recheck closed_form(*args),
+# the question's deficit as (space, den, terms) and its builder's metadata
 BUILDERS = {
     "sl_block": _sl_block_question,
     "product_in_sl": _product_question,
@@ -295,16 +308,21 @@ def _call(n: int, call, where: str):
         raise SchemaError(f"{where}: {e}") from None
 
 
-def _block_deficit(meta: dict, where: str) -> tuple[PLFunction, dict]:
-    """The deficit of the block question that meta names, in closed form
-    (generators.block_deficit), and the metadata its builder writes, read
-    and bounded as read_question reads them, with no weight module built."""
-    realified = bool(meta.get("realified"))
+def _closed_form(build, closed_form, *args):
+    """What recheck makes of a family question: closed_form(*args)."""
+    return closed_form(*args)
 
-    def closed_form(pattern, written):
-        return block_deficit(pattern, realified), (
-            {**written, "realified": True} if realified else written)
-    return _call(*BUILDERS[meta["family"]](meta, where, closed_form), where)
+
+def _family_deficit(meta: dict, where: str) -> tuple[tuple, dict]:
+    """The deficit of the family question that meta names, in closed form
+    as (space, den, terms), and the metadata its builder writes, read and
+    bounded as read_question reads them, with no weight module built; a
+    realified pair doubles every coefficient."""
+    (space, den, terms), written = _call(
+        *BUILDERS[meta["family"]](meta, where, _closed_form), where)
+    if meta.get("realified"):
+        return (space, den, [(2 * c, row) for c, row in terms]), {**written, "realified": True}
+    return (space, den, terms), written
 
 
 def _rebuild(meta: dict, where: str, read=read_question):
@@ -563,21 +581,23 @@ def verdict_to_json(verdict, spec: Optional[PairSpec] = None) -> dict:
 # ---------------------------------------------------------------------------
 # certificate replay
 
-def _read_deficit(data: dict, where: str = "pair_spec") -> tuple[PLFunction, list[str]]:
-    """The deficit of the spec that a pair_spec object states, and how the
-    object contradicts it, as read_pair_spec gives them.  An object of
-    metadata alone that names a block question, an sl_block or a
-    product_in_sl, is not built: its deficit is the closed form of
-    generators.block_deficit, and its metadata is bound to the one its
-    builder writes."""
+def _read_deficit(data: dict, where: str = "pair_spec") -> tuple[tuple, list[str]]:
+    """The deficit of the spec that a pair_spec object states, as (space,
+    den, terms), and how the object contradicts it, as read_pair_spec gives
+    them.  An object of metadata alone that names a family question, not a
+    tensor product, is not built: its deficit is its closed form
+    (_family_deficit), and its metadata is bound to the one its builder
+    writes."""
     meta = _pair_spec_metadata(data, where)
-    if (meta.get("family") in ("sl_block", "product_in_sl")
+    family = meta.get("family")
+    if (type(family) is str and family in BUILDERS
             and meta.get("question") != "tensor_product"
             and not {"space", "h_module", "g_module", "v_module"} & data.keys()):
-        f, written = _rebuild(meta, where, _block_deficit)
-        return f, _bind_metadata(written, meta, where)
+        form, written = _rebuild(meta, where, _family_deficit)
+        return form, _bind_metadata(written, meta, where)
     spec, problems = read_pair_spec(data, where)
-    return deficit(spec), problems
+    f = deficit(spec)
+    return (f.space, f.den, f.terms), problems
 
 
 def recheck_document(data: dict) -> list[str]:
@@ -587,7 +607,7 @@ def recheck_document(data: dict) -> list[str]:
     (read_pair_spec): when the metadata names a builder call, the spec is
     rebuilt from it, after the call's parameters are bounded, and any space,
     module or metadata the document also carries must equal the rebuilt
-    one.  A block question written as its metadata alone is not rebuilt:
+    one.  A family question written as its metadata alone is not rebuilt:
     its deficit is taken in closed form (_read_deficit).  Each evidence
     vector's length is then checked against the spec's ambient dimension,
     before anything is valued.  One rule then replays either kind of
@@ -606,8 +626,8 @@ def recheck_document(data: dict) -> list[str]:
     if "pair_spec" not in _expect(data, dict, "document"):
         return ["document has no pair_spec to recheck against"]
     ev = evidence_from_json(data.get("evidence", {}))
-    f, problems = _read_deficit(data["pair_spec"])
-    dim = f.space.ambient_dim
+    (space, den, terms), problems = _read_deficit(data["pair_spec"])
+    dim = space.ambient_dim
     tempered = isinstance(ev, NonnegCertificate)
     points, recorded = ((ev.rays, ev.ray_values) if tempered
                         else ([ev.direction], [ev.value]))
@@ -626,7 +646,7 @@ def recheck_document(data: dict) -> list[str]:
     if len(points) != len(recorded):
         problems.append("ray and value counts differ")
         return problems
-    for i, (value, expected) in enumerate(zip(_evaluate(f, points), recorded)):
+    for i, (value, expected) in enumerate(zip(_evaluate(space, den, terms, points), recorded)):
         if value is None:
             problems.append(f"{name(i)}: point violates torus constraints")
             continue
@@ -637,7 +657,7 @@ def recheck_document(data: dict) -> list[str]:
         elif (total >= 0) != tempered:
             problems.append(f"{name(i)}: deficit {_rational_text(Fraction(total, scale))} "
                             f"contradicts tempered {dumps(tempered)}")
-    if tempered and f.space.dim > 0 and not points:
+    if tempered and space.dim > 0 and not points:
         problems.append("certificate has no rays")
     return problems
 

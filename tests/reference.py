@@ -11,9 +11,11 @@ way verify once did, from a coroot solve per root and dense ambient rows:
 the reference for verify._chamber_walls.  generic_sl_block builds a block
 pattern's spec the generic way, its torus row-reduced by TorusSpace and
 every root of sl(n) reduced one coordinate at a time: the reference for
-generators.build_sl_block.  replay_problems applies recheck's rule to the
-evidence through evaluate_at's Fractions: the reference for
-serialize.recheck_document's integer replay.
+generators.build_sl_block.  block_deficit puts generators.block_deficit's
+closed form into canonical form, to compare with model.deficit.
+replay_problems applies recheck's rule to the evidence through
+evaluate_at's Fractions: the reference for serialize.recheck_document's
+integer replay.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from fractions import Fraction
 from operator import sub
 from typing import Optional, Sequence
 
+from temperkit import generators
 from temperkit.families import _module
 from temperkit.generators import BlockPattern, _block_torus, _e, _zero
 from temperkit.linalg import solve
@@ -237,6 +240,14 @@ def generic_sl_block(pattern: BlockPattern) -> PairSpec:
                   "diagonal_kind": list(pattern.diagonal_kind),
                   "upper_blocks": sorted(pattern.upper_blocks)},
         built=True)
+
+
+def block_deficit(pattern: BlockPattern, realified: bool = False) -> PLFunction:
+    """generators.block_deficit, of build_sl_block(pattern) or of its
+    realification (every coefficient doubled), in canonical form."""
+    space, den, terms = generators.block_deficit(pattern)
+    return PLFunction._from_integers(space, den,
+                                     [((1 + realified) * c, row) for c, row in terms])
 
 
 def _root(R, L):

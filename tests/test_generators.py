@@ -9,16 +9,20 @@ from hypothesis import given, settings, strategies as st
 from temperkit.check import FAMILIES, check, sp_product_tempered
 from temperkit.errors import (BasisError, BracketClosureError,
                               DecompositionError)
-from temperkit.families import build_classical_in_sl, build_product_in_sp, build_so_pair
+from temperkit.families import (build_classical_in_sl, build_product_in_sp, build_so_pair,
+                                 classical_in_sl_deficit, so_pair_deficit)
 from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS,
-                                  BlockPattern, _product_pattern, block_deficit,
+                                  BlockPattern, _product_pattern,
                                   build_product_in_sl, build_sl_block,
                                   matrix_input_for_block_pattern,
                                   realify)
 from temperkit.matrices import MatrixPairInput, example_sp21_input, extract_weights
-from temperkit.model import NonnegCertificate, deficit, evaluate_pl, rho_function
+from temperkit.model import (NonnegCertificate, PLFunction, TorusSpace, deficit, evaluate_pl,
+                             rho_function)
+from temperkit.serialize import QUESTION_CEILING, _family_deficit
 
-from reference import dense, generic_sl_block, mat_inv, parabolic_decomposition, rref
+from reference import (block_deficit, dense, generic_sl_block, mat_inv,
+                       parabolic_decomposition, rref)
 
 F = Fraction
 
@@ -156,6 +160,48 @@ def test_block_deficit_is_the_deficit_of_the_built_spec():
                 held(deficit(build_product_in_sl(parts))), parts
             cases += 1
     assert cases == 2 * 1198 + 247
+
+
+def test_bc_closed_forms_are_the_deficit_of_the_built_spec():
+    # each type-BC closed form that recheck reads off a spec's metadata,
+    # put into canonical form, is exactly model.deficit of the spec, realified
+    # or not, and comes with the metadata its builder writes
+    def held(f):
+        return (f.space.rows, f.space._pivots, f.space._scale, f.den, f.terms)
+
+    specs = [spec for family in ("example51", "example52-sp", "example52-so")
+             for _, spec, _ in FAMILIES[family]()
+             if spec.metadata["family"] not in ("sl_block", "product_in_sl")]
+    assert len(specs) == 61
+    for p1, q1, p2, q2 in itertools.product(range(5), repeat=4):
+        try:
+            specs.append(build_so_pair(p1, q1, p2, q2))
+        except ValueError as e:
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                so_pair_deficit(p1, q1, p2, q2)
+    assert len(specs) == 61 + 576     # 49 signatures leave a factor empty
+    for spec in specs:
+        (space, den, terms), written = _family_deficit(spec.metadata, "pair_spec")
+        assert held(PLFunction._from_integers(space, den, terms)) == held(deficit(spec)), \
+            spec.metadata
+        assert written == spec.metadata
+        assert all(any(row) and c for c, row in terms), spec.metadata
+
+
+def test_classical_closed_forms_prove_the_example51_rules():
+    # so(p,q) inside sl(p+q) has deficit 2 sum |y_a| >= 0, so it is tempered
+    # for every p + q >= 2; sp(m) inside sl(2m) has deficit -2 sum |y_a|,
+    # negative at e_0, so no m >= 1 is tempered (families docstrings)
+    for n in range(2, QUESTION_CEILING + 1):
+        for p in range(n + 1):
+            m = min(p, n - p)
+            (space, den, terms), _ = classical_in_sl_deficit("so", p, n - p)
+            assert space == TorusSpace(m) and den == 1
+            assert terms == [(2, tuple(int(a == b) for b in range(m))) for a in range(m)]
+    for m in range(1, QUESTION_CEILING // 2 + 1):
+        (space, den, terms), _ = classical_in_sl_deficit("sp", m)
+        assert space == TorusSpace(m) and den == 1
+        assert terms == [(-2, tuple(int(a == b) for b in range(m))) for a in range(m)]
 
 
 class TestDimensionAccounting:

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -380,6 +381,61 @@ class TestIntegerReplay:
             'pair_spec.metadata: not the metadata its builder writes, '
             '{"diagonal_kind":["full","full","full"],"family":"sl_block",'
             '"sizes":[2,1,2],"upper_blocks":[[0,1],[0,2]]}']
+
+
+# values a metadata mutant sets a key to: wrong types, negatives, entries
+# past the ceiling, other families and kinds, and well-formed values
+METADATA_VALUES = [
+    None, True, False, 0, 1, 2, -1, 1.5, "1", "so", "sp", "x", QUESTION_CEILING,
+    QUESTION_CEILING + 1, 10 ** 9, [], [1], [2, 1], [1, 1], [1, 1, 1], [2, 1, 1, 2],
+    [1, 2, 3, 1], [0, 0, 1, 2], [6, 0, 1, 2], [-1, 1, 1, 1], [1, -2], [1, 0],
+    [QUESTION_CEILING, 1, 1, 1], [QUESTION_CEILING + 1, 1], [1, "1"], [1, 1.0],
+    [True, 1], [[1, 2]], {"a": 1}, "so_pair", "product_in_sp", "classical_in_sl",
+    "sl_block", "product_in_sl", "tensor_product", ["so_pair"],
+]
+METADATA_KEYS = ("signature", "parts", "m", "kind", "family", "realified", "question")
+
+
+def _bc_documents():
+    """Documents of type-BC questions, each kind of evidence among them."""
+    specs = [build_so_pair(2, 1, 1, 2), build_so_pair(6, 0, 1, 2),
+             realify(build_so_pair(2, 1, 1, 1)), build_so_pair(1, 1, 0, 3),
+             build_product_in_sp([2, 1, 1]), realify(build_product_in_sp([1, 1])),
+             build_classical_in_sl("so", 3, 1), build_classical_in_sl("sp", 2),
+             realify(build_classical_in_sl("so", 1, 1))]
+    return [json.loads(serialize.dumps(serialize.verdict_to_json(check(spec), spec)))
+            for spec in specs]
+
+
+def _outcome(replay, doc):
+    try:
+        return replay(doc)
+    except Exception as e:     # the exception, its type and text, is the outcome
+        return type(e), str(e)
+
+
+def test_bc_metadata_mutants_read_as_the_built_route_reads_them():
+    # recheck values a type-BC document's closed form; the reference builds
+    # the spec from its metadata and takes model.deficit: the problems, or
+    # the exception type and text, must be equal for every mutant
+    rng = random.Random(45)
+    docs = _bc_documents()
+    assert {doc["evidence"]["kind"] for doc in docs} == {"certificate", "witness"}
+    outcomes = set()
+    for _ in range(3000):
+        doc = json.loads(serialize.dumps(rng.choice(docs)))
+        meta = doc["pair_spec"]["metadata"]
+        for key in rng.sample(METADATA_KEYS, rng.choice((1, 1, 2))):
+            value = rng.choice(METADATA_VALUES)
+            if value is None:
+                meta.pop(key, None)
+            else:
+                meta[key] = value
+        got = _outcome(serialize.recheck_document, doc)
+        assert got == _outcome(replay_problems, doc), meta
+        outcomes.add("clean" if got == [] else
+                     "problems" if isinstance(got, list) else got[0].__name__)
+    assert outcomes == {"clean", "problems", "SchemaError"}
 
 
 class TestDeterminism:

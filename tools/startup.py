@@ -23,7 +23,9 @@ The commands, each run once per round, in this order, for RUNS rounds:
 - scan: `temperkit scan table1 --pmax 2 --qmax 2`.
 
 The record gives each time's median and quartiles, import_lines, the
-source lines of the temperkit modules that the set-up program loads, and
+source lines of the temperkit modules that the set-up program loads,
+recheck_lines, those that a `temperkit recheck` process loads, for the
+sl_block document that check writes and for an so_pair one, and
 src_lines, those of the whole package.
 
 Run from the repository root:
@@ -52,12 +54,21 @@ SETUP_PROGRAM = (
     "import temperkit as tk\n"
     "v = tk.check(tk.build_sl_block(tk.TABLE1_PATTERNS['H1'](1, 1)))\n"
     "print(time.perf_counter() - t0, v.tempered)\n")
-LINES_PROGRAM = (
-    SETUP_PROGRAM +
+# the source lines of every temperkit module loaded
+COUNT_LINES = (
     "import sys\n"
     "print(sum(len(open(m.__file__).readlines()) for name, m in list(sys.modules.items())"
     " if name.split('.')[0] == 'temperkit'))\n")
+LINES_PROGRAM = SETUP_PROGRAM + COUNT_LINES
+# `temperkit recheck` on the document named by the first argument
+RECHECK_LINES_PROGRAM = (
+    "import contextlib, io, sys\n"
+    "from temperkit.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    if main(['recheck', sys.argv[1]]):\n"
+    "        sys.exit('error: the document does not recheck')\n" + COUNT_LINES)
 SPEC = {"family": {"name": "sl_block", "pattern": "H2", "sizes": [3, 1]}}
+SO_PAIR_SPEC = {"family": {"name": "so_pair", "signature": [2, 1, 1, 2]}}
 
 
 def commands(work: Path) -> dict[str, list[str]]:
@@ -98,8 +109,16 @@ def main() -> int:
         (work / "spec.json").write_text(json.dumps(SPEC))
         cmds, envs = commands(work), environments(work)
         (work / "verdict.json").write_text(run(cmds["check"], envs["cold"])[1])
-        import_lines = int(run([sys.executable, "-c", LINES_PROGRAM],
-                               envs["cold"])[1].split()[-1])
+        (work / "so_pair.json").write_text(json.dumps(SO_PAIR_SPEC))
+        (work / "so_pair_verdict.json").write_text(
+            run(cmds["check"][:-1] + [str(work / "so_pair.json")], envs["cold"])[1])
+
+        def lines(*argv: str) -> int:
+            return int(run([sys.executable, "-c", *argv], envs["cold"])[1].split()[-1])
+        import_lines = lines(LINES_PROGRAM)
+        recheck_lines = {"sl_block": lines(RECHECK_LINES_PROGRAM, str(work / "verdict.json")),
+                         "so_pair": lines(RECHECK_LINES_PROGRAM,
+                                          str(work / "so_pair_verdict.json"))}
         for argv in cmds.values():     # fill the warm cache
             run(argv, envs["warm"])
         times = {mode: {name: [] for name in [*cmds, "setup_in_process"]}
@@ -119,6 +138,7 @@ def main() -> int:
     record["meta"] = {"runs": RUNS, "unit": "s", "python": platform.python_version(),
                       "nproc": os.cpu_count(),
                       "import_lines": import_lines,
+                      "recheck_lines": recheck_lines,
                       "src_lines": sum(len(p.read_bytes().splitlines()) for p in
                                        sorted((ROOT / "src" / "temperkit").rglob("*.py")))}
     print(json.dumps(record))
