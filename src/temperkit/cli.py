@@ -62,28 +62,27 @@ def cmd_check(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    from .families import FAMILIES, render_scan_table, scan_family
+    from .families import SCAN_SIZES, render_scan_table, scan_family
     ranges = {}
     for key in RANGE_FLAGS:
         value = getattr(args, key, None)
         if value is not None:
             _at_least(value, f"--{key}")
             ranges[key] = value
-    try:
-        report = scan_family(args.family, **ranges)
-    except KeyError as e:
-        print(f"error: {e.args[0]}", file=sys.stderr)
-        return EXIT_INPUT
-    except TypeError:
-        # a family's parameters are the range flags it takes
-        code = FAMILIES[args.family].__code__
-        takes = [k for k in RANGE_FLAGS if k in code.co_varnames[:code.co_argcount]]
-        extra = [k for k in ranges if k not in takes]
-        if not extra:
-            raise
+    size = SCAN_SIZES.get(args.family)
+    if size is None:
+        raise SchemaError(f"unknown family {args.family!r}; known: {sorted(SCAN_SIZES)}")
+    # a family's parameters are the range flags it takes
+    takes = size.__code__.co_varnames[:size.__code__.co_argcount]
+    if extra := [k for k in ranges if k not in takes]:
         raise SchemaError(f"{args.family} takes the range flags "
                           f"{', '.join('--' + k for k in takes)}, not "
-                          f"{', '.join('--' + k for k in extra)}") from None
+                          f"{', '.join('--' + k for k in extra)}")
+    if (n := size(**ranges)) > serialize.QUESTION_CEILING:     # before any point is built
+        flags = ", ".join(f"--{k} {v}" for k, v in ranges.items())
+        raise SchemaError(f"{args.family}: {flags} reach matrix size {n}, past the "
+                          f"ceiling {serialize.QUESTION_CEILING}")
+    report = scan_family(args.family, **ranges)
     if not report.points:
         raise SchemaError(f"{args.family}: the ranges {ranges} hold no points")
     print(render_scan_table(report))

@@ -25,8 +25,9 @@ from operator import add
 from typing import Callable, Optional, Sequence
 
 from .errors import SchemaError
-from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, _e, _int_param, _product_parts,
-                         _zero, build_product_in_sl, build_sl_block, realify)
+from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern, _block_spec, _e,
+                         _int_param, _product_parts, _sl_block_metadata, _zero,
+                         build_product_in_sl, build_sl_block, realify)
 from .model import PairSpec, Record, TorusSpace, WeightModule
 from .serialize import QUESTION_CEILING
 
@@ -268,6 +269,9 @@ def _partitions(n: int, largest: Optional[int] = None):
             yield (first,) + rest
 
 
+# the rules of Tables 1 and 2, claimed for every size >= 1, all that the
+# scans visit, and for no empty block (size 0): a variant 1 tensor product
+# with k = l is H12 with p = 0, tempered, where the H12 rule fails
 TABLE1_PREDICATES = {
     "H1": lambda p, q: p <= q + 1,
     "H2": lambda p, q: p == 1,
@@ -331,9 +335,9 @@ def sp_product_tempered(parts: Sequence[int]) -> bool:
 
     Proven: with two parts (a, b) the all-ones ray gives
     F = -(a - b)^2 - (a + b) < 0, so no two-part product is tempered.
-    Checked exhaustively: "min F >= 0" agrees with this rule on every
-    partition with n <= 14.  Realification doubles every multiplicity and
-    keeps the sign of the deficit, so the rule also covers the complex
+    Checked exhaustively, in a test: "min F >= 0" agrees with this rule on
+    every partition with n <= 14.  Realification doubles every multiplicity
+    and keeps the sign of the deficit, so the rule also covers the complex
     pairs sp(m, C) x sp(n, C) inside sp(m + n, C).
     """
     return len(parts) >= 3 and 2 * max(parts) <= sum(parts)
@@ -401,6 +405,16 @@ FAMILIES: dict[str, Callable] = {
     "example52-so": _scan_example52_so,
 }
 
+# family -> the largest matrix size its scan reaches, with the scan's defaults
+SCAN_SIZES: dict[str, Callable] = {
+    "table1": lambda pmax=6, qmax=6: pmax + qmax,
+    "table2": lambda max=4: 3 * max,
+    "example51": lambda total=6, rank=4: max(total, 2 * rank),
+    "example52-sl": lambda n=8: n,
+    "example52-sp": lambda n=4: n,
+    "example52-so": lambda total=6: total,
+}
+
 
 def scan_family(family: str, **ranges) -> ScanReport:
     """Run check over a named parameter family and compare with its
@@ -452,11 +466,12 @@ TENSOR_PRODUCTS = {
 }
 
 
-def tensor_question(variant, params, where: str) -> PairSpec:
-    """The block-pattern spec of a tensor-product question, checked first:
-    params are three ints (a bool is not) at {where}.params, or a document's
-    metadata, holding them by name at where.  Bad input, n past the ceiling
-    among it, raises SchemaError naming {where}.variant or the params' place."""
+def tensor_question(variant, params, where: str) -> tuple[BlockPattern, dict]:
+    """The block pattern of a tensor-product question and its spec's
+    metadata, checked first: params are three ints (a bool is not) at
+    {where}.params, or a document's metadata, holding them by name at where.
+    Bad input, n past the ceiling among it, raises SchemaError naming
+    {where}.variant or the params' place."""
     if type(variant) is not int or variant not in TENSOR_PRODUCTS:
         raise SchemaError(f"{where}.variant: must be 1, 2 or 3")
     names, pattern, to_sizes = TENSOR_PRODUCTS[variant]
@@ -476,15 +491,13 @@ def tensor_question(variant, params, where: str) -> PairSpec:
     if sum(sizes) > QUESTION_CEILING:
         raise SchemaError(f"{at}: matrix size {sum(sizes)} exceeds the ceiling "
                           f"{QUESTION_CEILING}")
-    spec = build_sl_block(TABLE2_PATTERNS[pattern](*sizes))
-    return PairSpec(g_module=spec.g_module, h_module=spec.h_module,
-                    metadata={**spec.metadata, "question": "tensor_product",
-                              "variant": variant, **dict(zip(names, params))},
-                    built=True)
+    pattern = TABLE2_PATTERNS[pattern](*sizes)
+    return pattern, {**_sl_block_metadata(pattern), "question": "tensor_product",
+                     "variant": variant, **dict(zip(names, params))}
 
 
 def tensor_product_spec(variant: int, *params: int) -> PairSpec:
     """The block-pattern spec of a tensor-product question (TENSOR_PRODUCTS).
     Bad input raises SchemaError naming tensor_product.variant or
     tensor_product.params."""
-    return tensor_question(variant, params, "tensor_product")
+    return _block_spec(*tensor_question(variant, params, "tensor_product"))

@@ -15,6 +15,11 @@ that names a builder call is bounded and rebuilt, and binds any space,
 modules and metadata the object also carries.  Version 1 documents, which
 carry the space and modules of every spec, read the same way.
 
+One dispatch (_question) reads every question that metadata names as
+data: its matrix size, builder, closed form and their arguments.
+read_question calls the builder, and recheck, for a question written as
+its metadata alone, the closed form, building no weight module.
+
 Readers ignore the keys that older documents of schema version 1 also
 carry and no check reads: top-level "spec_echo", pair_spec "symmetry",
 space "coordinate_labels", module "name", and evidence "hyperplanes",
@@ -204,18 +209,12 @@ def _ints(meta: dict, key: str, where: str, count: Optional[int] = None) -> list
     return _int_list(meta.get(key), f"{where}.{key}", count)
 
 
-def _spec(build, closed_form, *args):
-    """What a question's reader makes of it by default: the spec build(*args)."""
-    return build(*args)
-
-
 def _block_form(pattern: BlockPattern, metadata: dict) -> tuple[tuple, dict]:
-    """A block question's closed-form deficit (generators.block_deficit)
-    and the metadata its builder writes."""
+    """A block question's closed form (generators.block_deficit), and its metadata."""
     return block_deficit(pattern), metadata
 
 
-def _sl_block_question(meta, where, make=_spec):
+def _sl_block_question(meta, where):
     sizes = _ints(meta, "sizes", where)
     kinds = meta.get("diagonal_kind", [])
     if not isinstance(kinds, list) or any(type(k) is not str for k in kinds):
@@ -224,43 +223,48 @@ def _sl_block_question(meta, where, make=_spec):
     upper = frozenset(tuple(_int_list(b, f"{where}.upper_blocks[{i}]", 2))
                       for i, b in enumerate(blocks))
 
-    def build():
+    def args():
         pattern = BlockPattern(tuple(sizes), tuple(kinds), upper)
-        return make(_block_spec, _block_form, pattern, _sl_block_metadata(pattern))
-    return sum(sizes), build
+        return pattern, _sl_block_metadata(pattern)
+    return sum(sizes), _block_spec, _block_form, args
 
 
-def _product_question(meta, where, make=_spec):
+def _product_question(meta, where):
     parts = _ints(meta, "parts", where)
     if meta["family"] == "product_in_sl":
-        return sum(parts), lambda: make(_block_spec, _block_form, *_product_pattern(parts))
+        return sum(parts), _block_spec, _block_form, lambda: _product_pattern(parts)
     from .families import build_product_in_sp, product_in_sp_deficit
-    return sum(parts), lambda: make(build_product_in_sp, product_in_sp_deficit, parts)
+    return sum(parts), build_product_in_sp, product_in_sp_deficit, lambda: (parts,)
 
 
-def _so_pair_question(meta, where, make=_spec):
+def _so_pair_question(meta, where):
     from .families import build_so_pair, so_pair_deficit
     signature = _ints(meta, "signature", where, 4)
-    return sum(signature), lambda: make(build_so_pair, so_pair_deficit, *signature)
+    return sum(signature), build_so_pair, so_pair_deficit, lambda: signature
 
 
-def _classical_question(meta, where, make=_spec):
+def _classical_question(meta, where):
     from .families import build_classical_in_sl, classical_in_sl_deficit
     kind = meta.get("kind")
     if kind == "so":
         p, q = _ints(meta, "signature", where, 2)
-        return p + q, lambda: make(build_classical_in_sl, classical_in_sl_deficit,
-                                   "so", p, q)
+        return p + q, build_classical_in_sl, classical_in_sl_deficit, lambda: ("so", p, q)
     if kind == "sp":
         m = _bounded(meta.get("m"), f"{where}.m")
-        return 2 * m, lambda: make(build_classical_in_sl, classical_in_sl_deficit, "sp", m)
+        return 2 * m, build_classical_in_sl, classical_in_sl_deficit, lambda: ("sp", m)
     raise SchemaError(f'{where}.kind: expected "so" or "sp"')
 
 
-# family name -> reader of its metadata: (matrix size, build).  A reader
-# takes what to make of its question, make(build, closed_form, *args):
-# by default the spec build(*args), and for recheck closed_form(*args),
-# the question's deficit as (space, den, terms) and its builder's metadata
+def _tensor_question(meta, where):
+    from .families import tensor_question
+    pattern, written = tensor_question(meta.get("variant"), meta, where)
+    return pattern.n, _block_spec, _block_form, lambda: (pattern, written)
+
+
+# family name -> reader of its metadata, which returns the question as
+# (matrix size, builder, closed form, args): builder(*args()) is its spec,
+# and closed_form(*args()) its deficit as (space, den, terms) with the
+# metadata its builder writes; args() is called once the size is bounded
 BUILDERS = {
     "sl_block": _sl_block_question,
     "product_in_sl": _product_question,
@@ -270,59 +274,45 @@ BUILDERS = {
 }
 
 
-def read_question(meta: dict, where: str) -> Optional[PairSpec]:
-    """The spec of the builder call that a spec's metadata names, rebuilt,
-    or None if it names none.
-
-    The metadata names a call when its "question" is "tensor_product" or
-    its "family" is a key of BUILDERS; "realified" makes it the
-    realification of that pair.  The parameters are read, type-checked and
-    bounded by QUESTION_CEILING, and the matrix size n with them, before
-    anything is built, so the build is small.  A parameter the builder
-    rejects raises SchemaError located at where; its domain errors
-    (TemperkitError) pass through.
-    """
+def _question(meta: dict, where: str, closed: bool = False):
+    """The spec of the builder call that meta names, or with closed its
+    closed form (BUILDERS), unrealified; None if it names none.  The
+    parameters and the matrix size are bounded by QUESTION_CEILING before
+    anything is built; a parameter the builder rejects raises SchemaError
+    located at where, and its domain errors (TemperkitError) pass through."""
     family = meta.get("family")
-    if meta.get("question") == "tensor_product":
-        from .families import tensor_question
-        spec = tensor_question(meta.get("variant"), meta, where)
-    elif type(family) is str and family in BUILDERS:
-        spec = _call(*BUILDERS[family](meta, where), where)
-    else:
+    read = (_tensor_question if meta.get("question") == "tensor_product"
+            else BUILDERS.get(family) if type(family) is str else None)
+    if read is None:
         return None
-    return realify(spec) if meta.get("realified") else spec
-
-
-def _call(n: int, call, where: str):
-    """call(), once the matrix size n is bounded by QUESTION_CEILING; a
-    parameter it rejects raises SchemaError located at where, and its
-    domain errors (TemperkitError) pass through."""
+    n, build, closed_form, args = read(meta, where)
     if n > QUESTION_CEILING:
         raise SchemaError(f"{where}: matrix size {n} exceeds the ceiling "
                           f"{QUESTION_CEILING}")
     try:
-        return call()
+        return (closed_form if closed else build)(*args())
     except TemperkitError:
         raise
     except (TypeError, ValueError) as e:
         raise SchemaError(f"{where}: {e}") from None
 
 
-def _closed_form(build, closed_form, *args):
-    """What recheck makes of a family question: closed_form(*args)."""
-    return closed_form(*args)
+def read_question(meta: dict, where: str) -> Optional[PairSpec]:
+    """The spec of the builder call that a spec's metadata names (_question),
+    realified if the metadata is "realified", or None if it names none."""
+    spec = _question(meta, where)
+    return realify(spec) if spec is not None and meta.get("realified") else spec
 
 
-def _family_deficit(meta: dict, where: str) -> tuple[tuple, dict]:
-    """The deficit of the family question that meta names, in closed form
-    as (space, den, terms), and the metadata its builder writes, read and
-    bounded as read_question reads them, with no weight module built; a
-    realified pair doubles every coefficient."""
-    (space, den, terms), written = _call(
-        *BUILDERS[meta["family"]](meta, where, _closed_form), where)
-    if meta.get("realified"):
-        return (space, den, [(2 * c, row) for c, row in terms]), {**written, "realified": True}
-    return (space, den, terms), written
+def _family_deficit(meta: dict, where: str) -> Optional[tuple[tuple, dict]]:
+    """The closed form of the question that meta names (_question), or None:
+    its deficit as (space, den, terms), with no weight module built, and the
+    metadata its builder writes; a realified pair doubles every coefficient."""
+    found = _question(meta, where, closed=True)
+    if found is None or not meta.get("realified"):
+        return found
+    (space, den, terms), written = found
+    return (space, den, [(2 * c, row) for c, row in terms]), {**written, "realified": True}
 
 
 def _rebuild(meta: dict, where: str, read=read_question):
@@ -424,7 +414,7 @@ def read_input(data) -> PairSpec:
         from .families import tensor_question
         question = _expect(data[mode], dict, mode)
         params = _expect(question.get("params"), list, f"{mode}.params")
-        return tensor_question(question.get("variant"), params, mode)
+        return _block_spec(*tensor_question(question.get("variant"), params, mode))
     else:
         spec, problems = _matrix_pair_spec(data[mode])
     if problems:
@@ -584,16 +574,13 @@ def verdict_to_json(verdict, spec: Optional[PairSpec] = None) -> dict:
 def _read_deficit(data: dict, where: str = "pair_spec") -> tuple[tuple, list[str]]:
     """The deficit of the spec that a pair_spec object states, as (space,
     den, terms), and how the object contradicts it, as read_pair_spec gives
-    them.  An object of metadata alone that names a family question, not a
-    tensor product, is not built: its deficit is its closed form
-    (_family_deficit), and its metadata is bound to the one its builder
-    writes."""
+    them.  An object of metadata alone that names a question is not built:
+    its deficit is its closed form (_family_deficit), and its metadata is
+    bound to the one its builder writes."""
     meta = _pair_spec_metadata(data, where)
-    family = meta.get("family")
-    if (type(family) is str and family in BUILDERS
-            and meta.get("question") != "tensor_product"
-            and not {"space", "h_module", "g_module", "v_module"} & data.keys()):
-        form, written = _rebuild(meta, where, _family_deficit)
+    if (not {"space", "h_module", "g_module", "v_module"} & data.keys()
+            and (found := _rebuild(meta, where, _family_deficit)) is not None):
+        form, written = found
         return form, _bind_metadata(written, meta, where)
     spec, problems = read_pair_spec(data, where)
     f = deficit(spec)
@@ -607,12 +594,12 @@ def recheck_document(data: dict) -> list[str]:
     (read_pair_spec): when the metadata names a builder call, the spec is
     rebuilt from it, after the call's parameters are bounded, and any space,
     module or metadata the document also carries must equal the rebuilt
-    one.  A family question written as its metadata alone is not rebuilt:
-    its deficit is taken in closed form (_read_deficit).  Each evidence
-    vector's length is then checked against the spec's ambient dimension,
-    before anything is valued.  One rule then replays either kind of
-    evidence: the document is tempered exactly when its evidence is a
-    certificate, and one model._evaluate pass values the
+    one.  A question written as its metadata alone, a tensor product too,
+    is not rebuilt: its deficit is taken in closed form (_read_deficit).
+    Each evidence vector's length is then checked against the spec's
+    ambient dimension, before anything is valued.  One rule then replays
+    either kind of evidence: the document is tempered exactly when its
+    evidence is a certificate, and one model._evaluate pass values the
     deficit at the witness direction or every ray as an exact total/scale,
     each of which must lie on the slice, have its recorded value p/q
     (total*q == p*scale), and have the sign the verdict claims (total < 0

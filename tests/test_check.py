@@ -7,9 +7,10 @@ import pytest
 from temperkit.check import (FAMILIES, TABLE1_PREDICATES, Verdict,
                              check, render_scan_table, scan_family,
                              sp_product_tempered, tensor_product_spec)
-from temperkit.families import _partitions, build_product_in_sp
+from temperkit.families import _partitions, build_product_in_sp, product_in_sp_deficit
 from temperkit.generators import TABLE1_PATTERNS, build_product_in_sl, build_sl_block
-from temperkit.model import PairSpec, TorusSpace, WeightModule, deficit, evaluate_pl
+from temperkit.model import (PairSpec, TorusSpace, WeightModule, _evaluate, deficit,
+                             evaluate_pl)
 from temperkit.verify import NonnegCertificate, Witness
 
 F = Fraction
@@ -172,9 +173,14 @@ def products(nmax):
 
 class TestSpProductPredicate:
     def test_rule_matches_ray_minimum(self):
-        for parts in products(12):
+        # the check sp_product_tempered's docstring claims: every partition
+        # with at least two parts and n <= 14, 493 of them
+        checked = 0
+        for parts in products(14):
             least = min(sp_ray_deficit(parts, ks) for ks in block_counts(parts))
             assert sp_product_tempered(parts) == (least >= 0), parts
+            checked += 1
+        assert checked == 493
 
     def test_two_parts_all_ones_ray(self):
         for a, b in itertools.product(range(1, 9), repeat=2):
@@ -182,10 +188,15 @@ class TestSpProductPredicate:
             assert not sp_product_tempered((a, b))
 
     def test_builder_deficit_matches_formula_at_rays(self):
-        for parts in products(5):
+        # F is the built spec's deficit, and the closed form that recheck
+        # values, at the 0/1 ray with the top ks[i] coordinates of block i set
+        for parts in products(6):
             f = deficit(build_product_in_sp(parts))
-            for ks in block_counts(parts):
-                ray = tuple(F(int(i < ki)) for ki, ni in zip(ks, parts)
-                            for i in range(ni))
-                assert evaluate_pl(f, ray) == sp_ray_deficit(parts, ks), \
+            (space, den, terms), _ = product_in_sp_deficit(parts)
+            counts = list(block_counts(parts))
+            rays = [tuple(F(int(i < ki)) for ki, ni in zip(ks, parts) for i in range(ni))
+                    for ks in counts]
+            closed = _evaluate(space, den, terms, rays)
+            for ks, ray, (total, scale) in zip(counts, rays, closed):
+                assert evaluate_pl(f, ray) == F(total, scale) == sp_ray_deficit(parts, ks), \
                     (parts, ks)

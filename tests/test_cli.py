@@ -14,6 +14,7 @@ import temperkit
 from temperkit import serialize, volume
 from temperkit.check import FAMILIES, check
 from temperkit.cli import main
+from temperkit.families import SCAN_SIZES
 from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern,
                                   build_sl_block, matrix_input_for_block_pattern)
 from temperkit.matrices import extract_weights
@@ -840,6 +841,43 @@ class TestScan:
         code, out, err = run(capsys, ["scan", *argv])
         assert code == 2, out
         assert where in err and not out
+
+    @pytest.mark.parametrize("argv, where", [
+        (["table1", "--pmax", "70", "--qmax", "1"],
+         "table1: --pmax 70, --qmax 1 reach matrix size 71, past the ceiling 64"),
+        (["table1", "--pmax", "100000"], "--pmax 100000 reach matrix size 100006"),
+        (["table2", "--max", "22"], "--max 22 reach matrix size 66"),
+        (["example51", "--rank", "33"], "--rank 33 reach matrix size 66"),
+        (["example51", "--total", "65", "--rank", "1"],
+         "--total 65, --rank 1 reach matrix size 65"),
+        (["example52-sl", "--n", "65"], "--n 65 reach matrix size 65"),
+        (["example52-sp", "--n", "65"], "--n 65 reach matrix size 65"),
+        (["example52-so", "--total", "65"], "--total 65 reach matrix size 65"),
+    ])
+    def test_range_past_the_ceiling_is_an_input_error(self, capsys, monkeypatch, argv, where):
+        # refused before the scan builds any point
+        def refuse(**ranges):
+            raise AssertionError("a point was built")
+        monkeypatch.setitem(FAMILIES, argv[0], refuse)
+        code, out, err = run(capsys, ["scan", *argv])
+        assert code == 2, out
+        assert where in err and not out
+
+    @pytest.mark.parametrize("family, ranges", [
+        ("table1", {"pmax": 3, "qmax": 2}), ("table2", {"max": 2}),
+        ("example51", {"total": 4, "rank": 3}), ("example51", {"total": 7, "rank": 2}),
+        ("example52-sl", {"n": 5}), ("example52-sp", {"n": 4}), ("example52-so", {"total": 5}),
+    ])
+    def test_scan_size_is_the_largest_the_scan_reaches(self, family, ranges):
+        # the size the ceiling is checked on is the largest of the matrix
+        # sizes that the question readers find in the scan's specs
+        size, scan = SCAN_SIZES[family], FAMILIES[family]
+        metas = [json.loads(serialize.dumps(spec.metadata)) for _, spec, _ in scan(**ranges)]
+        reached = max(serialize.BUILDERS[meta["family"]](meta, "")[0] for meta in metas)
+        assert reached == size(**ranges)
+        assert size.__defaults__ == scan.__defaults__
+        assert (size.__code__.co_varnames[:size.__code__.co_argcount]
+                == scan.__code__.co_varnames[:scan.__code__.co_argcount])
 
 
 class TestVolume:

@@ -386,24 +386,31 @@ class TestIntegerReplay:
 # values a metadata mutant sets a key to: wrong types, negatives, entries
 # past the ceiling, other families and kinds, and well-formed values
 METADATA_VALUES = [
-    None, True, False, 0, 1, 2, -1, 1.5, "1", "so", "sp", "x", QUESTION_CEILING,
+    None, True, False, 0, 1, 2, 3, -1, 1.5, "1", "so", "sp", "x", QUESTION_CEILING,
     QUESTION_CEILING + 1, 10 ** 9, [], [1], [2, 1], [1, 1], [1, 1, 1], [2, 1, 1, 2],
     [1, 2, 3, 1], [0, 0, 1, 2], [6, 0, 1, 2], [-1, 1, 1, 1], [1, -2], [1, 0],
     [QUESTION_CEILING, 1, 1, 1], [QUESTION_CEILING + 1, 1], [1, "1"], [1, 1.0],
-    [True, 1], [[1, 2]], {"a": 1}, "so_pair", "product_in_sp", "classical_in_sl",
-    "sl_block", "product_in_sl", "tensor_product", ["so_pair"],
+    [True, 1], [[1, 2]], [[0, 1], [0, 2]], {"a": 1}, "so_pair", "product_in_sp",
+    "classical_in_sl", "sl_block", "product_in_sl", "tensor_product", ["so_pair"],
 ]
 METADATA_KEYS = ("signature", "parts", "m", "kind", "family", "realified", "question")
+TENSOR_KEYS = ("variant", "k", "l", "n", "a", "b", "c", "question", "sizes",
+               "upper_blocks")
 
 
-def _bc_documents():
-    """Documents of type-BC questions, each kind of evidence among them."""
-    specs = [build_so_pair(2, 1, 1, 2), build_so_pair(6, 0, 1, 2),
-             realify(build_so_pair(2, 1, 1, 1)), build_so_pair(1, 1, 0, 3),
-             build_product_in_sp([2, 1, 1]), realify(build_product_in_sp([1, 1])),
-             build_classical_in_sl("so", 3, 1), build_classical_in_sl("sp", 2),
-             realify(build_classical_in_sl("so", 1, 1))]
-    return [json.loads(serialize.dumps(serialize.verdict_to_json(check(spec), spec)))
+def _mutant_inputs():
+    """Documents of type-BC questions and of tensor products, one per
+    variant and one realified, each kind of evidence among both, with the
+    metadata keys a mutant of each may set."""
+    bc = [build_so_pair(2, 1, 1, 2), build_so_pair(6, 0, 1, 2),
+          realify(build_so_pair(2, 1, 1, 1)), build_so_pair(1, 1, 0, 3),
+          build_product_in_sp([2, 1, 1]), realify(build_product_in_sp([1, 1])),
+          build_classical_in_sl("so", 3, 1), build_classical_in_sl("sp", 2),
+          realify(build_classical_in_sl("so", 1, 1))]
+    tensor = [tensor_product_spec(1, 2, 3, 5), tensor_product_spec(2, 5, 1, 2),
+              tensor_product_spec(3, 1, 3, 1), realify(tensor_product_spec(2, 2, 1, 2))]
+    return [(json.loads(serialize.dumps(serialize.verdict_to_json(check(spec), spec))), keys)
+            for specs, keys in ((bc, METADATA_KEYS), (tensor, TENSOR_KEYS))
             for spec in specs]
 
 
@@ -415,17 +422,20 @@ def _outcome(replay, doc):
 
 
 def test_bc_metadata_mutants_read_as_the_built_route_reads_them():
-    # recheck values a type-BC document's closed form; the reference builds
-    # the spec from its metadata and takes model.deficit: the problems, or
-    # the exception type and text, must be equal for every mutant
+    # recheck values a type-BC or tensor-product document's closed form;
+    # the reference builds the spec from its metadata and takes
+    # model.deficit: the problems, or the exception type and text, must be
+    # equal for every mutant
     rng = random.Random(45)
-    docs = _bc_documents()
-    assert {doc["evidence"]["kind"] for doc in docs} == {"certificate", "witness"}
+    inputs = _mutant_inputs()
+    for some in (inputs[:9], inputs[9:]):
+        assert {doc["evidence"]["kind"] for doc, _ in some} == {"certificate", "witness"}
     outcomes = set()
-    for _ in range(3000):
-        doc = json.loads(serialize.dumps(rng.choice(docs)))
+    for _ in range(4000):
+        doc, keys = rng.choice(inputs)
+        doc = json.loads(serialize.dumps(doc))
         meta = doc["pair_spec"]["metadata"]
-        for key in rng.sample(METADATA_KEYS, rng.choice((1, 1, 2))):
+        for key in rng.sample(keys, rng.choice((1, 1, 2))):
             value = rng.choice(METADATA_VALUES)
             if value is None:
                 meta.pop(key, None)

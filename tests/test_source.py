@@ -341,22 +341,26 @@ def test_block_recheck_builds_no_module(monkeypatch):
 
 
 def test_family_recheck_builds_no_module_and_no_function(monkeypatch):
-    # every family question written as its metadata alone is replayed on
-    # its raw closed form: no weight module is built for a type-BC one,
-    # and no PLFunction, so no canonical form, for any of them
+    # every family question and tensor product written as its metadata
+    # alone is replayed on its raw closed form: no weight module is built
+    # for any of them, and no PLFunction, so no canonical form
     from temperkit import model, serialize
     from temperkit.check import check
     docs = []
-    for family in ({"name": "so_pair", "signature": [2, 1, 1, 2]},
-                   {"name": "so_pair", "signature": [6, 0, 1, 2]},
-                   {"name": "so_pair", "signature": [2, 1, 1, 1], "realify": True},
-                   {"name": "product_in_sp", "parts": [2, 1, 1]},
-                   {"name": "product_in_sp", "parts": [1, 1], "realify": True},
-                   {"name": "classical_in_sl", "kind": "so", "params": [2, 1]},
-                   {"name": "classical_in_sl", "kind": "sp", "params": [2]},
-                   {"name": "sl_block", "pattern": "H11", "sizes": [2, 1, 2]},
-                   {"name": "product_in_sl", "parts": [2, 1], "realify": True}):
-        spec = serialize.read_input({"family": family})
+    for question in ({"name": "so_pair", "signature": [2, 1, 1, 2]},
+                     {"name": "so_pair", "signature": [6, 0, 1, 2]},
+                     {"name": "so_pair", "signature": [2, 1, 1, 1], "realify": True},
+                     {"name": "product_in_sp", "parts": [2, 1, 1]},
+                     {"name": "product_in_sp", "parts": [1, 1], "realify": True},
+                     {"name": "classical_in_sl", "kind": "so", "params": [2, 1]},
+                     {"name": "classical_in_sl", "kind": "sp", "params": [2]},
+                     {"name": "sl_block", "pattern": "H11", "sizes": [2, 1, 2]},
+                     {"name": "product_in_sl", "parts": [2, 1], "realify": True},
+                     {"variant": 1, "params": [2, 3, 5]},
+                     {"variant": 2, "params": [5, 1, 2]},
+                     {"variant": 3, "params": [1, 3, 1]}):
+        mode = "family" if "name" in question else "tensor_product"
+        spec = serialize.read_input({mode: question})
         docs.append(json.loads(serialize.dumps(serialize.verdict_to_json(check(spec), spec))))
     assert all(doc["pair_spec"].keys() == {"metadata"} for doc in docs)
     assert {doc["evidence"]["kind"] for doc in docs[:7]} == {"certificate", "witness"}
