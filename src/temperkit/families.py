@@ -7,26 +7,24 @@ dictionary.
 question naming its builders or a tensor product, `cli` for a scan.  It
 imports `check` only in scan_family, so a recheck loads no decision module.
 
-The defining-module builders derive products inside sp(n), orthogonal
-pairs and classical subalgebras of sl(n) from the defining module V, whose
-weights on the split torus are +-e_a (and zeros for so(p,q)).  sp(V) =
-S^2 V, so(V) = L^2 V and, V being self-dual, gl(V) = V (x) V* = S^2 V +
-L^2 V (Fulton-Harris, Representation Theory, 1991), so each multiset, zero
-weights included, has the right dimension by construction.  Beside each
-builder is its deficit in closed form, which recheck values with no
-module built.
+Products inside sp(n), orthogonal pairs and classical subalgebras of sl(n)
+are one recipe: h = h(V_1) + ... + h(V_r) inside g(V) for a defining
+module V = V_1 + ... + V_r, each V_i with the weights +-e_a of its own
+coordinates of the split torus and z_i zero weights, g being sp, so or sl
+and h sp or so.  Each family's parameter check returns that description,
+and one builder (_defining_spec) and one closed form of the deficit
+(_defining_deficit, which recheck values with no module built) read it.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from operator import add
 from typing import Callable, Optional, Sequence
 
 from .errors import SchemaError
 from .generators import (TABLE1_PATTERNS, TABLE2_PATTERNS, BlockPattern, _block_spec, _e,
-                         _int_param, _product_parts, _sl_block_metadata, _zero,
+                         _int_param, _product_parts, _sl_block_metadata,
                          build_product_in_sl, build_sl_block, realify)
 from .model import PairSpec, Record, TorusSpace, WeightModule
 from .serialize import QUESTION_CEILING
@@ -35,23 +33,17 @@ from .serialize import QUESTION_CEILING
 # ---------------------------------------------------------------------------
 # pairs derived from the defining module
 
-def _rep(coords, n: int, zeros: int = 0) -> list[tuple[int, ...]]:
-    """Weights of a defining module V on the split torus R^n: +-e_a for each
-    torus coordinate a in coords, and zeros zero weights."""
-    return [_e(a, n, s) for a in coords for s in (1, -1)] + [_zero(n)] * zeros
-
-
-def _square(rep, alternating: bool) -> Counter:
-    """Weights of the exterior square (alternating) or the symmetric square
-    of the module with weights rep: w_i + w_j over i < j, or over i <= j."""
-    pairs = (itertools.combinations if alternating
-             else itertools.combinations_with_replacement)(rep, 2)
-    return Counter(tuple(map(add, a, b)) for a, b in pairs)
-
-
-def _tensor(rep1, rep2) -> Counter:
-    """Weights of the tensor product of two modules: w + w' over all pairs."""
-    return Counter(tuple(map(add, a, b)) for a, b in itertools.product(rep1, rep2))
+# algebra X -> (c, l, s, dim): on a module V with the weights +-e_a of m
+# coordinates and z zero weights, X(V) has each +-e_a +- e_b (a < b) c
+# times, each +-2e_a l times, each +-e_a s*z times, and zero weights to
+# make up dim(2m + z).  sp(V) = S^2 V, so(V) = L^2 V and, V being
+# self-dual, sl(V) = S^2 V + L^2 V less the trace (Fulton-Harris,
+# Representation Theory, 1991)
+_ALGEBRAS = {
+    "sp": (1, 1, 1, lambda N: N * (N + 1) // 2),
+    "so": (1, 0, 1, lambda N: N * (N - 1) // 2),
+    "sl": (2, 1, 2, lambda N: N * N - 1),
+}
 
 
 def _module(space: TorusSpace, counter: Counter) -> WeightModule:
@@ -60,124 +52,138 @@ def _module(space: TorusSpace, counter: Counter) -> WeightModule:
     return WeightModule._from_integers(space, rows, space._scale)
 
 
-def _product_form(factor: list[int], diagonal: list[int]) -> tuple[TorusSpace, int, list]:
-    """(space, 1, terms) for a product's deficit on R^n, coordinate a of
-    factor[a]: -|y_a +- y_b| for a < b in one factor, +|y_a +- y_b| across
-    two, and diagonal[a]*|y_a| where that is nonzero."""
-    n = len(factor)
+def _weights(algebra: str, coords: range, zeros: int, n: int) -> Counter:
+    """The weights of X(V) on R^n (_ALGEBRAS), V having the weights +-e_a
+    for a in coords and zeros zero weights."""
+    c, long, short, dim = _ALGEBRAS[algebra]
+    out: Counter = Counter()
+    row = [0] * n
+    for a, b in itertools.combinations(coords, 2):
+        for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            row[a], row[b] = sa, sb
+            out[tuple(row)] = c
+        row[a] = row[b] = 0
+    for a in coords:
+        for value, m in ((2, long), (-2, long), (1, short * zeros), (-1, short * zeros)):
+            if m:
+                row[a] = value
+                out[tuple(row)] = m
+        row[a] = 0
+    out[tuple(row)] = dim(2 * len(coords) + zeros) - sum(out.values())
+    return out
+
+
+def _defining_spec(g: str, h: str, factors: list, metadata: dict) -> PairSpec:
+    """The spec of h(V_1) + ... + h(V_r) inside g(V), V = V_1 + ... + V_r,
+    for factors [(m_i, z_i)]: V_i has the weights +-e_a of its own m_i
+    coordinates of R^n, n = sum m_i, and z_i zero weights.  g/h is g(V)
+    less every h(V_i), weight by weight, so each multiset, zero weights
+    included, has the right dimension by construction."""
+    n = sum(m for m, _ in factors)
+    space = TorusSpace._from_reduced(n, (), ())
+    g_counter = _weights(g, range(n), sum(z for _, z in factors), n)
+    h_counter: Counter = Counter()
+    start = 0
+    for m, z in factors:
+        h_counter.update(_weights(h, range(start, start + m), z, n))
+        start += m
+    g_counter.subtract(h_counter)
+    return PairSpec(g_module=_module(space, g_counter), h_module=_module(space, h_counter),
+                    metadata=metadata, built=True)
+
+
+def _defining_deficit(g: str, h: str, factors: list, metadata: dict) -> tuple[tuple, dict]:
+    """The deficit of _defining_spec(g, h, factors, metadata) in closed
+    form, as (space, den, terms) with the rows as built (model._evaluate),
+    and the metadata; no weight module is built.
+
+    The deficit is rho_{g/h} - rho_h = rho_g - 2 rho_h, where rho_X(y) is
+    half the sum of |w(y)| over the weights w of X.  By _ALGEBRAS, X(V)
+    gives c (|y_a + y_b| + |y_a - y_b|) for each a < b, from the four
+    weights +-e_a +- e_b, and d_X(z) |y_a| for each coordinate a, d_X(z) =
+    2l + s z, from +-2e_a and +-e_a.  So the deficit has, for a < b, the
+    term c (|y_a + y_b| + |y_a - y_b|) with c = c_g - 2 c_h when a and b
+    lie in one factor and c = c_g when not, and d_g(Z) - 2 d_h(z_i) times
+    |y_a| for each coordinate a of factor i, Z = sum z_i; a zero
+    coefficient writes no term.  Hence:
+
+    - sp(n_1) x ... x sp(n_r) in sp(n): c = -1 inside a part, +1 across
+      parts, and -2|y_a| on every coordinate;
+    - so(p1,q1) + so(p2,q2): c = -1 inside a factor, +1 across, and
+      (z_2 - z_1)|y_a| on factor 1, (z_1 - z_2)|y_a| on factor 2;
+    - so(p,q) in sl(p+q): 2 sum_a |y_a| >= 0, tempered for every p + q >= 2
+      (with min(p, q) = 0 the torus is a point);
+    - sp(m) in sl(2m): -2 sum_a |y_a|, negative at every y != 0 of R^m, so
+      no m >= 1 gives a tempered pair.
+    """
+    cg, lg, sg, _ = _ALGEBRAS[g]
+    ch, lh, sh, _ = _ALGEBRAS[h]
+    owner = [i for i, (m, _) in enumerate(factors) for _ in range(m)]
+    dg = 2 * lg + sg * sum(z for _, z in factors)
+    delta = [dg - 2 * (2 * lh + sh * z) for _, z in factors]
+    n = len(owner)
     terms = []
+    row = [0] * n
     for a, b in itertools.combinations(range(n), 2):
-        c = 1 if factor[a] != factor[b] else -1
-        for sign in (-1, 1):
-            row = [0] * n
-            row[a], row[b] = 1, sign
-            terms.append((c, tuple(row)))
-    terms += [(c, _e(a, n)) for a, c in enumerate(diagonal) if c]
-    return TorusSpace(n), 1, terms
+        c = cg - 2 * ch if owner[a] == owner[b] else cg
+        if c:
+            for sign in (-1, 1):
+                row[a], row[b] = 1, sign
+                terms.append((c, tuple(row)))
+            row[a] = row[b] = 0
+    terms += [(delta[i], _e(a, n)) for a, i in enumerate(owner) if delta[i]]
+    return (TorusSpace._from_reduced(n, (), ()), 1, terms), metadata
 
 
-def _product_in_sp(parts: Sequence[int]) -> tuple[list[int], dict]:
-    """The checked parts of sp(n_1) x ... x sp(n_r) inside sp(n), and the
-    metadata build_product_in_sp writes."""
+def _product_in_sp(parts: Sequence[int]) -> tuple:
+    """sp(n_1) x ... x sp(n_r) inside sp(n) as (g, h, factors, metadata)
+    for _defining_spec, the parts checked."""
     parts = _product_parts(parts)
-    return parts, {"family": "product_in_sp", "parts": parts}
+    return "sp", "sp", [(p, 0) for p in parts], {"family": "product_in_sp", "parts": parts}
 
 
 def build_product_in_sp(parts: Sequence[int]) -> PairSpec:
-    """sp(n_1) x ... x sp(n_r) inside sp(n), split real forms.
-
-    sp(V) = S^2 V for the defining module V, here V_1 + ... + V_r with
-    weights +-e_a on the split torus R^n (no constraints).  So h is the sum
-    of the S^2 V_i and g/h the sum of the V_i (x) V_j over i < j.
-    """
-    parts, meta = _product_in_sp(parts)
-    n = sum(parts)
-    space = TorusSpace(n)
-    ends = list(itertools.accumulate(parts, initial=0))
-    reps = [_rep(range(a, b), n) for a, b in zip(ends, ends[1:])]
-    h_counter: Counter = Counter()
-    for rep in reps:
-        h_counter.update(_square(rep, alternating=False))
-    g_counter: Counter = Counter()
-    for rep1, rep2 in itertools.combinations(reps, 2):
-        g_counter.update(_tensor(rep1, rep2))
-    return PairSpec(
-        g_module=_module(space, g_counter),
-        h_module=_module(space, h_counter),
-        metadata=meta, built=True)
+    """sp(n_1) x ... x sp(n_r) inside sp(n), split real forms (_defining_spec)."""
+    return _defining_spec(*_product_in_sp(parts))
 
 
 def product_in_sp_deficit(parts: Sequence[int]) -> tuple[tuple, dict]:
-    """The deficit of build_product_in_sp(parts) in closed form, as (space,
-    den, terms) with the rows as built (model._evaluate), and the metadata
-    the builder writes; no weight module is built.
-
-    Half the sum of |w| over S^2 V_i is, for a < b inside the part,
-    |y_a + y_b| + |y_a - y_b| (from +-e_a +- e_b, each twice over the two
-    signs), and 2|y_a| (from +-2e_a); over V_i (x) V_j it is
-    |y_a + y_b| + |y_a - y_b| for a in part i and b in part j.  So the
-    deficit is -|y_a +- y_b| inside a part, +|y_a +- y_b| across parts and
-    -2|y_a| for each coordinate.
-    """
-    parts, meta = _product_in_sp(parts)
-    return _product_form([i for i, p in enumerate(parts) for _ in range(p)],
-                         [-2] * sum(parts)), meta
+    """The deficit of build_product_in_sp(parts) in closed form, and the
+    metadata the builder writes (_defining_deficit)."""
+    return _defining_deficit(*_product_in_sp(parts))
 
 
-def _so_pair(p1: int, q1: int, p2: int, q2: int) -> tuple[list, dict]:
-    """Each factor's (m_i, z_i) of a checked signature, m_i = min(p_i, q_i)
-    its rank and z_i = p_i + q_i - 2 m_i the zero weights of V_i, and the
-    metadata build_so_pair writes."""
+def _so_pair(p1: int, q1: int, p2: int, q2: int) -> tuple:
+    """so(p1,q1) + so(p2,q2) inside so(p1+p2, q1+q2) as (g, h, factors,
+    metadata) for _defining_spec, the signature checked.  A split torus of
+    h gives factor i the rank m_i = min(p_i, q_i) and z_i = p_i + q_i - 2 m_i
+    zero weights.  Each factor needs p_i + q_i >= 1: an empty one leaves no
+    pair, or h = g."""
     for name, v in zip(("p1", "q1", "p2", "q2"), (p1, q1, p2, q2)):
         if _int_param(v, name) < 0:
             raise ValueError("signature entries must be nonnegative")
     if p1 + q1 < 1 or p2 + q2 < 1:
         raise ValueError("need p1 + q1 >= 1 and p2 + q2 >= 1")
-    return ([(min(p, q), p + q - 2 * min(p, q)) for p, q in ((p1, q1), (p2, q2))],
+    return ("so", "so", [(min(p, q), p + q - 2 * min(p, q)) for p, q in ((p1, q1), (p2, q2))],
             {"family": "so_pair", "signature": [p1, q1, p2, q2]})
 
 
 def build_so_pair(p1: int, q1: int, p2: int, q2: int) -> PairSpec:
-    """so(p1,q1) + so(p2,q2) inside so(p1+p2, q1+q2).
-
-    so(V) = L^2 V for the defining module V = V_1 + V_2.  The torus is a
-    split torus of h, of rank min(p1,q1) + min(p2,q2); on it V_i has the
-    weights +-e_a of its own coordinates and p_i + q_i - 2 min(p_i, q_i)
-    zero weights.  So h = L^2 V_1 + L^2 V_2 and g/h = V_1 (x) V_2.  Each
-    factor needs p_i + q_i >= 1: an empty one leaves no pair, or h = g.
-    """
-    ((m1, z1), (m2, z2)), meta = _so_pair(p1, q1, p2, q2)
-    n = m1 + m2
-    space = TorusSpace(n)
-    rep1 = _rep(range(m1), n, z1)
-    rep2 = _rep(range(m1, n), n, z2)
-    return PairSpec(
-        g_module=_module(space, _tensor(rep1, rep2)),
-        h_module=_module(space, _square(rep1, alternating=True)
-                         + _square(rep2, alternating=True)),
-        metadata=meta, built=True)
+    """so(p1,q1) + so(p2,q2) inside so(p1+p2, q1+q2) (_defining_spec)."""
+    return _defining_spec(*_so_pair(p1, q1, p2, q2))
 
 
 def so_pair_deficit(p1: int, q1: int, p2: int, q2: int) -> tuple[tuple, dict]:
-    """The deficit of build_so_pair(p1, q1, p2, q2) in closed form, as
-    (space, den, terms) with the rows as built (model._evaluate), and the
-    metadata the builder writes; no weight module is built.
-
-    Half the sum of |w| over L^2 V_i is, for a < b inside factor i,
-    |y_a + y_b| + |y_a - y_b|, and z_i |y_a| for each of its coordinates
-    (+-e_a against each zero weight); over V_1 (x) V_2 it is |y_a + y_b| +
-    |y_a - y_b| across the factors, z_2 |y_a| on factor 1 and z_1 |y_b| on
-    factor 2.  So the deficit is -|y_a +- y_b| inside a factor, +|y_a +-
-    y_b| across, (z_2 - z_1)|y_a| on factor 1 and (z_1 - z_2)|y_b| on
-    factor 2.
-    """
-    ((m1, z1), (m2, z2)), meta = _so_pair(p1, q1, p2, q2)
-    return _product_form([0] * m1 + [1] * m2, [z2 - z1] * m1 + [z1 - z2] * m2), meta
+    """The deficit of build_so_pair(p1, q1, p2, q2) in closed form, and the
+    metadata the builder writes (_defining_deficit)."""
+    return _defining_deficit(*_so_pair(p1, q1, p2, q2))
 
 
-def _classical(kind: str, *params: int) -> tuple[int, int, dict]:
-    """The rank m and the zero weights z of V for a checked classical
-    subalgebra, and the metadata build_classical_in_sl writes."""
+def _classical(kind: str, *params: int) -> tuple:
+    """so(p,q) inside sl(p+q) (kind "so") or sp(m) inside sl(2m) (kind "sp")
+    as (g, h, factors, metadata) for _defining_spec, the parameters checked:
+    one factor, of rank min(p, q) with p + q - 2 min(p, q) zero weights, or
+    of rank m."""
     if kind == "so":
         p, q = params
         if _int_param(p, "p") < 0 or _int_param(q, "q") < 0:
@@ -185,54 +191,27 @@ def _classical(kind: str, *params: int) -> tuple[int, int, dict]:
         if p + q < 2:
             raise ValueError("need p + q >= 2")
         m = min(p, q)
-        return m, p + q - 2 * m, {"family": "classical_in_sl", "kind": "so",
-                                  "signature": [p, q]}
+        return ("sl", "so", [(m, p + q - 2 * m)],
+                {"family": "classical_in_sl", "kind": "so", "signature": [p, q]})
     if kind == "sp":
         (m,) = params
         if _int_param(m, "m") < 1:
             raise ValueError("need m >= 1")
-        return m, 0, {"family": "classical_in_sl", "kind": "sp", "m": m}
+        return "sl", "sp", [(m, 0)], {"family": "classical_in_sl", "kind": "sp", "m": m}
     raise ValueError(f"unknown kind {kind!r}")
 
 
 def build_classical_in_sl(kind: str, *params: int) -> PairSpec:
-    """A classical subalgebra inside sl of its defining representation V.
-
-    kind "so": so(p,q) inside sl(p+q); kind "sp": sp(m) inside sl(2m).
-    The torus is a split torus of h, on which V has the weights +-e_a (and
-    p + q - 2 min(p, q) zero weights for so).  V is self-dual, so
-    gl(V) = V (x) V* = S^2 V + L^2 V.  h is so(V) = L^2 V or sp(V) = S^2 V,
-    and g/h is the other square less one zero weight, the trace.
-    """
-    m, zeros, meta = _classical(kind, *params)
-    space = TorusSpace(m)
-    rep = _rep(range(m), m, zeros)
-    g_counter = _square(rep, alternating=kind == "sp")
-    g_counter[_zero(m)] -= 1
-    return PairSpec(
-        g_module=_module(space, g_counter),
-        h_module=_module(space, _square(rep, alternating=kind == "so")),
-        metadata=meta, built=True)
+    """A classical subalgebra inside sl of its defining representation:
+    so(p,q) inside sl(p+q) for kind "so", sp(m) inside sl(2m) for kind
+    "sp" (_defining_spec)."""
+    return _defining_spec(*_classical(kind, *params))
 
 
 def classical_in_sl_deficit(kind: str, *params: int) -> tuple[tuple, dict]:
     """The deficit of build_classical_in_sl(kind, *params) in closed form,
-    as (space, den, terms), and the metadata the builder writes; no weight
-    module is built.
-
-    S^2 V is L^2 V together with the weights 2w, one for each weight w of
-    V.  So half the sum of |w| over S^2 V exceeds that over L^2 V by half
-    of sum |2w| = 2 sum_a (|y_a| + |-y_a|), that is by 2 sum_a |y_a|, and
-    the zero weights of V and the trace add nothing.  For so(p,q) inside
-    sl(p+q), where h = L^2 V, the deficit is 2 sum_a |y_a| >= 0, so the
-    pair is tempered for every p + q >= 2 (with min(p, q) = 0 the torus
-    is a point).  For sp(m) inside sl(2m), where h = S^2 V, it is
-    -2 sum_a |y_a|, negative at every y != 0 of R^m, so no m >= 1 gives a
-    tempered pair.
-    """
-    m, _, meta = _classical(kind, *params)
-    c = 2 if kind == "so" else -2
-    return (TorusSpace(m), 1, [(c, _e(a, m)) for a in range(m)]), meta
+    and the metadata the builder writes (_defining_deficit)."""
+    return _defining_deficit(*_classical(kind, *params))
 
 
 # ---------------------------------------------------------------------------

@@ -413,6 +413,7 @@ def read_input(data) -> PairSpec:
     elif mode == "tensor_product":
         from .families import tensor_question
         question = _expect(data[mode], dict, mode)
+        _unknown_key(question, ("variant", "params"), mode, "not a tensor_product key")
         params = _expect(question.get("params"), list, f"{mode}.params")
         return _block_spec(*tensor_question(question.get("variant"), params, mode))
     else:

@@ -7,8 +7,9 @@ import pytest
 from temperkit.check import (FAMILIES, TABLE1_PREDICATES, Verdict,
                              check, render_scan_table, scan_family,
                              sp_product_tempered, tensor_product_spec)
-from temperkit.families import _partitions, build_product_in_sp, product_in_sp_deficit
-from temperkit.generators import TABLE1_PATTERNS, build_product_in_sl, build_sl_block
+from temperkit.families import (_partitions, build_classical_in_sl, build_product_in_sp,
+                                build_so_pair, product_in_sp_deficit)
+from temperkit.generators import TABLE1_PATTERNS, build_product_in_sl, build_sl_block, realify
 from temperkit.model import (PairSpec, TorusSpace, WeightModule, _evaluate, deficit,
                              evaluate_pl)
 from temperkit.verify import NonnegCertificate, Witness
@@ -200,3 +201,44 @@ class TestSpProductPredicate:
             for ks, ray, (total, scale) in zip(counts, rays, closed):
                 assert evaluate_pl(f, ray) == F(total, scale) == sp_ray_deficit(parts, ks), \
                     (parts, ks)
+
+
+def bc_factor_sizes(meta):
+    """The rank of each factor of a type-BC question, from its metadata."""
+    if meta["family"] == "product_in_sp":
+        return meta["parts"]
+    if meta["family"] == "so_pair":
+        p1, q1, p2, q2 = meta["signature"]
+        return [min(p1, q1), min(p2, q2)]
+    return [min(meta["signature"])] if meta["kind"] == "so" else [meta["m"]]
+
+
+def test_type_bc_verdict_is_the_count_vector_criterion():
+    # a type-BC deficit is a sum of c (|y_a + y_b| + |y_a - y_b|) and
+    # d |y_a| terms, so it is linear on each chamber of the signed
+    # permutations, whose rays are the 0/1 vectors 1_S up to sign; it is
+    # invariant under sign changes and under permutations inside a factor,
+    # so 1_S may be taken as the top kappa_i coordinates of each factor i.
+    # Hence it is >= 0 exactly when it is >= 0 at 1_{top kappa} for every
+    # count vector kappa, decided here from model.deficit of the built spec
+    specs = [build_product_in_sp(parts) for parts in products(8)]
+    for p1, q1, p2, q2 in itertools.product(range(5), repeat=4):
+        if p1 + q1 >= 1 and p2 + q2 >= 1:
+            specs.append(build_so_pair(p1, q1, p2, q2))
+    specs += [build_classical_in_sl("so", p, n - p) for n in range(2, 9) for p in range(n + 1)]
+    specs += [build_classical_in_sl("sp", m) for m in range(1, 5)]
+    specs += [realify(build_product_in_sp(parts)) for parts in ((1, 1), (2, 1), (2, 1, 1))]
+    specs += [realify(build_so_pair(*signature)) for signature in
+              ((1, 1, 1, 1), (2, 1, 1, 0), (6, 0, 1, 2), (2, 2, 0, 1))]
+    specs += [realify(build_classical_in_sl("so", 2, 1)), realify(build_classical_in_sl("sp", 2))]
+    assert len(specs) == 58 + 576 + 42 + 4 + 9
+    tempered = 0
+    for spec in specs:
+        sizes = bc_factor_sizes(spec.metadata)
+        f = deficit(spec)
+        rays = (tuple(F(int(i < k)) for k, m in zip(kappa, sizes) for i in range(m))
+                for kappa in block_counts(sizes))
+        criterion = all(evaluate_pl(f, ray) >= 0 for ray in rays)
+        assert check(spec).tempered == criterion, spec.metadata
+        tempered += criterion
+    assert 0 < tempered < len(specs)

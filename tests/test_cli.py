@@ -318,6 +318,11 @@ class TestSpecErrors:
          "tensor_product.params"),
         ({"tensor_product": [1, [2, 2, 4]]}, 2,
          "tensor_product: expected an object"),
+        # a tensor_product reads variant and params and refuses any other key
+        ({"tensor_product": {"variant": 1, "params": [2, 2, 4], "realify": True}}, 2,
+         "tensor_product.realify: not a tensor_product key"),
+        ({"tensor_product": {"variant": 1, "prams": [2, 2, 4]}}, 2,
+         "tensor_product.prams: not a tensor_product key"),
         # a JSON true is not the rational 1, nor "no" a boolean
         (pair_spec({"h_module.weights": [{"form": [True, "0"], "mult": 1}]}), 2,
          "pair_spec.h_module.weights[0].form[0]: expected a rational, got bool"),
@@ -436,7 +441,8 @@ class TestSpecErrors:
             "tensor_float_variant", "tensor_bool_variant",
             "tensor_string_variant", "tensor_no_variant",
             "tensor_string_params", "tensor_float_param", "tensor_bool_param",
-            "tensor_not_object", "bool_form_entry", "bool_constraint_entry",
+            "tensor_not_object", "tensor_realify_key", "tensor_misspelt_params",
+            "bool_form_entry", "bool_constraint_entry",
             "underscore_rational", "spaced_rational", "non_ascii_rational",
             "plus_rational", "negative_denominator", "pattern_string_size",
             "pattern_sizes_not_list", "pattern_not_string", "pattern_four_sizes",

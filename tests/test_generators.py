@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from temperkit.check import FAMILIES, check, sp_product_tempered
 from temperkit.errors import (BasisError, BracketClosureError,
                               DecompositionError)
-from temperkit.families import (build_classical_in_sl, build_product_in_sp, build_so_pair,
-                                 classical_in_sl_deficit, so_pair_deficit)
+from temperkit.families import (_partitions, build_classical_in_sl, build_product_in_sp,
+                                 build_so_pair, classical_in_sl_deficit, so_pair_deficit)
 from temperkit.generators import (TABLE1_PATTERNS, TABLE2_PATTERNS,
                                   BlockPattern, _product_pattern,
                                   build_product_in_sl, build_sl_block,
@@ -180,6 +180,13 @@ def test_bc_closed_forms_are_the_deficit_of_the_built_spec():
             with pytest.raises(ValueError, match=re.escape(str(e))):
                 so_pair_deficit(p1, q1, p2, q2)
     assert len(specs) == 61 + 576     # 49 signatures leave a factor empty
+    # every compact or split classical pair up to n = 8, and every sp
+    # product up to n = 8, tie the closed forms to the built deficit
+    specs += [build_classical_in_sl("so", p, n - p) for n in range(2, 9) for p in range(n + 1)]
+    specs += [build_classical_in_sl("sp", m) for m in range(1, 5)]
+    specs += [build_product_in_sp(parts) for n in range(2, 9) for parts in _partitions(n)
+              if len(parts) >= 2]
+    assert len(specs) == 61 + 576 + 42 + 4 + 58
     for spec in specs:
         (space, den, terms), written = _family_deficit(spec.metadata, "pair_spec")
         assert held(PLFunction._from_integers(space, den, terms)) == held(deficit(spec)), \
